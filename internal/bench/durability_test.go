@@ -2,6 +2,7 @@ package bench
 
 import (
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -53,7 +54,7 @@ func TestRunDurableFigure7CellSmoke(t *testing.T) {
 
 // durabilityCell is the tracked durability cell: the same Figure-7 style
 // workload BENCH_durability.json has carried since PR 1, plus the shared
-// commit queue's production tuning (a 1 ms fsync coalescing window —
+// commit log's production tuning (a 1 ms fsync coalescing window —
 // with four co-located nodes the waves would otherwise contend the one
 // filesystem journal).
 func durabilityCell() Fig7Cell {
@@ -116,10 +117,21 @@ func TestDurableFractionFloor(t *testing.T) {
 	}
 }
 
+// trackedPath is where a trajectory test writes its BENCH_*.json report:
+// the tracked file at the repo root only when BENCH_WRITE=1 asks for a
+// regeneration, a scratch file otherwise — a plain `go test ./...` runs
+// the cell, checks it and serializes the report without touching the tree.
+func trackedPath(t *testing.T, name string) string {
+	if os.Getenv("BENCH_WRITE") == "1" {
+		return filepath.Join("..", "..", name)
+	}
+	return filepath.Join(t.TempDir(), name)
+}
+
 // TestDurabilityComparisonTrajectory runs one small Figure-7 cell twice
-// (in-memory and durable) and writes the result to BENCH_durability.json
-// at the repo root, so the cost of the fsync discipline is tracked across
-// PRs.
+// (in-memory and durable) and, under BENCH_WRITE=1, records the result in
+// BENCH_durability.json at the repo root, so the cost of the fsync
+// discipline is tracked across PRs.
 func TestDurabilityComparisonTrajectory(t *testing.T) {
 	cell := durabilityCell()
 	memory, durable, err := BestDurabilityComparison(cell, t.TempDir(), 3)
@@ -139,7 +151,7 @@ func TestDurabilityComparisonTrajectory(t *testing.T) {
 		t.Fatalf("RunRetentionBench: %v", err)
 	}
 	rep.Retention = &retRow
-	if err := WriteDurabilityReport("../../BENCH_durability.json", rep); err != nil {
+	if err := WriteDurabilityReport(trackedPath(t, "BENCH_durability.json"), rep); err != nil {
 		t.Fatalf("writing report: %v", err)
 	}
 	t.Logf("durability: %.0f tx/s in-memory, %.0f tx/s durable (%.0f%%); retention: %d B before / %d B after compaction (peak %d B)",

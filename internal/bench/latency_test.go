@@ -25,11 +25,11 @@ func latencyCell(dataDir string) Fig7Cell {
 }
 
 // TestLatencyTrajectory runs the tracked cell with the observability
-// layer enabled and writes the per-stage latency breakdown to
-// BENCH_latency.json at the repo root, so each pipeline stage's
-// trajectory is tracked across PRs: a group-commit regression shows in
-// the fsync stage, a dissemination regression in disseminate/deliver,
-// without moving the others.
+// layer enabled and, under BENCH_WRITE=1, records the per-stage latency
+// breakdown in BENCH_latency.json at the repo root, so each pipeline
+// stage's trajectory is tracked across PRs: a group-commit regression
+// shows in the fsync stage, a dissemination regression in
+// disseminate/deliver, without moving the others.
 func TestLatencyTrajectory(t *testing.T) {
 	rep, row, err := RunLatencyCell(latencyCell(t.TempDir()))
 	if err != nil {
@@ -64,7 +64,7 @@ func TestLatencyTrajectory(t *testing.T) {
 	// The data dir is a per-run temp path; blank it so the tracked
 	// artifact only diffs when the measurement changes.
 	rep.Cell.DataDir = ""
-	if err := WriteLatencyReport("../../BENCH_latency.json", rep); err != nil {
+	if err := WriteLatencyReport(trackedPath(t, "BENCH_latency.json"), rep); err != nil {
 		t.Fatalf("writing report: %v", err)
 	}
 }

@@ -46,9 +46,10 @@ func TestShardScalingFloor(t *testing.T) {
 	}
 }
 
-// TestShardingComparisonTrajectory measures the tracked cell and writes
-// the result to BENCH_sharding.json at the repo root, so the scale-out
-// factor is tracked across PRs alongside the durability trajectory.
+// TestShardingComparisonTrajectory measures the tracked cell and, under
+// BENCH_WRITE=1, records the result in BENCH_sharding.json at the repo
+// root, so the scale-out factor is tracked across PRs alongside the
+// durability trajectory.
 func TestShardingComparisonTrajectory(t *testing.T) {
 	cell := TrackedShardingCell()
 	single, sharded, err := BestShardingComparison(cell, t.TempDir(), 3)
@@ -59,7 +60,7 @@ func TestShardingComparisonTrajectory(t *testing.T) {
 		t.Fatalf("no throughput: single %+v sharded %+v", single, sharded)
 	}
 	rep := NewShardingReport(cell, single, sharded)
-	if err := WriteShardingReport("../../BENCH_sharding.json", rep); err != nil {
+	if err := WriteShardingReport(trackedPath(t, "BENCH_sharding.json"), rep); err != nil {
 		t.Fatalf("writing report: %v", err)
 	}
 	t.Logf("sharding: %.0f tx/s on 1 group, %.0f tx/s on 2 groups (%.2fx)",

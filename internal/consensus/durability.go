@@ -7,52 +7,39 @@ import (
 
 // This file wires a durable backend under the replica (the WAL + checkpoint
 // discipline the paper's replicas rely on to survive crashes, Section 5.2):
-// every decided batch is fsynced before it is delivered to the application,
-// checkpoints are persisted as they are taken, and on construction the
-// replica restores the newest checkpoint and replays the logged suffix, so
-// a restart resumes exactly at the durable frontier instead of at zero.
+// every decided batch is enqueued on the durable log, in sequence order,
+// before it is delivered to the application, checkpoints are persisted as
+// they are taken, and on construction the replica restores the newest
+// checkpoint and replays the logged suffix, so a restart resumes exactly
+// at the durable frontier instead of at zero.
 
-// Durability persists consensus decisions and checkpoints. Implementations
-// (storage.NodeStorage) must make AppendDecision block until the record is
-// on disk; the replica calls it from the event loop before executing the
-// batch, which is what makes the log write-ahead.
-type Durability interface {
-	// AppendDecision durably logs the decided batch of instance seq.
-	AppendDecision(seq int64, batch [][]byte) error
-	// SaveCheckpoint durably stores the wrapped snapshot taken at seq and
-	// may prune log records at or below seq.
-	SaveCheckpoint(seq int64, snapshot []byte) error
-}
-
-// DecisionToken tracks an asynchronously enqueued decision record: Wait
-// blocks until the record is fsynced and returns the commit error, if
-// any; Done reports completion without blocking (the replica polls it to
-// surface commit failures from the event loop without ever stalling on
-// the fsync).
+// DecisionToken tracks an enqueued decision record: Wait blocks until the
+// record is fsynced and returns the commit error, if any; Done reports
+// completion without blocking (the replica polls it to surface commit
+// failures from the event loop without ever stalling on the fsync).
 type DecisionToken interface {
 	Wait() error
 	Done() bool
 }
 
-// AsyncDurability is the optional extension backends implement when they
-// can enqueue a decision record and complete it on a later group commit
-// (storage.NodeStorage's commit queue over the unified log). A replica whose backend
-// implements it logs decisions without blocking the event loop on the
-// fsync: the record is enqueued in sequence order, the loop keeps
-// executing, and the application gates externally visible effects on the
-// token — the write-ahead discipline moves from "fsync before execute"
-// to "fsync before anything leaves the node", which is what the paper
-// actually requires, at a fraction of the stall.
-type AsyncDurability interface {
-	Durability
-	// AppendDecisionAsync enqueues the decided batch of instance seq for
-	// the next group commit and returns its durability token. Appends
-	// must commit in call order.
-	AppendDecisionAsync(seq int64, batch [][]byte) DecisionToken
-	// SaveCheckpointAsync persists the snapshot off the calling
-	// goroutine (a checkpoint subsumes older ones, so backends may
-	// coalesce). The replica uses it so the checkpoint fsyncs never run
-	// on the event loop either.
+// Durability persists consensus decisions and checkpoints (the ordering
+// node backs it with storage.NodeStorage's unified commit log). The
+// replica never blocks its event loop on a decision's fsync: the record is
+// enqueued, the loop keeps executing, and the application gates externally
+// visible effects on the token — the write-ahead discipline is "fsync
+// before anything leaves the node", which is what the paper actually
+// requires, at a fraction of the stall of "fsync before execute".
+type Durability interface {
+	// AppendDecision enqueues the decided batch of instance seq for the
+	// backend's next group commit and returns its durability token.
+	// Appends must commit in call order.
+	AppendDecision(seq int64, batch [][]byte) DecisionToken
+	// SaveCheckpoint durably stores the wrapped snapshot taken at seq
+	// before returning, and may prune log records at or below seq.
+	SaveCheckpoint(seq int64, snapshot []byte) error
+	// SaveCheckpointAsync persists the snapshot off the calling goroutine
+	// (a checkpoint subsumes older ones, so backends may coalesce), so a
+	// routine checkpoint's fsyncs never run on the event loop.
 	SaveCheckpointAsync(seq int64, snapshot []byte)
 }
 
@@ -80,9 +67,6 @@ type DurableState struct {
 func WithDurability(d Durability, state *DurableState) Option {
 	return func(r *Replica) {
 		r.durable = d
-		if ad, ok := d.(AsyncDurability); ok {
-			r.durableAsync = ad
-		}
 		r.recoverState = state
 	}
 }
@@ -137,38 +121,24 @@ func (r *Replica) restoreDurable(st *DurableState) error {
 // logDecision write-ahead-logs one decided batch if it is the next one the
 // durable log expects. Gating on contiguity keeps the on-disk log dense
 // (replay depends on it) and makes the hook idempotent across the several
-// call sites that may see the same instance.
+// call sites that may see the same instance. The record is enqueued and
+// the loop keeps going: records commit in call order, so the on-disk log
+// stays dense, and the application gates visible effects on the token. A
+// commit failure poisons the backend's log (later enqueues fail too) and
+// surfaces on the token at the gate; the previous token is polled (never
+// waited on) so a poisoned log is also reported here, from the loop, once.
 func (r *Replica) logDecision(seq int64, batch [][]byte) {
 	if r.durable == nil || seq != r.durableSeq+1 {
 		return
 	}
-	if r.durableAsync != nil {
-		// Enqueue and keep going: records commit in call order, so the
-		// on-disk log stays dense, and the application gates visible
-		// effects on the token. A commit failure poisons the backend's
-		// log (later enqueues fail too) and surfaces on the token at the
-		// gate — the event loop itself never stalls on the fsync. The
-		// previous token is polled (never waited on) so a poisoned log is
-		// also reported here, from the loop, not only at the
-		// dissemination gate.
-		if prev := r.lastDecisionTok; prev != nil && prev.Done() {
-			if err := prev.Wait(); err != nil && !r.durableFailureLogged {
-				r.durableFailureLogged = true
-				fmt.Fprintf(os.Stderr, "consensus: replica %d: async decision log failed before seq %d: %v\n",
-					r.cfg.SelfID, seq, err)
-			}
+	if prev := r.lastDecisionTok; prev != nil && prev.Done() {
+		if err := prev.Wait(); err != nil && !r.durableFailureLogged {
+			r.durableFailureLogged = true
+			fmt.Fprintf(os.Stderr, "consensus: replica %d: decision log failed before seq %d: %v\n",
+				r.cfg.SelfID, seq, err)
 		}
-		r.lastDecisionTok = r.durableAsync.AppendDecisionAsync(seq, batch)
-		r.durableSeq = seq
-		return
 	}
-	if err := r.durable.AppendDecision(seq, batch); err != nil {
-		// Durability is lost but the replica can still make progress in
-		// memory; surface the failure loudly rather than killing consensus.
-		fmt.Fprintf(os.Stderr, "consensus: replica %d: decision log write failed at seq %d: %v\n",
-			r.cfg.SelfID, seq, err)
-		return
-	}
+	r.lastDecisionTok = r.durable.AppendDecision(seq, batch)
 	r.durableSeq = seq
 }
 
@@ -178,12 +148,12 @@ func (r *Replica) logCheckpoint(seq int64, snapshot []byte) {
 	if r.durable == nil {
 		return
 	}
-	if r.durableAsync != nil && seq <= r.durableSeq {
+	if seq <= r.durableSeq {
 		// Routine checkpoint: every decision at or below seq is already
 		// in the durable log (or enqueued ahead of this save's effects),
 		// so the checkpoint is pure optimization — it only shortens
 		// recovery's replay — and the loop need not wait for its fsyncs.
-		r.durableAsync.SaveCheckpointAsync(seq, snapshot)
+		r.durable.SaveCheckpointAsync(seq, snapshot)
 		return
 	}
 	// Bridging checkpoint (seq > durableSeq, e.g. a state-transfer jump
@@ -195,7 +165,5 @@ func (r *Replica) logCheckpoint(seq int64, snapshot []byte) {
 			r.cfg.SelfID, seq, err)
 		return
 	}
-	if seq > r.durableSeq {
-		r.durableSeq = seq
-	}
+	r.durableSeq = seq
 }

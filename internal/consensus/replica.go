@@ -222,13 +222,11 @@ type Replica struct {
 	checkpointSeq  int64
 	checkpointSnap []byte
 
-	// Durable storage (optional): decisions are fsynced (or, with an
-	// AsyncDurability backend, enqueued in order for a later group
-	// commit) before execution, and checkpoints persisted as taken.
-	// durableSeq is the newest seq covered on disk or in the commit
-	// queue (by log record or checkpoint).
+	// Durable storage (optional): decisions are enqueued on the backend's
+	// log, in order, before execution, and checkpoints persisted as
+	// taken. durableSeq is the newest seq covered on disk or enqueued
+	// for the log's next group commit (by log record or checkpoint).
 	durable      Durability
-	durableAsync AsyncDurability
 	durableSeq   int64
 	recoverState *DurableState
 	// lastDecisionTok is the newest enqueued decision's durability token

@@ -82,12 +82,9 @@ type ClusterConfig struct {
 	// (channel c keeps RetainBytes * w(c)/Σw bytes; unlisted channels
 	// weigh 1). Nil splits the budget evenly.
 	RetainWeights map[string]float64
-	// CommitMaxDelay tunes every node's commit queue: the fsync
-	// coalescing window (zero commits greedily).
+	// CommitMaxDelay tunes every node's commit log: the fsync coalescing
+	// window (zero commits greedily).
 	CommitMaxDelay time.Duration
-	// CommitMaxBatch caps the records one log contributes to a single
-	// fsync wave (zero keeps the default).
-	CommitMaxBatch int
 	// CommitSyncHook, when set, runs at the start of every commit wave
 	// on every node (test instrumentation; see storage.Options.SyncHook).
 	CommitSyncHook func()
@@ -216,7 +213,6 @@ func (c *Cluster) startNode(i int, members []consensus.ReplicaID) (*OrderingNode
 		RetainBytes:     c.cfg.RetainBytes,
 		RetainWeights:   c.cfg.RetainWeights,
 		CommitMaxDelay:  c.cfg.CommitMaxDelay,
-		CommitMaxBatch:  c.cfg.CommitMaxBatch,
 		CommitSyncHook:  c.nodeSyncHook(i),
 		ShardID:         c.cfg.ShardID,
 		Metrics:         c.nodeMetrics(i),

@@ -436,6 +436,54 @@ func TestSoloOrdererTimeout(t *testing.T) {
 	collectBlocks(t, stream, 1, 5*time.Second)
 }
 
+// TestSoloOrdererProducerOutrunsSigningPool is the regression test for a
+// deadlock: the orderer used to enqueue the signature while holding its
+// mutex, which the signing workers need to deliver a finished block — a
+// single producer that filled the pool's queue (2x the worker count) hung
+// the orderer for good. One goroutine pushes many times the queue depth
+// of one-envelope blocks against a deadline.
+func TestSoloOrdererProducerOutrunsSigningPool(t *testing.T) {
+	key, err := cryptoutil.GenerateKeyPair()
+	if err != nil {
+		t.Fatalf("keygen: %v", err)
+	}
+	const workers = 1
+	const blocks = 32 * 2 * workers // 32x the signing-queue depth
+	solo, err := NewSoloOrderer(SoloConfig{BlockSize: 1, Key: key, SigningWorkers: workers})
+	if err != nil {
+		t.Fatalf("NewSoloOrderer: %v", err)
+	}
+	// Not deferred: closing a deadlocked orderer hangs too, and the
+	// deadline below must be what fails the test.
+	stream := deliverNewest(t, solo, "ch")
+	produced := make(chan fabric.BroadcastStatus, 1)
+	go func() {
+		for i := 0; i < blocks; i++ {
+			if st := solo.Broadcast(mkEnvelope("ch", i, 16)); st != fabric.StatusSuccess {
+				produced <- st
+				return
+			}
+		}
+		produced <- fabric.StatusSuccess
+	}()
+	select {
+	case st := <-produced:
+		if st != fabric.StatusSuccess {
+			t.Fatalf("broadcast: %v", st)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("producer deadlocked against the signing pool")
+	}
+	got := collectBlocks(t, stream, blocks, 10*time.Second)
+	if len(got) != blocks {
+		t.Fatalf("blocks = %d, want %d", len(got), blocks)
+	}
+	if err := fabric.VerifyChain(got); err != nil {
+		t.Fatalf("chain: %v", err)
+	}
+	solo.Close()
+}
+
 func TestClusterValidation(t *testing.T) {
 	if _, err := NewCluster(ClusterConfig{Nodes: 0}); err == nil {
 		t.Fatal("zero nodes accepted")

@@ -465,10 +465,14 @@ type rangeCandidate struct {
 // (identity: the last block's header hash — the hash chain makes it cover
 // the whole range), so a byzantine peer that answers first with a forged
 // but internally consistent chain cannot lock honest copies out: the
-// honest version accumulates its quorum independently and wins. Chains
-// persisted before signature retention (legacy) cannot reach the
-// threshold and fail with ErrUnverifiedRange — callers fall back to
-// hash-chain anchoring.
+// honest version accumulates its quorum independently and wins. Blocks
+// that carry no signatures — sealed with DisableSigning, or re-sealed
+// from the decision log by a crash recovery — cannot reach the threshold
+// and fail with ErrUnverifiedRange: callers then apply the other live
+// verification rule, hash-chain anchoring (FetchRange) or f+1 matching
+// copies (FetchRangeQuorum), which is also the only rule a deployment
+// without a verification-key registry (cmd/ordernode distributes none)
+// ever runs.
 //
 // Once a full copy is in hand, further peers are asked for signatures
 // only (fetchFlagSigsOnly): envelope-stripped blocks whose signatures are

@@ -86,7 +86,7 @@ type Frontend struct {
 	released int // release threshold: 2f+1 matching or f+1 verified
 	fetcher  *blockFetcher
 	peers    []transport.Addr
-	channels map[string]struct{} // non-nil when cfg.Channels restricts
+	channels map[string]struct{}  // non-nil when cfg.Channels restricts
 	metrics  *obs.FrontendMetrics // never nil: normalized at construction
 
 	mu     sync.Mutex
@@ -345,9 +345,11 @@ func (f *Frontend) Deliver(channel string, seek fabric.SeekInfo) (*fabric.BlockS
 // streamDeliverer: history below the live stream is fetched from the
 // nodes' durable ledgers — chain-verified against a quorum-released
 // anchor, or, for anchorless seeks, by f+1 node signatures per block
-// (merged across peers; nodes persist their signatures with each block)
-// with a fall-back to f+1 matching top-block copies for chains persisted
-// before signature retention.
+// (merged across peers; nodes persist their signatures with each block),
+// or, where that rule cannot apply — no verification-key registry
+// configured, or blocks that carry no signatures (DisableSigning cells,
+// crash-recovery re-seals) — by f+1 matching top-block copies. Both rules
+// are live.
 func (f *Frontend) deliverLoop(channel string, seek fabric.SeekInfo, hist []*fabric.Block, q *blockQueue, stream *fabric.BlockStream) {
 	defer f.wg.Done()
 	defer f.dropSub(channel, q, stream)
@@ -366,7 +368,8 @@ func (f *Frontend) deliverLoop(channel string, seek fabric.SeekInfo, hist []*fab
 				if err == nil || errors.Is(err, fabric.ErrPruned) {
 					return blocks, err
 				}
-				// Legacy (unsigned) history: fall back to quorum copies.
+				// Unsigned blocks in the range: the matching-copies rule
+				// below authenticates them.
 			}
 			return f.fetcher.FetchRangeQuorum(stream.Canceled(), f.peers, channel, from, to, f.cfg.F)
 		},

@@ -84,9 +84,10 @@ type NodeConfig struct {
 	// Key signs block headers. Required unless DisableSigning is set.
 	Key *cryptoutil.KeyPair
 	// Storage, when set, makes the node durable: decided batches are
-	// write-ahead logged before block sealing, sealed blocks and consensus
-	// checkpoints are persisted, and construction recovers ledger +
-	// consensus state from disk. Nil keeps the node fully in-memory.
+	// write-ahead logged before their blocks leave the node, sealed blocks
+	// and consensus checkpoints are persisted, and construction recovers
+	// ledger + consensus state from disk. Nil keeps the node fully
+	// in-memory.
 	Storage *storage.NodeStorage
 	// DataDir, when non-empty and Storage is nil, makes NewNode open (and
 	// own: Stop closes it) durable storage rooted at this directory.
@@ -98,14 +99,11 @@ type NodeConfig struct {
 	// segment is reclaimed only once it is behind the consensus
 	// checkpoint AND below every channel's retention floor.
 	WALSegmentBytes int64
-	// CommitMaxDelay tunes the commit queue of storage opened via
-	// DataDir: how long an fsync wave waits after its first pending
-	// append before flushing, trading commit latency for larger groups.
-	// Zero commits greedily.
+	// CommitMaxDelay tunes the commit log of storage opened via DataDir:
+	// how long an fsync wave waits after its first pending append before
+	// flushing, trading commit latency for larger groups. Zero commits
+	// greedily.
 	CommitMaxDelay time.Duration
-	// CommitMaxBatch caps the records one log contributes to a single
-	// fsync wave (zero keeps the default, 1024).
-	CommitMaxBatch int
 	// CommitSyncHook, when set, runs at the start of every commit wave
 	// of storage opened via DataDir. Test instrumentation: stalling it
 	// keeps every enqueued record non-durable, which is how the
@@ -201,17 +199,6 @@ type Byzantine struct {
 	ForgeHistory bool
 }
 
-// ckptMark records, for one consensus checkpoint, the per-channel block
-// heights the checkpointed prefix of decisions implies. The checkpoint's
-// durable save is gated on the persist watermark reaching these heights:
-// recovery skips decisions at or below the checkpoint seq, so a checkpoint
-// that landed before its blocks were durable would turn a crash into a
-// permanent ledger gap when no peer holds a disseminated copy.
-type ckptMark struct {
-	seq     int64
-	heights map[string]uint64
-}
-
 // NodeStats exposes ordering-node progress counters.
 type NodeStats struct {
 	EnvelopesOrdered uint64
@@ -249,7 +236,7 @@ type OrderingNode struct {
 	recovering  bool
 
 	// retention drives block-store compaction (nil when disabled): the
-	// send drain and the back-fill nudge it after appends, it snapshots
+	// pipeline's drain and the back-fill nudge it after appends, it snapshots
 	// + prunes off the hot path, and applied floors advance the
 	// in-memory ledgers.
 	retention *retention.Manager
@@ -267,24 +254,14 @@ type OrderingNode struct {
 	backfillStopped bool
 
 	// frontends is written from the event loop (registration messages)
-	// and read from signing-pool callbacks.
+	// and read by the pipeline's dissemination on signing-pool workers.
 	mu        sync.Mutex
 	frontends map[transport.Addr]struct{}
 
-	// senders sequence block dissemination per channel: signing runs on a
-	// parallel pool, but blocks leave the node in block-number order, so a
-	// frontend can rely on FIFO links to detect its subscription point.
-	// durableHeights is the per-channel persist watermark: the block height
-	// proven durable by completed put tokens (async path) or synchronous
-	// appends (recovery replay), seeded from the recovered chain frontiers.
-	sendMu         sync.Mutex
-	senders        map[string]*blockSender
-	durableHeights map[string]uint64
-
-	// ckptMarks holds the pending checkpoint gates, oldest first (appended
-	// on the event loop, consumed by the storage checkpoint worker).
-	ckptMarkMu sync.Mutex
-	ckptMarks  []ckptMark
+	// pipe is the block path after a decision: seal → sign → decision
+	// gate → disseminate → persist, with the persist watermark and the
+	// checkpoint gate it feeds.
+	pipe *pipeline
 
 	// byz is the ordering-layer byzantine switch; forged caches the forged
 	// chains a ForgeHistory node serves, grown lazily per channel.
@@ -332,7 +309,6 @@ func NewNode(cfg NodeConfig, conn transport.Conn) (*OrderingNode, error) {
 		store, err = storage.Open(cfg.DataDir, storage.Options{
 			SegmentBytes:   cfg.WALSegmentBytes,
 			CommitMaxDelay: cfg.CommitMaxDelay,
-			CommitMaxBatch: cfg.CommitMaxBatch,
 			SyncHook:       cfg.CommitSyncHook,
 			Metrics:        cfg.StorageMetrics,
 			FS:             cfg.FS,
@@ -346,23 +322,22 @@ func NewNode(cfg NodeConfig, conn transport.Conn) (*OrderingNode, error) {
 		ownsStorage = true
 	}
 	n := &OrderingNode{
-		cfg:            cfg,
-		conn:           conn,
-		signer:         signer,
-		storage:        store,
-		ownsStorage:    ownsStorage,
-		chains:         make(map[string]*chainState),
-		history:        make(map[int64]map[string]chainSnapshot),
-		frontends:      make(map[transport.Addr]struct{}),
-		senders:        make(map[string]*blockSender),
-		durableHeights: make(map[string]uint64),
-		parked:         make(map[string]map[uint64]*fabric.Block),
-		fetcher:        newBlockFetcher(conn),
-		backfilling:    make(map[string]bool),
-		forged:         make(map[string][]*fabric.Block),
-		done:           make(chan struct{}),
-		metrics:        cfg.Metrics.OrNop(),
+		cfg:         cfg,
+		conn:        conn,
+		signer:      signer,
+		storage:     store,
+		ownsStorage: ownsStorage,
+		chains:      make(map[string]*chainState),
+		history:     make(map[int64]map[string]chainSnapshot),
+		frontends:   make(map[transport.Addr]struct{}),
+		parked:      make(map[string]map[uint64]*fabric.Block),
+		fetcher:     newBlockFetcher(conn),
+		backfilling: make(map[string]bool),
+		forged:      make(map[string][]*fabric.Block),
+		done:        make(chan struct{}),
+		metrics:     cfg.Metrics.OrNop(),
 	}
+	n.pipe = newPipeline(n)
 	n.byz.Store(&Byzantine{})
 	// TTC markers are consensus requests under this node's "ttc:" client
 	// identity; a session base keeps a restarted node's markers from
@@ -404,23 +379,23 @@ func NewNode(cfg NodeConfig, conn transport.Conn) (*OrderingNode, error) {
 			})
 			// Everything recovered from disk is durable by definition; the
 			// persist watermark starts there.
-			n.durableHeights[channel] = info.Height
-			n.metrics.Watermark(channel).Set(int64(info.Height))
+			n.pipe.markDurable(channel, info.Height, nil)
 		}
 		opts = append(opts,
-			consensus.WithDurability(asyncDurability{n.storage}, &consensus.DurableState{
+			consensus.WithDurability(n.pipe, &consensus.DurableState{
 				CheckpointSeq: rec.CheckpointSeq,
 				Checkpoint:    rec.Checkpoint,
 				Decisions:     durableEntries(rec.Decisions),
 			}),
 			consensus.WithCheckpointObserver(n.onCheckpoint),
 			consensus.WithMembershipObserver(n.onMembershipChange))
-		n.storage.SetCheckpointGate(n.checkpointCovered)
+		n.storage.SetCheckpointGate(n.pipe.checkpointCovered)
 		n.recovering = true
 	}
 	replica, err := consensus.NewReplica(ccfg, n, conn, opts...)
 	n.recovering = false
 	if err == nil && n.storage != nil {
+		n.pipe.settleReplay()
 		err = n.checkRecoveredFrontier()
 	}
 	if err != nil {
@@ -590,17 +565,7 @@ func (n *OrderingNode) registerGaugeFuncs() {
 		func() float64 { return float64(n.statEnvelopes.Load()) })
 	m.GaugeFunc("repro_node_persist_watermark_min",
 		"Minimum persist watermark across channels (-1 before any channel exists).",
-		func() float64 {
-			n.sendMu.Lock()
-			defer n.sendMu.Unlock()
-			min := -1.0
-			for _, h := range n.durableHeights {
-				if min < 0 || float64(h) < min {
-					min = float64(h)
-				}
-			}
-			return min
-		})
+		n.pipe.minWatermark)
 }
 
 // advanceLedgerFloors raises the in-memory ledgers' retention floors
@@ -712,17 +677,6 @@ func (n *OrderingNode) onMembershipChange(v consensus.MembershipView) {
 			"node", int(n.ID()), "shard", n.cfg.ShardID,
 			"epoch", v.Epoch, "err", err)
 	}
-}
-
-// asyncDurability adapts NodeStorage's concrete token type to the
-// consensus AsyncDurability interface (interface satisfaction is by
-// signature, so the method must return consensus.DecisionToken itself).
-type asyncDurability struct {
-	*storage.NodeStorage
-}
-
-func (a asyncDurability) AppendDecisionAsync(seq int64, batch [][]byte) consensus.DecisionToken {
-	return a.NodeStorage.AppendDecisionAsync(seq, batch)
 }
 
 // durableEntries adapts storage log entries to the consensus type.
@@ -854,7 +808,7 @@ func (n *OrderingNode) Execute(seq int64, ops [][]byte) {
 		}
 		n.statEnvelopes.Add(1)
 		if batch := chain.cutter.Append(op); batch != nil {
-			n.sealBlock(channel, chain, batch)
+			n.pipe.seal(channel, chain, batch)
 		}
 	}
 }
@@ -888,312 +842,7 @@ func (n *OrderingNode) handleTTC(chain *chainState, channel string, op []byte) {
 		return // stale marker: the block was already cut by size
 	}
 	if batch := chain.cutter.Cut(); batch != nil {
-		n.sealBlock(channel, chain, batch)
-	}
-}
-
-// sealBlock builds the next block header (sequentially - the only ordering
-// state is the previous header, exactly as Section 5.1 argues) and submits
-// it to the signing/sending pool. Persistence happens in the send drain,
-// after the node's signature attached, so the durable ledger keeps the
-// signature and fetched history is independently verifiable; during
-// decision-log replay the (already durable) block is re-persisted
-// directly instead.
-func (n *OrderingNode) sealBlock(channel string, chain *chainState, batch [][]byte) {
-	block := fabric.NewBlock(chain.nextNumber, chain.prevHash, batch)
-	chain.nextNumber++
-	chain.prevHash = block.Header.Hash()
-	n.statBlocks.Add(1)
-	n.metrics.BlocksSealed.Inc()
-
-	// Stage stamp: the decision instant, plus the first envelope's client
-	// submission time (the broadcast-received anchor of the latency
-	// trace). Only taken when metrics are on; implausible timestamps
-	// (tests stuff sequence numbers into the field) are filtered at
-	// observation time.
-	var trace blockTrace
-	if n.metrics.StageDecide != nil {
-		trace.decided = time.Now()
-		if ts, err := fabric.PeekTimestamp(batch[0]); err == nil {
-			observeStamp(n.metrics.StageDecide, ts, trace.decided)
-		}
-	}
-
-	if n.recovering {
-		// Replaying the decision log: frontends saw the block before the
-		// crash, so no signing or dissemination; the persist is a replay
-		// duplicate unless the crash hit between the decision fsync and
-		// the block append (those few tail blocks land unsigned — readers
-		// fall back to hash-chain anchoring for them).
-		if n.storage != nil {
-			n.persistBlock(channel, block)
-		}
-		return
-	}
-
-	// The durability gate: the token of the newest enqueued decision.
-	// The decision that sealed this block was enqueued on this same
-	// event loop before Execute ran (and the decision log is FIFO), so
-	// the token's completion implies this block's decision — and every
-	// earlier one — is on disk. The send drain waits on it before the
-	// block becomes externally visible; the event loop itself never
-	// blocks on the fsync.
-	var gate *storage.Token
-	if n.storage != nil {
-		gate = n.storage.DecisionToken()
-	}
-	epoch := n.reserveSend(channel, block.Header.Number)
-	headerHash := block.Header.Hash()
-	signerID := string(n.ID().Addr())
-	if n.cfg.DisableSigning {
-		n.statSigned.Add(1)
-		n.completeSend(channel, epoch, block, gate, trace)
-		return
-	}
-	err := n.signer.Sign(headerHash, func(sig []byte, err error) {
-		if err != nil {
-			return
-		}
-		block.Signatures = []fabric.BlockSignature{{SignerID: signerID, Signature: sig}}
-		n.statSigned.Add(1)
-		n.completeSend(channel, epoch, block, gate, trace)
-	})
-	if err != nil {
-		return // pool closed during shutdown
-	}
-}
-
-// blockTrace carries one block's stage stamps through the send drain.
-// Zero when metrics are disabled.
-type blockTrace struct {
-	decided time.Time // when the block was sealed on the event loop
-}
-
-// observeStamp records now-minus-stamp into h, dropping stamps that are
-// clearly not wall-clock times (several tests use the envelope timestamp
-// field as a sequence counter): negative spans and spans over an hour are
-// discarded rather than poisoning the percentiles.
-func observeStamp(h *obs.Histogram, unixNano int64, now time.Time) {
-	d := now.Sub(time.Unix(0, unixNano))
-	if d < 0 || d > time.Hour {
-		return
-	}
-	h.ObserveDuration(d)
-}
-
-// blockSender sequences one channel's persist + dissemination. Signing
-// completes out of order on the pool, so completed blocks park in pending
-// until every lower number has been handled; one worker at a time drains
-// the contiguous run (draining guards it), which keeps both the durable
-// appends and the outgoing sends in strict block-number order. epoch
-// invalidates in-flight completions when a rollback or state transfer
-// rewrites the chain. The persist watermark lives beside the senders in
-// OrderingNode.durableHeights: the height up to which a channel's block
-// records are known durable — dissemination does NOT wait for it, only the
-// decision gate; the watermark exists for crash reasoning (everything above
-// it is re-derivable from the decision log or peers) and gates the
-// consensus checkpoint save.
-type blockSender struct {
-	epoch    uint64
-	started  bool
-	next     uint64
-	pending  map[uint64]pendingBlock
-	draining bool
-}
-
-// pendingBlock is one signed block parked in a sender, with the
-// durability token of the decision that sealed it: the drain waits out
-// the token before the block is persisted or disseminated, which is the
-// write-ahead gate that lets decision logging run asynchronously.
-type pendingBlock struct {
-	block *fabric.Block
-	gate  *storage.Token
-	trace blockTrace
-}
-
-// reserveSend anchors the channel's send cursor at the first block sealed
-// in the current epoch. Runs on the event loop, in seal order.
-func (n *OrderingNode) reserveSend(channel string, number uint64) uint64 {
-	n.sendMu.Lock()
-	defer n.sendMu.Unlock()
-	s, ok := n.senders[channel]
-	if !ok {
-		s = &blockSender{pending: make(map[uint64]pendingBlock)}
-		n.senders[channel] = s
-	}
-	if !s.started {
-		s.started = true
-		s.next = number
-	}
-	return s.epoch
-}
-
-// completeSend hands a signed block to the sequencer; everything that is
-// now contiguous waits out its decision's durability token and is then
-// persisted AND disseminated, in block-number order. Runs on
-// signing-pool workers (or the event loop with signing disabled). The
-// drain is single-flight per channel: a worker that finds another one
-// draining just deposits its block, so the durable appends run in order,
-// off the event loop, after signing.
-//
-// The decision token is the ONLY durability gate: the paper's
-// write-ahead rule requires the decision to be on disk before anything
-// leaves the node — the block record itself is re-derivable (recovery
-// re-seals blocks from the decision replay, and peers hold disseminated
-// copies), so the drain disseminates as soon as the decision is durable
-// and lets the block put complete in a later commit wave,
-// fire-and-forget. A per-channel persist watermark (advanced by a waiter
-// on each run's last put token; puts are FIFO) records how far the
-// durable block prefix actually reaches, so crash re-persist and tests
-// can see exactly which tail a kill would need to re-derive. Because
-// decisions and blocks share one unified commit log, the wave that made
-// the decision durable — the one this drain just waited out — is a
-// single fsync, and the block records ride whichever single-fsync wave
-// comes next.
-func (n *OrderingNode) completeSend(channel string, epoch uint64, block *fabric.Block, gate *storage.Token, trace blockTrace) {
-	n.sendMu.Lock()
-	s, ok := n.senders[channel]
-	if !ok || s.epoch != epoch {
-		n.sendMu.Unlock()
-		return // the chain was rolled back or replaced since sealing
-	}
-	s.pending[block.Header.Number] = pendingBlock{block: block, gate: gate, trace: trace}
-	if s.draining {
-		n.sendMu.Unlock()
-		return // the draining worker picks this block up
-	}
-	s.draining = true
-	for {
-		var out []pendingBlock
-		for {
-			pb, ok := s.pending[s.next]
-			if !ok {
-				break
-			}
-			delete(s.pending, s.next)
-			s.next++
-			out = append(out, pb)
-		}
-		if len(out) == 0 {
-			s.draining = false
-			n.sendMu.Unlock()
-			return
-		}
-		n.sendMu.Unlock()
-		var lastPut fabric.DurableToken
-		var lastNum uint64
-		for _, pb := range out {
-			b := pb.block
-			if pb.gate != nil {
-				// Write-ahead gate: the decision that sealed this block
-				// must be on disk before the block is persisted or shown
-				// to anyone. A failed token means the decision log is
-				// poisoned (fsync fail-fast): the node must stop acking —
-				// disseminating a block whose decision the kernel already
-				// dropped would hand out history a restart cannot replay.
-				// The drain parks permanently (s.draining stays set), so
-				// no later block of this channel leaves the node either.
-				if err := pb.gate.Wait(); err != nil {
-					slog.Error("decision never became durable; halting dissemination",
-						"node", int(n.ID()), "shard", n.cfg.ShardID,
-						"channel", channel, "block", b.Header.Number, "err", err)
-					return
-				}
-			}
-			// Stage stamp: the decision (and every earlier one) is durable
-			// from here on — the decided→fsynced span ends, the
-			// fsynced→disseminated span starts.
-			var fsyncedAt time.Time
-			if n.metrics.StageFsync != nil {
-				fsyncedAt = time.Now()
-				if !pb.trace.decided.IsZero() {
-					n.metrics.StageFsync.ObserveDuration(fsyncedAt.Sub(pb.trace.decided))
-				}
-			}
-			// Re-check the epoch per block: a rollback or state transfer
-			// that lands while this worker is out invalidates the rest of
-			// the extracted run. (The check narrows, but cannot close, the
-			// instant between it and the append — see ROADMAP on
-			// tentative-mode durability.)
-			n.sendMu.Lock()
-			stale := s.epoch != epoch
-			n.sendMu.Unlock()
-			if stale {
-				return // the reset cleared the drain flag for the new epoch
-			}
-			// Enqueue the block record (fire-and-forget) and disseminate
-			// immediately: the decision gate above is the only durability
-			// the paper requires before the block leaves the node.
-			if n.storage != nil {
-				if tok := n.persistBlockAsync(channel, b); tok != nil {
-					lastPut = tok
-					lastNum = b.Header.Number
-				}
-			}
-			n.disseminate(channel, b)
-			if n.metrics.StageDisseminate != nil && !fsyncedAt.IsZero() {
-				n.metrics.StageDisseminate.ObserveDuration(time.Since(fsyncedAt))
-				n.metrics.DisseminatedLag.Set(time.Now().UnixNano())
-			}
-		}
-		if lastPut != nil {
-			// Advance the persist watermark off the drain: puts are FIFO
-			// per channel, so the run's last token covers the whole run.
-			go n.advanceWatermark(channel, epoch, lastNum, lastPut)
-		}
-		if n.retention != nil {
-			n.retention.MaybeCompact()
-		}
-		n.sendMu.Lock()
-		if s.epoch != epoch {
-			// The chain was rewritten while this worker was out: the
-			// reset cleared the drain flag on behalf of the new epoch, so
-			// this stale worker must not touch it.
-			n.sendMu.Unlock()
-			return
-		}
-	}
-}
-
-// advanceWatermark waits out a run's last put token and records the
-// durable block height it proves. A failed put means the log is poisoned
-// — durability of the tail is lost (recovery re-derives it from the
-// decision log or peers); report it loudly, once per failure.
-func (n *OrderingNode) advanceWatermark(channel string, epoch uint64, lastNum uint64, tok fabric.DurableToken) {
-	if err := tok.Wait(); err != nil {
-		slog.Error("persisting blocks failed",
-			"node", int(n.ID()), "shard", n.cfg.ShardID,
-			"channel", channel, "through", lastNum, "err", err)
-		return
-	}
-	n.sendMu.Lock()
-	s, ok := n.senders[channel]
-	if !ok || s.epoch != epoch {
-		n.sendMu.Unlock()
-		return // the chain was rewritten; the new epoch re-anchors the mark
-	}
-	if lastNum+1 > n.durableHeights[channel] {
-		n.durableHeights[channel] = lastNum + 1
-		n.metrics.Watermark(channel).Set(int64(lastNum + 1))
-	}
-	n.sendMu.Unlock()
-	// The watermark moved: a checkpoint save deferred on it may be
-	// admissible now.
-	n.storage.NudgeCheckpoint()
-}
-
-// noteDurable records a synchronously persisted block prefix (recovery
-// replay, back-fill): the append already waited out its fsync, so the
-// watermark may advance immediately.
-func (n *OrderingNode) noteDurable(channel string, height uint64) {
-	n.sendMu.Lock()
-	if height > n.durableHeights[channel] {
-		n.durableHeights[channel] = height
-		n.metrics.Watermark(channel).Set(int64(height))
-	}
-	n.sendMu.Unlock()
-	if n.storage != nil {
-		n.storage.NudgeCheckpoint()
+		n.pipe.seal(channel, chain, batch)
 	}
 }
 
@@ -1204,9 +853,7 @@ func (n *OrderingNode) noteDurable(channel string, height uint64) {
 // is exactly what the early-dissemination tests assert. Safe from any
 // goroutine.
 func (n *OrderingNode) PersistWatermark(channel string) uint64 {
-	n.sendMu.Lock()
-	defer n.sendMu.Unlock()
-	return n.durableHeights[channel]
+	return n.pipe.watermark(channel)
 }
 
 // SavedCheckpointSeq reports the consensus checkpoint sequence durably on
@@ -1230,134 +877,7 @@ func (n *OrderingNode) onCheckpoint(seq int64) {
 	for channel, chain := range n.chains {
 		heights[channel] = chain.nextNumber
 	}
-	n.ckptMarkMu.Lock()
-	n.ckptMarks = append(n.ckptMarks, ckptMark{seq: seq, heights: heights})
-	n.ckptMarkMu.Unlock()
-}
-
-// checkpointCovered is the storage checkpoint gate: a checkpoint at seq may
-// be saved only once every block its decisions sealed is durable (the
-// persist watermark reached the heights recorded at checkpoint time).
-// Called from the storage checkpoint worker; advanceWatermark nudges the
-// worker whenever the watermark moves.
-func (n *OrderingNode) checkpointCovered(seq int64) bool {
-	n.ckptMarkMu.Lock()
-	var mark *ckptMark
-	for i := len(n.ckptMarks) - 1; i >= 0; i-- {
-		if n.ckptMarks[i].seq <= seq {
-			mark = &n.ckptMarks[i]
-			break
-		}
-	}
-	n.ckptMarkMu.Unlock()
-	if mark == nil {
-		return true // no mark recorded for it (bridging path); nothing to gate
-	}
-	for channel, h := range mark.heights {
-		if n.PersistWatermark(channel) < h {
-			return false
-		}
-	}
-	// Covered: marks at or below seq are spent (a checkpoint subsumes every
-	// older one).
-	n.ckptMarkMu.Lock()
-	cut := 0
-	for cut < len(n.ckptMarks) && n.ckptMarks[cut].seq <= seq {
-		cut++
-	}
-	n.ckptMarks = append([]ckptMark(nil), n.ckptMarks[cut:]...)
-	n.ckptMarkMu.Unlock()
-	return true
-}
-
-// resetSender invalidates a channel's in-flight dissemination after its
-// chain state was rewritten (rollback or state transfer); the next sealed
-// block re-anchors the cursor.
-func (n *OrderingNode) resetSender(channel string) {
-	n.sendMu.Lock()
-	defer n.sendMu.Unlock()
-	s, ok := n.senders[channel]
-	if !ok {
-		return
-	}
-	s.epoch++
-	s.started = false
-	s.pending = make(map[uint64]pendingBlock)
-	// A stale drain worker may still be out disseminating; it observes the
-	// epoch bump and exits without touching the flag again.
-	s.draining = false
-}
-
-// persistBlock appends a sealed block to the channel's durable ledger,
-// signatures included: the drain calls it after the node's signature
-// attached (and back-filled blocks carry the serving peers' signatures),
-// so replayed and fetched history can be independently verified with f+1
-// signature checks, falling back to hash-chain anchoring for blocks
-// persisted without signatures (legacy chains, recovery re-seals). A
-// block below the ledger height is a replay duplicate (skipped); a block
-// above it means state transfer jumped the chain past blocks this node
-// never sealed — it is parked until the FetchBlocks back-fill closes the
-// gap beneath it, so the durable chain stays contiguous.
-func (n *OrderingNode) persistBlock(channel string, block *fabric.Block) {
-	n.persistOrPark(channel, block, false)
-}
-
-// persistBlockAsync is persistBlock for the send drain: the block's
-// record is enqueued on the unified commit log and the returned token
-// completes when it is on disk (nil when nothing was enqueued: a replay
-// duplicate, a parked gap block, or a rejected append). Same-channel
-// calls are ordered by the drain's single-flight discipline; ledgerMu is
-// held only for the enqueue, never across the fsync.
-func (n *OrderingNode) persistBlockAsync(channel string, block *fabric.Block) fabric.DurableToken {
-	return n.persistOrPark(channel, block, true)
-}
-
-func (n *OrderingNode) persistOrPark(channel string, block *fabric.Block, async bool) fabric.DurableToken {
-	led := n.ledger(channel)
-	n.ledgerMu.Lock()
-	defer n.ledgerMu.Unlock()
-	height := led.Height()
-	switch {
-	case block.Header.Number < height:
-		return nil // replay duplicate
-	case block.Header.Number > height:
-		parked, ok := n.parked[channel]
-		if !ok {
-			parked = make(map[uint64]*fabric.Block)
-			n.parked[channel] = parked
-		}
-		parked[block.Header.Number] = block
-		// Re-arm the back-fill on every parked block (a no-op while one is
-		// already running): if an earlier attempt exhausted its retries,
-		// the gap would otherwise persist — and parked blocks accumulate —
-		// for the node's lifetime. The lowest parked block pins the gap's
-		// upper bound and anchor.
-		if low, ok := lowestParked(parked); ok {
-			n.maybeBackfill(channel, height, low, parked[low].Header.PrevHash)
-		}
-		return nil
-	}
-	var tok fabric.DurableToken
-	var err error
-	if async {
-		// The drain only ever sees blocks this node sealed itself, so
-		// the envelope-hash re-verification is skipped.
-		tok, err = led.AppendSealedAsync(block)
-	} else {
-		err = led.Append(block)
-	}
-	if err != nil {
-		slog.Error("persisting block failed",
-			"node", int(n.ID()), "shard", n.cfg.ShardID,
-			"channel", channel, "block", block.Header.Number, "err", err)
-		return nil
-	}
-	if !async {
-		// The synchronous append waited out its fsync: the watermark
-		// advances immediately (recovery replay and back-fill go this way).
-		n.noteDurable(channel, block.Header.Number+1)
-	}
-	return tok
+	n.pipe.markCheckpoint(seq, heights)
 }
 
 // ledger returns (creating if needed) the durable ledger for a channel.
@@ -1382,54 +902,6 @@ func (n *OrderingNode) Ledger(channel string) *fabric.Ledger {
 	n.ledgerMu.Lock()
 	defer n.ledgerMu.Unlock()
 	return n.ledgers[channel]
-}
-
-// disseminate sends a signed block to every registered frontend (the
-// custom replier of Section 5.1). Runs on signing-pool workers. An
-// equivocating byzantine node sends a conflicting, re-signed variant to
-// half the frontends instead.
-func (n *OrderingNode) disseminate(channel string, block *fabric.Block) {
-	payload := marshalBlockMsg(channel, block)
-	n.mu.Lock()
-	targets := make([]transport.Addr, 0, len(n.frontends))
-	for addr := range n.frontends {
-		targets = append(targets, addr)
-	}
-	n.mu.Unlock()
-	var forged []byte
-	if n.byz.Load().EquivocateDissemination {
-		if fb := n.equivocationVariant(channel, block); fb != nil {
-			forged = marshalBlockMsg(channel, fb)
-			// Deterministic split: sorted target list, odd indices get the
-			// conflicting block.
-			sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-		}
-	}
-	for i, addr := range targets {
-		if forged != nil && i%2 == 1 {
-			n.conn.Send(addr, MsgBlock, forged)
-			continue
-		}
-		n.conn.Send(addr, MsgBlock, payload)
-	}
-}
-
-// equivocationVariant builds a conflicting block for the same number: same
-// chain position, different envelopes, honestly re-signed by this node (an
-// equivocator's signature is genuine — that is what makes equivocation
-// dangerous). Returns nil when the node cannot sign.
-func (n *OrderingNode) equivocationVariant(channel string, block *fabric.Block) *fabric.Block {
-	if n.cfg.Key == nil {
-		return nil
-	}
-	envs := [][]byte{[]byte("equivocation:" + channel + ":" + strconv.FormatUint(block.Header.Number, 10))}
-	fb := fabric.NewBlock(block.Header.Number, block.Header.PrevHash, envs)
-	sig, err := n.cfg.Key.Sign(fb.Header.Hash().Bytes())
-	if err != nil {
-		return nil
-	}
-	fb.Signatures = []fabric.BlockSignature{{SignerID: string(n.ID().Addr()), Signature: sig}}
-	return fb
 }
 
 // forgedChain returns this node's forged history for a channel, grown to at
@@ -1480,7 +952,7 @@ func (n *OrderingNode) Rollback(seq int64) {
 		for _, env := range snap.pending {
 			chain.cutter.Append(env)
 		}
-		n.resetSender(channel)
+		n.pipe.reset(channel)
 	}
 	for s := range n.history {
 		if s > seq {
@@ -1554,14 +1026,7 @@ func (n *OrderingNode) Restore(snapshot []byte, _ int64) {
 	n.history = make(map[int64]map[string]chainSnapshot)
 	// The chains were replaced wholesale: in-flight dissemination for any
 	// channel is stale.
-	n.sendMu.Lock()
-	for _, s := range n.senders {
-		s.epoch++
-		s.started = false
-		s.pending = make(map[uint64]pendingBlock)
-		s.draining = false
-	}
-	n.sendMu.Unlock()
+	n.pipe.resetAll()
 	// A state transfer that jumped a chain past the local ledger height
 	// leaves a gap the node never sealed: back-fill it from peers so the
 	// durable chain stays contiguous. (During construction-time recovery
@@ -1750,8 +1215,7 @@ func (n *OrderingNode) rearmBackfill(channel string) {
 }
 
 // runBackfill closes one gap, then drains any blocks that parked above it
-// while it ran; a second state-transfer jump during the fetch surfaces as
-// a fresh gap below the parked blocks and is filled in the next pass.
+// while it ran.
 //
 // When f+1 peers answer that the bottom of the gap fell below their
 // retention floors, those blocks no longer exist anywhere trustworthy:
@@ -1791,74 +1255,64 @@ func (n *OrderingNode) runBackfill(channel string, from, to uint64, anchor crypt
 				"node", int(n.ID()), "shard", n.cfg.ShardID,
 				"channel", channel, "from", from, "to", start-1, "floor", start)
 		}
-		// Append in bounded batches so the fsync work does not hold
-		// ledgerMu (and thereby the event loop's persistBlock path) for
-		// the whole gap at once.
-		const appendBatch = 64
-		for start := 0; start < len(blocks); start += appendBatch {
-			end := start + appendBatch
-			if end > len(blocks) {
-				end = len(blocks)
+		for _, b := range blocks {
+			if err := b.CheckIntegrity(); err != nil {
+				slog.Error("back-fill fetched a corrupt block",
+					"node", int(n.ID()), "shard", n.cfg.ShardID,
+					"channel", channel, "block", b.Header.Number, "err", err)
+				return
 			}
-			n.ledgerMu.Lock()
-			for _, b := range blocks[start:end] {
-				if b.Header.Number < led.Height() {
-					continue // raced with a replay duplicate
-				}
-				if err := led.Append(b); err != nil {
-					n.ledgerMu.Unlock()
-					slog.Error("back-fill append failed",
-						"node", int(n.ID()), "shard", n.cfg.ShardID,
-						"channel", channel, "block", b.Header.Number, "err", err)
-					return
-				}
-			}
-			n.ledgerMu.Unlock()
 		}
+		// Enqueue the fetched gap plus every parked block directly above
+		// it as one run: puts commit in call order, so the run's last
+		// token proves the durable prefix reaches the ledger height. (Only
+		// enqueues happen under ledgerMu — the pipeline's persist path
+		// shares it — never an fsync.)
+		n.ledgerMu.Lock()
+		parked := n.parked[channel]
+		top := led.Height()
+		if len(blocks) > 0 {
+			top = max(top, blocks[len(blocks)-1].Header.Number+1)
+		}
+		for b, ok := parked[top]; ok; b, ok = parked[top] {
+			blocks = append(blocks, b)
+			delete(parked, top)
+			top++
+		}
+		var last fabric.DurableToken
+		for _, b := range blocks {
+			if b.Header.Number < led.Height() {
+				continue // raced with a replay duplicate
+			}
+			tok, err := led.AppendSealedAsync(b)
+			if err != nil {
+				n.ledgerMu.Unlock()
+				slog.Error("back-fill append failed",
+					"node", int(n.ID()), "shard", n.cfg.ShardID,
+					"channel", channel, "block", b.Header.Number, "err", err)
+				return
+			}
+			last = tok
+		}
+		// A second state-transfer jump during the fetch leaves a fresh gap
+		// below the blocks still parked: fill it in the next pass.
+		low, again := lowestParked(parked)
+		if again {
+			from, to, anchor = led.Height(), low, parked[low].Header.PrevHash
+		}
+		height := led.Height()
+		n.ledgerMu.Unlock()
 		if n.retention != nil {
 			n.retention.MaybeCompact()
 		}
-		var again bool
-		n.ledgerMu.Lock()
-		from, to, anchor, again = n.drainParkedLocked(channel, led)
-		height := led.Height()
-		n.ledgerMu.Unlock()
-		// Back-fill appends are synchronous (each waited out its fsync) and
-		// contiguous from the bottom, so the durable prefix reaches the
-		// ledger height right now. Without this the watermark stays frozen
-		// at the recovery height whenever the gap closes after traffic
-		// stops — the drain-token path only advances it on newly sealed
-		// blocks.
-		n.noteDurable(channel, height)
+		// Without this the watermark stays frozen at the recovery height
+		// whenever the gap closes after traffic stops — the drain only
+		// advances it on newly sealed blocks.
+		n.pipe.markDurable(channel, height, last)
 		if !again {
 			return
 		}
 	}
-}
-
-// drainParkedLocked appends every parked block that is now contiguous with
-// the ledger and reports the next gap, if any (from, to, anchor of a
-// follow-up back-fill). Callers hold ledgerMu.
-func (n *OrderingNode) drainParkedLocked(channel string, led *fabric.Ledger) (from, to uint64, anchor cryptoutil.Digest, again bool) {
-	parked := n.parked[channel]
-	for {
-		b, ok := parked[led.Height()]
-		if !ok {
-			break
-		}
-		delete(parked, b.Header.Number)
-		if err := led.Append(b); err != nil {
-			slog.Error("draining parked block failed",
-				"node", int(n.ID()), "shard", n.cfg.ShardID,
-				"channel", channel, "block", b.Header.Number, "err", err)
-			return 0, 0, cryptoutil.Digest{}, false
-		}
-	}
-	lowest, found := lowestParked(parked)
-	if !found {
-		return 0, 0, cryptoutil.Digest{}, false
-	}
-	return led.Height(), lowest, parked[lowest].Header.PrevHash, true
 }
 
 // lowestParked returns the smallest parked block number.
@@ -1904,8 +1358,10 @@ func (n *OrderingNode) fetchGap(channel string, from, to uint64, anchor cryptout
 // f+1 merged signature set the fetch accumulated, so the durable ledger
 // keeps the full released proof instead of just the serving peer's own
 // signature. The verified result must still link into the locally trusted
-// anchor; on any disagreement — or for legacy unsigned history — the
-// anchored hash-chain fetch takes over. An authoritative pruned answer
+// anchor; on any disagreement — or for a range holding unsigned blocks
+// (DisableSigning cells, crash-recovery re-seals) — the anchored
+// hash-chain fetch takes over, which is also the only rule a deployment
+// without a registry runs. An authoritative pruned answer
 // propagates directly (the caller climbs the floor).
 func (n *OrderingNode) fetchGapOnce(channel string, start, to uint64, anchor cryptoutil.Digest) ([]*fabric.Block, error) {
 	peers := n.peerAddrs()
@@ -1977,16 +1433,7 @@ func (n *OrderingNode) peerAddrs() []transport.Addr {
 func (n *OrderingNode) Drain(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		n.sendMu.Lock()
-		busy := false
-		for _, s := range n.senders {
-			if len(s.pending) > 0 || s.draining {
-				busy = true
-				break
-			}
-		}
-		n.sendMu.Unlock()
-		if !busy {
+		if n.pipe.idle() {
 			return nil
 		}
 		if time.Now().After(deadline) {

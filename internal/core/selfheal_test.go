@@ -84,9 +84,17 @@ func TestScrubSelfHealsFromPeers(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	last := victim.LastScrub()
-	if len(last.Corrupt) == 0 || len(last.Repaired) == 0 {
-		t.Fatalf("scrub result %+v recorded no detection/repair", last)
+	// The repair lands mid-pass; the pass's result is published when the
+	// pass completes.
+	for {
+		last := victim.LastScrub()
+		if len(last.Corrupt) > 0 && len(last.Repaired) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("scrub result %+v recorded no detection/repair", last)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 

@@ -125,8 +125,9 @@ func (s *SoloOrderer) BroadcastRaw(raw []byte) fabric.BroadcastStatus {
 		s.mu.Unlock()
 		return fabric.StatusSuccess
 	}
-	s.sealLocked(channel, chain, batch)
+	block := s.sealLocked(channel, chain, batch)
 	s.mu.Unlock()
+	s.sign(channel, block)
 	return fabric.StatusSuccess
 }
 
@@ -145,12 +146,11 @@ func (s *SoloOrderer) chainLocked(channel string) *chainState {
 	return chain
 }
 
-// sealLocked builds and signs the next block. Called with the mutex held;
-// signing completes asynchronously, and completed blocks are re-sequenced
-// into block-number order before delivery. The sequencer is created here,
-// in seal order, so its cursor starts at the channel's first sealed
-// number regardless of which signature completes first.
-func (s *SoloOrderer) sealLocked(channel string, chain *chainState, batch [][]byte) {
+// sealLocked builds the next block. Called with the mutex held. The
+// sequencer is created here, in seal order, so its cursor starts at the
+// channel's first sealed number regardless of which signature completes
+// first.
+func (s *SoloOrderer) sealLocked(channel string, chain *chainState, batch [][]byte) *fabric.Block {
 	block := fabric.NewBlock(chain.nextNumber, chain.prevHash, batch)
 	chain.nextNumber++
 	chain.prevHash = block.Header.Hash()
@@ -161,17 +161,23 @@ func (s *SoloOrderer) sealLocked(channel string, chain *chainState, batch [][]by
 			pending: make(map[uint64]*fabric.Block),
 		}
 	}
+	return block
+}
 
-	err := s.signer.Sign(block.Header.Hash(), func(sig []byte, err error) {
+// sign hands a sealed block to the signing pool; signing completes
+// asynchronously, and completed blocks are re-sequenced into block-number
+// order before delivery. Called WITHOUT the mutex: Sign blocks while the
+// pool's queue is full, and the workers that would empty it need the
+// mutex in deliverSigned.
+func (s *SoloOrderer) sign(channel string, block *fabric.Block) {
+	// An error means the pool closed: the orderer is shutting down.
+	_ = s.signer.Sign(block.Header.Hash(), func(sig []byte, err error) {
 		if err != nil {
 			return
 		}
 		block.Signatures = []fabric.BlockSignature{{SignerID: "solo", Signature: sig}}
 		s.deliverSigned(channel, block)
 	})
-	if err != nil {
-		return // shutting down
-	}
 }
 
 // deliverSigned hands one signed block to the channel's sequencer and
@@ -277,13 +283,19 @@ func (s *SoloOrderer) timeoutLoop() {
 		case <-s.done:
 			return
 		case now := <-ticker.C:
+			var channels []string
+			var sealed []*fabric.Block
 			s.mu.Lock()
 			for channel, chain := range s.chains {
 				if batch := chain.cutter.CutIfExpired(now); batch != nil {
-					s.sealLocked(channel, chain, batch)
+					channels = append(channels, channel)
+					sealed = append(sealed, s.sealLocked(channel, chain, batch))
 				}
 			}
 			s.mu.Unlock()
+			for i, block := range sealed {
+				s.sign(channels[i], block)
+			}
 		}
 	}
 }

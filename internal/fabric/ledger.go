@@ -15,34 +15,31 @@ var (
 	ErrBlockNotFound = errors.New("ledger: block not found")
 )
 
-// BlockBackend persists blocks accepted by a ledger. Implementations
-// (storage.NodeStorage, storage.BlockStore) must be idempotent for block
-// numbers they already hold, so recovery can replay a chain through
-// Append without duplicating records.
-type BlockBackend interface {
-	PutBlock(channel string, b *Block) error
-}
-
-// DurableToken tracks an asynchronously persisted block: Wait blocks
-// until the record's group commit fsynced and returns the commit error,
-// if any. Backends complete tokens in append order, so waiting on the
-// newest token of a run implies the whole run is durable.
+// DurableToken tracks a persisted block: Wait blocks until the record's
+// group commit fsynced and returns the commit error, if any. Backends
+// complete tokens in append order, so waiting on the newest token of a
+// run implies the whole run is durable.
 type DurableToken interface {
 	Wait() error
 }
 
-// AsyncBlockBackend is the optional extension backends implement when
-// they can enqueue a block put and complete it on a later group commit
-// (storage.NodeStorage's commit queue over the unified log). AppendAsync uses it to
-// persist a contiguous run of blocks in one fsync wave instead of one
-// wave per block.
-type AsyncBlockBackend interface {
-	BlockBackend
-	// PutBlockAsync enqueues the block for the next group commit and
-	// returns its durability token. Puts for one channel must be called
-	// in block order and commit in call order.
+// BlockBackend persists blocks accepted by a ledger (storage.NodeStorage
+// over the node's unified commit log). The put only enqueues the block
+// for the backend's next group commit and returns its durability token,
+// so a contiguous run of blocks persists in one fsync wave instead of one
+// wave per block. Puts for one channel must be called in block order and
+// commit in call order. Implementations must be idempotent for block
+// numbers they already hold, so recovery can replay a chain through the
+// ledger without duplicating records.
+type BlockBackend interface {
 	PutBlockAsync(channel string, b *Block) (DurableToken, error)
 }
+
+// durableNow is the token of an append nothing has to wait for (a ledger
+// without a backend).
+type durableNow struct{}
+
+func (durableNow) Wait() error { return nil }
 
 // BlockReader serves random-access reads of persisted blocks: up to max
 // blocks of one channel starting at block number start, in order. A
@@ -69,10 +66,10 @@ const DefaultLedgerRetain = 1024
 // Ledger is one channel's append-only blockchain, as maintained by a
 // committing peer or an ordering node. Append verifies the hash chain, so
 // a tampered or out-of-order block is rejected rather than stored. With a
-// backend attached, every accepted block is durably persisted before it
-// becomes visible in memory; when the backend can also read blocks back,
-// the ledger retains only the newest blocks in memory and serves older
-// ones from storage. Safe for concurrent use.
+// backend attached, every accepted block is persisted through it (Append
+// waits for the record to be durable); when the backend can also read
+// blocks back, the ledger retains only the newest blocks in memory and
+// serves older ones from storage. Safe for concurrent use.
 type Ledger struct {
 	mu      sync.RWMutex
 	channel string
@@ -152,73 +149,43 @@ func (l *Ledger) Floor() uint64 {
 
 // Append verifies and appends a block: its number must be the current
 // height, its previous hash must match the last header, and its data hash
-// must match its envelopes. With a backend attached, the block is durably
-// persisted before the in-memory chain (and thus any reader) sees it; a
-// persistence failure rejects the append entirely.
+// must match its envelopes. With a backend attached it returns once the
+// block's record is durable. A failed wait means the backend's log is
+// permanently failed; the block stays visible in memory.
 func (l *Ledger) Append(b *Block) error {
 	if err := b.CheckIntegrity(); err != nil {
 		return err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.checkLinkLocked(b); err != nil {
+	tok, err := l.AppendSealedAsync(b)
+	if err != nil {
 		return err
 	}
-	if l.backend != nil {
-		if err := l.backend.PutBlock(l.channel, b); err != nil {
-			return fmt.Errorf("ledger: persisting block %d: %w", b.Header.Number, err)
-		}
+	if err := tok.Wait(); err != nil {
+		return fmt.Errorf("ledger: persisting block %d: %w", b.Header.Number, err)
 	}
-	l.commitLocked(b)
 	return nil
 }
 
-// AppendAsync verifies and appends a block like Append, but when the
-// backend supports asynchronous puts the block's record is only enqueued
-// for the next group commit: the call returns immediately with a
-// durability token (nil for a backend-less or synchronous-backend
-// ledger, in which case the append is already durable). The block is
-// visible in memory right away; callers that must not show it to anyone
-// before it is on disk (the ordering node's send drain) wait on the
-// token. Puts commit in append order, so persisting a contiguous run
-// costs one fsync wave — wait on the run's last token.
-func (l *Ledger) AppendAsync(b *Block) (DurableToken, error) {
-	return l.appendAsync(b, true)
-}
-
-// AppendSealedAsync is AppendAsync for blocks the caller just sealed
-// itself (fabric.NewBlock computes DataHash from the envelopes, so
-// re-hashing them to verify integrity is pure waste on the hot path).
-// Blocks obtained from anyone else must go through Append/AppendAsync,
-// which verify before storing.
+// AppendSealedAsync appends a block whose data hash the caller vouches
+// for — it just sealed the block itself (fabric.NewBlock computes DataHash
+// from the envelopes, so re-hashing them is pure waste on the hot path) or
+// already ran CheckIntegrity — checking only the chain linkage. The
+// block's record is enqueued on the backend and the returned token
+// completes when it is on disk (at once for a backend-less ledger); the
+// block is visible in memory right away. Puts commit in append order, so
+// persisting a contiguous run costs one fsync wave — wait on the run's
+// last token.
 func (l *Ledger) AppendSealedAsync(b *Block) (DurableToken, error) {
-	return l.appendAsync(b, false)
-}
-
-func (l *Ledger) appendAsync(b *Block, verify bool) (DurableToken, error) {
-	if verify {
-		if err := b.CheckIntegrity(); err != nil {
-			return nil, err
-		}
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.checkLinkLocked(b); err != nil {
 		return nil, err
 	}
-	var tok DurableToken
+	var tok DurableToken = durableNow{}
 	if l.backend != nil {
-		async, ok := l.backend.(AsyncBlockBackend)
-		if !ok {
-			if err := l.backend.PutBlock(l.channel, b); err != nil {
-				return nil, fmt.Errorf("ledger: persisting block %d: %w", b.Header.Number, err)
-			}
-		} else {
-			var err error
-			tok, err = async.PutBlockAsync(l.channel, b)
-			if err != nil {
-				return nil, fmt.Errorf("ledger: persisting block %d: %w", b.Header.Number, err)
-			}
+		var err error
+		if tok, err = l.backend.PutBlockAsync(l.channel, b); err != nil {
+			return nil, fmt.Errorf("ledger: persisting block %d: %w", b.Header.Number, err)
 		}
 	}
 	l.commitLocked(b)

@@ -17,9 +17,9 @@ type memBackend struct {
 
 func newMemBackend() *memBackend { return &memBackend{blocks: make(map[uint64]*Block)} }
 
-func (m *memBackend) PutBlock(_ string, b *Block) error {
+func (m *memBackend) PutBlockAsync(_ string, b *Block) (DurableToken, error) {
 	m.blocks[b.Header.Number] = b
-	return nil
+	return durableNow{}, nil
 }
 
 func (m *memBackend) ReadBlocks(_ string, start uint64, max int) ([]*Block, error) {
@@ -62,7 +62,7 @@ func TestRestoredLedgerServesFromFloorAndAnswersPruned(t *testing.T) {
 	anchor := cryptoutil.Hash([]byte("pruned-block-9-header"))
 	chain := floorChain(10, anchor, 8) // blocks 10..17 retained
 	for _, b := range chain {
-		backend.PutBlock("ch", b)
+		backend.PutBlockAsync("ch", b)
 	}
 	backend.floor = 10
 

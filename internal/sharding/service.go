@@ -36,7 +36,6 @@ type ServiceConfig struct {
 	RetainBytes        int64
 	RetainWeights      map[string]float64
 	CommitMaxDelay     time.Duration
-	CommitMaxBatch     int
 
 	// Network hosts every group; nil creates one (owned by the service).
 	Network *transport.InProcNetwork
@@ -99,7 +98,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 			RetainBytes:        cfg.RetainBytes,
 			RetainWeights:      cfg.RetainWeights,
 			CommitMaxDelay:     cfg.CommitMaxDelay,
-			CommitMaxBatch:     cfg.CommitMaxBatch,
 			Metrics:            cfg.Metrics,
 		})
 		if err != nil {

@@ -84,9 +84,9 @@ type ChainInfo struct {
 // applyRecord, then finishRecovery.
 func newBlockStore(dir string, wal *WAL, ownsWAL bool) *BlockStore {
 	s := &BlockStore{
-		dir:     dir,
-		wal:     wal,
-		ownsWAL: ownsWAL,
+		dir:       dir,
+		wal:       wal,
+		ownsWAL:   ownsWAL,
 		heights:   make(map[string]uint64),
 		floors:    make(map[string]uint64),
 		anchors:   make(map[string]cryptoutil.Digest),
@@ -410,24 +410,17 @@ func (s *BlockStore) Put(channel string, b *fabric.Block) error {
 	return tok.Wait()
 }
 
-// PutAsync enqueues a sealed block for the next group commit and returns
-// its durability token without waiting for the fsync. Height and gap
-// rules match Put (a replay duplicate returns an already-completed
-// token). Puts for one channel commit in call order, so a contiguous run
-// of blocks persists in one fsync wave — wait on the run's last token.
-// Because the block record rides the same unified log as the decision
-// records, the whole wave — decisions and blocks alike — costs a single
-// fsync.
+// PutAsync enqueues a sealed block and returns its durability token
+// without waiting for the fsync. Height and gap rules match Put (a replay
+// duplicate returns an already-completed token). Puts for one channel
+// commit in call order, so a contiguous run of blocks persists in one
+// fsync wave — wait on the run's last token. The enqueue is lazy, for
+// callers that gate nothing on the block's durability (the ordering
+// node's send drain, which disseminates on the decision gate alone): the
+// record triggers no commit wave of its own and piggybacks on the next
+// decision's wave — both kinds ride the same unified log — so in steady
+// state block persistence adds zero fsyncs.
 func (s *BlockStore) PutAsync(channel string, b *fabric.Block) (*Token, error) {
-	return s.putAsync(channel, b, false)
-}
-
-// PutAsyncLazy is PutAsync for callers that gate nothing on the block's
-// durability (the ordering node's send drain, which disseminates on the
-// decision gate alone): the record triggers no commit wave of its own
-// and piggybacks on the next decision's wave, so in steady state block
-// persistence adds zero fsyncs.
-func (s *BlockStore) PutAsyncLazy(channel string, b *fabric.Block) (*Token, error) {
 	return s.putAsync(channel, b, true)
 }
 
@@ -451,7 +444,7 @@ func (s *BlockStore) putAsync(channel string, b *fabric.Block, lazy bool) (*Toke
 	w.PutString(channel)
 	b.MarshalInto(w)
 	framed := int64(len(w.Bytes())) + recordHeaderSize
-	tok, err := s.wal.appendAsyncOpt(w.Bytes(), func(idx uint64, err error) {
+	tok, err := s.wal.enqueue(w.Bytes(), func(idx uint64, err error) {
 		// Commit callback (runs in log order): the frame was copied into
 		// the commit buffer, so the encode buffer recycles; on success
 		// the read index gains the record, re-quiescing the channel for
@@ -706,14 +699,14 @@ func (s *BlockStore) RebaseBlocks(channel string, floor uint64, anchor cryptouti
 	}
 	// Durable rebase marker. Waiting on the token under s.mu is safe:
 	// quiescence guarantees no block-put commit callback (which needs
-	// s.mu) is pending in the queue ahead of the marker.
+	// s.mu) is pending in the log ahead of the marker.
 	w := wire.GetWriter(64 + len(channel))
 	w.PutByte(recChannelMeta)
 	w.PutByte(metaRebase)
 	w.PutString(channel)
 	w.PutUint64(floor)
 	w.PutRaw(anchor[:])
-	tok, err := s.wal.appendAsync(w.Bytes(), func(uint64, error) { wire.PutWriter(w) })
+	tok, err := s.wal.enqueue(w.Bytes(), func(uint64, error) { wire.PutWriter(w) }, false)
 	if err != nil {
 		wire.PutWriter(w)
 		return err

@@ -9,15 +9,13 @@ import (
 	"time"
 )
 
-// TestQueueMultiplexedCommitAndRecover drives concurrent appends of
-// mixed record kinds into ONE WAL through the commit queue (the unified
-// commit log's arrangement) and checks the core contracts: every append
-// commits, indices stay dense and FIFO, and a reopen replays everything
-// back in order.
-func TestQueueMultiplexedCommitAndRecover(t *testing.T) {
-	queue := NewCommitQueue(CommitQueueConfig{})
+// TestMultiplexedCommitAndRecover drives concurrent appends of mixed
+// record kinds into ONE WAL (the unified commit log's arrangement) and
+// checks the core contracts: every append commits, indices stay dense and
+// FIFO, and a reopen replays everything back in order.
+func TestMultiplexedCommitAndRecover(t *testing.T) {
 	dir := t.TempDir()
-	wal, err := OpenWAL(WALConfig{Dir: dir, Queue: queue})
+	wal, err := OpenWAL(WALConfig{Dir: dir})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -49,12 +47,8 @@ func TestQueueMultiplexedCommitAndRecover(t *testing.T) {
 	if err := wal.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if err := queue.Close(); err != nil {
-		t.Fatalf("queue close: %v", err)
-	}
 
-	// Reopen standalone (no queue): the log must replay a dense run with
-	// both kinds present.
+	// Reopen: the log must replay a dense run with both kinds present.
 	reopened, err := OpenWAL(WALConfig{Dir: dir})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -83,9 +77,7 @@ func TestQueueMultiplexedCommitAndRecover(t *testing.T) {
 // TestAppendAsyncTokenOrderAndIndex checks the token contract: tokens
 // complete in enqueue order and carry the record's assigned index.
 func TestAppendAsyncTokenOrderAndIndex(t *testing.T) {
-	queue := NewCommitQueue(CommitQueueConfig{})
-	defer queue.Close()
-	wal, err := OpenWAL(WALConfig{Dir: t.TempDir(), Queue: queue})
+	wal, err := OpenWAL(WALConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -150,8 +142,8 @@ func copyTree(t *testing.T, src, dst string) {
 }
 
 // TestDecisionEnqueuedButUnsyncedIsLostOnCrash is the write-ahead crash
-// window at the storage layer: a decision enqueued on the shared commit
-// queue whose fsync wave has not run is NOT on disk — a crash in that
+// window at the storage layer: a decision enqueued on the commit log
+// whose fsync wave has not run is NOT on disk — a crash in that
 // window loses the record (and the block gated on its token was never
 // shipped), while after the wave completes the record survives.
 func TestDecisionEnqueuedButUnsyncedIsLostOnCrash(t *testing.T) {
@@ -164,7 +156,7 @@ func TestDecisionEnqueuedButUnsyncedIsLostOnCrash(t *testing.T) {
 	s.Recovered()
 
 	tok := s.AppendDecisionAsync(0, [][]byte{[]byte("op-a"), []byte("op-b")})
-	// The wave is stalled before anything is written: give the scheduler
+	// The wave is stalled before anything is written: give the commit loop
 	// a moment, then check the token is still pending.
 	time.Sleep(20 * time.Millisecond)
 	if tok.Done() {
@@ -218,7 +210,7 @@ func TestDecisionDurableBlockMissingIsReplayed(t *testing.T) {
 	if err := s.AppendDecision(0, [][]byte{[]byte("op")}); err != nil {
 		t.Fatalf("append decision: %v", err)
 	}
-	// Crash before the block persist: close without ever calling PutBlock.
+	// Crash before the block persist: close without ever putting the block.
 	if err := s.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -237,17 +229,16 @@ func TestDecisionDurableBlockMissingIsReplayed(t *testing.T) {
 	}
 }
 
-// TestCommitQueueMaxDelayCoalesces checks the tuning knob: with a
-// coalescing window, appends arriving within the window share one wave.
-func TestCommitQueueMaxDelayCoalesces(t *testing.T) {
+// TestCommitMaxDelayCoalesces checks the tuning knob: with a coalescing
+// window, appends arriving within the window share one wave.
+func TestCommitMaxDelayCoalesces(t *testing.T) {
 	waves := 0
 	var mu sync.Mutex
-	queue := NewCommitQueue(CommitQueueConfig{
+	wal, err := OpenWAL(WALConfig{
+		Dir:      t.TempDir(),
 		MaxDelay: 20 * time.Millisecond,
 		SyncHook: func() { mu.Lock(); waves++; mu.Unlock() },
 	})
-	defer queue.Close()
-	wal, err := OpenWAL(WALConfig{Dir: t.TempDir(), Queue: queue})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}

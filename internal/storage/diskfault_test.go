@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/storage/faultfs"
+	"repro/internal/storage/vfs"
 )
 
 // flipByte XORs one bit of the byte at off in path — at-rest corruption
@@ -42,7 +43,7 @@ func TestFlipAByteBlockRecordTyped(t *testing.T) {
 	s.Recovered()
 	chain := makeChain(t, 5)
 	for _, b := range chain {
-		if err := s.PutBlock("ch", b); err != nil {
+		if err := putBlock(s, "ch", b); err != nil {
 			t.Fatalf("put: %v", err)
 		}
 	}
@@ -91,7 +92,7 @@ func TestScrubOnceRepairsFlippedBlock(t *testing.T) {
 	s.Recovered()
 	chain := makeChain(t, 5)
 	for _, b := range chain {
-		if err := s.PutBlock("ch", b); err != nil {
+		if err := putBlock(s, "ch", b); err != nil {
 			t.Fatalf("put: %v", err)
 		}
 	}
@@ -244,7 +245,7 @@ func TestFsyncFailurePoisonsLog(t *testing.T) {
 	if err := s.AppendDecision(2, [][]byte{[]byte("late")}); !errors.Is(err, ErrLogPoisoned) {
 		t.Fatalf("append after poisoning = %v, want ErrLogPoisoned", err)
 	}
-	if err := s.PutBlock("ch", makeChain(t, 1)[0]); !errors.Is(err, ErrLogPoisoned) {
+	if err := putBlock(s, "ch", makeChain(t, 1)[0]); !errors.Is(err, ErrLogPoisoned) {
 		t.Fatalf("block put after poisoning = %v, want ErrLogPoisoned", err)
 	}
 }
@@ -291,18 +292,35 @@ func TestFsyncCrashWindowFailFast(t *testing.T) {
 	// fail-fast turned silent loss into an honest failure.
 }
 
-// TestFsyncCrashWindowTeethLosesAckedWrite proves the fail-fast check has
-// teeth: with it artificially disabled (the pre-fsyncgate behavior — the
-// failed fsync is swallowed and the wave acked), the same crash silently
-// loses a write the caller was told is durable.
-func TestFsyncCrashWindowTeethLosesAckedWrite(t *testing.T) {
-	SetFsyncFailFastDisabled(true)
-	defer SetFsyncFailFastDisabled(false)
+// lyingSyncFS is the broken disk stack the fail-fast check defends
+// against, injected from outside through the vfs seam: file flushes
+// report success even when the filesystem underneath failed them (the
+// pre-fsyncgate behavior of retrying or ignoring a failed fsync).
+type lyingSyncFS struct{ vfs.FS }
 
+func (fs lyingSyncFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	f, err := fs.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return lyingSyncFile{f}, nil
+}
+
+type lyingSyncFile struct{ vfs.File }
+
+func (f lyingSyncFile) Sync() error     { _ = f.File.Sync(); return nil }
+func (f lyingSyncFile) Datasync() error { _ = f.File.Datasync(); return nil }
+
+// TestFsyncCrashWindowTeethLosesAckedWrite proves the fail-fast check has
+// teeth: when the flush error never reaches the log (swallowed by a lying
+// layer over the page-dropping filesystem — the wave is acked as if it
+// were durable), the same crash silently loses a write the caller was
+// told is durable.
+func TestFsyncCrashWindowTeethLosesAckedWrite(t *testing.T) {
 	dir := t.TempDir()
 	ffs := faultfs.New(nil, 3)
 	ffs.SetPathFilter(func(p string) bool { return strings.HasSuffix(p, ".seg") })
-	s, err := Open(dir, Options{FS: ffs})
+	s, err := Open(dir, Options{FS: lyingSyncFS{ffs}})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -315,7 +333,10 @@ func TestFsyncCrashWindowTeethLosesAckedWrite(t *testing.T) {
 	ffs.FailSyncs(1)
 	tok := s.AppendDecisionAsync(1, [][]byte{[]byte("acked-then-lost")})
 	if err := tok.Wait(); err != nil {
-		t.Fatalf("with fail-fast disabled the wave must be acked, got %v", err)
+		t.Fatalf("with the flush error swallowed the wave must be acked, got %v", err)
+	}
+	if n := ffs.Stats().SyncFailures; n != 1 {
+		t.Fatalf("injected %d sync failures, want 1 (the fault never fired)", n)
 	}
 
 	// Crash. The acked decision was only ever in the dropped dirty pages.

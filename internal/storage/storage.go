@@ -100,7 +100,6 @@ type NodeStorage struct {
 	wal    *WAL
 	blocks *BlockStore
 	ckpt   *Checkpointer
-	queue  *CommitQueue
 
 	recovered *RecoveredState
 
@@ -154,19 +153,15 @@ type Options struct {
 	// NoSync disables fsync everywhere. Only for benchmarks isolating the
 	// write path.
 	NoSync bool
-	// CommitMaxDelay is the commit queue's coalescing window: how long a
+	// CommitMaxDelay is the commit log's coalescing window: how long a
 	// wave waits after its first pending append before fsyncing, trading
 	// commit latency for larger groups. Zero (the default) commits
 	// greedily.
 	CommitMaxDelay time.Duration
-	// CommitMaxBatch caps how many records merge into a single fsync
-	// wave (default 1024).
-	CommitMaxBatch int
 	// SyncHook, when set, runs at the start of every commit wave, before
-	// any record of the wave is written. Test instrumentation: stalling
-	// it keeps enqueued records non-durable, which is how the
-	// write-ahead gating and crash-window tests open the window between
-	// enqueue and fsync.
+	// the wave's group is taken. Test instrumentation: stalling it keeps
+	// enqueued records non-durable, which is how the write-ahead gating
+	// and crash-window tests open the window between enqueue and fsync.
 	SyncHook func()
 	// Metrics, when set, instruments the commit log: waves, fsyncs, bytes,
 	// segments, checkpoint, and retention events.
@@ -185,22 +180,16 @@ func Open(dir string, opts Options) (*NodeStorage, error) {
 	if err != nil {
 		return nil, err
 	}
-	queue := NewCommitQueue(CommitQueueConfig{
-		MaxDelay: opts.CommitMaxDelay,
-		MaxBatch: opts.CommitMaxBatch,
-		SyncHook: opts.SyncHook,
-		Metrics:  opts.Metrics,
-	})
 	wal, err := OpenWAL(WALConfig{
 		Dir:          filepath.Join(dir, "log"),
 		SegmentBytes: opts.SegmentBytes,
 		NoSync:       opts.NoSync,
-		Queue:        queue,
+		MaxDelay:     opts.CommitMaxDelay,
+		SyncHook:     opts.SyncHook,
 		Metrics:      opts.Metrics,
 		FS:           fsys,
 	})
 	if err != nil {
-		queue.Close()
 		return nil, err
 	}
 	s := &NodeStorage{
@@ -208,7 +197,6 @@ func Open(dir string, opts Options) (*NodeStorage, error) {
 		fs:           fsys,
 		wal:          wal,
 		ckpt:         ckpt,
-		queue:        queue,
 		lastSeq:      -1,
 		enqSeq:       -1,
 		ckptNotify:   make(chan struct{}, 1),
@@ -329,10 +317,11 @@ func (s *NodeStorage) AppendDecision(seq int64, batch [][]byte) error {
 	return s.AppendDecisionAsync(seq, batch).Wait()
 }
 
-// AppendDecisionAsync enqueues one decided batch on the commit queue and
+// AppendDecisionAsync enqueues one decided batch on the commit log and
 // returns its durability token without waiting for the fsync. The
 // consensus event loop calls this and keeps executing; the node's send
-// drain gates dissemination on the token, which preserves the
+// drain gates dissemination on the token (the log is FIFO, so the newest
+// decision's token covers every earlier decision), which preserves the
 // write-ahead discipline (nothing leaves the node before its decision is
 // on disk) without serializing the loop on the flush. Sequences must
 // arrive in order without gaps; a duplicate returns the newest enqueued
@@ -358,8 +347,8 @@ func (s *NodeStorage) AppendDecisionAsync(seq int64, batch [][]byte) *Token {
 	w.PutByte(recDecision)
 	w.PutInt64(seq)
 	w.PutBytesSlice(batch)
-	tok, err := s.wal.appendAsync(w.Bytes(), func(idx uint64, err error) {
-		// Runs on the committing goroutine, after the record's bytes were
+	tok, err := s.wal.enqueue(w.Bytes(), func(idx uint64, err error) {
+		// Runs on the commit loop, after the record's bytes were
 		// copied into the commit buffer: the encode buffer is free again,
 		// and on success the seq<->index pair joins the live-decision
 		// list checkpoint pruning reads.
@@ -372,7 +361,7 @@ func (s *NodeStorage) AppendDecisionAsync(seq int64, batch [][]byte) *Token {
 		s.lastIdx = idx
 		s.decPos = append(s.decPos, seqIdx{seq: seq, idx: idx})
 		s.mu.Unlock()
-	})
+	}, false)
 	if err != nil {
 		wire.PutWriter(w)
 		return doneToken(err)
@@ -382,20 +371,6 @@ func (s *NodeStorage) AppendDecisionAsync(seq int64, batch [][]byte) *Token {
 	s.lastTok = tok
 	s.mu.Unlock()
 	return tok
-}
-
-// DecisionToken returns the durability token of the newest enqueued
-// decision (an already-completed token when nothing is outstanding). The
-// decision records are FIFO in the log, so waiting on it implies every
-// earlier decision is on disk; the node's send drain uses exactly that
-// to gate block dissemination.
-func (s *NodeStorage) DecisionToken() *Token {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.lastTok == nil {
-		return doneToken(nil)
-	}
-	return s.lastTok
 }
 
 // SaveCheckpoint atomically persists the consensus snapshot at seq, then
@@ -523,20 +498,16 @@ func (s *NodeStorage) flushCheckpoint() {
 	}
 }
 
-// PutBlock durably appends a sealed block for a channel (fabric.BlockBackend).
-func (s *NodeStorage) PutBlock(channel string, b *fabric.Block) error {
-	return s.blocks.Put(channel, b)
-}
-
-// PutBlockAsync enqueues a sealed block on the commit queue and returns
-// its durability token (fabric.AsyncBlockBackend). The enqueue is lazy:
-// under the decision-gated dissemination rule nothing waits for a block
-// record, so it triggers no commit wave of its own and piggybacks on the
-// wave the next decision triggers — in steady state, block persistence
-// costs zero additional fsyncs. The queue's lazy flush timer bounds the
-// wait when traffic stops.
+// PutBlockAsync enqueues a sealed block on the commit log and returns its
+// durability token (fabric.BlockBackend). The enqueue is lazy: under the
+// decision-gated dissemination rule nothing waits for a block record, so
+// it triggers no commit wave of its own and piggybacks on the wave the
+// next decision triggers — in steady state, block persistence costs zero
+// additional fsyncs. The log's lazy flush timer bounds the wait when
+// traffic stops (and for the callers that do wait: recovery replay and
+// back-fill enqueue a run and wait on its last token).
 func (s *NodeStorage) PutBlockAsync(channel string, b *fabric.Block) (fabric.DurableToken, error) {
-	tok, err := s.blocks.PutAsyncLazy(channel, b)
+	tok, err := s.blocks.PutAsync(channel, b)
 	if err != nil {
 		return nil, err
 	}
@@ -609,9 +580,8 @@ func (s *NodeStorage) Dir() string { return s.dir }
 // acked data); callers observing it must stop acking and shut down.
 func (s *NodeStorage) Poisoned() error { return s.wal.Poisoned() }
 
-// Close flushes the pending checkpoint, flushes and closes the unified
-// log, then stops the commit queue (the log drains itself through the
-// queue first, so order matters).
+// Close flushes the pending checkpoint, then drains and closes the
+// unified log.
 func (s *NodeStorage) Close() error {
 	var first error
 	if s.ckptDone != nil {
@@ -625,11 +595,6 @@ func (s *NodeStorage) Close() error {
 	}
 	if s.wal != nil {
 		if err := s.wal.Close(); err != nil {
-			first = err
-		}
-	}
-	if s.queue != nil {
-		if err := s.queue.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

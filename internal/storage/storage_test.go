@@ -101,6 +101,16 @@ func makeChain(t *testing.T, n int) []*fabric.Block {
 	return blocks
 }
 
+// putBlock persists one block through the node storage's (only) block put
+// and waits out its durability token.
+func putBlock(s *NodeStorage, channel string, b *fabric.Block) error {
+	tok, err := s.PutBlockAsync(channel, b)
+	if err != nil {
+		return err
+	}
+	return tok.Wait()
+}
+
 func TestBlockStoreRecoverAndIdempotence(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenBlockStore(WALConfig{Dir: dir})
@@ -176,7 +186,7 @@ func TestNodeStorageRecoverSequence(t *testing.T) {
 	}
 	chain := makeChain(t, 3)
 	for _, b := range chain {
-		if err := s.PutBlock("ch", b); err != nil {
+		if err := putBlock(s, "ch", b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -303,7 +313,7 @@ func TestNodeStorageReplayIdempotent(t *testing.T) {
 		}
 	}
 	for _, b := range chain {
-		if err := s.PutBlock("ch", b); err != nil {
+		if err := putBlock(s, "ch", b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -329,7 +339,7 @@ func TestNodeStorageReplayIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range replayed {
-		if err := s2.PutBlock("ch", b); err != nil {
+		if err := putBlock(s2, "ch", b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -363,7 +373,7 @@ func TestTornBlockWALRecoversToDurablePrefix(t *testing.T) {
 	}
 	chain := makeChain(t, 6)
 	for _, b := range chain {
-		if err := s.PutBlock("ch", b); err != nil {
+		if err := putBlock(s, "ch", b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -509,11 +519,17 @@ func TestNodeStorageLedgerPagesBlocksFromDisk(t *testing.T) {
 	// tail in memory; Range and VerifyChain page the rest back in.
 	led := fabric.NewPersistentLedger("ch", s)
 	// Go well past retain plus its trim slack so blocks genuinely page out.
+	// The run is enqueued without waiting and its last token waited out
+	// once, the way the node persists a contiguous run.
 	chain := makeChain(t, fabric.DefaultLedgerRetain*2)
+	var last fabric.DurableToken
 	for _, b := range chain {
-		if err := led.Append(b); err != nil {
+		if last, err = led.AppendSealedAsync(b); err != nil {
 			t.Fatalf("append %d: %v", b.Header.Number, err)
 		}
+	}
+	if err := last.Wait(); err != nil {
+		t.Fatalf("persisting the run: %v", err)
 	}
 	if got := led.Height(); got != uint64(len(chain)) {
 		t.Fatalf("height = %d, want %d", got, len(chain))
@@ -599,7 +615,7 @@ func interleaveDecisionsAndBlocks(t *testing.T, s *NodeStorage, chain []*fabric.
 		if err := s.AppendDecision(int64(i), [][]byte{{byte(i)}}); err != nil {
 			t.Fatalf("decision %d: %v", i, err)
 		}
-		if err := s.PutBlock("ch", b); err != nil {
+		if err := putBlock(s, "ch", b); err != nil {
 			t.Fatalf("block %d: %v", i, err)
 		}
 	}
@@ -817,7 +833,7 @@ func TestRebaseMarkerReplaysWithoutManifest(t *testing.T) {
 		t.Fatalf("recovered %d decisions, want 5", len(rec.Decisions))
 	}
 	b20 := fabric.NewBlock(20, anchor, [][]byte{chain[0].Envelopes[0]})
-	if err := s2.PutBlock("ch", b20); err != nil {
+	if err := putBlock(s2, "ch", b20); err != nil {
 		t.Fatalf("put after recovered rebase: %v", err)
 	}
 	if _, err := s2.ReadBlocks("ch", 0, 5); !errors.Is(err, fabric.ErrPruned) {

@@ -75,17 +75,6 @@ func (e *RecordCorruptError) Error() string {
 
 func (e *RecordCorruptError) Unwrap() error { return ErrCorrupt }
 
-// disableFsyncFailFast artificially restores the unsafe pre-fsyncgate
-// behavior: a failed wave fsync completes its group's tokens as if the
-// records were durable, and the log is not poisoned. It exists solely so
-// the crash-window teeth test can demonstrate the acked-then-lost write
-// the fail-fast semantics prevent. Never set outside tests.
-var disableFsyncFailFast atomic.Bool
-
-// SetFsyncFailFastDisabled toggles the teeth-test switch (see
-// disableFsyncFailFast). Test instrumentation only.
-func SetFsyncFailFastDisabled(v bool) { disableFsyncFailFast.Store(v) }
-
 // recordHeaderSize is the fixed per-record framing overhead: a uint32
 // payload length followed by a uint32 CRC32 (IEEE) of the payload.
 const recordHeaderSize = 8
@@ -108,17 +97,23 @@ type WALConfig struct {
 	// NoSync skips the fsync on every group commit. Only for tests and
 	// benchmarks that measure the non-durable append path.
 	NoSync bool
-	// Queue, when set, routes this log's group commits through a
-	// CommitQueue scheduler instead of a dedicated writer goroutine.
-	// Exactly one log may attach to a queue — record kinds multiplex
-	// into the one log rather than fanning out across logs, which is
-	// what caps a commit wave at a single fsync. The queue must outlive
-	// the WAL (close the WAL first, then the queue).
-	Queue *CommitQueue
+	// MaxDelay is the coalescing window: after waking for the first
+	// pending append, the commit loop waits this long before starting the
+	// wave, letting more appends (decisions and blocks alike) pile in.
+	// Zero commits greedily — under concurrent load the natural arrival
+	// rate already batches well, so the delay only helps thin workloads
+	// trade latency for fewer fsyncs.
+	MaxDelay time.Duration
+	// SyncHook, when set, runs at the start of every commit wave, before
+	// the wave's group is taken. Test instrumentation: stalling it holds
+	// every enqueued record in the not-yet-durable state, which is how the
+	// write-ahead gating and crash-window tests open the window between
+	// enqueue and fsync.
+	SyncHook func()
 	// FS is the filesystem seam (nil = the real OS filesystem). Fault
 	// injection threads a faultfs through here.
 	FS vfs.FS
-	// Metrics, when set, receives fsync/bytes/segment instrumentation.
+	// Metrics, when set, receives wave/fsync/bytes/segment instrumentation.
 	Metrics *obs.StorageMetrics
 }
 
@@ -143,45 +138,37 @@ type segment struct {
 	offsets []int64
 }
 
-// appendReq is one enqueued append awaiting group commit. A nil rec is a
-// flush barrier: it writes nothing and completes once every request ahead
-// of it has committed (Close uses one to drain a queue-attached log).
-type appendReq struct {
-	rec      []byte
-	tok      *Token
-	onCommit func(idx uint64, err error)
-}
-
 // WAL is a segmented append-only log. Records are opaque byte strings,
 // identified by a dense index assigned at append time (first record of an
 // empty log is index 1). Appends from any number of goroutines are
-// coalesced by a single writer into one fsync per group (group commit), so
-// concurrent load amortizes the dominant durability cost.
+// coalesced by the log's single commit loop into one fsync per group (group
+// commit), so concurrent load amortizes the dominant durability cost.
 type WAL struct {
 	cfg WALConfig
 
-	// mu guards the segment table and the active file. The writer
-	// goroutine holds it for the duration of each group commit; Replay and
-	// PruneTo hold it to read or drop sealed segments.
+	// mu guards the segment table, the active file, and the pending group.
+	// The commit loop holds it while it writes a group (not across the
+	// wave's fsync); Replay and PruneTo hold it to read or drop sealed
+	// segments.
 	mu       sync.Mutex
 	segments []segment // sorted by first index; last entry is active
 	active   vfs.File
 	size     int64  // bytes in the active segment
 	next     uint64 // index the next append receives
 
-	appendCh chan *appendReq
-	closeCh  chan struct{}
-	closed   bool
+	// pending is the group awaiting the next commit wave, in enqueue
+	// order; lazyArmed tracks the flush timer of lazily enqueued records.
+	pending   []*appendReq
+	lazyArmed bool
+	notify    chan struct{}
+	closeCh   chan struct{}
+	closed    bool
 	// failErr poisons the log after a failed commit: the file may hold a
 	// torn frame past which nothing can be appended safely (recovery
 	// would truncate records acknowledged after it), so every later
 	// append fails with the original error.
 	failErr error
-	// appendWg counts Appends that passed the closed check but have not
-	// yet handed their request to the writer; Close waits for it before
-	// signalling the writer, so every accepted request is served.
-	appendWg sync.WaitGroup
-	wg       sync.WaitGroup
+	wg      sync.WaitGroup
 
 	// commitBuf is the reusable frame-assembly buffer of the (single)
 	// committing goroutine; reusing it keeps the hot append path free of
@@ -217,8 +204,8 @@ func (w *WAL) fsync(f vfs.File) error {
 func (w *WAL) SyncCount() uint64 { return w.syncs.Load() }
 
 // OpenWAL opens (or creates) the log in cfg.Dir, scans every segment,
-// truncates a torn tail in the newest segment, and starts the group-commit
-// writer. A torn or partially written record anywhere but the tail of the
+// truncates a torn tail in the newest segment, and starts the commit
+// loop. A torn or partially written record anywhere but the tail of the
 // newest segment is reported as ErrCorrupt: crashes only ever tear the end
 // of the log, so mid-log damage means real corruption.
 func OpenWAL(cfg WALConfig) (*WAL, error) {
@@ -227,11 +214,11 @@ func OpenWAL(cfg WALConfig) (*WAL, error) {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
 	w := &WAL{
-		cfg:      cfg,
-		next:     1,
-		appendCh: make(chan *appendReq, 256),
-		closeCh:  make(chan struct{}),
-		metrics:  cfg.Metrics.OrNop(),
+		cfg:     cfg,
+		next:    1,
+		notify:  make(chan struct{}, 1),
+		closeCh: make(chan struct{}),
+		metrics: cfg.Metrics.OrNop(),
 	}
 	if err := w.scan(); err != nil {
 		return nil, err
@@ -240,10 +227,8 @@ func OpenWAL(cfg WALConfig) (*WAL, error) {
 		return nil, err
 	}
 	w.metrics.Segments.Set(int64(len(w.segments)))
-	if cfg.Queue == nil {
-		w.wg.Add(1)
-		go w.writer()
-	}
+	w.wg.Add(1)
+	go w.commitLoop()
 	return w, nil
 }
 
@@ -407,229 +392,6 @@ func (w *WAL) syncDir() error {
 		return nil
 	}
 	return w.cfg.FS.SyncDir(w.cfg.Dir)
-}
-
-// Append durably writes one record and returns its index. It blocks until
-// the record (and every record batched into the same group commit) is
-// fsynced. Safe for concurrent use; concurrency is what makes group commit
-// pay off.
-func (w *WAL) Append(rec []byte) (uint64, error) {
-	tok, err := w.AppendAsync(rec)
-	if err != nil {
-		return 0, err
-	}
-	if err := tok.Wait(); err != nil {
-		return 0, err
-	}
-	return tok.idx, nil
-}
-
-// AppendAsync enqueues one record for the next group commit and returns
-// immediately with a durability token; the record's index is assigned at
-// write time (Token.Index after a successful Wait). Records commit in
-// enqueue order. This is the storage half of asynchronous decision
-// logging: the caller keeps running and gates externally visible effects
-// on the token instead of blocking the hot path on the fsync.
-func (w *WAL) AppendAsync(rec []byte) (*Token, error) {
-	return w.appendAsync(rec, nil)
-}
-
-// appendAsync is AppendAsync plus an optional commit callback, invoked on
-// the committing goroutine (in log order) before the token completes.
-// Callbacks must be cheap: they run inside the commit wave.
-func (w *WAL) appendAsync(rec []byte, onCommit func(idx uint64, err error)) (*Token, error) {
-	return w.appendAsyncOpt(rec, onCommit, false)
-}
-
-// appendAsyncOpt is the full enqueue: a lazy append triggers no wave of
-// its own and rides the next eagerly triggered wave (or the queue's lazy
-// flush timer). For records nothing gates on — block puts under the
-// decision-gated dissemination rule — laziness makes durability free in
-// steady state: they share the fsync some decision already pays for.
-func (w *WAL) appendAsyncOpt(rec []byte, onCommit func(idx uint64, err error), lazy bool) (*Token, error) {
-	if int64(len(rec))+recordHeaderSize > w.cfg.SegmentBytes {
-		return nil, ErrTooBig
-	}
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if w.failErr != nil {
-		err := w.failErr
-		w.mu.Unlock()
-		return nil, err
-	}
-	w.appendWg.Add(1)
-	w.mu.Unlock()
-	req := &appendReq{rec: rec, tok: newToken(), onCommit: onCommit}
-	if w.cfg.Queue != nil {
-		w.cfg.Queue.enqueue(w, req, lazy)
-	} else {
-		w.appendCh <- req
-	}
-	w.appendWg.Done()
-	return req.tok, nil
-}
-
-// writer is the standalone group-commit loop (no commit queue): it blocks
-// for one request, greedily drains whatever else queued up, writes the
-// whole group, fsyncs once, and only then completes every request in the
-// group.
-func (w *WAL) writer() {
-	defer w.wg.Done()
-	for {
-		var group []*appendReq
-		select {
-		case req := <-w.appendCh:
-			group = append(group, req)
-		case <-w.closeCh:
-			// Close waited for in-flight Appends before signalling, so
-			// whatever remains queued is the final group: commit it and
-			// exit.
-			for {
-				select {
-				case req := <-w.appendCh:
-					group = append(group, req)
-					continue
-				default:
-				}
-				break
-			}
-			if len(group) > 0 {
-				completeGroup(group, w.commit(group))
-			}
-			return
-		}
-	drain:
-		for len(group) < 1024 {
-			select {
-			case req := <-w.appendCh:
-				group = append(group, req)
-			default:
-				break drain
-			}
-		}
-		completeGroup(group, w.commit(group))
-	}
-}
-
-// commit writes and fsyncs one group (the standalone writer's path; the
-// commit queue drives writeGroup and the fsync itself).
-func (w *WAL) commit(group []*appendReq) error {
-	f, err := w.writeGroup(group)
-	if err != nil || f == nil {
-		return err
-	}
-	if err := w.fsync(f); err != nil {
-		if disableFsyncFailFast.Load() {
-			// Teeth switch: ack the wave as if it were durable. The dirty
-			// pages are gone — a crash now loses every record in it.
-			return nil
-		}
-		w.poison(err)
-		return w.Poisoned()
-	}
-	return nil
-}
-
-// poison marks the log permanently failed (fsyncgate fail-fast): after a
-// failed fsync the kernel has dropped the dirty pages, so a retry would
-// falsely succeed, and the file may hold a torn frame past which nothing
-// can be appended safely (recovery would truncate records acknowledged
-// after it). Every later append — and the failed wave's own tokens —
-// fail with a typed error wrapping both ErrLogPoisoned and the original
-// cause.
-func (w *WAL) poison(err error) {
-	w.mu.Lock()
-	if w.failErr == nil {
-		w.failErr = fmt.Errorf("%w: %v", ErrLogPoisoned, err)
-		w.metrics.LogPoisoned.Inc()
-	}
-	w.mu.Unlock()
-}
-
-// Poisoned returns the poisoning error when the log has failed fail-fast
-// (nil while healthy). The consensus durability poller and the node's
-// dissemination gate observe it through the append tokens; this probe is
-// for health surfaces that want to ask directly.
-func (w *WAL) Poisoned() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.failErr
-}
-
-// writeGroup writes one group's frames into the active segment (rotating
-// as needed) and assigns record indices, without fsyncing. It returns the
-// file that must be fsynced before the group may be completed (nil when
-// nothing needs syncing: an all-barrier group, or NoSync). Only one
-// goroutine — the standalone writer or the commit queue's scheduler —
-// calls it. A write failure poisons the log.
-func (w *WAL) writeGroup(group []*appendReq) (vfs.File, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.failErr != nil {
-		return nil, w.failErr
-	}
-	dirty, err := w.writeGroupLocked(group)
-	if err != nil {
-		w.failErr = err
-		return nil, err
-	}
-	if !dirty || w.cfg.NoSync {
-		return nil, nil
-	}
-	return w.active, nil
-}
-
-func (w *WAL) writeGroupLocked(group []*appendReq) (dirty bool, err error) {
-	buf := w.commitBuf[:0]
-	defer func() { w.commitBuf = buf[:0] }()
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		// Positioned write at the committed frontier: the file offset is
-		// meaningless in a preallocated segment (i_size sits at the
-		// segment size, not the frontier).
-		if _, err := w.active.WriteAt(buf, w.size); err != nil {
-			return err
-		}
-		w.metrics.BytesWritten.Add(uint64(len(buf)))
-		w.size += int64(len(buf))
-		w.segments[len(w.segments)-1].size = w.size
-		buf = buf[:0]
-		dirty = true
-		return nil
-	}
-	for _, req := range group {
-		if req.rec == nil {
-			continue // flush barrier: completes with the group, writes nothing
-		}
-		framed := int64(len(req.rec)) + recordHeaderSize
-		if w.size+int64(len(buf))+framed > w.cfg.SegmentBytes && w.size+int64(len(buf)) > 0 {
-			if err := flush(); err != nil {
-				return dirty, err
-			}
-			if err := w.rotateLocked(); err != nil {
-				return dirty, err
-			}
-		}
-		req.tok.idx = w.next
-		w.next++
-		seg := &w.segments[len(w.segments)-1]
-		seg.last = req.tok.idx
-		seg.offsets = append(seg.offsets, w.size+int64(len(buf)))
-		var hdr [recordHeaderSize]byte
-		binary.BigEndian.PutUint32(hdr[:4], uint32(len(req.rec)))
-		binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(req.rec))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, req.rec...)
-	}
-	if err := flush(); err != nil {
-		return dirty, err
-	}
-	return dirty, nil
 }
 
 // rotateLocked seals the active segment and opens the next one. The
@@ -1126,10 +888,9 @@ func (w *WAL) RewriteRecord(idx uint64, rec []byte) error {
 	return nil
 }
 
-// Close stops the writer, fsyncs, and closes the active segment. Appends
-// in flight complete or fail with ErrClosed. A queue-attached log drains
-// itself through the commit queue (which must still be open) with a flush
-// barrier before closing its file.
+// Close drains the commit loop, fsyncs, and closes the active segment.
+// Appends after it fail with ErrClosed; every append accepted before it
+// is committed by the loop's final waves.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	if w.closed {
@@ -1138,15 +899,8 @@ func (w *WAL) Close() error {
 	}
 	w.closed = true
 	w.mu.Unlock()
-	w.appendWg.Wait()
-	if w.cfg.Queue != nil {
-		barrier := &appendReq{tok: newToken()}
-		w.cfg.Queue.enqueue(w, barrier, false)
-		barrier.tok.Wait() // every request ahead of it has committed
-	} else {
-		close(w.closeCh)
-		w.wg.Wait()
-	}
+	close(w.closeCh)
+	w.wg.Wait()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if !w.cfg.NoSync {

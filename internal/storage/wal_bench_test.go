@@ -73,14 +73,13 @@ func BenchmarkWALAppendFsync(b *testing.B) {
 }
 
 // BenchmarkUnifiedLogAppend drives mixed record kinds through the ONE
-// log + commit queue a NodeStorage runs on (decision and block records
-// multiplexed into shared segments), with appenders split across both
+// log a NodeStorage runs on (decision and block records multiplexed into
+// shared segments), with appenders split across both
 // kinds, measuring the single-fsync wave the unified log is for.
 func BenchmarkUnifiedLogAppend(b *testing.B) {
 	for _, g := range []int{2, 8, 64} {
 		b.Run(fmt.Sprintf("appenders=%d", g), func(b *testing.B) {
-			queue := NewCommitQueue(CommitQueueConfig{})
-			wal, err := OpenWAL(WALConfig{Dir: b.TempDir(), Queue: queue})
+			wal, err := OpenWAL(WALConfig{Dir: b.TempDir()})
 			if err != nil {
 				b.Fatalf("OpenWAL: %v", err)
 			}
@@ -115,14 +114,13 @@ func BenchmarkUnifiedLogAppend(b *testing.B) {
 			if err := wal.Close(); err != nil {
 				b.Fatalf("close: %v", err)
 			}
-			queue.Close()
 		})
 	}
 }
 
 // BenchmarkBlockPutAsync measures the block-record enqueue path of the
 // unified log end to end (encode into a pooled buffer, height/index
-// bookkeeping, queue handoff) — the per-put allocations this path used
+// bookkeeping, pending-group handoff) — the per-put allocations this path used
 // to pay for Block.Marshal are what MarshalInto removed; ReportAllocs
 // keeps that won.
 func BenchmarkBlockPutAsync(b *testing.B) {
