@@ -61,8 +61,14 @@ type Config struct {
 	Weights map[ReplicaID]int
 	// BatchSize caps requests per PROPOSE (the paper uses 400).
 	BatchSize int
-	// BatchTimeout is how long the leader waits for a batch to fill before
-	// proposing a partial batch.
+	// BatchTimeout does not delay every partial batch: with no instance
+	// open the leader proposes whatever is pooled at its next tick (every
+	// 2 ms), and the timeout only lets a request arrival or a delivery
+	// propose without waiting for that tick once the oldest pooled request
+	// has waited this long. With instances open it is the unit the window
+	// is measured in: the leader keeps min(PipelineDepth, instance latency
+	// / BatchTimeout) instances in flight, partial batches evenly spaced.
+	// The rule is Replica.proposeDue.
 	BatchTimeout time.Duration
 	// RequestTimeout is how long a pending request may wait before the
 	// replica triggers the synchronization phase (leader change).

@@ -1,0 +1,559 @@
+package consensus
+
+import (
+	"bytes"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/transport"
+)
+
+// This file tests what keeping several consensus instances open exposes:
+// the synchronization phase with more than one write certificate, the
+// self-clock of the proposal scheduler, tentative rollback across more than
+// one instance, and equivocation over a full window.
+
+// groupsCopy returns the executed (seq, ops) groups.
+func (a *recordApp) groupsCopy() []execGroup {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return append([]execGroup(nil), a.groups...)
+}
+
+// assertSameInstances verifies that the live replicas executed the same
+// operations in the same consensus instances, with contiguous sequence
+// numbers — stricter than assertSameOrder, which only sees the flattened
+// order and so cannot tell an instance re-run from its certificate from
+// one re-proposed with other batch boundaries.
+func (tc *testCluster) assertSameInstances(skip map[int]bool) {
+	tc.t.Helper()
+	var reference []execGroup
+	refIdx := -1
+	for i, app := range tc.apps {
+		if skip[i] {
+			continue
+		}
+		groups := app.groupsCopy()
+		for j, g := range groups {
+			if g.seq != int64(j) {
+				tc.t.Fatalf("replica %d executed seq %d at position %d: sequence not contiguous", i, g.seq, j)
+			}
+		}
+		if refIdx == -1 {
+			reference, refIdx = groups, i
+			continue
+		}
+		if len(groups) != len(reference) {
+			tc.t.Fatalf("replica %d executed %d instances, replica %d executed %d",
+				i, len(groups), refIdx, len(reference))
+		}
+		for j := range groups {
+			if len(groups[j].ops) != len(reference[j].ops) {
+				tc.t.Fatalf("instance %d: replica %d executed %d ops, replica %d executed %d",
+					j, i, len(groups[j].ops), refIdx, len(reference[j].ops))
+			}
+			for k := range groups[j].ops {
+				if !bytes.Equal(groups[j].ops[k], reference[j].ops[k]) {
+					tc.t.Fatalf("instance %d op %d: replica %d has %q, replica %d has %q",
+						j, k, i, groups[j].ops[k], refIdx, reference[j].ops[k])
+				}
+			}
+		}
+	}
+}
+
+// assertExactlyOnce verifies that replica i executed each submitted op once
+// and nothing else.
+func (tc *testCluster) assertExactlyOnce(i int, submitted []string) {
+	tc.t.Helper()
+	seen := make(map[string]int, len(submitted))
+	for _, op := range tc.apps[i].opsFlat() {
+		seen[string(op)]++
+	}
+	for _, op := range submitted {
+		if seen[op] != 1 {
+			tc.t.Fatalf("replica %d executed %q %d times, want once", i, op, seen[op])
+		}
+	}
+	if len(seen) != len(submitted) {
+		tc.t.Fatalf("replica %d executed %d distinct ops, %d were submitted", i, len(seen), len(submitted))
+	}
+}
+
+// assertPoolCounted verifies the scheduler's O(1) pool count against the
+// pool itself on every live replica.
+func (tc *testCluster) assertPoolCounted(skip map[int]bool) {
+	tc.t.Helper()
+	for i, rep := range tc.replicas {
+		if skip[i] {
+			continue
+		}
+		var pooled, counted int
+		rep.Inspect(func() {
+			pooled = rep.pooled
+			for _, p := range rep.pending {
+				if !p.inFlight {
+					counted++
+				}
+			}
+		})
+		if pooled != counted {
+			tc.t.Fatalf("replica %d counts %d pooled requests, the pool holds %d", i, pooled, counted)
+		}
+	}
+}
+
+// proposal is one PROPOSE as the leader's scheduler saw it.
+type proposal struct {
+	seq     int64
+	at      time.Time     // the scheduler's clock for this PROPOSE
+	size    int           // requests in the batch
+	open    int64         // window occupancy including this instance
+	latency time.Duration // the leader's instance-latency estimate
+}
+
+// proposalRecorder observes a leader's PROPOSEs through the network filter.
+// Without an egress model a Send routes inline, so the filter runs on the
+// sending replica's event loop and may read its protocol state.
+type proposalRecorder struct {
+	mu   sync.Mutex
+	seen []proposal
+}
+
+func (pr *proposalRecorder) watch(tc *testCluster, leader *Replica) {
+	tc.net.SetFilter(func(m transport.Message) bool {
+		if m.Type != msgPropose || m.From != leader.ID().Addr() {
+			return true
+		}
+		pm, err := unmarshalPropose(m.Payload)
+		if err != nil {
+			return true
+		}
+		pr.mu.Lock()
+		defer pr.mu.Unlock()
+		if n := len(pr.seen); n > 0 && pr.seen[n-1].seq >= pm.Seq {
+			return true // the same PROPOSE on its way to another follower
+		}
+		pr.seen = append(pr.seen, proposal{
+			seq:     pm.Seq,
+			at:      leader.lastProposeAt,
+			size:    len(pm.Batch),
+			open:    leader.openInstances(),
+			latency: time.Duration(leader.instanceLatency.Load()),
+		})
+		return true
+	})
+}
+
+func (pr *proposalRecorder) proposals() []proposal {
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	return append([]proposal(nil), pr.seen...)
+}
+
+// maxOpen is the highest window occupancy any PROPOSE was sent at.
+func (pr *proposalRecorder) maxOpen() int64 {
+	var max int64
+	for _, p := range pr.proposals() {
+		if p.open > max {
+			max = p.open
+		}
+	}
+	return max
+}
+
+// TestPipelinedLeaderChangeCarriesEveryOpenCertificate mutes the leader
+// while several of its instances are write-certified at two followers but
+// decided by nobody else: the muted leader (which still receives) decides
+// them all, so the next regency must re-run every one of them from its
+// certificate, not just the lowest. It fails if openCerts reports only the
+// lowest open instance: the new leader then re-proposes the other requests
+// with different batch boundaries, and the old leader's decided instances
+// contradict the group's.
+func TestPipelinedLeaderChangeCarriesEveryOpenCertificate(t *testing.T) {
+	const delay = 40 * time.Millisecond
+	tc := newTestCluster(t, clusterOpts{
+		n: 4, batchSize: 64, latency: delay, durable: true, withKeys: true,
+		requestTimeout: time.Second,
+	})
+	client := tc.client(t, "client-1", false)
+	leader := tc.replicas[0]
+
+	var submitted []string
+	submit := func(count int, every time.Duration) {
+		t.Helper()
+		for i := 0; i < count; i++ {
+			op := fmt.Sprintf("op-%03d", len(submitted))
+			submitted = append(submitted, op)
+			if err := client.Invoke([]byte(op)); err != nil {
+				t.Fatalf("invoke %s: %v", op, err)
+			}
+			time.Sleep(every)
+		}
+	}
+
+	// A first instance gives the leader its latency estimate (three 40 ms
+	// steps, so its partial batches then go 15 ms apart).
+	submit(3, 0)
+	tc.waitAllDelivered(len(submitted), 5*time.Second, nil)
+
+	// Then a trickle of requests opens one small instance after another. As
+	// soon as three are open — inside one event-loop turn, so every PROPOSE
+	// and the leader's WRITE for it are on the wire and nothing else of the
+	// leader's is — the leader goes mute and replica 3 is cut off from the
+	// other replicas.
+	muted := make(chan struct{})
+	go func() {
+		defer close(muted)
+		for {
+			cut := false
+			ok := leader.Inspect(func() {
+				if leader.openInstances() >= 3 {
+					leader.SetBehavior(Behavior{Mute: true})
+					tc.net.Partition(
+						[]transport.Addr{ReplicaID(3).Addr()},
+						[]transport.Addr{ReplicaID(0).Addr(), ReplicaID(1).Addr(), ReplicaID(2).Addr()})
+					cut = true
+				}
+			})
+			if cut || !ok {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	submit(30, 2*time.Millisecond)
+	select {
+	case <-muted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the leader never had three instances open")
+	}
+
+	// Replicas 1 and 2 certify the open instances (their two WRITEs plus the
+	// leader's) but cannot decide them: the leader's ACCEPT is muted and
+	// replica 3 is cut off.
+	certifiedUndecided := func(r *Replica) (n int) {
+		r.Inspect(func() {
+			for _, inst := range r.instances {
+				if inst.writeCertified && !inst.decided {
+					n++
+				}
+			}
+		})
+		return n
+	}
+	waitFor(t, 5*time.Second, "several write certificates open at replicas 1 and 2", func() bool {
+		return certifiedUndecided(tc.replicas[1]) >= 3 && certifiedUndecided(tc.replicas[2]) >= 3
+	})
+	tc.net.Heal()
+
+	// The request timers of replicas 1-3 fire, regency 1 installs, and
+	// every op is executed by the three of them.
+	skip := map[int]bool{0: true}
+	tc.waitAllDelivered(len(submitted), 15*time.Second, skip)
+	for i := 1; i < 4; i++ {
+		if reg := tc.replicas[i].Stats().Regency; reg < 1 {
+			t.Fatalf("replica %d still in regency %d", i, reg)
+		}
+	}
+
+	// The old leader is a correct replica whose messages were lost: once
+	// it can talk again its history must be the group's, instance by
+	// instance.
+	leader.SetBehavior(Behavior{})
+	submit(6, 2*time.Millisecond)
+	tc.waitAllDelivered(len(submitted), 15*time.Second, nil)
+	tc.assertSameInstances(nil)
+	tc.assertPoolCounted(nil)
+	for i := range tc.replicas {
+		tc.assertExactlyOnce(i, submitted)
+	}
+
+	// Every replica logged its decisions densely and in order.
+	for i, log := range tc.logs {
+		events := log.recorded()
+		if len(events) < len(tc.apps[i].groupsCopy()) {
+			t.Fatalf("replica %d logged %d decisions for %d executed instances",
+				i, len(events), len(tc.apps[i].groupsCopy()))
+		}
+		for seq, ev := range events {
+			if want := fmt.Sprintf("decision:%d", seq); ev != want {
+				t.Fatalf("replica %d: log position %d holds %q, want %q", i, seq, ev, want)
+			}
+		}
+	}
+}
+
+// TestPipelinedNoOverlapOnFastNetwork is the LAN guarantee: where an
+// instance decides well within BatchTimeout, no partial batch is ever
+// proposed while another instance is undecided, so batches are exactly as
+// large as with one instance at a time.
+func TestPipelinedNoOverlapOnFastNetwork(t *testing.T) {
+	const batchSize = 64
+	tc := newTestCluster(t, clusterOpts{n: 4, batchSize: batchSize, batchTimeout: 100 * time.Millisecond})
+	var rec proposalRecorder
+	rec.watch(tc, tc.replicas[0])
+
+	const clients, each = 3, 120
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		client := tc.client(t, fmt.Sprintf("client-%d", c), false)
+		wg.Add(1)
+		go func(cl *Client, c int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := cl.Invoke([]byte(fmt.Sprintf("c%d-op%d", c, i))); err != nil {
+					t.Errorf("invoke: %v", err)
+					return
+				}
+				if i%7 == 0 {
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}(client, c)
+	}
+	wg.Wait()
+	tc.waitAllDelivered(clients*each, 10*time.Second, nil)
+	tc.assertSameInstances(nil)
+	tc.assertPoolCounted(nil)
+
+	proposed, partial := 0, 0
+	for _, p := range rec.proposals() {
+		proposed += p.size
+		if p.size == batchSize {
+			continue
+		}
+		partial++
+		if p.open != 1 {
+			t.Fatalf("instance %d: partial batch of %d proposed with %d other instances undecided",
+				p.seq, p.size, p.open-1)
+		}
+	}
+	if proposed != clients*each || partial < 2 {
+		t.Fatalf("observed %d requests in proposals (%d partial batches), %d were ordered",
+			proposed, partial, clients*each)
+	}
+}
+
+// TestPipelinedSelfClockSpacesProposals is the anti-clumping guarantee: on
+// a slow network the window fills, and while anything is in flight two
+// consecutive partial-batch PROPOSEs are never closer than L/k, for the
+// k = min(PipelineDepth, L/BatchTimeout) instances the clock keeps open.
+func TestPipelinedSelfClockSpacesProposals(t *testing.T) {
+	const (
+		delay        = 50 * time.Millisecond
+		batchSize    = 256
+		batchTimeout = 2 * time.Millisecond
+	)
+	tc := newTestCluster(t, clusterOpts{n: 4, batchSize: batchSize, batchTimeout: batchTimeout, latency: delay})
+	leader := tc.replicas[0]
+	var rec proposalRecorder
+	rec.watch(tc, leader)
+
+	client := tc.client(t, "client-1", false)
+	const total = 600
+	for i := 0; i < total; i++ {
+		if err := client.Invoke([]byte(fmt.Sprintf("op-%04d", i))); err != nil {
+			t.Fatalf("invoke: %v", err)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	tc.waitAllDelivered(total, 15*time.Second, nil)
+	tc.assertSameInstances(nil)
+	tc.assertPoolCounted(nil)
+
+	proposals := rec.proposals()
+	paced := 0
+	for i, p := range proposals {
+		if p.open > PipelineDepth {
+			t.Fatalf("instance %d proposed with %d instances open, window is %d", p.seq, p.open, PipelineDepth)
+		}
+		if i == 0 || p.open == 1 || p.size >= batchSize {
+			continue
+		}
+		k := int64(p.latency / batchTimeout)
+		if k > PipelineDepth {
+			k = PipelineDepth
+		}
+		if p.open > k {
+			t.Fatalf("instance %d: partial batch proposed with %d open; L = %v holds only %d batch timeouts",
+				p.seq, p.open-1, p.latency, k)
+		}
+		pace := p.latency / time.Duration(k)
+		if gap := p.at.Sub(proposals[i-1].at); gap < pace {
+			t.Fatalf("instance %d proposed %v after instance %d with %d open; the pace was %v (L = %v)",
+				p.seq, gap, proposals[i-1].seq, p.open-1, pace, p.latency)
+		}
+		paced++
+	}
+	if maxOpen := rec.maxOpen(); maxOpen < 4 {
+		t.Fatalf("window occupancy peaked at %d on a %v network, want >= 4", maxOpen, delay)
+	}
+	if paced < 10 {
+		t.Fatalf("only %d proposals were paced by a measured instance latency", paced)
+	}
+
+	// An instance is three one-way steps; the estimate is exported, and
+	// only by the leader.
+	if l := leader.Stats().InstanceLatency; l < 3*delay || l > 6*delay {
+		t.Fatalf("leader reports instance latency %v on a %v network", l, delay)
+	}
+	if s := tc.replicas[1].Stats(); s.InstanceLatency != 0 || s.OpenInstances != 0 {
+		t.Fatalf("follower reports window %d / latency %v", s.OpenInstances, s.InstanceLatency)
+	}
+}
+
+// TestPipelinedTentativeRollbackRestoresBothBatches drives one WHEAT
+// follower by hand: two instances are delivered tentatively, a leader
+// change overrides them, and the rollback must hand the requests of both
+// back to the pool (and un-execute them) so they can be ordered again.
+func TestPipelinedTentativeRollbackRestoresBothBatches(t *testing.T) {
+	net := transport.NewInProcNetwork(transport.InProcConfig{})
+	defer net.Close()
+	conn, err := net.Join(ReplicaID(2).Addr())
+	if err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	app := &recordApp{}
+	// Never started: the test goroutine stands in for the event loop.
+	r, err := NewReplica(Config{SelfID: 2, Replicas: ids(4), Tentative: true, BatchSize: 8}, app, conn)
+	if err != nil {
+		t.Fatalf("new replica: %v", err)
+	}
+
+	var reqs [][]byte
+	for i := uint64(1); i <= 4; i++ {
+		reqs = append(reqs, EncodeRequest("client", i, []byte{byte('a' + i)}))
+		r.onRequest(reqs[i-1])
+	}
+	batches := [][][]byte{reqs[:2], reqs[2:]}
+	for seq, batch := range batches {
+		r.onPropose(0, &proposeMsg{Regency: 0, Seq: int64(seq), Batch: batch})
+		vote := &voteMsg{Regency: 0, Seq: int64(seq), Digest: batchDigest(int64(seq), batch)}
+		r.onVote(0, vote, true)
+		r.onVote(1, vote, true) // with the replica's own WRITE: a quorum of 3
+	}
+	if r.lastDelivered != 1 || r.lastStable != -1 || app.opCount() != 4 {
+		t.Fatalf("lastDelivered=%d lastStable=%d executed=%d, want two tentative instances (1, -1, 4)",
+			r.lastDelivered, r.lastStable, app.opCount())
+	}
+	if len(r.pending) != 0 || r.pooled != 0 {
+		t.Fatalf("pool holds %d requests (%d counted) after execution", len(r.pending), r.pooled)
+	}
+
+	// Regency 1: this replica reports both write certificates...
+	for _, from := range []ReplicaID{0, 1, 3} {
+		r.onStop(from, &stopMsg{NextRegency: 1})
+	}
+	if r.regency != 1 || !r.syncInProgress {
+		t.Fatalf("regency=%d sync=%v after 2f+1 STOPs", r.regency, r.syncInProgress)
+	}
+	if certs := r.openCerts(); len(certs) != 2 || certs[0].Seq != 0 || certs[1].Seq != 1 {
+		t.Fatalf("open certificates %+v, want instances 0 and 1", certs)
+	}
+	// ...but the new leader's SYNC resolves both instances otherwise.
+	r.onSync(1, &syncMsg{Regency: 1, Decisions: []syncDecision{{Seq: 0}, {Seq: 1}}})
+
+	if app.opCount() != 0 {
+		t.Fatalf("application still holds %d ops after the rollback", app.opCount())
+	}
+	if len(r.pending) != 4 || r.pooled != 4 {
+		t.Fatalf("pool holds %d requests (%d counted) after the rollback, want both batches (4)",
+			len(r.pending), r.pooled)
+	}
+	for i := uint64(1); i <= 4; i++ {
+		if r.executed["client"].contains(i) {
+			t.Fatalf("request %d still marked executed after the rollback", i)
+		}
+	}
+	if r.lastDelivered != -1 {
+		t.Fatalf("lastDelivered=%d after rolling back to the start", r.lastDelivered)
+	}
+}
+
+// TestPipelinedTentativeOverSlowNetwork runs WHEAT (weighted votes,
+// tentative execution) with the window open: an instance leaves the window
+// at its WRITE quorum, so the clock runs on two one-way steps, not three,
+// and every replica still executes the same instances.
+func TestPipelinedTentativeOverSlowNetwork(t *testing.T) {
+	const delay = 30 * time.Millisecond
+	weights, err := BinaryWeights(ids(5), 1, 1, []ReplicaID{0, 4})
+	if err != nil {
+		t.Fatalf("weights: %v", err)
+	}
+	tc := newTestCluster(t, clusterOpts{
+		n: 5, tentative: true, weights: weights, latency: delay, batchSize: 64,
+		requestTimeout: 5 * time.Second,
+	})
+	leader := tc.replicas[0]
+	var rec proposalRecorder
+	rec.watch(tc, leader)
+
+	client := tc.client(t, "client-1", true)
+	const total = 300
+	for i := 0; i < total; i++ {
+		if err := client.Invoke([]byte(fmt.Sprintf("op-%04d", i))); err != nil {
+			t.Fatalf("invoke: %v", err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	tc.waitAllDelivered(total, 10*time.Second, nil)
+	tc.assertSameInstances(nil)
+	tc.assertPoolCounted(nil)
+
+	if maxOpen := rec.maxOpen(); maxOpen < 2 || maxOpen > PipelineDepth {
+		t.Fatalf("window occupancy peaked at %d, want 2..%d", maxOpen, PipelineDepth)
+	}
+	if l := leader.Stats().InstanceLatency; l < 2*delay || l >= 3*delay {
+		t.Fatalf("leader reports instance latency %v; the WRITE quorum is two %v steps away", l, delay)
+	}
+}
+
+// TestPipelinedEquivocatingLeaderWithFullWindow lets a leader equivocate on
+// every instance of a window it fills: no conflicting value may gather a
+// quorum, the leader is voted out, and the honest replicas execute every
+// op exactly once in the same instances.
+func TestPipelinedEquivocatingLeaderWithFullWindow(t *testing.T) {
+	tc := newTestCluster(t, clusterOpts{
+		n: 4, batchSize: 4, latency: 20 * time.Millisecond, withKeys: true,
+		requestTimeout: 400 * time.Millisecond,
+	})
+	leader := tc.replicas[0]
+	var rec proposalRecorder
+	rec.watch(tc, leader)
+
+	client := tc.client(t, "client-1", false)
+	var submitted []string
+	submit := func(count int) {
+		t.Helper()
+		for i := 0; i < count; i++ {
+			op := fmt.Sprintf("op-%03d", len(submitted))
+			submitted = append(submitted, op)
+			if err := client.Invoke([]byte(op)); err != nil {
+				t.Fatalf("invoke: %v", err)
+			}
+		}
+	}
+	// An honest first instance: a leader overlaps instances only once it
+	// has seen one of its own delivered.
+	submit(4)
+	tc.waitAllDelivered(len(submitted), 5*time.Second, nil)
+	leader.SetBehavior(Behavior{Equivocate: true})
+	submit(40) // ten full batches: they go at once, as far as the window allows
+	skip := map[int]bool{0: true}
+	tc.waitAllDelivered(len(submitted), 15*time.Second, skip)
+
+	if maxOpen := rec.maxOpen(); maxOpen < 3 {
+		t.Fatalf("the equivocating leader only ever had %d instances open", maxOpen)
+	}
+	for i := 1; i < 4; i++ {
+		if reg := tc.replicas[i].Stats().Regency; reg < 1 {
+			t.Fatalf("replica %d still in regency %d", i, reg)
+		}
+		tc.assertExactlyOnce(i, submitted)
+	}
+	tc.assertSameInstances(skip)
+	tc.assertPoolCounted(skip)
+}

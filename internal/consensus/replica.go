@@ -2,7 +2,6 @@ package consensus
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -100,9 +99,34 @@ const instanceWindow = 64
 // trying to catch up vote-by-vote and requests a state transfer.
 const stateGapThreshold = 16
 
-// tickInterval drives batch timeouts, request timeouts, and sync-phase
-// escalation.
+// PipelineDepth bounds how many consensus instances a leader keeps open —
+// proposed and not yet delivered — at once. Instances still execute strictly
+// in sequence order; the window only lets the network steps of consecutive
+// instances overlap, which is what a wide-area deployment needs (an instance
+// takes several one-way delays; a request should not also wait out the
+// previous instance). It is a constant, not a setting: how much of the
+// window is actually used follows from the measured instance latency (see
+// proposeDue).
+const PipelineDepth = 8
+
+// The depth leans on two other constants; an edit that breaks either
+// relation fails to compile (a negative constant does not convert to uint).
+// A follower asks for state transfer when it sees a PROPOSE stateGapThreshold
+// ahead of its delivery point, so an honest leader must never get that far
+// ahead of a follower that merely decides a little later; and votes are only
+// counted within instanceWindow. (core pins its rollback window the same way.)
+const (
+	_ = uint(stateGapThreshold - 1 - PipelineDepth) // PipelineDepth < stateGapThreshold
+	_ = uint(instanceWindow/2 - PipelineDepth)      // PipelineDepth <= instanceWindow/2
+)
+
+// tickInterval drives partial-batch proposals, request timeouts, and
+// sync-phase escalation.
 const tickInterval = 2 * time.Millisecond
+
+// latencyWeight is the weight of a new sample in the instance-latency EWMA
+// (1/8, the smoothing TCP uses for its round-trip estimate).
+const latencyWeight = 8
 
 // pendingReq is a client request waiting to be ordered.
 type pendingReq struct {
@@ -137,6 +161,10 @@ type instance struct {
 	decidedDigest  cryptoutil.Digest
 	executed       bool // delivered to the application (possibly tentatively)
 	undo           []undoRec
+	// proposedAt is when this replica, as leader of the current regency,
+	// sent the instance's PROPOSE (zero otherwise): the start of the
+	// instance-latency sample taken when the instance is delivered.
+	proposedAt time.Time
 }
 
 // undoRec captures request-bookkeeping changes of a tentative execution so
@@ -178,6 +206,15 @@ type Stats struct {
 	Decided       int64
 	LeaderChanges int64
 	DroppedReqs   uint64
+	// OpenInstances is the leader's window occupancy: instances it proposed
+	// that are not yet delivered (0 on a follower, at most PipelineDepth).
+	OpenInstances int64
+	// InstanceLatency is the leader's moving average of the time from its
+	// PROPOSE to the instance's delivery — the decision, or the WRITE
+	// quorum in tentative mode — which is the clock its proposals are paced
+	// by (0 on a follower and until a regency's first instance is
+	// delivered).
+	InstanceLatency time.Duration
 }
 
 // Replica is one member of the BFT-SMaRt replication group. Create with
@@ -212,10 +249,20 @@ type Replica struct {
 	lastDelivered int64 // contiguous prefix delivered to the app
 	lastStable    int64 // contiguous prefix decided AND delivered (confirm point)
 
-	// Request pool.
-	pending  map[requestKey]*pendingReq
-	queue    []requestKey
-	executed map[string]*clientDedup // exact per-client at-most-once
+	// Request pool. pooled counts the pending requests that are not part of
+	// an open proposal — what the next batch can draw on — and pooledSince
+	// is no later than the arrival of the oldest of them, so the scheduler
+	// decides without walking the queue.
+	pending     map[requestKey]*pendingReq
+	queue       []requestKey
+	pooled      int
+	pooledSince time.Time
+	executed    map[string]*clientDedup // exact per-client at-most-once
+
+	// lastProposeAt is when this leader's previous PROPOSE went out; with
+	// instanceLatency (below, among the counters Stats reads) it paces the
+	// next one (see proposeDue).
+	lastProposeAt time.Time
 
 	// Decision log and checkpointing (Section 5.2).
 	decidedLog     map[int64][][]byte
@@ -275,6 +322,10 @@ type Replica struct {
 	statDecided   atomic.Int64
 	statLC        atomic.Int64
 	statDropped   atomic.Uint64
+	statOpen      atomic.Int64
+	// instanceLatency is the moving average of this leader's own
+	// PROPOSE→delivery time, in nanoseconds; written on the event loop only.
+	instanceLatency atomic.Int64
 
 	started atomic.Bool
 	done    chan struct{}
@@ -375,6 +426,9 @@ func (r *Replica) Stats() Stats {
 		Decided:       r.statDecided.Load(),
 		LeaderChanges: r.statLC.Load(),
 		DroppedReqs:   r.statDropped.Load(),
+
+		OpenInstances:   r.statOpen.Load(),
+		InstanceLatency: time.Duration(r.instanceLatency.Load()),
 	}
 }
 
@@ -434,8 +488,8 @@ func DebugSnapshot(r *Replica) string {
 				inst.haveProposal, inst.writeSent, inst.acceptSent,
 				inst.writeCertified, inst.decided, len(inst.writes), len(inst.accepts))
 		}
-		out = fmt.Sprintf("regency=%d pending=%d queue=%d lastProposed=%d lastDelivered=%d lastStable=%d sync=%v fetch=%v inst[%d]: %s",
-			r.regency, len(r.pending), len(r.queue), r.lastProposed,
+		out = fmt.Sprintf("regency=%d pending=%d pooled=%d queue=%d lastProposed=%d lastDelivered=%d lastStable=%d sync=%v fetch=%v inst[%d]: %s",
+			r.regency, len(r.pending), r.pooled, len(r.queue), r.lastProposed,
 			r.lastDelivered, r.lastStable, r.syncInProgress, r.fetching, next, instInfo)
 	})
 	return out
@@ -605,86 +659,144 @@ func (r *Replica) onRequest(payload []byte) {
 	}
 	raw := make([]byte, len(payload))
 	copy(raw, payload)
-	r.pending[key] = &pendingReq{req: rq, raw: raw, arrived: time.Now()}
-	r.queue = append(r.queue, key)
-	r.maybePropose(false)
+	now := time.Now()
+	r.pool(key, &pendingReq{req: rq, raw: raw, arrived: now})
+	r.maybePropose(now, false)
 }
 
-// debugTrace enables stall diagnostics (REPRO_TRACE=1 environment).
-var debugTrace = os.Getenv("REPRO_TRACE") == "1"
+// pool adds a request to the pool (a new arrival, or one a rollback hands
+// back).
+func (r *Replica) pool(key requestKey, p *pendingReq) {
+	r.pending[key] = p
+	r.queue = append(r.queue, key)
+	if r.pooled == 0 {
+		r.pooledSince = p.arrived
+	}
+	r.pooled++
+}
 
-// maybePropose lets the leader open the next consensus instance when the
-// pipeline is free and a batch is available. When force is true a partial
-// batch is proposed (batch timeout fired).
-func (r *Replica) maybePropose(force bool) {
-	if r.syncInProgress || r.fetching || !r.isLeader() {
+// unpool removes an executed request from the pool, if it is there.
+func (r *Replica) unpool(key requestKey) {
+	p, ok := r.pending[key]
+	if !ok {
 		return
 	}
-	if !r.pipelineFree() {
-		if debugTrace {
-			fmt.Printf("maybePropose[%d]: pipeline busy (proposed=%d delivered=%d)\n",
-				r.cfg.SelfID, r.lastProposed, r.lastDelivered)
-		}
+	delete(r.pending, key)
+	if !p.inFlight {
+		r.pooled--
+	}
+}
+
+// releaseInFlight ends a regency's proposal state: every request of an open
+// proposal returns to the pool (the new leader re-runs the instances from
+// certificates, or from fresh batches), the request-timeout clocks restart
+// so the new leader gets a full RequestTimeout before being indicted in
+// turn, and the self-clock forgets the old leader's instance latency.
+func (r *Replica) releaseInFlight() {
+	now := time.Now()
+	for _, p := range r.pending {
+		p.inFlight = false
+		p.arrived = now
+	}
+	r.pooled = len(r.pending)
+	r.pooledSince = now
+	for _, inst := range r.instances {
+		inst.proposedAt = time.Time{}
+	}
+	r.instanceLatency.Store(0)
+	r.publishWindow()
+}
+
+// openInstances is the leader's window occupancy: instances proposed and
+// not yet delivered. That is "undecided" normally and "not yet
+// write-certified" in tentative mode (WHEAT delivers an instance at its
+// WRITE quorum and runs the ACCEPT phase behind the next instances), so
+// both modes share the one count.
+func (r *Replica) openInstances() int64 {
+	if open := r.lastProposed - r.lastDelivered; open > 0 {
+		return open
+	}
+	return 0
+}
+
+// publishWindow refreshes the OpenInstances gauge after either end of the
+// window moved.
+func (r *Replica) publishWindow() {
+	open := int64(0)
+	if r.isLeader() {
+		open = r.openInstances()
+	}
+	r.statOpen.Store(open)
+}
+
+// proposeDue is the one scheduling rule: whether the leader opens the next
+// consensus instance now. It is evaluated on every request arrival, every
+// delivery and every tick (tick is true for the last), and reads counters
+// only — the queue is walked after the answer is yes.
+//
+// With nothing open, a full batch goes at once and a partial batch on the
+// next tick, or earlier if its oldest request has already waited
+// BatchTimeout (it has when the previous instance took that long).
+//
+// With instances open, the leader overlaps as many as the measured latency
+// warrants: k = min(PipelineDepth, L/BatchTimeout), L being its moving
+// average of the time from PROPOSE to delivery. Below k open instances a
+// full batch goes at once, and a partial batch once L/k has passed since
+// the previous PROPOSE (never less than BatchTimeout, then). Opening the
+// window without that clock only clumps: all instances leave together,
+// decide together, and the first one has taken every pooled request.
+//
+// That makes the behaviour a function of the link, not of a setting. Where
+// an instance is delivered within two batch timeouts (a LAN), and until a
+// regency's first instance has been delivered at all, k is at most 1:
+// instances never overlap and batches are as large as with one instance at
+// a time. Where delivery takes hundreds of milliseconds (a WAN)
+// PipelineDepth instances stay evenly spaced in flight and a request no
+// longer waits for the previous instance to decide.
+func (r *Replica) proposeDue(now time.Time, tick bool) bool {
+	if r.pooled == 0 || r.syncInProgress || r.fetching || !r.isLeader() {
+		return false
+	}
+	full := r.pooled >= r.cfg.BatchSize
+	open := r.openInstances()
+	if open == 0 {
+		return full || tick || now.Sub(r.pooledSince) >= r.cfg.BatchTimeout
+	}
+	latency := time.Duration(r.instanceLatency.Load())
+	k := int64(latency / r.cfg.BatchTimeout)
+	if k > PipelineDepth {
+		k = PipelineDepth
+	}
+	if open >= k {
+		return false
+	}
+	return full || now.Sub(r.lastProposeAt) >= latency/time.Duration(k)
+}
+
+// maybePropose opens the next consensus instance if one is due.
+func (r *Replica) maybePropose(now time.Time, tick bool) {
+	if !r.proposeDue(now, tick) {
 		return
 	}
-	batch, keys := r.collectBatch()
-	if len(batch) == 0 {
-		if debugTrace && len(r.pending) > 0 {
-			inflight := 0
-			for _, p := range r.pending {
-				if p.inFlight {
-					inflight++
-				}
-			}
-			fmt.Printf("maybePropose[%d]: empty batch, pending=%d inflight=%d queue=%d\n",
-				r.cfg.SelfID, len(r.pending), inflight, len(r.queue))
-		}
-		return
-	}
-	if len(batch) < r.cfg.BatchSize && !force {
-		// Wait for the batch to fill unless the oldest request has been
-		// waiting longer than the batch timeout.
-		oldest := r.pending[keys[0]]
-		if time.Since(oldest.arrived) < r.cfg.BatchTimeout {
-			return
-		}
-	}
+	batch := r.collectBatch()
 	seq := r.lastProposed + 1
-	for _, k := range keys {
-		r.pending[k].inFlight = true
-	}
 	r.lastProposed = seq
+	r.lastProposeAt = now
+	r.instance(seq).proposedAt = now
+	r.publishWindow()
 	r.propose(seq, batch)
 }
 
-// pipelineFree reports whether every instance up to lastProposed has
-// progressed far enough to open the next one: decided normally, or
-// write-certified in tentative mode (WHEAT overlaps the ACCEPT phase of
-// instance i with instance i+1).
-func (r *Replica) pipelineFree() bool {
-	for s := r.lastDelivered + 1; s <= r.lastProposed; s++ {
-		inst, ok := r.instances[s]
-		if !ok {
-			return false
-		}
-		if r.cfg.Tentative {
-			if !inst.writeCertified {
-				return false
-			}
-			continue
-		}
-		if !inst.decided {
-			return false
-		}
+// collectBatch takes up to BatchSize pooled requests, in arrival order,
+// into a proposal (marking them in flight). It also compacts the arrival
+// queue.
+func (r *Replica) collectBatch() [][]byte {
+	size := r.pooled
+	if size > r.cfg.BatchSize {
+		size = r.cfg.BatchSize
 	}
-	return r.lastProposed-r.lastDelivered < instanceWindow/2
-}
-
-// collectBatch gathers up to BatchSize pending, not-in-flight requests in
-// arrival order. It also compacts the arrival queue.
-func (r *Replica) collectBatch() ([][]byte, []requestKey) {
-	var batch [][]byte
-	var keys []requestKey
+	batch := make([][]byte, 0, size)
+	leftBehind := false
 	compacted := r.queue[:0]
 	for _, key := range r.queue {
 		p, ok := r.pending[key]
@@ -692,14 +804,20 @@ func (r *Replica) collectBatch() ([][]byte, []requestKey) {
 			continue // executed or dropped
 		}
 		compacted = append(compacted, key)
-		if p.inFlight || len(batch) >= r.cfg.BatchSize {
-			continue
+		switch {
+		case p.inFlight:
+		case len(batch) < size:
+			p.inFlight = true
+			batch = append(batch, p.raw)
+		case !leftBehind:
+			// The oldest request this batch leaves behind.
+			leftBehind = true
+			r.pooledSince = p.arrived
 		}
-		batch = append(batch, p.raw)
-		keys = append(keys, key)
 	}
 	r.queue = compacted
-	return batch, keys
+	r.pooled -= len(batch)
+	return batch
 }
 
 func (r *Replica) propose(seq int64, batch [][]byte) {
@@ -865,8 +983,8 @@ func (r *Replica) checkQuorums(inst *instance) {
 		}
 		if r.cfg.Tentative {
 			r.deliverContiguous()
+			r.maybePropose(time.Now(), false)
 		}
-		r.maybePropose(false)
 	}
 	// ACCEPT quorum: decide.
 	for key, set := range inst.accepts {
@@ -903,7 +1021,7 @@ func (r *Replica) decide(inst *instance, digest cryptoutil.Digest) {
 		// votes that will never come.
 		r.requestStateTransfer()
 	}
-	r.maybePropose(false)
+	r.maybePropose(time.Now(), false)
 }
 
 // deliverContiguous executes every instance in the contiguous prefix that
@@ -930,6 +1048,7 @@ func (r *Replica) deliverContiguous() {
 		r.execute(inst)
 		r.lastDelivered = seq
 		r.statDelivered.Store(seq)
+		r.leftWindow(inst)
 		if (seq+1)%r.cfg.CheckpointInterval == 0 {
 			// Checkpoint boundaries are absolute (every interval-th
 			// instance) so that all replicas produce byte-identical
@@ -942,6 +1061,21 @@ func (r *Replica) deliverContiguous() {
 			}
 		}
 	}
+}
+
+// leftWindow accounts for a delivered instance at the leader that proposed
+// it: the window has room again, and the time since its PROPOSE is one
+// sample for the clock the proposals are paced by.
+func (r *Replica) leftWindow(inst *instance) {
+	r.publishWindow()
+	if inst.proposedAt.IsZero() {
+		return
+	}
+	sample := int64(time.Since(inst.proposedAt))
+	if avg := r.instanceLatency.Load(); avg != 0 {
+		sample = avg + (sample-avg)/latencyWeight
+	}
+	r.instanceLatency.Store(sample)
 }
 
 // execute delivers one instance's batch to the application, with
@@ -972,8 +1106,7 @@ func (r *Replica) execute(inst *instance) {
 			inst.undo = append(inst.undo, undoRec{key: rq.key(), raw: raw})
 		}
 		dedup.mark(rq.Seq)
-		key := rq.key()
-		delete(r.pending, key)
+		r.unpool(rq.key())
 		if rc, isReconfig := decodeReconfigOp(rq.Op); isReconfig {
 			r.applyReconfig(rc)
 			continue // membership changes are consumed by the replica layer
@@ -1052,9 +1185,7 @@ func (r *Replica) checkpointAt(seq int64) {
 
 func (r *Replica) onTick() {
 	now := time.Now()
-	if r.isLeader() {
-		r.maybePropose(true)
-	}
+	r.maybePropose(now, true)
 	if r.fetching && now.Sub(r.fetchStarted) > r.cfg.RequestTimeout {
 		// Retry the state transfer.
 		r.fetching = false

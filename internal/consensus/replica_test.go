@@ -97,6 +97,7 @@ type testCluster struct {
 	replicas []*Replica
 	apps     []*recordApp
 	conns    []transport.Conn
+	logs     []*fakeLog // per replica, when clusterOpts.durable
 }
 
 type clusterOpts struct {
@@ -108,6 +109,9 @@ type clusterOpts struct {
 	batchSize      int
 	withKeys       bool
 	resultFunc     ResultFunc
+	batchTimeout   time.Duration
+	latency        time.Duration // fixed one-way delay of every link (0: instantaneous)
+	durable        bool          // attach a fakeLog durability backend to every replica
 }
 
 func newTestCluster(t *testing.T, opts clusterOpts) *testCluster {
@@ -121,7 +125,10 @@ func newTestCluster(t *testing.T, opts clusterOpts) *testCluster {
 	if opts.batchSize == 0 {
 		opts.batchSize = 16
 	}
-	net := transport.NewInProcNetwork(transport.InProcConfig{})
+	if opts.batchTimeout == 0 {
+		opts.batchTimeout = 2 * time.Millisecond
+	}
+	net := transport.NewInProcNetwork(transport.InProcConfig{Latency: transport.FixedLatency(opts.latency)})
 	tc := &testCluster{t: t, net: net}
 	members := ids(opts.n)
 
@@ -151,7 +158,7 @@ func newTestCluster(t *testing.T, opts clusterOpts) *testCluster {
 			Weights:            opts.weights,
 			Tentative:          opts.tentative,
 			RequestTimeout:     opts.requestTimeout,
-			BatchTimeout:       2 * time.Millisecond,
+			BatchTimeout:       opts.batchTimeout,
 			BatchSize:          opts.batchSize,
 			CheckpointInterval: opts.checkpointIvl,
 			Key:                keys[id],
@@ -160,6 +167,11 @@ func newTestCluster(t *testing.T, opts clusterOpts) *testCluster {
 		var replicaOpts []Option
 		if opts.resultFunc != nil {
 			replicaOpts = append(replicaOpts, WithResultFunc(opts.resultFunc))
+		}
+		if opts.durable {
+			log := &fakeLog{}
+			tc.logs = append(tc.logs, log)
+			replicaOpts = append(replicaOpts, WithDurability(log, &DurableState{CheckpointSeq: -1}))
 		}
 		rep, err := NewReplica(cfg, app, conn, replicaOpts...)
 		if err != nil {

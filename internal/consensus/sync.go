@@ -80,11 +80,7 @@ func (r *Replica) adoptRegency(target int32) {
 			delete(r.peerRegency, id)
 		}
 	}
-	now := time.Now()
-	for _, p := range r.pending {
-		p.inFlight = false
-		p.arrived = now
-	}
+	r.releaseInFlight()
 }
 
 func (r *Replica) onStop(from ReplicaID, m *stopMsg) {
@@ -128,16 +124,8 @@ func (r *Replica) installRegency(target int32) {
 			delete(r.stopVotes, reg)
 		}
 	}
-	// In-flight proposals die with the old regency; the new leader re-runs
-	// them from certificates (or fresh batches). Requests return to the
-	// pool via the inFlight reset, and their timeout clocks restart so the
-	// new leader gets a full RequestTimeout to make progress before being
-	// indicted in turn.
-	now := time.Now()
-	for _, p := range r.pending {
-		p.inFlight = false
-		p.arrived = now
-	}
+	// In-flight proposals die with the old regency.
+	r.releaseInFlight()
 
 	sd := &stopDataMsg{
 		Regency:     target,
@@ -355,7 +343,8 @@ func (r *Replica) onSync(from ReplicaID, m *syncMsg) {
 				r.lastProposed = m.Decisions[i].Seq
 			}
 		}
-		r.maybePropose(false)
+		r.publishWindow()
+		r.maybePropose(time.Now(), false)
 	}
 }
 
@@ -381,8 +370,7 @@ func (r *Replica) rollbackTo(seq int64) {
 				if err != nil {
 					continue
 				}
-				r.pending[u.key] = &pendingReq{req: rq, raw: u.raw, arrived: time.Now()}
-				r.queue = append(r.queue, u.key)
+				r.pool(u.key, &pendingReq{req: rq, raw: u.raw, arrived: time.Now()})
 			}
 		}
 		inst.undo = nil

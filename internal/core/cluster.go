@@ -47,7 +47,9 @@ type ClusterConfig struct {
 	// BatchSize is the consensus batch limit (default 400, as in the
 	// paper).
 	BatchSize int
-	// BatchTimeout is the consensus batching timeout.
+	// BatchTimeout is consensus.Config.BatchTimeout: not a wait imposed on
+	// every partial batch (an idle leader proposes at its next 2 ms tick)
+	// but the unit the window of open instances is measured in.
 	BatchTimeout time.Duration
 	// RequestTimeout is the leader-change trigger.
 	RequestTimeout time.Duration

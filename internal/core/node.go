@@ -177,9 +177,15 @@ type chainSnapshot struct {
 }
 
 // rollbackWindow bounds how many per-sequence snapshots are retained for
-// WHEAT's tentative rollback. Tentative overlap never exceeds the pipeline
-// depth, so a small window suffices.
+// WHEAT's tentative rollback. A leader change only overrides instances that
+// had not gathered their WRITE quorum at the replicas reporting to the new
+// leader — the ones still in the old leader's proposal window, at most
+// consensus.PipelineDepth plus the skew between replicas — so the window
+// must be at least that deep (the constant below does not compile
+// otherwise).
 const rollbackWindow = 32
+
+const _ = uint(rollbackWindow - consensus.PipelineDepth) // PipelineDepth <= rollbackWindow
 
 // Byzantine configures ordering-layer misbehavior, the adversary of the
 // chaos scenarios. It is independent of consensus.Behavior (which corrupts
@@ -561,6 +567,12 @@ func (n *OrderingNode) registerGaugeFuncs() {
 		func() float64 { return float64(n.replica.Stats().DeliveredOps) })
 	m.GaugeFunc("repro_consensus_dropped_requests", "Client requests dropped by backpressure.",
 		func() float64 { return float64(n.replica.Stats().DroppedReqs) })
+	m.GaugeFunc("repro_consensus_open_instances",
+		"Instances this node proposed as leader that are not yet delivered (window occupancy; 0 on a follower).",
+		func() float64 { return float64(n.replica.Stats().OpenInstances) })
+	m.GaugeFunc("repro_consensus_instance_seconds",
+		"Leader's moving average of the time from its PROPOSE to the instance's delivery, which paces its proposals (0 on a follower).",
+		func() float64 { return n.replica.Stats().InstanceLatency.Seconds() })
 	m.GaugeFunc("repro_node_envelopes_ordered", "Envelopes ordered into blocks.",
 		func() float64 { return float64(n.statEnvelopes.Load()) })
 	m.GaugeFunc("repro_node_persist_watermark_min",
@@ -940,7 +952,7 @@ func (n *OrderingNode) Rollback(seq int64) {
 	snaps, ok := n.history[seq+1]
 	if !ok {
 		// Nothing was executed after seq (or the window was exceeded,
-		// which cannot happen within the consensus pipeline depth).
+		// which cannot happen within consensus.PipelineDepth).
 		n.statRollbacks.Add(1)
 		return
 	}
