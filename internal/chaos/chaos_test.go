@@ -4,7 +4,9 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/consensus"
 	"repro/internal/core"
+	"repro/internal/transport"
 )
 
 func runScenario(t *testing.T, name string, inspect func(*Env)) Result {
@@ -13,11 +15,31 @@ func runScenario(t *testing.T, name string, inspect func(*Env)) Result {
 	if !ok {
 		t.Fatalf("unknown scenario %q", name)
 	}
+	return run(t, s, inspect)
+}
+
+func run(t *testing.T, s Scenario, inspect func(*Env)) Result {
+	t.Helper()
 	res, err := Run(s, Options{Scale: 0.5, DataDir: t.TempDir(), Inspect: inspect, Logf: t.Logf})
 	if err != nil {
-		t.Fatalf("run %s: %v", name, err)
+		t.Fatalf("run %s: %v", s.Name, err)
 	}
 	return res
+}
+
+// assertTrips is the shape of a teeth test: the run must fail, and the
+// named invariant must be (one of) the reasons.
+func assertTrips(t *testing.T, res Result, invariant, why string) {
+	t.Helper()
+	if res.Pass {
+		t.Fatalf("%s passed %s; the %s invariant has no teeth", res.Scenario, why, invariant)
+	}
+	for _, inv := range res.Invariants {
+		if inv.Name == invariant && !inv.Pass {
+			return
+		}
+	}
+	t.Fatalf("expected the %s invariant to trip, got %+v", invariant, res.Invariants)
 }
 
 func assertPass(t *testing.T, res Result) {
@@ -60,25 +82,19 @@ func TestForgedHistoryScenario(t *testing.T) {
 	assertPass(t, runScenario(t, "forged-history", nil))
 }
 
-// TestForgedHistoryTeeth proves the invariant has teeth: with f+1
-// verification artificially disabled, the same adversary must trip the
-// verified-fetch invariant.
+// TestForgedHistoryTeeth proves the invariant has teeth, with verification
+// on: the same scenario with f+1 forgers instead of f. The forged chain is
+// deterministic in content, so two forgers sign identical headers, their
+// signatures merge to f+1 over the forged range, and the verified-fetch
+// invariant must trip — the threshold is what protects, and only up to f.
 func TestForgedHistoryTeeth(t *testing.T) {
-	core.SetFetchVerificationDisabled(true)
-	defer core.SetFetchVerificationDisabled(false)
-	res := runScenario(t, "forged-history", nil)
-	if res.Pass {
-		t.Fatal("forged-history passed with fetch verification disabled; the verified-fetch invariant has no teeth")
+	s, _ := Lookup("forged-history")
+	s.Faults = nil
+	for _, node := range []int{0, 1} { // f+1 of the scenario's 4 nodes
+		s.Faults = append(s.Faults,
+			ByzantineFault(node, consensus.Behavior{}, core.Byzantine{ForgeHistory: true}, 0.0))
 	}
-	tripped := false
-	for _, inv := range res.Invariants {
-		if inv.Name == "verified-fetch" && !inv.Pass {
-			tripped = true
-		}
-	}
-	if !tripped {
-		t.Fatalf("expected the verified-fetch invariant to trip, got %+v", res.Invariants)
-	}
+	assertTrips(t, run(t, s, nil), "verified-fetch", "with f+1 nodes forging history")
 }
 
 // TestReconfigUnderChaos exercises consensus membership change while a
@@ -198,24 +214,19 @@ func TestDiskBitRotScrubScenario(t *testing.T) {
 }
 
 // TestScrubHealsTeeth proves the scrub-heals invariant has teeth: with
-// the peer-repair path artificially disabled, the same at-rest rot must
-// trip it — detection without repair is not self-healing.
+// every fetch response addressed to the rotting node lost on the network,
+// the same at-rest rot must trip it — detection without a reachable peer
+// is not self-healing.
 func TestScrubHealsTeeth(t *testing.T) {
-	core.SetScrubRepairDisabled(true)
-	defer core.SetScrubRepairDisabled(false)
-	res := runScenario(t, "disk-bitrot-scrub", nil)
-	if res.Pass {
-		t.Fatal("disk-bitrot-scrub passed with scrub repair disabled; the scrub-heals invariant has no teeth")
-	}
-	tripped := false
-	for _, inv := range res.Invariants {
-		if inv.Name == "scrub-heals" && !inv.Pass {
-			tripped = true
-		}
-	}
-	if !tripped {
-		t.Fatalf("expected the scrub-heals invariant to trip, got %+v", res.Invariants)
-	}
+	s, _ := Lookup("disk-bitrot-scrub")
+	victim := consensus.ReplicaID(2).Addr() // the node DiskBitRotFault rots
+	s.Faults = append(s.Faults, Fault{Name: "cut-repair-traffic", Run: func(e *Env) error {
+		e.Network.SetDrop(func(m transport.Message) bool {
+			return m.Type == core.MsgFetchResponse && m.To == victim
+		})
+		return nil
+	}})
+	assertTrips(t, run(t, s, nil), "scrub-heals", "with the victim cut off from every peer's copy")
 }
 
 // TestFsyncErrorFailFastScenario turns one node's disk fsync-dead

@@ -63,7 +63,7 @@ func DeliverContinuity() Invariant {
 	}
 }
 
-// VerifiedFetch continuously probes FetchRangeVerified through the observer
+// VerifiedFetch continuously probes Frontend.FetchVerified on the observer
 // frontend: seeded random subranges of the canonical chain are fetched and
 // every returned block must match the canonical copy byte-for-hash. This is
 // the invariant a forged-history adversary attacks — the f+1 verification

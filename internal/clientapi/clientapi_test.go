@@ -2,6 +2,7 @@ package clientapi
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -171,5 +172,80 @@ func TestWireProtocolCancel(t *testing.T) {
 	// The connection still serves broadcasts.
 	if status, _, err := cli.Broadcast(mkEnv("ch", 0)); err != nil || status != fabric.StatusSuccess {
 		t.Fatalf("broadcast after cancel: %s, %v", status, err)
+	}
+}
+
+// TestWireDeliverStopBeyondChain: a wire client may name any stop it likes.
+// A stop the chain has not reached — however far beyond it, including
+// math.MaxUint64, Fabric's idiom for "no stop" — replays what exists and
+// keeps tailing. It must neither size anything by the requested range
+// (the frontend has no retained history, so the range goes to the nodes)
+// nor close early.
+func TestWireDeliverStopBeyondChain(t *testing.T) {
+	c, err := core.NewCluster(core.ClusterConfig{
+		Nodes: 4, BlockSize: 2, DataDir: t.TempDir(), RequestTimeout: 2 * time.Second,
+	})
+	if err != nil {
+		t.Fatalf("cluster: %v", err)
+	}
+	t.Cleanup(c.Stop)
+	writer, err := c.NewFrontend("fe-writer", false)
+	if err != nil {
+		t.Fatalf("frontend: %v", err)
+	}
+	t.Cleanup(writer.Close)
+	const blocks = 4
+	for i := 0; i < 2*blocks; i++ {
+		if st := writer.Broadcast(mkEnv("ch", i)); st != fabric.StatusSuccess {
+			t.Fatalf("broadcast %d: %s", i, st)
+		}
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for _, node := range c.Nodes {
+		for node.PersistWatermark("ch") < blocks {
+			if time.Now().After(deadline) {
+				t.Fatalf("node %d persisted %d of %d blocks", int(node.ID()), node.PersistWatermark("ch"), blocks)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+
+	// A frontend that registered after the chain was sealed retains none
+	// of it.
+	reader, err := c.NewFrontend("fe-reader", false)
+	if err != nil {
+		t.Fatalf("frontend: %v", err)
+	}
+	t.Cleanup(reader.Close)
+	cli, err := Dial(startServer(t, reader, ServerOptions{}))
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer cli.Close()
+	for _, stop := range []uint64{1 << 62, math.MaxUint64} {
+		stream, err := cli.Deliver("ch", fabric.DeliverFrom(0).Through(stop))
+		if err != nil {
+			t.Fatalf("deliver through %d: %v", stop, err)
+		}
+		timeout := time.After(30 * time.Second)
+		for want := uint64(0); want < blocks; want++ {
+			select {
+			case b, ok := <-stream.Blocks():
+				if !ok {
+					t.Fatalf("through %d: stream closed before block %d: %v", stop, want, stream.Err())
+				}
+				if b.Header.Number != want {
+					t.Fatalf("through %d: block %d where %d was due", stop, b.Header.Number, want)
+				}
+			case <-timeout:
+				t.Fatalf("through %d: timed out waiting for block %d", stop, want)
+			}
+		}
+		select {
+		case b, ok := <-stream.Blocks():
+			t.Fatalf("through %d: stream did not keep tailing (block %v, open %v, err %v)", stop, b, ok, stream.Err())
+		case <-time.After(300 * time.Millisecond):
+		}
+		stream.Cancel()
 	}
 }

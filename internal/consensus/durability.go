@@ -75,8 +75,6 @@ func WithDurability(d Durability, state *DurableState) Option {
 // the constructing goroutine, before the event loop exists — so calling
 // Application methods here honours the single-goroutine contract.
 func (r *Replica) restoreDurable(st *DurableState) error {
-	r.restoring = true
-	defer func() { r.restoring = false }()
 	if st.CheckpointSeq >= 0 {
 		appSnap, ok := r.unwrapSnapshot(st.Checkpoint)
 		if !ok {

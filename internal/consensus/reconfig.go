@@ -3,7 +3,6 @@ package consensus
 import (
 	"bytes"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/wire"
 )
@@ -75,21 +74,6 @@ func IsReconfigOp(op []byte) bool {
 	return ok
 }
 
-// unsafeMembershipRecovery, when set, makes recovery behave as if membership
-// changes had never been persisted: replayed reconfig decisions are skipped
-// and recovered snapshots do not install their membership. It exists only so
-// the chaos/teeth tests can prove what the durable membership path buys — a
-// node recovered this way after an add forgets the new member.
-var unsafeMembershipRecovery atomic.Bool
-
-// SetUnsafeMembershipRecovery toggles the teeth switch. Test-only.
-func SetUnsafeMembershipRecovery(v bool) { unsafeMembershipRecovery.Store(v) }
-
-// UnsafeMembershipRecoveryEnabled reports the teeth switch's state; the
-// core layer gates its recovered-membership config override on it so the
-// unsafe mode is unsafe end to end.
-func UnsafeMembershipRecoveryEnabled() bool { return unsafeMembershipRecovery.Load() }
-
 // MembershipView is a consistent snapshot of the group at one membership
 // epoch: the epoch counter, the sorted member set, the derived fault
 // threshold, and the vote weights. Obtained lock-free via
@@ -138,9 +122,6 @@ func (r *Replica) notifyMembership() {
 // no-ops — so a replica that saw the op as already applied (a joiner whose
 // static config lists itself) counts the same epochs as everyone else.
 func (r *Replica) applyReconfig(op ReconfigOp) {
-	if r.restoring && unsafeMembershipRecovery.Load() {
-		return // teeth switch: pretend the apply was never made durable
-	}
 	r.epoch++
 	changed := false
 	switch op.Kind {
@@ -251,9 +232,6 @@ func (r *Replica) unmarshalMembership(rd *wire.Reader) error {
 	}
 	if err := rd.Err(); err != nil {
 		return err
-	}
-	if r.restoring && unsafeMembershipRecovery.Load() {
-		return nil // teeth switch: consume the bytes, keep the static group
 	}
 	sortReplicas(membership)
 	r.epoch = epoch

@@ -232,9 +232,6 @@ type Replica struct {
 	// joiner whose static config already lists itself — stay in step with
 	// the rest of the group). Event-loop owned; liveMembership mirrors it.
 	epoch uint64
-	// restoring is true while restoreDurable replays recovered state; the
-	// unsafe-membership teeth switch keys off it.
-	restoring bool
 	// liveMembership is a lock-free snapshot of (epoch, members, f, weights)
 	// readable from any goroutine, even before Start (Inspect would block).
 	liveMembership atomic.Pointer[MembershipView]

@@ -1,0 +1,352 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/cryptoutil"
+	"repro/internal/fabric"
+	"repro/internal/transport"
+)
+
+// peerKind scripts how one in-proc peer answers FetchBlocks requests.
+type peerKind int
+
+const (
+	honest   peerKind = iota // the real chain, each block signed by this peer
+	unsigned                 // the real chain, no signatures
+	short                    // the real chain without its top block
+	forging                  // a forged chain (same numbering), signed by this peer
+	pruned                   // "below my floor" to every range, floor = arg
+	silent                   // never answers
+	// proxied never answers itself: the next peer (a forger) answers the
+	// request on its behalf — right request id, wrong sender.
+	proxied
+)
+
+type peerScript struct {
+	kind peerKind
+	arg  uint64
+}
+
+// syncWorld is a blockSync client over an in-proc network of scripted
+// peers.
+type syncWorld struct {
+	sync         *blockSync
+	real, forged []*fabric.Block
+	registry     *cryptoutil.Registry
+}
+
+func mkChain(n int, tag string) []*fabric.Block {
+	chain := make([]*fabric.Block, n)
+	var prev cryptoutil.Digest
+	for i := range chain {
+		chain[i] = fabric.NewBlock(uint64(i), prev, [][]byte{[]byte(fmt.Sprintf("%s-%d", tag, i))})
+		prev = chain[i].Header.Hash()
+	}
+	return chain
+}
+
+func newSyncWorld(t *testing.T, scripts []peerScript, height int, withRegistry bool) *syncWorld {
+	t.Helper()
+	net := transport.NewInProcNetwork(transport.InProcConfig{})
+	t.Cleanup(func() { net.Close() })
+	w := &syncWorld{real: mkChain(height, "real"), forged: mkChain(height, "forged"), registry: cryptoutil.NewRegistry()}
+
+	peers := make([]transport.Addr, len(scripts))
+	conns := make([]transport.Conn, len(scripts))
+	for i := range scripts {
+		peers[i] = transport.Addr(fmt.Sprintf("peer-%d", i))
+		conn, err := net.Join(peers[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = conn
+	}
+	for i, script := range scripts {
+		key, err := cryptoutil.GenerateKeyPair()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.registry.Register(string(peers[i]), key.Public())
+		chain := w.real
+		switch script.kind {
+		case forging:
+			chain = w.forged
+		case short:
+			chain = w.real[:height-1]
+		}
+		// Each peer holds its own copy, carrying its own signature.
+		own := make([]*fabric.Block, len(chain))
+		for j, b := range chain {
+			own[j] = &fabric.Block{Header: b.Header, Envelopes: b.Envelopes}
+			if script.kind != unsigned {
+				sig, err := key.Sign(b.Header.Hash().Bytes())
+				if err != nil {
+					t.Fatal(err)
+				}
+				own[j].Signatures = []fabric.BlockSignature{{SignerID: string(peers[i]), Signature: sig}}
+			}
+		}
+		go func(i int, script peerScript) {
+			for m := range conns[i].Inbox() {
+				req, err := unmarshalFetchRequest(m.Payload)
+				if m.Type != MsgFetchRequest || err != nil || script.kind == silent {
+					continue
+				}
+				if script.kind == proxied {
+					conns[i+1].Send(m.From, MsgFetchResponse, forgedAnswer(w.forged, req))
+					continue
+				}
+				resp := fetchResponse{ReqID: req.ReqID, From: req.From}
+				if script.kind == pruned {
+					resp.Floor = script.arg
+					conns[i].Send(m.From, MsgFetchResponse, resp.marshal())
+					continue
+				}
+				from, to := req.From, min(req.To, uint64(len(own)))
+				if from == fetchHeadProbe && len(own) > 0 {
+					from, to = uint64(len(own))-1, uint64(len(own))
+					resp.From = from
+				}
+				for n := from; n < to && n < from+maxFetchBlocks; n++ {
+					b := own[n]
+					if req.SigsOnly {
+						b = &fabric.Block{Header: b.Header, Signatures: b.Signatures}
+					}
+					resp.Blocks = append(resp.Blocks, b.Marshal())
+				}
+				conns[i].Send(m.From, MsgFetchResponse, resp.marshal())
+			}
+		}(i, script)
+	}
+
+	conn, err := net.Join("client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var registry *cryptoutil.Registry
+	if withRegistry {
+		registry = w.registry
+	}
+	f := (len(scripts) - 1) / 3
+	w.sync = newBlockSync(conn, registry, func() ([]transport.Addr, int) { return peers, f })
+	go func() {
+		for m := range conn.Inbox() {
+			if m.Type == MsgFetchResponse {
+				w.sync.handleResponse(m.From, m.Payload)
+			}
+		}
+	}()
+	return w
+}
+
+// forgedAnswer builds the response a forger gives to someone else's
+// request: unsigned forged blocks under the victim's request id.
+func forgedAnswer(forged []*fabric.Block, req fetchRequest) []byte {
+	resp := fetchResponse{ReqID: req.ReqID, From: req.From}
+	for n := req.From; n < req.To && n < uint64(len(forged)); n++ {
+		b := forged[n]
+		if req.SigsOnly {
+			b = &fabric.Block{Header: b.Header}
+		}
+		resp.Blocks = append(resp.Blocks, b.Marshal())
+	}
+	return resp.marshal()
+}
+
+// TestBlockSyncFetchRule drives the one fetch rule against scripted
+// peers: which proof applies to which caller, and what each must reject.
+func TestBlockSyncFetchRule(t *testing.T) {
+	const height = 10
+	type anchorKind int
+	const (
+		noAnchor anchorKind = iota
+		realTop
+		bogus
+	)
+	cases := []struct {
+		name     string
+		peers    []peerScript
+		height   int // 0 = height
+		registry bool
+		anchor   anchorKind
+		proof    bool
+		from, to uint64 // to == 0 means the whole chain
+		abort    time.Duration
+
+		wantForged bool
+		wantErr    error  // errors.Is target
+		wantFloor  uint64 // with wantErr == fabric.ErrPruned
+		wantSigs   int    // distinct valid signatures on every block
+		within     time.Duration
+	}{
+		{
+			name:     "forged first responder loses to the honest candidate, result carries f+1 signatures",
+			peers:    []peerScript{{kind: forging}, {kind: honest}, {kind: honest}, {kind: honest}},
+			registry: true, proof: true, wantSigs: 2,
+		},
+		{
+			name:     "f+1 forgers reach the signature threshold: the threshold is what protects",
+			peers:    []peerScript{{kind: forging}, {kind: forging}, {kind: honest}, {kind: honest}},
+			registry: true, proof: true, wantForged: true, wantSigs: 2,
+		},
+		{
+			name:  "a response from the wrong sender cannot answer a pending request",
+			peers: []peerScript{{kind: proxied}, {kind: forging}, {kind: honest}, {kind: honest}},
+			// Copies count peers: were the proxied answer accepted, peers 0
+			// and 1 would be two votes for the forged top.
+		},
+		{
+			name:     "f+1 pruned answers are authoritative, smallest floor wins",
+			peers:    []peerScript{{kind: pruned, arg: 7}, {kind: pruned, arg: 5}, {kind: honest}, {kind: honest}},
+			registry: true, wantErr: fabric.ErrPruned, wantFloor: 5,
+		},
+		{
+			name:     "f pruned answers are not",
+			peers:    []peerScript{{kind: pruned, arg: 7}, {kind: honest}, {kind: honest}, {kind: honest}},
+			registry: true, proof: true, wantSigs: 2,
+		},
+		{
+			name:     "unsigned range: signatures fail, matching copies succeed",
+			peers:    []peerScript{{kind: unsigned}, {kind: unsigned}, {kind: unsigned}, {kind: unsigned}},
+			registry: true,
+		},
+		{
+			name:     "unsigned range cannot satisfy a caller that needs proof",
+			peers:    []peerScript{{kind: unsigned}, {kind: unsigned}, {kind: unsigned}, {kind: unsigned}},
+			registry: true, proof: true, wantErr: ErrUnverifiedRange,
+		},
+		{
+			name:     "unsigned range links into a back-fill's anchor",
+			peers:    []peerScript{{kind: unsigned}, {kind: unsigned}, {kind: unsigned}, {kind: unsigned}},
+			registry: true, anchor: realTop, proof: true,
+		},
+		{
+			name:  "no keys, no anchor: f+1 copies, and a lone forger has one",
+			peers: []peerScript{{kind: forging}, {kind: honest}, {kind: honest}, {kind: silent}},
+		},
+		{
+			name:  "no keys and proof wanted: nothing can prove it",
+			peers: []peerScript{{kind: honest}, {kind: honest}, {kind: honest}, {kind: honest}},
+			proof: true, wantErr: ErrUnverifiedRange,
+		},
+		{
+			name:   "anchored fetch takes the first copy that links, checks no signature",
+			peers:  []peerScript{{kind: forging}, {kind: unsigned}, {kind: silent}, {kind: silent}},
+			anchor: realTop, registry: true,
+		},
+		{
+			name:   "anchored fetch rejects every range whose top does not hash to the anchor",
+			peers:  []peerScript{{kind: honest}, {kind: honest}, {kind: honest}, {kind: honest}},
+			anchor: bogus, wantErr: ErrFetchFailed,
+		},
+		{
+			name:     "a peer without the top block is passed over",
+			peers:    []peerScript{{kind: short}, {kind: honest}, {kind: honest}, {kind: honest}},
+			registry: true, proof: true, wantSigs: 2,
+		},
+		{
+			name:     "several windows, top window first",
+			peers:    []peerScript{{kind: honest}, {kind: honest}, {kind: honest}, {kind: honest}},
+			height:   2*maxFetchBlocks + 40,
+			registry: true, proof: true, from: 3, wantSigs: 2,
+		},
+		{
+			name:     "a stop far beyond the chain fails without downloading it",
+			peers:    []peerScript{{kind: honest}, {kind: honest}, {kind: honest}, {kind: honest}},
+			registry: true, to: 1 << 62, wantErr: ErrFetchFailed, within: fetchWindowTimeout,
+		},
+		{
+			name:     "done aborts within one window timeout",
+			peers:    []peerScript{{kind: silent}, {kind: silent}, {kind: silent}, {kind: silent}},
+			registry: true, abort: 100 * time.Millisecond, wantErr: ErrFetchFailed, within: fetchWindowTimeout,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			if tc.height == 0 {
+				tc.height = height
+			}
+			if tc.to == 0 {
+				tc.to = uint64(tc.height)
+			}
+			w := newSyncWorld(t, tc.peers, tc.height, tc.registry)
+			var anchor *cryptoutil.Digest
+			switch tc.anchor {
+			case realTop:
+				h := w.real[tc.to-1].Header.Hash()
+				anchor = &h
+			case bogus:
+				anchor = &cryptoutil.Digest{1}
+			}
+			done := make(chan struct{})
+			if tc.abort > 0 {
+				time.AfterFunc(tc.abort, func() { close(done) })
+			}
+			start := time.Now()
+			blocks, err := w.sync.fetch(done, "ch", tc.from, tc.to, anchor, tc.proof)
+			if tc.within > 0 && time.Since(start) > tc.within {
+				t.Errorf("fetch took %v, want under %v", time.Since(start), tc.within)
+			}
+			if tc.wantErr != nil {
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("fetch: %v, want %v", err, tc.wantErr)
+				}
+				var pe *fabric.PrunedError
+				if errors.As(err, &pe) && pe.Floor != tc.wantFloor {
+					t.Fatalf("pruned floor %d, want %d", pe.Floor, tc.wantFloor)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("fetch: %v", err)
+			}
+			want := w.real
+			if tc.wantForged {
+				want = w.forged
+			}
+			if uint64(len(blocks)) != tc.to-tc.from {
+				t.Fatalf("%d blocks for [%d,%d)", len(blocks), tc.from, tc.to)
+			}
+			for i, b := range blocks {
+				digest := want[tc.from+uint64(i)].Header.Hash()
+				if b.Header.Hash() != digest {
+					t.Fatalf("block %d is not the expected copy", b.Header.Number)
+				}
+				if err := b.CheckIntegrity(); err != nil {
+					t.Fatalf("block %d: %v", b.Header.Number, err)
+				}
+				signers := make(map[string]bool)
+				for _, sig := range b.Signatures {
+					if w.registry.Verify(sig.SignerID, digest.Bytes(), sig.Signature) {
+						signers[sig.SignerID] = true
+					}
+				}
+				if len(signers) < tc.wantSigs {
+					t.Fatalf("block %d carries %d valid signatures, want >= %d", b.Header.Number, len(signers), tc.wantSigs)
+				}
+			}
+		})
+	}
+}
+
+// TestBlockSyncHeadQuorum: the head probe trusts a block only once f+1
+// peers nominate it.
+func TestBlockSyncHeadQuorum(t *testing.T) {
+	w := newSyncWorld(t, []peerScript{{kind: forging}, {kind: honest}, {kind: short}, {kind: honest}}, 6, false)
+	head, err := w.sync.head(nil, "ch")
+	if err != nil {
+		t.Fatalf("head: %v", err)
+	}
+	if head.Header.Hash() != w.real[5].Header.Hash() {
+		t.Fatalf("head is block %d, not the honest top", head.Header.Number)
+	}
+	w = newSyncWorld(t, []peerScript{{kind: forging}, {kind: honest}, {kind: short}, {kind: silent}}, 6, false)
+	if _, err := w.sync.head(nil, "ch"); !errors.Is(err, ErrFetchFailed) {
+		t.Fatalf("head with no two peers agreeing: %v, want ErrFetchFailed", err)
+	}
+}

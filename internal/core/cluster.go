@@ -36,8 +36,6 @@ type ClusterConfig struct {
 	F int
 	// BlockSize is the envelopes-per-block bound (10 or 100 in the paper).
 	BlockSize int
-	// MaxBlockBytes optionally bounds block bytes.
-	MaxBlockBytes int
 	// BlockTimeout enables deterministic timeout-based cutting.
 	BlockTimeout time.Duration
 	// SigningWorkers sizes each node's signing pool (default 16).
@@ -204,7 +202,6 @@ func (c *Cluster) startNode(i int, members []consensus.ReplicaID) (*OrderingNode
 			Registry:           c.Registry,
 		},
 		BlockSize:       c.cfg.BlockSize,
-		MaxBlockBytes:   c.cfg.MaxBlockBytes,
 		BlockTimeout:    c.cfg.BlockTimeout,
 		SigningWorkers:  c.cfg.SigningWorkers,
 		DisableSigning:  c.cfg.DisableSigning,

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/cryptoutil"
 	"repro/internal/fabric"
@@ -10,30 +11,25 @@ import (
 
 // streamDeliverer drives one Deliver subscription for any orderer: it
 // stitches replayed history (the orderer's retained window, plus ranges
-// fetched through the optional fetch hook) and the live queue into one
-// gapless, duplicate-free stream, honoring the seek's start and stop
-// positions. Frontend and solo orderer share this loop; only the fetch
-// hooks differ.
+// fetched from the history source) and the live queue into one gapless,
+// duplicate-free stream, honoring the seek's start and stop positions.
+// Frontend and solo orderer share this loop; only the history source
+// differs.
 type streamDeliverer struct {
 	seek   fabric.SeekInfo
 	hist   []*fabric.Block // retained released blocks, contiguous
 	q      *blockQueue     // live feed
 	stream *fabric.BlockStream
 
-	// fetch retrieves blocks [from, to) authenticated against anchorPrev
-	// (the header hash of block to-1). Nil when the orderer has no fetch
-	// path (solo): history below the retained window is then unavailable.
-	fetch func(from, to uint64, anchorPrev cryptoutil.Digest) ([]*fabric.Block, error)
-	// quorumFetch retrieves blocks [from, to) authenticated by quorum
-	// agreement on the top block instead of a locally trusted anchor.
-	// Used (when non-nil) for bounded historical seeks issued before any
-	// live block has anchored the chain; a failure falls back to
-	// quorumHead, then to waiting for a live anchor.
-	quorumFetch func(from, to uint64) ([]*fabric.Block, error)
-	// quorumHead returns a block f+1 peers agree sits at (or near) the
-	// chain's head, anchoring unbounded historical seeks on an idle chain
-	// — without it, replay would stall until fresh live traffic arrives.
-	quorumHead func() (*fabric.Block, error)
+	// sync is the history source below the retained window: the ordering
+	// nodes' durable ledgers of channel. It is asked for a range linked
+	// into an anchor the stream already trusts, for a bounded range before
+	// anything anchors the chain, and — so that an unbounded replay of an
+	// idle chain does not stall until fresh live traffic arrives — for a
+	// quorum-agreed head block. Nil when the orderer has none (solo):
+	// history below the retained window is then unavailable.
+	sync    *blockSync
+	channel string
 	// closedErr is what the stream closes with when the live queue closes
 	// under it (the orderer shut down).
 	closedErr error
@@ -45,59 +41,60 @@ type streamDeliverer struct {
 // the caller owns queue registration and stream cleanup.
 func (d *streamDeliverer) run() {
 	d.next = d.seek.FirstNumber()
+	// No chain reaches block MaxUint64, so a stop there never closes the
+	// stream: it is Fabric's idiom for "no stop", and is served as one
+	// (Stop+1 below must not wrap).
+	if d.seek.Stop == math.MaxUint64 {
+		d.seek.HasStop = false
+	}
 
 	var pendingLive *fabric.Block
 	if d.seek.Kind != fabric.SeekNewest {
 		// With no retained history, try to resolve the replay without
 		// waiting for live traffic: a bounded seek fetches its exact range
-		// under quorum agreement on the stop block; otherwise a
-		// quorum-agreed head block anchors the replay up to the current
-		// chain tip (the live stream's gap fill covers anything sealed
-		// after the probe).
+		// with no anchor to link it into; otherwise a quorum-agreed head
+		// block anchors the replay up to the current chain tip (the live
+		// stream's gap fill covers anything sealed after the probe).
 		anchored := false
 		// A bounded seek that ends below the retained window resolves by
-		// an exact quorum fetch of just [start, stop] — both when there is
-		// no history at all and when the window starts far above the stop
-		// (replaying the whole gap up to the window only to discard it
+		// an exact anchorless fetch of just [start, stop] — both when there
+		// is no history at all and when the window starts far above the
+		// stop (replaying the whole gap up to the window only to discard it
 		// would cost a full-chain fetch).
 		belowWindow := len(d.hist) == 0 || (d.seek.HasStop && d.seek.Stop < d.hist[0].Header.Number)
-		if belowWindow {
-			if d.seek.HasStop && d.quorumFetch != nil {
-				blocks, err := d.quorumFetch(d.next, d.seek.Stop+1)
-				if err == nil {
-					for _, b := range blocks {
-						if !d.emit(b) {
-							return
-						}
-					}
-					d.stream.Close(nil)
-					return
-				}
-				if floor, ok := d.resumeFloor(err); ok {
-					// The cluster compacted part of the range away; an
-					// Oldest seek restarts at the retention floor (the
-					// fall-through paths fetch from d.next).
-					d.next = floor
-				}
-				// Otherwise unresolvable here (e.g. the stop block is not
-				// sealed yet, or the seek addressed pruned blocks — the
-				// fetch below rediscovers and reports that): try the head
-				// anchor, then the live-anchor path.
-			}
-		}
-		if len(d.hist) == 0 {
-			if d.quorumHead != nil {
-				if head, err := d.quorumHead(); err == nil {
-					if d.next < head.Header.Number {
-						if !d.fetchAndEmit(d.next, head.Header.Number, head.Header.PrevHash) {
-							return
-						}
-					}
-					if head.Header.Number >= d.next && !d.emit(head) {
+		if belowWindow && d.seek.HasStop && d.sync != nil {
+			blocks, err := d.sync.fetch(d.stream.Canceled(), d.channel, d.next, d.seek.Stop+1, nil, false)
+			if err == nil {
+				for _, b := range blocks {
+					if !d.emit(b) {
 						return
 					}
-					anchored = true
 				}
+				d.stream.Close(nil)
+				return
+			}
+			if floor, ok := d.resumeFloor(err); ok {
+				// The cluster compacted part of the range away; an Oldest
+				// seek restarts at the retention floor (the fall-through
+				// paths fetch from d.next).
+				d.next = floor
+			}
+			// Otherwise unresolvable here (e.g. the stop block is not
+			// sealed yet, or the seek addressed pruned blocks — the fetch
+			// below rediscovers and reports that): try the head anchor,
+			// then the live-anchor path.
+		}
+		if len(d.hist) == 0 && d.sync != nil {
+			if head, err := d.sync.head(d.stream.Canceled(), d.channel); err == nil {
+				if d.next < head.Header.Number {
+					if !d.fetchAndEmit(d.next, head.Header.Number, head.Header.PrevHash) {
+						return
+					}
+				}
+				if head.Header.Number >= d.next && !d.emit(head) {
+					return
+				}
+				anchored = true
 			}
 		}
 		// Establish the trusted anchor for any range that must be fetched:
@@ -196,20 +193,21 @@ func (d *streamDeliverer) emit(b *fabric.Block) bool {
 	return true
 }
 
-// fetchAndEmit retrieves and emits blocks [from, to) through the fetch
-// hook, closing the stream with an error when no verifiable copy exists.
+// fetchAndEmit retrieves and emits blocks [from, to) from the history
+// source, linked into anchorPrev (the header hash of block to-1), closing
+// the stream with an error when no verifiable copy exists.
 // A range the cluster compacted away resumes at the retention floor for
 // an Oldest seek (oldest means oldest available, as in Fabric) and fails
 // the stream with the typed pruned error — surfaced to wire clients as
 // NOT_FOUND — for seeks that addressed the pruned blocks explicitly.
 func (d *streamDeliverer) fetchAndEmit(from, to uint64, anchorPrev cryptoutil.Digest) bool {
 	for {
-		if d.fetch == nil {
+		if d.sync == nil {
 			d.stream.Close(fmt.Errorf("%w: blocks %d..%d fell out of the retained history",
 				fabric.ErrBlockNotFound, from, to-1))
 			return false
 		}
-		blocks, err := d.fetch(from, to, anchorPrev)
+		blocks, err := d.sync.fetch(d.stream.Canceled(), d.channel, from, to, &anchorPrev, false)
 		if err != nil {
 			if floor, ok := d.resumeFloor(err); ok {
 				if floor >= to {

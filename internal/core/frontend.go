@@ -22,9 +22,9 @@ const (
 	// DefaultMaxInflight is the per-client backpressure window: envelopes
 	// broadcast but not yet observed in a released block.
 	DefaultMaxInflight = 32768
-	// DefaultHistoryLimit is how many released blocks per channel the
-	// frontend retains in memory to serve Deliver seeks without refetching
-	// from the ordering nodes.
+	// DefaultHistoryLimit is how many released blocks per channel an
+	// orderer retains in memory to serve Deliver seeks; a frontend refetches
+	// older ones from the ordering nodes' durable ledgers on demand.
 	DefaultHistoryLimit = 1024
 )
 
@@ -56,10 +56,6 @@ type FrontendConfig struct {
 	// space before answering StatusServiceUnavailable. Zero waits until
 	// space frees or the frontend closes.
 	BroadcastTimeout time.Duration
-	// HistoryLimit bounds the released blocks retained per channel for
-	// Deliver seeks; older blocks are refetched from the ordering nodes'
-	// durable ledgers on demand. Zero selects DefaultHistoryLimit.
-	HistoryLimit int
 	// Metrics, when set, receives frontend instrumentation: released
 	// blocks/envelopes, the disseminate→deliver and end-to-end stage
 	// latencies, and backpressure-window occupancy. Nil disables.
@@ -76,15 +72,15 @@ type FrontendStats struct {
 // Frontend relays envelopes from clients into the ordering cluster and
 // collects the resulting blocks. It implements the fabric.Orderer surface:
 // Broadcast with typed status acknowledgements and a seekable Deliver that
-// replays history (from its retained window, or fetched and
-// hash-chain-verified from the nodes' durable ledgers) before switching to
-// the live stream with no gaps or duplicates.
+// replays history (from its retained window, or fetched from the nodes'
+// durable ledgers under blockSync's trust rule) before switching to the
+// live stream with no gaps or duplicates.
 type Frontend struct {
 	cfg      FrontendConfig
 	conn     transport.Conn // receives MsgBlock / MsgFetchResponse from ordering nodes
 	client   *consensus.Client
-	released int // release threshold: 2f+1 matching or f+1 verified
-	fetcher  *blockFetcher
+	released int        // release threshold: 2f+1 matching or f+1 verified
+	sync     *blockSync // client half only: history fetched for Deliver
 	peers    []transport.Addr
 	channels map[string]struct{}  // non-nil when cfg.Channels restricts
 	metrics  *obs.FrontendMetrics // never nil: normalized at construction
@@ -121,7 +117,7 @@ type feChannel struct {
 	collecting  map[uint64]map[cryptoutil.Digest]*blockAccum
 	ready       map[uint64]*fabric.Block
 
-	// hist retains the newest released blocks (bounded by HistoryLimit):
+	// hist retains the newest released blocks (DefaultHistoryLimit):
 	// hist[i].Number == histStart+i.
 	hist      []*fabric.Block
 	histStart uint64
@@ -181,9 +177,6 @@ func (cfg *FrontendConfig) validate() error {
 	if cfg.MaxInflight == 0 {
 		cfg.MaxInflight = DefaultMaxInflight
 	}
-	if cfg.HistoryLimit <= 0 {
-		cfg.HistoryLimit = DefaultHistoryLimit
-	}
 	return nil
 }
 
@@ -208,7 +201,6 @@ func newFrontendWithConns(cfg FrontendConfig, conn, clientConn transport.Conn) (
 		conn:     conn,
 		client:   client,
 		released: threshold,
-		fetcher:  newBlockFetcher(conn),
 		metrics:  cfg.Metrics.OrNop(),
 		chans:    make(map[string]*feChannel),
 		subs:     make(map[string][]*feSub),
@@ -233,6 +225,7 @@ func newFrontendWithConns(cfg FrontendConfig, conn, clientConn transport.Conn) (
 	for i, id := range cfg.Replicas {
 		f.peers[i] = id.Addr()
 	}
+	f.sync = newBlockSync(conn, cfg.Registry, func() ([]transport.Addr, int) { return f.peers, cfg.F })
 	// Register with every ordering node so the custom replier includes
 	// this frontend in block dissemination.
 	for _, addr := range f.peers {
@@ -312,8 +305,7 @@ func (f *Frontend) BroadcastRaw(raw []byte) fabric.BroadcastStatus {
 // Deliver opens a block stream for a channel, positioned by seek: history
 // below the live stream is replayed first — from the frontend's retained
 // window when possible, otherwise fetched from the ordering nodes' durable
-// ledgers and authenticated by hash-chain linkage into a quorum-released
-// anchor block — then the stream switches to live blocks with no gaps or
+// ledgers — then the stream switches to live blocks with no gaps or
 // duplicates. A seek past the current head emits nothing until that block
 // is sealed. With a stop position the stream closes after the stop block;
 // otherwise it tails live blocks until canceled.
@@ -342,14 +334,7 @@ func (f *Frontend) Deliver(channel string, seek fabric.SeekInfo) (*fabric.BlockS
 }
 
 // deliverLoop drives one Deliver subscription through the shared
-// streamDeliverer: history below the live stream is fetched from the
-// nodes' durable ledgers — chain-verified against a quorum-released
-// anchor, or, for anchorless seeks, by f+1 node signatures per block
-// (merged across peers; nodes persist their signatures with each block),
-// or, where that rule cannot apply — no verification-key registry
-// configured, or blocks that carry no signatures (DisableSigning cells,
-// crash-recovery re-seals) — by f+1 matching top-block copies. Both rules
-// are live.
+// streamDeliverer, with the nodes' durable ledgers as its history source.
 func (f *Frontend) deliverLoop(channel string, seek fabric.SeekInfo, hist []*fabric.Block, q *blockQueue, stream *fabric.BlockStream) {
 	defer f.wg.Done()
 	defer f.dropSub(channel, q, stream)
@@ -359,23 +344,8 @@ func (f *Frontend) deliverLoop(channel string, seek fabric.SeekInfo, hist []*fab
 		q:         q,
 		stream:    stream,
 		closedErr: ErrFrontendClosed,
-		fetch: func(from, to uint64, anchorPrev cryptoutil.Digest) ([]*fabric.Block, error) {
-			return f.fetcher.FetchRange(stream.Canceled(), f.peers, channel, from, to, anchorPrev, f.cfg.F)
-		},
-		quorumFetch: func(from, to uint64) ([]*fabric.Block, error) {
-			if f.cfg.Registry != nil {
-				blocks, err := f.fetcher.FetchRangeVerified(stream.Canceled(), f.peers, channel, from, to, f.cfg.Registry, f.cfg.F)
-				if err == nil || errors.Is(err, fabric.ErrPruned) {
-					return blocks, err
-				}
-				// Unsigned blocks in the range: the matching-copies rule
-				// below authenticates them.
-			}
-			return f.fetcher.FetchRangeQuorum(stream.Canceled(), f.peers, channel, from, to, f.cfg.F)
-		},
-		quorumHead: func() (*fabric.Block, error) {
-			return f.fetcher.QuorumHead(stream.Canceled(), f.peers, channel, f.cfg.F)
-		},
+		sync:      f.sync,
+		channel:   channel,
 	}
 	d.run()
 }
@@ -396,13 +366,13 @@ func (f *Frontend) dropSub(channel string, q *blockQueue, stream *fabric.BlockSt
 }
 
 // FetchVerified retrieves blocks [from, to) of a channel from the ordering
-// nodes, authenticated purely by f+1 node signatures (FetchRangeVerified):
-// no prior chain state is consulted, so the call probes — from any
-// goroutine — whether the cluster can still prove its history against a
-// live adversary. The chaos harness's verified-fetch invariant calls it
+// nodes, authenticated purely by f+1 node signatures per block: no prior
+// chain state is consulted, so the call probes — from any goroutine —
+// whether the cluster can still prove its history against a live
+// adversary. The chaos harness's verified-fetch invariant calls it
 // continuously and cross-checks the result against the released stream.
 func (f *Frontend) FetchVerified(channel string, from, to uint64) ([]*fabric.Block, error) {
-	return f.fetcher.FetchRangeVerified(f.done, f.peers, channel, from, to, f.cfg.Registry, f.cfg.F)
+	return f.sync.fetch(f.done, channel, from, to, nil, true)
 }
 
 // OnBlock installs a callback invoked synchronously on the receive loop for
@@ -437,7 +407,7 @@ func (f *Frontend) receiveLoop() {
 				}
 				f.onBlockCopy(string(m.From), channel, block, sentNano)
 			case MsgFetchResponse:
-				f.fetcher.HandleResponse(m.From, m.Payload)
+				f.sync.handleResponse(m.From, m.Payload)
 			}
 		}
 	}
@@ -553,7 +523,7 @@ func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sent
 	}
 	// Trim with slack: the copy amortizes to O(1) per release instead of
 	// recurring on every block once the window is full.
-	if over := len(ch.hist) - f.cfg.HistoryLimit; over > f.cfg.HistoryLimit/4 {
+	if over := len(ch.hist) - DefaultHistoryLimit; over > DefaultHistoryLimit/4 {
 		ch.hist = append(ch.hist[:0:0], ch.hist[over:]...)
 		ch.histStart += uint64(over)
 	}

@@ -18,10 +18,10 @@ import (
 // included in the group's consensus traffic, catches up through the
 // standard checkpoint state transfer, and back-fills its durable ledgers
 // from the peers' retention floor via the signature-verified fetch path
-// (floor discovery and floor-climbing live in fetchGap). The announcement
-// itself is policy-driven — jittered exponential backoff with peer
-// rotation — so transient loss delays the join instead of failing it; only
-// the hard deadline turns it into a typed JoinError.
+// (floor discovery and floor-climbing live in runBackfill). The
+// announcement itself is policy-driven — jittered exponential backoff with
+// peer rotation — so transient loss delays the join instead of failing it;
+// only the hard deadline turns it into a typed JoinError.
 
 // JoinError is the typed failure of a cluster join: the hard deadline
 // passed (or the node stopped) before it observed itself admitted.

@@ -68,8 +68,6 @@ type NodeConfig struct {
 	// BlockSize is the number of envelopes per block (10 or 100 in the
 	// paper's evaluation).
 	BlockSize int
-	// MaxBlockBytes optionally bounds a block's envelope bytes.
-	MaxBlockBytes int
 	// BlockTimeout cuts partial blocks via ordered time-to-cut markers;
 	// zero disables timeout cutting (the paper's benchmarks drive full
 	// blocks).
@@ -142,10 +140,10 @@ type NodeConfig struct {
 	FS vfs.FS
 	// ScrubInterval is the background scrubber's period over the node's
 	// durable storage: every pass re-reads the retained block records
-	// through the CRC-checking path and repairs corrupt ones from peers
-	// (f+1-verified fetch). Zero disables timed passes — the scrubber
-	// still runs and serves on-demand TriggerScrub calls. Storage-less
-	// nodes have nothing to scrub.
+	// through the CRC-checking path and repairs corrupt ones from peers.
+	// Zero disables timed passes — the scrubber still runs and serves
+	// on-demand TriggerScrub calls. Storage-less nodes have nothing to
+	// scrub.
 	ScrubInterval time.Duration
 }
 
@@ -200,8 +198,8 @@ type Byzantine struct {
 	// ForgeHistory makes the node answer FetchBlocks requests (head probes
 	// and ranges) from a self-consistent forged chain signed only by this
 	// node. The forgery passes per-range hash-chain verification, so only
-	// the f+1 cross-peer signature quorum of FetchRangeVerified can reject
-	// it — exactly the property the forged-history scenario checks.
+	// an anchor or an f+1 threshold across peers (blockSync.fetch) can
+	// reject it — exactly the property the forged-history scenario checks.
 	ForgeHistory bool
 }
 
@@ -229,16 +227,13 @@ type OrderingNode struct {
 
 	// Durable state (nil without storage). ledgers holds the node's
 	// persistent copy of each channel's chain; ledgerMu guards the map and
-	// the parked blocks (ledger values are internally synchronized).
+	// sync's parked blocks (ledger values are internally synchronized).
 	// recovering suppresses signing and dissemination while construction
-	// replays the decision log. parked holds blocks sealed above the local
-	// ledger height after a state-transfer jump, awaiting the FetchBlocks
-	// back-fill that closes the gap beneath them.
+	// replays the decision log.
 	storage     *storage.NodeStorage
 	ownsStorage bool
 	ledgerMu    sync.Mutex
 	ledgers     map[string]*fabric.Ledger
-	parked      map[string]map[uint64]*fabric.Block
 	recovering  bool
 
 	// retention drives block-store compaction (nil when disabled): the
@@ -248,16 +243,13 @@ type OrderingNode struct {
 	retention *retention.Manager
 
 	// scrubber is the background bit-rot scrub over the node's durable
-	// storage (nil on storage-less nodes); its repair path re-fetches
-	// corrupt blocks from peers via FetchRangeVerified.
+	// storage (nil on storage-less nodes); sync.repair is its repair path.
 	scrubber *storage.Scrubber
 
-	// fetcher issues FetchBlocks requests during back-fill; backfilling
-	// guards one back-fill task per channel.
-	fetcher         *blockFetcher
-	backfillMu      sync.Mutex
-	backfilling     map[string]bool
-	backfillStopped bool
+	// sync is everything the node does with other nodes' blocks: serving
+	// FetchBlocks, back-filling the durable chain, repairing scrubbed
+	// records.
+	sync *blockSync
 
 	// frontends is written from the event loop (registration messages)
 	// and read by the pipeline's dissemination on signing-pool workers.
@@ -269,11 +261,8 @@ type OrderingNode struct {
 	// checkpoint gate it feeds.
 	pipe *pipeline
 
-	// byz is the ordering-layer byzantine switch; forged caches the forged
-	// chains a ForgeHistory node serves, grown lazily per channel.
-	byz      atomic.Pointer[Byzantine]
-	forgedMu sync.Mutex
-	forged   map[string][]*fabric.Block
+	// byz is the ordering-layer byzantine switch.
+	byz atomic.Pointer[Byzantine]
 
 	ttcSeq atomic.Uint64
 
@@ -336,14 +325,11 @@ func NewNode(cfg NodeConfig, conn transport.Conn) (*OrderingNode, error) {
 		chains:      make(map[string]*chainState),
 		history:     make(map[int64]map[string]chainSnapshot),
 		frontends:   make(map[transport.Addr]struct{}),
-		parked:      make(map[string]map[uint64]*fabric.Block),
-		fetcher:     newBlockFetcher(conn),
-		backfilling: make(map[string]bool),
-		forged:      make(map[string][]*fabric.Block),
 		done:        make(chan struct{}),
 		metrics:     cfg.Metrics.OrNop(),
 	}
 	n.pipe = newPipeline(n)
+	n.sync = newNodeBlockSync(n)
 	n.byz.Store(&Byzantine{})
 	// TTC markers are consensus requests under this node's "ttc:" client
 	// identity; a session base keeps a restarted node's markers from
@@ -367,9 +353,8 @@ func NewNode(cfg NodeConfig, conn transport.Conn) (*OrderingNode, error) {
 		// The durable membership record outranks the static configuration:
 		// a node that crashed after applying a reconfiguration restarts
 		// into the group consensus last agreed on, not the one its config
-		// file remembers. (The teeth switch keeps the unsafe pre-record
-		// behavior reproducible for the loss test.)
-		if m := rec.Membership; m != nil && !consensus.UnsafeMembershipRecoveryEnabled() {
+		// file remembers.
+		if m := rec.Membership; m != nil {
 			if err := applyRecoveredMembership(&ccfg, m); err != nil {
 				n.closeOwned()
 				return nil, fmt.Errorf("ordering node: %w", err)
@@ -422,79 +407,12 @@ func NewNode(cfg NodeConfig, conn transport.Conn) (*OrderingNode, error) {
 	if n.storage != nil {
 		// The scrubber always runs over durable storage (timer-less when
 		// ScrubInterval is zero, serving TriggerScrub); repair re-fetches
-		// the corrupt block from peers under the f+1 signature rule, so a
-		// single rotten replica heals itself without operator action.
-		n.scrubber = n.storage.StartScrubber(cfg.ScrubInterval, n.repairBlockFromPeers)
+		// the corrupt block from peers, so a single rotten replica heals
+		// itself without operator action.
+		n.scrubber = n.storage.StartScrubber(cfg.ScrubInterval, n.sync.repair)
 	}
 	n.registerGaugeFuncs()
 	return n, nil
-}
-
-// disableScrubRepair turns the scrubber's repair path off (detect-only).
-// It exists solely so the chaos harness can prove its ScrubHeals
-// invariant has teeth: with repair disabled a rotten block MUST stay
-// rotten and the invariant MUST trip. Never set outside tests.
-var disableScrubRepair atomic.Bool
-
-// SetScrubRepairDisabled toggles the teeth-test switch (see
-// disableScrubRepair). Test instrumentation only.
-func SetScrubRepairDisabled(v bool) { disableScrubRepair.Store(v) }
-
-// repairBlockFromPeers is the scrubber's repair callback: re-fetch one
-// corrupt durable block from the other replicas under the f+1-signature
-// verification rule (any copy carrying f+1 valid node signatures is
-// authentic regardless of which peer served it) and overwrite the rotten
-// record in place. Deployments without a verification-key registry fall
-// back to hash-chain anchoring. Called off the consensus event loop.
-func (n *OrderingNode) repairBlockFromPeers(channel string, num uint64) error {
-	if disableScrubRepair.Load() {
-		return errors.New("scrub repair disabled (teeth switch)")
-	}
-	reg := n.cfg.Consensus.Registry
-	if reg == nil {
-		return n.repairBlockAnchored(channel, num)
-	}
-	blocks, err := n.fetcher.FetchRangeVerified(n.done, n.peerAddrs(), channel, num, num+1, reg, n.faults())
-	if err != nil {
-		return fmt.Errorf("scrub repair: fetching %s/%d: %w", channel, num, err)
-	}
-	if len(blocks) != 1 || blocks[0].Header.Number != num {
-		return fmt.Errorf("scrub repair: peers served %d blocks for %s/%d", len(blocks), channel, num)
-	}
-	return n.storage.RepairBlock(channel, blocks[0])
-}
-
-// repairBlockAnchored is the registry-less repair path (multi-process
-// deployments distribute no verification keys): the replacement is
-// authenticated by hash linkage into the locally trusted chain instead of
-// f+1 signatures — the node's own in-memory ledger copy when the block is
-// still inside the retained window, else a peer copy fetched under the
-// hash-chain anchor taken from the intact successor's PrevHash. Adjacent
-// corrupt records heal top-down across scrub passes: each repaired block
-// becomes the next-lower one's anchor.
-func (n *OrderingNode) repairBlockAnchored(channel string, num uint64) error {
-	led := n.Ledger(channel)
-	if led == nil {
-		return fmt.Errorf("scrub repair: no ledger for channel %q", channel)
-	}
-	if b, err := led.Block(num); err == nil {
-		// The durable record is corrupt, so a read-through to disk would
-		// have failed — a successful read means this copy came from the
-		// in-memory window, where it was hash-link-checked at append.
-		return n.storage.RepairBlock(channel, b)
-	}
-	next, err := led.Block(num + 1)
-	if err != nil {
-		return fmt.Errorf("scrub repair: no registry and no trusted anchor above %s/%d: %w", channel, num, err)
-	}
-	blocks, err := n.fetcher.FetchRange(n.done, n.peerAddrs(), channel, num, num+1, next.Header.PrevHash, n.faults())
-	if err != nil {
-		return fmt.Errorf("scrub repair: anchored fetch of %s/%d: %w", channel, num, err)
-	}
-	if len(blocks) != 1 || blocks[0].Header.Number != num {
-		return fmt.Errorf("scrub repair: peers served %d blocks for %s/%d", len(blocks), channel, num)
-	}
-	return n.storage.RepairBlock(channel, blocks[0])
 }
 
 // TriggerScrub requests an immediate scrub pass over the node's durable
@@ -748,23 +666,9 @@ func (n *OrderingNode) Start() {
 		return
 	}
 	// Safe to read the chains directly: the event loop does not exist yet.
-	type gap struct {
-		channel  string
-		from, to uint64
-		anchor   cryptoutil.Digest
-	}
-	var gaps []gap
-	if n.storage != nil {
-		for channel, chain := range n.chains {
-			if h := n.ledger(channel).Height(); h < chain.nextNumber {
-				gaps = append(gaps, gap{channel, h, chain.nextNumber, chain.prevHash})
-			}
-		}
-	}
+	gaps := n.sync.gaps(n.chains)
 	n.replica.Start()
-	for _, g := range gaps {
-		n.maybeBackfill(g.channel, g.from, g.to, g.anchor)
-	}
+	n.sync.fill(gaps)
 	if n.cfg.BlockTimeout > 0 {
 		n.wg.Add(1)
 		go n.ttcLoop()
@@ -777,10 +681,8 @@ func (n *OrderingNode) Stop() {
 		return
 	}
 	if n.started.Load() {
-		n.backfillMu.Lock()
-		n.backfillStopped = true
-		n.backfillMu.Unlock()
 		close(n.done)
+		n.sync.stop()
 		n.wg.Wait()
 		n.replica.Stop()
 	}
@@ -831,7 +733,6 @@ func (n *OrderingNode) chain(channel string) *chainState {
 		chain = &chainState{
 			cutter: fabric.NewBlockCutter(fabric.CutterConfig{
 				MaxEnvelopes: n.cfg.BlockSize,
-				MaxBytes:     n.cfg.MaxBlockBytes,
 			}),
 		}
 		n.chains[channel] = chain
@@ -916,37 +817,6 @@ func (n *OrderingNode) Ledger(channel string) *fabric.Ledger {
 	return n.ledgers[channel]
 }
 
-// forgedChain returns this node's forged history for a channel, grown to at
-// least height blocks. The chain is internally hash-linked from a zero
-// genesis anchor and every block carries only this node's (genuine)
-// signature: it passes per-range hash verification but can never gather an
-// f+1 signature quorum — the property FetchRangeVerified must exploit.
-func (n *OrderingNode) forgedChain(channel string, height uint64) []*fabric.Block {
-	if n.cfg.Key == nil {
-		return nil
-	}
-	n.forgedMu.Lock()
-	defer n.forgedMu.Unlock()
-	chain := n.forged[channel]
-	for uint64(len(chain)) < height {
-		num := uint64(len(chain))
-		var prev cryptoutil.Digest
-		if num > 0 {
-			prev = chain[num-1].Header.Hash()
-		}
-		envs := [][]byte{[]byte("forged:" + channel + ":" + strconv.FormatUint(num, 10))}
-		fb := fabric.NewBlock(num, prev, envs)
-		sig, err := n.cfg.Key.Sign(fb.Header.Hash().Bytes())
-		if err != nil {
-			return nil
-		}
-		fb.Signatures = []fabric.BlockSignature{{SignerID: string(n.ID().Addr()), Signature: sig}}
-		chain = append(chain, fb)
-	}
-	n.forged[channel] = chain
-	return chain
-}
-
 // Rollback undoes tentative executions beyond seq (WHEAT leader changes).
 func (n *OrderingNode) Rollback(seq int64) {
 	snaps, ok := n.history[seq+1]
@@ -1022,7 +892,6 @@ func (n *OrderingNode) Restore(snapshot []byte, _ int64) {
 			nextNumber: r.Uint64(),
 			cutter: fabric.NewBlockCutter(fabric.CutterConfig{
 				MaxEnvelopes: n.cfg.BlockSize,
-				MaxBytes:     n.cfg.MaxBlockBytes,
 			}),
 		}
 		copy(chain.prevHash[:], r.Raw(cryptoutil.DigestSize))
@@ -1044,12 +913,8 @@ func (n *OrderingNode) Restore(snapshot []byte, _ int64) {
 	// durable chain stays contiguous. (During construction-time recovery
 	// the scan runs in Start instead, once the event loop can route fetch
 	// responses.)
-	if n.storage != nil && !n.recovering {
-		for channel, chain := range n.chains {
-			if h := n.ledger(channel).Height(); h < chain.nextNumber {
-				n.maybeBackfill(channel, h, chain.nextNumber, chain.prevHash)
-			}
-		}
+	if !n.recovering {
+		n.sync.fill(n.sync.gaps(n.chains))
 	}
 }
 
@@ -1068,330 +933,10 @@ func (n *OrderingNode) onServiceMessage(m transport.Message) {
 		delete(n.frontends, m.From)
 		n.mu.Unlock()
 	case MsgFetchRequest:
-		// Served off the event loop: the range read may hit disk, and the
-		// ledger is safe for concurrent readers.
-		go n.serveFetch(m.From, m.Payload)
+		go n.sync.serve(m.From, m.Payload)
 	case MsgFetchResponse:
-		n.fetcher.HandleResponse(m.From, m.Payload)
+		n.sync.handleResponse(m.From, m.Payload)
 	}
-}
-
-// serveFetch answers a FetchBlocks request from the node's durable ledger
-// with up to maxFetchBlocks blocks of the requested range. Nodes without
-// durable storage (or without the channel) answer with an empty run so the
-// requester moves on quickly.
-func (n *OrderingNode) serveFetch(from transport.Addr, payload []byte) {
-	req, err := unmarshalFetchRequest(payload)
-	if err != nil {
-		return
-	}
-	resp := fetchResponse{ReqID: req.ReqID, From: req.From}
-	if n.byz.Load().ForgeHistory {
-		n.serveForgedFetch(from, req, resp)
-		return
-	}
-	if req.From == fetchHeadProbe {
-		// Head probe: answer with the newest durable block.
-		if led := n.Ledger(req.Channel); led != nil {
-			if h := led.Height(); h > 0 {
-				if b, err := led.Block(h - 1); err == nil {
-					resp.From = h - 1
-					resp.Blocks = [][]byte{b.Marshal()}
-				}
-			}
-		}
-		n.conn.Send(from, MsgFetchResponse, resp.marshal())
-		return
-	}
-	if led := n.Ledger(req.Channel); led != nil && req.To > req.From {
-		end := req.To
-		if h := led.Height(); end > h {
-			end = h
-		}
-		if end > req.From+maxFetchBlocks {
-			end = req.From + maxFetchBlocks
-		}
-		if end > req.From {
-			blocks, err := led.Range(req.From, end)
-			switch {
-			case err == nil:
-				resp.Blocks = make([][]byte, 0, len(blocks))
-				for _, b := range blocks {
-					if req.SigsOnly {
-						// Signature-only fetch: strip the envelopes. The
-						// header (and thus the signed digest) is untouched,
-						// so the requester can merge these signatures into
-						// its full copy by header-hash match.
-						stripped := &fabric.Block{Header: b.Header, Signatures: b.Signatures}
-						resp.Blocks = append(resp.Blocks, stripped.Marshal())
-						continue
-					}
-					resp.Blocks = append(resp.Blocks, b.Marshal())
-				}
-			default:
-				// Retention compacted the range away: tell the requester
-				// where this node's history now starts.
-				var pe *fabric.PrunedError
-				if errors.As(err, &pe) {
-					resp.Floor = pe.Floor
-				}
-			}
-		}
-	}
-	n.conn.Send(from, MsgFetchResponse, resp.marshal())
-}
-
-// serveForgedFetch answers a fetch request from the node's forged chain
-// (ForgeHistory byzantine behavior). The forged history mirrors the real
-// ledger's height so the node looks plausibly caught-up to head probes.
-func (n *OrderingNode) serveForgedFetch(from transport.Addr, req fetchRequest, resp fetchResponse) {
-	var height uint64
-	if led := n.Ledger(req.Channel); led != nil {
-		height = led.Height()
-	}
-	chain := n.forgedChain(req.Channel, height)
-	if req.From == fetchHeadProbe {
-		if len(chain) > 0 {
-			b := chain[len(chain)-1]
-			resp.From = b.Header.Number
-			resp.Blocks = [][]byte{b.Marshal()}
-		}
-		n.conn.Send(from, MsgFetchResponse, resp.marshal())
-		return
-	}
-	if req.To > req.From {
-		end := req.To
-		if end > height {
-			end = height
-		}
-		if end > req.From+maxFetchBlocks {
-			end = req.From + maxFetchBlocks
-		}
-		for num := req.From; num < end; num++ {
-			resp.Blocks = append(resp.Blocks, chain[num].Marshal())
-		}
-	}
-	n.conn.Send(from, MsgFetchResponse, resp.marshal())
-}
-
-// ---- FetchBlocks back-fill ---------------------------------------------
-
-// maybeBackfill starts (at most one per channel) a background task that
-// fetches blocks [from, to) from peers and appends them to the channel's
-// durable ledger, verified against the post-jump anchor (to, anchor=
-// PrevHash of block to).
-func (n *OrderingNode) maybeBackfill(channel string, from, to uint64, anchor cryptoutil.Digest) {
-	if n.storage == nil || to <= from {
-		return
-	}
-	n.backfillMu.Lock()
-	if n.backfillStopped || n.backfilling[channel] {
-		n.backfillMu.Unlock()
-		return
-	}
-	n.backfilling[channel] = true
-	// The Add happens under backfillMu, which Stop also takes before its
-	// Wait, so a task can never be added after the node began waiting.
-	n.wg.Add(1)
-	n.backfillMu.Unlock()
-	go func() {
-		defer n.wg.Done()
-		n.runBackfill(channel, from, to, anchor)
-		n.backfillMu.Lock()
-		delete(n.backfilling, channel)
-		n.backfillMu.Unlock()
-		// A block may have parked between the final drain and the flag
-		// clearing (or the fill may have failed): re-arm until the chain
-		// is contiguous, so no gap outlives its retry budget silently.
-		n.rearmBackfill(channel)
-	}()
-}
-
-// rearmBackfill restarts the back-fill if parked blocks still sit above a
-// gap in the channel's durable chain.
-func (n *OrderingNode) rearmBackfill(channel string) {
-	n.ledgerMu.Lock()
-	parked := n.parked[channel]
-	led := n.ledgers[channel]
-	low, found := lowestParked(parked)
-	if !found || led == nil {
-		n.ledgerMu.Unlock()
-		return
-	}
-	height := led.Height()
-	anchor := parked[low].Header.PrevHash
-	n.ledgerMu.Unlock()
-	if height < low {
-		n.maybeBackfill(channel, height, low, anchor)
-	}
-}
-
-// runBackfill closes one gap, then drains any blocks that parked above it
-// while it ran.
-//
-// When f+1 peers answer that the bottom of the gap fell below their
-// retention floors, those blocks no longer exist anywhere trustworthy:
-// the node takes the snapshot jump instead — it re-fetches from the
-// cluster's floor, verifies the suffix into its trusted anchor, and
-// rebases its durable chain at the floor (manifest first, so a crash
-// mid-jump recovers the rebased chain). Disk usage then tracks the
-// retained window, not how long the node was down.
-func (n *OrderingNode) runBackfill(channel string, from, to uint64, anchor cryptoutil.Digest) {
-	for {
-		blocks, start, err := n.fetchGap(channel, from, to, anchor)
-		if err != nil {
-			slog.Warn("back-fill fetch failed",
-				"node", int(n.ID()), "shard", n.cfg.ShardID,
-				"channel", channel, "from", from, "to", to-1, "err", err)
-			return
-		}
-		led := n.ledger(channel)
-		if start > from {
-			// The fetched suffix (or, for an empty suffix, the parked
-			// block at `to`) links into the trusted anchor, so its first
-			// PrevHash is a trusted stand-in for the pruned prefix.
-			rebaseAnchor := anchor
-			if len(blocks) > 0 {
-				rebaseAnchor = blocks[0].Header.PrevHash
-			}
-			n.ledgerMu.Lock()
-			err := led.Rebase(start, rebaseAnchor)
-			n.ledgerMu.Unlock()
-			if err != nil {
-				slog.Error("rebase over pruned blocks failed",
-					"node", int(n.ID()), "shard", n.cfg.ShardID,
-					"channel", channel, "from", from, "to", start-1, "err", err)
-				return
-			}
-			slog.Info("blocks pruned cluster-wide; rebased at snapshot floor",
-				"node", int(n.ID()), "shard", n.cfg.ShardID,
-				"channel", channel, "from", from, "to", start-1, "floor", start)
-		}
-		for _, b := range blocks {
-			if err := b.CheckIntegrity(); err != nil {
-				slog.Error("back-fill fetched a corrupt block",
-					"node", int(n.ID()), "shard", n.cfg.ShardID,
-					"channel", channel, "block", b.Header.Number, "err", err)
-				return
-			}
-		}
-		// Enqueue the fetched gap plus every parked block directly above
-		// it as one run: puts commit in call order, so the run's last
-		// token proves the durable prefix reaches the ledger height. (Only
-		// enqueues happen under ledgerMu — the pipeline's persist path
-		// shares it — never an fsync.)
-		n.ledgerMu.Lock()
-		parked := n.parked[channel]
-		top := led.Height()
-		if len(blocks) > 0 {
-			top = max(top, blocks[len(blocks)-1].Header.Number+1)
-		}
-		for b, ok := parked[top]; ok; b, ok = parked[top] {
-			blocks = append(blocks, b)
-			delete(parked, top)
-			top++
-		}
-		var last fabric.DurableToken
-		for _, b := range blocks {
-			if b.Header.Number < led.Height() {
-				continue // raced with a replay duplicate
-			}
-			tok, err := led.AppendSealedAsync(b)
-			if err != nil {
-				n.ledgerMu.Unlock()
-				slog.Error("back-fill append failed",
-					"node", int(n.ID()), "shard", n.cfg.ShardID,
-					"channel", channel, "block", b.Header.Number, "err", err)
-				return
-			}
-			last = tok
-		}
-		// A second state-transfer jump during the fetch leaves a fresh gap
-		// below the blocks still parked: fill it in the next pass.
-		low, again := lowestParked(parked)
-		if again {
-			from, to, anchor = led.Height(), low, parked[low].Header.PrevHash
-		}
-		height := led.Height()
-		n.ledgerMu.Unlock()
-		if n.retention != nil {
-			n.retention.MaybeCompact()
-		}
-		// Without this the watermark stays frozen at the recovery height
-		// whenever the gap closes after traffic stops — the drain only
-		// advances it on newly sealed blocks.
-		n.pipe.markDurable(channel, height, last)
-		if !again {
-			return
-		}
-	}
-}
-
-// lowestParked returns the smallest parked block number.
-func lowestParked(parked map[uint64]*fabric.Block) (uint64, bool) {
-	lowest, found := uint64(0), false
-	for num := range parked {
-		if !found || num < lowest {
-			lowest = num
-			found = true
-		}
-	}
-	return lowest, found
-}
-
-// fetchGap fetches blocks [from, to) for a back-fill, following the
-// cluster's retention floor upward: each time f+1 peers report the
-// bottom of the remaining range pruned, the fetch restarts at the
-// reported floor (strictly increasing, so a moving floor — compaction
-// racing the fetch — cannot loop it). It returns the fetched blocks and
-// the number the fetch actually started at: a start above `from` means
-// the blocks below it are gone cluster-wide and the caller must rebase.
-// A start equal to `to` (with no blocks) means the whole gap is pruned.
-func (n *OrderingNode) fetchGap(channel string, from, to uint64, anchor cryptoutil.Digest) (blocks []*fabric.Block, start uint64, err error) {
-	start = from
-	for {
-		blocks, err = n.fetchGapOnce(channel, start, to, anchor)
-		if err == nil {
-			return blocks, start, nil
-		}
-		var pe *fabric.PrunedError
-		if !errors.As(err, &pe) || pe.Floor <= start {
-			return nil, start, err
-		}
-		start = pe.Floor
-		if start >= to {
-			return nil, to, nil
-		}
-	}
-}
-
-// fetchGapOnce fetches one back-fill range, preferring the signature-
-// verified path when a key registry is configured: blocks land with the
-// f+1 merged signature set the fetch accumulated, so the durable ledger
-// keeps the full released proof instead of just the serving peer's own
-// signature. The verified result must still link into the locally trusted
-// anchor; on any disagreement — or for a range holding unsigned blocks
-// (DisableSigning cells, crash-recovery re-seals) — the anchored
-// hash-chain fetch takes over, which is also the only rule a deployment
-// without a registry runs. An authoritative pruned answer
-// propagates directly (the caller climbs the floor).
-func (n *OrderingNode) fetchGapOnce(channel string, start, to uint64, anchor cryptoutil.Digest) ([]*fabric.Block, error) {
-	peers := n.peerAddrs()
-	f := n.faults()
-	if reg := n.cfg.Consensus.Registry; reg != nil {
-		blocks, err := n.fetcher.FetchRangeVerified(n.done, peers, channel, start, to, reg, f)
-		if err == nil {
-			if fabric.VerifyRange(blocks, start, to, anchor) == nil {
-				return blocks, nil
-			}
-		} else {
-			var pe *fabric.PrunedError
-			if errors.As(err, &pe) {
-				return nil, err
-			}
-		}
-	}
-	return n.fetcher.FetchRange(n.done, peers, channel, start, to, anchor, f)
 }
 
 // MembershipView returns the consensus group the node currently believes

@@ -364,10 +364,9 @@ func (p *pipeline) complete(channel string, epoch uint64, block *fabric.Block, g
 // ever sees blocks this node sealed itself, so the envelope hashes are
 // not re-verified. A block above the ledger height means state transfer
 // jumped the chain past blocks this node never sealed — it is parked
-// until the FetchBlocks back-fill closes the gap beneath it, so the
-// durable chain stays contiguous. Same-channel calls are ordered by the
-// drain's single-flight discipline; ledgerMu is held only for the
-// enqueue, never across the fsync.
+// (blockSync.park). Same-channel calls are ordered by the drain's
+// single-flight discipline; ledgerMu is held only for the enqueue, never
+// across the fsync.
 func (p *pipeline) persist(channel string, block *fabric.Block) fabric.DurableToken {
 	n := p.n
 	led := n.ledger(channel)
@@ -378,20 +377,7 @@ func (p *pipeline) persist(channel string, block *fabric.Block) fabric.DurableTo
 	case block.Header.Number < height:
 		return nil // replay duplicate
 	case block.Header.Number > height:
-		parked, ok := n.parked[channel]
-		if !ok {
-			parked = make(map[uint64]*fabric.Block)
-			n.parked[channel] = parked
-		}
-		parked[block.Header.Number] = block
-		// Re-arm the back-fill on every parked block (a no-op while one is
-		// already running): if an earlier attempt exhausted its retries,
-		// the gap would otherwise persist — and parked blocks accumulate —
-		// for the node's lifetime. The lowest parked block pins the gap's
-		// upper bound and anchor.
-		if low, ok := lowestParked(parked); ok {
-			n.maybeBackfill(channel, height, low, parked[low].Header.PrevHash)
-		}
+		n.sync.park(channel, block)
 		return nil
 	}
 	tok, err := led.AppendSealedAsync(block)

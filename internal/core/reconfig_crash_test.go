@@ -1,6 +1,7 @@
 package core
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -11,8 +12,8 @@ import (
 
 // restartWithStatic boots node i from its data directory with an explicit
 // static membership — simulating an operator whose config file was never
-// updated after a reconfiguration. The durable membership record (when the
-// safe path is on) must override it.
+// updated after a reconfiguration. The durable membership record must
+// override it.
 func restartWithStatic(c *Cluster, i int, members []consensus.ReplicaID) (*OrderingNode, error) {
 	id := c.replicas[i]
 	conn, err := c.Network.Join(id.Addr())
@@ -162,54 +163,82 @@ func TestJoinerCrashMidCatchUpRejoins(t *testing.T) {
 	}
 }
 
-// TestUnsafeMembershipRecoveryLosesMember is the teeth test: with the
-// durable-membership path artificially disabled, the same crash that
-// TestReconfigSurvivesCrashBeforeCheckpoint recovers from silently loses
-// the added member — the node restarts into its stale static group. Turning
-// the safe path back on heals the same data directory.
+// recoveredView constructs node i from dir with an explicit static
+// membership, never starts it, and returns the membership view recovery
+// alone arrived at — before any peer could teach the node anything.
+func recoveredView(t *testing.T, c *Cluster, i int, dir string, members []consensus.ReplicaID) consensus.MembershipView {
+	t.Helper()
+	id := c.replicas[i]
+	conn, err := c.Network.Join(id.Addr())
+	if err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	defer c.Network.Disconnect(id.Addr())
+	node, err := NewNode(NodeConfig{
+		Consensus: consensus.Config{SelfID: id, Replicas: members, Key: c.keys[i], Registry: c.Registry},
+		BlockSize: 2,
+		Key:       c.keys[i],
+		DataDir:   dir,
+	}, conn)
+	if err != nil {
+		t.Fatalf("recover node %d from %s: %v", i, dir, err)
+	}
+	defer node.Stop()
+	return node.MembershipView()
+}
+
+// TestUnsafeMembershipRecoveryLosesMember is the teeth test of the durable
+// membership path, with no switch in production code: the same node with
+// the same stale static config is recovered from two data directories. A
+// copy taken before the add — the state a node is in when the apply was
+// never made durable — forgets the new member; its real directory, which
+// holds the membership record and the reconfig decision, remembers it.
+// What TestReconfigSurvivesCrashBeforeCheckpoint recovers is therefore
+// the durable record's doing, not the static config's or luck's.
 func TestUnsafeMembershipRecoveryLosesMember(t *testing.T) {
 	c := testCluster(t, ClusterConfig{Nodes: 4, BlockSize: 2, DataDir: t.TempDir()})
 	original := append([]consensus.ReplicaID(nil), c.Replicas()...)
 	fe := testFrontend(t, c, "frontend-0", false)
 	stream := deliverNewest(t, fe, "ch1")
-	for i := 0; i < 4; i++ {
-		if st := fe.Broadcast(mkEnvelope("ch1", i, 32)); st != fabric.StatusSuccess {
-			t.Fatalf("broadcast %d: %v", i, st)
+	submit := func(from, count int) {
+		t.Helper()
+		for i := from; i < from+count; i++ {
+			if st := fe.Broadcast(mkEnvelope("ch1", i, 32)); st != fabric.StatusSuccess {
+				t.Fatalf("broadcast %d: %v", i, st)
+			}
 		}
+		collectBlocks(t, stream, count, 15*time.Second)
 	}
-	collectBlocks(t, stream, 4, 15*time.Second)
+	submit(0, 4) // blocks 0..1
 
+	c.KillNode(3)
+	before := t.TempDir()
+	if err := os.CopyFS(before, os.DirFS(c.NodeDataDir(3))); err != nil {
+		t.Fatalf("copying node 3's data directory: %v", err)
+	}
+	if err := c.RestartNode(3); err != nil {
+		t.Fatalf("restart node 3: %v", err)
+	}
 	ni, err := c.AddNode()
 	if err != nil {
 		t.Fatalf("add node: %v", err)
 	}
 	added := c.replicas[ni]
+	waitMembers(t, c.Nodes[3], 5, 10*time.Second)
+	// A block persisted after the add proves the reconfig decision before
+	// it is on node 3's disk (decisions gate the blocks they seal, FIFO).
+	submit(4, 2) // block 2
+	waitLedgerHeight(t, c.Nodes[3], "ch1", 3, 15*time.Second)
 	c.KillNode(3)
 
-	// Unsafe mode: recovery ignores the membership record and skips
-	// replayed reconfig decisions, as if the apply had never been durable.
-	consensus.SetUnsafeMembershipRecovery(true)
-	defer consensus.SetUnsafeMembershipRecovery(false)
-	node, err := restartWithStatic(c, 3, original)
-	if err != nil {
-		t.Fatalf("unsafe restart: %v", err)
-	}
-	v := node.MembershipView()
+	v := recoveredView(t, c, 3, before, original)
 	if containsReplica(v.Members, added) || len(v.Members) != 4 || v.Epoch != 0 {
-		t.Fatalf("unsafe recovery kept the reconfig (members %v, epoch %d); the teeth switch is not biting",
+		t.Fatalf("recovery without the durable apply kept the reconfig (members %v, epoch %d); the test has no teeth",
 			v.Members, v.Epoch)
 	}
-
-	// Same directory, safe path: the durable record restores the group.
-	c.KillNode(3)
-	consensus.SetUnsafeMembershipRecovery(false)
-	node, err = restartWithStatic(c, 3, original)
-	if err != nil {
-		t.Fatalf("safe restart: %v", err)
-	}
-	v = waitMembers(t, node, 5, 10*time.Second)
-	if !containsReplica(v.Members, added) || v.Epoch == 0 {
-		t.Fatalf("safe recovery lost the reconfig (members %v, epoch %d)", v.Members, v.Epoch)
+	v = recoveredView(t, c, 3, c.NodeDataDir(3), original)
+	if !containsReplica(v.Members, added) || len(v.Members) != 5 || v.Epoch == 0 {
+		t.Fatalf("recovery from the real directory lost the reconfig (members %v, epoch %d)", v.Members, v.Epoch)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/transport"
 )
 
 // flipByteAt XORs one bit at off in path — at-rest corruption injected
@@ -141,7 +142,7 @@ func TestScrubRepairAnchoredWithoutRegistry(t *testing.T) {
 	victim := c.Nodes[victimID]
 	waitWatermark()
 	// Registry-less mode: repair must fall back to hash-chain anchoring.
-	victim.cfg.Consensus.Registry = nil
+	victim.sync.registry = nil
 
 	path, off, length, err := victim.BlockSpan("ch1", 1)
 	if err != nil {
@@ -173,12 +174,10 @@ func TestScrubRepairAnchoredWithoutRegistry(t *testing.T) {
 }
 
 // TestScrubRepairDisabledLeavesCorruption proves the repair path (not the
-// detection path) does the healing: with the teeth switch on, the same
-// scrub detects the rot but must NOT repair it.
+// detection path) does the healing: with every fetch response addressed
+// to the victim lost on the network, the same scrub detects the rot but
+// cannot repair it — no peer, no heal.
 func TestScrubRepairDisabledLeavesCorruption(t *testing.T) {
-	SetScrubRepairDisabled(true)
-	defer SetScrubRepairDisabled(false)
-
 	c := testCluster(t, ClusterConfig{Nodes: 4, BlockSize: 2, DataDir: t.TempDir()})
 	fe := testFrontend(t, c, "frontend-0", false)
 	stream := deliverNewest(t, fe, "ch1")
@@ -197,19 +196,25 @@ func TestScrubRepairDisabledLeavesCorruption(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+	addr := victim.ID().Addr()
+	c.Network.SetDrop(func(m transport.Message) bool {
+		return m.Type == MsgFetchResponse && m.To == addr
+	})
 	path, off, length, err := victim.BlockSpan("ch1", 1)
 	if err != nil {
 		t.Fatalf("block span: %v", err)
 	}
 	flipByteAt(t, path, off+length-1)
 
+	// The pass publishes its result once the repair attempt has run out of
+	// peers: every request waits out its window timeout, over every pass.
 	victim.TriggerScrub()
-	deadline = time.Now().Add(5 * time.Second)
+	deadline = time.Now().Add(fetchRounds * 4 * (fetchWindowTimeout + time.Second))
 	for {
 		last := victim.LastScrub()
 		if len(last.Corrupt) > 0 {
 			if len(last.Repaired) != 0 {
-				t.Fatalf("scrub repaired %+v with repair disabled", last.Repaired)
+				t.Fatalf("scrub repaired %+v with no peer reachable", last.Repaired)
 			}
 			break
 		}
@@ -219,6 +224,6 @@ func TestScrubRepairDisabledLeavesCorruption(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	if _, err := victim.DurableBlock("ch1", 1); err == nil {
-		t.Fatal("record readable again despite repair being disabled")
+		t.Fatal("record readable again despite no peer being reachable")
 	}
 }

@@ -15,18 +15,12 @@ import (
 type SoloConfig struct {
 	// BlockSize bounds envelopes per block.
 	BlockSize int
-	// MaxBlockBytes optionally bounds block bytes.
-	MaxBlockBytes int
 	// BlockTimeout cuts partial blocks.
 	BlockTimeout time.Duration
 	// SigningWorkers sizes the signing pool.
 	SigningWorkers int
 	// Key signs block headers. Required.
 	Key *cryptoutil.KeyPair
-	// HistoryLimit bounds the delivered blocks retained per channel for
-	// Deliver seeks (default DefaultHistoryLimit). The solo orderer has no
-	// durable ledger; seeks below the retained window fail.
-	HistoryLimit int
 }
 
 // SoloOrderer is HLF's centralized, non-replicated ordering service
@@ -72,9 +66,6 @@ func NewSoloOrderer(cfg SoloConfig) (*SoloOrderer, error) {
 	}
 	if cfg.SigningWorkers <= 0 {
 		cfg.SigningWorkers = 16
-	}
-	if cfg.HistoryLimit <= 0 {
-		cfg.HistoryLimit = DefaultHistoryLimit
 	}
 	signer, err := cryptoutil.NewSigningPool(cfg.Key, cfg.SigningWorkers)
 	if err != nil {
@@ -137,7 +128,6 @@ func (s *SoloOrderer) chainLocked(channel string) *chainState {
 		chain = &chainState{
 			cutter: fabric.NewBlockCutter(fabric.CutterConfig{
 				MaxEnvelopes: s.cfg.BlockSize,
-				MaxBytes:     s.cfg.MaxBlockBytes,
 				Timeout:      s.cfg.BlockTimeout,
 			}),
 		}
@@ -205,7 +195,7 @@ func (s *SoloOrderer) deliverSigned(channel string, block *fabric.Block) {
 		}
 	}
 	// Trim with slack so the copy amortizes across deliveries.
-	if over := len(hist) - s.cfg.HistoryLimit; over > s.cfg.HistoryLimit/4 {
+	if over := len(hist) - DefaultHistoryLimit; over > DefaultHistoryLimit/4 {
 		hist = append(hist[:0:0], hist[over:]...)
 	}
 	s.history[channel] = hist
@@ -236,8 +226,9 @@ func (s *SoloOrderer) Deliver(channel string, seek fabric.SeekInfo) (*fabric.Blo
 }
 
 // deliverLoop replays the retained history then tails live blocks through
-// the shared streamDeliverer. The solo orderer has no fetch path: history
-// below the retained window fails the stream with fabric.ErrBlockNotFound.
+// the shared streamDeliverer. The solo orderer has no history source:
+// blocks below the retained window fail the stream with
+// fabric.ErrBlockNotFound.
 func (s *SoloOrderer) deliverLoop(channel string, seek fabric.SeekInfo, hist []*fabric.Block, q *blockQueue, stream *fabric.BlockStream) {
 	defer s.wg.Done()
 	defer s.dropSub(channel, q, stream)

@@ -173,7 +173,8 @@ type SeekInfo struct {
 	// Start is the first block number, meaningful with SeekSpecified.
 	Start uint64
 	// Stop is the last block delivered (inclusive) when HasStop is set;
-	// the stream then closes with a nil error.
+	// the stream then closes with a nil error. math.MaxUint64 is never
+	// reached, so it means "no stop" (Fabric's idiom for a tailing stream).
 	Stop    uint64
 	HasStop bool
 }

@@ -19,8 +19,6 @@ type OSNConfig struct {
 	Cluster *Cluster
 	// BlockSize bounds envelopes per block.
 	BlockSize int
-	// MaxBlockBytes optionally bounds block bytes.
-	MaxBlockBytes int
 	// BlockTimeout cuts partial blocks through ordered time-to-cut
 	// markers, exactly like Fabric's Kafka orderer posts TTC messages to
 	// the partition.
@@ -133,7 +131,6 @@ func (o *OSN) track(channel string) {
 		o.chains[channel] = &osnChain{
 			cutter: fabric.NewBlockCutter(fabric.CutterConfig{
 				MaxEnvelopes: o.cfg.BlockSize,
-				MaxBytes:     o.cfg.MaxBlockBytes,
 			}),
 		}
 	}
