@@ -14,6 +14,7 @@ package chaos
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -246,14 +247,50 @@ func (e *Env) noteDelivered(k loadKey) {
 }
 
 // ackedUndelivered counts acked envelopes not yet seen in the canonical
-// chain and returns one example for the violation message.
-func (e *Env) ackedUndelivered() (int, loadKey) {
+// chain and returns the lowest and highest of them in (client, seq) order
+// for the violation message.
+func (e *Env) ackedUndelivered() (pending int, lowest, highest loadKey) {
 	e.ackMu.Lock()
 	defer e.ackMu.Unlock()
-	for k := range e.ackPending {
-		return len(e.ackPending), k
+	before := func(a, b loadKey) bool {
+		return a.client < b.client || a.client == b.client && a.seq < b.seq
 	}
-	return 0, loadKey{}
+	first := true
+	for k := range e.ackPending {
+		if first || before(k, lowest) {
+			lowest = k
+		}
+		if first || before(highest, k) {
+			highest = k
+		}
+		first = false
+	}
+	return len(e.ackPending), lowest, highest
+}
+
+// progress describes how far every stage of the block path got — each live
+// node's ledger height, persist watermark and consensus state, the
+// canonical chain, both frontends' release cursors — so that a violation
+// about undelivered writes says whether the nodes stopped ordering (and in
+// which protocol state), a frontend stopped releasing, or everything moved
+// on without the write.
+func (e *Env) progress() string {
+	var b strings.Builder
+	for i := 0; i < e.NodeCount(); i++ {
+		n, _ := e.Node(i)
+		if n == nil {
+			fmt.Fprintf(&b, "node %d down; ", i)
+			continue
+		}
+		height := uint64(0)
+		if led := n.Ledger(e.Channel); led != nil {
+			height = led.Height()
+		}
+		fmt.Fprintf(&b, "node %d ledger %d persisted %d {%s}; ", i, height, n.PersistWatermark(e.Channel), consensus.DebugSnapshot(n.Replica()))
+	}
+	fmt.Fprintf(&b, "canonical height %d, observer released %d, load frontend released %d",
+		e.CanonHeight(), e.Observer.ReleasedHeight(e.Channel), e.LoadFE.ReleasedHeight(e.Channel))
+	return b.String()
 }
 
 // Done closes when the fault-injection window ends; faults and invariant

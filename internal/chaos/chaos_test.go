@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"os"
 	"testing"
 
@@ -57,7 +58,32 @@ func assertPass(t *testing.T, res Result) {
 // TestChaosSmoke is the CI gate: the fault-free scenario must hold every
 // invariant — any failure here is a harness bug, not an injected fault.
 func TestChaosSmoke(t *testing.T) {
-	assertPass(t, runScenario(t, "baseline", nil))
+	assertPass(t, runScenario(t, "baseline", func(e *Env) {
+		// What a no-silent-loss violation would print, checked on a run
+		// where the truth is known: nothing is pending until three acks are
+		// planted, and on a quiesced healthy cluster every stage of the
+		// block path reports the same height.
+		if pending, _, _ := e.ackedUndelivered(); pending != 0 {
+			t.Errorf("%d acked envelopes undelivered after a fault-free run", pending)
+		}
+		e.noteAcked(loadKey{"ghost-b", 3})
+		e.noteAcked(loadKey{"ghost-a", 9})
+		e.noteAcked(loadKey{"ghost-a", 4})
+		pending, lowest, highest := e.ackedUndelivered()
+		if pending != 3 || lowest != (loadKey{"ghost-a", 4}) || highest != (loadKey{"ghost-b", 3}) {
+			t.Errorf("ackedUndelivered = %d, %v, %v", pending, lowest, highest)
+		}
+		h := e.CanonHeight()
+		want := ""
+		for i := 0; i < e.NodeCount(); i++ {
+			n, _ := e.Node(i)
+			want += fmt.Sprintf("node %d ledger %d persisted %d {%s}; ", i, h, h, consensus.DebugSnapshot(n.Replica()))
+		}
+		want += fmt.Sprintf("canonical height %d, observer released %d, load frontend released %d", h, h, h)
+		if got := e.progress(); got != want {
+			t.Errorf("progress() = %q, want %q", got, want)
+		}
+	}))
 }
 
 func TestPartitionHealScenario(t *testing.T) {

@@ -278,13 +278,13 @@ func NoSilentLoss() Invariant {
 		Stop: func(e *Env) {
 			deadline := time.Now().Add(15 * time.Second)
 			for {
-				pending, sample := e.ackedUndelivered()
+				pending, lowest, highest := e.ackedUndelivered()
 				if pending == 0 {
 					return
 				}
 				if time.Now().After(deadline) {
-					e.Violate(name, "%d acked envelopes never delivered (e.g. client %s seq %d): an acknowledged write was silently lost",
-						pending, sample.client, sample.seq)
+					e.Violate(name, "%d acked envelopes never delivered (lowest client %s seq %d, highest client %s seq %d): an acknowledged write was silently lost, or the chain stalled [%s]",
+						pending, lowest.client, lowest.seq, highest.client, highest.seq, e.progress())
 					return
 				}
 				time.Sleep(100 * time.Millisecond)

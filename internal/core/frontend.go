@@ -248,6 +248,19 @@ func (f *Frontend) Stats() FrontendStats {
 	}
 }
 
+// ReleasedHeight returns the frontend's release cursor for a channel: the
+// number of the next block it will release (every block below it has been
+// released or skipped). Diagnostics use it to tell a stalled release from
+// a lost write.
+func (f *Frontend) ReleasedHeight(channel string) uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if ch, ok := f.chans[channel]; ok {
+		return ch.nextDeliver
+	}
+	return 0
+}
+
 var _ fabric.Orderer = (*Frontend)(nil)
 
 // serves reports whether the frontend accepts traffic for a channel.

@@ -11,10 +11,11 @@ type InProcConfig struct {
 	// Latency supplies the one-way propagation delay per link. Nil means
 	// instantaneous delivery.
 	Latency LatencyModel
-	// EgressBytesPerSec, when > 0, models each sender's NIC: outgoing
-	// messages are serialized per sender and each occupies the link for
-	// size/rate seconds before propagation starts. 125_000_000 models the
-	// paper's Gigabit Ethernet.
+	// EgressBytesPerSec, when > 0, models each sender's NIC: a message
+	// occupies it for size/rate seconds after everything its sender sent
+	// before, then propagates. Send charges the time arithmetically (no
+	// goroutine, no sleep), so a flooded link carries exactly this rate.
+	// 125_000_000 models the paper's Gigabit Ethernet.
 	EgressBytesPerSec int64
 }
 
@@ -22,10 +23,13 @@ type InProcConfig struct {
 const GigabitEthernet int64 = 125_000_000
 
 // InProcNetwork is an in-memory network hub. Endpoints Join with a unique
-// address; messages flow through per-sender egress serializers (bandwidth
-// model), a propagation delay (latency model), and per-receiver unbounded
-// mailboxes. Sends never block the sender beyond the bandwidth model, which
-// matches the asynchronous-network model of the BFT-SMaRt protocol stack.
+// address. Send computes the instant a message is due at its receiver — the
+// sender's NIC free time (bandwidth model) plus the propagation delay
+// (latency model), never before the previous message of the same link — and
+// the network's one delivery scheduler puts it into the receiver's unbounded
+// mailbox at that instant; a message due at once is put there inline. Sends
+// never block, which matches the asynchronous-network model of BFT-SMaRt.
+// A network runs one goroutine per endpoint (its mailbox) plus the scheduler.
 type InProcNetwork struct {
 	cfg InProcConfig
 
@@ -36,16 +40,7 @@ type InProcNetwork struct {
 	latency LatencyModel
 	closed  bool
 
-	// links serialize delayed deliveries per (from, to) pair so that
-	// latency never reorders a link (TCP semantics). Created lazily.
-	linkMu sync.Mutex
-	links  map[linkKey]*link
-	done   chan struct{}
-	pumps  sync.WaitGroup
-}
-
-type linkKey struct {
-	from, to Addr
+	sched scheduler
 }
 
 // NewInProcNetwork creates a hub with the given configuration.
@@ -53,13 +48,13 @@ func NewInProcNetwork(cfg InProcConfig) *InProcNetwork {
 	if cfg.Latency == nil {
 		cfg.Latency = ZeroLatency()
 	}
-	return &InProcNetwork{
+	n := &InProcNetwork{
 		cfg:     cfg,
 		latency: cfg.Latency,
 		peers:   make(map[Addr]*inprocConn),
-		links:   make(map[linkKey]*link),
-		done:    make(chan struct{}),
 	}
+	n.sched.start(newAlarm())
+	return n
 }
 
 // Join attaches a new endpoint to the network.
@@ -72,14 +67,17 @@ func (n *InProcNetwork) Join(addr Addr) (Conn, error) {
 	if _, ok := n.peers[addr]; ok {
 		return nil, fmt.Errorf("join %q: %w", addr, ErrDuplicate)
 	}
-	c := newInprocConn(n, addr)
+	c := &inprocConn{net: n, addr: addr, mailbox: newMailbox(), last: make(map[Addr]time.Duration)}
 	n.peers[addr] = c
 	return c, nil
 }
 
 // SetFilter installs a delivery predicate: messages for which filter returns
 // false are dropped. Passing nil removes the filter. Used by the fault
-// injection tests (drops, partitions, Byzantine link behaviour).
+// injection tests (drops, partitions, Byzantine link behaviour). Filter and
+// drop predicate are evaluated exactly once per message, inside Send: a
+// message that passed is delivered even if the filter changes while it is
+// in flight, and a dropped one has still occupied its sender's NIC.
 func (n *InProcNetwork) SetFilter(filter func(Message) bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -99,7 +97,8 @@ func (n *InProcNetwork) SetDrop(drop func(Message) bool) {
 
 // SetLatency swaps the propagation-delay model at runtime. Nil restores
 // instantaneous delivery. In-flight messages keep the delay they were
-// assigned at send time; only subsequent sends observe the new model.
+// assigned at send time; only subsequent sends observe the new model (and
+// still never overtake an earlier message of their link).
 func (n *InProcNetwork) SetLatency(model LatencyModel) {
 	if model == nil {
 		model = ZeroLatency()
@@ -111,7 +110,8 @@ func (n *InProcNetwork) SetLatency(model LatencyModel) {
 
 // Partition drops every message crossing between the two groups, in both
 // directions. Endpoints not listed in either group communicate freely with
-// everyone. Calling Heal removes the partition.
+// everyone. Calling Heal removes the partition. Like every filter it applies
+// at Send: messages already in flight when the partition starts arrive.
 func (n *InProcNetwork) Partition(groupA, groupB []Addr) {
 	inA := make(map[Addr]bool, len(groupA))
 	for _, a := range groupA {
@@ -136,7 +136,8 @@ func (n *InProcNetwork) Partition(groupA, groupB []Addr) {
 func (n *InProcNetwork) Heal() { n.SetFilter(nil) }
 
 // Disconnect forcefully detaches an endpoint (models a crash: in-flight and
-// future messages to it are dropped).
+// future messages to it are dropped, also when the address is joined again
+// before they are due).
 func (n *InProcNetwork) Disconnect(addr Addr) {
 	n.mu.Lock()
 	c, ok := n.peers[addr]
@@ -145,11 +146,12 @@ func (n *InProcNetwork) Disconnect(addr Addr) {
 	}
 	n.mu.Unlock()
 	if ok {
-		c.shutdown()
+		c.mailbox.close()
 	}
 }
 
-// Close shuts down the hub and all endpoints.
+// Close shuts down the hub and all endpoints. Deliveries still pending are
+// dropped.
 func (n *InProcNetwork) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -157,129 +159,15 @@ func (n *InProcNetwork) Close() error {
 		return nil
 	}
 	n.closed = true
-	peers := make([]*inprocConn, 0, len(n.peers))
-	for _, c := range n.peers {
-		peers = append(peers, c)
-	}
+	peers := n.peers
 	n.peers = make(map[Addr]*inprocConn)
 	n.mu.Unlock()
 
 	for _, c := range peers {
-		c.shutdown()
+		c.mailbox.close()
 	}
-	close(n.done)
-	n.pumps.Wait()
+	n.sched.stop()
 	return nil
-}
-
-// route is called by a sender's egress stage to deliver a message after the
-// propagation delay.
-func (n *InProcNetwork) route(m Message) {
-	n.mu.RLock()
-	filter := n.filter
-	drop := n.drop
-	latency := n.latency
-	closed := n.closed
-	n.mu.RUnlock()
-	if closed {
-		return
-	}
-	if filter != nil && !filter(m) {
-		return
-	}
-	if drop != nil && drop(m) {
-		return
-	}
-	delay := latency.Delay(m.From, m.To)
-	if delay <= 0 {
-		// Zero-delay links deliver inline: the caller is the sender's
-		// goroutine (or its egress pump), so per-link order is preserved.
-		n.deliver(m)
-		return
-	}
-	n.link(m.From, m.To).enqueue(m, time.Now().Add(delay))
-}
-
-// link returns (creating if needed) the FIFO delivery pump for a pair.
-func (n *InProcNetwork) link(from, to Addr) *link {
-	key := linkKey{from: from, to: to}
-	n.linkMu.Lock()
-	defer n.linkMu.Unlock()
-	l, ok := n.links[key]
-	if !ok {
-		l = newLink(n)
-		n.links[key] = l
-	}
-	return l
-}
-
-// link delivers one direction of one endpoint pair in FIFO order, each
-// message no earlier than its release time. A later-sent message never
-// overtakes an earlier one even when jitter hands it a smaller delay.
-type link struct {
-	net    *InProcNetwork
-	mu     sync.Mutex
-	queue  []timedMessage
-	notify chan struct{}
-}
-
-type timedMessage struct {
-	msg     Message
-	release time.Time
-}
-
-func newLink(n *InProcNetwork) *link {
-	l := &link{net: n, notify: make(chan struct{}, 1)}
-	n.pumps.Add(1)
-	go l.pump()
-	return l
-}
-
-func (l *link) enqueue(m Message, release time.Time) {
-	l.mu.Lock()
-	l.queue = append(l.queue, timedMessage{msg: m, release: release})
-	l.mu.Unlock()
-	select {
-	case l.notify <- struct{}{}:
-	default:
-	}
-}
-
-func (l *link) pump() {
-	defer l.net.pumps.Done()
-	for {
-		l.mu.Lock()
-		if len(l.queue) == 0 {
-			l.mu.Unlock()
-			select {
-			case <-l.notify:
-				continue
-			case <-l.net.done:
-				return
-			}
-		}
-		tm := l.queue[0]
-		l.queue = l.queue[1:]
-		l.mu.Unlock()
-
-		if wait := time.Until(tm.release); wait > 0 {
-			select {
-			case <-time.After(wait):
-			case <-l.net.done:
-				return
-			}
-		}
-		l.net.deliver(tm.msg)
-	}
-}
-
-func (n *InProcNetwork) deliver(m Message) {
-	n.mu.RLock()
-	dst, ok := n.peers[m.To]
-	n.mu.RUnlock()
-	if ok {
-		dst.mailbox.put(m)
-	}
 }
 
 // inprocConn is one endpoint of an InProcNetwork.
@@ -287,34 +175,62 @@ type inprocConn struct {
 	net     *InProcNetwork
 	addr    Addr
 	mailbox *mailbox
-	egress  *egress
 
-	closeOnce sync.Once
-}
-
-func newInprocConn(n *InProcNetwork, addr Addr) *inprocConn {
-	c := &inprocConn{
-		net:     n,
-		addr:    addr,
-		mailbox: newMailbox(),
-	}
-	if n.cfg.EgressBytesPerSec > 0 {
-		c.egress = newEgress(n.cfg.EgressBytesPerSec, n.route)
-	}
-	return c
+	mu   sync.Mutex
+	free time.Duration          // when the NIC has sent everything charged so far
+	last map[Addr]time.Duration // per destination: release time of the newest message
 }
 
 var _ Conn = (*inprocConn)(nil)
 
 func (c *inprocConn) Addr() Addr { return c.addr }
 
+// Send decides the message's fate and its release time on the spot: closed
+// network, filter, loss model and destination are looked at now, the NIC is
+// charged now, the delay is drawn now.
 func (c *inprocConn) Send(to Addr, msgType uint16, payload []byte) {
 	m := Message{From: c.addr, To: to, Type: msgType, Payload: payload}
-	if c.egress != nil {
-		c.egress.enqueue(m)
+	n := c.net
+	n.mu.RLock()
+	dst, filter, drop, latency, closed := n.peers[to], n.filter, n.drop, n.latency, n.closed
+	n.mu.RUnlock()
+	if closed {
 		return
 	}
-	c.net.route(m)
+	pass := (filter == nil || filter(m)) && (drop == nil || !drop(m)) && dst != nil
+	var delay time.Duration
+	if pass {
+		delay = latency.Delay(c.addr, to)
+	}
+
+	now := n.sched.now()
+	release := now
+	c.mu.Lock()
+	if rate := n.cfg.EgressBytesPerSec; rate > 0 {
+		// Absolute arithmetic: an idle NIC starts now, a busy one when it
+		// is free, and nobody sleeps, so no overshoot accumulates.
+		c.free = max(c.free, now) + time.Duration(m.Size())*time.Second/time.Duration(rate)
+		release = c.free
+	}
+	if !pass {
+		c.mu.Unlock()
+		return
+	}
+	// A link is FIFO (TCP semantics): a message that drew a smaller delay
+	// than its predecessor is due together with it, not before it.
+	release = max(release+delay, c.last[to])
+	if release > now {
+		c.last[to] = release
+	}
+	c.mu.Unlock()
+
+	if release <= now {
+		// The caller is the sender's goroutine and nothing of this link is
+		// pending, so inline delivery keeps per-link order.
+		dst.mailbox.put(m)
+		return
+	}
+	n.sched.push(delivery{release: release, msg: m, dst: dst.mailbox})
 }
 
 func (c *inprocConn) Inbox() <-chan Message { return c.mailbox.out }
@@ -323,17 +239,8 @@ func (c *inprocConn) Close() error {
 	c.net.mu.Lock()
 	delete(c.net.peers, c.addr)
 	c.net.mu.Unlock()
-	c.shutdown()
+	c.mailbox.close()
 	return nil
-}
-
-func (c *inprocConn) shutdown() {
-	c.closeOnce.Do(func() {
-		if c.egress != nil {
-			c.egress.stop()
-		}
-		c.mailbox.close()
-	})
 }
 
 // mailbox is an unbounded FIFO of messages with a channel-based reader side.
@@ -413,89 +320,135 @@ func (mb *mailbox) close() {
 	mb.wg.Wait()
 }
 
-// egress serializes a sender's outgoing messages at a fixed byte rate,
-// modelling NIC transmission time. Messages wait FIFO for the virtual link,
-// occupy it for size/rate, then enter propagation (handled by route).
-type egress struct {
-	rate int64 // bytes per second
-	emit func(Message)
-
-	mu     sync.Mutex
-	queue  []Message
-	notify chan struct{}
-	done   chan struct{}
-	closed bool
-	wg     sync.WaitGroup
+// delivery is one message on its way: due in dst at release.
+type delivery struct {
+	release time.Duration // on the scheduler's clock
+	seq     uint64        // push order; breaks release ties first-in first-out
+	msg     Message
+	dst     *mailbox
 }
 
-func newEgress(rate int64, emit func(Message)) *egress {
-	e := &egress{
-		rate:   rate,
-		emit:   emit,
-		notify: make(chan struct{}, 1),
-		done:   make(chan struct{}),
-	}
-	e.wg.Add(1)
-	go e.run()
-	return e
+// alarm is how the scheduler waits. set arms it to fire in d, replacing what
+// it was armed for, also while a wait is on; wait returns false once stopped.
+type alarm interface {
+	set(d time.Duration)
+	wait() bool
+	stop()
 }
 
-func (e *egress) enqueue(m Message) {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.queue = append(e.queue, m)
-	e.mu.Unlock()
+// timerAlarm is the portable alarm, a runtime timer.
+type timerAlarm struct {
+	timer *time.Timer
+	done  chan struct{}
+}
+
+func newTimerAlarm() alarm { return timerAlarm{time.NewTimer(time.Hour), make(chan struct{})} }
+
+func (a timerAlarm) set(d time.Duration) { a.timer.Reset(d) }
+func (a timerAlarm) stop()               { close(a.done) }
+func (a timerAlarm) wait() bool {
 	select {
-	case e.notify <- struct{}{}:
-	default:
+	case <-a.timer.C:
+		return true
+	case <-a.done:
+		return false
 	}
 }
 
-func (e *egress) run() {
-	defer e.wg.Done()
-	// debt accumulates sub-millisecond transmission times so that small
-	// messages are charged accurately without a timer per message.
-	var debt time.Duration
-	const sleepGranularity = 200 * time.Microsecond
+// scheduler releases deliveries in (release, seq) order from one goroutine,
+// which sleeps on an alarm set for the earliest pending release; a push
+// that becomes the earliest sets it anew.
+type scheduler struct {
+	epoch time.Time // release times are monotonic durations since epoch
+
+	mu    sync.Mutex
+	heap  []delivery // min-heap on (release, seq)
+	seq   uint64     // next push's seq
+	alarm alarm      // set under mu, so the latest set is for the current head
+	wg    sync.WaitGroup
+}
+
+func (s *scheduler) start(a alarm) {
+	s.epoch = time.Now()
+	s.alarm = a
+	s.wg.Add(1)
+	go s.run()
+}
+
+// stop ends the scheduler's goroutine; what is pending is dropped.
+func (s *scheduler) stop() {
+	s.alarm.stop()
+	s.wg.Wait()
+}
+
+func (s *scheduler) now() time.Duration { return time.Since(s.epoch) }
+
+func (s *scheduler) push(d delivery) {
+	s.mu.Lock()
+	d.seq = s.seq
+	s.seq++
+	i := len(s.heap)
+	s.heap = append(s.heap, d)
+	for i > 0 && s.less(i, (i-1)/2) {
+		s.heap[i], s.heap[(i-1)/2] = s.heap[(i-1)/2], s.heap[i]
+		i = (i - 1) / 2
+	}
+	if i == 0 {
+		s.alarm.set(d.release - s.now())
+	}
+	s.mu.Unlock()
+}
+
+func (s *scheduler) less(i, j int) bool {
+	a, b := &s.heap[i], &s.heap[j]
+	return a.release < b.release || a.release == b.release && a.seq < b.seq
+}
+
+// pop removes the earliest delivery. The heap must not be empty.
+func (s *scheduler) pop() delivery {
+	d := s.heap[0]
+	n := len(s.heap) - 1
+	s.heap[0] = s.heap[n]
+	s.heap[n] = delivery{} // drop the payload reference
+	s.heap = s.heap[:n]
+	for i := 0; ; {
+		child := 2*i + 1
+		if child+1 < n && s.less(child+1, child) {
+			child++
+		}
+		if child >= n || !s.less(child, i) {
+			return d
+		}
+		s.heap[i], s.heap[child] = s.heap[child], s.heap[i]
+		i = child
+	}
+}
+
+func (s *scheduler) run() {
+	defer s.wg.Done()
+	var due []delivery
 	for {
-		e.mu.Lock()
-		if len(e.queue) == 0 {
-			e.mu.Unlock()
-			select {
-			case <-e.notify:
-				continue
-			case <-e.done:
-				return
-			}
+		s.mu.Lock()
+		now := s.now()
+		for len(s.heap) > 0 && s.heap[0].release <= now {
+			due = append(due, s.pop())
 		}
-		m := e.queue[0]
-		e.queue = e.queue[1:]
-		e.mu.Unlock()
-
-		debt += time.Duration(float64(m.Size()) / float64(e.rate) * float64(time.Second))
-		if debt >= sleepGranularity {
-			select {
-			case <-time.After(debt):
-			case <-e.done:
-				return
+		if len(due) == 0 {
+			wait := time.Hour // nothing pending: a push or stop ends the wait
+			if len(s.heap) > 0 {
+				wait = s.heap[0].release - now
 			}
-			debt = 0
+			s.alarm.set(wait)
 		}
-		e.emit(m)
-	}
-}
+		s.mu.Unlock()
 
-func (e *egress) stop() {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
+		if len(due) == 0 && !s.alarm.wait() {
+			return
+		}
+		for i := range due {
+			due[i].dst.put(due[i].msg)
+			due[i] = delivery{}
+		}
+		due = due[:0]
 	}
-	e.closed = true
-	e.mu.Unlock()
-	close(e.done)
-	e.wg.Wait()
 }

@@ -92,13 +92,14 @@ func TestInProcLatency(t *testing.T) {
 	start := time.Now()
 	a.Send("b", 1, nil)
 	recvOne(t, b, time.Second)
-	if elapsed := time.Since(start); elapsed < delay {
-		t.Fatalf("message arrived after %v, want >= %v", elapsed, delay)
+	if elapsed := time.Since(start); elapsed < delay || elapsed > delay+slack(3*time.Millisecond) {
+		t.Fatalf("message arrived after %v, want %v .. %v", elapsed, delay, delay+slack(3*time.Millisecond))
 	}
 }
 
 func TestInProcEgressBandwidth(t *testing.T) {
-	// 1 MB/s egress: a 100 KB payload must take >= ~100 ms to leave.
+	// 1 MB/s egress: a 100 KB payload takes 100 ms to leave, not less and
+	// not much more.
 	net := NewInProcNetwork(InProcConfig{EgressBytesPerSec: 1_000_000})
 	defer net.Close()
 	a, _ := net.Join("a")
@@ -108,8 +109,8 @@ func TestInProcEgressBandwidth(t *testing.T) {
 	start := time.Now()
 	a.Send("b", 1, payload)
 	recvOne(t, b, 5*time.Second)
-	if elapsed := time.Since(start); elapsed < 90*time.Millisecond {
-		t.Fatalf("bandwidth model too fast: %v", elapsed)
+	if elapsed := time.Since(start); elapsed < 100*time.Millisecond || elapsed > 100*time.Millisecond+slack(15*time.Millisecond) {
+		t.Fatalf("100 kB at 1 MB/s took %v, want 100ms .. %v", elapsed, 100*time.Millisecond+slack(15*time.Millisecond))
 	}
 }
 
