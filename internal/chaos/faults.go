@@ -176,9 +176,11 @@ func ReplaceFault(node int, atFrac float64) Fault {
 // sequence (the rolling-upgrade procedure): each is crashed, recovered
 // from its data directory after pause, and must catch back up to the
 // canonical height it died at before the next node goes down, so quorum
-// is thinned by at most one node at any time. The sequence runs to
-// completion even if the injection window closes mid-roll, so final
-// invariants always see the whole cluster back.
+// is thinned by at most one node at any time. The first node that leads
+// when its turn comes stays down two request timeouts, so that it is
+// certainly deposed (LeaderChangeObserved): back sooner, it may beat the
+// followers' timers. The sequence runs to completion even if the injection
+// window closes mid-roll, so final invariants see the whole cluster back.
 func RollingRestartFault(atFrac float64, pause time.Duration) Fault {
 	return Fault{
 		Name: "rolling-restart",
@@ -186,10 +188,15 @@ func RollingRestartFault(atFrac float64, pause time.Duration) Fault {
 			if !after(e, frac(e, atFrac)) {
 				return nil
 			}
+			deposed := false
 			for i := 0; i < e.Scenario.Nodes; i++ {
 				target := e.CanonHeight()
+				hold := pause
+				if n, _ := e.Node(i); n != nil && !deposed && n.Replica().CurrentLeader() == n.ID() {
+					hold, deposed = max(pause, 2*e.Scenario.RequestTimeout), true
+				}
 				e.KillNode(i)
-				time.Sleep(pause)
+				time.Sleep(hold)
 				if err := e.RestartNode(i); err != nil {
 					return fmt.Errorf("rolling restart: node %d: %w", i, err)
 				}

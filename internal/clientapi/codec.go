@@ -191,7 +191,7 @@ func decodeFrame(payload []byte) (frame, error) {
 	switch f.kind {
 	case msgBroadcast:
 		f.id = r.Uint64()
-		f.envelope = r.BytesCopy()
+		f.envelope = r.Bytes()
 	case msgDeliver:
 		f.id = r.Uint64()
 		f.channel = r.String()

@@ -36,6 +36,7 @@ type Client struct {
 	cfg     ClientConfig
 	conn    transport.Conn
 	id      string
+	addrs   []transport.Addr // of cfg.Replicas
 	nextSeq atomic.Uint64
 	quorum  int
 
@@ -86,6 +87,9 @@ func NewClient(conn transport.Conn, cfg ClientConfig) (*Client, error) {
 	// client restarted under an earlier clock (VM snapshot restore) must
 	// take a new identity.
 	c.nextSeq.Store(uint64(time.Now().UnixNano()))
+	for _, id := range cfg.Replicas {
+		c.addrs = append(c.addrs, id.Addr())
+	}
 	c.wg.Add(1)
 	go c.receiveLoop()
 	return c, nil
@@ -144,8 +148,8 @@ func (c *Client) Call(ctx context.Context, op []byte) ([]byte, error) {
 func (c *Client) send(seq uint64, op []byte) {
 	rq := &request{ClientID: c.id, Seq: seq, Op: op}
 	payload := rq.marshal()
-	for _, id := range c.cfg.Replicas {
-		c.conn.Send(id.Addr(), msgRequest, payload)
+	for _, addr := range c.addrs {
+		c.conn.Send(addr, msgRequest, payload)
 	}
 }
 

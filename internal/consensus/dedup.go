@@ -14,6 +14,7 @@ import (
 // sparse set is compacted into the floor whenever no tentative executions
 // are outstanding.
 type clientDedup struct {
+	client string // the one copy of the id every decoded request of the client shares
 	floor  uint64 // every seq in [1, floor] has been executed
 	sparse map[uint64]bool
 	// lowest memoizes the smallest sequence in sparse (0 = unknown,

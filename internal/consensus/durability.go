@@ -98,11 +98,7 @@ func (r *Replica) restoreDurable(st *DurableState) error {
 				e.Seq, r.lastDelivered)
 		}
 		inst := r.instance(e.Seq)
-		inst.batch = e.Batch
-		inst.digest = batchDigest(e.Seq, e.Batch)
-		inst.haveProposal = true
-		inst.decided = true
-		inst.decidedDigest = inst.digest
+		r.adoptDecided(inst, e.Batch)
 		r.durableSeq = e.Seq // already on disk: execute must not re-log it
 		r.execute(inst)
 		r.lastDelivered = e.Seq

@@ -1,6 +1,8 @@
 package consensus
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/cryptoutil"
@@ -62,15 +64,19 @@ func (rq *request) marshal() []byte {
 	return w.Bytes()
 }
 
-func unmarshalRequest(b []byte) (*request, error) {
+// unmarshalRequest decodes a request as a view of b: Op aliases it, and the
+// client id is the string known (a replica's dedup table) holds for it.
+func unmarshalRequest(b []byte, known map[string]*clientDedup) (request, error) {
 	r := wire.NewReader(b)
-	rq := &request{
-		ClientID: r.String(),
-		Seq:      r.Uint64(),
-		Op:       r.BytesCopy(),
-	}
+	id := r.Bytes()
+	rq := request{Seq: r.Uint64(), Op: r.Bytes()}
 	if err := r.Finish(); err != nil {
-		return nil, fmt.Errorf("request: %w", err)
+		return request{}, fmt.Errorf("request: %w", err)
+	}
+	if d, ok := known[string(id)]; ok {
+		rq.ClientID = d.client
+	} else {
+		rq.ClientID = string(id)
 	}
 	return rq, nil
 }
@@ -229,12 +235,12 @@ func unmarshalStopData(b []byte) (*stopDataMsg, error) {
 		LastDecided: r.Int64(),
 		Signature:   sig,
 	}
-	n := r.Uvarint()
+	n := r.Count(45) // seq, regency, digest and an empty batch
 	if n > 1024 {
 		return nil, fmt.Errorf("stopdata: %d certs out of range", n)
 	}
 	m.Certs = make([]writeCert, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		m.Certs = append(m.Certs, readWriteCert(r))
 	}
 	if err := r.Finish(); err != nil {
@@ -276,12 +282,12 @@ func (m *syncMsg) marshal() []byte {
 func unmarshalSync(b []byte) (*syncMsg, error) {
 	r := wire.NewReader(b)
 	m := &syncMsg{Regency: r.Int32()}
-	n := r.Uvarint()
+	n := r.Count(10) // seq, flag and an empty batch
 	if n > 1024 {
 		return nil, fmt.Errorf("sync: %d decisions out of range", n)
 	}
 	m.Decisions = make([]syncDecision, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		m.Decisions = append(m.Decisions, syncDecision{
 			Seq:     r.Int64(),
 			HasCert: r.Bool(),
@@ -348,12 +354,12 @@ func unmarshalStateReply(b []byte) (*stateReplyMsg, error) {
 		CheckpointSeq: r.Int64(),
 		Snapshot:      r.BytesCopy(),
 	}
-	n := r.Uvarint()
+	n := r.Count(9) // seq and an empty batch
 	if n > 1<<20 {
 		return nil, fmt.Errorf("state reply: %d entries out of range", n)
 	}
 	m.Entries = make([]logEntryWire, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		m.Entries = append(m.Entries, logEntryWire{
 			Seq:   r.Int64(),
 			Batch: r.BytesSlice(),
@@ -407,9 +413,17 @@ func unmarshalReply(b []byte) (*replyMsg, error) {
 
 // batchDigest hashes a proposed batch; WRITE and ACCEPT votes carry this
 // digest rather than the batch itself (Figure 3: votes are hashes).
-func batchDigest(seq int64, batch [][]byte) cryptoutil.Digest {
-	w := wire.NewWriter(64)
-	w.PutInt64(seq)
-	w.PutBytesSlice(batch)
-	return cryptoutil.Hash(w.Bytes())
+// The pre-image is the wire encoding PutInt64(seq), PutBytesSlice(batch),
+// streamed into the hash entry by entry and never materialised.
+func batchDigest(seq int64, batch [][]byte) (d cryptoutil.Digest) {
+	h := sha256.New()
+	var hdr [8 + binary.MaxVarintLen64]byte
+	binary.BigEndian.PutUint64(hdr[:8], uint64(seq))
+	h.Write(binary.AppendUvarint(hdr[:8], uint64(len(batch))))
+	for _, e := range batch {
+		h.Write(binary.AppendUvarint(hdr[:0], uint64(len(e))))
+		h.Write(e)
+	}
+	h.Sum(d[:0])
+	return d
 }

@@ -2,15 +2,17 @@ package consensus
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/wire"
 )
 
 func TestRequestRoundTrip(t *testing.T) {
 	in := &request{ClientID: "frontend-1", Seq: 42, Op: []byte("envelope")}
-	out, err := unmarshalRequest(in.marshal())
+	out, err := unmarshalRequest(in.marshal(), nil)
 	if err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
@@ -22,7 +24,7 @@ func TestRequestRoundTrip(t *testing.T) {
 func TestRequestRoundTripProperty(t *testing.T) {
 	f := func(client string, seq uint64, op []byte) bool {
 		in := &request{ClientID: client, Seq: seq, Op: op}
-		out, err := unmarshalRequest(in.marshal())
+		out, err := unmarshalRequest(in.marshal(), nil)
 		if err != nil {
 			return false
 		}
@@ -191,7 +193,129 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	if _, err := unmarshalStateReply(garbage); err == nil {
 		t.Error("state reply accepted garbage")
 	}
-	if _, err := unmarshalRequest(garbage); err == nil {
+	if _, err := unmarshalRequest(garbage, nil); err == nil {
 		t.Error("request accepted garbage")
+	}
+}
+
+// benchBatch is a full PROPOSE of the paper's LAN experiment: n marshalled
+// requests with size-byte operations.
+func benchBatch(n, size int) [][]byte {
+	rng := rand.New(rand.NewSource(1))
+	batch := make([][]byte, n)
+	for i := range batch {
+		op := make([]byte, size)
+		rng.Read(op)
+		batch[i] = (&request{ClientID: "frontend-0", Seq: uint64(i + 1), Op: op}).marshal()
+	}
+	return batch
+}
+
+// oldBatchDigest is the digest as it was computed before it streamed: the
+// hash of the materialised encoding. Votes carry it, so it must not change.
+func oldBatchDigest(seq int64, batch [][]byte) cryptoutil.Digest {
+	w := wire.NewWriter(64)
+	w.PutInt64(seq)
+	w.PutBytesSlice(batch)
+	return cryptoutil.Hash(w.Bytes())
+}
+
+func TestBatchDigestGolden(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	cases := [][][]byte{
+		nil,
+		{},
+		{nil},
+		{[]byte("a"), {}, []byte("b")},
+		{make([]byte, 1<<20)},
+		benchBatch(400, 300),
+	}
+	for i := 0; i < 50; i++ {
+		batch := make([][]byte, rng.Intn(20))
+		for j := range batch {
+			batch[j] = make([]byte, rng.Intn(400))
+			rng.Read(batch[j])
+		}
+		cases = append(cases, batch)
+	}
+	for i, batch := range cases {
+		seq := rng.Int63() - rng.Int63()
+		if got, want := batchDigest(seq, batch), oldBatchDigest(seq, batch); got != want {
+			t.Fatalf("case %d (%d entries, seq %d): streamed digest %x, want %x", i, len(batch), seq, got, want)
+		}
+	}
+}
+
+// The decode and digest budgets of the hot path: what a replica allocates
+// for a PROPOSE must not depend on how many requests it carries.
+func TestHotPathAllocationBudgets(t *testing.T) {
+	for _, n := range []int{10, 400} {
+		batch := benchBatch(n, 300)
+		if got := testing.AllocsPerRun(20, func() { batchDigest(7, batch) }); got > 2 {
+			t.Errorf("batchDigest of %d entries: %.0f allocations, want <= 2", n, got)
+		}
+		payload := (&proposeMsg{Regency: 1, Seq: 7, Batch: batch}).marshal()
+		if got := testing.AllocsPerRun(20, func() {
+			if _, err := unmarshalPropose(payload); err != nil {
+				t.Fatal(err)
+			}
+		}); got > 3 {
+			t.Errorf("unmarshalPropose of %d entries: %.0f allocations, want <= 3", n, got)
+		}
+	}
+	// A request of a client the replica has executed for before decodes
+	// without allocating; an unknown client's costs the id string.
+	entry := benchBatch(1, 300)[0]
+	known := map[string]*clientDedup{"frontend-0": {client: "frontend-0"}}
+	for name, table := range map[string]map[string]*clientDedup{"known": known, "unknown": nil} {
+		budget := float64(len(known) - len(table))
+		if got := testing.AllocsPerRun(100, func() {
+			if _, err := unmarshalRequest(entry, table); err != nil {
+				t.Fatal(err)
+			}
+		}); got > budget {
+			t.Errorf("unmarshalRequest, %s client: %.0f allocations, want <= %.0f", name, got, budget)
+		}
+	}
+}
+
+// Decoded messages are views: the batch of a PROPOSE and the operation of a
+// request alias the payload they came in.
+func TestDecodersReturnViews(t *testing.T) {
+	batch := benchBatch(3, 50)
+	payload := (&proposeMsg{Regency: 1, Seq: 7, Batch: batch}).marshal()
+	pm, err := unmarshalPropose(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rq, err := unmarshalRequest(pm.Batch[2], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := &payload[len(payload)-1]
+	if &pm.Batch[2][len(pm.Batch[2])-1] != end || &rq.Op[len(rq.Op)-1] != end {
+		t.Fatal("a decoder copied what it could have aliased")
+	}
+}
+
+var benchDigestSink cryptoutil.Digest
+
+func BenchmarkBatchDigest(b *testing.B) {
+	batch := benchBatch(400, 300)
+	b.ReportAllocs()
+	b.SetBytes(int64(400 * 300))
+	for i := 0; i < b.N; i++ {
+		benchDigestSink = batchDigest(int64(i), batch)
+	}
+}
+
+func BenchmarkUnmarshalPropose(b *testing.B) {
+	payload := (&proposeMsg{Regency: 1, Seq: 7, Batch: benchBatch(400, 300)}).marshal()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(payload)))
+	for i := 0; i < b.N; i++ {
+		if _, err := unmarshalPropose(payload); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -94,8 +95,8 @@ func (r *Replica) MembershipView() MembershipView {
 	return MembershipView{}
 }
 
-// publishMembership refreshes the lock-free membership view from the
-// event-loop-owned state. Called wherever epoch or membership change.
+// publishMembership refreshes the lock-free membership view and the address
+// tables from the event-loop-owned state, wherever epoch or membership change.
 func (r *Replica) publishMembership() {
 	v := &MembershipView{
 		Epoch:   r.epoch,
@@ -103,8 +104,12 @@ func (r *Replica) publishMembership() {
 		F:       r.cfg.F,
 		Weights: make(map[ReplicaID]int, len(r.membership)),
 	}
+	r.addrs = make(map[ReplicaID]transport.Addr, len(r.membership))
+	r.ids = make(map[transport.Addr]ReplicaID, len(r.membership))
 	for _, id := range r.membership {
 		v.Weights[id] = r.qt.weightOf(id)
+		r.addrs[id] = id.Addr()
+		r.ids[r.addrs[id]] = id
 	}
 	r.liveMembership.Store(v)
 }

@@ -130,8 +130,8 @@ const latencyWeight = 8
 
 // pendingReq is a client request waiting to be ordered.
 type pendingReq struct {
-	req      *request
-	raw      []byte // marshalled request (batch entry)
+	req      request
+	raw      []byte // marshalled request (batch entry): the received payload itself
 	arrived  time.Time
 	inFlight bool // included in an open proposal
 }
@@ -146,6 +146,7 @@ type instance struct {
 	seq          int64
 	regency      int32 // regency of the registered proposal
 	batch        [][]byte
+	reqs         []request // batch, decoded once when it was registered (views of it)
 	digest       cryptoutil.Digest
 	haveProposal bool
 	writes       map[voteKey]map[ReplicaID]struct{}
@@ -159,19 +160,12 @@ type instance struct {
 	certRegency    int32
 	decided        bool
 	decidedDigest  cryptoutil.Digest
-	executed       bool // delivered to the application (possibly tentatively)
-	undo           []undoRec
+	executed       bool      // delivered to the application (possibly tentatively)
+	undo           []request // what a tentative execution marked executed, for Rollback
 	// proposedAt is when this replica, as leader of the current regency,
 	// sent the instance's PROPOSE (zero otherwise): the start of the
 	// instance-latency sample taken when the instance is delivered.
 	proposedAt time.Time
-}
-
-// undoRec captures request-bookkeeping changes of a tentative execution so
-// that Rollback can restore them.
-type undoRec struct {
-	key requestKey
-	raw []byte
 }
 
 func newInstance(seq int64) *instance {
@@ -227,6 +221,9 @@ type Replica struct {
 
 	membership []ReplicaID
 	qt         *quorumTracker
+	// addrs and ids map members to addresses and back (see publishMembership).
+	addrs map[ReplicaID]transport.Addr
+	ids   map[transport.Addr]ReplicaID
 	// epoch counts ordered membership operations (every ReconfigOp bumps
 	// it, including no-ops, so replicas that saw the op as a no-op — e.g. a
 	// joiner whose static config already lists itself — stay in step with
@@ -523,7 +520,7 @@ func (r *Replica) dispatch(m transport.Message) {
 			return
 		}
 		if pm, err := unmarshalPropose(m.Payload); err == nil {
-			r.onPropose(from, pm)
+			r.onPropose(from, pm, nil)
 		}
 	case msgWrite:
 		if !isReplica {
@@ -579,12 +576,8 @@ func (r *Replica) dispatch(m transport.Message) {
 
 // senderID resolves a transport address to a member replica id.
 func (r *Replica) senderID(addr transport.Addr) (ReplicaID, bool) {
-	for _, id := range r.membership {
-		if id.Addr() == addr {
-			return id, true
-		}
-	}
-	return 0, false
+	id, ok := r.ids[addr]
+	return id, ok
 }
 
 func (r *Replica) leaderOf(regency int32) ReplicaID {
@@ -603,43 +596,39 @@ func (r *Replica) isLeader() bool {
 // broadcast sends a protocol message to every other member and then
 // processes it locally (self-delivery without touching the network).
 func (r *Replica) broadcast(msgType uint16, payload []byte) {
-	if !r.behavior.Load().Mute {
-		for _, id := range r.membership {
-			if id == r.cfg.SelfID {
-				continue
-			}
-			r.conn.Send(id.Addr(), msgType, payload)
+	r.multicast(msgType, payload)
+	r.sendTo(r.cfg.SelfID, msgType, payload)
+}
+
+// multicast sends a protocol message to every other member.
+func (r *Replica) multicast(msgType uint16, payload []byte) {
+	if r.behavior.Load().Mute {
+		return
+	}
+	for _, id := range r.membership {
+		if id != r.cfg.SelfID {
+			r.conn.Send(r.addrs[id], msgType, payload)
 		}
 	}
-	r.dispatch(transport.Message{
-		From:    r.cfg.SelfID.Addr(),
-		To:      r.cfg.SelfID.Addr(),
-		Type:    msgType,
-		Payload: payload,
-	})
 }
 
 // sendTo sends a protocol message to one member (or processes it locally).
 func (r *Replica) sendTo(id ReplicaID, msgType uint16, payload []byte) {
+	addr := r.addrs[id]
 	if id == r.cfg.SelfID {
-		r.dispatch(transport.Message{
-			From:    r.cfg.SelfID.Addr(),
-			To:      r.cfg.SelfID.Addr(),
-			Type:    msgType,
-			Payload: payload,
-		})
+		r.dispatch(transport.Message{From: addr, To: addr, Type: msgType, Payload: payload})
 		return
 	}
 	if r.behavior.Load().Mute {
 		return
 	}
-	r.conn.Send(id.Addr(), msgType, payload)
+	r.conn.Send(addr, msgType, payload)
 }
 
 // ---- Request handling ------------------------------------------------
 
 func (r *Replica) onRequest(payload []byte) {
-	rq, err := unmarshalRequest(payload)
+	rq, err := unmarshalRequest(payload, r.executed)
 	if err != nil {
 		return
 	}
@@ -654,10 +643,8 @@ func (r *Replica) onRequest(payload []byte) {
 		r.statDropped.Add(1)
 		return
 	}
-	raw := make([]byte, len(payload))
-	copy(raw, payload)
 	now := time.Now()
-	r.pool(key, &pendingReq{req: rq, raw: raw, arrived: now})
+	r.pool(key, &pendingReq{req: rq, raw: payload, arrived: now})
 	r.maybePropose(now, false)
 }
 
@@ -775,24 +762,25 @@ func (r *Replica) maybePropose(now time.Time, tick bool) {
 	if !r.proposeDue(now, tick) {
 		return
 	}
-	batch := r.collectBatch()
+	batch, reqs := r.collectBatch()
 	seq := r.lastProposed + 1
 	r.lastProposed = seq
 	r.lastProposeAt = now
 	r.instance(seq).proposedAt = now
 	r.publishWindow()
-	r.propose(seq, batch)
+	r.propose(seq, batch, reqs)
 }
 
 // collectBatch takes up to BatchSize pooled requests, in arrival order,
-// into a proposal (marking them in flight). It also compacts the arrival
-// queue.
-func (r *Replica) collectBatch() [][]byte {
+// into a proposal (marking them in flight), as batch entries and as the
+// requests those were decoded into. It also compacts the arrival queue.
+func (r *Replica) collectBatch() ([][]byte, []request) {
 	size := r.pooled
 	if size > r.cfg.BatchSize {
 		size = r.cfg.BatchSize
 	}
 	batch := make([][]byte, 0, size)
+	reqs := make([]request, 0, size)
 	leftBehind := false
 	compacted := r.queue[:0]
 	for _, key := range r.queue {
@@ -806,6 +794,7 @@ func (r *Replica) collectBatch() [][]byte {
 		case len(batch) < size:
 			p.inFlight = true
 			batch = append(batch, p.raw)
+			reqs = append(reqs, p.req)
 		case !leftBehind:
 			// The oldest request this batch leaves behind.
 			leftBehind = true
@@ -814,17 +803,17 @@ func (r *Replica) collectBatch() [][]byte {
 	}
 	r.queue = compacted
 	r.pooled -= len(batch)
-	return batch
+	return batch, reqs
 }
 
-func (r *Replica) propose(seq int64, batch [][]byte) {
+func (r *Replica) propose(seq int64, batch [][]byte, reqs []request) {
 	b := r.behavior.Load()
 	if b.CorruptPropose {
 		garbage := make([][]byte, len(batch))
 		for i := range garbage {
 			garbage[i] = []byte{0xde, 0xad}
 		}
-		batch = garbage
+		batch, reqs = garbage, nil
 	}
 	pm := &proposeMsg{Regency: r.regency, Seq: seq, Batch: batch}
 	if b.Equivocate {
@@ -843,20 +832,19 @@ func (r *Replica) propose(seq int64, batch [][]byte) {
 				m = alt
 			}
 			sent++
-			r.conn.Send(id.Addr(), msgPropose, m.marshal())
+			r.conn.Send(r.addrs[id], msgPropose, m.marshal())
 		}
-		r.dispatch(transport.Message{
-			From: r.cfg.SelfID.Addr(), To: r.cfg.SelfID.Addr(),
-			Type: msgPropose, Payload: pm.marshal(),
-		})
-		return
+	} else {
+		r.multicast(msgPropose, pm.marshal())
 	}
-	r.broadcast(msgPropose, pm.marshal())
+	// The leader's own copy skips the wire: it is the pooled requests.
+	r.onPropose(r.cfg.SelfID, pm, reqs)
 }
 
 // ---- Normal-case consensus -------------------------------------------
 
-func (r *Replica) onPropose(from ReplicaID, m *proposeMsg) {
+// onPropose handles a PROPOSE; reqs is m.Batch decoded, when the caller has that (the leader).
+func (r *Replica) onPropose(from ReplicaID, m *proposeMsg, reqs []request) {
 	r.noteRegency(from, m.Regency)
 	if r.syncInProgress || m.Regency != r.regency {
 		return
@@ -871,10 +859,8 @@ func (r *Replica) onPropose(from ReplicaID, m *proposeMsg) {
 		r.requestStateTransfer()
 		return
 	}
-	if len(m.Batch) > r.cfg.BatchSize {
-		return
-	}
-	if !r.validateBatch(m.Batch) {
+	reqs, ok := r.validateBatch(m.Batch, reqs)
+	if !ok {
 		return // malformed proposal: refuse to WRITE; timeout handles the leader
 	}
 	inst := r.instance(m.Seq)
@@ -890,7 +876,7 @@ func (r *Replica) onPropose(from ReplicaID, m *proposeMsg) {
 		inst.writeSent = false
 		inst.acceptSent = false
 	}
-	inst.batch = m.Batch
+	inst.batch, inst.reqs = m.Batch, reqs
 	inst.digest = batchDigest(m.Seq, m.Batch)
 	inst.haveProposal = true
 	inst.regency = m.Regency
@@ -903,19 +889,51 @@ func (r *Replica) onPropose(from ReplicaID, m *proposeMsg) {
 	r.checkQuorums(inst)
 }
 
-func (r *Replica) validateBatch(batch [][]byte) bool {
-	for _, entry := range batch {
-		rq, err := unmarshalRequest(entry)
-		if err != nil {
-			return false
-		}
-		if r.cfg.ValidateRequest != nil {
-			if err := r.cfg.ValidateRequest(rq.Op); err != nil {
-				return false
+// validateBatch vets a proposed batch and returns it decoded (reqs itself
+// when the leader already holds that). This is the one decode of a batch on
+// a replica: the result rides on the instance to execute.
+func (r *Replica) validateBatch(batch [][]byte, reqs []request) ([]request, bool) {
+	ok := len(batch) <= r.cfg.BatchSize
+	if ok && reqs == nil {
+		reqs, ok = r.decodeBatch(batch)
+	}
+	if !ok {
+		return nil, false
+	}
+	if r.cfg.ValidateRequest != nil {
+		for i := range reqs {
+			if err := r.cfg.ValidateRequest(reqs[i].Op); err != nil {
+				return nil, false
 			}
 		}
 	}
-	return true
+	return reqs, true
+}
+
+// decodeBatch decodes the entries of a batch as views of them; ok is false
+// if any entry is malformed (those are left out).
+func (r *Replica) decodeBatch(batch [][]byte) (reqs []request, ok bool) {
+	reqs, ok = make([]request, 0, len(batch)), true
+	for _, entry := range batch {
+		rq, err := unmarshalRequest(entry, r.executed)
+		if err != nil {
+			ok = false
+			continue
+		}
+		reqs = append(reqs, rq)
+	}
+	return reqs, ok
+}
+
+// adoptDecided registers a batch that reached this replica already decided
+// (state transfer, decision-log replay) on its instance.
+func (r *Replica) adoptDecided(inst *instance, batch [][]byte) {
+	inst.batch = batch
+	inst.reqs, _ = r.decodeBatch(batch) // decided, hence validated by a quorum
+	inst.digest = batchDigest(inst.seq, batch)
+	inst.haveProposal = true
+	inst.decided = true
+	inst.decidedDigest = inst.digest
 }
 
 func (r *Replica) instance(seq int64) *instance {
@@ -1084,23 +1102,21 @@ func (r *Replica) execute(inst *instance) {
 		// executions are logged later, once they turn stable.
 		r.logDecision(inst.seq, inst.batch)
 	}
-	ops := make([][]byte, 0, len(inst.batch))
+	ops := make([][]byte, 0, len(inst.reqs))
 	var replies []*replyMsg
-	for _, raw := range inst.batch {
-		rq, err := unmarshalRequest(raw)
-		if err != nil {
-			continue // validated at propose time; defensive
-		}
+	for i := range inst.reqs {
+		rq := &inst.reqs[i]
 		dedup, ok := r.executed[rq.ClientID]
 		if !ok {
 			dedup = newClientDedup()
+			dedup.client = rq.ClientID
 			r.executed[rq.ClientID] = dedup
 		}
 		if dedup.contains(rq.Seq) {
 			continue // duplicate of an already executed request
 		}
 		if r.cfg.Tentative {
-			inst.undo = append(inst.undo, undoRec{key: rq.key(), raw: raw})
+			inst.undo = append(inst.undo, *rq)
 		}
 		dedup.mark(rq.Seq)
 		r.unpool(rq.key())

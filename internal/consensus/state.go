@@ -44,14 +44,15 @@ func (r *Replica) unwrapSnapshot(b []byte) ([]byte, bool) {
 	if err := r.unmarshalMembership(rd); err != nil {
 		return nil, false
 	}
-	n := rd.Uvarint()
+	n := rd.Count(10) // an empty id, the floor and an empty sparse set
 	if rd.Err() != nil || n > maxPendingRequests {
 		return nil, false
 	}
 	executed := make(map[string]*clientDedup, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		client := rd.String()
 		executed[client] = readClientDedup(rd)
+		executed[client].client = client
 	}
 	appSnap := rd.BytesCopy()
 	if err := rd.Finish(); err != nil {
@@ -182,11 +183,7 @@ func (r *Replica) applyState(m *stateReplyMsg) {
 			r.lastDelivered = entry.Seq
 			continue
 		}
-		inst.batch = entry.Batch
-		inst.digest = batchDigest(entry.Seq, entry.Batch)
-		inst.haveProposal = true
-		inst.decided = true
-		inst.decidedDigest = inst.digest
+		r.adoptDecided(inst, entry.Batch)
 		r.execute(inst)
 		r.lastDelivered = entry.Seq
 		r.statDelivered.Store(entry.Seq)

@@ -322,10 +322,11 @@ func (r *Replica) onSync(from ReplicaID, m *syncMsg) {
 			// application back to just before this instance.
 			r.rollbackTo(d.Seq - 1)
 		}
-		if len(d.Batch) > r.cfg.BatchSize || !r.validateBatch(d.Batch) {
+		reqs, ok := r.validateBatch(d.Batch, nil)
+		if !ok {
 			continue // malformed sync value; escalation will follow
 		}
-		inst.batch = d.Batch
+		inst.batch, inst.reqs = d.Batch, reqs
 		inst.digest = newDigest
 		inst.haveProposal = true
 		inst.regency = m.Regency
@@ -361,16 +362,16 @@ func (r *Replica) rollbackTo(seq int64) {
 			continue
 		}
 		for i := len(inst.undo) - 1; i >= 0; i-- {
-			u := inst.undo[i]
-			if d, ok := r.executed[u.key.client]; ok {
-				d.unmark(u.key.seq)
+			key := inst.undo[i].key()
+			if d, ok := r.executed[key.client]; ok {
+				d.unmark(key.seq)
 			}
-			if _, exists := r.pending[u.key]; !exists {
-				rq, err := unmarshalRequest(u.raw)
-				if err != nil {
-					continue
-				}
-				r.pool(u.key, &pendingReq{req: rq, raw: u.raw, arrived: time.Now()})
+			if _, exists := r.pending[key]; !exists {
+				// Re-encoded, not re-used: the undone request is a view into
+				// a whole PROPOSE, which a pooled request must not keep alive.
+				raw := inst.undo[i].marshal()
+				rq, _ := unmarshalRequest(raw, r.executed)
+				r.pool(key, &pendingReq{req: rq, raw: raw, arrived: time.Now()})
 			}
 		}
 		inst.undo = nil

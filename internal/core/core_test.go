@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -512,4 +513,52 @@ func TestClusterValidation(t *testing.T) {
 		t.Fatal("solo without key accepted")
 	}
 	_ = key
+}
+
+// benchBlock is a signed block of n 200-byte envelopes, the lan_sat_200b
+// shape at n = 100.
+func benchBlock(n int) *fabric.Block {
+	envs := make([][]byte, n)
+	for i := range envs {
+		envs[i] = mkEnvelope("bench", i, 200).Marshal()
+	}
+	b := fabric.NewBlock(7, cryptoutil.Digest{1}, envs)
+	b.Signatures = []fabric.BlockSignature{{SignerID: "replica-0", Signature: make([]byte, 71)}}
+	return b
+}
+
+// A disseminated block is encoded once into one buffer and decoded into
+// views of the frame: neither side's allocations grow with the block.
+func TestBlockMsgAllocationBudgets(t *testing.T) {
+	block := benchBlock(100)
+	if got := testing.AllocsPerRun(50, func() { marshalBlockMsg("bench", block) }); got != 1 {
+		t.Errorf("marshalBlockMsg: %.0f allocations, want exactly 1", got)
+	}
+	payload := marshalBlockMsg("bench", block)
+	if got := testing.AllocsPerRun(50, func() {
+		if _, _, _, err := unmarshalBlockMsg(payload); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 6 {
+		t.Errorf("unmarshalBlockMsg of 100 envelopes: %.0f allocations, want <= 6", got)
+	}
+	channel, got, _, err := unmarshalBlockMsg(payload)
+	if err != nil || channel != "bench" || got.Header != block.Header ||
+		len(got.Envelopes) != 100 || !bytes.Equal(got.Envelopes[99], block.Envelopes[99]) ||
+		!bytes.Equal(got.Signatures[0].Signature, block.Signatures[0].Signature) {
+		t.Fatalf("round trip: %v", err)
+	}
+	if _, _, _, err := unmarshalBlockMsg(payload[:len(payload)-1]); err == nil {
+		t.Error("a truncated block message decoded")
+	}
+}
+
+func BenchmarkBlockMsgRoundTrip(b *testing.B) {
+	block := benchBlock(100)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := unmarshalBlockMsg(marshalBlockMsg("bench", block)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

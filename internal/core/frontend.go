@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -468,6 +469,11 @@ func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sent
 	var sig []byte
 	if len(block.Signatures) > 0 && block.Signatures[0].SignerID == sender {
 		sig = block.Signatures[0].Signature
+		if block != acc.block {
+			// Only the signature of this copy is kept: detach it, or every
+			// released block would keep all its copies' frames alive.
+			sig = bytes.Clone(sig)
+		}
 	}
 	acc.sigs[sender] = sig
 	if f.cfg.VerifySignatures && sig != nil {

@@ -881,12 +881,12 @@ func (n *OrderingNode) Snapshot() []byte {
 // Restore replaces the chain state from a snapshot (state transfer).
 func (n *OrderingNode) Restore(snapshot []byte, _ int64) {
 	r := wire.NewReader(snapshot)
-	count := r.Uvarint()
+	count := r.Count(42) // name, number, hash and an empty cutter
 	if count > 1<<16 {
 		return
 	}
 	chains := make(map[string]*chainState, count)
-	for i := uint64(0); i < count; i++ {
+	for i := 0; i < count; i++ {
 		channel := r.String()
 		chain := &chainState{
 			nextNumber: r.Uint64(),
@@ -1054,29 +1054,29 @@ func (n *OrderingNode) ttcLoop() {
 	}
 }
 
-// marshalBlockMsg frames a block for dissemination. The trailing send
-// timestamp is the disseminated-stage stamp of the latency trace; it is
-// always written (8 fixed bytes) so the frame layout does not depend on
-// whether metrics are enabled on either side.
+// marshalBlockMsg frames a block for dissemination: channel, send timestamp,
+// and the block to the end of the frame, encoded once into a buffer sized
+// beforehand. The timestamp is the disseminated-stage stamp of the latency
+// trace; it is always written (8 fixed bytes) so the frame layout does not
+// depend on whether metrics are enabled on either side.
 func marshalBlockMsg(channel string, block *fabric.Block) []byte {
-	w := wire.NewWriter(256)
+	w := wire.NewWriter(len(channel) + 18 + block.MarshaledSize())
 	w.PutString(channel)
-	w.PutBytes(block.Marshal())
 	w.PutInt64(time.Now().UnixNano())
+	block.MarshalInto(w)
 	return w.Bytes()
 }
 
-// unmarshalBlockMsg decodes a disseminated block and the sender's send
-// timestamp (unix nanos).
+// unmarshalBlockMsg decodes a disseminated block, as a view of payload, and
+// the sender's send timestamp (unix nanos).
 func unmarshalBlockMsg(payload []byte) (string, *fabric.Block, int64, error) {
 	r := wire.NewReader(payload)
 	channel := r.String()
-	blockRaw := r.Bytes()
 	sentNano := r.Int64()
-	if err := r.Finish(); err != nil {
+	if err := r.Err(); err != nil {
 		return "", nil, 0, fmt.Errorf("block message: %w", err)
 	}
-	block, err := fabric.UnmarshalBlock(blockRaw)
+	block, err := fabric.UnmarshalBlock(r.Raw(r.Remaining()))
 	if err != nil {
 		return "", nil, 0, err
 	}

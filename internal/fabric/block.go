@@ -114,22 +114,23 @@ func (b *Block) Marshal() []byte {
 	return w.Bytes()
 }
 
-// UnmarshalBlock decodes a block.
+// UnmarshalBlock decodes a block as a view of raw: envelopes and signatures
+// alias it (see package wire on ownership).
 func UnmarshalBlock(raw []byte) (*Block, error) {
 	r := wire.NewReader(raw)
 	b := &Block{
 		Header:    readHeader(r),
 		Envelopes: r.BytesSlice(),
 	}
-	n := r.Uvarint()
+	n := r.Count(2) // an empty signer id and an empty signature
 	if n > 1<<16 {
 		return nil, errors.New("block: signature count out of range")
 	}
 	b.Signatures = make([]BlockSignature, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		b.Signatures = append(b.Signatures, BlockSignature{
 			SignerID:  r.String(),
-			Signature: r.BytesCopy(),
+			Signature: r.Bytes(),
 		})
 	}
 	if err := r.Finish(); err != nil {

@@ -141,3 +141,30 @@ func TestDataHashProperty(t *testing.T) {
 		t.Fatal("data hash does not separate envelope boundaries")
 	}
 }
+
+// UnmarshalBlock returns a view: envelopes and signatures alias the input,
+// and a signature count the input cannot hold is refused before anything is
+// sized by it.
+func TestUnmarshalBlockAliasesAndBoundsCounts(t *testing.T) {
+	in := NewBlock(7, cryptoutil.Hash([]byte("prev")), testEnvelopes(3))
+	in.Signatures = []BlockSignature{{SignerID: "node0", Signature: []byte("sig")}}
+	raw := in.Marshal()
+	out, err := UnmarshalBlock(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig := out.Signatures[0].Signature
+	if &sig[len(sig)-1] != &raw[len(raw)-1] {
+		t.Fatal("UnmarshalBlock copied the signature")
+	}
+	env := out.Envelopes[0]
+	if &env[0] != &raw[headerWireSize+2] {
+		t.Fatal("UnmarshalBlock copied the envelopes")
+	}
+
+	hostile := NewBlock(7, cryptoutil.Digest{}, nil).Marshal()
+	hostile = append(hostile[:len(hostile)-1], 0xff, 0xff, 0x03) // 65535 signatures, none present
+	if _, err := UnmarshalBlock(hostile); err == nil {
+		t.Fatal("a signature count beyond the input decoded")
+	}
+}

@@ -44,15 +44,16 @@ func (e *Envelope) Marshal() []byte {
 	return w.Bytes()
 }
 
-// UnmarshalEnvelope decodes an envelope.
+// UnmarshalEnvelope decodes an envelope as a view of b: payload and
+// signature alias it.
 func UnmarshalEnvelope(b []byte) (*Envelope, error) {
 	r := wire.NewReader(b)
 	e := &Envelope{
 		ChannelID:         r.String(),
 		ClientID:          r.String(),
 		TimestampUnixNano: r.Int64(),
-		Payload:           r.BytesCopy(),
-		Signature:         r.BytesCopy(),
+		Payload:           r.Bytes(),
+		Signature:         r.Bytes(),
 	}
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("envelope: %w", err)
@@ -174,24 +175,24 @@ func (rw *RWSet) marshalInto(w *wire.Writer) {
 
 func readRWSet(r *wire.Reader) RWSet {
 	var rw RWSet
-	nReads := r.Uvarint()
+	nReads := r.Count(14) // an empty key, version, flag
 	if nReads > 1<<20 {
 		return rw
 	}
 	rw.Reads = make([]KVRead, 0, nReads)
-	for i := uint64(0); i < nReads; i++ {
+	for i := 0; i < nReads; i++ {
 		rw.Reads = append(rw.Reads, KVRead{
 			Key:     r.String(),
 			Version: Version{BlockNum: r.Uint64(), TxNum: r.Uint32()},
 			Exists:  r.Bool(),
 		})
 	}
-	nWrites := r.Uvarint()
+	nWrites := r.Count(3) // an empty key, an empty value, flag
 	if nWrites > 1<<20 {
 		return rw
 	}
 	rw.Writes = make([]KVWrite, 0, nWrites)
-	for i := uint64(0); i < nWrites; i++ {
+	for i := 0; i < nWrites; i++ {
 		rw.Writes = append(rw.Writes, KVWrite{
 			Key:    r.String(),
 			Value:  r.BytesCopy(),
@@ -271,12 +272,12 @@ func UnmarshalTransaction(b []byte) (*Transaction, error) {
 		RWSet:       readRWSet(r),
 		Response:    r.BytesCopy(),
 	}
-	n := r.Uvarint()
+	n := r.Count(2) // an empty peer id and an empty signature
 	if n > 1<<16 {
 		return nil, errors.New("transaction: endorsement count out of range")
 	}
 	tx.Endorsements = make([]Endorsement, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		tx.Endorsements = append(tx.Endorsements, Endorsement{
 			PeerID:    r.String(),
 			Signature: r.BytesCopy(),

@@ -62,12 +62,12 @@ func DecodeMark(payload []byte) (xid string, channels []string, inner []byte, ok
 	}
 	r := wire.NewReader(payload[len(markMagic):])
 	xid = r.String()
-	n := r.Uvarint()
+	n := r.Count(1)
 	if r.Err() != nil || n > 1<<16 {
 		return "", nil, nil, false
 	}
 	channels = make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		channels = append(channels, r.String())
 	}
 	inner = r.BytesCopy()

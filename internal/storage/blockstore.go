@@ -59,8 +59,8 @@ type BlockStore struct {
 
 	// Recovery-walk state, cleared by finishRecovery.
 	manifestFrontier uint64
-	seeded           map[string]int // manifest-indexed blocks per channel
-	lastReplayed     map[string]*fabric.Block
+	seeded           map[string]int                // manifest-indexed blocks per channel
+	lastReplayed     map[string]fabric.BlockHeader // newest walked block per channel
 
 	recovered map[string]ChainInfo
 }
@@ -203,8 +203,8 @@ func (s *BlockStore) applyRecord(idx uint64, rec []byte) error {
 			return fmt.Errorf("%w: channel %q block %d, want %d",
 				ErrCorrupt, channel, num, s.heights[channel])
 		}
-		if prev := s.lastReplayed[channel]; prev != nil {
-			if block.Header.PrevHash != prev.Header.Hash() {
+		if prev, ok := s.lastReplayed[channel]; ok {
+			if block.Header.PrevHash != prev.Hash() {
 				return fmt.Errorf("%w: channel %q block %d breaks the hash chain",
 					ErrCorrupt, channel, num)
 			}
@@ -212,9 +212,11 @@ func (s *BlockStore) applyRecord(idx uint64, rec []byte) error {
 		s.index[channel] = append(s.index[channel], idx)
 		s.heights[channel] = num + 1
 		if s.lastReplayed == nil {
-			s.lastReplayed = make(map[string]*fabric.Block)
+			s.lastReplayed = make(map[string]fabric.BlockHeader)
 		}
-		s.lastReplayed[channel] = block
+		// The header only: the envelopes are views of replaySegment's
+		// whole-segment buffer, which a kept block would pin.
+		s.lastReplayed[channel] = block.Header
 		return nil
 	case recChannelMeta:
 		if idx <= s.manifestFrontier {
@@ -251,7 +253,7 @@ func (s *BlockStore) finishRecovery() error {
 			Height: height,
 		}
 		n := s.seeded[channel]
-		last := s.lastReplayed[channel]
+		last, walked := s.lastReplayed[channel]
 		if n > 0 {
 			first, err := s.readOne(channel, s.index[channel][0])
 			if err != nil {
@@ -285,7 +287,7 @@ func (s *BlockStore) finishRecovery() error {
 						ErrCorrupt, channel, b.Header.Number)
 				}
 			}
-		} else if last != nil && info.Floor > 0 {
+		} else if walked && info.Floor > 0 {
 			// A rebase left no retained window; the first appended block
 			// carried the anchor check at append time, re-verify here.
 			firstIdx := s.index[channel][0]
@@ -298,8 +300,8 @@ func (s *BlockStore) finishRecovery() error {
 					ErrCorrupt, channel, first.Header.Number)
 			}
 		}
-		if last != nil {
-			info.LastHash = last.Header.Hash()
+		if walked {
+			info.LastHash = last.Hash()
 		} else if n > 0 {
 			tip, err := s.readOne(channel, s.index[channel][n-1])
 			if err != nil {
@@ -838,8 +840,8 @@ func (s *BlockStore) Close() error {
 	return s.wal.Close()
 }
 
-// decodeBlockRecord decodes a typed block record (kind tag, channel,
-// trailing block bytes).
+// decodeBlockRecord decodes a typed block record (kind tag, channel, trailing
+// block bytes) as a view of rec, which readRecordAt allocates per record.
 func decodeBlockRecord(rec []byte) (string, *fabric.Block, error) {
 	r := wire.NewReader(rec)
 	if kind := r.Byte(); kind != recBlock {

@@ -68,13 +68,13 @@ func (m *MembershipRecord) marshal(w *wire.Writer) {
 // unmarshalMembershipRecord decodes a record body.
 func unmarshalMembershipRecord(r *wire.Reader) (*MembershipRecord, error) {
 	rec := &MembershipRecord{Epoch: r.Uvarint()}
-	n := r.Uvarint()
+	n := r.Count(8) // id and weight
 	if n > 1<<10 {
 		return nil, fmt.Errorf("%w: membership size %d out of range", ErrMembershipCorrupt, n)
 	}
 	rec.Members = make([]int32, 0, n)
 	rec.Weights = make(map[int32]uint32, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		id := r.Int32()
 		rec.Members = append(rec.Members, id)
 		rec.Weights[id] = r.Uint32()

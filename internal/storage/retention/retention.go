@@ -189,12 +189,12 @@ func UnmarshalManifest(raw []byte) (*Manifest, error) {
 		Frontier:      r.Uint64(),
 		Channels:      make(map[string]ChannelManifest),
 	}
-	nseg := r.Uvarint()
+	nseg := r.Count(17) // two indices and a count
 	if r.Err() != nil || nseg > 1<<20 {
 		return nil, ErrManifestCorrupt
 	}
 	m.Segments = make([]SegmentLiveness, 0, nseg)
-	for i := uint64(0); i < nseg; i++ {
+	for i := 0; i < nseg; i++ {
 		m.Segments = append(m.Segments, SegmentLiveness{
 			First:      r.Uint64(),
 			Last:       r.Uint64(),
@@ -209,13 +209,13 @@ func UnmarshalManifest(raw []byte) (*Manifest, error) {
 		name := r.String()
 		ch := ChannelManifest{Floor: r.Uint64()}
 		copy(ch.Anchor[:], r.Raw(cryptoutil.DigestSize))
-		n := r.Uvarint()
-		if r.Err() != nil || n > 1<<32 {
+		n := r.Count(1)
+		if r.Err() != nil {
 			return nil, ErrManifestCorrupt
 		}
 		ch.Index = make([]uint64, 0, n)
 		idx := uint64(0)
-		for j := uint64(0); j < n; j++ {
+		for j := 0; j < n; j++ {
 			d := r.Uvarint()
 			if j == 0 {
 				idx = d

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"log/slog"
 	"math"
@@ -601,9 +602,11 @@ func (s *NodeStorage) Close() error {
 	return first
 }
 
-// decodeDecision decodes a typed decision record.
+// decodeDecision decodes a typed decision record into views of a private
+// copy of rec: replay passes slices of one whole-segment buffer, which a
+// retained batch must not keep alive.
 func decodeDecision(rec []byte) (DecidedEntry, error) {
-	r := wire.NewReader(rec)
+	r := wire.NewReader(bytes.Clone(rec))
 	if kind := r.Byte(); kind != recDecision {
 		return DecidedEntry{}, fmt.Errorf("storage: decision record: unexpected kind 0x%02x", kind)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -838,5 +839,68 @@ func TestRebaseMarkerReplaysWithoutManifest(t *testing.T) {
 	}
 	if _, err := s2.ReadBlocks("ch", 0, 5); !errors.Is(err, fabric.ErrPruned) {
 		t.Fatalf("stale read after recovered rebase: %v", err)
+	}
+}
+
+// Replay decodes every record of a segment out of one buffer. What it keeps
+// — the decision suffix, each channel's newest header — must own its bytes,
+// so that neither the segment buffer stays alive behind it nor a reused one
+// can change it. Block records read back later come one buffer per record
+// (readRecordAt), so decodeBlockRecord itself returns a view.
+func TestReplayedRecordsSurviveTheirInput(t *testing.T) {
+	w := wire.NewWriter(64)
+	w.PutByte(recDecision)
+	w.PutInt64(9)
+	w.PutBytesSlice([][]byte{[]byte("first"), []byte("second")})
+	rec := w.Bytes()
+	entry, err := decodeDecision(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range rec {
+		rec[i] = 0xEE
+	}
+	if entry.Seq != 9 || string(entry.Batch[0]) != "first" || string(entry.Batch[1]) != "second" {
+		t.Fatalf("decision changed with its input: %q", entry.Batch)
+	}
+
+	blockRecord := func(b *fabric.Block) []byte {
+		w := wire.NewWriter(64)
+		w.PutByte(recBlock)
+		w.PutString("ch")
+		b.MarshalInto(w)
+		return w.Bytes()
+	}
+	first := fabric.NewBlock(0, cryptoutil.Digest{}, [][]byte{[]byte("env-a"), []byte("env-b")})
+	second := fabric.NewBlock(1, first.Header.Hash(), [][]byte{[]byte("env-c")})
+	s := newBlockStore(t.TempDir(), nil, false)
+	segment := new([256]byte) // an object of its own, so that it can carry a finalizer
+	freed := make(chan struct{})
+	runtime.SetFinalizer(segment, func(*[256]byte) { close(freed) })
+	if err := s.applyRecord(1, segment[:copy(segment[:], blockRecord(first))]); err != nil {
+		t.Fatal(err)
+	}
+	segment = nil
+	for i := 0; i < 5; i++ {
+		runtime.GC()
+	}
+	select {
+	case <-freed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the walk keeps its input alive behind the newest block")
+	}
+	if err := s.applyRecord(2, blockRecord(second)); err != nil {
+		t.Fatalf("the walk lost the newest header: %v", err)
+	}
+
+	// The read path's decode copies nothing: one buffer per record is
+	// already the block's own.
+	rec = blockRecord(first)
+	_, view, err := decodeBlockRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env := view.Envelopes[1]; &env[len(env)-1] != &rec[len(rec)-2] {
+		t.Fatal("decodeBlockRecord copied the record")
 	}
 }

@@ -285,10 +285,14 @@ func (mb *mailbox) put(m Message) {
 func (mb *mailbox) pump() {
 	defer mb.wg.Done()
 	defer close(mb.out)
+	// Two slices swap roles — put fills one while the other is handed over —
+	// so neither is re-sliced at its head and both stop growing.
+	var batch []Message
 	for {
 		mb.mu.Lock()
-		if len(mb.queue) == 0 {
-			mb.mu.Unlock()
+		batch, mb.queue = mb.queue, batch[:0]
+		mb.mu.Unlock()
+		if len(batch) == 0 {
 			select {
 			case <-mb.notify:
 				continue
@@ -296,14 +300,14 @@ func (mb *mailbox) pump() {
 				return
 			}
 		}
-		m := mb.queue[0]
-		mb.queue = mb.queue[1:]
-		mb.mu.Unlock()
-
-		select {
-		case mb.out <- m:
-		case <-mb.done:
-			return
+		for i := range batch {
+			m := batch[i]
+			batch[i] = Message{} // a delivered payload is not pinned by the spare
+			select {
+			case mb.out <- m:
+			case <-mb.done:
+				return
+			}
 		}
 	}
 }

@@ -29,6 +29,13 @@ type Addr string
 // Message is the unit of communication. Type is interpreted by the layer
 // above (consensus message kinds, block delivery, ...); the transport treats
 // the payload as opaque bytes.
+//
+// Payload is immutable from Send onward and from Inbox onward. The sender
+// must not write to it after Send (the in-process network hands the one
+// slice to every receiver); a transport must not reuse a buffer it delivered
+// (the TCP reader allocates one per frame); a receiver may keep it, and
+// views into it, indefinitely and must not write to them. Decoders return
+// views; whoever retains a small piece of a large payload clones that piece.
 type Message struct {
 	From    Addr
 	To      Addr
@@ -57,13 +64,14 @@ var (
 type Conn interface {
 	// Addr returns the endpoint's own address.
 	Addr() Addr
-	// Send transmits a message. From is filled in by the transport. Send
-	// never blocks on the receiver: delivery is asynchronous, and messages
-	// to unknown or disconnected destinations are silently dropped (the
+	// Send transmits a message; payload is immutable from here on (see
+	// Message). From is filled in by the transport. Send never blocks on
+	// the receiver: delivery is asynchronous, and messages to unknown or
+	// disconnected destinations are silently dropped (the
 	// asynchronous-network assumption BFT protocols are designed for).
 	Send(to Addr, msgType uint16, payload []byte)
-	// Inbox returns the channel of received messages. It is closed when the
-	// connection closes.
+	// Inbox returns the channel of received messages (their payloads are
+	// immutable, see Message). It is closed when the connection closes.
 	Inbox() <-chan Message
 	// Close detaches the endpoint from the network.
 	Close() error

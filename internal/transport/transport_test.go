@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	stdnet "net"
 	"sync"
@@ -364,5 +365,40 @@ func TestFrameCodecProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 30}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The ownership rule's teeth on the socket side: decoders above hold views
+// into a received payload, so a payload must read the same after any number
+// of later frames arrived on its connection. This goes red the day the
+// reader recycles its buffers.
+func TestTCPDeliveredPayloadIsNeverReused(t *testing.T) {
+	server, err := NewTCPTransport(TCPConfig{Addr: "s", Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatalf("server: %v", err)
+	}
+	defer server.Close()
+	client, err := NewTCPTransport(TCPConfig{
+		Addr:  "c",
+		Peers: map[Addr]string{"s": server.ListenAddr()},
+	})
+	if err != nil {
+		t.Fatalf("client: %v", err)
+	}
+	defer client.Close()
+
+	frame := func(i int) []byte { return bytes.Repeat([]byte{byte(i), byte(i >> 8)}, 1024) }
+	client.Send("s", 0, frame(0))
+	first := recvOne(t, server, 5*time.Second)
+	for i := 1; i <= 1000; i++ {
+		client.Send("s", uint16(i), frame(i))
+	}
+	for i := 1; i <= 1000; i++ {
+		if m := recvOne(t, server, 5*time.Second); !bytes.Equal(m.Payload, frame(i)) {
+			t.Fatalf("frame %d arrived damaged", i)
+		}
+	}
+	if !bytes.Equal(first.Payload, frame(0)) || first.From != "c" {
+		t.Fatal("a delivered payload changed while later frames arrived")
 	}
 }

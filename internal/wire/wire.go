@@ -3,6 +3,13 @@
 // blocks, and snapshots. Encodings are length-prefixed and carry no type
 // information; each structure documents its own layout. Determinism matters
 // because digests (block hashes, batch hashes) are computed over encodings.
+//
+// Ownership: a Reader never copies. Bytes, Raw and BytesSlice return views
+// into its buffer (capped: an append cannot reach the bytes behind one), so a
+// decoded value must not outlive modifications of that buffer, and keeps all
+// of it reachable. Message payloads are immutable (transport.Message), so
+// their decoders return views; whoever retains a small piece of a much larger
+// or reusable buffer detaches that piece (bytes.Clone, BytesCopy).
 package wire
 
 import (
@@ -180,7 +187,7 @@ func (r *Reader) take(n int) []byte {
 		r.fail(ErrTruncated)
 		return nil
 	}
-	b := r.buf[r.off : r.off+n]
+	b := r.buf[r.off : r.off+n : r.off+n]
 	r.off += n
 	return b
 }
@@ -258,7 +265,8 @@ func (r *Reader) Bytes() []byte {
 	return r.take(int(n))
 }
 
-// BytesCopy reads a length-prefixed byte field into a fresh slice.
+// BytesCopy reads a length-prefixed byte field into a fresh slice: for a
+// field that must outlive, or not pin, the buffer it is decoded from.
 func (r *Reader) BytesCopy() []byte {
 	b := r.Bytes()
 	if b == nil {
@@ -278,23 +286,29 @@ func (r *Reader) String() string {
 // Raw reads n bytes without a length prefix.
 func (r *Reader) Raw(n int) []byte { return r.take(n) }
 
-// BytesSlice reads a counted sequence of length-prefixed byte fields. Each
-// element is copied out of the reader's buffer.
+// BytesSlice reads a counted sequence of length-prefixed byte fields. The
+// elements alias the reader's buffer.
 func (r *Reader) BytesSlice() [][]byte {
-	n := r.Uvarint()
+	items := make([][]byte, r.Count(1))
+	for i := range items {
+		items[i] = r.Bytes()
+	}
 	if r.err != nil {
 		return nil
 	}
-	if n > maxLen {
-		r.fail(ErrTooLarge)
-		return nil
-	}
-	items := make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
-		items = append(items, r.BytesCopy())
-		if r.err != nil {
-			return nil
-		}
-	}
 	return items
+}
+
+// Count reads the element count of a sequence whose elements occupy at least
+// elemSize (> 0) bytes each. A count the unconsumed input cannot hold fails
+// the reader, so a decoder may size its allocation by the result.
+func (r *Reader) Count(elemSize int) int {
+	n := r.Uvarint()
+	if r.err == nil && n > uint64(r.Remaining()/elemSize) {
+		r.fail(ErrTruncated)
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
 }

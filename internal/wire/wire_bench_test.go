@@ -51,8 +51,8 @@ func BenchmarkWriterEncodePooled(b *testing.B) {
 	}
 }
 
-// BenchmarkReaderDecode decodes the same record shape back out,
-// including the per-element copies of BytesSlice.
+// BenchmarkReaderDecode decodes the same record shape back out: one
+// allocation, the slice of views.
 func BenchmarkReaderDecode(b *testing.B) {
 	w := NewWriter(1024)
 	encodeDecisionRecord(w, 42, benchBatch())

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -143,6 +144,45 @@ func TestBytesCopyDoesNotAlias(t *testing.T) {
 	buf[len(buf)-1] ^= 0xFF
 	if string(got) != "alias" {
 		t.Fatal("BytesCopy aliased the input buffer")
+	}
+}
+
+// A count read off the wire must not size an allocation beyond what the
+// input can hold: this body is a count of 2^26 and not one element.
+func TestBytesSliceHostileCountAllocatesNothing(t *testing.T) {
+	w := NewWriter(0)
+	w.PutUvarint(1 << 26)
+	body := w.Bytes()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := NewReader(body)
+	got := r.BytesSlice()
+	runtime.ReadMemStats(&after)
+	if got != nil || r.Err() == nil {
+		t.Fatalf("decoded %d elements from an empty body (err %v)", len(got), r.Err())
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Fatalf("a %d-byte body made the decoder allocate %d bytes", len(body), grew)
+	}
+}
+
+// Views: BytesSlice and Bytes alias the input, and an append to a view must
+// not reach the bytes behind it.
+func TestReaderReturnsCappedViews(t *testing.T) {
+	w := NewWriter(0)
+	w.PutBytesSlice([][]byte{[]byte("ab"), []byte("cd")})
+	buf := w.Bytes()
+	r := NewReader(buf)
+	items := r.BytesSlice()
+	if r.Finish() != nil || len(items) != 2 {
+		t.Fatalf("decode: %v", r.Err())
+	}
+	if &items[0][0] != &buf[2] {
+		t.Fatal("BytesSlice copied its elements")
+	}
+	_ = append(items[0], 'X')
+	if string(items[1]) != "cd" || buf[4] != 2 {
+		t.Fatalf("append to a view wrote into the buffer: %q", buf)
 	}
 }
 
