@@ -255,6 +255,26 @@ func TestScrubHealsTeeth(t *testing.T) {
 	assertTrips(t, run(t, s, nil), "scrub-heals", "with the victim cut off from every peer's copy")
 }
 
+// TestReleaseKeepsUpTeeth proves the release-keeps-up invariant has teeth:
+// from a third of the way in, every block copy addressed to the load
+// frontend is lost on the network, and so is every re-registration it sends
+// to heal. The nodes keep ordering for the observer while the load
+// frontend's cursor stands still, and the invariant must trip.
+func TestReleaseKeepsUpTeeth(t *testing.T) {
+	s, _ := Lookup("baseline")
+	s.Faults = append(s.Faults, Fault{Name: "cut-load-frontend", Run: func(e *Env) error {
+		if !after(e, frac(e, 0.3)) {
+			return nil
+		}
+		load := transport.Addr(e.LoadFE.ID())
+		e.Network.SetDrop(func(m transport.Message) bool {
+			return m.Type == core.MsgBlock && m.To == load || m.Type == core.MsgRegister && m.From == load
+		})
+		return nil
+	}})
+	assertTrips(t, run(t, s, nil), "release-keeps-up", "with the load frontend cut off from every block copy")
+}
+
 // TestFsyncErrorFailFastScenario turns one node's disk fsync-dead
 // mid-run: its commit log must poison itself and stop advancing
 // durability (fail-fast) while the other replicas keep the service live

@@ -154,7 +154,7 @@ func JoinFault(atFrac float64) Fault {
 
 // ReplaceFault swaps node i for a fresh identity at atFrac: the successor
 // joins first (the group briefly runs one node larger, so quorum never
-// thins), then node i is removed through consensus, drains, and leaves.
+// thins), then node i is removed through consensus and leaves.
 func ReplaceFault(node int, atFrac float64) Fault {
 	return Fault{
 		Name: "replace",

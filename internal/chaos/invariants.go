@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"time"
 
@@ -291,6 +292,59 @@ func NoSilentLoss() Invariant {
 			}
 		},
 	}
+}
+
+// ReleaseKeepsUp requires, after quiesce, that both frontends release what
+// a release quorum holds: the observer's and the load frontend's release
+// cursors must reach the height 2f+1 live nodes hold (the (2f+1)-th highest
+// ledger height). A node pushes each block once, so a copy lost on the wire,
+// or never sent by a node that was down or restarted and forgot the
+// frontend, stalls a frontend until it re-registers from its cursor — this
+// is the check that it does. Polls up to the quiesce deadline.
+func ReleaseKeepsUp() Invariant {
+	const name = "release-keeps-up"
+	return Invariant{
+		Name:  name,
+		Start: func(e *Env) error { return nil },
+		Stop: func(e *Env) {
+			deadline := time.Now().Add(quiesceTimeout)
+			for {
+				target := e.quorumHeight()
+				observer := e.Observer.ReleasedHeight(e.Channel)
+				load := e.LoadFE.ReleasedHeight(e.Channel)
+				if observer >= target && load >= target {
+					return
+				}
+				if time.Now().After(deadline) {
+					e.Violate(name, "observer released %d and load frontend %d of the %d blocks 2f+1 live nodes hold [%s]",
+						observer, load, target, e.progress())
+					return
+				}
+				time.Sleep(100 * time.Millisecond)
+			}
+		},
+	}
+}
+
+// quorumHeight is the ledger height 2f+1 live nodes reach (0 with fewer
+// live nodes than that).
+func (e *Env) quorumHeight() uint64 {
+	var heights []uint64
+	for i := 0; i < e.NodeCount(); i++ {
+		if n, _ := e.Node(i); n != nil {
+			var h uint64
+			if led := n.Ledger(e.Channel); led != nil {
+				h = led.Height()
+			}
+			heights = append(heights, h)
+		}
+	}
+	quorum := 2*e.F + 1
+	if len(heights) < quorum {
+		return 0
+	}
+	sort.Slice(heights, func(i, j int) bool { return heights[i] > heights[j] })
+	return heights[quorum-1]
 }
 
 // MetricsSane cross-checks the observability layer against ground truth

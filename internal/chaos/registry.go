@@ -16,6 +16,7 @@ func standardInvariants(floor float64) []Invariant {
 		VerifiedFetch(),
 		WatermarkMonotonic(),
 		DurableFloor(floor),
+		ReleaseKeepsUp(),
 	}
 }
 
@@ -31,8 +32,8 @@ func Scenarios() []Scenario {
 			Invariants:  append(standardInvariants(1.0), MetricsSane()),
 		},
 		{
-			Name:        "wan-geo",
-			Description: "four continents with seeded jitter and dissemination loss; release rules absorb dropped copies",
+			Name:           "wan-geo",
+			Description:    "four continents with seeded jitter and dissemination loss; release rules absorb dropped copies",
 			RequestTimeout: 4 * time.Second,
 			Duration:       8 * time.Second,
 			Faults:         []Fault{WANFault(10, 0.003)},
@@ -93,7 +94,7 @@ func Scenarios() []Scenario {
 		},
 		{
 			Name:        "node-replace",
-			Description: "a replica is replaced mid-run: the successor joins first so quorum never thins, then the old node is removed through consensus, drains, and leaves",
+			Description: "a replica is replaced mid-run: the successor joins first so quorum never thins, then the old node is removed through consensus and leaves",
 			Duration:    8 * time.Second,
 			Faults:      []Fault{ReplaceFault(1, 0.25)},
 			Invariants:  append(standardInvariants(1.0), MembershipConverged()),
@@ -103,7 +104,7 @@ func Scenarios() []Scenario {
 			Description:    "every node is crash-restarted in sequence under continuous load (the rolling-upgrade procedure); each must recover from disk and catch up before the next goes down, with zero delivery gaps",
 			RequestTimeout: 800 * time.Millisecond,
 			Duration:       10 * time.Second,
-			Faults:         []Fault{RollingRestartFault(0.1, 250 * time.Millisecond)},
+			Faults:         []Fault{RollingRestartFault(0.1, 250*time.Millisecond)},
 			Invariants:     append(standardInvariants(1.0), MembershipConverged(), LeaderChangeObserved()),
 		},
 		{
@@ -126,6 +127,7 @@ func Scenarios() []Scenario {
 				WatermarkMonotonic(),
 				DurableFloorExcept(1.0, 3),
 				NoSilentLoss(),
+				ReleaseKeepsUp(),
 			},
 		},
 		{
@@ -188,6 +190,7 @@ func SoakScenario() Scenario {
 			DurableFloorExcept(0.9, 3),
 			ScrubHeals(),
 			NoSilentLoss(),
+			ReleaseKeepsUp(),
 		},
 	}
 }

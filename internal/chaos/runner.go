@@ -58,6 +58,10 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
+// quiesceTimeout bounds the drain after the injection window, and how long
+// ReleaseKeepsUp then waits for the frontends.
+const quiesceTimeout = 10 * time.Second
+
 type loadKey struct {
 	client string
 	seq    uint64
@@ -229,8 +233,10 @@ func Run(s Scenario, opts Options) (Result, error) {
 	e.wg.Wait()
 
 	// Quiesce: wait for in-flight envelopes to drain through the observer
-	// (bounded — a dropped dissemination copy may strand a tail block).
-	quiesceDeadline := time.Now().Add(10 * time.Second)
+	// (bounded, so a run whose chain stalls still ends; a frontend short of a
+	// copy no longer strands a tail block — it re-registers from its cursor
+	// within two heal ticks, well inside the bound).
+	quiesceDeadline := time.Now().Add(quiesceTimeout)
 	lastCount := delivered.Load()
 	lastChange := time.Now()
 	for time.Now().Before(quiesceDeadline) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"math/rand"
 	"strconv"
 	"sync"
@@ -16,11 +17,12 @@ import (
 )
 
 // This file is everything a node or a frontend does with other nodes'
-// blocks: the FetchBlocks wire messages, the server that answers them from
-// the durable ledger, the client that asks, the one rule that decides when
-// a fetched range may be believed (fetch), and the two node-side users of
-// that rule — the back-fill that closes the gap a state-transfer jump left
-// in the durable chain, and the scrubber's repair callback.
+// blocks: the FetchBlocks wire messages, the server that answers them (and
+// replays) from the durable ledger, the client that asks, the one rule that
+// decides when a fetched range may be believed (fetch), and the two
+// node-side users of that rule — the back-fill that closes the gap a
+// state-transfer jump left in the durable chain, and the scrubber's repair
+// callback.
 //
 // A single peer is never trusted. A Byzantine server can stall a fetch but
 // never feed a forged history: every range handed to a caller passed one
@@ -185,16 +187,18 @@ type blockSync struct {
 	// above the local ledger height after a state-transfer jump, awaiting
 	// the back-fill that closes the gap beneath them (guarded by the node's
 	// ledgerMu, which pipeline.persist shares). filling guards one
-	// back-fill task per channel; forged caches the chains a ForgeHistory
-	// node serves, grown lazily per channel.
+	// back-fill task per channel and replaying one replay per (frontend,
+	// channel); forged caches the chains a ForgeHistory node serves, grown
+	// lazily per channel.
 	node   *OrderingNode
 	log    *slog.Logger
 	parked map[string]map[uint64]*fabric.Block
 
-	taskMu  sync.Mutex
-	filling map[string]bool
-	stopped bool
-	tasks   sync.WaitGroup
+	taskMu    sync.Mutex
+	filling   map[string]bool
+	replaying map[replayKey]bool
+	stopped   bool
+	tasks     sync.WaitGroup
 
 	forgedMu sync.Mutex
 	forged   map[string]forgedChain
@@ -219,6 +223,7 @@ func newNodeBlockSync(n *OrderingNode) *blockSync {
 	s.log = slog.With("node", int(n.ID()), "shard", n.cfg.ShardID)
 	s.parked = make(map[string]map[uint64]*fabric.Block)
 	s.filling = make(map[string]bool)
+	s.replaying = make(map[replayKey]bool)
 	s.forged = make(map[string]forgedChain)
 	return s
 }
@@ -615,8 +620,8 @@ func (s *blockSync) fetch(done <-chan struct{}, channel string, from, to uint64,
 
 // ---- server ------------------------------------------------------------------
 
-// blockSource is what fetch requests are answered from: the channel's
-// durable ledger, or a ForgeHistory node's forged chain.
+// blockSource is what fetch requests and replays are answered from: the
+// channel's durable ledger, or a ForgeHistory node's forged chain.
 type blockSource interface {
 	Height() uint64
 	// Range returns blocks [from, to) clamped to the height; a range that
@@ -624,49 +629,98 @@ type blockSource interface {
 	Range(from, to uint64) ([]*fabric.Block, error)
 }
 
-// serve answers one FetchBlocks request with up to maxFetchBlocks blocks
-// of the requested range (or, for a head probe, the newest block). Nodes
-// without durable storage (or without the channel) answer with an empty
-// run so the requester moves on quickly. Runs off the event loop: the
-// range read may hit disk, and the ledger is safe for concurrent readers.
+// window is the one read serve and replay answer from: blocks [from, to)
+// cut to maxFetchBlocks (the newest block for a head probe), and the
+// source's height — zero without a ledger for the channel.
+func (s *blockSync) window(channel string, from, to uint64) ([]*fabric.Block, uint64, error) {
+	led := s.node.Ledger(channel)
+	if led == nil {
+		return nil, 0, nil
+	}
+	var src blockSource = led
+	if s.node.byz.Load().ForgeHistory {
+		// The forged history mirrors the real ledger's height so the node
+		// looks plausibly caught-up to head probes.
+		src = s.forgedChain(channel, led.Height())
+	}
+	height := src.Height()
+	if from == fetchHeadProbe && height > 0 {
+		from, to = height-1, height
+	}
+	if to <= from {
+		return nil, height, nil
+	}
+	blocks, err := src.Range(from, min(to-from, maxFetchBlocks)+from)
+	return blocks, height, err
+}
+
+// serve answers one FetchBlocks request with one window. Nodes without
+// durable storage (or without the channel) answer with an empty run so the
+// requester moves on quickly. Runs off the event loop: the range read may
+// hit disk, and the ledger is safe for concurrent readers.
 func (s *blockSync) serve(to transport.Addr, payload []byte) {
 	req, err := unmarshalFetchRequest(payload)
 	if err != nil {
 		return
 	}
 	resp := fetchResponse{ReqID: req.ReqID, From: req.From}
-	if led := s.node.Ledger(req.Channel); led != nil {
-		var src blockSource = led
-		if s.node.byz.Load().ForgeHistory {
-			// The forged history mirrors the real ledger's height so the
-			// node looks plausibly caught-up to head probes.
-			src = s.forgedChain(req.Channel, led.Height())
+	blocks, _, err := s.window(req.Channel, req.From, req.To)
+	// Retention compacted the range away: tell the requester where this
+	// node's history now starts.
+	var pe *fabric.PrunedError
+	if errors.As(err, &pe) {
+		resp.Floor = pe.Floor
+	}
+	if len(blocks) > 0 {
+		resp.From = blocks[0].Header.Number // a head probe learns it here
+	}
+	for _, b := range blocks {
+		if req.SigsOnly {
+			// The header (and thus the signed digest) is untouched, so the
+			// requester can match by header hash.
+			b = &fabric.Block{Header: b.Header, Signatures: b.Signatures}
 		}
-		from, end := req.From, req.To
-		if h := src.Height(); from == fetchHeadProbe && h > 0 {
-			from, end = h-1, h
-			resp.From = from
-		}
-		if end > from {
-			end = min(end-from, maxFetchBlocks) + from
-			blocks, err := src.Range(from, end)
-			// Retention compacted the range away: tell the requester
-			// where this node's history now starts.
-			var pe *fabric.PrunedError
-			if errors.As(err, &pe) {
-				resp.Floor = pe.Floor
-			}
-			for _, b := range blocks {
-				if req.SigsOnly {
-					// The header (and thus the signed digest) is untouched,
-					// so the requester can match by header hash.
-					b = &fabric.Block{Header: b.Header, Signatures: b.Signatures}
-				}
-				resp.Blocks = append(resp.Blocks, b.Marshal())
-			}
-		}
+		resp.Blocks = append(resp.Blocks, b.Marshal())
 	}
 	s.conn.Send(to, MsgFetchResponse, resp.marshal())
+}
+
+// replayKey names one frontend's replay of one channel.
+type replayKey struct {
+	frontend transport.Addr
+	channel  string
+}
+
+// replay sends a re-registering frontend the channel's blocks from `from` up
+// to the height the first window saw, as ordinary MsgBlock frames, on a
+// background task at most one of which runs per (frontend, channel). The
+// frontend joined the live set before that read, so the live push carries
+// every later block.
+func (s *blockSync) replay(frontend transport.Addr, channel string, from uint64) {
+	key := replayKey{frontend, channel}
+	s.taskMu.Lock()
+	defer s.taskMu.Unlock()
+	if s.stopped || s.replaying[key] {
+		return
+	}
+	s.replaying[key] = true
+	s.tasks.Add(1)
+	go func() {
+		defer s.tasks.Done()
+		for end := uint64(math.MaxUint64); from < end; {
+			blocks, height, err := s.window(channel, from, end)
+			if err != nil || len(blocks) == 0 {
+				break
+			}
+			for _, b := range blocks {
+				s.conn.Send(frontend, MsgBlock, marshalBlockMsg(channel, b))
+			}
+			from, end = from+uint64(len(blocks)), min(end, height)
+		}
+		s.taskMu.Lock()
+		delete(s.replaying, key)
+		s.taskMu.Unlock()
+	}()
 }
 
 // forgedChain is a ForgeHistory node's fabricated history of one channel:
@@ -849,8 +903,9 @@ func (s *blockSync) backfill(channel string, to uint64, anchor cryptoutil.Digest
 	}()
 }
 
-// stop refuses new back-fill tasks and waits out the running ones (the
-// node's done channel, closed first, aborts their fetches).
+// stop refuses new back-fill and replay tasks and waits out the running
+// ones (the node's done channel, closed first, aborts back-fill fetches; a
+// replay ends at the height it read).
 func (s *blockSync) stop() {
 	s.taskMu.Lock()
 	s.stopped = true

@@ -388,8 +388,10 @@ func (c *Cluster) AddNode() (int, error) {
 
 // RemoveNode retires node i gracefully: the removal is ordered through
 // consensus first (so the group stops counting the node's votes and stops
-// sending it work), then the node drains its dissemination queue, stops,
-// and releases its transport identity. Restarting a removed node fails.
+// sending it work), then the node stops and releases its transport
+// identity. Its undelivered copies are not waited for: every block it
+// sealed the surviving group sealed too, and a frontend short of a copy
+// re-registers with them. Restarting a removed node fails.
 func (c *Cluster) RemoveNode(i int) error {
 	if i < 0 || i >= len(c.replicas) {
 		return fmt.Errorf("cluster: no node %d", i)
@@ -403,10 +405,6 @@ func (c *Cluster) RemoveNode(i int) error {
 	}
 	c.removed[id] = true
 	if node := c.Nodes[i]; node != nil {
-		// Best effort: blocks a wedged drain leaves behind are re-derivable
-		// from the surviving group, so a drain timeout does not block the
-		// removal.
-		_ = node.Drain(5 * time.Second)
 		node.Stop()
 		c.Network.Disconnect(id.Addr())
 		c.Nodes[i] = nil

@@ -54,7 +54,7 @@ func (d *streamDeliverer) run() {
 		// waiting for live traffic: a bounded seek fetches its exact range
 		// with no anchor to link it into; otherwise a quorum-agreed head
 		// block anchors the replay up to the current chain tip (the live
-		// stream's gap fill covers anything sealed after the probe).
+		// loop's gap fill covers anything sealed after the probe).
 		anchored := false
 		// A bounded seek that ends below the retained window resolves by
 		// an exact anchorless fetch of just [start, stop] — both when there
@@ -123,16 +123,9 @@ func (d *streamDeliverer) run() {
 				return
 			}
 		}
-		for _, b := range d.hist {
+		for _, b := range d.hist { // contiguous, and the fetch above reached hist[0]
 			if b.Header.Number < d.next {
 				continue
-			}
-			if b.Header.Number > d.next {
-				// Defensive: the retained window is kept contiguous, but a
-				// gap here must fetch rather than silently skip.
-				if !d.fetchAndEmit(d.next, b.Header.Number, b.Header.PrevHash) {
-					return
-				}
 			}
 			if !d.emit(b) {
 				return
@@ -150,10 +143,9 @@ func (d *streamDeliverer) run() {
 			return true // duplicate of the replayed history
 		}
 		if b.Header.Number > d.next {
-			// The release path skipped past blocks this subscription still
-			// owes (it provably cannot release them itself, e.g. they
-			// predate the frontend's registration): back-fill the gap,
-			// anchored at the live block above it.
+			// The release path never skips; this bridges the probed head
+			// and a frontend's first release above it. Back-fill the gap,
+			// anchored at the live block.
 			if !d.fetchAndEmit(d.next, b.Header.Number, b.Header.PrevHash) {
 				return false
 			}

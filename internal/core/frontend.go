@@ -114,7 +114,12 @@ type feSub struct {
 
 // feChannel tracks block collection and retained history for one channel.
 type feChannel struct {
+	// nextDeliver is the release cursor, started at the first block to reach
+	// the release threshold (a frontend may register mid-chain). advanced
+	// records that it moved since the last heal tick.
+	started     bool
 	nextDeliver uint64
+	advanced    bool
 	collecting  map[uint64]map[cryptoutil.Digest]*blockAccum
 	ready       map[uint64]*fabric.Block
 
@@ -251,8 +256,8 @@ func (f *Frontend) Stats() FrontendStats {
 
 // ReleasedHeight returns the frontend's release cursor for a channel: the
 // number of the next block it will release (every block below it has been
-// released or skipped). Diagnostics use it to tell a stalled release from
-// a lost write.
+// released, or predates the first release), 0 before any release.
+// Diagnostics use it to tell a stalled release from a lost write.
 func (f *Frontend) ReleasedHeight(channel string) uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -402,10 +407,14 @@ func (f *Frontend) OnBlock(cb func(*fabric.Block)) {
 
 func (f *Frontend) receiveLoop() {
 	defer f.wg.Done()
+	heal := time.NewTicker(fetchWindowTimeout)
+	defer heal.Stop()
 	for {
 		select {
 		case <-f.done:
 			return
+		case <-heal.C:
+			f.heal()
 		case m, ok := <-f.conn.Inbox():
 			if !ok {
 				return
@@ -427,6 +436,36 @@ func (f *Frontend) receiveLoop() {
 	}
 }
 
+// heal asks every node absent from a stalled channel's cursor block to
+// re-register this frontend and replay from the cursor. A channel stalls
+// when its cursor has not moved for a whole tick: copies were lost on the
+// wire or never sent, because a node was down or restarted and forgot this
+// frontend (when all did, nothing arrives: indistinguishable from an idle
+// chain, which costs each node one empty replay per tick).
+func (f *Frontend) heal() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for name, ch := range f.chans {
+		moved := ch.advanced
+		ch.advanced = false
+		if moved || !ch.started {
+			continue
+		}
+		voted := make(map[string]bool)
+		for _, acc := range ch.collecting[ch.nextDeliver] {
+			for sender := range acc.sigs {
+				voted[sender] = true
+			}
+		}
+		payload := fetchRequest{Channel: name, From: ch.nextDeliver}.marshal()
+		for _, peer := range f.peers {
+			if !voted[string(peer)] {
+				f.conn.Send(peer, MsgRegister, payload) // never blocks
+			}
+		}
+	}
+}
+
 func (f *Frontend) fromOrderingNode(addr transport.Addr) bool {
 	for _, peer := range f.peers {
 		if peer == addr {
@@ -438,7 +477,8 @@ func (f *Frontend) fromOrderingNode(addr transport.Addr) bool {
 
 // onBlockCopy processes one node's copy of a block: copies vote by header
 // hash, signatures accumulate, and the block is released once the
-// threshold is met (2f+1 matching, or f+1 verified).
+// threshold is met (2f+1 matching, or f+1 verified). One vote per node
+// absorbs copies arriving out of order or twice (replays).
 func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sentNano int64) {
 	if block.CheckIntegrity() != nil {
 		return // data hash does not match content: discard this copy
@@ -506,14 +546,20 @@ func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sent
 		}
 	}
 	ch.ready[number] = released
-	// A frontend subscribing mid-chain (a restarted durable cluster keeps
-	// numbering where it left off) would wait forever for blocks sealed
-	// before it registered: fast-forward the cursor past blocks that can
-	// no longer release. Envelope copies collected for the skipped blocks
-	// are returned so their inflight-window slots free below.
-	var skipped [][]byte
-	if number > ch.nextDeliver {
-		skipped = ch.maybeFastForward(number, len(f.cfg.Replicas), f.released)
+	// The first release starts the cursor. Copies below it are dropped, and
+	// their envelopes' inflight-window slots freed below.
+	var dropped [][]byte
+	if !ch.started {
+		ch.started = true
+		ch.nextDeliver = number
+		for n, byDigest := range ch.collecting {
+			if n < number {
+				for _, acc := range byDigest {
+					dropped = append(dropped, acc.block.Envelopes...)
+				}
+				delete(ch.collecting, n)
+			}
+		}
 	}
 	// Release the contiguous prefix in block-number order.
 	var deliveries []*fabric.Block
@@ -525,16 +571,12 @@ func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sent
 		delete(ch.ready, ch.nextDeliver)
 		delete(ch.collecting, ch.nextDeliver)
 		ch.nextDeliver++
+		ch.advanced = true
 		deliveries = append(deliveries, next)
 	}
-	// Retain the released blocks for Deliver seeks. The window must stay
-	// contiguous (deliverers replay it without per-block checks): if the
-	// cursor ever skipped dead blocks mid-stream, restart the window at
-	// the first block after the skip.
+	// Retain the released blocks for Deliver seeks (contiguous: the cursor
+	// never skips).
 	for _, b := range deliveries {
-		if len(ch.hist) > 0 && b.Header.Number != ch.histStart+uint64(len(ch.hist)) {
-			ch.hist = ch.hist[:0]
-		}
 		if len(ch.hist) == 0 {
 			ch.histStart = b.Header.Number
 		}
@@ -557,11 +599,9 @@ func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sent
 	// throughput-critical side of the benchmark receivers.
 	accounting := f.inflight != nil && f.inflight.active()
 	if accounting {
-		// Free window slots for envelopes the frontend will never deliver:
-		// they rode in blocks the cursor skipped as dead. release is a
-		// no-op for digests this client never broadcast, so counting every
-		// collected copy is safe.
-		for _, raw := range skipped {
+		// release is a no-op for digests this client never broadcast, so
+		// counting every dropped copy is safe.
+		for _, raw := range dropped {
 			f.inflight.release(cryptoutil.Hash(raw))
 		}
 	}
@@ -597,65 +637,6 @@ func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sent
 			q.put(b)
 		}
 	}
-}
-
-// maybeFastForward advances the delivery cursor after block `number`
-// released. Nodes disseminate per channel in block order over FIFO links,
-// so every node that voted on `number` has already sent every lower block
-// it will ever send. A lower block still short of the release threshold
-// can only gain copies from the remaining nodes; if even all of them
-// cannot complete it, the block predates this frontend's subscription and
-// is dead — the cursor moves past it. A registration race (one node
-// sending a block the release quorum never will) therefore cannot stall
-// the channel, while a reordering minority (<= f) can never force a skip:
-// a block that f+1 honest nodes sealed before `number` has their copies
-// already counted by the time `number` releases.
-//
-// The envelopes of every dropped copy are returned so the caller can free
-// their backpressure-window slots: those envelopes will never pass
-// through the delivery path.
-func (ch *feChannel) maybeFastForward(number uint64, replicas, threshold int) (dropped [][]byte) {
-	past := make(map[string]bool)
-	for _, acc := range ch.collecting[number] {
-		for sender := range acc.sigs {
-			past[sender] = true
-		}
-	}
-	remaining := replicas - len(past)
-	if remaining < 0 {
-		remaining = 0
-	}
-	// Released-but-gapped blocks below deliver first; only the range under
-	// the lowest of them must be dead to move the cursor.
-	target := number
-	for n := range ch.ready {
-		if n < target {
-			target = n
-		}
-	}
-	if target <= ch.nextDeliver {
-		return nil
-	}
-	for n, byDigest := range ch.collecting {
-		if n >= target || n < ch.nextDeliver {
-			continue
-		}
-		for _, acc := range byDigest {
-			if len(acc.sigs)+remaining >= threshold {
-				return nil // still live: hold for it
-			}
-		}
-	}
-	for n, byDigest := range ch.collecting {
-		if n < target {
-			for _, acc := range byDigest {
-				dropped = append(dropped, acc.block.Envelopes...)
-			}
-			delete(ch.collecting, n)
-		}
-	}
-	ch.nextDeliver = target
-	return dropped
 }
 
 func (f *Frontend) feChannel(channel string) *feChannel {

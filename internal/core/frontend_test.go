@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -153,9 +154,9 @@ func TestFrontendReordersBlocks(t *testing.T) {
 
 // TestFrontendRegistrationRaceDoesNotStall: one node registered the
 // frontend a block earlier than the others, so the frontend holds a
-// single copy of a block the release quorum will never send. Once the
-// next block releases, that straggler is provably dead (even every
-// not-yet-voted node could not complete it) and delivery proceeds.
+// single copy of a block the release quorum will never send. The first
+// block to release starts the cursor, and the straggler below it is
+// dropped.
 func TestFrontendRegistrationRaceDoesNotStall(t *testing.T) {
 	net := transport.NewInProcNetwork(transport.InProcConfig{})
 	defer net.Close()
@@ -311,4 +312,241 @@ func TestFrontendIgnoresTamperedCopies(t *testing.T) {
 
 func ids4() []consensus.ReplicaID {
 	return []consensus.ReplicaID{0, 1, 2, 3}
+}
+
+// awaitReregister waits for fake node idx to receive a re-registration (a
+// MsgRegister carrying a cursor) and returns its channel and cursor; the
+// startup registration, which carries none, is skipped.
+func (fn *fakeNodes) awaitReregister(idx int, within time.Duration) (channel string, from uint64, ok bool) {
+	deadline := time.After(within)
+	for {
+		select {
+		case m := <-fn.conns[idx].Inbox():
+			if m.Type != MsgRegister {
+				continue
+			}
+			if req, err := unmarshalFetchRequest(m.Payload); err == nil {
+				return req.Channel, req.From, true
+			}
+		case <-deadline:
+			return "", 0, false
+		}
+	}
+}
+
+// TestFrontendHealReregistersOnlyMissingPeers: block 1 reaches the
+// frontend from nodes 0 and 1 only, while block 2 completes. The cursor
+// stands at 1 for a whole heal tick, so the frontend asks exactly the nodes
+// missing from block 1 to replay from there; one of them sending block 1
+// again releases both.
+func TestFrontendHealReregistersOnlyMissingPeers(t *testing.T) {
+	net := transport.NewInProcNetwork(transport.InProcConfig{})
+	defer net.Close()
+	nodes := newFakeNodes(t, net, 4, nil)
+	fe, err := NewFrontend(FrontendConfig{ID: "fe", Replicas: ids4()}, net)
+	if err != nil {
+		t.Fatalf("frontend: %v", err)
+	}
+	defer fe.Close()
+	stream := deliverNewest(t, fe, "ch")
+
+	b0 := fabric.NewBlock(0, cryptoutil.Digest{}, [][]byte{feEnv(0)})
+	b1 := fabric.NewBlock(1, b0.Header.Hash(), [][]byte{feEnv(1)})
+	b2 := fabric.NewBlock(2, b1.Header.Hash(), [][]byte{feEnv(2)})
+	for i := 0; i < 3; i++ {
+		nodes.send(t, i, "ch", b0, "fe")
+	}
+	awaitBlock(t, stream, 5*time.Second)
+	for i := 0; i < 2; i++ {
+		nodes.send(t, i, "ch", b1, "fe")
+	}
+	for i := 0; i < 3; i++ {
+		nodes.send(t, i, "ch", b2, "fe")
+	}
+
+	for _, i := range []int{2, 3} {
+		channel, from, ok := nodes.awaitReregister(i, 3*fetchWindowTimeout)
+		if !ok {
+			t.Fatalf("node %d, missing from the stuck block, was never asked to replay", i)
+		}
+		if channel != "ch" || from != 1 {
+			t.Fatalf("node %d asked to replay %q from %d, want \"ch\" from 1", i, channel, from)
+		}
+	}
+	for _, i := range []int{0, 1} {
+		if channel, from, ok := nodes.awaitReregister(i, 100*time.Millisecond); ok {
+			t.Fatalf("node %d, whose copy of block 1 arrived, was asked to replay %q from %d", i, channel, from)
+		}
+	}
+	nodes.send(t, 2, "ch", b1, "fe")
+	for want := uint64(1); want <= 2; want++ {
+		if got := awaitBlock(t, stream, 5*time.Second); got.Header.Number != want {
+			t.Fatalf("released block %d, want %d", got.Header.Number, want)
+		}
+	}
+}
+
+// TestFrontendHealSilentOnHealthyStream guards the fault-free path: blocks
+// complete from three nodes across several heal ticks, and the fourth
+// node's copies arrive late, after release. The cursor moves between every
+// two ticks, and late copies are not held, so no node is asked to replay.
+func TestFrontendHealSilentOnHealthyStream(t *testing.T) {
+	net := transport.NewInProcNetwork(transport.InProcConfig{})
+	defer net.Close()
+	nodes := newFakeNodes(t, net, 4, nil)
+	fe, err := NewFrontend(FrontendConfig{ID: "fe", Replicas: ids4()}, net)
+	if err != nil {
+		t.Fatalf("frontend: %v", err)
+	}
+	defer fe.Close()
+	stream := deliverNewest(t, fe, "ch")
+
+	prev := cryptoutil.Digest{}
+	end := time.Now().Add(2*fetchWindowTimeout + fetchWindowTimeout/2)
+	for num := uint64(0); time.Now().Before(end); num++ {
+		b := fabric.NewBlock(num, prev, [][]byte{feEnv(int(num))})
+		prev = b.Header.Hash()
+		for i := 0; i < 3; i++ {
+			nodes.send(t, i, "ch", b, "fe")
+		}
+		if got := awaitBlock(t, stream, 5*time.Second); got.Header.Number != num {
+			t.Fatalf("released block %d, want %d", got.Header.Number, num)
+		}
+		nodes.send(t, 3, "ch", b, "fe")
+		time.Sleep(50 * time.Millisecond)
+	}
+	for i := 0; i < 4; i++ {
+		if channel, from, ok := nodes.awaitReregister(i, 100*time.Millisecond); ok {
+			t.Fatalf("healthy stream asked node %d to replay %q from %d", i, channel, from)
+		}
+	}
+}
+
+// TestFrontendHealAfterRestartThenCrash: node 3 is killed and restarted,
+// and comes back without the frontend in its live set; then node 0
+// crashes. Three nodes, within f, keep ordering, but only nodes 1 and 2
+// still push to the frontend, one copy short of 2f+1 on every block. The
+// stuck cursor re-registers with the nodes that did not send, and node 3's
+// replay and live push release every envelope.
+func TestFrontendHealAfterRestartThenCrash(t *testing.T) {
+	c := testCluster(t, ClusterConfig{
+		Nodes:          4,
+		BlockSize:      2,
+		DataDir:        t.TempDir(),
+		RequestTimeout: time.Second,
+	})
+	fe := testFrontend(t, c, "frontend-0", false)
+	stream := deliverNewest(t, fe, "ch1")
+	node3 := c.Replicas()[3].Addr()
+	var fromNode3 atomic.Int64
+	c.Network.SetFilter(func(m transport.Message) bool {
+		if m.Type == MsgBlock && m.From == node3 {
+			fromNode3.Add(1)
+		}
+		return true
+	})
+	broadcast := func(from, count int) {
+		t.Helper()
+		for i := from; i < from+count; i++ {
+			if st := fe.Broadcast(mkEnvelope("ch1", i, 32)); st != fabric.StatusSuccess {
+				t.Fatalf("broadcast %d: %v", i, st)
+			}
+		}
+	}
+
+	broadcast(0, 6) // blocks 0..2
+	collectBlocks(t, stream, 6, 10*time.Second)
+	waitLedgerHeight(t, c.Nodes[3], "ch1", 3, 5*time.Second)
+	c.KillNode(3)
+	broadcast(6, 6) // blocks 3..5, ordered by nodes 0..2
+	collectBlocks(t, stream, 6, 10*time.Second)
+	fromNode3.Store(0)
+	if err := c.RestartNode(3); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	broadcast(12, 6) // blocks 6..8; node 3 catches up
+	collectBlocks(t, stream, 6, 10*time.Second)
+	waitLedgerHeight(t, c.Nodes[3], "ch1", 9, 15*time.Second)
+
+	c.KillNode(0)
+	broadcast(18, 6) // blocks 9..11, ordered by nodes 1..3
+	released := 0
+	deadline := time.After(20 * time.Second)
+	for released < 6 {
+		select {
+		case b, ok := <-stream:
+			if !ok {
+				t.Fatal("stream closed")
+			}
+			released += len(b.Envelopes)
+		case <-deadline:
+			t.Fatalf("released %d of 6 envelopes after node 0 crashed; node 3 sent %d copies since its restart",
+				released, fromNode3.Load())
+		}
+	}
+}
+
+// TestFrontendHealLostCopyWhileNodeDown is a frozen release cursor in
+// miniature: with node 1 down, node 3's copy of block 1 is lost on the
+// wire, so block 1 reaches the frontend from nodes 0 and 2 only. The blocks
+// above it complete from 0, 2 and 3, yet nothing releases past block 1
+// until a node sends it again. Within two heal ticks of the loss the stuck
+// cursor has re-registered with nodes 1 and 3, and node 3's replay releases
+// block 1 and everything above it.
+func TestFrontendHealLostCopyWhileNodeDown(t *testing.T) {
+	c := testCluster(t, ClusterConfig{Nodes: 4, BlockSize: 2, DataDir: t.TempDir()})
+	fe := testFrontend(t, c, "frontend-0", false)
+	stream := deliverNewest(t, fe, "ch1")
+	for i := 0; i < 2; i++ {
+		if st := fe.Broadcast(mkEnvelope("ch1", i, 32)); st != fabric.StatusSuccess {
+			t.Fatalf("broadcast %d: %v", i, st)
+		}
+	}
+	collectBlocks(t, stream, 2, 10*time.Second) // block 0
+
+	c.KillNode(1)
+	node3 := c.Replicas()[3].Addr()
+	lost := make(chan time.Time, 1)
+	var once atomic.Bool
+	c.Network.SetDrop(func(m transport.Message) bool {
+		if m.Type != MsgBlock || m.From != node3 || m.To != "frontend-0" {
+			return false
+		}
+		if _, b, _, err := unmarshalBlockMsg(m.Payload); err != nil || b.Header.Number != 1 {
+			return false
+		}
+		if !once.CompareAndSwap(false, true) {
+			return false // only the live copy is lost; the replay gets through
+		}
+		lost <- time.Now()
+		return true
+	})
+	for i := 2; i < 8; i++ { // blocks 1..3
+		if st := fe.Broadcast(mkEnvelope("ch1", i, 32)); st != fabric.StatusSuccess {
+			t.Fatalf("broadcast %d: %v", i, st)
+		}
+	}
+	var lostAt time.Time
+	select {
+	case lostAt = <-lost:
+	case <-time.After(10 * time.Second):
+		t.Fatal("node 3 never sent its copy of block 1")
+	}
+
+	// Two ticks bound the detection; the replay itself takes milliseconds.
+	deadline := time.After(time.Until(lostAt.Add(2*fetchWindowTimeout + time.Second)))
+	for want := uint64(1); want <= 3; want++ {
+		select {
+		case b, ok := <-stream:
+			if !ok {
+				t.Fatal("stream closed")
+			}
+			if b.Header.Number != want {
+				t.Fatalf("released block %d, want %d", b.Header.Number, want)
+			}
+		case <-deadline:
+			t.Fatalf("block %d not released within two heal ticks of the lost copy (cursor %d)",
+				want, fe.ReleasedHeight("ch1"))
+		}
+	}
 }

@@ -12,7 +12,8 @@
 // the ordering cluster via an asynchronous BFT-SMaRt client invocation and
 // collects blocks from the nodes, releasing each block once 2f+1 matching
 // copies arrived (or f+1 with signature verification enabled - footnote 8
-// of the paper).
+// of the paper). A copy the push loses is sent again from the ledger when
+// the frontend, its release cursor stalled, re-registers from that cursor.
 package core
 
 import (
@@ -42,7 +43,9 @@ import (
 const (
 	// MsgBlock carries a signed block from an ordering node to a frontend.
 	MsgBlock uint16 = 64 + iota
-	// MsgRegister subscribes a frontend to a node's block dissemination.
+	// MsgRegister subscribes a frontend to a node's live block
+	// dissemination. A fetch request as payload (channel and From only) also
+	// asks for a replay from From as ordinary MsgBlock frames.
 	MsgRegister
 	// MsgUnregister removes the subscription.
 	MsgUnregister
@@ -928,6 +931,9 @@ func (n *OrderingNode) onServiceMessage(m transport.Message) {
 		n.mu.Lock()
 		n.frontends[m.From] = struct{}{}
 		n.mu.Unlock()
+		if req, err := unmarshalFetchRequest(m.Payload); err == nil {
+			n.sync.replay(m.From, req.Channel, req.From)
+		}
 	case MsgUnregister:
 		n.mu.Lock()
 		delete(n.frontends, m.From)
@@ -981,27 +987,6 @@ func (n *OrderingNode) peerAddrs() []transport.Addr {
 		}
 	}
 	return peers
-}
-
-// Drain waits until every channel's dissemination pipeline is empty: no
-// signed block parked in a sender and no drain worker out. Part of the
-// graceful-leave sequence — a node that drains before stopping hands every
-// block it sealed to the frontends, so removing it leaves no delivery gap.
-func (n *OrderingNode) Drain(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		if n.pipe.idle() {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("ordering node %d: drain timed out after %v", int(n.ID()), timeout)
-		}
-		select {
-		case <-n.done:
-			return nil
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
 }
 
 // ttcLoop submits time-to-cut markers for channels whose cutters have aged

@@ -46,11 +46,9 @@ type pipeline struct {
 	// in one go). Only touched during NewNode.
 	replayed map[string]putMark
 
-	// senders sequence block dissemination per channel: signing runs on a
-	// parallel pool, but blocks leave the node in block-number order, so a
-	// frontend can rely on FIFO links to detect its subscription point.
-	// durableHeights is the per-channel persist watermark: the block
-	// height proven durable by completed put tokens, seeded from the
+	// senders sequence block dissemination and persist per channel (see
+	// blockSender). durableHeights is the per-channel persist watermark: the
+	// block height proven durable by completed put tokens, seeded from the
 	// recovered chain frontiers.
 	sendMu         sync.Mutex
 	senders        map[string]*blockSender
@@ -110,8 +108,10 @@ func observeStamp(h *obs.Histogram, unixNano int64, now time.Time) {
 // blockSender sequences one channel's dissemination + persist. Signing
 // completes out of order on the pool, so completed blocks park in pending
 // until every lower number has been handled; one worker at a time drains
-// the contiguous run (draining guards it), which keeps both the outgoing
-// sends and the durable appends in strict block-number order. epoch
+// the contiguous run (draining guards it). The order is for the ledger,
+// which appends block n only at height n, and for the write-ahead gate,
+// which the drain waits out block by block in decision order; frontends
+// need none (they collect copies in any order). epoch
 // invalidates in-flight completions when a rollback or state transfer
 // rewrites the chain.
 type blockSender struct {
@@ -563,17 +563,4 @@ func (p *pipeline) resetAll() {
 	for _, s := range p.senders {
 		s.invalidate()
 	}
-}
-
-// idle reports whether every channel's sender is empty: no signed block
-// parked and no drain worker out.
-func (p *pipeline) idle() bool {
-	p.sendMu.Lock()
-	defer p.sendMu.Unlock()
-	for _, s := range p.senders {
-		if len(s.pending) > 0 || s.draining {
-			return false
-		}
-	}
-	return true
 }
