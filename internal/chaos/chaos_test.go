@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/consensus"
@@ -113,6 +114,9 @@ func TestForgedHistoryScenario(t *testing.T) {
 // deterministic in content, so two forgers sign identical headers, their
 // signatures merge to f+1 over the forged range, and the verified-fetch
 // invariant must trip — the threshold is what protects, and only up to f.
+// Both of its probes must trip: f+1 signatures on every block
+// (FetchVerified), and f+1 on the stop block of a Deliver seek below the
+// window, with the links beneath it.
 func TestForgedHistoryTeeth(t *testing.T) {
 	s, _ := Lookup("forged-history")
 	s.Faults = nil
@@ -120,7 +124,19 @@ func TestForgedHistoryTeeth(t *testing.T) {
 		s.Faults = append(s.Faults,
 			ByzantineFault(node, consensus.Behavior{}, core.Byzantine{ForgeHistory: true}, 0.0))
 	}
-	assertTrips(t, run(t, s, nil), "verified-fetch", "with f+1 nodes forging history")
+	res := run(t, s, nil)
+	assertTrips(t, res, "verified-fetch", "with f+1 nodes forging history")
+	for _, probe := range []string{"verified fetch of", "deliver seek of"} {
+		tripped := false
+		for _, inv := range res.Invariants {
+			for _, d := range inv.Detail {
+				tripped = tripped || inv.Name == "verified-fetch" && strings.HasPrefix(d, probe)
+			}
+		}
+		if !tripped {
+			t.Errorf("the %q probe never returned the forged history: %+v", probe, res.Invariants)
+		}
+	}
 }
 
 // TestReconfigUnderChaos exercises consensus membership change while a

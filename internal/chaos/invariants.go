@@ -10,9 +10,11 @@ import (
 	"time"
 
 	"repro/internal/consensus"
+	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/obs"
 	"repro/internal/storage"
+	"repro/internal/transport"
 )
 
 // DeliverContinuity subscribes from genesis on the observer frontend and
@@ -64,22 +66,46 @@ func DeliverContinuity() Invariant {
 	}
 }
 
-// VerifiedFetch continuously probes Frontend.FetchVerified on the observer
-// frontend: seeded random subranges of the canonical chain are fetched and
-// every returned block must match the canonical copy byte-for-hash. This is
-// the invariant a forged-history adversary attacks — the f+1 verification
-// quorum must keep holding with the adversary live. It fails the run if a
-// probe diverges, or if no probe ever succeeded despite available history.
+// VerifiedFetch continuously probes the two ways a frontend proves history
+// it holds no anchor for, on seeded random subranges of the canonical
+// chain; every returned block must match the canonical copy by header
+// hash. The fetch probe calls Frontend.FetchVerified on the observer: f+1
+// signatures on every block. The deliver probe opens a bounded
+// Deliver(DeliverFrom(a).Through(b)) seek on a reader frontend that
+// retains no history, so every seek lies below its window: f+1 signatures
+// on block b and the hash links beneath it. This is the invariant a
+// forged-history adversary attacks — both thresholds must keep holding
+// with the adversary live. It fails the run if a probe diverges, or if a
+// probe never succeeded despite available history.
 func VerifiedFetch() Invariant {
 	const name = "verified-fetch"
-	var successes, failures int
+	type probe struct {
+		name                string
+		read                func(from, to uint64) ([]*fabric.Block, error)
+		successes, failures int
+		diverged            bool
+	}
+	var probes []*probe
 	done := make(chan struct{})
 	return Invariant{
 		Name: name,
 		Start: func(e *Env) error {
+			reader, err := newReader(e)
+			if err != nil {
+				return err
+			}
+			probes = []*probe{
+				{name: "verified fetch", read: func(from, to uint64) ([]*fabric.Block, error) {
+					return e.Observer.FetchVerified(e.Channel, from, to)
+				}},
+				{name: "deliver seek", read: func(from, to uint64) ([]*fabric.Block, error) {
+					return seek(e, reader, from, to)
+				}},
+			}
 			rng := rand.New(rand.NewSource(int64(e.Scenario.Seed) + 7))
 			e.Go(func() {
 				defer close(done)
+				defer reader.Close()
 				ticker := time.NewTicker(200 * time.Millisecond)
 				defer ticker.Stop()
 				for {
@@ -94,32 +120,108 @@ func VerifiedFetch() Invariant {
 					}
 					from := uint64(rng.Intn(len(canon) - 1))
 					span := uint64(1 + rng.Intn(min(len(canon)-int(from), 8)))
-					blocks, err := e.Observer.FetchVerified(e.Channel, from, from+span)
-					if err != nil {
-						failures++ // transient under partitions/crashes; judged at Stop
-						continue
-					}
-					for i, b := range blocks {
-						want := canon[from+uint64(i)]
-						if b.Header.Hash() != want.Header.Hash() {
-							e.Violate(name,
-								"verified fetch of [%d,%d) returned divergent block %d (forged or stale history passed verification)",
-								from, from+span, b.Header.Number)
-							return
+					for _, p := range probes {
+						if p.diverged {
+							continue
+						}
+						blocks, err := p.read(from, from+span)
+						if err != nil {
+							p.failures++ // transient under partitions/crashes; judged at Stop
+							continue
+						}
+						for i, b := range blocks {
+							if b.Header.Hash() != canon[from+uint64(i)].Header.Hash() {
+								e.Violate(name,
+									"%s of [%d,%d) returned divergent block %d (forged or stale history passed verification)",
+									p.name, from, from+span, b.Header.Number)
+								p.diverged = true
+								break
+							}
+						}
+						if !p.diverged {
+							p.successes++
 						}
 					}
-					successes++
 				}
 			})
 			return nil
 		},
 		Stop: func(e *Env) {
 			<-done
-			if successes == 0 && e.CanonHeight() > 1 {
-				e.Violate(name, "no fetch probe ever succeeded (%d attempts failed) despite %d canonical blocks",
-					failures, e.CanonHeight())
+			for _, p := range probes {
+				if p.successes == 0 && e.CanonHeight() > 1 {
+					e.Violate(name, "no %s probe ever succeeded (%d attempts failed) despite %d canonical blocks",
+						p.name, p.failures, e.CanonHeight())
+				}
 			}
 		},
+	}
+}
+
+// seekTimeout bounds one deliver probe: a seek whose exact fetch fails
+// falls back to anchoring on the head, then on live blocks, which never
+// reach a reader.
+const seekTimeout = 5 * time.Second
+
+// seek reads blocks [from, to) through a bounded Deliver seek on reader.
+func seek(e *Env, reader *core.Frontend, from, to uint64) ([]*fabric.Block, error) {
+	stream, err := reader.Deliver(e.Channel, fabric.DeliverFrom(from).Through(to-1))
+	if err != nil {
+		return nil, err
+	}
+	defer stream.Cancel()
+	timeout := time.NewTimer(seekTimeout)
+	defer timeout.Stop()
+	blocks := make([]*fabric.Block, 0, to-from)
+	for {
+		select {
+		case b, ok := <-stream.Blocks():
+			if !ok {
+				if err := stream.Err(); err != nil {
+					return nil, err
+				}
+				if uint64(len(blocks)) != to-from {
+					return nil, fmt.Errorf("seek of [%d,%d) ended after %d blocks", from, to, len(blocks))
+				}
+				return blocks, nil
+			}
+			blocks = append(blocks, b)
+		case <-timeout.C:
+			return nil, fmt.Errorf("seek of [%d,%d) timed out", from, to)
+		case <-e.Done():
+			return nil, errors.New("injection window closed")
+		}
+	}
+}
+
+// newReader joins a frontend whose registrations are dropped, so no node
+// ever pushes it a block: it retains no history, and every bounded seek on
+// it is answered by a fetch from the nodes' ledgers.
+func newReader(e *Env) (*core.Frontend, error) {
+	const id = "chaos-reader"
+	conn, err := e.Network.Join(id)
+	if err != nil {
+		return nil, err
+	}
+	clientConn, err := e.Network.Join(id + "-client")
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return core.NewFrontendWithConns(core.FrontendConfig{
+		ID:       id,
+		Replicas: e.Members(),
+		F:        e.F,
+		Registry: e.Cluster.Registry,
+	}, unregistered{conn}, clientConn)
+}
+
+// unregistered is a frontend endpoint whose MsgRegister sends are lost.
+type unregistered struct{ transport.Conn }
+
+func (c unregistered) Send(to transport.Addr, msgType uint16, payload []byte) {
+	if msgType != core.MsgRegister {
+		c.Conn.Send(to, msgType, payload)
 	}
 }
 

@@ -43,6 +43,17 @@ import (
 //     verification keys (cmd/ordernode), and for blocks that carry no
 //     signatures — sealed with DisableSigning, or re-sealed from the
 //     decision log by a crash recovery.
+//
+// The first two compose: a caller with no anchor that keeps no proof (a
+// Deliver replay below a frontend's window) needs f+1 signatures on the
+// top block only, which then is the anchor the link proves the rest from.
+// A correct node signs only a header it sealed on the decided chain, so
+// one of the f+1 signers vouches that the top header is the decided block
+// to-1; every header below it is then fixed by the PrevHash chain, and
+// every block's envelopes by its data hash — a forged interior under a
+// genuine top takes a SHA-256 collision. A caller that keeps the proof
+// gets f+1 signatures on every block instead, so a stored block proves
+// itself on its own, wherever it is served from next.
 
 // maxFetchBlocks caps the blocks served per response; requesters ask for
 // the next window until the range is covered.
@@ -71,7 +82,8 @@ var (
 	// range.
 	ErrFetchFailed = errors.New("core: block fetch failed")
 	// ErrUnverifiedRange reports a fetched range that could not accumulate
-	// f+1 valid signatures per block (typically unsigned blocks).
+	// f+1 valid signatures on every block that needed them (typically
+	// unsigned blocks).
 	ErrUnverifiedRange = errors.New("core: fetched range lacks f+1 signatures")
 )
 
@@ -418,42 +430,67 @@ func (t *prunedTally) note(channel string, err error) *fabric.PrunedError {
 
 // rangeCandidate is one well-formed version of a requested range,
 // identified by its top header hash (the hash chain makes it cover the
-// whole range), accumulating across the peers that vouch for it the
-// verified signatures per block and the peers themselves.
+// whole range), accumulating across the peers that vouch for it the peers
+// themselves and the verified signatures on its counted blocks: the top
+// len(digests) of blocks — all of them when the caller keeps the proof,
+// the top one alone otherwise.
 type rangeCandidate struct {
 	blocks  []*fabric.Block
-	digests []cryptoutil.Digest     // header hash per block
-	signers []map[string]bool       // distinct verified signers per block
-	short   int                     // blocks still below f+1 signatures
+	digests []cryptoutil.Digest     // header hash per counted block
+	signers []map[string]bool       // distinct verified signers per counted block
+	short   int                     // counted blocks still below f+1 signatures
 	peers   map[transport.Addr]bool // peers whose copy has this top
 }
 
-// vouch merges one peer's copy of the range (full or envelope-stripped)
-// into the candidate, index by index where the header hashes agree, and
-// reports how many indices did. Matching by header hash is safe without
-// re-verifying the copy's chain: every signature is checked against the
-// candidate's own header digest, so a copy can contribute valid signatures
-// or nothing. Newly verified signatures are appended to the candidate's
-// blocks, so what is handed on carries its own proof. verify is nil where
-// the signature proof does not apply.
-func (c *rangeCandidate) vouch(peer transport.Addr, theirs []*fabric.Block, verify *cryptoutil.Registry, need int) (matched int) {
-	for i, b := range c.blocks {
-		if i >= len(theirs) || (theirs[i] != b && theirs[i].Header.Hash() != c.digests[i]) {
+// newRangeCandidate makes a candidate of a verified copy whose top counted
+// blocks must gather f+1 signatures.
+func newRangeCandidate(blocks []*fabric.Block, counted int) *rangeCandidate {
+	c := &rangeCandidate{
+		blocks:  blocks,
+		digests: make([]cryptoutil.Digest, 0, counted),
+		signers: make([]map[string]bool, 0, counted),
+		short:   counted,
+		peers:   make(map[transport.Addr]bool),
+	}
+	for _, b := range blocks[len(blocks)-counted:] {
+		c.digests = append(c.digests, b.Header.Hash())
+		c.signers = append(c.signers, make(map[string]bool))
+	}
+	return c
+}
+
+// vouch merges one peer's copy — full, envelope-stripped, or of the top
+// block alone: consecutive blocks from at most the first counted one
+// through the range's top — into the candidate, counted block by counted
+// block where the header hashes agree, and reports whether the tops did: a
+// copy with another top is another version, however much of the interior
+// it shares. Matching by header hash is safe without re-verifying the
+// copy's chain: every signature is checked against the candidate's own
+// header digest, so a copy can contribute valid signatures or nothing.
+// Newly verified signatures are appended to the candidate's blocks, so
+// what is handed on carries its own proof. verify is nil where the
+// signature proof does not apply.
+func (c *rangeCandidate) vouch(peer transport.Addr, theirs []*fabric.Block, verify *cryptoutil.Registry, need int) (sameTop bool) {
+	base := len(c.blocks) - len(c.digests)                              // c.blocks index of counted block 0
+	skew := int(c.blocks[base].Header.Number - theirs[0].Header.Number) // theirs index of it
+	for i, digest := range c.digests {
+		b, t := c.blocks[base+i], theirs[skew+i]
+		if t != b && t.Header.Hash() != digest {
 			continue // diverging copy: its signatures prove nothing here
 		}
-		matched++
-		if i == len(c.blocks)-1 {
+		if i == len(c.digests)-1 {
 			c.peers[peer] = true
+			sameTop = true
 		}
 		if verify == nil || len(c.signers[i]) >= need {
 			continue
 		}
-		for _, sig := range theirs[i].Signatures {
-			if c.signers[i][sig.SignerID] || !verify.Verify(sig.SignerID, c.digests[i].Bytes(), sig.Signature) {
+		for _, sig := range t.Signatures {
+			if c.signers[i][sig.SignerID] || !verify.Verify(sig.SignerID, digest.Bytes(), sig.Signature) {
 				continue
 			}
 			c.signers[i][sig.SignerID] = true
-			if theirs[i] != b {
+			if t != b {
 				b.Signatures = append(b.Signatures, sig)
 			}
 			if len(c.signers[i]) == need {
@@ -462,7 +499,7 @@ func (c *rangeCandidate) vouch(peer transport.Addr, theirs []*fabric.Block, veri
 			}
 		}
 	}
-	return matched
+	return sameTop
 }
 
 // fetch retrieves blocks [from, to) of a channel from the peers and hands
@@ -470,23 +507,29 @@ func (c *rangeCandidate) vouch(peer transport.Addr, theirs []*fabric.Block, veri
 // states what it already trusts — anchor, the header hash of block to-1,
 // or nil — and whether the result must prove itself to whoever reads it
 // next (proof: the durable ledger and FetchVerified keep the merged f+1
-// signature set; a Deliver replay does not need it). From that, in this
-// one place:
+// signature set of every block; a Deliver replay does not need it). From
+// that, in this one place:
 //
 //   - An anchor and no wish for proof: link alone. Each peer in turn is
 //     asked for a full copy and the first that links wins; no signature is
 //     checked.
-//   - Verification keys, and either a wish for proof or no anchor:
-//     signatures. Every well-formed version of the range is its own
-//     candidate, so a Byzantine peer that answers first with a forged but
-//     internally consistent chain cannot lock honest copies out — the
-//     honest version gathers its quorum independently and wins. Once a
-//     full copy is in hand, further peers are asked for signatures only;
-//     one whose answer matches no candidate holds a different version and
-//     is re-asked for a full copy. With an anchor, only versions that link
-//     into it are candidates at all.
-//   - Neither: copies, gathered the same way (one full copy, then
-//     envelope-stripped ones) and counted per peer.
+//   - Verification keys and a wish for proof: signatures on every block.
+//     Every well-formed version of the range is its own candidate, so a
+//     Byzantine peer that answers first with a forged but internally
+//     consistent chain cannot lock honest copies out — the honest version
+//     gathers its quorum independently and wins. Once a full copy is in
+//     hand, further peers are asked for the range's headers and
+//     signatures only; one whose top matches no candidate's holds a
+//     different version and is re-asked for a full copy. With an anchor,
+//     only versions that link into it are candidates at all.
+//   - Verification keys, no anchor, no wish for proof: signatures on the
+//     tip, then link. Gathered the same way, except that only the top
+//     block's signatures are verified and further peers are asked for the
+//     header and signatures of block to-1 alone; the full copy was already
+//     checked against its own top, so once that top is proven the link
+//     proves the rest.
+//   - Neither keys nor anchor: copies, gathered like the tip (one full
+//     copy, then block to-1 alone from further peers) and counted per peer.
 //
 // When the signatures cannot be completed after every pass — unsigned
 // blocks — the weaker proof the caller can accept decides: the link into
@@ -509,6 +552,12 @@ func (s *blockSync) fetch(done <-chan struct{}, channel string, from, to uint64,
 	}
 	if verify == nil && anchor == nil && proof {
 		return nil, fmt.Errorf("%w: no verification keys to prove %s blocks %d..%d", ErrUnverifiedRange, channel, from, to-1)
+	}
+	// Further peers vouch for what must gather f+1 signatures or copies:
+	// every block when the proof is kept, otherwise the top one.
+	vouchFrom := to - 1
+	if proof {
+		vouchFrom = from
 	}
 	// accepted reports whether a candidate may be handed over now; final
 	// is set once the passes are exhausted and the fallback proofs apply.
@@ -551,20 +600,19 @@ func (s *blockSync) fetch(done <-chan struct{}, channel string, from, to uint64,
 			}
 		}
 		if cand == nil {
-			cand = &rangeCandidate{blocks: blocks, short: len(blocks), peers: make(map[transport.Addr]bool)}
-			for _, b := range blocks {
-				cand.digests = append(cand.digests, b.Header.Hash())
-				cand.signers = append(cand.signers, make(map[string]bool))
-			}
+			cand = newRangeCandidate(blocks, int(to-vouchFrom))
 			candidates = append(candidates, cand)
 		}
 		cand.vouch(peer, blocks, verify, need)
 		return cand
 	}
 
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
+	var rng *rand.Rand // jitters the pauses; seeded once a second pass is due
 	for round := 0; round < fetchRounds; round++ {
 		if round > 0 {
+			if rng == nil {
+				rng = rand.New(rand.NewSource(time.Now().UnixNano()))
+			}
 			select {
 			case <-done:
 				return nil, ErrFetchFailed
@@ -577,9 +625,9 @@ func (s *blockSync) fetch(done <-chan struct{}, channel string, from, to uint64,
 				return nil, ErrFetchFailed
 			default:
 			}
-			matched := 0
+			known := false // the peer's version is already a candidate
 			if len(candidates) > 0 && (verify != nil || anchor == nil) {
-				stripped, err := s.fromPeer(peer, channel, from, to, true, done)
+				stripped, err := s.fromPeer(peer, channel, vouchFrom, to, true, done)
 				if err != nil {
 					lastErr = err
 					if pe := pruned.note(channel, err); pe != nil {
@@ -588,13 +636,15 @@ func (s *blockSync) fetch(done <-chan struct{}, channel string, from, to uint64,
 					continue
 				}
 				for _, c := range candidates {
-					matched += c.vouch(peer, stripped, verify, need)
+					if c.vouch(peer, stripped, verify, need) {
+						known = true
+					}
 					if accepted(c, false) {
 						return c.blocks, nil
 					}
 				}
 			}
-			if matched > 0 {
+			if known {
 				continue
 			}
 			c := full(peer)

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -24,6 +26,15 @@ const (
 	// proxied never answers itself: the next peer (a forger) answers the
 	// request on its behalf — right request id, wrong sender.
 	proxied
+	// splicing serves the genuine top block over a forged interior; the
+	// top carries its own signature and the next peer's, copied: f+1.
+	splicing
+	// tipForger serves the genuine interior under a forged top block
+	// (same for every tipForger), each block signed by this peer.
+	tipForger
+	// tipSigned holds the real chain with its signature on the top block
+	// only.
+	tipSigned
 )
 
 type peerScript struct {
@@ -32,11 +43,34 @@ type peerScript struct {
 }
 
 // syncWorld is a blockSync client over an in-proc network of scripted
-// peers.
+// peers, recording every request each peer receives.
 type syncWorld struct {
 	sync         *blockSync
 	real, forged []*fabric.Block
 	registry     *cryptoutil.Registry
+
+	mu    sync.Mutex
+	asked [][]fetchRequest // per peer, in arrival order
+}
+
+// asks describes the requests peer i received for a fetch of [from, to):
+// "full" for a window of a full copy, "tip" for the header and signatures
+// of block to-1 alone, "sigs" for any other envelope-stripped window.
+func (w *syncWorld) asks(i int, to uint64) string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	var out []string
+	for _, q := range w.asked[i] {
+		switch {
+		case !q.SigsOnly:
+			out = append(out, "full")
+		case q.From == to-1 && q.To == to:
+			out = append(out, "tip")
+		default:
+			out = append(out, "sigs")
+		}
+	}
+	return strings.Join(out, " ")
 }
 
 func mkChain(n int, tag string) []*fabric.Block {
@@ -53,10 +87,17 @@ func newSyncWorld(t *testing.T, scripts []peerScript, height int, withRegistry b
 	t.Helper()
 	net := transport.NewInProcNetwork(transport.InProcConfig{})
 	t.Cleanup(func() { net.Close() })
-	w := &syncWorld{real: mkChain(height, "real"), forged: mkChain(height, "forged"), registry: cryptoutil.NewRegistry()}
+	w := &syncWorld{
+		real:     mkChain(height, "real"),
+		forged:   mkChain(height, "forged"),
+		registry: cryptoutil.NewRegistry(),
+		asked:    make([][]fetchRequest, len(scripts)),
+	}
+	forgedTop := fabric.NewBlock(uint64(height-1), w.real[height-2].Header.Hash(), [][]byte{[]byte("forged-top")})
 
 	peers := make([]transport.Addr, len(scripts))
 	conns := make([]transport.Conn, len(scripts))
+	keys := make([]*cryptoutil.KeyPair, len(scripts))
 	for i := range scripts {
 		peers[i] = transport.Addr(fmt.Sprintf("peer-%d", i))
 		conn, err := net.Join(peers[i])
@@ -64,36 +105,52 @@ func newSyncWorld(t *testing.T, scripts []peerScript, height int, withRegistry b
 			t.Fatal(err)
 		}
 		conns[i] = conn
+		if keys[i], err = cryptoutil.GenerateKeyPair(); err != nil {
+			t.Fatal(err)
+		}
+		w.registry.Register(string(peers[i]), keys[i].Public())
 	}
-	for i, script := range scripts {
-		key, err := cryptoutil.GenerateKeyPair()
+	sign := func(signer int, b *fabric.Block) fabric.BlockSignature {
+		sig, err := keys[signer].Sign(b.Header.Hash().Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.registry.Register(string(peers[i]), key.Public())
+		return fabric.BlockSignature{SignerID: string(peers[signer]), Signature: sig}
+	}
+	for i, script := range scripts {
 		chain := w.real
 		switch script.kind {
 		case forging:
 			chain = w.forged
 		case short:
 			chain = w.real[:height-1]
+		case splicing:
+			chain = append(w.forged[:height-1:height-1], w.real[height-1])
+		case tipForger:
+			chain = append(w.real[:height-1:height-1], forgedTop)
 		}
 		// Each peer holds its own copy, carrying its own signature.
 		own := make([]*fabric.Block, len(chain))
 		for j, b := range chain {
 			own[j] = &fabric.Block{Header: b.Header, Envelopes: b.Envelopes}
-			if script.kind != unsigned {
-				sig, err := key.Sign(b.Header.Hash().Bytes())
-				if err != nil {
-					t.Fatal(err)
-				}
-				own[j].Signatures = []fabric.BlockSignature{{SignerID: string(peers[i]), Signature: sig}}
+			top := j == len(chain)-1
+			if script.kind != unsigned && (script.kind != tipSigned || top) {
+				own[j].Signatures = []fabric.BlockSignature{sign(i, b)}
+			}
+			if script.kind == splicing && top {
+				own[j].Signatures = append(own[j].Signatures, sign((i+1)%len(scripts), b))
 			}
 		}
 		go func(i int, script peerScript) {
 			for m := range conns[i].Inbox() {
 				req, err := unmarshalFetchRequest(m.Payload)
-				if m.Type != MsgFetchRequest || err != nil || script.kind == silent {
+				if m.Type != MsgFetchRequest || err != nil {
+					continue
+				}
+				w.mu.Lock()
+				w.asked[i] = append(w.asked[i], req)
+				w.mu.Unlock()
+				if script.kind == silent {
 					continue
 				}
 				if script.kind == proxied {
@@ -177,11 +234,13 @@ func TestBlockSyncFetchRule(t *testing.T) {
 		from, to uint64 // to == 0 means the whole chain
 		abort    time.Duration
 
-		wantForged bool
-		wantErr    error  // errors.Is target
-		wantFloor  uint64 // with wantErr == fabric.ErrPruned
-		wantSigs   int    // distinct valid signatures on every block
-		within     time.Duration
+		wantForged  bool
+		wantErr     error  // errors.Is target
+		wantFloor   uint64 // with wantErr == fabric.ErrPruned
+		wantSigs    int    // distinct valid signatures on every block
+		wantTipSigs int    // distinct valid signatures on the top block
+		wantAsks    []string
+		within      time.Duration
 	}{
 		{
 			name:     "forged first responder loses to the honest candidate, result carries f+1 signatures",
@@ -264,6 +323,47 @@ func TestBlockSyncFetchRule(t *testing.T) {
 			peers:    []peerScript{{kind: silent}, {kind: silent}, {kind: silent}, {kind: silent}},
 			registry: true, abort: 100 * time.Millisecond, wantErr: ErrFetchFailed, within: fetchWindowTimeout,
 		},
+		{
+			name:     "no proof kept: each further peer is asked for the top block once",
+			peers:    []peerScript{{kind: honest}, {kind: honest}, {kind: honest}, {kind: honest}},
+			height:   200,
+			registry: true, wantTipSigs: 2,
+			wantAsks: []string{"full full", "tip", "", ""},
+		},
+		{
+			name:     "no keys, no proof kept: copies are counted on the top block alone",
+			peers:    []peerScript{{kind: honest}, {kind: honest}, {kind: honest}, {kind: honest}},
+			height:   200,
+			wantAsks: []string{"full full", "tip", "", ""},
+		},
+		{
+			name:     "a genuine top with f+1 signatures over a forged interior fails on the link",
+			peers:    []peerScript{{kind: splicing}, {kind: honest}, {kind: honest}, {kind: honest}},
+			registry: true, wantTipSigs: 2,
+			wantAsks: []string{"full", "full", "tip", ""},
+		},
+		{
+			name:     "a forged top over the genuine interior stays one signature short",
+			peers:    []peerScript{{kind: tipForger}, {kind: honest}, {kind: honest}, {kind: honest}},
+			registry: true, wantTipSigs: 2,
+			wantAsks: []string{"full", "tip full", "tip", ""},
+		},
+		{
+			name:     "a forged top cannot hide the honest version from a caller that keeps the proof",
+			peers:    []peerScript{{kind: tipForger}, {kind: honest}, {kind: honest}, {kind: honest}},
+			registry: true, proof: true, wantSigs: 2,
+		},
+		{
+			name:     "signatures on the top block alone prove the range in the first pass",
+			peers:    []peerScript{{kind: tipSigned}, {kind: tipSigned}, {kind: tipSigned}, {kind: tipSigned}},
+			registry: true, wantTipSigs: 2,
+			wantAsks: []string{"full", "tip", "", ""},
+		},
+		{
+			name:     "signatures on the top block alone cannot satisfy a caller that keeps the proof",
+			peers:    []peerScript{{kind: tipSigned}, {kind: tipSigned}, {kind: tipSigned}, {kind: tipSigned}},
+			registry: true, proof: true, wantErr: ErrUnverifiedRange,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -328,6 +428,14 @@ func TestBlockSyncFetchRule(t *testing.T) {
 				}
 				if len(signers) < tc.wantSigs {
 					t.Fatalf("block %d carries %d valid signatures, want >= %d", b.Header.Number, len(signers), tc.wantSigs)
+				}
+				if i == len(blocks)-1 && len(signers) < tc.wantTipSigs {
+					t.Fatalf("top block %d carries %d valid signatures, want >= %d", b.Header.Number, len(signers), tc.wantTipSigs)
+				}
+			}
+			for i, want := range tc.wantAsks {
+				if got := w.asks(i, tc.to); got != want {
+					t.Errorf("peer %d was asked for %q, want %q", i, got, want)
 				}
 			}
 		})

@@ -24,10 +24,11 @@ type streamDeliverer struct {
 	// sync is the history source below the retained window: the ordering
 	// nodes' durable ledgers of channel. It is asked for a range linked
 	// into an anchor the stream already trusts, for a bounded range before
-	// anything anchors the chain, and — so that an unbounded replay of an
-	// idle chain does not stall until fresh live traffic arrives — for a
-	// quorum-agreed head block. Nil when the orderer has none (solo):
-	// history below the retained window is then unavailable.
+	// anything anchors the chain (f+1 signatures on its stop block anchor
+	// it instead), and — so that an unbounded replay of an idle chain does
+	// not stall until fresh live traffic arrives — for a quorum-agreed head
+	// block. Nil when the orderer has none (solo): history below the
+	// retained window is then unavailable.
 	sync    *blockSync
 	channel string
 	// closedErr is what the stream closes with when the live queue closes
@@ -51,16 +52,19 @@ func (d *streamDeliverer) run() {
 	var pendingLive *fabric.Block
 	if d.seek.Kind != fabric.SeekNewest {
 		// With no retained history, try to resolve the replay without
-		// waiting for live traffic: a bounded seek fetches its exact range
-		// with no anchor to link it into; otherwise a quorum-agreed head
-		// block anchors the replay up to the current chain tip (the live
-		// loop's gap fill covers anything sealed after the probe).
+		// waiting for live traffic: a bounded seek fetches its exact range,
+		// proven by its stop block; otherwise a quorum-agreed head block
+		// anchors the replay up to the current chain tip (the live loop's
+		// gap fill covers anything sealed after the probe).
 		anchored := false
 		// A bounded seek that ends below the retained window resolves by
-		// an exact anchorless fetch of just [start, stop] — both when there
-		// is no history at all and when the window starts far above the
-		// stop (replaying the whole gap up to the window only to discard it
-		// would cost a full-chain fetch).
+		// an exact fetch of just [start, stop] with no anchor — both when
+		// there is no history at all and when the window starts far above
+		// the stop (replaying the whole gap up to the window only to discard
+		// it would cost a full-chain fetch). It keeps no proof, so f+1
+		// signatures on the stop block make that block the anchor and the
+		// hash links below it prove the rest (f+1 matching copies where the
+		// nodes' keys are not distributed or the blocks are unsigned).
 		belowWindow := len(d.hist) == 0 || (d.seek.HasStop && d.seek.Stop < d.hist[0].Header.Number)
 		if belowWindow && d.seek.HasStop && d.sync != nil {
 			blocks, err := d.sync.fetch(d.stream.Canceled(), d.channel, d.next, d.seek.Stop+1, nil, false)

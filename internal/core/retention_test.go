@@ -203,7 +203,8 @@ func TestRestartedNodeRebasesOverClusterWidePrunedGap(t *testing.T) {
 // path: persisted blocks keep the sealing node's signature (persist runs
 // after signing, in the send drain), the signature survives a restart,
 // and a verifying frontend's anchorless fetch can therefore assemble f+1
-// valid signatures per block by merging peers' copies.
+// valid signatures by merging peers' copies: on the stop block of a
+// Deliver seek, on every block of FetchVerified.
 func TestDurableBlocksCarryNodeSignatures(t *testing.T) {
 	c := testCluster(t, ClusterConfig{
 		Nodes:     4,
@@ -246,8 +247,11 @@ func TestDurableBlocksCarryNodeSignatures(t *testing.T) {
 	checkSigned(led, "recovered")
 
 	// An anchorless bounded seek from a fresh verifying frontend is
-	// served by signature verification: f+1 distinct node signatures per
-	// block, merged across peers' durable copies.
+	// served by signature verification on its stop block: f+1 distinct
+	// node signatures, merged across peers' durable copies, and the hash
+	// links beneath it. FetchVerified, which keeps the proof, merges f+1
+	// onto every block.
+	const quorum = 2 // f+1 with n=4, f=1
 	fe2 := testFrontend(t, c, "frontend-verify", true)
 	stop := uint64(2)
 	replay, err := fe2.Deliver("ch", fabric.DeliverOldest().Through(stop))
@@ -264,8 +268,17 @@ func TestDurableBlocksCarryNodeSignatures(t *testing.T) {
 	if len(got) != int(stop)+1 {
 		t.Fatalf("verified replay returned %d blocks", len(got))
 	}
-	const quorum = 2 // f+1 with n=4, f=1
-	for _, b := range got {
+	if err := fabric.VerifyChain(got); err != nil {
+		t.Fatalf("verified replay: %v", err)
+	}
+	if n := got[stop].VerifySignatures(c.Registry); n < quorum {
+		t.Fatalf("replayed stop block carries only %d valid signatures, want f+1=%d", n, quorum)
+	}
+	proven, err := fe2.FetchVerified("ch", 0, stop+1)
+	if err != nil {
+		t.Fatalf("fetch verified: %v", err)
+	}
+	for _, b := range proven {
 		if n := b.VerifySignatures(c.Registry); n < quorum {
 			t.Fatalf("fetched block %d carries only %d valid signatures, want f+1=%d",
 				b.Header.Number, n, quorum)
