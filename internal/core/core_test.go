@@ -295,6 +295,61 @@ func TestWheatClusterOrdering(t *testing.T) {
 	}
 }
 
+// Only a tentative (WHEAT) replica is ever rolled back, so only it keeps a
+// chain snapshot per executed instance; a tentative one can still undo an
+// execution with them.
+func TestRollbackHistoryOnlyWhenTentative(t *testing.T) {
+	for _, tentative := range []bool{false, true} {
+		t.Run(fmt.Sprintf("tentative=%v", tentative), func(t *testing.T) {
+			network := transport.NewInProcNetwork(transport.InProcConfig{})
+			defer network.Close()
+			key, err := cryptoutil.GenerateKeyPair()
+			if err != nil {
+				t.Fatalf("keygen: %v", err)
+			}
+			registry := cryptoutil.NewRegistry()
+			self := consensus.ReplicaID(0)
+			registry.Register(string(self.Addr()), key.Public())
+			conn, err := network.Join(self.Addr())
+			if err != nil {
+				t.Fatalf("network join: %v", err)
+			}
+			node, err := NewNode(NodeConfig{
+				Consensus: consensus.Config{
+					SelfID:    self,
+					Replicas:  []consensus.ReplicaID{self},
+					Key:       key,
+					Registry:  registry,
+					Tentative: tentative,
+				},
+				BlockSize:      100, // nothing is cut: Execute only feeds the cutter
+				DisableSigning: true,
+			}, conn)
+			if err != nil {
+				t.Fatalf("new node: %v", err)
+			}
+			defer node.Stop()
+
+			for seq := int64(0); seq < 3; seq++ {
+				node.Execute(seq, [][]byte{mkEnvelope("ch", int(seq), 16).Marshal()})
+			}
+			if !tentative {
+				if len(node.history) != 0 {
+					t.Fatalf("a non-tentative node kept %d rollback snapshots", len(node.history))
+				}
+				return
+			}
+			if len(node.history) != 3 {
+				t.Fatalf("a tentative node kept %d rollback snapshots after 3 instances, want 3", len(node.history))
+			}
+			node.Rollback(0)
+			if got := len(node.chains["ch"].cutter.PendingSnapshot()); got != 1 {
+				t.Fatalf("rollback to instance 0 left %d envelopes pending, want 1", got)
+			}
+		})
+	}
+}
+
 func TestBlockTimeoutCutsPartialBlocks(t *testing.T) {
 	c := testCluster(t, ClusterConfig{
 		Nodes: 4, BlockSize: 100, BlockTimeout: 100 * time.Millisecond,

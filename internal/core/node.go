@@ -712,7 +712,9 @@ var _ consensus.Application = (*OrderingNode)(nil)
 // whenever a cutter reports a full block, the header is sealed sequentially
 // and handed to the signing pool.
 func (n *OrderingNode) Execute(seq int64, ops [][]byte) {
-	n.snapshotForRollback(seq)
+	if n.cfg.Consensus.Tentative { // only a tentative replica is ever rolled back
+		n.snapshotForRollback(seq)
+	}
 	for _, op := range ops {
 		channel, client, err := fabric.PeekEnvelope(op)
 		if err != nil {

@@ -128,21 +128,36 @@ func (w *WAL) enqueue(rec []byte, onCommit func(idx uint64, err error), lazy boo
 		return nil, err
 	}
 	w.pending = append(w.pending, req)
-	// The flush timer is armed on the first lazy enqueue after a wave and
-	// cleared when a wave takes the group; a spurious fire (the wave
-	// already ran) is a harmless empty kick.
+	// The flush timer is armed on the first lazy enqueue after a wave, for
+	// the wave generation it waits on. A wave that takes the group starts
+	// the next generation, so the timer of an earlier one does nothing: it
+	// would otherwise force an fsync for lazy records younger than
+	// lazyFlushDelay, which nothing waits for and the next decision queues
+	// behind.
 	arm := lazy && !w.lazyArmed
 	if arm {
 		w.lazyArmed = true
 	}
+	gen := w.waveGen
 	w.mu.Unlock()
 	switch {
 	case !lazy:
 		w.kick()
 	case arm:
-		time.AfterFunc(lazyFlushDelay, w.kick)
+		time.AfterFunc(lazyFlushDelay, func() { w.lazyFlush(gen) })
 	}
 	return req.tok, nil
+}
+
+// lazyFlush is the lazy timer armed in wave generation gen firing: it kicks
+// a wave unless one has taken the group since.
+func (w *WAL) lazyFlush(gen uint64) {
+	w.mu.Lock()
+	stale := w.waveGen != gen
+	w.mu.Unlock()
+	if !stale {
+		w.kick()
+	}
 }
 
 // kick wakes the commit loop (non-blocking: one pending wake-up is enough).
@@ -203,6 +218,7 @@ func (w *WAL) wave() bool {
 	group := w.pending
 	w.pending = nil
 	w.lazyArmed = false // the group is being taken; new lazy arrivals re-arm
+	w.waveGen++
 	if len(group) > maxWaveRecords {
 		group, w.pending = group[:maxWaveRecords:maxWaveRecords], group[maxWaveRecords:]
 	}

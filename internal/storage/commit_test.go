@@ -107,6 +107,50 @@ func TestAppendAsyncTokenOrderAndIndex(t *testing.T) {
 	}
 }
 
+// TestStaleLazyTimerForcesNoWave: the lazy flush timer belongs to the wave
+// generation that armed it. Once an eager record's wave has taken the lazy
+// record the timer was armed for, its fire must not force a wave for a lazy
+// record enqueued since — that one waits for its own timer, lazyFlushDelay
+// after its enqueue, instead of costing an fsync nothing waits for.
+func TestStaleLazyTimerForcesNoWave(t *testing.T) {
+	wal, err := OpenWAL(WALConfig{Dir: t.TempDir(), NoSync: true})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer wal.Close()
+
+	tested := 0
+	for round := 0; round < 5; round++ {
+		armed := time.Now()
+		if _, err := wal.enqueue([]byte("old lazy"), nil, true); err != nil {
+			t.Fatalf("lazy enqueue: %v", err)
+		}
+		if _, err := wal.Append([]byte("eager")); err != nil { // its wave takes the old lazy record
+			t.Fatalf("append: %v", err)
+		}
+		time.Sleep(time.Until(armed.Add(lazyFlushDelay / 2)))
+		enqueued := time.Now()
+		tok, err := wal.enqueue([]byte("young lazy"), nil, true)
+		if err != nil {
+			t.Fatalf("lazy enqueue: %v", err)
+		}
+		if err := tok.Wait(); err != nil {
+			t.Fatalf("young lazy record: %v", err)
+		}
+		if enqueued.Sub(armed) >= lazyFlushDelay {
+			continue // the old timer had fired already: nothing to observe this round
+		}
+		tested++
+		if age := time.Since(enqueued); age < lazyFlushDelay {
+			t.Fatalf("round %d: a lazy record became durable %v after its enqueue, before its own %v timer: the timer armed for the previous wave forced a wave",
+				round, age, lazyFlushDelay)
+		}
+	}
+	if tested == 0 {
+		t.Fatal("every round enqueued the young record after the old timer had fired")
+	}
+}
+
 // copyTree snapshots a directory tree (the on-disk state a crash at this
 // instant would leave behind).
 func copyTree(t *testing.T, src, dst string) {

@@ -478,6 +478,7 @@ type Manager struct {
 
 	mu      sync.Mutex
 	running bool
+	again   bool // a compaction fell due while one was running
 	closed  bool
 	wg      sync.WaitGroup
 }
@@ -491,27 +492,34 @@ func NewManager(store Store, policy Policy, onApplied func(map[string]uint64)) *
 func (m *Manager) Policy() Policy { return m.policy }
 
 // MaybeCompact starts a background compaction when the policy says one
-// is due and none is already running.
+// is due and none is already running. One that falls due while a pass
+// runs makes that pass plan again when it is done: a pass waits out the
+// block puts in flight, and the trigger that fell due meanwhile may be
+// the last one the channel sees.
 func (m *Manager) MaybeCompact() {
 	if !m.policy.Enabled() || !m.policy.Due(m.store.RetentionState()) {
 		return
 	}
 	m.mu.Lock()
 	if m.running || m.closed {
+		m.again = m.running
 		m.mu.Unlock()
 		return
 	}
-	m.running = true
+	m.running, m.again = true, false
 	m.wg.Add(1)
 	m.mu.Unlock()
 	go func() {
 		defer m.wg.Done()
-		err := m.compactOnce()
-		m.mu.Lock()
-		m.running = false
-		m.mu.Unlock()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "retention: compaction failed: %v\n", err)
+		for again := true; again; {
+			err := m.compactOnce()
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "retention: compaction failed: %v\n", err)
+			}
+			m.mu.Lock()
+			again = m.again && !m.closed && err == nil
+			m.running, m.again = again, false
+			m.mu.Unlock()
 		}
 	}()
 }

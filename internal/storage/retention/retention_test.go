@@ -5,7 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cryptoutil"
 )
@@ -172,6 +174,70 @@ func TestPolicyPlan(t *testing.T) {
 	under := State{Channels: st.Channels, Bytes: 100}
 	if pb.Due(under) {
 		t.Fatal("bytes policy due under the cap")
+	}
+}
+
+// stallStore's CompactTo blocks until release is closed, as a pass waiting
+// out the block puts in flight does.
+type stallStore struct {
+	mu      sync.Mutex
+	heights map[string]uint64
+	floors  map[string]uint64
+	applied []map[string]uint64
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s *stallStore) RetentionState() State {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := State{Channels: make(map[string]ChannelState)}
+	for ch, h := range s.heights {
+		st.Channels[ch] = ChannelState{Floor: s.floors[ch], Height: h}
+	}
+	return st
+}
+
+func (s *stallStore) CompactTo(floors map[string]uint64) (map[string]uint64, error) {
+	s.entered <- struct{}{}
+	<-s.release
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for ch, f := range floors {
+		s.floors[ch] = f
+	}
+	s.applied = append(s.applied, floors)
+	return floors, nil
+}
+
+// A compaction that falls due while a pass runs is not dropped: the pass
+// plans again when it is done, from the state it then finds.
+func TestManagerReplansWhatFellDueDuringAPass(t *testing.T) {
+	s := &stallStore{
+		heights: map[string]uint64{"ch": 10},
+		floors:  map[string]uint64{},
+		entered: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	m := NewManager(s, Policy{RetainBlocks: 4}, nil)
+	defer m.Close()
+
+	m.MaybeCompact()
+	<-s.entered // the first pass planned floor 6 and stalls
+	s.mu.Lock()
+	s.heights["ch"] = 20
+	s.mu.Unlock()
+	m.MaybeCompact() // due again while the pass runs
+	close(s.release)
+	select {
+	case <-s.entered:
+	case <-time.After(time.Second):
+		t.Fatal("the compaction that fell due during a pass never ran")
+	}
+	m.Close()
+	want := []map[string]uint64{{"ch": 6}, {"ch": 16}}
+	if !reflect.DeepEqual(s.applied, want) {
+		t.Fatalf("applied %v, want %v", s.applied, want)
 	}
 }
 

@@ -157,9 +157,12 @@ type WAL struct {
 	next     uint64 // index the next append receives
 
 	// pending is the group awaiting the next commit wave, in enqueue
-	// order; lazyArmed tracks the flush timer of lazily enqueued records.
+	// order; lazyArmed tracks the flush timer of lazily enqueued records,
+	// and waveGen counts the groups taken, so that timer can tell whether
+	// its group is gone.
 	pending   []*appendReq
 	lazyArmed bool
+	waveGen   uint64
 	notify    chan struct{}
 	closeCh   chan struct{}
 	closed    bool

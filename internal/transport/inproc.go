@@ -334,6 +334,7 @@ type delivery struct {
 
 // alarm is how the scheduler waits. set arms it to fire in d, replacing what
 // it was armed for, also while a wait is on; wait returns false once stopped.
+// Once it has fired, wait may return at once until the next set.
 type alarm interface {
 	set(d time.Duration)
 	wait() bool
@@ -360,15 +361,23 @@ func (a timerAlarm) wait() bool {
 }
 
 // scheduler releases deliveries in (release, seq) order from one goroutine,
-// which sleeps on an alarm set for the earliest pending release; a push
-// that becomes the earliest sets it anew.
+// which sleeps on an alarm set for the earliest pending release plus band,
+// a moving average of how late the alarm has fired (in a busy process that
+// includes delivering what fell due meanwhile). A wake-up releases all that
+// is due, so deliveries due within one timer jitter of each other share it
+// instead of each arming a kernel timer, a system call; and the alarm is set
+// only for an instant earlier than it is armed for, which still lets a push
+// that becomes the earliest wake a wait. Nothing is released before its
+// release time: the band only postpones the wake-up.
 type scheduler struct {
 	epoch time.Time // release times are monotonic durations since epoch
 
 	mu    sync.Mutex
-	heap  []delivery // min-heap on (release, seq)
-	seq   uint64     // next push's seq
-	alarm alarm      // set under mu, so the latest set is for the current head
+	heap  []delivery    // min-heap on (release, seq)
+	seq   uint64        // next push's seq
+	alarm alarm         // set under mu
+	armed time.Duration // the instant the alarm is set for; 0 once it fired
+	band  time.Duration // moving average of the alarm's lateness
 	wg    sync.WaitGroup
 }
 
@@ -377,6 +386,14 @@ func (s *scheduler) start(a alarm) {
 	s.alarm = a
 	s.wg.Add(1)
 	go s.run()
+}
+
+// arm sets the alarm for the instant at unless it is set for one no later.
+func (s *scheduler) arm(at time.Duration) {
+	if s.armed == 0 || at < s.armed {
+		s.armed = at
+		s.alarm.set(at - s.now())
+	}
 }
 
 // stop ends the scheduler's goroutine; what is pending is dropped.
@@ -398,7 +415,7 @@ func (s *scheduler) push(d delivery) {
 		i = (i - 1) / 2
 	}
 	if i == 0 {
-		s.alarm.set(d.release - s.now())
+		s.arm(d.release + s.band)
 	}
 	s.mu.Unlock()
 }
@@ -431,22 +448,28 @@ func (s *scheduler) pop() delivery {
 func (s *scheduler) run() {
 	defer s.wg.Done()
 	var due []delivery
+	woke := false
 	for {
 		s.mu.Lock()
 		now := s.now()
+		if woke { // the alarm fired: fold how late into the band
+			s.band += (max(now-s.armed, 0) - s.band) / 8
+			s.armed = 0
+		}
 		for len(s.heap) > 0 && s.heap[0].release <= now {
 			due = append(due, s.pop())
 		}
 		if len(due) == 0 {
-			wait := time.Hour // nothing pending: a push or stop ends the wait
+			at := now + time.Hour // nothing pending: a push or stop ends the wait
 			if len(s.heap) > 0 {
-				wait = s.heap[0].release - now
+				at = s.heap[0].release + s.band
 			}
-			s.alarm.set(wait)
+			s.arm(at)
 		}
 		s.mu.Unlock()
 
-		if len(due) == 0 && !s.alarm.wait() {
+		woke = len(due) == 0
+		if woke && !s.alarm.wait() {
 			return
 		}
 		for i := range due {

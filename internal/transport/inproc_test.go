@@ -176,6 +176,58 @@ func TestSchedulerAlarms(t *testing.T) {
 	}
 }
 
+// lateAlarm counts how often it is set and fires late by a fixed amount, as
+// the timer of a loaded process does.
+type lateAlarm struct {
+	alarm
+	late time.Duration
+	sets atomic.Int64
+}
+
+func (a *lateAlarm) set(d time.Duration) { a.sets.Add(1); a.alarm.set(d + a.late) }
+
+// Deliveries due closer together than the alarm's lateness share wake-ups.
+// An alarm armed for each next release comes back once per lateness of the
+// stream; one armed for the next release plus the measured lateness comes
+// back once per two, so a dense stream must cost fewer than one set per 1.5
+// lateness of it. No delivery may leave early or out of order.
+func TestSchedulerCoalescesDenseStream(t *testing.T) {
+	const (
+		n    = 4000
+		gap  = 10 * time.Microsecond
+		late = 200 * time.Microsecond
+	)
+	a := &lateAlarm{alarm: newAlarm(), late: late}
+	var s scheduler
+	s.start(a)
+	defer s.stop()
+	mb := newMailbox()
+	defer mb.close()
+
+	first := s.now() + time.Millisecond
+	for i := 0; i < n; i++ {
+		s.push(delivery{release: first + time.Duration(i)*gap, msg: Message{Type: uint16(i)}, dst: mb})
+	}
+	for i := 0; i < n; i++ {
+		select {
+		case m := <-mb.out:
+			if m.Type != uint16(i) {
+				t.Fatalf("delivery %d arrived in place of %d", m.Type, i)
+			}
+			if at, due := s.now(), first+time.Duration(i)*gap; at < due {
+				t.Fatalf("delivery %d arrived %v before its release", i, due-at)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("delivery %d never came", i)
+		}
+	}
+	sets, limit := a.sets.Load(), int64(n*gap/(late*3/2))
+	t.Logf("%d alarm sets for %d deliveries (%.3f per delivery)", sets, n, float64(sets)/n)
+	if sets > limit {
+		t.Fatalf("%d alarm sets for %d deliveries due %v apart on a timer %v late, want <= %d", sets, n, gap, late, limit)
+	}
+}
+
 // decreasingLatency hands every send a smaller delay than the one before.
 type decreasingLatency struct{ next atomic.Int64 }
 

@@ -8,8 +8,10 @@
 //     blocks are disseminated to more receivers, Figure 7 of the paper, and
 //     large PROPOSE batches the dominant cost for 1–4 KB envelopes), adds
 //     the propagation delay, and one scheduler per network delivers it when
-//     due, links staying FIFO: a 100 µs hop takes 0.13 ms, a flooded
-//     Gigabit NIC carries 125 MB/s.
+//     due, links staying FIFO: a flooded Gigabit NIC carries 125 MB/s and
+//     a 100 µs hop takes 0.13 ms on Linux, where the scheduler waits on a
+//     timerfd. Elsewhere it waits on a runtime timer (on Linux that makes a
+//     hop 1.1 ms), and the timing tests' bounds are checked on Linux only.
 //   - A TCP transport (length-prefixed frames) for multi-process deployments
 //     driven by cmd/ordernode and cmd/frontend.
 //
