@@ -4,9 +4,10 @@
 // b.ReportMetric, so `go test -bench=.` reproduces the full evaluation.
 //
 // The sweeps here use reduced per-cell durations so the whole suite
-// finishes in minutes on a laptop; cmd/sigbench, cmd/lanbench, and
-// cmd/geobench run the same code with the paper's full grids and longer
-// windows. Set REPRO_FULL=1 to run the complete grids here too.
+// finishes in minutes on a laptop; `go run ./cmd/figures -figure N` runs
+// the same code with the paper's full grids and longer windows. Set
+// REPRO_FULL=1 to run the complete grids here too. These reproduce the
+// paper's figures; performance across changes is judged by benchmark/.
 package repro
 
 import (

@@ -65,7 +65,6 @@ func run() error {
 	retainWeights := flag.String("retain-weights", "", "per-channel weights for the -retain-bytes budget: channel=weight,... (unlisted channels weigh 1)")
 	shard := flag.Int("shard", 0, "shard (consensus group) this node belongs to; -id and -peers ids are local to the shard")
 	shardMap := flag.String("shard-map", "", "optional shard-map JSON file; validated, and -shard must be in its shard set")
-	commitDelay := flag.Duration("commit-max-delay", 0, "fsync coalescing window of the commit log (0 = commit greedily); longer waves trade commit latency for fewer fsyncs — each wave is exactly one fsync")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP listen address for /metrics (Prometheus text or ?format=json) and /debug/pprof/; empty disables instrumentation entirely")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
 	join := flag.Bool("join", false, "join an existing cluster: announce this node through an ordered membership add, then catch up via state transfer and verified block fetch from the peers' retention floor; -peers must list the current group plus this node")
@@ -177,7 +176,6 @@ func run() error {
 			RetainBlocks:    *retainBlocks,
 			RetainBytes:     *retainBytes,
 			RetainWeights:   weights,
-			CommitMaxDelay:  *commitDelay,
 			ScrubInterval:   *scrubInterval,
 			Metrics:         obs.NewNodeMetrics(registry, labels...),
 			StorageMetrics:  obs.NewStorageMetrics(registry, labels...),

@@ -6,9 +6,9 @@ import (
 )
 
 // EnvInfo records the runtime environment a benchmark artifact was
-// produced under. Every tracked BENCH_*.json embeds one: a number that
-// moved because CI changed machines must be distinguishable from a number
-// that moved because the code changed.
+// produced under. The chaos matrix's BENCH_scenarios.json embeds one: a
+// number that moved because CI changed machines must be distinguishable
+// from a number that moved because the code changed.
 type EnvInfo struct {
 	// GoVersion is the toolchain that built the benchmark binary.
 	GoVersion string
@@ -16,8 +16,7 @@ type EnvInfo struct {
 	GOOS, GOARCH string
 	// NumCPU is the machine's logical CPU count.
 	NumCPU int
-	// GOMAXPROCS is the scheduler parallelism the run actually used (the
-	// tracked cells pin this to 1 for cross-machine comparability).
+	// GOMAXPROCS is the scheduler parallelism the run actually used.
 	GOMAXPROCS int
 	// GOGC is the garbage-collector target percentage ("" when unset).
 	GOGC string `json:",omitempty"`

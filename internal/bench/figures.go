@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cryptoutil"
 	"repro/internal/fabric"
-	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/wan"
 )
@@ -100,18 +99,6 @@ type Fig7Cell struct {
 	// DisableSigning measures the raw ordering rate (Equation 1's
 	// TP_bftsmart term).
 	DisableSigning bool
-	// DataDir, when non-empty, runs every node with durable storage
-	// rooted there, so the measured throughput includes the WAL fsync
-	// cost a production deployment pays.
-	DataDir string
-	// CommitMaxDelay is each node's fsync coalescing window (see
-	// core.ClusterConfig); zero commits greedily.
-	CommitMaxDelay time.Duration
-	// Metrics, when set, instruments the whole run — nodes, storage, and
-	// frontends share this registry, so the per-stage latency histograms
-	// (decide/fsync/disseminate/deliver/total) can be read back after the
-	// run. Nil runs uninstrumented (the throughput-measurement default).
-	Metrics *obs.Registry `json:"-"`
 }
 
 func (c Fig7Cell) withDefaults() Fig7Cell {
@@ -165,9 +152,6 @@ func RunFigure7Cell(cell Fig7Cell) (Fig7Row, error) {
 		RequestTimeout:     5 * time.Minute, // saturation must not trigger leader changes
 		CheckpointInterval: 64,
 		Network:            network,
-		DataDir:            cell.DataDir,
-		CommitMaxDelay:     cell.CommitMaxDelay,
-		Metrics:            cell.Metrics,
 	})
 	if err != nil {
 		return Fig7Row{}, err

@@ -82,9 +82,6 @@ type ClusterConfig struct {
 	// (channel c keeps RetainBytes * w(c)/Σw bytes; unlisted channels
 	// weigh 1). Nil splits the budget evenly.
 	RetainWeights map[string]float64
-	// CommitMaxDelay tunes every node's commit log: the fsync coalescing
-	// window (zero commits greedily).
-	CommitMaxDelay time.Duration
 	// CommitSyncHook, when set, runs at the start of every commit wave
 	// on every node (test instrumentation; see storage.Options.SyncHook).
 	CommitSyncHook func()
@@ -211,7 +208,6 @@ func (c *Cluster) startNode(i int, members []consensus.ReplicaID) (*OrderingNode
 		RetainBlocks:    c.cfg.RetainBlocks,
 		RetainBytes:     c.cfg.RetainBytes,
 		RetainWeights:   c.cfg.RetainWeights,
-		CommitMaxDelay:  c.cfg.CommitMaxDelay,
 		CommitSyncHook:  c.nodeSyncHook(i),
 		ShardID:         c.cfg.ShardID,
 		Metrics:         c.nodeMetrics(i),

@@ -100,11 +100,6 @@ type NodeConfig struct {
 	// segment is reclaimed only once it is behind the consensus
 	// checkpoint AND below every channel's retention floor.
 	WALSegmentBytes int64
-	// CommitMaxDelay tunes the commit log of storage opened via DataDir:
-	// how long an fsync wave waits after its first pending append before
-	// flushing, trading commit latency for larger groups. Zero commits
-	// greedily.
-	CommitMaxDelay time.Duration
 	// CommitSyncHook, when set, runs at the start of every commit wave
 	// of storage opened via DataDir. Test instrumentation: stalling it
 	// keeps every enqueued record non-durable, which is how the
@@ -305,11 +300,10 @@ func NewNode(cfg NodeConfig, conn transport.Conn) (*OrderingNode, error) {
 	if store == nil && cfg.DataDir != "" {
 		var err error
 		store, err = storage.Open(cfg.DataDir, storage.Options{
-			SegmentBytes:   cfg.WALSegmentBytes,
-			CommitMaxDelay: cfg.CommitMaxDelay,
-			SyncHook:       cfg.CommitSyncHook,
-			Metrics:        cfg.StorageMetrics,
-			FS:             cfg.FS,
+			SegmentBytes: cfg.WALSegmentBytes,
+			SyncHook:     cfg.CommitSyncHook,
+			Metrics:      cfg.StorageMetrics,
+			FS:           cfg.FS,
 		})
 		if err != nil {
 			if signer != nil {

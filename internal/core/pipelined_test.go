@@ -128,3 +128,39 @@ func TestPipelinedDurableClusterKeepsChainAndCheckpoints(t *testing.T) {
 		t.Fatalf("recovered chain: %v", err)
 	}
 }
+
+// TestDurableClusterTracesEveryStage checks the latency trace end to end:
+// envelopes stamped with their real submission time run through a durable
+// cluster, and every stage histogram of the pipeline — decide, fsync,
+// disseminate on the nodes, deliver and total at the frontend — must have
+// observed spans with consistent quantiles. A stage with no samples means
+// the trace broke somewhere between broadcast and release.
+func TestDurableClusterTracesEveryStage(t *testing.T) {
+	registry := obs.NewRegistry()
+	c := testCluster(t, ClusterConfig{
+		Nodes: 4, BlockSize: 5, DataDir: t.TempDir(), Metrics: registry,
+	})
+	fe := testFrontend(t, c, "frontend-0", false)
+	stream := deliverNewest(t, fe, "ch1")
+
+	const envs = 40
+	for i := 0; i < envs; i++ {
+		env := mkEnvelope("ch1", i, 64)
+		env.TimestampUnixNano = time.Now().UnixNano()
+		if st := fe.Broadcast(env); st != fabric.StatusSuccess {
+			t.Fatalf("broadcast %d: %v", i, st)
+		}
+	}
+	collectBlocks(t, stream, envs, 20*time.Second)
+
+	for _, stage := range []string{"decide", "fsync", "disseminate", "deliver", "total"} {
+		fam := registry.Family("repro_stage_" + stage + "_seconds")
+		if fam.Count() == 0 {
+			t.Errorf("stage %s observed no spans", stage)
+			continue
+		}
+		if p50, p99 := fam.Quantile(0.50), fam.Quantile(0.99); p50 < 0 || p99 < p50 {
+			t.Errorf("stage %s quantiles inconsistent: p50 %v s, p99 %v s", stage, p50, p99)
+		}
+	}
+}

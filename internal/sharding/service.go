@@ -35,7 +35,6 @@ type ServiceConfig struct {
 	RetainBlocks       uint64
 	RetainBytes        int64
 	RetainWeights      map[string]float64
-	CommitMaxDelay     time.Duration
 
 	// Network hosts every group; nil creates one (owned by the service).
 	Network *transport.InProcNetwork
@@ -97,7 +96,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 			RetainBlocks:       cfg.RetainBlocks,
 			RetainBytes:        cfg.RetainBytes,
 			RetainWeights:      cfg.RetainWeights,
-			CommitMaxDelay:     cfg.CommitMaxDelay,
 			Metrics:            cfg.Metrics,
 		})
 		if err != nil {

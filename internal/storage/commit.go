@@ -169,7 +169,9 @@ func (w *WAL) kick() {
 }
 
 // commitLoop is the log's single committing goroutine: every record
-// reaches disk through its waves.
+// reaches disk through its waves. It is greedy — a wave starts as soon as
+// anything is pending, and whatever arrives during its fsync forms the
+// next wave.
 func (w *WAL) commitLoop() {
 	defer w.wg.Done()
 	for {
@@ -181,14 +183,6 @@ func (w *WAL) commitLoop() {
 			for w.wave() {
 			}
 			return
-		}
-		if w.cfg.MaxDelay > 0 {
-			timer := time.NewTimer(w.cfg.MaxDelay)
-			select {
-			case <-timer.C:
-			case <-w.closeCh:
-				timer.Stop()
-			}
 		}
 		w.wave()
 	}

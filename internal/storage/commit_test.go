@@ -272,40 +272,3 @@ func TestDecisionDurableBlockMissingIsReplayed(t *testing.T) {
 		t.Fatalf("recovered chains %+v, want none (block persist never ran)", rec.Chains)
 	}
 }
-
-// TestCommitMaxDelayCoalesces checks the tuning knob: with a coalescing
-// window, appends arriving within the window share one wave.
-func TestCommitMaxDelayCoalesces(t *testing.T) {
-	waves := 0
-	var mu sync.Mutex
-	wal, err := OpenWAL(WALConfig{
-		Dir:      t.TempDir(),
-		MaxDelay: 20 * time.Millisecond,
-		SyncHook: func() { mu.Lock(); waves++; mu.Unlock() },
-	})
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	defer wal.Close()
-
-	const n = 16
-	toks := make([]*Token, n)
-	for i := range toks {
-		tok, err := wal.AppendAsync([]byte{byte(i)})
-		if err != nil {
-			t.Fatalf("append: %v", err)
-		}
-		toks[i] = tok
-	}
-	for _, tok := range toks {
-		if err := tok.Wait(); err != nil {
-			t.Fatalf("token: %v", err)
-		}
-	}
-	mu.Lock()
-	got := waves
-	mu.Unlock()
-	if got > 2 {
-		t.Fatalf("%d appends within the coalescing window took %d waves, want <= 2", n, got)
-	}
-}

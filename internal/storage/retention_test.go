@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cryptoutil"
 	"repro/internal/fabric"
+	"repro/internal/storage/retention"
 )
 
 // listSegments returns the block store's segment file names, sorted.
@@ -377,5 +378,96 @@ func TestBlockStoreRebaseJumpsOverPrunedGap(t *testing.T) {
 	got, err := s2.ReadBlocks("ch", 20, 5)
 	if err != nil || len(got) != 1 || got[0].Header.Hash() != b20.Header.Hash() {
 		t.Fatalf("rebased read = %d blocks, err %v", len(got), err)
+	}
+}
+
+// TestDiskGrowthBoundedUnderRetention is the disk-growth regression check
+// (wired into CI's race-detector job): a sustained append workload,
+// compacted synchronously whenever the retention policy says one is due,
+// must keep the block store's on-disk size under the cap plus bounded
+// slack (whole-segment pruning granularity plus the block in flight), and
+// old segments must actually be deleted.
+func TestDiskGrowthBoundedUnderRetention(t *testing.T) {
+	const (
+		capBytes     = 64 << 10
+		segmentBytes = 8 << 10
+		blocks       = 2000
+	)
+	policy := retention.Policy{RetainBytes: capBytes}
+	s, err := OpenBlockStore(WALConfig{Dir: t.TempDir(), SegmentBytes: segmentBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	envs := make([][]byte, 5)
+	for i := range envs {
+		env := &fabric.Envelope{ChannelID: "ch", ClientID: "r", Payload: make([]byte, 64)}
+		envs[i] = env.Marshal()
+	}
+	var (
+		appended, peak int64
+		// before and after bracket the last compaction that reclaimed
+		// bytes: a compaction may advance floors without freeing a whole
+		// segment, and such runs leave the pair alone.
+		before, after int64
+		compactions   int
+	)
+	observe := func(size int64) {
+		if size > peak {
+			peak = size
+		}
+	}
+	compact := func(floors map[string]uint64) {
+		// Sampled immediately around CompactTo: sampling outside it
+		// reports before == after and makes the last check vacuous.
+		pre := s.SizeBytes()
+		observe(pre)
+		applied, err := s.CompactTo(floors)
+		if err != nil {
+			t.Fatalf("CompactTo(%v): %v", floors, err)
+		}
+		if len(applied) > 0 {
+			compactions++
+		}
+		if post := s.SizeBytes(); post < pre {
+			before, after = pre, post
+		}
+	}
+	var prev cryptoutil.Digest
+	for i := 0; i < blocks; i++ {
+		b := fabric.NewBlock(uint64(i), prev, envs)
+		prev = b.Header.Hash()
+		if err := s.Put("ch", b); err != nil {
+			t.Fatalf("put block %d: %v", i, err)
+		}
+		appended += int64(len(b.Marshal())) + 24 // record framing + channel
+		if st := s.RetentionState(); policy.Due(st) {
+			compact(policy.Plan(st))
+		}
+		observe(s.SizeBytes())
+	}
+	// A final explicit compaction, as the admin trigger runs one.
+	if floors := policy.Plan(s.RetentionState()); len(floors) > 0 {
+		compact(floors)
+	}
+	observe(s.SizeBytes())
+
+	floor := s.Floor("ch")
+	t.Logf("peak %d B, before %d B, after %d B, floor %d, %d compactions",
+		peak, before, after, floor, compactions)
+	if compactions == 0 || floor == 0 {
+		t.Fatalf("retention never compacted: %d compactions, floor %d", compactions, floor)
+	}
+	// Whole segments are the pruning granularity and one oversized append
+	// can land before the next compaction runs.
+	if slack := int64(2*segmentBytes + 4096); peak > capBytes+slack {
+		t.Fatalf("block store peaked at %d B, cap %d B (+%d B slack)", peak, capBytes, slack)
+	}
+	if after*2 >= appended {
+		t.Fatalf("compaction deleted nothing: %d B on disk after appending ~%d B", after, appended)
+	}
+	if before <= after {
+		t.Fatalf("compaction sampling vacuous: before %d B <= after %d B", before, after)
 	}
 }

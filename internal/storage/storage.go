@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/cryptoutil"
 	"repro/internal/fabric"
@@ -154,11 +153,6 @@ type Options struct {
 	// NoSync disables fsync everywhere. Only for benchmarks isolating the
 	// write path.
 	NoSync bool
-	// CommitMaxDelay is the commit log's coalescing window: how long a
-	// wave waits after its first pending append before fsyncing, trading
-	// commit latency for larger groups. Zero (the default) commits
-	// greedily.
-	CommitMaxDelay time.Duration
 	// SyncHook, when set, runs at the start of every commit wave, before
 	// the wave's group is taken. Test instrumentation: stalling it keeps
 	// enqueued records non-durable, which is how the write-ahead gating
@@ -185,7 +179,6 @@ func Open(dir string, opts Options) (*NodeStorage, error) {
 		Dir:          filepath.Join(dir, "log"),
 		SegmentBytes: opts.SegmentBytes,
 		NoSync:       opts.NoSync,
-		MaxDelay:     opts.CommitMaxDelay,
 		SyncHook:     opts.SyncHook,
 		Metrics:      opts.Metrics,
 		FS:           fsys,

@@ -97,13 +97,6 @@ type WALConfig struct {
 	// NoSync skips the fsync on every group commit. Only for tests and
 	// benchmarks that measure the non-durable append path.
 	NoSync bool
-	// MaxDelay is the coalescing window: after waking for the first
-	// pending append, the commit loop waits this long before starting the
-	// wave, letting more appends (decisions and blocks alike) pile in.
-	// Zero commits greedily — under concurrent load the natural arrival
-	// rate already batches well, so the delay only helps thin workloads
-	// trade latency for fewer fsyncs.
-	MaxDelay time.Duration
 	// SyncHook, when set, runs at the start of every commit wave, before
 	// the wave's group is taken. Test instrumentation: stalling it holds
 	// every enqueued record in the not-yet-durable state, which is how the

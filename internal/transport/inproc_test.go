@@ -12,8 +12,8 @@ import (
 
 // slack scales the tolerance of a timing assertion. The bounds in these
 // tests hold in an otherwise idle process, which is how CI's dedicated
-// step runs them (BENCH_FLOOR_ENFORCE=1, same convention as the bench
-// smokes); inside a `go test ./...` sweep other packages' tests share the
+// step runs them (BENCH_FLOOR_ENFORCE=1); inside a `go test ./...` sweep
+// other packages' tests share the
 // processors, so the bounds are three times looser there — still well
 // below what a timer-per-message network measures (hop 1.16 ms, flood
 // 20.7 MB/s).
