@@ -61,11 +61,8 @@ type Config struct {
 	Weights map[ReplicaID]int
 	// BatchSize caps requests per PROPOSE (the paper uses 400).
 	BatchSize int
-	// BatchTimeout does not delay every partial batch: with no instance
-	// open the leader proposes whatever is pooled at its next tick (every
-	// 2 ms), and the timeout only lets a request arrival or a delivery
-	// propose without waiting for that tick once the oldest pooled request
-	// has waited this long. With instances open it is the unit the window
+	// BatchTimeout delays no batch: with no instance open the leader
+	// proposes whatever is pooled at once. It is only the unit the window
 	// is measured in: the leader keeps min(PipelineDepth, instance latency
 	// / BatchTimeout) instances in flight, partial batches evenly spaced.
 	// The rule is Replica.proposeDue.
@@ -255,15 +252,6 @@ func newQuorumTracker(replicas []ReplicaID, weights map[ReplicaID]int, f int) *q
 // weightOf returns a replica's vote weight (zero for non-members).
 func (qt *quorumTracker) weightOf(id ReplicaID) int {
 	return qt.weights[id]
-}
-
-// isQuorum reports whether the given voters reach quorum weight.
-func (qt *quorumTracker) isQuorum(voters map[ReplicaID]struct{}) bool {
-	sum := 0
-	for id := range voters {
-		sum += qt.weights[id]
-	}
-	return sum >= qt.quorumWeight
 }
 
 // certSize is the plain-count threshold used by the synchronization phase

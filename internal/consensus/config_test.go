@@ -3,6 +3,8 @@ package consensus
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/cryptoutil"
 )
 
 func ids(n int) []ReplicaID {
@@ -137,28 +139,64 @@ func TestWeightedQuorumWheat(t *testing.T) {
 	if qt.quorumWeight != 5 {
 		t.Fatalf("quorumWeight = %d, want 5", qt.quorumWeight)
 	}
-	voters := func(members ...ReplicaID) map[ReplicaID]struct{} {
-		s := make(map[ReplicaID]struct{})
+	digest := cryptoutil.Hash([]byte("value"))
+	isQuorum := func(members ...ReplicaID) bool {
+		var votes tally
 		for _, id := range members {
-			s[id] = struct{}{}
+			votes.add(0, id, digest)
 		}
-		return s
+		got, ok := votes.quorum(0, qt)
+		return ok && got == digest
 	}
 	// Both Vmax replicas + one Vmin = 2+2+1 = 5: quorum.
-	if !qt.isQuorum(voters(0, 1, 2)) {
+	if !isQuorum(0, 1, 2) {
 		t.Fatal("Vmax+Vmax+Vmin should be a quorum")
 	}
 	// One Vmax + two Vmin = 4: not a quorum.
-	if qt.isQuorum(voters(0, 2, 3)) {
+	if isQuorum(0, 2, 3) {
 		t.Fatal("Vmax+Vmin+Vmin must not be a quorum")
 	}
 	// One Vmax + three Vmin = 5: quorum.
-	if !qt.isQuorum(voters(0, 2, 3, 4)) {
+	if !isQuorum(0, 2, 3, 4) {
 		t.Fatal("Vmax+3*Vmin should be a quorum")
 	}
 	// All three Vmin = 3: not a quorum.
-	if qt.isQuorum(voters(2, 3, 4)) {
+	if isQuorum(2, 3, 4) {
 		t.Fatal("3*Vmin must not be a quorum")
+	}
+}
+
+// A tally counts each voter once per regency, sums weights per digest, and
+// forgets an older regency's votes when a newer one's arrive.
+func TestTallyCountsEachVoterOncePerRegency(t *testing.T) {
+	qt := newQuorumTracker(ids(7), nil, 2) // quorum of 5
+	a, b := cryptoutil.Hash([]byte("a")), cryptoutil.Hash([]byte("b"))
+	var votes tally
+	for _, id := range []ReplicaID{0, 1, 2, 3} {
+		votes.add(0, id, a)
+	}
+	votes.add(0, 0, b) // a second vote of voter 0: ignored
+	votes.add(0, 4, b)
+	votes.add(0, 4, a) // voter 4 already voted for b
+	if _, ok := votes.quorum(0, qt); ok {
+		t.Fatal("four votes for a and one for b make a quorum of 5")
+	}
+	votes.add(0, 5, a)
+	if got, ok := votes.quorum(0, qt); !ok || got != a {
+		t.Fatalf("five votes for a: quorum %v for %x", ok, got)
+	}
+	if _, ok := votes.quorum(1, qt); ok {
+		t.Fatal("regency 0 votes make a quorum in regency 1")
+	}
+	for _, id := range []ReplicaID{0, 1, 2, 3, 4, 5, 6} { // spills past the inline votes
+		votes.add(1, id, b)
+	}
+	if got, ok := votes.quorum(1, qt); !ok || got != b || len(votes.votes) != 7 {
+		t.Fatalf("regency 1: quorum %v for %x over %d votes", ok, got, len(votes.votes))
+	}
+	votes.add(0, 0, a) // an older regency's vote
+	if _, ok := votes.quorum(0, qt); ok || len(votes.votes) != 7 {
+		t.Fatal("a vote of an older regency was counted")
 	}
 }
 

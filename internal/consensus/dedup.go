@@ -1,7 +1,8 @@
 package consensus
 
 import (
-	"sort"
+	"encoding/binary"
+	"slices"
 
 	"repro/internal/wire"
 )
@@ -112,18 +113,25 @@ func (d *clientDedup) compact() {
 	}
 }
 
-// marshalInto serializes the dedup state: floor, count, sorted seqs.
-func (d *clientDedup) marshalInto(w *wire.Writer) {
+// marshalInto serializes the dedup state: uint64 floor, uvarint count,
+// sorted uint64 seqs. sortBuf is space for the sort (it allocates only if
+// that is shorter than the sparse set).
+func (d *clientDedup) marshalInto(w *wire.Writer, sortBuf []uint64) {
 	w.PutUint64(d.floor)
-	seqs := make([]uint64, 0, len(d.sparse))
+	seqs := sortBuf[:0]
 	for s := range d.sparse {
 		seqs = append(seqs, s)
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	slices.Sort(seqs)
 	w.PutUvarint(uint64(len(seqs)))
 	for _, s := range seqs {
 		w.PutUint64(s)
 	}
+}
+
+// marshalledSize bounds the length of marshalInto's encoding.
+func (d *clientDedup) marshalledSize() int {
+	return 8 + binary.MaxVarintLen64 + 8*len(d.sparse)
 }
 
 // readClientDedup deserializes dedup state.

@@ -70,7 +70,7 @@ func TestClientDedupSerializationRoundTrip(t *testing.T) {
 	}
 	d.compact() // floor=3, sparse={7,9}
 	w := wire.NewWriter(0)
-	d.marshalInto(w)
+	d.marshalInto(w, nil)
 	got := readClientDedup(wire.NewReader(w.Bytes()))
 	if got.floor != 3 {
 		t.Fatalf("floor = %d", got.floor)

@@ -130,15 +130,17 @@ func (m *voteMsg) marshal() []byte {
 	return w.Bytes()
 }
 
-func unmarshalVote(b []byte) (*voteMsg, error) {
+// unmarshalVote returns the vote by value: it is tallied where it is
+// decoded, so it need not reach the heap.
+func unmarshalVote(b []byte) (voteMsg, error) {
 	r := wire.NewReader(b)
-	m := &voteMsg{
+	m := voteMsg{
 		Regency: r.Int32(),
 		Seq:     r.Int64(),
 	}
 	copy(m.Digest[:], r.Raw(cryptoutil.DigestSize))
 	if err := r.Finish(); err != nil {
-		return nil, fmt.Errorf("vote: %w", err)
+		return voteMsg{}, fmt.Errorf("vote: %w", err)
 	}
 	return m, nil
 }

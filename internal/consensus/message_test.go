@@ -50,12 +50,12 @@ func TestProposeRoundTrip(t *testing.T) {
 }
 
 func TestVoteRoundTrip(t *testing.T) {
-	in := &voteMsg{Regency: 1, Seq: 7, Digest: cryptoutil.Hash([]byte("batch"))}
+	in := voteMsg{Regency: 1, Seq: 7, Digest: cryptoutil.Hash([]byte("batch"))}
 	out, err := unmarshalVote(in.marshal())
 	if err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if *out != *in {
+	if out != in {
 		t.Fatalf("round trip mismatch: %+v vs %+v", out, in)
 	}
 }

@@ -431,7 +431,7 @@ func TestPipelinedTentativeRollbackRestoresBothBatches(t *testing.T) {
 	batches := [][][]byte{reqs[:2], reqs[2:]}
 	for seq, batch := range batches {
 		r.onPropose(0, &proposeMsg{Regency: 0, Seq: int64(seq), Batch: batch}, nil)
-		vote := &voteMsg{Regency: 0, Seq: int64(seq), Digest: batchDigest(int64(seq), batch)}
+		vote := voteMsg{Regency: 0, Seq: int64(seq), Digest: batchDigest(int64(seq), batch)}
 		r.onVote(0, vote, true)
 		r.onVote(1, vote, true) // with the replica's own WRITE: a quorum of 3
 	}

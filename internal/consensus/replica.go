@@ -112,16 +112,22 @@ const PipelineDepth = 8
 // The depth leans on two other constants; an edit that breaks either
 // relation fails to compile (a negative constant does not convert to uint).
 // A follower asks for state transfer when it sees a PROPOSE stateGapThreshold
-// ahead of its delivery point, so an honest leader must never get that far
-// ahead of a follower that merely decides a little later; and votes are only
-// counted within instanceWindow. (core pins its rollback window the same way.)
+// ahead of its delivery point, so a full window alone never sends a follower
+// that merely decides a little later into state transfer; and votes are only
+// counted within instanceWindow. The first relation does not keep every
+// follower within stateGapThreshold: a quorum that leaves a slow follower out
+// decides without it and the leader moves on. That is why onPropose still
+// registers (and votes for) a PROPOSE anywhere within instanceWindow, and
+// state transfer only runs beside it. (core pins its rollback window the
+// same way.)
 const (
 	_ = uint(stateGapThreshold - 1 - PipelineDepth) // PipelineDepth < stateGapThreshold
 	_ = uint(instanceWindow/2 - PipelineDepth)      // PipelineDepth <= instanceWindow/2
 )
 
-// tickInterval drives partial-batch proposals, request timeouts, and
-// sync-phase escalation.
+// tickInterval drives the paced PROPOSEs of an open window, request
+// timeouts, state-transfer retries and sync-phase escalation. An idle leader
+// does not wait for it: it proposes as soon as a request is pooled.
 const tickInterval = 2 * time.Millisecond
 
 // latencyWeight is the weight of a new sample in the instance-latency EWMA
@@ -136,9 +142,67 @@ type pendingReq struct {
 	inFlight bool // included in an open proposal
 }
 
-type voteKey struct {
+// vote is one replica's WRITE or ACCEPT for a digest.
+type vote struct {
+	voter  ReplicaID
+	digest cryptoutil.Digest
+}
+
+// inlineVoters is how many votes a tally holds inside its instance: every
+// member of the paper's n = 3f+1 = 4 group. Larger groups spill to the heap.
+const inlineVoters = 4
+
+// tally is one kind of vote (WRITE or ACCEPT) of an instance, in the newest
+// regency it has votes of: only the current regency's votes can form a
+// quorum, and a replica's regency only grows. A voter counts once per
+// regency (a second, different vote can only be a Byzantine replica's), so a
+// tally never outgrows the membership.
+type tally struct {
 	regency int32
-	digest  cryptoutil.Digest
+	votes   []vote // backed by inline until it outgrows it: a tally must not be copied
+	inline  [inlineVoters]vote
+}
+
+// add records voter's vote for digest in regency.
+func (t *tally) add(regency int32, voter ReplicaID, digest cryptoutil.Digest) {
+	if t.votes == nil {
+		t.votes = t.inline[:0]
+	}
+	if regency != t.regency {
+		if regency < t.regency {
+			return
+		}
+		t.regency, t.votes = regency, t.votes[:0]
+	}
+	for i := range t.votes {
+		if t.votes[i].voter == voter {
+			return
+		}
+	}
+	t.votes = append(t.votes, vote{voter: voter, digest: digest})
+}
+
+// quorum returns the digest whose votes in regency weigh a quorum, if one
+// does (two cannot: quorums intersect).
+func (t *tally) quorum(regency int32, qt *quorumTracker) (cryptoutil.Digest, bool) {
+	if t.regency != regency {
+		return cryptoutil.Digest{}, false
+	}
+	for i := range t.votes {
+		digest, weight := t.votes[i].digest, 0
+		for j := range t.votes {
+			if t.votes[j].digest == digest {
+				if j < i {
+					break // summed at the first vote for digest
+				}
+				weight += qt.weightOf(t.votes[j].voter)
+			}
+		}
+		if weight >= qt.quorumWeight {
+			return digest, true
+		}
+	}
+	return cryptoutil.Digest{}, false
 }
 
 // instance is the per-consensus-instance protocol state.
@@ -149,8 +213,8 @@ type instance struct {
 	reqs         []request // batch, decoded once when it was registered (views of it)
 	digest       cryptoutil.Digest
 	haveProposal bool
-	writes       map[voteKey]map[ReplicaID]struct{}
-	accepts      map[voteKey]map[ReplicaID]struct{}
+	writes       tally
+	accepts      tally
 	writeSent    bool
 	acceptSent   bool
 	// writeCertified is set once a WRITE quorum formed for certDigest; the
@@ -168,12 +232,20 @@ type instance struct {
 	proposedAt time.Time
 }
 
-func newInstance(seq int64) *instance {
-	return &instance{
-		seq:     seq,
-		writes:  make(map[voteKey]map[ReplicaID]struct{}),
-		accepts: make(map[voteKey]map[ReplicaID]struct{}),
-	}
+// recycle retires an instance a checkpoint covers, to be reused for a later
+// seq (see Replica.instance). It drops what keeps the batch alive and
+// nothing else: until it is reused it still reads as the decided instance
+// it was, for a caller further up the stack that holds it.
+func (inst *instance) recycle() {
+	inst.batch, inst.reqs, inst.undo = nil, nil, nil
+}
+
+// reuse readies a recycled instance for seq, keeping only the storage of its
+// tallies.
+func (inst *instance) reuse(seq int64) {
+	writes, accepts := inst.writes.votes[:0], inst.accepts.votes[:0]
+	*inst = instance{seq: seq}
+	inst.writes.votes, inst.accepts.votes = writes, accepts
 }
 
 // bufferedStopData holds a STOPDATA that arrived before this replica
@@ -237,21 +309,21 @@ type Replica struct {
 	membershipObserver func(view MembershipView)
 
 	// Normal-case protocol state.
-	regency       int32
-	instances     map[int64]*instance
+	regency   int32
+	instances map[int64]*instance
+	// spare holds instances checkpoints retired, for reuse.
+	spare         []*instance
 	lastProposed  int64
 	lastDelivered int64 // contiguous prefix delivered to the app
 	lastStable    int64 // contiguous prefix decided AND delivered (confirm point)
 
 	// Request pool. pooled counts the pending requests that are not part of
-	// an open proposal — what the next batch can draw on — and pooledSince
-	// is no later than the arrival of the oldest of them, so the scheduler
+	// an open proposal — what the next batch can draw on — so the scheduler
 	// decides without walking the queue.
-	pending     map[requestKey]*pendingReq
-	queue       []requestKey
-	pooled      int
-	pooledSince time.Time
-	executed    map[string]*clientDedup // exact per-client at-most-once
+	pending  map[requestKey]*pendingReq
+	queue    []requestKey
+	pooled   int
+	executed map[string]*clientDedup // exact per-client at-most-once
 
 	// lastProposeAt is when this leader's previous PROPOSE went out; with
 	// instanceLatency (below, among the counters Stats reads) it paces the
@@ -480,7 +552,7 @@ func DebugSnapshot(r *Replica) string {
 		if inst, ok := r.instances[next]; ok {
 			instInfo = fmt.Sprintf("prop=%v writeSent=%v acceptSent=%v cert=%v decided=%v writes=%d accepts=%d",
 				inst.haveProposal, inst.writeSent, inst.acceptSent,
-				inst.writeCertified, inst.decided, len(inst.writes), len(inst.accepts))
+				inst.writeCertified, inst.decided, len(inst.writes.votes), len(inst.accepts.votes))
 		}
 		out = fmt.Sprintf("regency=%d pending=%d pooled=%d queue=%d lastProposed=%d lastDelivered=%d lastStable=%d sync=%v fetch=%v inst[%d]: %s",
 			r.regency, len(r.pending), r.pooled, len(r.queue), r.lastProposed,
@@ -645,7 +717,7 @@ func (r *Replica) onRequest(payload []byte) {
 	}
 	now := time.Now()
 	r.pool(key, &pendingReq{req: rq, raw: payload, arrived: now})
-	r.maybePropose(now, false)
+	r.maybePropose(now)
 }
 
 // pool adds a request to the pool (a new arrival, or one a rollback hands
@@ -653,9 +725,6 @@ func (r *Replica) onRequest(payload []byte) {
 func (r *Replica) pool(key requestKey, p *pendingReq) {
 	r.pending[key] = p
 	r.queue = append(r.queue, key)
-	if r.pooled == 0 {
-		r.pooledSince = p.arrived
-	}
 	r.pooled++
 }
 
@@ -683,7 +752,6 @@ func (r *Replica) releaseInFlight() {
 		p.arrived = now
 	}
 	r.pooled = len(r.pending)
-	r.pooledSince = now
 	for _, inst := range r.instances {
 		inst.proposedAt = time.Time{}
 	}
@@ -715,12 +783,13 @@ func (r *Replica) publishWindow() {
 
 // proposeDue is the one scheduling rule: whether the leader opens the next
 // consensus instance now. It is evaluated on every request arrival, every
-// delivery and every tick (tick is true for the last), and reads counters
-// only — the queue is walked after the answer is yes.
+// delivery and every tick, and reads counters only — the queue is walked
+// after the answer is yes.
 //
-// With nothing open, a full batch goes at once and a partial batch on the
-// next tick, or earlier if its oldest request has already waited
-// BatchTimeout (it has when the previous instance took that long).
+// With nothing open, whatever is pooled goes at once, as BFT-SMaRt's leader
+// starts the next consensus as soon as the previous one ended and a request
+// is pending: requests that arrive while an instance runs form the next
+// batch.
 //
 // With instances open, the leader overlaps as many as the measured latency
 // warrants: k = min(PipelineDepth, L/BatchTimeout), L being its moving
@@ -737,14 +806,13 @@ func (r *Replica) publishWindow() {
 // a time. Where delivery takes hundreds of milliseconds (a WAN)
 // PipelineDepth instances stay evenly spaced in flight and a request no
 // longer waits for the previous instance to decide.
-func (r *Replica) proposeDue(now time.Time, tick bool) bool {
+func (r *Replica) proposeDue(now time.Time) bool {
 	if r.pooled == 0 || r.syncInProgress || r.fetching || !r.isLeader() {
 		return false
 	}
-	full := r.pooled >= r.cfg.BatchSize
 	open := r.openInstances()
 	if open == 0 {
-		return full || tick || now.Sub(r.pooledSince) >= r.cfg.BatchTimeout
+		return true
 	}
 	latency := time.Duration(r.instanceLatency.Load())
 	k := int64(latency / r.cfg.BatchTimeout)
@@ -754,12 +822,12 @@ func (r *Replica) proposeDue(now time.Time, tick bool) bool {
 	if open >= k {
 		return false
 	}
-	return full || now.Sub(r.lastProposeAt) >= latency/time.Duration(k)
+	return r.pooled >= r.cfg.BatchSize || now.Sub(r.lastProposeAt) >= latency/time.Duration(k)
 }
 
 // maybePropose opens the next consensus instance if one is due.
-func (r *Replica) maybePropose(now time.Time, tick bool) {
-	if !r.proposeDue(now, tick) {
+func (r *Replica) maybePropose(now time.Time) {
+	if !r.proposeDue(now) {
 		return
 	}
 	batch, reqs := r.collectBatch()
@@ -781,7 +849,6 @@ func (r *Replica) collectBatch() ([][]byte, []request) {
 	}
 	batch := make([][]byte, 0, size)
 	reqs := make([]request, 0, size)
-	leftBehind := false
 	compacted := r.queue[:0]
 	for _, key := range r.queue {
 		p, ok := r.pending[key]
@@ -789,16 +856,10 @@ func (r *Replica) collectBatch() ([][]byte, []request) {
 			continue // executed or dropped
 		}
 		compacted = append(compacted, key)
-		switch {
-		case p.inFlight:
-		case len(batch) < size:
+		if !p.inFlight && len(batch) < size {
 			p.inFlight = true
 			batch = append(batch, p.raw)
 			reqs = append(reqs, p.req)
-		case !leftBehind:
-			// The oldest request this batch leaves behind.
-			leftBehind = true
-			r.pooledSince = p.arrived
 		}
 	}
 	r.queue = compacted
@@ -856,8 +917,14 @@ func (r *Replica) onPropose(from ReplicaID, m *proposeMsg, reqs []request) {
 		return // stale
 	}
 	if m.Seq > r.lastDelivered+stateGapThreshold {
+		// Too far behind to catch up vote by vote. The PROPOSE is still
+		// registered within instanceWindow, where votes are counted: the
+		// leader sends it once, and once state transfer has brought this
+		// replica up to it, it is what the instance is delivered from.
 		r.requestStateTransfer()
-		return
+		if m.Seq > r.lastDelivered+instanceWindow {
+			return
+		}
 	}
 	reqs, ok := r.validateBatch(m.Batch, reqs)
 	if !ok {
@@ -939,13 +1006,19 @@ func (r *Replica) adoptDecided(inst *instance, batch [][]byte) {
 func (r *Replica) instance(seq int64) *instance {
 	inst, ok := r.instances[seq]
 	if !ok {
-		inst = newInstance(seq)
+		if n := len(r.spare); n > 0 {
+			inst = r.spare[n-1]
+			r.spare = r.spare[:n-1]
+			inst.reuse(seq)
+		} else {
+			inst = &instance{seq: seq}
+		}
 		r.instances[seq] = inst
 	}
 	return inst
 }
 
-func (r *Replica) onVote(from ReplicaID, m *voteMsg, isWrite bool) {
+func (r *Replica) onVote(from ReplicaID, m voteMsg, isWrite bool) {
 	r.noteRegency(from, m.Regency)
 	if m.Regency != r.regency || r.syncInProgress {
 		return
@@ -960,17 +1033,11 @@ func (r *Replica) onVote(from ReplicaID, m *voteMsg, isWrite bool) {
 		return
 	}
 	inst := r.instance(m.Seq)
-	key := voteKey{regency: m.Regency, digest: m.Digest}
-	votes := inst.writes
+	votes := &inst.writes
 	if !isWrite {
-		votes = inst.accepts
+		votes = &inst.accepts
 	}
-	set, ok := votes[key]
-	if !ok {
-		set = make(map[ReplicaID]struct{})
-		votes[key] = set
-	}
-	set[from] = struct{}{}
+	votes.add(m.Regency, from, m.Digest)
 	r.checkQuorums(inst)
 }
 
@@ -982,36 +1049,27 @@ func (r *Replica) checkQuorums(inst *instance) {
 		return
 	}
 	// WRITE quorum: send ACCEPT for the certified digest.
-	for key, set := range inst.writes {
-		if key.regency != r.regency || !r.qt.isQuorum(toVoterSet(set)) {
-			continue
-		}
-		if !inst.writeCertified || inst.certRegency < key.regency {
+	if digest, ok := inst.writes.quorum(r.regency, r.qt); ok {
+		if !inst.writeCertified || inst.certRegency < r.regency {
 			inst.writeCertified = true
-			inst.certDigest = key.digest
-			inst.certRegency = key.regency
+			inst.certDigest = digest
+			inst.certRegency = r.regency
 		}
 		if !inst.acceptSent {
 			inst.acceptSent = true
-			vm := &voteMsg{Regency: r.regency, Seq: inst.seq, Digest: key.digest}
+			vm := &voteMsg{Regency: r.regency, Seq: inst.seq, Digest: digest}
 			r.broadcast(msgAccept, vm.marshal())
 		}
 		if r.cfg.Tentative {
 			r.deliverContiguous()
-			r.maybePropose(time.Now(), false)
+			r.maybePropose(time.Now())
 		}
 	}
 	// ACCEPT quorum: decide.
-	for key, set := range inst.accepts {
-		if key.regency != r.regency || !r.qt.isQuorum(toVoterSet(set)) {
-			continue
-		}
-		r.decide(inst, key.digest)
-		return
+	if digest, ok := inst.accepts.quorum(r.regency, r.qt); ok {
+		r.decide(inst, digest)
 	}
 }
-
-func toVoterSet(set map[ReplicaID]struct{}) map[ReplicaID]struct{} { return set }
 
 func (r *Replica) decide(inst *instance, digest cryptoutil.Digest) {
 	if inst.decided {
@@ -1036,7 +1094,7 @@ func (r *Replica) decide(inst *instance, digest cryptoutil.Digest) {
 		// votes that will never come.
 		r.requestStateTransfer()
 	}
-	r.maybePropose(time.Now(), false)
+	r.maybePropose(time.Now())
 }
 
 // deliverContiguous executes every instance in the contiguous prefix that
@@ -1189,16 +1247,18 @@ func (r *Replica) checkpointAt(seq int64) {
 			delete(r.decidedLog, s)
 		}
 	}
-	for s := range r.instances {
+	for s, inst := range r.instances {
 		if s <= seq {
 			delete(r.instances, s)
+			inst.recycle()
+			r.spare = append(r.spare, inst)
 		}
 	}
 }
 
 func (r *Replica) onTick() {
 	now := time.Now()
-	r.maybePropose(now, true)
+	r.maybePropose(now)
 	if r.fetching && now.Sub(r.fetchStarted) > r.cfg.RequestTimeout {
 		// Retry the state transfer.
 		r.fetching = false

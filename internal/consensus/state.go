@@ -1,6 +1,8 @@
 package consensus
 
 import (
+	"encoding/binary"
+	"slices"
 	"sort"
 	"time"
 
@@ -17,23 +19,35 @@ import (
 // paper argues frequent checkpoints are cheap for this workload.
 
 // wrapSnapshot bundles the application snapshot with the replica-level
-// request-deduplication table; both are replicated state.
+// request-deduplication table; both are replicated state. Every replica
+// must produce the same bytes for the same state: state transfer matches
+// f+1 replies byte for byte.
 //
-// Layout: uvarint count, (client string, uint64 seq)*, app snapshot bytes.
+// Layout: membership (see marshalMembership), uvarint count, then per
+// client in id order its id and dedup state (see clientDedup.marshalInto),
+// then the app snapshot bytes. One pass over the clients sizes the writer
+// and the sort buffer, so the snapshot is written into one buffer.
 func (r *Replica) wrapSnapshot() []byte {
+	app := r.app.Snapshot()
+	// Four uvarints: epoch, member count, client count, app length.
+	size := 4*binary.MaxVarintLen64 + 8*len(r.membership) + len(app)
 	clients := make([]string, 0, len(r.executed))
-	for c := range r.executed {
+	most := 0
+	for c, d := range r.executed {
 		clients = append(clients, c)
+		size += binary.MaxVarintLen64 + len(c) + d.marshalledSize()
+		most = max(most, len(d.sparse))
 	}
-	sort.Strings(clients)
-	w := wire.NewWriter(64)
+	slices.Sort(clients)
+	w := wire.NewWriter(size)
 	r.marshalMembership(w)
 	w.PutUvarint(uint64(len(clients)))
+	sortBuf := make([]uint64, 0, most)
 	for _, c := range clients {
 		w.PutString(c)
-		r.executed[c].marshalInto(w)
+		r.executed[c].marshalInto(w, sortBuf)
 	}
-	w.PutBytes(r.app.Snapshot())
+	w.PutBytes(app)
 	return w.Bytes()
 }
 

@@ -1,0 +1,75 @@
+package consensus
+
+import (
+	"encoding/hex"
+	"testing"
+
+	"repro/internal/transport"
+)
+
+// goldenSnapshotReplica builds a replica whose checkpoint covers every part
+// of the snapshot layout: a weighted membership at a later epoch, clients
+// with and without sequences above their floors (unsorted in their maps,
+// beyond 32 bits, an empty id), and an application snapshot.
+func goldenSnapshotReplica(t *testing.T, conn transport.Conn) *Replica {
+	t.Helper()
+	weights, err := BinaryWeights(ids(5), 1, 1, []ReplicaID{0, 4})
+	if err != nil {
+		t.Fatalf("weights: %v", err)
+	}
+	app := &recordApp{groups: []execGroup{
+		{seq: 0, ops: [][]byte{[]byte("envelope-a"), []byte("envelope-b")}},
+		{seq: 1, ops: [][]byte{}},
+	}}
+	r, err := NewReplica(Config{SelfID: 2, Replicas: ids(5), Weights: weights}, app, conn)
+	if err != nil {
+		t.Fatalf("new replica: %v", err)
+	}
+	r.epoch = 3
+	for _, c := range []struct {
+		id     string
+		floor  uint64
+		sparse []uint64
+	}{
+		{"frontend-0", 1 << 40, []uint64{1<<40 + 7, 1<<40 + 2, 1<<40 + 300}},
+		{"client-b", 0, nil},
+		{"client-a", 17, []uint64{19, 1 << 33, 18 + sessionGap}},
+		{"", 5, []uint64{9}},
+	} {
+		d := newClientDedup()
+		d.client, d.floor = c.id, c.floor
+		for _, s := range c.sparse {
+			d.sparse[s] = true
+		}
+		r.executed[c.id] = d
+	}
+	return r
+}
+
+// goldenSnapshot is the checkpoint of goldenSnapshotReplica as the encoder
+// wrote it before it sized its buffer in advance. State transfer applies a
+// checkpoint once f+1 replicas sent the same bytes, so replicas running
+// either encoder must agree byte for byte.
+const goldenSnapshot = "" +
+	"03050000000000000002000000010000000100000002000000010000000300000001" +
+	"00000004000000020400000000000000000501000000000000000908636c69656e74" +
+	"2d61000000000000001103000000000000001300000000000186b200000002000000" +
+	"0008636c69656e742d620000000000000000000a66726f6e74656e642d3000000100" +
+	"000000000300000100000000020000010000000007000001000000012c2902000000" +
+	"0000000000020a656e76656c6f70652d610a656e76656c6f70652d62000000000000" +
+	"000100"
+
+func TestCheckpointSnapshotBytesAreGolden(t *testing.T) {
+	r := goldenSnapshotReplica(t, &sinkConn{addr: ReplicaID(2).Addr()})
+	for i := 0; i < 3; i++ { // map order must not leak into the bytes
+		if got := hex.EncodeToString(r.wrapSnapshot()); got != goldenSnapshot {
+			t.Fatalf("checkpoint snapshot\n got %s\nwant %s", got, goldenSnapshot)
+		}
+	}
+	// Besides the application's snapshot: the client list, the sort
+	// buffer and the one buffer the whole checkpoint is written into.
+	app := testing.AllocsPerRun(10, func() { r.app.Snapshot() })
+	if got := testing.AllocsPerRun(10, func() { r.wrapSnapshot() }) - app; got > 3 {
+		t.Fatalf("wrapSnapshot: %.0f allocations besides the application's, want <= 3", got)
+	}
+}

@@ -345,7 +345,7 @@ func (r *Replica) onSync(from ReplicaID, m *syncMsg) {
 			}
 		}
 		r.publishWindow()
-		r.maybePropose(time.Now(), false)
+		r.maybePropose(time.Now())
 	}
 }
 

@@ -46,8 +46,8 @@ type ClusterConfig struct {
 	// paper).
 	BatchSize int
 	// BatchTimeout is consensus.Config.BatchTimeout: not a wait imposed on
-	// every partial batch (an idle leader proposes at its next 2 ms tick)
-	// but the unit the window of open instances is measured in.
+	// any batch (an idle leader proposes at once) but the unit the window
+	// of open instances is measured in.
 	BatchTimeout time.Duration
 	// RequestTimeout is the leader-change trigger.
 	RequestTimeout time.Duration

@@ -73,11 +73,11 @@ func (c *replayConn) SetWriteDeadline(t time.Time) error { return nil }
 // is inherent: it escapes into the mailbox).
 func BenchmarkReadFrame(b *testing.B) {
 	m := benchMessage(512)
-	conn := &replayConn{frame: appendFrame(nil, m)}
+	fr := &frameReader{conn: &replayConn{frame: appendFrame(nil, m)}}
 	b.ReportAllocs()
 	b.SetBytes(int64(len(m.Payload)))
 	for i := 0; i < b.N; i++ {
-		got, err := readFrame(conn)
+		got, err := fr.readFrame()
 		if err != nil || len(got.Payload) != len(m.Payload) {
 			b.Fatalf("readFrame: %v", err)
 		}

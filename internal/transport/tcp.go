@@ -123,8 +123,9 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 		delete(t.accepted, conn)
 		t.mu.Unlock()
 	}()
+	fr := &frameReader{conn: conn}
 	for {
-		m, err := readFrame(conn)
+		m, err := fr.readFrame()
 		if err != nil {
 			return
 		}
@@ -159,7 +160,10 @@ func (t *TCPTransport) Send(to Addr, msgType uint16, payload []byte) {
 	}
 	w, ok := t.writers[to]
 	if !ok {
-		w = newTCPWriter(hostport, t.cfg.DialTimeout, t.cfg.RedialBackoff)
+		dialTO := t.cfg.DialTimeout
+		w = newTCPWriter(func() (net.Conn, error) {
+			return net.DialTimeout("tcp", hostport, dialTO)
+		}, t.cfg.RedialBackoff)
 		t.writers[to] = w
 	}
 	t.mu.Unlock()
@@ -205,21 +209,26 @@ func (t *TCPTransport) Close() error {
 // model already allows.
 const maxQueuedUnreachable = 4096
 
-// tcpWriter owns the outgoing connection to one peer. Dials retry with
+// tcpWriter owns the outgoing connection to one peer. Each time it wakes it
+// takes the whole queue, frames it into one buffer and writes that with one
+// Write, so a burst of sends costs one system call. Dials retry with
 // jittered exponential backoff (RetryPolicy) without dropping the pending
-// message, so a transient WAN blip delays delivery instead of losing it;
-// only a bounded backlog is retained while the peer stays unreachable
-// (asynchronous network semantics: the layer above must tolerate loss).
+// messages, so a transient WAN blip delays delivery instead of losing it;
+// only a bounded backlog is retained while the peer stays unreachable, and a
+// write error loses at most the batch being written (asynchronous network
+// semantics: the layer above must tolerate loss).
 type tcpWriter struct {
-	hostport string
-	dialTO   time.Duration
-	backoff  time.Duration
+	dial    func() (net.Conn, error)
+	backoff time.Duration
 
 	// frameBuf is the writer goroutine's reusable framing buffer: one
 	// steady-state allocation per connection instead of one per message.
 	// Capped at retainedFrameCap after each write so one jumbo frame
 	// does not pin megabytes for the connection's lifetime.
 	frameBuf []byte
+	// spare is the queue's second buffer: the writer frames one batch
+	// while Send appends to the other, and the two swap at every wake.
+	spare []Message
 
 	mu     sync.Mutex
 	queue  []Message
@@ -229,13 +238,12 @@ type tcpWriter struct {
 	wg     sync.WaitGroup
 }
 
-func newTCPWriter(hostport string, dialTO, backoff time.Duration) *tcpWriter {
+func newTCPWriter(dial func() (net.Conn, error), backoff time.Duration) *tcpWriter {
 	w := &tcpWriter{
-		hostport: hostport,
-		dialTO:   dialTO,
-		backoff:  backoff,
-		notify:   make(chan struct{}, 1),
-		done:     make(chan struct{}),
+		dial:    dial,
+		backoff: backoff,
+		notify:  make(chan struct{}, 1),
+		done:    make(chan struct{}),
 	}
 	w.wg.Add(1)
 	go w.run()
@@ -278,25 +286,22 @@ func (w *tcpWriter) run() {
 				return
 			}
 		}
-		// Peek while disconnected: the head message must survive dial
-		// failures. It is only popped once a connection exists.
-		m := w.queue[0]
-		if conn != nil {
-			w.queue = w.queue[1:]
-		}
-		w.mu.Unlock()
-
 		if conn == nil {
+			// The queue stays put while disconnected: messages survive
+			// dial failures and are only taken once a connection exists.
+			w.mu.Unlock()
 			var err error
-			conn, err = net.DialTimeout("tcp", w.hostport, w.dialTO)
+			conn, err = w.dial()
 			if err != nil {
 				conn = nil
 				// Transient dial failure: keep the backlog (bounded) and
 				// retry with jittered exponential backoff instead of
-				// dropping the message.
+				// dropping the messages.
 				w.mu.Lock()
 				if excess := len(w.queue) - maxQueuedUnreachable; excess > 0 {
-					w.queue = append([]Message(nil), w.queue[excess:]...)
+					kept := copy(w.queue, w.queue[excess:])
+					clear(w.queue[kept:])
+					w.queue = w.queue[:kept]
 				}
 				w.mu.Unlock()
 				select {
@@ -308,21 +313,50 @@ func (w *tcpWriter) run() {
 				continue
 			}
 			dialAttempt = 0
-			continue // connected: loop back to pop the head
+			continue // connected: loop back to take the queue
 		}
-		w.frameBuf = appendFrame(w.frameBuf[:0], m)
-		if _, err := conn.Write(w.frameBuf); err != nil {
+		batch := w.queue
+		w.queue = w.spare[:0]
+		w.mu.Unlock()
+
+		if err := w.writeBatch(conn, batch); err != nil {
 			conn.Close()
 			conn = nil
 		}
-		if cap(w.frameBuf) > retainedFrameCap {
-			w.frameBuf = nil
+		// The spare must not keep the payloads alive, nor a burst's buffer.
+		clear(batch)
+		if cap(batch) <= maxQueuedUnreachable {
+			w.spare = batch[:0]
+		} else {
+			w.spare = nil
 		}
 	}
 }
 
+// writeBatch frames a batch into the writer's buffer and writes it, in one
+// Write unless the frames outgrow retainedFrameCap (then in pieces of about
+// that size). On an error the rest of the batch is not written.
+func (w *tcpWriter) writeBatch(conn net.Conn, batch []Message) (err error) {
+	buf := w.frameBuf[:0]
+	for i := range batch {
+		buf = appendFrame(buf, batch[i])
+		if len(buf) < retainedFrameCap && i < len(batch)-1 {
+			continue
+		}
+		if _, err = conn.Write(buf); err != nil {
+			break
+		}
+		buf = buf[:0]
+	}
+	if cap(buf) > retainedFrameCap {
+		buf = nil
+	}
+	w.frameBuf = buf
+	return err
+}
+
 // retainedFrameCap bounds the framing buffer a writer keeps between
-// messages; larger frames are allocated ad hoc and released.
+// batches; larger frames are allocated ad hoc and released.
 const retainedFrameCap = 1 << 20
 
 func (w *tcpWriter) stop() {
@@ -361,17 +395,27 @@ func writeFrame(conn net.Conn, m Message) error {
 	return err
 }
 
-func readFrame(conn net.Conn) (Message, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
+// frameReader reads the frames of one connection. A connection carries one
+// sender's messages to one destination, so the previous frame's From and To
+// are reused when they repeat instead of allocating new strings; the length
+// prefix is read into the reader's own buffer. What stays is one allocation
+// per frame, the frame itself, which the delivered payload aliases.
+type frameReader struct {
+	conn     io.Reader
+	lenBuf   [4]byte
+	from, to Addr
+}
+
+func (fr *frameReader) readFrame() (Message, error) {
+	if _, err := io.ReadFull(fr.conn, fr.lenBuf[:]); err != nil {
 		return Message{}, err
 	}
-	total := binary.BigEndian.Uint32(lenBuf[:])
+	total := binary.BigEndian.Uint32(fr.lenBuf[:])
 	if total < 6 || total > maxFrameBytes {
 		return Message{}, fmt.Errorf("tcp frame length %d out of range", total)
 	}
 	buf := make([]byte, total)
-	if _, err := io.ReadFull(conn, buf); err != nil {
+	if _, err := io.ReadFull(fr.conn, buf); err != nil {
 		return Message{}, err
 	}
 	msgType := binary.BigEndian.Uint16(buf[0:2])
@@ -381,10 +425,18 @@ func readFrame(conn net.Conn) (Message, error) {
 		return Message{}, errors.New("tcp frame header lengths exceed frame")
 	}
 	off := 6
-	from := Addr(buf[off : off+fromLen])
+	fr.from = reuseAddr(buf[off:off+fromLen], fr.from)
 	off += fromLen
-	to := Addr(buf[off : off+toLen])
+	fr.to = reuseAddr(buf[off:off+toLen], fr.to)
 	off += toLen
 	payload := buf[off:]
-	return Message{From: from, To: to, Type: msgType, Payload: payload}, nil
+	return Message{From: fr.from, To: fr.to, Type: msgType, Payload: payload}, nil
+}
+
+// reuseAddr returns known if b spells it, and a new Addr otherwise.
+func reuseAddr(b []byte, known Addr) Addr {
+	if string(b) == string(known) {
+		return known
+	}
+	return Addr(b)
 }

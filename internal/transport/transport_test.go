@@ -355,7 +355,7 @@ func TestFrameCodecProperty(t *testing.T) {
 		in := Message{From: Addr(from), To: Addr(to), Type: msgType, Payload: payload}
 		errCh := make(chan error, 1)
 		go func() { errCh <- writeFrame(c1, in) }()
-		out, err := readFrame(c2)
+		out, err := (&frameReader{conn: c2}).readFrame()
 		if err != nil || <-errCh != nil {
 			return false
 		}
