@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cryptoutil"
@@ -32,21 +31,40 @@ type ClientConfig struct {
 // ordering-service frontend issues asynchronous invocations only ("the
 // proxy... issues an asynchronous invocation request... ensuring it does
 // not block waiting for replies", Section 5.1).
+//
+// Submitting a request only queues it: one sender goroutine takes the whole
+// queue each time it wakes and sends it as one request frame per replica
+// (see EncodeRequest), so requests submitted while the previous frame was
+// being sent travel together and a lone request on an idle client leaves at
+// once. There is no timer and nothing to tune.
 type Client struct {
-	cfg     ClientConfig
-	conn    transport.Conn
-	id      string
-	addrs   []transport.Addr // of cfg.Replicas
-	nextSeq atomic.Uint64
-	quorum  int
+	cfg    ClientConfig
+	conn   transport.Conn
+	id     string
+	addrs  []transport.Addr // of cfg.Replicas
+	quorum int
 
 	mu      sync.Mutex
+	nextSeq uint64
 	pending map[uint64]*clientCall
-	closed  bool
+	// queue holds the requests submitted since the sender's last wake, in
+	// sequence order.
+	queue  []queuedRequest
+	closed bool
 
-	done chan struct{}
-	wg   sync.WaitGroup
+	// spare is the queue's second buffer (sender-owned): the sender frames
+	// one batch while submissions append to the other, and the two swap at
+	// every wake. The same discipline as transport's tcpWriter queue: a
+	// change to one belongs in the other.
+	spare  []queuedRequest
+	notify chan struct{} // capacity 1: the queue is not empty
+	done   chan struct{}
+	wg     sync.WaitGroup
 }
+
+// maxRetainedQueue bounds the spare queue buffer a client keeps between
+// wakes, so one burst does not pin its buffer for the client's lifetime.
+const maxRetainedQueue = 4096
 
 type clientCall struct {
 	votes map[cryptoutil.Digest]map[string]struct{} // result digest -> replica addrs
@@ -75,6 +93,7 @@ func NewClient(conn transport.Conn, cfg ClientConfig) (*Client, error) {
 		id:      string(conn.Addr()),
 		quorum:  quorum,
 		pending: make(map[uint64]*clientCall),
+		notify:  make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
 	// Sequence numbers start at a per-session base (wall-clock nanos) so a
@@ -86,12 +105,13 @@ func NewClient(conn transport.Conn, cfg ClientConfig) (*Client, error) {
 	// the client host's clock not stepping backwards across restarts; a
 	// client restarted under an earlier clock (VM snapshot restore) must
 	// take a new identity.
-	c.nextSeq.Store(uint64(time.Now().UnixNano()))
+	c.nextSeq = uint64(time.Now().UnixNano())
 	for _, id := range cfg.Replicas {
 		c.addrs = append(c.addrs, id.Addr())
 	}
-	c.wg.Add(1)
+	c.wg.Add(2)
 	go c.receiveLoop()
+	go c.sendLoop()
 	return c, nil
 }
 
@@ -100,41 +120,30 @@ func (c *Client) ID() string { return c.id }
 
 // Invoke submits an operation for total ordering without waiting for
 // replies (the ordering-service mode: blocks come back through the block
-// dissemination path instead).
+// dissemination path instead). The request is queued for the client's
+// sender, which encodes op later: op must not change after the call.
 func (c *Client) Invoke(op []byte) error {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		return ErrClientClosed
-	}
-	seq := c.nextSeq.Add(1)
-	c.send(seq, op)
-	return nil
+	_, err := c.enqueue(op, nil)
+	return err
 }
 
 // Call submits an operation and waits until f+1 (or the tentative quorum)
-// replicas reply with identical results, returning that result.
+// replicas reply with identical results, returning that result. As with
+// Invoke, op must not change after the call.
 func (c *Client) Call(ctx context.Context, op []byte) ([]byte, error) {
-	seq := c.nextSeq.Add(1)
 	call := &clientCall{
 		votes: make(map[cryptoutil.Digest]map[string]struct{}),
 		ch:    make(chan []byte, 1),
 	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClientClosed
+	seq, err := c.enqueue(op, call)
+	if err != nil {
+		return nil, err
 	}
-	c.pending[seq] = call
-	c.mu.Unlock()
 	defer func() {
 		c.mu.Lock()
 		delete(c.pending, seq)
 		c.mu.Unlock()
 	}()
-
-	c.send(seq, op)
 	select {
 	case result := <-call.ch:
 		return result, nil
@@ -145,11 +154,65 @@ func (c *Client) Call(ctx context.Context, op []byte) ([]byte, error) {
 	}
 }
 
-func (c *Client) send(seq uint64, op []byte) {
-	rq := &request{ClientID: c.id, Seq: seq, Op: op}
-	payload := rq.marshal()
-	for _, addr := range c.addrs {
-		c.conn.Send(addr, msgRequest, payload)
+// enqueue numbers an operation, registers call (if any) under that number
+// and queues the request for the sender. Numbering and queueing under one
+// lock keep the queue in sequence order.
+func (c *Client) enqueue(op []byte, call *clientCall) (uint64, error) {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return 0, ErrClientClosed
+	}
+	c.nextSeq++
+	seq := c.nextSeq
+	if call != nil {
+		c.pending[seq] = call
+	}
+	c.queue = append(c.queue, queuedRequest{seq: seq, op: op})
+	c.mu.Unlock()
+	select {
+	case c.notify <- struct{}{}:
+	default:
+	}
+	return seq, nil
+}
+
+// sendLoop is the client's one sender. After Close it sends what was
+// queued before the close, then returns.
+func (c *Client) sendLoop() {
+	defer c.wg.Done()
+	for {
+		select {
+		case <-c.notify:
+			c.flush()
+		case <-c.done:
+			c.flush()
+			return
+		}
+	}
+}
+
+// flush takes the whole queue and sends it to every replica: one frame
+// while it fits in maxRequestFrameBytes, and each frame's one payload to
+// all of them.
+func (c *Client) flush() {
+	c.mu.Lock()
+	batch := c.queue
+	c.queue = c.spare[:0]
+	c.mu.Unlock()
+	for rest := batch; len(rest) > 0; {
+		frame, n := encodeRequestFrame(c.id, rest)
+		for _, addr := range c.addrs {
+			c.conn.Send(addr, msgRequest, frame)
+		}
+		rest = rest[n:]
+	}
+	// The spare must not keep the operations alive, nor a burst's buffer.
+	clear(batch)
+	if cap(batch) <= maxRetainedQueue {
+		c.spare = batch[:0]
+	} else {
+		c.spare = nil
 	}
 }
 
@@ -197,8 +260,8 @@ func (c *Client) onReply(from string, reply *replyMsg) {
 	}
 }
 
-// Close shuts the client down. In-flight Call invocations fail with
-// ErrClientClosed.
+// Close shuts the client down once the requests already submitted are
+// sent. In-flight Call invocations fail with ErrClientClosed.
 func (c *Client) Close() {
 	c.mu.Lock()
 	if c.closed {

@@ -84,7 +84,7 @@ func newDurableReplicaOn(t *testing.T, net *transport.InProcNetwork, log Durabil
 
 // requestBatch is a decided batch of one client request carrying op.
 func requestBatch(seq uint64, op string) [][]byte {
-	return [][]byte{EncodeRequest("client", seq, []byte(op))}
+	return [][]byte{requestEntry("client", seq, []byte(op))}
 }
 
 func TestLogDecisionIsDenseAndInOrder(t *testing.T) {

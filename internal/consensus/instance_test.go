@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -22,18 +23,18 @@ func (c *sinkConn) Send(to transport.Addr, msgType uint16, payload []byte) {
 func (c *sinkConn) Inbox() <-chan transport.Message { return nil }
 func (c *sinkConn) Close() error                    { return nil }
 
-// follower is replica 3 of a four-replica group, never started: the test
+// standIn is a replica of a four-replica group, never started: the test
 // goroutine delivers its messages in place of the event loop.
-type follower struct {
+type standIn struct {
 	r     *Replica
 	conn  *sinkConn
 	addrs []transport.Addr
 }
 
-func newFollower(t *testing.T, cfg Config, opts ...Option) *follower {
+func newStandIn(t *testing.T, self ReplicaID, cfg Config, opts ...Option) *standIn {
 	t.Helper()
-	cfg.SelfID, cfg.Replicas = 3, ids(4)
-	f := &follower{conn: &sinkConn{addr: ReplicaID(3).Addr()}}
+	cfg.SelfID, cfg.Replicas = self, ids(4)
+	f := &standIn{conn: &sinkConn{addr: self.Addr()}}
 	for _, id := range cfg.Replicas {
 		f.addrs = append(f.addrs, id.Addr())
 	}
@@ -44,23 +45,38 @@ func newFollower(t *testing.T, cfg Config, opts ...Option) *follower {
 	return f
 }
 
-// batchAt is the one-request batch the leader proposes for seq.
-func batchAt(seq int64) [][]byte {
-	return [][]byte{EncodeRequest("client", uint64(seq+1), []byte(fmt.Sprintf("op-%d", seq)))}
+// newFollower is replica 3, a follower in regency 0.
+func newFollower(t *testing.T, cfg Config, opts ...Option) *standIn {
+	return newStandIn(t, 3, cfg, opts...)
 }
 
-// deliver hands the follower one protocol message from a peer.
-func (f *follower) deliver(from ReplicaID, msgType uint16, payload []byte) {
+// newLeader is replica 0, the leader of regency 0.
+func newLeader(t *testing.T, cfg Config, opts ...Option) *standIn {
+	return newStandIn(t, 0, cfg, opts...)
+}
+
+// requestEntry is a request as a PROPOSE batch carries it.
+func requestEntry(clientID string, seq uint64, op []byte) []byte {
+	return (&request{ClientID: clientID, Seq: seq, Op: op}).marshal()
+}
+
+// batchAt is the one-request batch the leader proposes for seq.
+func batchAt(seq int64) [][]byte {
+	return [][]byte{requestEntry("client", uint64(seq+1), []byte(fmt.Sprintf("op-%d", seq)))}
+}
+
+// deliver hands the stand-in one protocol message from a peer.
+func (f *standIn) deliver(from ReplicaID, msgType uint16, payload []byte) {
 	f.r.dispatch(transport.Message{From: f.addrs[from], To: f.conn.addr, Type: msgType, Payload: payload})
 }
 
-func (f *follower) propose(seq int64) {
+func (f *standIn) propose(seq int64) {
 	f.deliver(0, msgPropose, (&proposeMsg{Regency: 0, Seq: seq, Batch: batchAt(seq)}).marshal())
 }
 
 // decideByPeers delivers WRITEs and then ACCEPTs for seq's batch from the
 // three other replicas: a quorum of each, with or without the follower.
-func (f *follower) decideByPeers(seq int64) {
+func (f *standIn) decideByPeers(seq int64) {
 	vote := (&voteMsg{Regency: 0, Seq: seq, Digest: batchDigest(seq, batchAt(seq))}).marshal()
 	for _, typ := range []uint16{msgWrite, msgAccept} {
 		for _, from := range []ReplicaID{0, 1, 2} {
@@ -70,7 +86,7 @@ func (f *follower) decideByPeers(seq int64) {
 }
 
 // wrote reports whether the follower sent a WRITE for seq's batch.
-func (f *follower) wrote(seq int64) bool {
+func (f *standIn) wrote(seq int64) bool {
 	want := batchDigest(seq, batchAt(seq))
 	for _, m := range f.conn.sent {
 		if m.Type != msgWrite {
@@ -179,5 +195,112 @@ func TestInstanceAllocationBudgets(t *testing.T) {
 			len(inst.writes.votes) != 0 || len(inst.accepts.votes) != 0 {
 			t.Fatalf("reused instance %d kept state: %+v", seq, inst)
 		}
+	}
+}
+
+// submit hands the stand-in one request frame from a client.
+func (f *standIn) submit(frame []byte) {
+	f.r.dispatch(transport.Message{From: "client", To: f.conn.addr, Type: msgRequest, Payload: frame})
+}
+
+// proposals returns the PROPOSEs the stand-in sent, one per instance (a
+// PROPOSE goes to every peer).
+func (f *standIn) proposals(t *testing.T) []*proposeMsg {
+	t.Helper()
+	var out []*proposeMsg
+	seen := make(map[int64]bool)
+	for _, m := range f.conn.sent {
+		if m.Type != msgPropose {
+			continue
+		}
+		pm, err := unmarshalPropose(m.Payload)
+		if err != nil {
+			t.Fatalf("the stand-in sent a malformed PROPOSE: %v", err)
+		}
+		if !seen[pm.Seq] {
+			seen[pm.Seq] = true
+			out = append(out, pm)
+		}
+	}
+	return out
+}
+
+// queuedOps is k requests from "client" with sequence numbers from 1.
+func queuedOps(k int) []queuedRequest {
+	reqs := make([]queuedRequest, k)
+	for i := range reqs {
+		reqs[i] = queuedRequest{seq: uint64(i + 1), op: []byte(fmt.Sprintf("op-%d", i))}
+	}
+	return reqs
+}
+
+// An idle leader pools a whole request frame before it decides to propose:
+// one k-entry frame becomes one PROPOSE of k entries, each byte-identical to
+// the request's batch encoding. Running the proposal rule once per entry
+// would send the first entry alone and hold the rest for the next instance.
+func TestLeaderProposesWholeFrame(t *testing.T) {
+	const k = 5
+	l := newLeader(t, Config{})
+	reqs := queuedOps(k)
+	frame, n := encodeRequestFrame("client", reqs)
+	if n != k {
+		t.Fatalf("a %d-request frame took %d", k, n)
+	}
+	l.submit(frame)
+	props := l.proposals(t)
+	if len(props) != 1 {
+		t.Fatalf("a %d-entry frame became %d PROPOSEs, want 1", k, len(props))
+	}
+	if len(props[0].Batch) != k {
+		t.Fatalf("the PROPOSE carries %d entries of a %d-entry frame", len(props[0].Batch), k)
+	}
+	for i, e := range props[0].Batch {
+		if want := requestEntry("client", reqs[i].seq, reqs[i].op); !bytes.Equal(e, want) {
+			t.Fatalf("PROPOSE entry %d is %x, want %x", i, e, want)
+		}
+	}
+	if l.r.pooled != 0 {
+		t.Fatalf("%d requests left pooled after the PROPOSE", l.r.pooled)
+	}
+}
+
+// State transfer moves a leader's delivery point past the instances it
+// proposed itself. Its next PROPOSE must be numbered above that point: one
+// below it is dropped as stale by every replica, the leader included, and
+// its requests stay in flight until a leader change.
+func TestCaughtUpLeaderProposesAboveDeliveryPoint(t *testing.T) {
+	l := newLeader(t, Config{})
+	var entries []logEntryWire
+	for seq := int64(0); seq < 5; seq++ {
+		entries = append(entries, logEntryWire{Seq: seq, Batch: batchAt(seq)})
+	}
+	l.r.applyState(&stateReplyMsg{CheckpointSeq: -1, Entries: entries})
+	if l.r.lastDelivered != 4 {
+		t.Fatalf("state transfer delivered up to %d, want 4", l.r.lastDelivered)
+	}
+
+	l.submit(EncodeRequest("client", 100, []byte("after")))
+	props := l.proposals(t)
+	if len(props) != 1 {
+		t.Fatalf("proposed %d instances, want 1", len(props))
+	}
+	if props[0].Seq != 5 {
+		t.Fatalf("proposed instance %d after delivering up to 4, want 5", props[0].Seq)
+	}
+	if inst := l.r.instances[5]; inst == nil || !inst.haveProposal {
+		t.Fatal("the leader did not register its own PROPOSE for instance 5")
+	}
+
+	vote := (&voteMsg{Regency: 0, Seq: 5, Digest: batchDigest(5, props[0].Batch)}).marshal()
+	for _, typ := range []uint16{msgWrite, msgAccept} {
+		for _, from := range []ReplicaID{1, 2} {
+			l.deliver(from, typ, vote)
+		}
+	}
+	if l.r.lastDelivered != 5 {
+		t.Fatalf("instance 5 decided by a quorum but delivered only to %d", l.r.lastDelivered)
+	}
+	if ops := l.r.app.(*recordApp).opsFlat(); string(ops[len(ops)-1]) != "after" {
+		t.Fatalf("the last executed op is %q, want \"after\"", ops[len(ops)-1])
 	}
 }

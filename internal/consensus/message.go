@@ -25,17 +25,60 @@ const (
 	msgReply
 )
 
-// RequestMessageType is the transport type of client requests, exported for
-// components that submit requests without a full Client (the ordering
-// node's time-to-cut markers).
+// RequestMessageType is the transport type of client request frames,
+// exported for components that submit requests without a full Client (the
+// ordering node's time-to-cut markers, a joining node's admission request).
 const RequestMessageType = msgRequest
 
-// EncodeRequest encodes a raw client request: a payload sent with
+// A request frame is the payload of every RequestMessageType message: a
+// uvarint count and that many length-prefixed requests (wire's BytesSlice
+// encoding). Each entry is byte-identical to request.marshal — the entry a
+// PROPOSE batch, the decision log and a checkpoint carry for the request —
+// so a replica pools views of the frame and proposes them as they are. A
+// Client sends every request queued since its previous send as one frame,
+// the same payload to every replica.
+
+// maxRequestFrameBytes bounds the frames a Client builds: a longer queue
+// leaves as several frames. (A single request larger than this is sent
+// alone in a frame of its own.)
+const maxRequestFrameBytes = 1 << 20
+
+// EncodeRequest encodes a one-request frame: a payload sent with
 // RequestMessageType to every replica enters the request pool like any
 // client submission.
 func EncodeRequest(clientID string, seq uint64, op []byte) []byte {
-	rq := &request{ClientID: clientID, Seq: seq, Op: op}
-	return rq.marshal()
+	frame, _ := encodeRequestFrame(clientID, []queuedRequest{{seq: seq, op: op}})
+	return frame
+}
+
+// queuedRequest is a client operation waiting for its client's sender.
+type queuedRequest struct {
+	seq uint64
+	op  []byte
+}
+
+// encodeRequestFrame encodes the leading requests of reqs, as many as fit in
+// maxRequestFrameBytes but at least one, into a frame, and reports how many
+// it took. The frame is sized exactly and each request written into it
+// once: no intermediate encoding, no growth.
+func encodeRequestFrame(clientID string, reqs []queuedRequest) ([]byte, int) {
+	n, body := 0, 0
+	for _, rq := range reqs {
+		entry := requestSize(clientID, rq.op)
+		entry += wire.UvarintSize(uint64(entry))
+		if n > 0 && binary.MaxVarintLen64+body+entry > maxRequestFrameBytes {
+			break
+		}
+		n++
+		body += entry
+	}
+	w := wire.NewWriter(wire.UvarintSize(uint64(n)) + body)
+	w.PutUvarint(uint64(n))
+	for _, rq := range reqs[:n] {
+		w.PutUvarint(uint64(requestSize(clientID, rq.op)))
+		putRequest(w, clientID, rq.seq, rq.op)
+	}
+	return w.Bytes(), n
 }
 
 // request is a client operation submitted for total ordering. Clients send
@@ -56,12 +99,23 @@ type requestKey struct {
 	seq    uint64
 }
 
+// marshal encodes the request as a batch entry.
 func (rq *request) marshal() []byte {
-	w := wire.NewWriter(len(rq.ClientID) + len(rq.Op) + 16)
-	w.PutString(rq.ClientID)
-	w.PutUint64(rq.Seq)
-	w.PutBytes(rq.Op)
+	w := wire.NewWriter(requestSize(rq.ClientID, rq.Op))
+	putRequest(w, rq.ClientID, rq.Seq, rq.Op)
 	return w.Bytes()
+}
+
+// requestSize is the exact length of putRequest's encoding.
+func requestSize(clientID string, op []byte) int {
+	return wire.UvarintSize(uint64(len(clientID))) + len(clientID) + 8 +
+		wire.UvarintSize(uint64(len(op))) + len(op)
+}
+
+func putRequest(w *wire.Writer, clientID string, seq uint64, op []byte) {
+	w.PutString(clientID)
+	w.PutUint64(seq)
+	w.PutBytes(op)
 }
 
 // unmarshalRequest decodes a request as a view of b: Op aliases it, and the

@@ -425,8 +425,9 @@ func TestPipelinedTentativeRollbackRestoresBothBatches(t *testing.T) {
 
 	var reqs [][]byte
 	for i := uint64(1); i <= 4; i++ {
-		reqs = append(reqs, EncodeRequest("client", i, []byte{byte('a' + i)}))
-		r.onRequest(reqs[i-1])
+		op := []byte{byte('a' + i)}
+		reqs = append(reqs, requestEntry("client", i, op))
+		r.onRequests(EncodeRequest("client", i, op))
 	}
 	batches := [][][]byte{reqs[:2], reqs[2:]}
 	for seq, batch := range batches {

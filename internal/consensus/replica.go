@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cryptoutil"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // Application is the replicated state machine driven by a replica. The
@@ -137,7 +138,7 @@ const latencyWeight = 8
 // pendingReq is a client request waiting to be ordered.
 type pendingReq struct {
 	req      request
-	raw      []byte // marshalled request (batch entry): the received payload itself
+	raw      []byte // marshalled request (batch entry): a view of the received frame
 	arrived  time.Time
 	inFlight bool // included in an open proposal
 }
@@ -586,7 +587,7 @@ func (r *Replica) dispatch(m transport.Message) {
 	from, isReplica := r.senderID(m.From)
 	switch m.Type {
 	case msgRequest:
-		r.onRequest(m.Payload)
+		r.onRequests(m.Payload)
 	case msgPropose:
 		if !isReplica {
 			return
@@ -699,25 +700,41 @@ func (r *Replica) sendTo(id ReplicaID, msgType uint16, payload []byte) {
 
 // ---- Request handling ------------------------------------------------
 
-func (r *Replica) onRequest(payload []byte) {
-	rq, err := unmarshalRequest(payload, r.executed)
-	if err != nil {
-		return
+// onRequests pools the requests of one frame (see EncodeRequest), each as
+// a view of the frame: that view is the entry a PROPOSE carries for it. The
+// proposal rule runs once the whole frame is pooled, so an idle leader's
+// next PROPOSE carries all of it. A malformed entry is skipped; a malformed
+// frame ends the walk, and the entries before the fault stay pooled.
+func (r *Replica) onRequests(frame []byte) {
+	rd := wire.NewReader(frame)
+	n := rd.Count(1)
+	now, pooled := time.Now(), false
+	for i := 0; i < n; i++ {
+		raw := rd.Bytes()
+		if rd.Err() != nil {
+			break
+		}
+		rq, err := unmarshalRequest(raw, r.executed)
+		if err != nil {
+			continue
+		}
+		key := rq.key()
+		if d, ok := r.executed[rq.ClientID]; ok && d.contains(rq.Seq) {
+			continue // already executed
+		}
+		if _, ok := r.pending[key]; ok {
+			continue // duplicate
+		}
+		if len(r.pending) >= maxPendingRequests {
+			r.statDropped.Add(1)
+			continue
+		}
+		r.pool(key, &pendingReq{req: rq, raw: raw, arrived: now})
+		pooled = true
 	}
-	key := rq.key()
-	if d, ok := r.executed[rq.ClientID]; ok && d.contains(rq.Seq) {
-		return // already executed
+	if pooled {
+		r.maybePropose(now)
 	}
-	if _, ok := r.pending[key]; ok {
-		return // duplicate
-	}
-	if len(r.pending) >= maxPendingRequests {
-		r.statDropped.Add(1)
-		return
-	}
-	now := time.Now()
-	r.pool(key, &pendingReq{req: rq, raw: payload, arrived: now})
-	r.maybePropose(now)
 }
 
 // pool adds a request to the pool (a new arrival, or one a rollback hands
@@ -831,7 +848,10 @@ func (r *Replica) maybePropose(now time.Time) {
 		return
 	}
 	batch, reqs := r.collectBatch()
-	seq := r.lastProposed + 1
+	// State transfer moves the delivery point, not lastProposed: numbering
+	// from lastProposed alone would propose an instance already delivered,
+	// which every replica drops as stale, stranding its batch in flight.
+	seq := max(r.lastProposed, r.lastDelivered) + 1
 	r.lastProposed = seq
 	r.lastProposeAt = now
 	r.instance(seq).proposedAt = now

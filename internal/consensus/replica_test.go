@@ -352,8 +352,7 @@ func TestDuplicateRequestsExecutedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatalf("join: %v", err)
 	}
-	rq := &request{ClientID: "raw-client", Seq: 1, Op: []byte("only-once")}
-	payload := rq.marshal()
+	payload := EncodeRequest("raw-client", 1, []byte("only-once"))
 	// Send the identical request several times to every replica.
 	for round := 0; round < 3; round++ {
 		for _, id := range ids(4) {

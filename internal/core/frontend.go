@@ -479,19 +479,28 @@ func (f *Frontend) fromOrderingNode(addr transport.Addr) bool {
 // hash, signatures accumulate, and the block is released once the
 // threshold is met (2f+1 matching, or f+1 verified). One vote per node
 // absorbs copies arriving out of order or twice (replays).
+//
+// A copy that cannot change anything — its block already delivered or
+// released, or its sender already voted for it — is dropped before its
+// data hash is checked: with 2f+1 of n copies releasing a block, the last
+// copies of every block would otherwise be hashed in full for nothing.
 func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sentNano int64) {
-	if block.CheckIntegrity() != nil {
-		return // data hash does not match content: discard this copy
-	}
 	digest := block.Header.Hash()
+	number := block.Header.Number
+	f.mu.Lock()
+	settled := f.settled(channel, number, digest, sender)
+	f.mu.Unlock()
+	if settled || block.CheckIntegrity() != nil {
+		return // nothing to add, or data hash does not match content
+	}
 
 	f.mu.Lock()
-	ch := f.feChannel(channel)
-	number := block.Header.Number
-	if number < ch.nextDeliver {
+	// Again: the channel may have moved on while the copy was hashed.
+	if f.settled(channel, number, digest, sender) {
 		f.mu.Unlock()
-		return // already delivered
+		return
 	}
+	ch := f.feChannel(channel)
 	byDigest, ok := ch.collecting[number]
 	if !ok {
 		byDigest = make(map[cryptoutil.Digest]*blockAccum)
@@ -501,10 +510,6 @@ func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sent
 	if !ok {
 		acc = &blockAccum{block: block, sigs: make(map[string][]byte)}
 		byDigest[digest] = acc
-	}
-	if _, dup := acc.sigs[sender]; dup {
-		f.mu.Unlock()
-		return // one vote per node
 	}
 	var sig []byte
 	if len(block.Signatures) > 0 && block.Signatures[0].SignerID == sender {
@@ -527,7 +532,7 @@ func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sent
 	if f.cfg.VerifySignatures {
 		passed = acc.verified >= f.released
 	}
-	if !passed || acc.released {
+	if !passed {
 		f.mu.Unlock()
 		return
 	}
@@ -637,6 +642,24 @@ func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sent
 			q.put(b)
 		}
 	}
+}
+
+// settled reports whether a copy of block number (header hash digest) from
+// sender can no longer change the channel's release state. Requires f.mu.
+func (f *Frontend) settled(channel string, number uint64, digest cryptoutil.Digest, sender string) bool {
+	ch, ok := f.chans[channel]
+	if !ok {
+		return false
+	}
+	if number < ch.nextDeliver {
+		return true
+	}
+	acc := ch.collecting[number][digest]
+	if acc == nil {
+		return false
+	}
+	_, voted := acc.sigs[sender]
+	return voted || acc.released
 }
 
 func (f *Frontend) feChannel(channel string) *feChannel {

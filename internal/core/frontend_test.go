@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -210,6 +211,50 @@ func TestFrontendJoinsMidChain(t *testing.T) {
 	}
 	if got := awaitBlock(t, stream, 5*time.Second); got.Header.Number != 7 {
 		t.Fatalf("follow-up block %d, want 7", got.Header.Number)
+	}
+}
+
+// TestLateRegistrationResendsRecentBlocks: a memory-only node that learns
+// of a frontend after it pushed a channel's blocks resends its last
+// recentBlockLimit of them, oldest first, so the frontend releases them
+// all from the first one it got.
+func TestLateRegistrationResendsRecentBlocks(t *testing.T) {
+	c := testCluster(t, ClusterConfig{Nodes: 4, BlockSize: 1})
+	early := testFrontend(t, c, "early", false)
+	const blocks = recentBlockLimit + 2
+	for i := 0; i < blocks; i++ {
+		if st := early.Broadcast(mkEnvelope("ch", i, 16)); st != fabric.StatusSuccess {
+			t.Fatalf("broadcast %d: %v", i, st)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for _, n := range c.Nodes {
+		for {
+			n.mu.Lock()
+			pushed := 0
+			if r := n.recent["ch"]; r != nil {
+				pushed = r.n
+			}
+			n.mu.Unlock()
+			if pushed == blocks {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("node %d pushed %d blocks, want %d", n.ID(), pushed, blocks)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	late := testFrontend(t, c, "late", false)
+	for late.ReleasedHeight("ch") < blocks {
+		if time.Now().After(deadline) {
+			t.Fatalf("late frontend released up to %d, want %d", late.ReleasedHeight("ch"), blocks)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := late.Stats().BlocksReleased; got != recentBlockLimit {
+		t.Fatalf("late frontend released %d blocks, want the last %d", got, recentBlockLimit)
 	}
 }
 
@@ -549,4 +594,103 @@ func TestFrontendHealLostCopyWhileNodeDown(t *testing.T) {
 				want, fe.ReleasedHeight("ch1"))
 		}
 	}
+}
+
+// TestFrontendSettledCopiesChangeNothing: copies that cannot change the
+// release state are dropped before their data hash is checked, and the
+// reordering must not let one through. Before release, a repeat copy from a
+// node (intact or corrupt) and a corrupt copy from a node that has not voted
+// are no votes. After release — delivered, or released behind a missing
+// block — neither a corrupt copy nor a further copy moves the accumulators
+// or the released stream.
+func TestFrontendSettledCopiesChangeNothing(t *testing.T) {
+	net := transport.NewInProcNetwork(transport.InProcConfig{})
+	defer net.Close()
+	fe, err := NewFrontend(FrontendConfig{ID: "fe", Replicas: ids4()}, net)
+	if err != nil {
+		t.Fatalf("frontend: %v", err)
+	}
+	defer fe.Close()
+	stream := deliverNewest(t, fe, "ch")
+	node := func(i int) string { return string(consensus.ReplicaID(i).Addr()) }
+	corrupt := func(b *fabric.Block) *fabric.Block {
+		c := *b
+		c.Envelopes = [][]byte{[]byte("forged")}
+		return &c
+	}
+	// votes is the number of nodes whose copy of block number counts, per
+	// header hash; state is everything a copy could move.
+	votes := func(number uint64) map[cryptoutil.Digest]int {
+		fe.mu.Lock()
+		defer fe.mu.Unlock()
+		out := make(map[cryptoutil.Digest]int)
+		for d, acc := range fe.chans["ch"].collecting[number] {
+			out[d] = len(acc.sigs)
+		}
+		return out
+	}
+	type state struct {
+		next              uint64
+		collecting, ready int
+		votes             map[cryptoutil.Digest]int
+	}
+	snapshot := func(number uint64) state {
+		v := votes(number)
+		fe.mu.Lock()
+		defer fe.mu.Unlock()
+		ch := fe.chans["ch"]
+		return state{next: ch.nextDeliver, collecting: len(ch.collecting), ready: len(ch.ready), votes: v}
+	}
+
+	b0 := fabric.NewBlock(0, cryptoutil.Digest{}, [][]byte{feEnv(0)})
+	fe.onBlockCopy(node(0), "ch", b0, 0)
+	fe.onBlockCopy(node(0), "ch", b0, 0)
+	fe.onBlockCopy(node(0), "ch", corrupt(b0), 0)
+	fe.onBlockCopy(node(1), "ch", corrupt(b0), 0)
+	fe.onBlockCopy(node(2), "ch", b0, 0)
+	if got := votes(0)[b0.Header.Hash()]; got != 2 {
+		t.Fatalf("block 0 holds %d votes, want 2 (nodes 0 and 2)", got)
+	}
+	expectNoBlock(t, stream, 50*time.Millisecond)
+	fe.onBlockCopy(node(1), "ch", b0, 0)
+	if got := awaitBlock(t, stream, 5*time.Second); got.Header.Number != 0 {
+		t.Fatalf("released block %d, want 0", got.Header.Number)
+	}
+
+	// Block 0 delivered.
+	before := snapshot(0)
+	fe.onBlockCopy(node(3), "ch", corrupt(b0), 0)
+	fe.onBlockCopy(node(3), "ch", b0, 0)
+	fe.onBlockCopy(node(0), "ch", b0, 0)
+	if after := snapshot(0); !reflect.DeepEqual(after, before) {
+		t.Fatalf("copies of a delivered block moved the state from %+v to %+v", before, after)
+	}
+
+	// Block 2 released while block 1 is missing.
+	b1 := fabric.NewBlock(1, b0.Header.Hash(), [][]byte{feEnv(1)})
+	b2 := fabric.NewBlock(2, b1.Header.Hash(), [][]byte{feEnv(2)})
+	for i := 0; i < 3; i++ {
+		fe.onBlockCopy(node(i), "ch", b2, 0)
+	}
+	before = snapshot(2)
+	if before.ready != 1 || before.votes[b2.Header.Hash()] != 3 {
+		t.Fatalf("block 2 not released behind block 1: %+v", before)
+	}
+	fe.onBlockCopy(node(3), "ch", corrupt(b2), 0)
+	fe.onBlockCopy(node(3), "ch", b2, 0)
+	fe.onBlockCopy(node(1), "ch", b2, 0)
+	if after := snapshot(2); !reflect.DeepEqual(after, before) {
+		t.Fatalf("copies of a released block moved the state from %+v to %+v", before, after)
+	}
+	expectNoBlock(t, stream, 50*time.Millisecond)
+
+	for i := 0; i < 3; i++ {
+		fe.onBlockCopy(node(i), "ch", b1, 0)
+	}
+	for want := uint64(1); want <= 2; want++ {
+		if got := awaitBlock(t, stream, 5*time.Second); got.Header.Number != want {
+			t.Fatalf("released block %d, want %d", got.Header.Number, want)
+		}
+	}
+	expectNoBlock(t, stream, 50*time.Millisecond)
 }

@@ -44,8 +44,10 @@ const (
 	// MsgBlock carries a signed block from an ordering node to a frontend.
 	MsgBlock uint16 = 64 + iota
 	// MsgRegister subscribes a frontend to a node's live block
-	// dissemination. A fetch request as payload (channel and From only) also
-	// asks for a replay from From as ordinary MsgBlock frames.
+	// dissemination; a node that did not know the frontend first resends
+	// its recent blocks of every channel (recentBlocks). A fetch request as
+	// payload (channel and From only) also asks for a replay from From as
+	// ordinary MsgBlock frames.
 	MsgRegister
 	// MsgUnregister removes the subscription.
 	MsgUnregister
@@ -183,6 +185,34 @@ const rollbackWindow = 32
 
 const _ = uint(rollbackWindow - consensus.PipelineDepth) // PipelineDepth <= rollbackWindow
 
+// recentBlockLimit is how many of a channel's last disseminated blocks a
+// node resends to a frontend it did not know. A frontend registers with
+// every node at once, but the registrations land at different instants: a
+// node that learns of it a little late has already pushed the first blocks
+// to the others. Without the resend those blocks miss its copy, fall short
+// of 2f+1 when more nodes were late, and a memory-only node, having no
+// ledger, could never replay them.
+const recentBlockLimit = 8
+
+// recentBlocks is a ring of one channel's last disseminated block messages
+// (recentBlockLimit), as they went out to the registered frontends.
+type recentBlocks struct {
+	msgs [recentBlockLimit][]byte
+	n    int // messages ever added
+}
+
+func (r *recentBlocks) add(msg []byte) {
+	r.msgs[r.n%recentBlockLimit] = msg
+	r.n++
+}
+
+// sendTo resends the ring to frontend, oldest first.
+func (r *recentBlocks) sendTo(conn transport.Conn, frontend transport.Addr) {
+	for i := max(0, r.n-recentBlockLimit); i < r.n; i++ {
+		conn.Send(frontend, MsgBlock, r.msgs[i%recentBlockLimit])
+	}
+}
+
 // Byzantine configures ordering-layer misbehavior, the adversary of the
 // chaos scenarios. It is independent of consensus.Behavior (which corrupts
 // the agreement protocol); this struct corrupts the block distribution
@@ -250,9 +280,12 @@ type OrderingNode struct {
 	sync *blockSync
 
 	// frontends is written from the event loop (registration messages)
-	// and read by the pipeline's dissemination on signing-pool workers.
+	// and read by the pipeline's dissemination on signing-pool workers,
+	// which also records each channel's recent blocks for a frontend
+	// registering later.
 	mu        sync.Mutex
 	frontends map[transport.Addr]struct{}
+	recent    map[string]*recentBlocks
 
 	// pipe is the block path after a decision: seal → sign → decision
 	// gate → disseminate → persist, with the persist watermark and the
@@ -322,6 +355,7 @@ func NewNode(cfg NodeConfig, conn transport.Conn) (*OrderingNode, error) {
 		chains:      make(map[string]*chainState),
 		history:     make(map[int64]map[string]chainSnapshot),
 		frontends:   make(map[transport.Addr]struct{}),
+		recent:      make(map[string]*recentBlocks),
 		done:        make(chan struct{}),
 		metrics:     cfg.Metrics.OrNop(),
 	}
@@ -925,7 +959,15 @@ func (n *OrderingNode) onServiceMessage(m transport.Message) {
 	switch m.Type {
 	case MsgRegister:
 		n.mu.Lock()
-		n.frontends[m.From] = struct{}{}
+		if _, known := n.frontends[m.From]; !known {
+			n.frontends[m.From] = struct{}{}
+			// Under the lock dissemination records and snapshots under:
+			// every block missing from this resend is pushed after it, so
+			// the frontend sees each node's copies in block order.
+			for _, r := range n.recent {
+				r.sendTo(n.conn, m.From)
+			}
+		}
 		n.mu.Unlock()
 		if req, err := unmarshalFetchRequest(m.Payload); err == nil {
 			n.sync.replay(m.From, req.Channel, req.From)

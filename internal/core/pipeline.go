@@ -391,13 +391,20 @@ func (p *pipeline) persist(channel string, block *fabric.Block) fabric.DurableTo
 }
 
 // disseminate sends a signed block to every registered frontend (the
-// custom replier of Section 5.1). Runs on signing-pool workers. An
-// equivocating byzantine node sends a conflicting, re-signed variant to
-// half the frontends instead.
+// custom replier of Section 5.1) and keeps it among the channel's recent
+// blocks for a frontend that registers later. Runs on signing-pool
+// workers. An equivocating byzantine node sends a conflicting, re-signed
+// variant to half the frontends instead.
 func (p *pipeline) disseminate(channel string, block *fabric.Block) {
 	n := p.n
 	payload := marshalBlockMsg(channel, block)
 	n.mu.Lock()
+	r := n.recent[channel]
+	if r == nil {
+		r = new(recentBlocks)
+		n.recent[channel] = r
+	}
+	r.add(payload)
 	targets := make([]transport.Addr, 0, len(n.frontends))
 	for addr := range n.frontends {
 		targets = append(targets, addr)

@@ -228,6 +228,8 @@ type tcpWriter struct {
 	frameBuf []byte
 	// spare is the queue's second buffer: the writer frames one batch
 	// while Send appends to the other, and the two swap at every wake.
+	// consensus.Client's request queue follows the same discipline: a
+	// change to one belongs in the other.
 	spare []Message
 
 	mu     sync.Mutex

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -132,6 +133,10 @@ func (w *Writer) PutRaw(b []byte) { w.buf = append(w.buf, b...) }
 func (w *Writer) PutUvarint(v uint64) {
 	w.buf = binary.AppendUvarint(w.buf, v)
 }
+
+// UvarintSize is the number of bytes PutUvarint writes for v, so an
+// encoder can size its buffer exactly before writing.
+func UvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // BytesSlice appends a uvarint count followed by each element
 // length-prefixed.

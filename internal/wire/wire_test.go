@@ -241,3 +241,13 @@ func TestWriterLen(t *testing.T) {
 		t.Fatalf("Len = %d, want 8", w.Len())
 	}
 }
+
+func TestUvarintSizeMatchesPutUvarint(t *testing.T) {
+	for _, v := range []uint64{0, 1, 127, 128, 16383, 16384, 1<<21 - 1, 1 << 21, 1<<63 - 1, 1 << 63, ^uint64(0)} {
+		w := NewWriter(0)
+		w.PutUvarint(v)
+		if got := UvarintSize(v); got != w.Len() {
+			t.Fatalf("UvarintSize(%d) = %d, PutUvarint wrote %d", v, got, w.Len())
+		}
+	}
+}
