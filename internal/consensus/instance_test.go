@@ -3,7 +3,9 @@ package consensus
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/transport"
 )
@@ -204,7 +206,9 @@ func (f *standIn) submit(frame []byte) {
 }
 
 // proposals returns the PROPOSEs the stand-in sent, one per instance (a
-// PROPOSE goes to every peer).
+// PROPOSE goes to every peer), each resolved against the pool it was built
+// from: its references became the entries they name, and those hash to the
+// digest it carries.
 func (f *standIn) proposals(t *testing.T) []*proposeMsg {
 	t.Helper()
 	var out []*proposeMsg
@@ -216,6 +220,9 @@ func (f *standIn) proposals(t *testing.T) []*proposeMsg {
 		pm, err := unmarshalPropose(m.Payload)
 		if err != nil {
 			t.Fatalf("the stand-in sent a malformed PROPOSE: %v", err)
+		}
+		if _, _, st := f.r.resolve(pm); st != resolved {
+			t.Fatalf("the stand-in's PROPOSE %d does not resolve against its own pool: %v", pm.Seq, st)
 		}
 		if !seen[pm.Seq] {
 			seen[pm.Seq] = true
@@ -302,5 +309,251 @@ func TestCaughtUpLeaderProposesAboveDeliveryPoint(t *testing.T) {
 	}
 	if ops := l.r.app.(*recordApp).opsFlat(); string(ops[len(ops)-1]) != "after" {
 		t.Fatalf("the last executed op is %q, want \"after\"", ops[len(ops)-1])
+	}
+}
+
+// refPropose is the PROPOSE a leader of regency 0 sends for seq's batch of
+// reqs: every entry a reference, the digest over the full entries.
+func refPropose(seq int64, reqs []request) []byte {
+	batch := make([][]byte, len(reqs))
+	for i := range reqs {
+		batch[i] = reqs[i].marshal()
+	}
+	return (&proposeMsg{Regency: 0, Seq: seq, Digest: batchDigest(seq, batch), Batch: batch}).marshalRefs(reqs)
+}
+
+// inlinePropose is the same PROPOSE with every entry inline: the leader's
+// answer to a follower that asked for it.
+func inlinePropose(seq int64, reqs []request) []byte {
+	batch := make([][]byte, len(reqs))
+	for i := range reqs {
+		batch[i] = reqs[i].marshal()
+	}
+	return (&proposeMsg{Regency: 0, Seq: seq, Digest: batchDigest(seq, batch), Batch: batch}).marshal()
+}
+
+// sentOf counts the stand-in's messages of one type.
+func (f *standIn) sentOf(msgType uint16) int {
+	n := 0
+	for _, m := range f.conn.sent {
+		if m.Type == msgType {
+			n++
+		}
+	}
+	return n
+}
+
+// wroteDigest reports whether the stand-in sent a WRITE for seq and digest.
+func (f *standIn) wroteDigest(seq int64, digest [32]byte) bool {
+	for _, m := range f.conn.sent {
+		if m.Type != msgWrite {
+			continue
+		}
+		if vm, err := unmarshalVote(m.Payload); err == nil && vm.Seq == seq && vm.Digest == digest {
+			return true
+		}
+	}
+	return false
+}
+
+// decideFor delivers WRITEs and ACCEPTs for seq and digest from replicas
+// 0, 1 and 2: a quorum of each without the follower.
+func (f *standIn) decideFor(seq int64, digest [32]byte) {
+	vote := (&voteMsg{Regency: 0, Seq: seq, Digest: digest}).marshal()
+	for _, typ := range []uint16{msgWrite, msgAccept} {
+		for _, from := range []ReplicaID{0, 1, 2} {
+			f.deliver(from, typ, vote)
+		}
+	}
+}
+
+// A client that sends op A to the leader and op B to one follower under the
+// same (client, seq) makes that follower resolve the leader's reference to
+// the wrong entry. The digest the PROPOSE carries exposes it: the follower
+// asks the leader at once, WRITEs for A once the answer arrives, and decides
+// A — no leader change and no state transfer. Without the digest check it
+// would WRITE for B; asking only after a tick would leave it silent here.
+func TestEquivocatingClientFollowerAsksLeaderAtOnce(t *testing.T) {
+	f := newFollower(t, Config{})
+	opA := request{ClientID: "client", Seq: 1, Op: []byte("op-A")}
+	f.submit(EncodeRequest("client", 1, []byte("op-B")))
+
+	f.deliver(0, msgPropose, refPropose(0, []request{opA}))
+	if f.sentOf(msgProposeFetch) != 1 || f.r.Stats().ProposeFetches != 1 {
+		t.Fatalf("sent %d PROPOSE fetches (ProposeFetches %d) on a digest mismatch, want 1 at once",
+			f.sentOf(msgProposeFetch), f.r.Stats().ProposeFetches)
+	}
+	if f.sentOf(msgWrite) != 0 {
+		t.Fatal("the follower WRITEs for a batch that does not hash to the leader's digest")
+	}
+
+	f.deliver(0, msgPropose, inlinePropose(0, []request{opA}))
+	digestA := batchDigest(0, [][]byte{opA.marshal()})
+	if !f.wroteDigest(0, digestA) {
+		t.Fatal("the follower did not WRITE for the leader's batch once it arrived inline")
+	}
+	f.decideFor(0, digestA)
+	if f.r.lastDelivered != 0 {
+		t.Fatalf("instance 0 decided but delivered only to %d", f.r.lastDelivered)
+	}
+	if ops := f.r.app.(*recordApp).opsFlat(); len(ops) != 1 || string(ops[0]) != "op-A" {
+		t.Fatalf("executed %q, want [op-A]", ops)
+	}
+	if f.r.fetching || f.sentOf(msgStateRequest) != 0 || f.sentOf(msgStop) != 0 || f.r.regency != 0 {
+		t.Fatalf("fetching=%v stateRequests=%d stops=%d regency=%d, want no state transfer and no leader change",
+			f.r.fetching, f.sentOf(msgStateRequest), f.sentOf(msgStop), f.r.regency)
+	}
+}
+
+// A request the network kept from one follower leaves the leader's
+// reference unresolved there. The follower parks the PROPOSE, asks the
+// leader for it only once a full tick has passed since it arrived (the
+// request is usually a frame behind), and then WRITEs for and decides it.
+// No state transfer starts at any point.
+func TestFilteredRequestIsAskedForAfterOneTick(t *testing.T) {
+	f := newFollower(t, Config{})
+	rq := request{ClientID: "client", Seq: 1, Op: []byte("filtered")}
+	f.deliver(0, msgPropose, refPropose(0, []request{rq}))
+	inst := f.r.instances[0]
+	if inst == nil || inst.parked == nil || inst.haveProposal {
+		t.Fatal("an unresolvable PROPOSE was not parked on its instance")
+	}
+	if !strings.Contains(f.r.debugState(), "parked=1") {
+		t.Fatalf("the debug snapshot does not show the parked PROPOSE: %s", f.r.debugState())
+	}
+
+	f.r.askParked(inst.parkedAt.Add(tickInterval - time.Microsecond))
+	if f.sentOf(msgProposeFetch) != 0 {
+		t.Fatal("the follower asked the leader before a full tick had passed")
+	}
+	f.r.askParked(inst.parkedAt.Add(tickInterval))
+	f.r.askParked(inst.parkedAt.Add(2 * tickInterval))
+	if f.sentOf(msgProposeFetch) != 1 || f.r.Stats().ProposeFetches != 1 {
+		t.Fatalf("sent %d PROPOSE fetches after a tick and another, want 1", f.sentOf(msgProposeFetch))
+	}
+
+	f.deliver(0, msgPropose, inlinePropose(0, []request{rq}))
+	digest := batchDigest(0, [][]byte{rq.marshal()})
+	if !f.wroteDigest(0, digest) || inst.parked != nil {
+		t.Fatalf("after the answer: wrote=%v parked=%v", f.wroteDigest(0, digest), inst.parked != nil)
+	}
+	f.decideFor(0, digest)
+	if f.r.lastDelivered != 0 {
+		t.Fatalf("instance 0 decided but delivered only to %d", f.r.lastDelivered)
+	}
+	if f.r.fetching || f.sentOf(msgStateRequest) != 0 {
+		t.Fatal("a parked PROPOSE started a state transfer")
+	}
+}
+
+// An instance its peers decide while its PROPOSE is parked here, next in
+// line, is delivered as soon as the request it names is pooled — not
+// fetched by state transfer, which the frame that is already on its way
+// makes a waste.
+func TestDecidedWhileParkedDeliversOnArrival(t *testing.T) {
+	f := newFollower(t, Config{})
+	rq := request{ClientID: "client", Seq: 1, Op: []byte("late")}
+	f.deliver(0, msgPropose, refPropose(0, []request{rq}))
+	f.decideFor(0, batchDigest(0, [][]byte{rq.marshal()}))
+	if inst := f.r.instances[0]; !inst.decided || inst.parked == nil || f.r.lastDelivered != -1 {
+		t.Fatalf("decided=%v parked=%v lastDelivered=%d, want decided, parked, undelivered",
+			inst.decided, inst.parked != nil, f.r.lastDelivered)
+	}
+	if f.r.fetching || f.sentOf(msgStateRequest) != 0 {
+		t.Fatal("an instance decided while parked started a state transfer")
+	}
+
+	f.submit(EncodeRequest("client", 1, []byte("late")))
+	if f.r.lastDelivered != 0 {
+		t.Fatalf("the request arrived but the decided instance is delivered only to %d", f.r.lastDelivered)
+	}
+	if ops := f.r.app.(*recordApp).opsFlat(); len(ops) != 1 || string(ops[0]) != "late" {
+		t.Fatalf("executed %q, want [late]", ops)
+	}
+	if f.r.fetching || f.sentOf(msgStateRequest) != 0 || f.sentOf(msgProposeFetch) != 0 {
+		t.Fatalf("fetching=%v stateRequests=%d fetches=%d, want none",
+			f.r.fetching, f.sentOf(msgStateRequest), f.sentOf(msgProposeFetch))
+	}
+}
+
+// A PROPOSE of references far ahead of a follower — a joiner, whom clients
+// do not send to yet — starts state transfer at stateGapThreshold, as an
+// inline one does, before it is parked.
+func TestFarAheadReferencesStartStateTransfer(t *testing.T) {
+	f := newFollower(t, Config{})
+	far := f.r.lastDelivered + stateGapThreshold + 1
+	f.deliver(0, msgPropose, refPropose(far, []request{{ClientID: "client", Seq: 1, Op: []byte("x")}}))
+	if !f.r.fetching {
+		t.Fatal("a PROPOSE of references beyond the state-transfer gap did not start a state transfer")
+	}
+	if inst := f.r.instances[far]; inst == nil || inst.parked == nil {
+		t.Fatal("a PROPOSE of references within instanceWindow was not parked")
+	}
+}
+
+// inlineAnswers returns the inline PROPOSEs the stand-in sent to replica to.
+func (f *standIn) inlineAnswers(t *testing.T, to ReplicaID) []*proposeMsg {
+	t.Helper()
+	var out []*proposeMsg
+	for _, m := range f.conn.sent {
+		if m.Type != msgPropose || m.To != f.addrs[to] {
+			continue
+		}
+		pm, err := unmarshalPropose(m.Payload)
+		if err != nil {
+			t.Fatalf("the stand-in sent a malformed PROPOSE: %v", err)
+		}
+		if pm.Refs == nil {
+			out = append(out, pm)
+		}
+	}
+	return out
+}
+
+// A leader sends a follower the entries of an instance inline once, however
+// often it asks, and the answer is the batch it proposed. Once a checkpoint
+// has retired the instance the leader no longer holds its batch, and it
+// sends nothing: an empty batch would be a different proposal.
+func TestLeaderAnswersAFetchOnceWhileItHoldsTheBatch(t *testing.T) {
+	l := newLeader(t, Config{CheckpointInterval: 2})
+	l.submit(EncodeRequest("client", 1, []byte("asked")))
+	props := l.proposals(t)
+	if len(props) != 1 {
+		t.Fatalf("proposed %d instances, want 1", len(props))
+	}
+	fetch := (&proposeFetchMsg{Regency: 0, Seq: 0}).marshal()
+	l.deliver(3, msgProposeFetch, fetch)
+	l.deliver(3, msgProposeFetch, fetch)
+	answers := l.inlineAnswers(t, 3)
+	if len(answers) != 1 {
+		t.Fatalf("answered %d of two fetches from one follower, want 1", len(answers))
+	}
+	if a := answers[0]; a.Seq != 0 || len(a.Batch) != 1 || !bytes.Equal(a.Batch[0], props[0].Batch[0]) ||
+		a.Digest != props[0].Digest || batchDigest(0, a.Batch) != a.Digest {
+		t.Fatalf("the answer (seq %d, %d entries) is not the proposed batch", a.Seq, len(a.Batch))
+	}
+
+	// Instances 0 and 1 decided and delivered: the checkpoint at 1 retires both.
+	decide := func(pm *proposeMsg) {
+		vote := (&voteMsg{Regency: 0, Seq: pm.Seq, Digest: pm.Digest}).marshal()
+		for _, typ := range []uint16{msgWrite, msgAccept} {
+			for _, from := range []ReplicaID{1, 2} {
+				l.deliver(from, typ, vote)
+			}
+		}
+	}
+	decide(props[0])
+	l.conn.sent = nil
+	l.submit(EncodeRequest("client", 2, []byte("next")))
+	if props = l.proposals(t); len(props) != 1 || props[0].Seq != 1 {
+		t.Fatalf("proposed %d further instances, want instance 1", len(props))
+	}
+	decide(props[0])
+	if l.r.checkpointSeq != 1 {
+		t.Fatalf("checkpoint at %d, want 1", l.r.checkpointSeq)
+	}
+	l.deliver(2, msgProposeFetch, fetch)
+	if answers := l.inlineAnswers(t, 2); len(answers) != 0 {
+		t.Fatalf("a leader whose instance a checkpoint retired answered with %d entries", len(answers[0].Batch))
 	}
 }

@@ -23,6 +23,7 @@ const (
 	msgStateRequest
 	msgStateReply
 	msgReply
+	msgProposeFetch
 )
 
 // RequestMessageType is the transport type of client request frames,
@@ -136,22 +137,77 @@ func unmarshalRequest(b []byte, known map[string]*clientDedup) (request, error) 
 }
 
 // proposeMsg is the leader's batch proposal for one consensus instance.
-// Batch entries are marshalled requests.
+// Batch entries are marshalled requests, and Digest is their batchDigest.
+//
+// On the wire an entry travels either as a reference to a request the
+// receiver pooled itself — its (client, seq): clients send every request to
+// every replica (Figure 3), so a follower already holds what the leader
+// proposes — or as the entry itself. The leader sends a reference for every
+// entry it holds a request for, so a request's bytes leave the leader once,
+// in its block; a follower that cannot resolve a reference asks the leader
+// for the entries inline (msgProposeFetch). Votes, certificates, SYNC, the
+// decision log and checkpoints carry full entries as before: the digest is
+// over them, not over the references.
+//
+// Layout: Regency, Seq, Digest, a uvarint count, then per entry a kind byte
+// and either the length-prefixed entry (entryInline) or the length-prefixed
+// client id and a uvarint seq (entryRef).
 type proposeMsg struct {
 	Regency int32
 	Seq     int64
-	Batch   [][]byte
+	Digest  cryptoutil.Digest
+	// Batch holds the entries. As decoded, an entry sent as a reference is
+	// nil until resolve fills it in; every other entry is a view of the
+	// payload (never nil: a view of a non-empty payload is not).
+	Batch [][]byte
+	// Refs, when the decoded message holds any reference, names entry i's
+	// request in Refs[i] wherever the entry was sent as one (client non-nil,
+	// a view of the payload); nil when every entry travelled inline.
+	Refs []requestRef
 }
 
-func (m *proposeMsg) marshal() []byte {
-	size := 16
-	for _, e := range m.Batch {
-		size += len(e) + 4
+// requestRef names a pooled request in a PROPOSE.
+type requestRef struct {
+	client []byte
+	seq    uint64
+}
+
+// Entry kinds of a PROPOSE.
+const (
+	entryInline byte = iota
+	entryRef
+)
+
+// marshal encodes m with every entry inline.
+func (m *proposeMsg) marshal() []byte { return m.marshalRefs(nil) }
+
+// marshalRefs encodes m with entry i sent as a reference to reqs[i], or with
+// every entry inline when reqs is nil. The encoding is sized exactly.
+func (m *proposeMsg) marshalRefs(reqs []request) []byte {
+	size := 4 + 8 + cryptoutil.DigestSize + wire.UvarintSize(uint64(len(m.Batch)))
+	for i, e := range m.Batch {
+		if reqs != nil {
+			c := reqs[i].ClientID
+			size += 1 + wire.UvarintSize(uint64(len(c))) + len(c) + wire.UvarintSize(reqs[i].Seq)
+		} else {
+			size += 1 + wire.UvarintSize(uint64(len(e))) + len(e)
+		}
 	}
 	w := wire.NewWriter(size)
 	w.PutInt32(m.Regency)
 	w.PutInt64(m.Seq)
-	w.PutBytesSlice(m.Batch)
+	w.PutRaw(m.Digest[:])
+	w.PutUvarint(uint64(len(m.Batch)))
+	for i, e := range m.Batch {
+		if reqs != nil {
+			w.PutByte(entryRef)
+			w.PutString(reqs[i].ClientID)
+			w.PutUvarint(reqs[i].Seq)
+		} else {
+			w.PutByte(entryInline)
+			w.PutBytes(e)
+		}
+	}
 	return w.Bytes()
 }
 
@@ -160,10 +216,48 @@ func unmarshalPropose(b []byte) (*proposeMsg, error) {
 	m := &proposeMsg{
 		Regency: r.Int32(),
 		Seq:     r.Int64(),
-		Batch:   r.BytesSlice(),
+	}
+	copy(m.Digest[:], r.Raw(cryptoutil.DigestSize))
+	m.Batch = make([][]byte, r.Count(2)) // a kind byte and an empty entry
+	for i := 0; i < len(m.Batch) && r.Err() == nil; i++ {
+		switch kind := r.Byte(); kind {
+		case entryInline:
+			m.Batch[i] = r.Bytes()
+		case entryRef:
+			if m.Refs == nil {
+				m.Refs = make([]requestRef, len(m.Batch))
+			}
+			m.Refs[i] = requestRef{client: r.Bytes(), seq: r.Uvarint()}
+		default:
+			return nil, fmt.Errorf("propose: entry %d of unknown kind %d", i, kind)
+		}
 	}
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("propose: %w", err)
+	}
+	return m, nil
+}
+
+// proposeFetchMsg is a follower's request for the PROPOSE of instance Seq in
+// Regency with every entry inline: one whose references it could not
+// resolve from its pool.
+type proposeFetchMsg struct {
+	Regency int32
+	Seq     int64
+}
+
+func (m *proposeFetchMsg) marshal() []byte {
+	w := wire.NewWriter(12)
+	w.PutInt32(m.Regency)
+	w.PutInt64(m.Seq)
+	return w.Bytes()
+}
+
+func unmarshalProposeFetch(b []byte) (proposeFetchMsg, error) {
+	r := wire.NewReader(b)
+	m := proposeFetchMsg{Regency: r.Int32(), Seq: r.Int64()}
+	if err := r.Finish(); err != nil {
+		return proposeFetchMsg{}, fmt.Errorf("propose fetch: %w", err)
 	}
 	return m, nil
 }

@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -231,6 +232,16 @@ type instance struct {
 	// sent the instance's PROPOSE (zero otherwise): the start of the
 	// instance-latency sample taken when the instance is delivered.
 	proposedAt time.Time
+	// parked is a PROPOSE of the current regency that named requests this
+	// follower has not pooled, or pooled with other operations than the
+	// leader's; parkedAt is when it arrived, and asked is set once the
+	// leader was asked for its entries inline (see onPropose).
+	parked   *proposeMsg
+	parkedAt time.Time
+	asked    bool
+	// answered lists the followers this leader sent the instance's entries
+	// inline to: each gets them once.
+	answered []ReplicaID
 }
 
 // recycle retires an instance a checkpoint covers, to be reused for a later
@@ -239,6 +250,7 @@ type instance struct {
 // it was, for a caller further up the stack that holds it.
 func (inst *instance) recycle() {
 	inst.batch, inst.reqs, inst.undo = nil, nil, nil
+	inst.parked, inst.answered = nil, nil
 }
 
 // reuse readies a recycled instance for seq, keeping only the storage of its
@@ -282,6 +294,10 @@ type Stats struct {
 	// by (0 on a follower and until a regency's first instance is
 	// delivered).
 	InstanceLatency time.Duration
+	// ProposeFetches counts the PROPOSEs this follower asked the leader to
+	// send again with every entry inline, because it could not resolve
+	// their references from its pool.
+	ProposeFetches uint64
 }
 
 // Replica is one member of the BFT-SMaRt replication group. Create with
@@ -325,6 +341,11 @@ type Replica struct {
 	queue    []requestKey
 	pooled   int
 	executed map[string]*clientDedup // exact per-client at-most-once
+
+	// parked lists the instances with a parked PROPOSE, in the order they
+	// were parked (an instance whose PROPOSE resolved since is skipped and
+	// dropped by the next walk).
+	parked []int64
 
 	// lastProposeAt is when this leader's previous PROPOSE went out; with
 	// instanceLatency (below, among the counters Stats reads) it paces the
@@ -390,6 +411,7 @@ type Replica struct {
 	statLC        atomic.Int64
 	statDropped   atomic.Uint64
 	statOpen      atomic.Int64
+	statFetches   atomic.Uint64
 	// instanceLatency is the moving average of this leader's own
 	// PROPOSE→delivery time, in nanoseconds; written on the event loop only.
 	instanceLatency atomic.Int64
@@ -496,6 +518,7 @@ func (r *Replica) Stats() Stats {
 
 		OpenInstances:   r.statOpen.Load(),
 		InstanceLatency: time.Duration(r.instanceLatency.Load()),
+		ProposeFetches:  r.statFetches.Load(),
 	}
 }
 
@@ -547,19 +570,29 @@ func (r *Replica) run() {
 // DebugSnapshot renders a replica's protocol state for diagnostics.
 func DebugSnapshot(r *Replica) string {
 	out := "stopped"
-	r.Inspect(func() {
-		next := r.lastDelivered + 1
-		instInfo := "none"
-		if inst, ok := r.instances[next]; ok {
-			instInfo = fmt.Sprintf("prop=%v writeSent=%v acceptSent=%v cert=%v decided=%v writes=%d accepts=%d",
-				inst.haveProposal, inst.writeSent, inst.acceptSent,
-				inst.writeCertified, inst.decided, len(inst.writes.votes), len(inst.accepts.votes))
-		}
-		out = fmt.Sprintf("regency=%d pending=%d pooled=%d queue=%d lastProposed=%d lastDelivered=%d lastStable=%d sync=%v fetch=%v inst[%d]: %s",
-			r.regency, len(r.pending), r.pooled, len(r.queue), r.lastProposed,
-			r.lastDelivered, r.lastStable, r.syncInProgress, r.fetching, next, instInfo)
-	})
+	r.Inspect(func() { out = r.debugState() })
 	return out
+}
+
+// debugState is DebugSnapshot's text, read on the event loop.
+func (r *Replica) debugState() string {
+	next := r.lastDelivered + 1
+	instInfo := "none"
+	if inst, ok := r.instances[next]; ok {
+		instInfo = fmt.Sprintf("prop=%v writeSent=%v acceptSent=%v cert=%v decided=%v writes=%d accepts=%d",
+			inst.haveProposal, inst.writeSent, inst.acceptSent,
+			inst.writeCertified, inst.decided, len(inst.writes.votes), len(inst.accepts.votes))
+	}
+	parked := 0
+	for _, seq := range r.parked {
+		if inst, ok := r.instances[seq]; ok && inst.parked != nil {
+			parked++
+		}
+	}
+	return fmt.Sprintf("regency=%d pending=%d pooled=%d queue=%d lastProposed=%d lastDelivered=%d lastStable=%d sync=%v fetch=%v parked=%d fetches=%d inst[%d]: %s",
+		r.regency, len(r.pending), r.pooled, len(r.queue), r.lastProposed,
+		r.lastDelivered, r.lastStable, r.syncInProgress, r.fetching, parked,
+		r.statFetches.Load(), next, instInfo)
 }
 
 // Inspect runs f on the event-loop goroutine and waits for it to complete,
@@ -594,6 +627,13 @@ func (r *Replica) dispatch(m transport.Message) {
 		}
 		if pm, err := unmarshalPropose(m.Payload); err == nil {
 			r.onPropose(from, pm, nil)
+		}
+	case msgProposeFetch:
+		if !isReplica {
+			return
+		}
+		if fm, err := unmarshalProposeFetch(m.Payload); err == nil {
+			r.onProposeFetch(from, fm)
 		}
 	case msgWrite:
 		if !isReplica {
@@ -701,10 +741,11 @@ func (r *Replica) sendTo(id ReplicaID, msgType uint16, payload []byte) {
 // ---- Request handling ------------------------------------------------
 
 // onRequests pools the requests of one frame (see EncodeRequest), each as
-// a view of the frame: that view is the entry a PROPOSE carries for it. The
-// proposal rule runs once the whole frame is pooled, so an idle leader's
-// next PROPOSE carries all of it. A malformed entry is skipped; a malformed
-// frame ends the walk, and the entries before the fault stay pooled.
+// a view of the frame: that view is the entry a PROPOSE names the request
+// by. The parked PROPOSEs are retried and the proposal rule runs once the
+// whole frame is pooled, so an idle leader's next PROPOSE carries all of it.
+// A malformed entry is skipped; a malformed frame ends the walk, and the
+// entries before the fault stay pooled.
 func (r *Replica) onRequests(frame []byte) {
 	rd := wire.NewReader(frame)
 	n := rd.Count(1)
@@ -733,6 +774,7 @@ func (r *Replica) onRequests(frame []byte) {
 		pooled = true
 	}
 	if pooled {
+		r.retryParked()
 		r.maybePropose(now)
 	}
 }
@@ -772,6 +814,7 @@ func (r *Replica) releaseInFlight() {
 	for _, inst := range r.instances {
 		inst.proposedAt = time.Time{}
 	}
+	r.dropParked()
 	r.instanceLatency.Store(0)
 	r.publishWindow()
 }
@@ -896,27 +939,35 @@ func (r *Replica) propose(seq int64, batch [][]byte, reqs []request) {
 		}
 		batch, reqs = garbage, nil
 	}
-	pm := &proposeMsg{Regency: r.regency, Seq: seq, Batch: batch}
+	// Every entry the leader holds a request for travels as a reference
+	// (reqs); corrupt entries have none, so they travel inline.
+	pm := &proposeMsg{Regency: r.regency, Seq: seq, Digest: batchDigest(seq, batch), Batch: batch}
 	if b.Equivocate {
 		// Split the other replicas between two conflicting batches so
 		// that neither digest can reach a WRITE quorum (the leader's own
 		// vote plus a minority is below ceil((n+f+1)/2)): honest replicas
 		// time out and run the synchronization phase.
-		alt := &proposeMsg{Regency: r.regency, Seq: seq, Batch: batch[:len(batch)/2]}
+		half := len(batch) / 2
+		alt := &proposeMsg{Regency: r.regency, Seq: seq, Digest: batchDigest(seq, batch[:half]), Batch: batch[:half]}
+		altReqs := reqs
+		if reqs != nil {
+			altReqs = reqs[:half]
+		}
+		payload, altPayload := pm.marshalRefs(reqs), alt.marshalRefs(altReqs)
 		sent := 0
 		for _, id := range r.membership {
 			if id == r.cfg.SelfID {
 				continue
 			}
-			m := pm
+			p := payload
 			if sent < len(r.membership)/2 {
-				m = alt
+				p = altPayload
 			}
 			sent++
-			r.conn.Send(r.addrs[id], msgPropose, m.marshal())
+			r.conn.Send(r.addrs[id], msgPropose, p)
 		}
 	} else {
-		r.multicast(msgPropose, pm.marshal())
+		r.multicast(msgPropose, pm.marshalRefs(reqs))
 	}
 	// The leader's own copy skips the wire: it is the pooled requests.
 	r.onPropose(r.cfg.SelfID, pm, reqs)
@@ -924,37 +975,64 @@ func (r *Replica) propose(seq int64, batch [][]byte, reqs []request) {
 
 // ---- Normal-case consensus -------------------------------------------
 
-// onPropose handles a PROPOSE; reqs is m.Batch decoded, when the caller has that (the leader).
-func (r *Replica) onPropose(from ReplicaID, m *proposeMsg, reqs []request) {
-	r.noteRegency(from, m.Regency)
-	if r.syncInProgress || m.Regency != r.regency {
-		return
+// admitPropose is the one admission rule for a PROPOSE, whatever form its
+// entries take: from the leader of this replica's regency, outside a
+// synchronization phase, for an instance not yet delivered and at most
+// instanceWindow ahead. A PROPOSE is checked before its references are
+// resolved, so one that cannot be resolved is parked only if it would have
+// been registered.
+//
+// There are two thresholds because they answer two questions.
+// stateGapThreshold is how far behind a replica may fall before it stops
+// catching up vote by vote and asks for state transfer; instanceWindow is
+// how far ahead it still registers proposals and counts votes. Between the
+// two it does both: the leader sends a PROPOSE once, so one dropped there
+// would strand its instance until a leader change
+// (TestProposeBeyondStateGapIsNotStranded), and a follower that clients do
+// not yet send to — a joiner — learns here that it is behind. One threshold
+// at 16 drops those PROPOSEs; one at 64 leaves a lagging replica waiting
+// for votes four times as long before it asks for the state it lacks.
+func (r *Replica) admitPropose(from ReplicaID, regency int32, seq int64) bool {
+	r.noteRegency(from, regency)
+	if r.syncInProgress || regency != r.regency || r.leaderOf(regency) != from {
+		return false
 	}
-	if r.leaderOf(m.Regency) != from {
-		return // only the regency's leader may propose
+	if seq <= r.lastDelivered {
+		return false // stale
 	}
-	if m.Seq <= r.lastDelivered {
-		return // stale
-	}
-	if m.Seq > r.lastDelivered+stateGapThreshold {
-		// Too far behind to catch up vote by vote. The PROPOSE is still
-		// registered within instanceWindow, where votes are counted: the
-		// leader sends it once, and once state transfer has brought this
-		// replica up to it, it is what the instance is delivered from.
+	if seq > r.lastDelivered+stateGapThreshold {
 		r.requestStateTransfer()
-		if m.Seq > r.lastDelivered+instanceWindow {
-			return
-		}
 	}
-	reqs, ok := r.validateBatch(m.Batch, reqs)
-	if !ok {
-		return // malformed proposal: refuse to WRITE; timeout handles the leader
+	return seq <= r.lastDelivered+instanceWindow
+}
+
+// onPropose handles a PROPOSE. reqs is m.Batch decoded when the caller has
+// that: the leader's own PROPOSE, whose Digest it computed. Otherwise the
+// entries are resolved from the pool (see resolve), and a PROPOSE that
+// cannot be resolved yet is parked on its instance (see unresolved).
+func (r *Replica) onPropose(from ReplicaID, m *proposeMsg, reqs []request) {
+	if !r.admitPropose(from, m.Regency, m.Seq) {
+		return
 	}
 	inst := r.instance(m.Seq)
 	if inst.haveProposal && inst.regency == m.Regency {
 		return // first proposal wins within a regency (equivocation defense)
 	}
+	digest := m.Digest
+	if reqs == nil {
+		var st resolution
+		if reqs, digest, st = r.resolve(m); st != resolved {
+			r.unresolved(inst, m, st)
+			return
+		}
+		inst.parked = nil
+	}
+	reqs, ok := r.validateBatch(m.Batch, reqs)
+	if !ok {
+		return // malformed proposal: refuse to WRITE; timeout handles the leader
+	}
 	if inst.decided {
+		r.adoptParked(inst, m, reqs, digest)
 		return
 	}
 	if inst.haveProposal && inst.regency != m.Regency {
@@ -964,7 +1042,7 @@ func (r *Replica) onPropose(from ReplicaID, m *proposeMsg, reqs []request) {
 		inst.acceptSent = false
 	}
 	inst.batch, inst.reqs = m.Batch, reqs
-	inst.digest = batchDigest(m.Seq, m.Batch)
+	inst.digest = digest
 	inst.haveProposal = true
 	inst.regency = m.Regency
 
@@ -974,6 +1052,190 @@ func (r *Replica) onPropose(from ReplicaID, m *proposeMsg, reqs []request) {
 		r.broadcast(msgWrite, vm.marshal())
 	}
 	r.checkQuorums(inst)
+}
+
+// adoptParked registers the proposal of an instance its peers decided while
+// the proposal waited here for its requests, and delivers it, if it is the
+// decided value. If it is not, only the peers have the decided batch.
+func (r *Replica) adoptParked(inst *instance, m *proposeMsg, reqs []request, digest cryptoutil.Digest) {
+	if inst.haveProposal {
+		return
+	}
+	if digest != inst.decidedDigest {
+		r.requestStateTransfer()
+		return
+	}
+	inst.batch, inst.reqs = m.Batch, reqs
+	inst.digest = digest
+	inst.haveProposal = true
+	inst.regency = m.Regency
+	r.deliverContiguous()
+	r.advanceStable()
+	r.maybePropose(time.Now())
+}
+
+// resolution is what resolve made of a PROPOSE's entries.
+type resolution int
+
+const (
+	resolved    resolution = iota
+	malformed              // an inline entry is not a request: the PROPOSE is refused
+	missing                // a referenced request is not pooled here (yet)
+	conflicting            // the references resolved, but not to the leader's batch
+)
+
+// resolve completes a received PROPOSE's batch: a reference becomes the
+// entry this replica pooled for the request, and the request decoded at
+// pool time is reused; an inline entry is decoded. It returns the batch
+// decoded and its digest. Resolved references must hash to the leader's
+// digest, or the client sent one (client, seq) with different operations to
+// the leader and to this replica. A batch sent inline is its own evidence:
+// the replica votes for the digest of what it received, as ever.
+func (r *Replica) resolve(m *proposeMsg) ([]request, cryptoutil.Digest, resolution) {
+	isRef := func(i int) bool { return m.Refs != nil && m.Refs[i].client != nil }
+	for i := range m.Batch {
+		if isRef(i) {
+			p, ok := r.pending[r.refKey(m.Refs[i])]
+			if !ok {
+				return nil, cryptoutil.Digest{}, missing
+			}
+			m.Batch[i] = p.raw
+		}
+	}
+	reqs := make([]request, len(m.Batch))
+	for i, entry := range m.Batch {
+		if isRef(i) {
+			reqs[i] = r.pending[r.refKey(m.Refs[i])].req
+			continue
+		}
+		rq, err := unmarshalRequest(entry, r.executed)
+		if err != nil {
+			return nil, cryptoutil.Digest{}, malformed
+		}
+		reqs[i] = rq
+	}
+	digest := batchDigest(m.Seq, m.Batch)
+	if m.Refs != nil && digest != m.Digest {
+		return nil, digest, conflicting
+	}
+	return reqs, digest, resolved
+}
+
+// refKey is the pool key a reference names, with the client id the dedup
+// table holds for it when there is one (no string is allocated then).
+func (r *Replica) refKey(ref requestRef) requestKey {
+	if d, ok := r.executed[string(ref.client)]; ok {
+		return requestKey{client: d.client, seq: ref.seq}
+	}
+	return requestKey{client: string(ref.client), seq: ref.seq}
+}
+
+// unresolved handles a PROPOSE that resolve could not complete. A malformed
+// one is refused. Any other is parked on its instance (the first one; a
+// follower keeps it while waiting) and retried whenever a request frame is
+// pooled: the client sent this replica the same frame as the leader, so the
+// requests it names are usually just behind it. One still parked a full
+// tick after it arrived is fetched from the leader (askParked); one that
+// resolved to other operations than the leader's is fetched at once.
+func (r *Replica) unresolved(inst *instance, m *proposeMsg, st resolution) {
+	if st == malformed {
+		return
+	}
+	if inst.parked == nil {
+		inst.parked, inst.parkedAt = m, time.Now()
+		r.parked = append(r.parked, inst.seq)
+	}
+	if st == conflicting {
+		r.askLeader(inst)
+	}
+}
+
+// retryParked resolves the parked PROPOSEs again after a request frame was
+// pooled. A PROPOSE still unresolved stays parked since its arrival.
+func (r *Replica) retryParked() {
+	seqs := r.parked
+	r.parked = nil
+	for _, seq := range seqs {
+		inst, ok := r.instances[seq]
+		if !ok || inst.parked == nil {
+			continue
+		}
+		m, at := inst.parked, inst.parkedAt
+		inst.parked = nil
+		r.onPropose(r.leaderOf(m.Regency), m, nil)
+		if inst.parked == m {
+			inst.parkedAt = at
+		}
+	}
+}
+
+// askParked runs on every tick: it asks the leader for each PROPOSE parked
+// for a full tickInterval (one asked sooner would be fetched on the
+// follower a client's frame reaches last, instead of resolving from that
+// frame). An instance decided while its PROPOSE stays parked for a
+// RequestTimeout — the leader never answered — is fetched by state
+// transfer.
+func (r *Replica) askParked(now time.Time) {
+	kept := r.parked[:0]
+	for _, seq := range r.parked {
+		inst, ok := r.instances[seq]
+		if !ok || inst.parked == nil {
+			continue
+		}
+		kept = append(kept, seq)
+		waited := now.Sub(inst.parkedAt)
+		if waited >= tickInterval {
+			r.askLeader(inst)
+		}
+		if inst.decided && waited > r.cfg.RequestTimeout {
+			r.requestStateTransfer()
+		}
+	}
+	r.parked = kept
+}
+
+// askLeader asks the leader, once per instance, for the parked PROPOSE with
+// every entry inline.
+func (r *Replica) askLeader(inst *instance) {
+	if inst.asked {
+		return
+	}
+	inst.asked = true
+	r.statFetches.Add(1)
+	fm := &proposeFetchMsg{Regency: inst.parked.Regency, Seq: inst.seq}
+	r.sendTo(r.leaderOf(fm.Regency), msgProposeFetch, fm.marshal())
+}
+
+// dropParked forgets the parked PROPOSEs when the regency changes: they
+// can no longer be registered. An instance decided meanwhile is fetched by
+// state transfer, since no SYNC re-runs a decided instance.
+func (r *Replica) dropParked() {
+	for _, seq := range r.parked {
+		if inst, ok := r.instances[seq]; ok && inst.parked != nil {
+			inst.parked, inst.asked = nil, false
+			if inst.decided && !inst.haveProposal {
+				r.requestStateTransfer()
+			}
+		}
+	}
+	r.parked = nil
+}
+
+// onProposeFetch answers a follower that could not resolve this leader's
+// PROPOSE: the entries go to it inline, once per follower and instance, and
+// only while this leader still holds the batch (a checkpoint retires it).
+func (r *Replica) onProposeFetch(from ReplicaID, m proposeFetchMsg) {
+	if m.Regency != r.regency || r.syncInProgress || !r.isLeader() {
+		return
+	}
+	inst, ok := r.instances[m.Seq]
+	if !ok || !inst.haveProposal || inst.regency != m.Regency || len(inst.batch) == 0 ||
+		slices.Contains(inst.answered, from) {
+		return
+	}
+	inst.answered = append(inst.answered, from)
+	pm := &proposeMsg{Regency: m.Regency, Seq: m.Seq, Digest: inst.digest, Batch: inst.batch}
+	r.sendTo(from, msgPropose, pm.marshal())
 }
 
 // validateBatch vets a proposed batch and returns it decoded (reqs itself
@@ -1015,7 +1277,7 @@ func (r *Replica) decodeBatch(batch [][]byte) (reqs []request, ok bool) {
 // adoptDecided registers a batch that reached this replica already decided
 // (state transfer, decision-log replay) on its instance.
 func (r *Replica) adoptDecided(inst *instance, batch [][]byte) {
-	inst.batch = batch
+	inst.batch, inst.parked = batch, nil
 	inst.reqs, _ = r.decodeBatch(batch) // decided, hence validated by a quorum
 	inst.digest = batchDigest(inst.seq, batch)
 	inst.haveProposal = true
@@ -1101,9 +1363,13 @@ func (r *Replica) decide(inst *instance, digest cryptoutil.Digest) {
 
 	if !inst.haveProposal || inst.digest != digest {
 		// Decided by quorum evidence without (or with a conflicting) local
-		// proposal: fetch the decided batches from peers.
+		// proposal: fetch the decided batches from peers. A proposal parked
+		// here is delivered once it resolves (adoptParked), unless the
+		// instance sits above a gap, which only state transfer fills.
 		inst.haveProposal = false
-		r.requestStateTransfer()
+		if inst.parked == nil || inst.seq > r.lastDelivered+1 {
+			r.requestStateTransfer()
+		}
 		return
 	}
 	r.deliverContiguous()
@@ -1279,6 +1545,7 @@ func (r *Replica) checkpointAt(seq int64) {
 func (r *Replica) onTick() {
 	now := time.Now()
 	r.maybePropose(now)
+	r.askParked(now)
 	if r.fetching && now.Sub(r.fetchStarted) > r.cfg.RequestTimeout {
 		// Retry the state transfer.
 		r.fetching = false

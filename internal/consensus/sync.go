@@ -368,7 +368,9 @@ func (r *Replica) rollbackTo(seq int64) {
 			}
 			if _, exists := r.pending[key]; !exists {
 				// Re-encoded, not re-used: the undone request is a view into
-				// a whole PROPOSE, which a pooled request must not keep alive.
+				// the request frame it was pooled from (or a PROPOSE that
+				// carried it inline), which a pooled request must not keep
+				// alive.
 				raw := inst.undo[i].marshal()
 				rq, _ := unmarshalRequest(raw, r.executed)
 				r.pool(key, &pendingReq{req: rq, raw: raw, arrived: time.Now()})

@@ -516,6 +516,9 @@ func (n *OrderingNode) registerGaugeFuncs() {
 		func() float64 { return float64(n.replica.Stats().DeliveredOps) })
 	m.GaugeFunc("repro_consensus_dropped_requests", "Client requests dropped by backpressure.",
 		func() float64 { return float64(n.replica.Stats().DroppedReqs) })
+	m.GaugeFunc("repro_consensus_propose_fetches",
+		"PROPOSEs this node asked the leader to resend inline because it could not resolve their references from its pool.",
+		func() float64 { return float64(n.replica.Stats().ProposeFetches) })
 	m.GaugeFunc("repro_consensus_open_instances",
 		"Instances this node proposed as leader that are not yet delivered (window occupancy; 0 on a follower).",
 		func() float64 { return float64(n.replica.Stats().OpenInstances) })
