@@ -15,9 +15,9 @@ import (
 // sparse set is compacted into the floor whenever no tentative executions
 // are outstanding.
 type clientDedup struct {
-	client string // the one copy of the id every decoded request of the client shares
-	floor  uint64 // every seq in [1, floor] has been executed
-	sparse map[uint64]bool
+	client string          // the one copy of the id every decoded request of the client shares
+	floor  uint64          // every seq in [1, floor] has been executed
+	sparse map[uint64]bool // nil until a sequence above the floor is marked
 	// lowest memoizes the smallest sequence in sparse (0 = unknown,
 	// recompute on demand). compact runs once per decided instance per
 	// client; without the memo its find-the-lowest scan walks the whole
@@ -27,13 +27,9 @@ type clientDedup struct {
 	lowest uint64
 }
 
-func newClientDedup() *clientDedup {
-	return &clientDedup{sparse: make(map[uint64]bool)}
-}
-
 // contains reports whether seq was executed.
 func (d *clientDedup) contains(seq uint64) bool {
-	return seq <= d.floor || d.sparse[seq]
+	return seq <= d.floor || (len(d.sparse) > 0 && d.sparse[seq])
 }
 
 // mark records seq as executed.
@@ -42,12 +38,27 @@ func (d *clientDedup) mark(seq uint64) {
 		return
 	}
 	wasEmpty := len(d.sparse) == 0
+	if d.sparse == nil {
+		d.sparse = make(map[uint64]bool)
+	}
 	d.sparse[seq] = true
 	if wasEmpty || (d.lowest != 0 && seq < d.lowest) {
 		// An unknown memo (0) over a non-empty set stays unknown: seq may
 		// not be the true minimum.
 		d.lowest = seq
 	}
+}
+
+// markStable records seq as executed for good: no rollback can undo it
+// (outside tentative mode). The next sequence with nothing above the floor
+// moves the floor at once — the state compact reaches for it anyway — so a
+// client whose requests execute in order never touches the sparse set.
+func (d *clientDedup) markStable(seq uint64) {
+	if seq == d.floor+1 && len(d.sparse) == 0 {
+		d.floor = seq
+		return
+	}
+	d.mark(seq)
 }
 
 // unmark forgets seq (tentative rollback). Only sequences above the floor
@@ -94,9 +105,14 @@ const compactHeadroom = 1 << 15
 // previous session and jumps to compactHeadroom below the new session's
 // lowest sequence; once the client's progress since then exceeds the
 // headroom, nothing in flight can still land in the remaining hole and it
-// closes.
+// closes. A sparse set that held a session's hole open is replaced once the
+// floor passed it, because a map never shrinks.
 func (d *clientDedup) compact() {
-	if len(d.sparse) > 0 && !d.sparse[d.floor+1] {
+	held := len(d.sparse)
+	if held == 0 {
+		return
+	}
+	if !d.sparse[d.floor+1] {
 		lowest := d.lowestSparse()
 		if lowest > d.floor+sessionGap {
 			d.floor = lowest - compactHeadroom
@@ -110,6 +126,13 @@ func (d *clientDedup) compact() {
 		if d.floor == d.lowest {
 			d.lowest = 0 // consumed; recomputed on demand
 		}
+	}
+	if held >= compactHeadroom && len(d.sparse) < held/4 {
+		kept := make(map[uint64]bool, len(d.sparse))
+		for s := range d.sparse {
+			kept[s] = true
+		}
+		d.sparse = kept
 	}
 }
 
@@ -136,12 +159,12 @@ func (d *clientDedup) marshalledSize() int {
 
 // readClientDedup deserializes dedup state.
 func readClientDedup(r *wire.Reader) *clientDedup {
-	d := newClientDedup()
-	d.floor = r.Uint64()
+	d := &clientDedup{floor: r.Uint64()}
 	n := r.Uvarint()
-	if n > maxPendingRequests {
+	if n == 0 || n > maxPendingRequests {
 		return d
 	}
+	d.sparse = make(map[uint64]bool, n)
 	for i := uint64(0); i < n; i++ {
 		d.sparse[r.Uint64()] = true
 	}

@@ -7,6 +7,10 @@ import (
 	"repro/internal/wire"
 )
 
+func newClientDedup() *clientDedup {
+	return &clientDedup{sparse: make(map[uint64]bool)}
+}
+
 func TestClientDedupBasics(t *testing.T) {
 	d := newClientDedup()
 	if d.contains(1) {

@@ -18,10 +18,10 @@ func FuzzRequestFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		r := newFollower(t, Config{}).r
 		r.onRequests(in)
-		for _, p := range r.pending {
+		r.eachPooled(func(p *pendingReq) {
 			insideFrame(t, in, p.raw)
 			insideFrame(t, in, p.req.Op)
-		}
+		})
 
 		ops := bytes.Split(in, []byte{0})
 		if len(ops) > 64 {
@@ -40,8 +40,8 @@ func FuzzRequestFrame(f *testing.F) {
 		if len(r.queue) != n {
 			t.Fatalf("pooled %d of the frame's %d requests", len(r.queue), n)
 		}
-		for i, key := range r.queue {
-			p := r.pending[key]
+		for i, q := range r.queue {
+			p := q.find()
 			want := request{ClientID: "fuzz-client", Seq: reqs[i].seq, Op: reqs[i].op}
 			if p.req.ClientID != want.ClientID || p.req.Seq != want.Seq || !bytes.Equal(p.req.Op, want.Op) {
 				t.Fatalf("pooled request %d is (%s, %d, %q), want (%s, %d, %q)",

@@ -91,15 +91,6 @@ type request struct {
 	Op       []byte // opaque operation (an HLF envelope in the ordering service)
 }
 
-func (rq *request) key() requestKey {
-	return requestKey{client: rq.ClientID, seq: rq.Seq}
-}
-
-type requestKey struct {
-	client string
-	seq    uint64
-}
-
 // marshal encodes the request as a batch entry.
 func (rq *request) marshal() []byte {
 	w := wire.NewWriter(requestSize(rq.ClientID, rq.Op))
@@ -120,20 +111,30 @@ func putRequest(w *wire.Writer, clientID string, seq uint64, op []byte) {
 }
 
 // unmarshalRequest decodes a request as a view of b: Op aliases it, and the
-// client id is the string known (a replica's dedup table) holds for it.
-func unmarshalRequest(b []byte, known map[string]*clientDedup) (request, error) {
-	r := wire.NewReader(b)
-	id := r.Bytes()
-	rq := request{Seq: r.Uint64(), Op: r.Bytes()}
-	if err := r.Finish(); err != nil {
-		return request{}, fmt.Errorf("request: %w", err)
+// client id is the string known (a replica's client records) holds for it.
+func unmarshalRequest(b []byte, known map[string]*clientRecord) (request, error) {
+	id, seq, op, err := parseRequest(b)
+	if err != nil {
+		return request{}, err
 	}
-	if d, ok := known[string(id)]; ok {
-		rq.ClientID = d.client
+	rq := request{Seq: seq, Op: op}
+	if c, ok := known[string(id)]; ok {
+		rq.ClientID = c.client
 	} else {
 		rq.ClientID = string(id)
 	}
 	return rq, nil
+}
+
+// parseRequest decodes a request's fields as views of b.
+func parseRequest(b []byte) (id []byte, seq uint64, op []byte, err error) {
+	r := wire.NewReader(b)
+	id = r.Bytes()
+	seq, op = r.Uint64(), r.Bytes()
+	if err := r.Finish(); err != nil {
+		return nil, 0, nil, fmt.Errorf("request: %w", err)
+	}
+	return id, seq, op, nil
 }
 
 // proposeMsg is the leader's batch proposal for one consensus instance.

@@ -266,8 +266,8 @@ func TestHotPathAllocationBudgets(t *testing.T) {
 	// A request of a client the replica has executed for before decodes
 	// without allocating; an unknown client's costs the id string.
 	entry := benchBatch(1, 300)[0]
-	known := map[string]*clientDedup{"frontend-0": {client: "frontend-0"}}
-	for name, table := range map[string]map[string]*clientDedup{"known": known, "unknown": nil} {
+	known := map[string]*clientRecord{"frontend-0": {clientDedup: clientDedup{client: "frontend-0"}}}
+	for name, table := range map[string]map[string]*clientRecord{"known": known, "unknown": nil} {
 		budget := float64(len(known) - len(table))
 		if got := testing.AllocsPerRun(100, func() {
 			if _, err := unmarshalRequest(entry, table); err != nil {

@@ -93,11 +93,11 @@ func (tc *testCluster) assertPoolCounted(skip map[int]bool) {
 		var pooled, counted int
 		rep.Inspect(func() {
 			pooled = rep.pooled
-			for _, p := range rep.pending {
+			rep.eachPooled(func(p *pendingReq) {
 				if !p.inFlight {
 					counted++
 				}
-			}
+			})
 		})
 		if pooled != counted {
 			tc.t.Fatalf("replica %d counts %d pooled requests, the pool holds %d", i, pooled, counted)
@@ -440,8 +440,8 @@ func TestPipelinedTentativeRollbackRestoresBothBatches(t *testing.T) {
 		t.Fatalf("lastDelivered=%d lastStable=%d executed=%d, want two tentative instances (1, -1, 4)",
 			r.lastDelivered, r.lastStable, app.opCount())
 	}
-	if len(r.pending) != 0 || r.pooled != 0 {
-		t.Fatalf("pool holds %d requests (%d counted) after execution", len(r.pending), r.pooled)
+	if r.pending != 0 || r.pooled != 0 {
+		t.Fatalf("pool holds %d requests (%d counted) after execution", r.pending, r.pooled)
 	}
 
 	// Regency 1: this replica reports both write certificates...
@@ -460,12 +460,12 @@ func TestPipelinedTentativeRollbackRestoresBothBatches(t *testing.T) {
 	if app.opCount() != 0 {
 		t.Fatalf("application still holds %d ops after the rollback", app.opCount())
 	}
-	if len(r.pending) != 4 || r.pooled != 4 {
+	if r.pending != 4 || r.pooled != 4 {
 		t.Fatalf("pool holds %d requests (%d counted) after the rollback, want both batches (4)",
-			len(r.pending), r.pooled)
+			r.pending, r.pooled)
 	}
 	for i := uint64(1); i <= 4; i++ {
-		if r.executed["client"].contains(i) {
+		if r.clients["client"].contains(i) {
 			t.Fatalf("request %d still marked executed after the rollback", i)
 		}
 	}

@@ -136,14 +136,6 @@ const tickInterval = 2 * time.Millisecond
 // (1/8, the smoothing TCP uses for its round-trip estimate).
 const latencyWeight = 8
 
-// pendingReq is a client request waiting to be ordered.
-type pendingReq struct {
-	req      request
-	raw      []byte // marshalled request (batch entry): a view of the received frame
-	arrived  time.Time
-	inFlight bool // included in an open proposal
-}
-
 // vote is one replica's WRITE or ACCEPT for a digest.
 type vote struct {
 	voter  ReplicaID
@@ -334,13 +326,17 @@ type Replica struct {
 	lastDelivered int64 // contiguous prefix delivered to the app
 	lastStable    int64 // contiguous prefix decided AND delivered (confirm point)
 
-	// Request pool. pooled counts the pending requests that are not part of
-	// an open proposal — what the next batch can draw on — so the scheduler
-	// decides without walking the queue.
-	pending  map[requestKey]*pendingReq
-	queue    []requestKey
-	pooled   int
-	executed map[string]*clientDedup // exact per-client at-most-once
+	// Request pool and exact per-client at-most-once (see window.go). queue
+	// lists the pooled requests in arrival order (and executed ones until it
+	// is compacted); pending counts the pooled requests, and pooled those
+	// that are not part of an open proposal — what the next batch can draw
+	// on — so the scheduler decides without walking the queue. spilled
+	// counts the requests pooled outside their client's window.
+	clients map[string]*clientRecord
+	queue   []queued
+	pending int
+	pooled  int
+	spilled uint64
 
 	// parked lists the instances with a parked PROPOSE, in the order they
 	// were parked (an instance whose PROPOSE resolved since is skipped and
@@ -452,8 +448,7 @@ func NewReplica(cfg Config, app Application, conn transport.Conn, opts ...Option
 		lastProposed:  -1,
 		lastDelivered: -1,
 		lastStable:    -1,
-		pending:       make(map[requestKey]*pendingReq),
-		executed:      make(map[string]*clientDedup),
+		clients:       make(map[string]*clientRecord),
 		decidedLog:    make(map[int64][][]byte),
 		checkpointSeq: -1,
 		durableSeq:    -1,
@@ -589,8 +584,14 @@ func (r *Replica) debugState() string {
 			parked++
 		}
 	}
-	return fmt.Sprintf("regency=%d pending=%d pooled=%d queue=%d lastProposed=%d lastDelivered=%d lastStable=%d sync=%v fetch=%v parked=%d fetches=%d inst[%d]: %s",
-		r.regency, len(r.pending), r.pooled, len(r.queue), r.lastProposed,
+	pooling := 0
+	for _, c := range r.clients {
+		if c.pending() > 0 {
+			pooling++
+		}
+	}
+	return fmt.Sprintf("regency=%d pending=%d pooled=%d queue=%d clients=%d spilled=%d lastProposed=%d lastDelivered=%d lastStable=%d sync=%v fetch=%v parked=%d fetches=%d inst[%d]: %s",
+		r.regency, r.pending, r.pooled, len(r.queue), pooling, r.spilled, r.lastProposed,
 		r.lastDelivered, r.lastStable, r.syncInProgress, r.fetching, parked,
 		r.statFetches.Load(), next, instInfo)
 }
@@ -745,57 +746,39 @@ func (r *Replica) sendTo(id ReplicaID, msgType uint16, payload []byte) {
 // by. The parked PROPOSEs are retried and the proposal rule runs once the
 // whole frame is pooled, so an idle leader's next PROPOSE carries all of it.
 // A malformed entry is skipped; a malformed frame ends the walk, and the
-// entries before the fault stay pooled.
+// entries before the fault stay pooled. The client's record is looked up
+// once per run of its entries (a Client's frame is one run).
 func (r *Replica) onRequests(frame []byte) {
 	rd := wire.NewReader(frame)
 	n := rd.Count(1)
 	now, pooled := time.Now(), false
+	var rec *clientRecord
 	for i := 0; i < n; i++ {
 		raw := rd.Bytes()
 		if rd.Err() != nil {
 			break
 		}
-		rq, err := unmarshalRequest(raw, r.executed)
+		id, seq, op, err := parseRequest(raw)
 		if err != nil {
 			continue
 		}
-		key := rq.key()
-		if d, ok := r.executed[rq.ClientID]; ok && d.contains(rq.Seq) {
-			continue // already executed
+		rec = r.recordOf(rec, id)
+		if rec != nil && (rec.contains(seq) || rec.find(seq) != nil) {
+			continue // already executed, or a duplicate
 		}
-		if _, ok := r.pending[key]; ok {
-			continue // duplicate
-		}
-		if len(r.pending) >= maxPendingRequests {
+		if r.pending >= maxPendingRequests {
 			r.statDropped.Add(1)
 			continue
 		}
-		r.pool(key, &pendingReq{req: rq, raw: raw, arrived: now})
+		if rec == nil {
+			rec = r.record(string(id))
+		}
+		r.pool(rec, pendingReq{req: request{ClientID: rec.client, Seq: seq, Op: op}, raw: raw, arrived: now})
 		pooled = true
 	}
 	if pooled {
 		r.retryParked()
 		r.maybePropose(now)
-	}
-}
-
-// pool adds a request to the pool (a new arrival, or one a rollback hands
-// back).
-func (r *Replica) pool(key requestKey, p *pendingReq) {
-	r.pending[key] = p
-	r.queue = append(r.queue, key)
-	r.pooled++
-}
-
-// unpool removes an executed request from the pool, if it is there.
-func (r *Replica) unpool(key requestKey) {
-	p, ok := r.pending[key]
-	if !ok {
-		return
-	}
-	delete(r.pending, key)
-	if !p.inFlight {
-		r.pooled--
 	}
 }
 
@@ -806,11 +789,11 @@ func (r *Replica) unpool(key requestKey) {
 // turn, and the self-clock forgets the old leader's instance latency.
 func (r *Replica) releaseInFlight() {
 	now := time.Now()
-	for _, p := range r.pending {
+	r.eachPooled(func(p *pendingReq) {
 		p.inFlight = false
 		p.arrived = now
-	}
-	r.pooled = len(r.pending)
+	})
+	r.pooled = r.pending
 	for _, inst := range r.instances {
 		inst.proposedAt = time.Time{}
 	}
@@ -913,12 +896,12 @@ func (r *Replica) collectBatch() ([][]byte, []request) {
 	batch := make([][]byte, 0, size)
 	reqs := make([]request, 0, size)
 	compacted := r.queue[:0]
-	for _, key := range r.queue {
-		p, ok := r.pending[key]
-		if !ok {
+	for _, q := range r.queue {
+		p := q.find()
+		if p == nil {
 			continue // executed or dropped
 		}
-		compacted = append(compacted, key)
+		compacted = append(compacted, q)
 		if !p.inFlight && len(batch) < size {
 			p.inFlight = true
 			batch = append(batch, p.raw)
@@ -1093,10 +1076,11 @@ const (
 // the replica votes for the digest of what it received, as ever.
 func (r *Replica) resolve(m *proposeMsg) ([]request, cryptoutil.Digest, resolution) {
 	isRef := func(i int) bool { return m.Refs != nil && m.Refs[i].client != nil }
+	var rec *clientRecord
 	for i := range m.Batch {
 		if isRef(i) {
-			p, ok := r.pending[r.refKey(m.Refs[i])]
-			if !ok {
+			p := r.findRef(&rec, m.Refs[i])
+			if p == nil {
 				return nil, cryptoutil.Digest{}, missing
 			}
 			m.Batch[i] = p.raw
@@ -1105,10 +1089,10 @@ func (r *Replica) resolve(m *proposeMsg) ([]request, cryptoutil.Digest, resoluti
 	reqs := make([]request, len(m.Batch))
 	for i, entry := range m.Batch {
 		if isRef(i) {
-			reqs[i] = r.pending[r.refKey(m.Refs[i])].req
+			reqs[i] = r.findRef(&rec, m.Refs[i]).req
 			continue
 		}
-		rq, err := unmarshalRequest(entry, r.executed)
+		rq, err := unmarshalRequest(entry, r.clients)
 		if err != nil {
 			return nil, cryptoutil.Digest{}, malformed
 		}
@@ -1121,13 +1105,13 @@ func (r *Replica) resolve(m *proposeMsg) ([]request, cryptoutil.Digest, resoluti
 	return reqs, digest, resolved
 }
 
-// refKey is the pool key a reference names, with the client id the dedup
-// table holds for it when there is one (no string is allocated then).
-func (r *Replica) refKey(ref requestRef) requestKey {
-	if d, ok := r.executed[string(ref.client)]; ok {
-		return requestKey{client: d.client, seq: ref.seq}
+// findRef returns the pooled request a reference names, or nil; *rec is the
+// record of the previous reference's client, and becomes this one's.
+func (r *Replica) findRef(rec **clientRecord, ref requestRef) *pendingReq {
+	if *rec = r.recordOf(*rec, ref.client); *rec == nil {
+		return nil
 	}
-	return requestKey{client: string(ref.client), seq: ref.seq}
+	return (*rec).find(ref.seq)
 }
 
 // unresolved handles a PROPOSE that resolve could not complete. A malformed
@@ -1264,7 +1248,7 @@ func (r *Replica) validateBatch(batch [][]byte, reqs []request) ([]request, bool
 func (r *Replica) decodeBatch(batch [][]byte) (reqs []request, ok bool) {
 	reqs, ok = make([]request, 0, len(batch)), true
 	for _, entry := range batch {
-		rq, err := unmarshalRequest(entry, r.executed)
+		rq, err := unmarshalRequest(entry, r.clients)
 		if err != nil {
 			ok = false
 			continue
@@ -1448,22 +1432,23 @@ func (r *Replica) execute(inst *instance) {
 	}
 	ops := make([][]byte, 0, len(inst.reqs))
 	var replies []*replyMsg
+	var rec *clientRecord
 	for i := range inst.reqs {
 		rq := &inst.reqs[i]
-		dedup, ok := r.executed[rq.ClientID]
-		if !ok {
-			dedup = newClientDedup()
-			dedup.client = rq.ClientID
-			r.executed[rq.ClientID] = dedup
+		if rec == nil || rec.client != rq.ClientID {
+			rec = r.record(rq.ClientID)
+			rec.replicated = true
 		}
-		if dedup.contains(rq.Seq) {
+		r.unpool(rec, rq.Seq)
+		if rec.contains(rq.Seq) {
 			continue // duplicate of an already executed request
 		}
 		if r.cfg.Tentative {
 			inst.undo = append(inst.undo, *rq)
+			rec.mark(rq.Seq)
+		} else {
+			rec.markStable(rq.Seq)
 		}
-		dedup.mark(rq.Seq)
-		r.unpool(rq.key())
 		if rc, isReconfig := decodeReconfigOp(rq.Op); isReconfig {
 			r.applyReconfig(rc)
 			continue // membership changes are consumed by the replica layer
@@ -1510,8 +1495,8 @@ func (r *Replica) advanceStable() {
 	// With no tentative suffix outstanding, the dedup floors may compact
 	// (rollback can never cross the stable prefix).
 	if r.lastDelivered == r.lastStable {
-		for _, d := range r.executed {
-			d.compact()
+		for _, c := range r.clients {
+			c.compact()
 		}
 	}
 }
@@ -1561,17 +1546,14 @@ func (r *Replica) onTick() {
 	// inspects the oldest still-pending request, and periodically compact
 	// the whole queue (followers never run collectBatch, which is where
 	// the leader compacts).
-	for len(r.queue) > 0 {
-		if _, ok := r.pending[r.queue[0]]; ok {
-			break
-		}
+	for len(r.queue) > 0 && r.queue[0].find() == nil {
 		r.queue = r.queue[1:]
 	}
-	if len(r.queue) > 4*len(r.pending)+1024 {
-		compacted := make([]requestKey, 0, len(r.pending))
-		for _, key := range r.queue {
-			if _, ok := r.pending[key]; ok {
-				compacted = append(compacted, key)
+	if len(r.queue) > 4*r.pending+1024 {
+		compacted := make([]queued, 0, r.pending)
+		for _, q := range r.queue {
+			if q.find() != nil {
+				compacted = append(compacted, q)
 			}
 		}
 		r.queue = compacted
@@ -1579,9 +1561,7 @@ func (r *Replica) onTick() {
 	// Request-timeout watchdog: a pending request older than the timeout
 	// indicts the current leader. The queue is in arrival order, so the
 	// head is the oldest.
-	if len(r.queue) > 0 {
-		if p, ok := r.pending[r.queue[0]]; ok && now.Sub(p.arrived) > r.cfg.RequestTimeout {
-			r.triggerLeaderChange(r.regency + 1)
-		}
+	if len(r.queue) > 0 && now.Sub(r.queue[0].find().arrived) > r.cfg.RequestTimeout {
+		r.triggerLeaderChange(r.regency + 1)
 	}
 }

@@ -31,9 +31,12 @@ func (r *Replica) wrapSnapshot() []byte {
 	app := r.app.Snapshot()
 	// Four uvarints: epoch, member count, client count, app length.
 	size := 4*binary.MaxVarintLen64 + 8*len(r.membership) + len(app)
-	clients := make([]string, 0, len(r.executed))
+	clients := make([]string, 0, len(r.clients))
 	most := 0
-	for c, d := range r.executed {
+	for c, d := range r.clients {
+		if !d.replicated {
+			continue
+		}
 		clients = append(clients, c)
 		size += binary.MaxVarintLen64 + len(c) + d.marshalledSize()
 		most = max(most, len(d.sparse))
@@ -45,14 +48,16 @@ func (r *Replica) wrapSnapshot() []byte {
 	sortBuf := make([]uint64, 0, most)
 	for _, c := range clients {
 		w.PutString(c)
-		r.executed[c].marshalInto(w, sortBuf)
+		r.clients[c].marshalInto(w, sortBuf)
 	}
 	w.PutBytes(app)
 	return w.Bytes()
 }
 
 // unwrapSnapshot restores the dedup table and returns the application
-// snapshot portion.
+// snapshot portion. A client the snapshot does not list keeps no dedup
+// state, and a pooled request the restored table marks executed leaves the
+// pool (dropExecuted).
 func (r *Replica) unwrapSnapshot(b []byte) ([]byte, bool) {
 	rd := wire.NewReader(b)
 	if err := r.unmarshalMembership(rd); err != nil {
@@ -62,17 +67,25 @@ func (r *Replica) unwrapSnapshot(b []byte) ([]byte, bool) {
 	if rd.Err() != nil || n > maxPendingRequests {
 		return nil, false
 	}
-	executed := make(map[string]*clientDedup, n)
-	for i := 0; i < n; i++ {
+	executed := make([]*clientDedup, n)
+	for i := range executed {
 		client := rd.String()
-		executed[client] = readClientDedup(rd)
-		executed[client].client = client
+		executed[i] = readClientDedup(rd)
+		executed[i].client = client
 	}
 	appSnap := rd.BytesCopy()
 	if err := rd.Finish(); err != nil {
 		return nil, false
 	}
-	r.executed = executed
+	for _, c := range r.clients {
+		c.clientDedup, c.replicated = clientDedup{client: c.client}, false
+	}
+	for _, d := range executed {
+		c := r.record(d.client)
+		d.client = c.client // the one copy pooled requests share
+		c.clientDedup, c.replicated = *d, true
+	}
+	r.dropExecuted()
 	return appSnap, true
 }
 

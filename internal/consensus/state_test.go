@@ -41,7 +41,7 @@ func goldenSnapshotReplica(t *testing.T, conn transport.Conn) *Replica {
 		for _, s := range c.sparse {
 			d.sparse[s] = true
 		}
-		r.executed[c.id] = d
+		r.clients[c.id] = &clientRecord{clientDedup: *d, replicated: true}
 	}
 	return r
 }

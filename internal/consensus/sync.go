@@ -362,18 +362,17 @@ func (r *Replica) rollbackTo(seq int64) {
 			continue
 		}
 		for i := len(inst.undo) - 1; i >= 0; i-- {
-			key := inst.undo[i].key()
-			if d, ok := r.executed[key.client]; ok {
-				d.unmark(key.seq)
-			}
-			if _, exists := r.pending[key]; !exists {
+			rq := &inst.undo[i]
+			rec := r.record(rq.ClientID)
+			rec.unmark(rq.Seq)
+			if rec.find(rq.Seq) == nil {
 				// Re-encoded, not re-used: the undone request is a view into
 				// the request frame it was pooled from (or a PROPOSE that
 				// carried it inline), which a pooled request must not keep
 				// alive.
-				raw := inst.undo[i].marshal()
-				rq, _ := unmarshalRequest(raw, r.executed)
-				r.pool(key, &pendingReq{req: rq, raw: raw, arrived: time.Now()})
+				raw := rq.marshal()
+				undone, _ := unmarshalRequest(raw, r.clients)
+				r.pool(rec, pendingReq{req: undone, raw: raw, arrived: time.Now()})
 			}
 		}
 		inst.undo = nil

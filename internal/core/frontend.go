@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -270,11 +271,11 @@ func (f *Frontend) ReleasedHeight(channel string) uint64 {
 var _ fabric.Orderer = (*Frontend)(nil)
 
 // serves reports whether the frontend accepts traffic for a channel.
-func (f *Frontend) serves(channel string) bool {
+func (f *Frontend) serves(channel []byte) bool {
 	if f.channels == nil {
 		return true
 	}
-	_, ok := f.channels[channel]
+	_, ok := f.channels[string(channel)]
 	return ok
 }
 
@@ -293,7 +294,7 @@ func (f *Frontend) Broadcast(env *fabric.Envelope) fabric.BroadcastStatus {
 
 // BroadcastRaw relays an already-marshalled envelope (benchmark hot path).
 func (f *Frontend) BroadcastRaw(raw []byte) fabric.BroadcastStatus {
-	channel, err := fabric.ChannelOf(raw)
+	channel, err := fabric.PeekChannel(raw)
 	if err != nil {
 		return fabric.StatusBadRequest
 	}
@@ -332,7 +333,7 @@ func (f *Frontend) Deliver(channel string, seek fabric.SeekInfo) (*fabric.BlockS
 	if err := seek.Validate(); err != nil {
 		return nil, err
 	}
-	if !f.serves(channel) {
+	if !f.serves([]byte(channel)) {
 		return nil, fabric.ErrChannelNotFound
 	}
 	f.mu.Lock()
@@ -483,15 +484,24 @@ func (f *Frontend) fromOrderingNode(addr transport.Addr) bool {
 // A copy that cannot change anything — its block already delivered or
 // released, or its sender already voted for it — is dropped before its
 // data hash is checked: with 2f+1 of n copies releasing a block, the last
-// copies of every block would otherwise be hashed in full for nothing.
+// copies of every block would otherwise be hashed in full for nothing. A
+// copy with the header of one already accumulated (whose data hash was
+// checked) is compared with that copy byte for byte instead of hashed; only
+// a copy that differs is hashed, so a corrupted copy still gets no vote.
 func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sentNano int64) {
 	digest := block.Header.Hash()
 	number := block.Header.Number
 	f.mu.Lock()
 	settled := f.settled(channel, number, digest, sender)
+	checked := f.accumulated(channel, number, digest)
 	f.mu.Unlock()
-	if settled || block.CheckIntegrity() != nil {
-		return // nothing to add, or data hash does not match content
+	if settled {
+		return // nothing to add
+	}
+	if checked == nil || !slices.EqualFunc(checked.Envelopes, block.Envelopes, bytes.Equal) {
+		if block.CheckIntegrity() != nil {
+			return // data hash does not match content
+		}
 	}
 
 	f.mu.Lock()
@@ -660,6 +670,17 @@ func (f *Frontend) settled(channel string, number uint64, digest cryptoutil.Dige
 	}
 	_, voted := acc.sigs[sender]
 	return voted || acc.released
+}
+
+// accumulated returns the copy of block number with header hash digest
+// that the channel holds votes for, if any.
+func (f *Frontend) accumulated(channel string, number uint64, digest cryptoutil.Digest) *fabric.Block {
+	if ch, ok := f.chans[channel]; ok {
+		if acc := ch.collecting[number][digest]; acc != nil {
+			return acc.block
+		}
+	}
+	return nil
 }
 
 func (f *Frontend) feChannel(channel string) *feChannel {

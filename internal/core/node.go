@@ -17,12 +17,12 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"log/slog"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -162,6 +162,7 @@ func (c NodeConfig) withDefaults() NodeConfig {
 // calls out as the ordering service's tiny replicated state (Section 5.2),
 // plus the channel's block cutter.
 type chainState struct {
+	name       string // the channel id
 	nextNumber uint64
 	prevHash   cryptoutil.Digest
 	cutter     *fabric.BlockCutter
@@ -752,26 +753,29 @@ func (n *OrderingNode) Execute(seq int64, ops [][]byte) {
 			continue // cannot happen for validated batches; defensive
 		}
 		chain := n.chain(channel)
-		if strings.HasPrefix(client, ttcClientPrefix) {
-			n.handleTTC(chain, channel, op)
+		if bytes.HasPrefix(client, []byte(ttcClientPrefix)) {
+			n.handleTTC(chain, op)
 			continue
 		}
 		n.statEnvelopes.Add(1)
 		if batch := chain.cutter.Append(op); batch != nil {
-			n.pipe.seal(channel, chain, batch)
+			n.pipe.seal(chain, batch)
 		}
 	}
 }
 
-func (n *OrderingNode) chain(channel string) *chainState {
-	chain, ok := n.chains[channel]
+// chain returns the state of the channel named by a view of its id,
+// creating it (the only time the id is copied).
+func (n *OrderingNode) chain(channel []byte) *chainState {
+	chain, ok := n.chains[string(channel)]
 	if !ok {
 		chain = &chainState{
+			name: string(channel),
 			cutter: fabric.NewBlockCutter(fabric.CutterConfig{
 				MaxEnvelopes: n.cfg.BlockSize,
 			}),
 		}
-		n.chains[channel] = chain
+		n.chains[chain.name] = chain
 	}
 	return chain
 }
@@ -780,7 +784,7 @@ func (n *OrderingNode) chain(channel string) *chainState {
 // the marker still refers to the chain's current block number and envelopes
 // are pending. Deterministic because every node processes the same marker
 // at the same position in the total order.
-func (n *OrderingNode) handleTTC(chain *chainState, channel string, op []byte) {
+func (n *OrderingNode) handleTTC(chain *chainState, op []byte) {
 	env, err := fabric.UnmarshalEnvelope(op)
 	if err != nil || len(env.Payload) != 8 {
 		return
@@ -791,7 +795,7 @@ func (n *OrderingNode) handleTTC(chain *chainState, channel string, op []byte) {
 		return // stale marker: the block was already cut by size
 	}
 	if batch := chain.cutter.Cut(); batch != nil {
-		n.pipe.seal(channel, chain, batch)
+		n.pipe.seal(chain, batch)
 	}
 }
 
@@ -863,7 +867,7 @@ func (n *OrderingNode) Rollback(seq int64) {
 		return
 	}
 	for channel, snap := range snaps {
-		chain := n.chain(channel)
+		chain := n.chain([]byte(channel))
 		chain.nextNumber = snap.nextNumber
 		chain.prevHash = snap.prevHash
 		chain.cutter.Cut() // drop pending
@@ -925,6 +929,7 @@ func (n *OrderingNode) Restore(snapshot []byte, _ int64) {
 	for i := 0; i < count; i++ {
 		channel := r.String()
 		chain := &chainState{
+			name:       channel,
 			nextNumber: r.Uint64(),
 			cutter: fabric.NewBlockCutter(fabric.CutterConfig{
 				MaxEnvelopes: n.cfg.BlockSize,

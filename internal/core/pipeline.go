@@ -157,8 +157,8 @@ func (p *pipeline) SaveCheckpointAsync(seq int64, snapshot []byte) {
 // Persistence happens in the send drain, after the node's signature
 // attached, so the durable ledger keeps the signature and fetched history
 // is independently verifiable.
-func (p *pipeline) seal(channel string, chain *chainState, batch [][]byte) {
-	n := p.n
+func (p *pipeline) seal(chain *chainState, batch [][]byte) {
+	n, channel := p.n, chain.name
 	block := fabric.NewBlock(chain.nextNumber, chain.prevHash, batch)
 	chain.nextNumber++
 	chain.prevHash = block.Header.Hash()

@@ -126,6 +126,7 @@ func (s *SoloOrderer) chainLocked(channel string) *chainState {
 	chain, ok := s.chains[channel]
 	if !ok {
 		chain = &chainState{
+			name: channel,
 			cutter: fabric.NewBlockCutter(fabric.CutterConfig{
 				MaxEnvelopes: s.cfg.BlockSize,
 				Timeout:      s.cfg.BlockTimeout,

@@ -83,25 +83,33 @@ func (e *Envelope) Sign(key *cryptoutil.KeyPair) error {
 }
 
 // ChannelOf cheaply extracts the channel id from a marshalled envelope
-// without decoding the payload (the ordering node's hot path).
+// without decoding the payload.
 func ChannelOf(raw []byte) (string, error) {
+	ch, err := PeekChannel(raw)
+	return string(ch), err
+}
+
+// PeekChannel is ChannelOf as a view of raw: a hot path that only looks the
+// channel up (m[string(ch)]) copies nothing.
+func PeekChannel(raw []byte) ([]byte, error) {
 	r := wire.NewReader(raw)
-	ch := r.String()
+	ch := r.Bytes()
 	if r.Err() != nil {
-		return "", fmt.Errorf("envelope channel: %w", r.Err())
+		return nil, fmt.Errorf("envelope channel: %w", r.Err())
 	}
 	return ch, nil
 }
 
-// PeekEnvelope extracts the channel and client ids without decoding the
-// payload. The ordering node uses it to demultiplex envelopes and to
-// recognize time-to-cut markers.
-func PeekEnvelope(raw []byte) (channel, client string, err error) {
+// PeekEnvelope extracts the channel and client ids, as views of raw,
+// without decoding the payload. The ordering node uses it to demultiplex
+// envelopes and to recognize time-to-cut markers on every envelope it
+// executes, so it copies nothing.
+func PeekEnvelope(raw []byte) (channel, client []byte, err error) {
 	r := wire.NewReader(raw)
-	channel = r.String()
-	client = r.String()
+	channel = r.Bytes()
+	client = r.Bytes()
 	if r.Err() != nil {
-		return "", "", fmt.Errorf("envelope peek: %w", r.Err())
+		return nil, nil, fmt.Errorf("envelope peek: %w", r.Err())
 	}
 	return channel, client, nil
 }
