@@ -5,8 +5,8 @@
 //	-figure 7  ordering-service throughput in a LAN for one cluster size
 //	           and block size, swept over envelope sizes and receiver counts
 //	-figure 8  geo-distributed latency at four frontends, BFT-SMaRt (4
-//	           replicas) against WHEAT (5 replicas, binary vote weights,
-//	           tentative execution), blocks of 10 envelopes
+//	           replicas) against WHEAT (5 replicas, binary vote weights;
+//	           instances execute once decided), blocks of 10 envelopes
 //	-figure 9  the same comparison with blocks of 100 envelopes
 //
 // Usage:

@@ -2,7 +2,8 @@
 // it runs the ordering service over a simulated wide-area network (nodes in
 // Oregon, Ireland, Sydney, and Sao Paulo) twice - once with classic
 // BFT-SMaRt, once with WHEAT (a fifth replica in Virginia, binary vote
-// weights, tentative execution) - and prints the median and 90th-percentile
+// weights; as in BFT-SMaRt, an instance executes once it is decided, so a
+// node signs only decided blocks) - and prints the median and 90th-percentile
 // envelope latency observed by frontends in Canada, Oregon, Virginia, and
 // Sao Paulo.
 //

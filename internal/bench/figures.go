@@ -375,14 +375,15 @@ func RunGeoCell(cell GeoCell) ([]GeoRow, error) {
 	if cell.Protocol == ProtocolWheat {
 		// Binary weight distribution (footnote 11): V_max = 2 for the
 		// leader (Oregon, replica 0) and the spare (Virginia, replica 4),
-		// V_min = 1 elsewhere; tentative execution enabled.
+		// V_min = 1 elsewhere. Instances execute once decided, as in
+		// BFT-SMaRt: the fifth replica and the weights are WHEAT's only
+		// difference.
 		weights, err := consensus.BinaryWeights(replicas, 1, 1,
 			[]consensus.ReplicaID{0, consensus.ReplicaID(nodes - 1)})
 		if err != nil {
 			return nil, err
 		}
 		clusterCfg.Weights = weights
-		clusterCfg.Tentative = true
 	}
 	cluster, err := core.NewCluster(clusterCfg)
 	if err != nil {

@@ -20,10 +20,6 @@ type ClientConfig struct {
 	Replicas []ReplicaID
 	// F is the fault threshold; zero derives the maximum from len(Replicas).
 	F int
-	// Tentative selects WHEAT reply semantics: tentative executions force
-	// clients to wait for ceil((n+f+1)/2) matching replies instead of f+1
-	// (Section 4 of the paper).
-	Tentative bool
 }
 
 // Client is the BFT-SMaRt client proxy: it broadcasts requests to every
@@ -83,15 +79,11 @@ func NewClient(conn transport.Conn, cfg ClientConfig) (*Client, error) {
 	if cfg.F <= 0 {
 		cfg.F = MaxFaults(len(cfg.Replicas))
 	}
-	quorum := cfg.F + 1
-	if cfg.Tentative {
-		quorum = QuorumSize(len(cfg.Replicas), cfg.F)
-	}
 	c := &Client{
 		cfg:     cfg,
 		conn:    conn,
 		id:      string(conn.Addr()),
-		quorum:  quorum,
+		quorum:  cfg.F + 1,
 		pending: make(map[uint64]*clientCall),
 		notify:  make(chan struct{}, 1),
 		done:    make(chan struct{}),
@@ -127,9 +119,9 @@ func (c *Client) Invoke(op []byte) error {
 	return err
 }
 
-// Call submits an operation and waits until f+1 (or the tentative quorum)
-// replicas reply with identical results, returning that result. As with
-// Invoke, op must not change after the call.
+// Call submits an operation and waits until f+1 replicas reply with
+// identical results, returning that result. As with Invoke, op must not
+// change after the call.
 func (c *Client) Call(ctx context.Context, op []byte) ([]byte, error) {
 	call := &clientCall{
 		votes: make(map[cryptoutil.Digest]map[string]struct{}),

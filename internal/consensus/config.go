@@ -1,8 +1,9 @@
 // Package consensus implements the BFT-SMaRt replication stack the ordering
 // service runs on: the Mod-SMaRt state machine replication protocol over a
 // PBFT-like Byzantine consensus (Section 4 of the paper, message pattern in
-// Figure 3), plus the WHEAT variant with weighted (vote-assigned) quorums and
-// tentative execution for geo-replicated deployments.
+// Figure 3), plus the WHEAT variant with weighted (vote-assigned) quorums for
+// geo-replicated deployments. A replica executes an instance only once it is
+// decided, in every configuration, so nothing it executed is ever undone.
 //
 // The normal-case protocol per consensus instance i:
 //
@@ -14,8 +15,7 @@
 // where a quorum is ceil((n+f+1)/2) replicas, generalized to weighted votes
 // for WHEAT. If the leader stalls or misbehaves, the synchronization phase
 // (STOP / STOPDATA / SYNC) elects the next regency's leader and carries
-// write-certified values across so that no decided or tentatively
-// write-certified value is lost.
+// write-certified values across so that no decided value is lost.
 package consensus
 
 import (
@@ -70,10 +70,6 @@ type Config struct {
 	// RequestTimeout is how long a pending request may wait before the
 	// replica triggers the synchronization phase (leader change).
 	RequestTimeout time.Duration
-	// Tentative enables WHEAT's tentative execution: deliver after the
-	// WRITE quorum and run the ACCEPT phase asynchronously. Requires the
-	// application to support Rollback.
-	Tentative bool
 	// CheckpointInterval is the number of decisions between application
 	// snapshots; the decision log is truncated at each checkpoint
 	// (Section 5.2: the tiny ordering-service state makes frequent

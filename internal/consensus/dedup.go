@@ -12,8 +12,8 @@ import (
 // execute out of sequence order (possible across leader changes, state
 // transfers, or a Byzantine leader proposing a client's requests out of
 // order). It keeps a contiguous floor plus a sparse set above it; the
-// sparse set is compacted into the floor whenever no tentative executions
-// are outstanding.
+// sparse set is compacted into the floor each time an instance is
+// delivered.
 type clientDedup struct {
 	client string          // the one copy of the id every decoded request of the client shares
 	floor  uint64          // every seq in [1, floor] has been executed
@@ -32,9 +32,15 @@ func (d *clientDedup) contains(seq uint64) bool {
 	return seq <= d.floor || (len(d.sparse) > 0 && d.sparse[seq])
 }
 
-// mark records seq as executed.
+// mark records seq as executed. The next sequence with nothing above the
+// floor moves the floor at once — the state compact reaches for it anyway —
+// so a client whose requests execute in order never touches the sparse set.
 func (d *clientDedup) mark(seq uint64) {
 	if seq <= d.floor {
+		return
+	}
+	if seq == d.floor+1 && len(d.sparse) == 0 {
+		d.floor = seq
 		return
 	}
 	wasEmpty := len(d.sparse) == 0
@@ -49,30 +55,9 @@ func (d *clientDedup) mark(seq uint64) {
 	}
 }
 
-// markStable records seq as executed for good: no rollback can undo it
-// (outside tentative mode). The next sequence with nothing above the floor
-// moves the floor at once — the state compact reaches for it anyway — so a
-// client whose requests execute in order never touches the sparse set.
-func (d *clientDedup) markStable(seq uint64) {
-	if seq == d.floor+1 && len(d.sparse) == 0 {
-		d.floor = seq
-		return
-	}
-	d.mark(seq)
-}
-
-// unmark forgets seq (tentative rollback). Only sequences above the floor
-// can be rolled back: compaction is restricted to stable prefixes.
-func (d *clientDedup) unmark(seq uint64) {
-	delete(d.sparse, seq)
-	if seq == d.lowest {
-		d.lowest = 0 // unknown; recomputed on the next compact
-	}
-}
-
 // lowestSparse returns the smallest sequence in the sparse set (which
-// must be non-empty), recomputing the memo only when an unmark or a
-// floor advance invalidated it.
+// must be non-empty), recomputing the memo only when a floor advance
+// invalidated it.
 func (d *clientDedup) lowestSparse() uint64 {
 	if d.lowest == 0 {
 		for s := range d.sparse {
@@ -98,9 +83,8 @@ const sessionGap = maxPendingRequests
 // comfortably exceeds.
 const compactHeadroom = 1 << 15
 
-// compact advances the floor over contiguous executed sequences. Callers
-// must ensure no tentative execution is outstanding (rollback cannot cross
-// the floor). Two gap rules keep the floor moving across client sessions:
+// compact advances the floor over contiguous executed sequences. Two gap
+// rules keep the floor moving across client sessions:
 // a stuck floor more than sessionGap below the sparse set belongs to a
 // previous session and jumps to compactHeadroom below the new session's
 // lowest sequence; once the client's progress since then exceeds the

@@ -54,19 +54,6 @@ func TestClientDedupOutOfOrder(t *testing.T) {
 	}
 }
 
-func TestClientDedupUnmark(t *testing.T) {
-	d := newClientDedup()
-	d.mark(5)
-	d.unmark(5)
-	if d.contains(5) {
-		t.Fatal("unmark did not forget")
-	}
-	d.mark(5)
-	if !d.contains(5) {
-		t.Fatal("re-mark after unmark failed")
-	}
-}
-
 func TestClientDedupSerializationRoundTrip(t *testing.T) {
 	d := newClientDedup()
 	for _, s := range []uint64{1, 2, 3, 7, 9} {

@@ -82,7 +82,6 @@ func (r *Replica) restoreDurable(st *DurableState) error {
 		}
 		r.app.Restore(appSnap, st.CheckpointSeq)
 		r.lastDelivered = st.CheckpointSeq
-		r.lastStable = st.CheckpointSeq
 		r.lastProposed = st.CheckpointSeq
 		r.checkpointSeq = st.CheckpointSeq
 		r.checkpointSnap = st.Checkpoint
@@ -100,15 +99,11 @@ func (r *Replica) restoreDurable(st *DurableState) error {
 		inst := r.instance(e.Seq)
 		r.adoptDecided(inst, e.Batch)
 		r.durableSeq = e.Seq // already on disk: execute must not re-log it
-		r.execute(inst)
-		r.lastDelivered = e.Seq
+		r.deliver(inst)
 		if e.Seq > r.lastProposed {
 			r.lastProposed = e.Seq
 		}
-		r.statDelivered.Store(e.Seq)
-		r.statDecided.Add(1)
 	}
-	r.advanceStable()
 	return nil
 }
 

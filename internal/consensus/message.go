@@ -530,11 +530,10 @@ func (m *stateReplyMsg) digest() cryptoutil.Digest {
 // replyMsg completes a client request (used by the default replier; the
 // ordering service replaces replies with block dissemination).
 type replyMsg struct {
-	ClientID  string
-	ReqSeq    uint64
-	Seq       int64 // consensus instance that decided the request
-	Tentative bool  // true when delivered tentatively (WHEAT)
-	Result    []byte
+	ClientID string
+	ReqSeq   uint64
+	Seq      int64 // consensus instance that decided the request
+	Result   []byte
 }
 
 func (m *replyMsg) marshal() []byte {
@@ -542,7 +541,6 @@ func (m *replyMsg) marshal() []byte {
 	w.PutString(m.ClientID)
 	w.PutUint64(m.ReqSeq)
 	w.PutInt64(m.Seq)
-	w.PutBool(m.Tentative)
 	w.PutBytes(m.Result)
 	return w.Bytes()
 }
@@ -550,11 +548,10 @@ func (m *replyMsg) marshal() []byte {
 func unmarshalReply(b []byte) (*replyMsg, error) {
 	r := wire.NewReader(b)
 	m := &replyMsg{
-		ClientID:  r.String(),
-		ReqSeq:    r.Uint64(),
-		Seq:       r.Int64(),
-		Tentative: r.Bool(),
-		Result:    r.BytesCopy(),
+		ClientID: r.String(),
+		ReqSeq:   r.Uint64(),
+		Seq:      r.Int64(),
+		Result:   r.BytesCopy(),
 	}
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("reply: %w", err)

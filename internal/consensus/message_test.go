@@ -152,12 +152,12 @@ func TestStateMessagesRoundTrip(t *testing.T) {
 }
 
 func TestReplyRoundTrip(t *testing.T) {
-	in := &replyMsg{ClientID: "c", ReqSeq: 9, Seq: 3, Tentative: true, Result: []byte("r")}
+	in := &replyMsg{ClientID: "c", ReqSeq: 9, Seq: 3, Result: []byte("r")}
 	out, err := unmarshalReply(in.marshal())
 	if err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if out.ClientID != "c" || out.ReqSeq != 9 || out.Seq != 3 || !out.Tentative ||
+	if out.ClientID != "c" || out.ReqSeq != 9 || out.Seq != 3 ||
 		!bytes.Equal(out.Result, []byte("r")) {
 		t.Fatalf("round trip mismatch: %+v", out)
 	}

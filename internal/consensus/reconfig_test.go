@@ -38,7 +38,7 @@ func TestReconfigRemoveReplica(t *testing.T) {
 	// Start with 5 replicas (f=1); remove replica 4 through consensus; the
 	// remaining 4 keep ordering, and all report the shrunken membership.
 	tc := newTestCluster(t, clusterOpts{n: 5})
-	client := tc.client(t, "admin", false)
+	client := tc.client(t, "admin")
 
 	for i := 0; i < 5; i++ {
 		if err := client.Invoke([]byte(fmt.Sprintf("pre-%d", i))); err != nil {
@@ -87,7 +87,7 @@ func TestReconfigAddReplica(t *testing.T) {
 	// that already lists the full membership in its static config. It
 	// catches up via state transfer and participates.
 	tc := newTestCluster(t, clusterOpts{n: 4, checkpointIvl: 4, batchSize: 2})
-	client := tc.client(t, "admin", false)
+	client := tc.client(t, "admin")
 
 	for i := 0; i < 8; i++ {
 		if err := client.Invoke([]byte(fmt.Sprintf("pre-%d", i))); err != nil {
@@ -158,7 +158,7 @@ func TestReconfigAddReplica(t *testing.T) {
 
 func TestReconfigIgnoresDuplicates(t *testing.T) {
 	tc := newTestCluster(t, clusterOpts{n: 4})
-	client := tc.client(t, "admin", false)
+	client := tc.client(t, "admin")
 	// Removing a non-member and re-adding an existing member are no-ops.
 	if err := client.Invoke(EncodeReconfigOp(ReconfigOp{Kind: ReconfigRemove, Replica: 99})); err != nil {
 		t.Fatalf("invoke: %v", err)

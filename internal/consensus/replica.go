@@ -19,13 +19,9 @@ import (
 //
 // All methods are invoked from the replica's event loop, never concurrently.
 type Application interface {
-	// Execute delivers the totally ordered operations of consensus instance
-	// seq. In tentative mode (WHEAT) the call may later be undone by
-	// Rollback if a leader change overrides the instance.
+	// Execute delivers the totally ordered operations of decided consensus
+	// instance seq. No later call undoes it.
 	Execute(seq int64, ops [][]byte)
-	// Rollback undoes every Execute with sequence greater than seq.
-	// Only invoked in tentative mode.
-	Rollback(seq int64)
 	// Snapshot serializes the application state after the last Execute.
 	Snapshot() []byte
 	// Restore replaces the application state with a snapshot taken at seq.
@@ -120,8 +116,7 @@ const PipelineDepth = 8
 // follower within stateGapThreshold: a quorum that leaves a slow follower out
 // decides without it and the leader moves on. That is why onPropose still
 // registers (and votes for) a PROPOSE anywhere within instanceWindow, and
-// state transfer only runs beside it. (core pins its rollback window the
-// same way.)
+// state transfer only runs beside it.
 const (
 	_ = uint(stateGapThreshold - 1 - PipelineDepth) // PipelineDepth < stateGapThreshold
 	_ = uint(instanceWindow/2 - PipelineDepth)      // PipelineDepth <= instanceWindow/2
@@ -218,8 +213,6 @@ type instance struct {
 	certRegency    int32
 	decided        bool
 	decidedDigest  cryptoutil.Digest
-	executed       bool      // delivered to the application (possibly tentatively)
-	undo           []request // what a tentative execution marked executed, for Rollback
 	// proposedAt is when this replica, as leader of the current regency,
 	// sent the instance's PROPOSE (zero otherwise): the start of the
 	// instance-latency sample taken when the instance is delivered.
@@ -241,7 +234,7 @@ type instance struct {
 // nothing else: until it is reused it still reads as the decided instance
 // it was, for a caller further up the stack that holds it.
 func (inst *instance) recycle() {
-	inst.batch, inst.reqs, inst.undo = nil, nil, nil
+	inst.batch, inst.reqs = nil, nil
 	inst.parked, inst.answered = nil, nil
 }
 
@@ -272,8 +265,12 @@ type Stats struct {
 	Regency       int32
 	Members       int32
 	Epoch         uint64
-	LastDelivered int64
+	LastDelivered int64 // -1 until the first instance is delivered
 	DeliveredOps  uint64
+	// Decided counts the instances this replica holds as decided: by its
+	// own ACCEPT quorum, from its decision log at recovery, or from a state
+	// transfer's f+1 matching replies. Only a checkpoint jump delivers
+	// instances it does not count.
 	Decided       int64
 	LeaderChanges int64
 	DroppedReqs   uint64
@@ -281,9 +278,8 @@ type Stats struct {
 	// that are not yet delivered (0 on a follower, at most PipelineDepth).
 	OpenInstances int64
 	// InstanceLatency is the leader's moving average of the time from its
-	// PROPOSE to the instance's delivery — the decision, or the WRITE
-	// quorum in tentative mode — which is the clock its proposals are paced
-	// by (0 on a follower and until a regency's first instance is
+	// PROPOSE to the instance's delivery, which is the clock its proposals
+	// are paced by (0 on a follower and until a regency's first instance is
 	// delivered).
 	InstanceLatency time.Duration
 	// ProposeFetches counts the PROPOSEs this follower asked the leader to
@@ -321,10 +317,12 @@ type Replica struct {
 	regency   int32
 	instances map[int64]*instance
 	// spare holds instances checkpoints retired, for reuse.
-	spare         []*instance
-	lastProposed  int64
-	lastDelivered int64 // contiguous prefix delivered to the app
-	lastStable    int64 // contiguous prefix decided AND delivered (confirm point)
+	spare        []*instance
+	lastProposed int64
+	// lastDelivered is the one watermark: every instance up to it is
+	// decided, logged, executed and kept in decidedLog (until a checkpoint
+	// covers it), and none above it is executed.
+	lastDelivered int64
 
 	// Request pool and exact per-client at-most-once (see window.go). queue
 	// lists the pooled requests in arrival order (and executed ones until it
@@ -447,7 +445,6 @@ func NewReplica(cfg Config, app Application, conn transport.Conn, opts ...Option
 		instances:     make(map[int64]*instance),
 		lastProposed:  -1,
 		lastDelivered: -1,
-		lastStable:    -1,
 		clients:       make(map[string]*clientRecord),
 		decidedLog:    make(map[int64][][]byte),
 		checkpointSeq: -1,
@@ -462,6 +459,7 @@ func NewReplica(cfg Config, app Application, conn transport.Conn, opts ...Option
 	}
 	r.behavior.Store(&Behavior{})
 	r.statMembers.Store(int32(len(membership)))
+	r.statDelivered.Store(-1) // nothing delivered, as lastDelivered says
 	r.publishMembership()
 	for _, opt := range opts {
 		opt(r)
@@ -590,9 +588,9 @@ func (r *Replica) debugState() string {
 			pooling++
 		}
 	}
-	return fmt.Sprintf("regency=%d pending=%d pooled=%d queue=%d clients=%d spilled=%d lastProposed=%d lastDelivered=%d lastStable=%d sync=%v fetch=%v parked=%d fetches=%d inst[%d]: %s",
+	return fmt.Sprintf("regency=%d pending=%d pooled=%d queue=%d clients=%d spilled=%d lastProposed=%d lastDelivered=%d sync=%v fetch=%v parked=%d fetches=%d inst[%d]: %s",
 		r.regency, r.pending, r.pooled, len(r.queue), pooling, r.spilled, r.lastProposed,
-		r.lastDelivered, r.lastStable, r.syncInProgress, r.fetching, parked,
+		r.lastDelivered, r.syncInProgress, r.fetching, parked,
 		r.statFetches.Load(), next, instInfo)
 }
 
@@ -803,10 +801,7 @@ func (r *Replica) releaseInFlight() {
 }
 
 // openInstances is the leader's window occupancy: instances proposed and
-// not yet delivered. That is "undecided" normally and "not yet
-// write-certified" in tentative mode (WHEAT delivers an instance at its
-// WRITE quorum and runs the ACCEPT phase behind the next instances), so
-// both modes share the one count.
+// not yet delivered.
 func (r *Replica) openInstances() int64 {
 	if open := r.lastProposed - r.lastDelivered; open > 0 {
 		return open
@@ -1053,7 +1048,6 @@ func (r *Replica) adoptParked(inst *instance, m *proposeMsg, reqs []request, dig
 	inst.haveProposal = true
 	inst.regency = m.Regency
 	r.deliverContiguous()
-	r.advanceStable()
 	r.maybePropose(time.Now())
 }
 
@@ -1261,6 +1255,9 @@ func (r *Replica) decodeBatch(batch [][]byte) (reqs []request, ok bool) {
 // adoptDecided registers a batch that reached this replica already decided
 // (state transfer, decision-log replay) on its instance.
 func (r *Replica) adoptDecided(inst *instance, batch [][]byte) {
+	if !inst.decided {
+		r.statDecided.Add(1)
+	}
 	inst.batch, inst.parked = batch, nil
 	inst.reqs, _ = r.decodeBatch(batch) // decided, hence validated by a quorum
 	inst.digest = batchDigest(inst.seq, batch)
@@ -1308,8 +1305,7 @@ func (r *Replica) onVote(from ReplicaID, m voteMsg, isWrite bool) {
 }
 
 // checkQuorums advances an instance through WRITE-quorum (accept vote +
-// tentative delivery + leader-change certificate) and ACCEPT-quorum
-// (decision).
+// leader-change certificate) and ACCEPT-quorum (decision).
 func (r *Replica) checkQuorums(inst *instance) {
 	if inst.decided {
 		return
@@ -1325,10 +1321,6 @@ func (r *Replica) checkQuorums(inst *instance) {
 			inst.acceptSent = true
 			vm := &voteMsg{Regency: r.regency, Seq: inst.seq, Digest: digest}
 			r.broadcast(msgAccept, vm.marshal())
-		}
-		if r.cfg.Tentative {
-			r.deliverContiguous()
-			r.maybePropose(time.Now())
 		}
 	}
 	// ACCEPT quorum: decide.
@@ -1357,7 +1349,6 @@ func (r *Replica) decide(inst *instance, digest cryptoutil.Digest) {
 		return
 	}
 	r.deliverContiguous()
-	r.advanceStable()
 	if inst.seq > r.lastDelivered+1 {
 		// Decided ahead of a gap (e.g. a joining replica that missed the
 		// prefix): catch up through state transfer rather than waiting for
@@ -1367,42 +1358,37 @@ func (r *Replica) decide(inst *instance, digest cryptoutil.Digest) {
 	r.maybePropose(time.Now())
 }
 
-// deliverContiguous executes every instance in the contiguous prefix that
-// is ready: decided normally, or write-certified with a registered batch in
-// tentative mode.
+// deliverContiguous delivers every decided instance of the contiguous
+// prefix whose decided batch is registered here.
 func (r *Replica) deliverContiguous() {
 	for {
-		seq := r.lastDelivered + 1
-		inst, ok := r.instances[seq]
-		if !ok || !inst.haveProposal {
+		inst, ok := r.instances[r.lastDelivered+1]
+		if !ok || !inst.haveProposal || !inst.decided || inst.digest != inst.decidedDigest {
 			return
 		}
-		ready := inst.decided && inst.digest == inst.decidedDigest
-		if !ready && r.cfg.Tentative {
-			ready = inst.writeCertified && inst.certDigest == inst.digest
-		}
-		if !ready || inst.executed {
-			if inst.executed {
-				r.lastDelivered = seq
-				continue
-			}
-			return
-		}
-		r.execute(inst)
-		r.lastDelivered = seq
-		r.statDelivered.Store(seq)
+		r.deliver(inst)
 		r.leftWindow(inst)
-		if (seq+1)%r.cfg.CheckpointInterval == 0 {
+		if (inst.seq+1)%r.cfg.CheckpointInterval == 0 {
 			// Checkpoint boundaries are absolute (every interval-th
 			// instance) so that all replicas produce byte-identical
 			// checkpoints, which the f+1 matching rule of state transfer
-			// depends on. The snapshot is only taken when the stable
-			// prefix has caught up (no tentative suffix).
-			r.advanceStable()
-			if r.lastStable == seq {
-				r.checkpointAt(seq)
-			}
+			// depends on.
+			r.checkpointAt(inst.seq)
 		}
+	}
+}
+
+// deliver executes inst, the decided instance right above the watermark,
+// and moves the watermark over it. The batch stays in decidedLog, for state
+// transfer and leader changes, until a checkpoint covers it, and the dedup
+// floors compact: nothing executed is ever undone.
+func (r *Replica) deliver(inst *instance) {
+	r.execute(inst)
+	r.decidedLog[inst.seq] = inst.batch
+	r.lastDelivered = inst.seq
+	r.statDelivered.Store(inst.seq)
+	for _, c := range r.clients {
+		c.compact()
 	}
 }
 
@@ -1424,12 +1410,9 @@ func (r *Replica) leftWindow(inst *instance) {
 // execute delivers one instance's batch to the application, with
 // deduplication and reply generation.
 func (r *Replica) execute(inst *instance) {
-	if inst.decided {
-		// Write-ahead: the decision must be on disk before its effects
-		// (sealed blocks, dissemination) become visible. Tentative
-		// executions are logged later, once they turn stable.
-		r.logDecision(inst.seq, inst.batch)
-	}
+	// Write-ahead: the decision must be on disk before its effects (sealed
+	// blocks, dissemination) become visible.
+	r.logDecision(inst.seq, inst.batch)
 	ops := make([][]byte, 0, len(inst.reqs))
 	var replies []*replyMsg
 	var rec *clientRecord
@@ -1443,12 +1426,7 @@ func (r *Replica) execute(inst *instance) {
 		if rec.contains(rq.Seq) {
 			continue // duplicate of an already executed request
 		}
-		if r.cfg.Tentative {
-			inst.undo = append(inst.undo, *rq)
-			rec.mark(rq.Seq)
-		} else {
-			rec.markStable(rq.Seq)
-		}
+		rec.mark(rq.Seq)
 		if rc, isReconfig := decodeReconfigOp(rq.Op); isReconfig {
 			r.applyReconfig(rc)
 			continue // membership changes are consumed by the replica layer
@@ -1460,15 +1438,13 @@ func (r *Replica) execute(inst *instance) {
 				result = r.resultFunc(inst.seq, rq.Op)
 			}
 			replies = append(replies, &replyMsg{
-				ClientID:  rq.ClientID,
-				ReqSeq:    rq.Seq,
-				Seq:       inst.seq,
-				Tentative: !inst.decided,
-				Result:    result,
+				ClientID: rq.ClientID,
+				ReqSeq:   rq.Seq,
+				Seq:      inst.seq,
+				Result:   result,
 			})
 		}
 	}
-	inst.executed = true
 	r.app.Execute(inst.seq, ops)
 	r.statOps.Add(uint64(len(ops)))
 	if r.behavior.Load().Mute {
@@ -1476,28 +1452,6 @@ func (r *Replica) execute(inst *instance) {
 	}
 	for _, rm := range replies {
 		r.conn.Send(transport.Addr(rm.ClientID), msgReply, rm.marshal())
-	}
-}
-
-// advanceStable moves the confirm point (contiguous decided + executed
-// prefix), records decisions in the log, and checkpoints periodically.
-func (r *Replica) advanceStable() {
-	for {
-		seq := r.lastStable + 1
-		inst, ok := r.instances[seq]
-		if !ok || !inst.decided || !inst.executed || seq > r.lastDelivered {
-			break
-		}
-		r.logDecision(seq, inst.batch)
-		r.decidedLog[seq] = inst.batch
-		r.lastStable = seq
-	}
-	// With no tentative suffix outstanding, the dedup floors may compact
-	// (rollback can never cross the stable prefix).
-	if r.lastDelivered == r.lastStable {
-		for _, c := range r.clients {
-			c.compact()
-		}
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 	"repro/internal/wire"
 )
 
-// recordApp is a test application that records every delivered operation,
-// supports rollback of tentative suffixes, and snapshots its full history.
+// recordApp is a test application that records every delivered operation
+// and snapshots its full history.
 type recordApp struct {
 	mu     sync.Mutex
 	groups []execGroup
@@ -35,18 +35,6 @@ func (a *recordApp) Execute(seq int64, ops [][]byte) {
 		copied[i] = append([]byte(nil), op...)
 	}
 	a.groups = append(a.groups, execGroup{seq: seq, ops: copied})
-}
-
-func (a *recordApp) Rollback(seq int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	keep := a.groups[:0]
-	for _, g := range a.groups {
-		if g.seq <= seq {
-			keep = append(keep, g)
-		}
-	}
-	a.groups = keep
 }
 
 func (a *recordApp) Snapshot() []byte {
@@ -102,7 +90,6 @@ type testCluster struct {
 
 type clusterOpts struct {
 	n              int
-	tentative      bool
 	weights        map[ReplicaID]int
 	requestTimeout time.Duration
 	checkpointIvl  int64
@@ -156,7 +143,6 @@ func newTestCluster(t *testing.T, opts clusterOpts) *testCluster {
 			SelfID:             id,
 			Replicas:           members,
 			Weights:            opts.weights,
-			Tentative:          opts.tentative,
 			RequestTimeout:     opts.requestTimeout,
 			BatchTimeout:       opts.batchTimeout,
 			BatchSize:          opts.batchSize,
@@ -195,16 +181,13 @@ func (tc *testCluster) stop() {
 	tc.net.Close()
 }
 
-func (tc *testCluster) client(t *testing.T, name string, tentative bool) *Client {
+func (tc *testCluster) client(t *testing.T, name string) *Client {
 	t.Helper()
 	conn, err := tc.net.Join(transport.Addr(name))
 	if err != nil {
 		t.Fatalf("join client: %v", err)
 	}
-	c, err := NewClient(conn, ClientConfig{
-		Replicas:  ids(len(tc.replicas)),
-		Tentative: tentative,
-	})
+	c, err := NewClient(conn, ClientConfig{Replicas: ids(len(tc.replicas))})
 	if err != nil {
 		t.Fatalf("new client: %v", err)
 	}
@@ -273,7 +256,7 @@ func (tc *testCluster) assertSameOrder(skip map[int]bool) {
 
 func TestOrderingBasic(t *testing.T) {
 	tc := newTestCluster(t, clusterOpts{n: 4})
-	client := tc.client(t, "client-1", false)
+	client := tc.client(t, "client-1")
 
 	const total = 50
 	for i := 0; i < total; i++ {
@@ -295,7 +278,7 @@ func TestOrderingBasic(t *testing.T) {
 
 func TestOrderingSevenReplicas(t *testing.T) {
 	tc := newTestCluster(t, clusterOpts{n: 7})
-	client := tc.client(t, "client-1", false)
+	client := tc.client(t, "client-1")
 	const total = 30
 	for i := 0; i < total; i++ {
 		if err := client.Invoke([]byte(fmt.Sprintf("op-%03d", i))); err != nil {
@@ -311,7 +294,7 @@ func TestOrderingMultipleClients(t *testing.T) {
 	const clients, each = 4, 20
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
-		client := tc.client(t, fmt.Sprintf("client-%d", c), false)
+		client := tc.client(t, fmt.Sprintf("client-%d", c))
 		wg.Add(1)
 		go func(cl *Client, c int) {
 			defer wg.Done()
@@ -333,7 +316,7 @@ func TestSyncCall(t *testing.T) {
 		return []byte(fmt.Sprintf("done:%s", op))
 	}
 	tc := newTestCluster(t, clusterOpts{n: 4, resultFunc: sum})
-	client := tc.client(t, "caller", false)
+	client := tc.client(t, "caller")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -376,7 +359,7 @@ func TestCrashFollowerProgress(t *testing.T) {
 	tc.replicas[3].Stop()
 	tc.net.Disconnect(ReplicaID(3).Addr())
 
-	client := tc.client(t, "client-1", false)
+	client := tc.client(t, "client-1")
 	const total = 20
 	for i := 0; i < total; i++ {
 		if err := client.Invoke([]byte(fmt.Sprintf("op-%d", i))); err != nil {
@@ -394,7 +377,7 @@ func TestCrashLeaderTriggersLeaderChange(t *testing.T) {
 	tc.replicas[0].Stop()
 	tc.net.Disconnect(ReplicaID(0).Addr())
 
-	client := tc.client(t, "client-1", false)
+	client := tc.client(t, "client-1")
 	const total = 10
 	for i := 0; i < total; i++ {
 		if err := client.Invoke([]byte(fmt.Sprintf("op-%d", i))); err != nil {
@@ -413,7 +396,7 @@ func TestCrashLeaderTriggersLeaderChange(t *testing.T) {
 
 func TestCrashLeaderMidStream(t *testing.T) {
 	tc := newTestCluster(t, clusterOpts{n: 4, requestTimeout: 300 * time.Millisecond})
-	client := tc.client(t, "client-1", false)
+	client := tc.client(t, "client-1")
 
 	const before, after = 15, 15
 	for i := 0; i < before; i++ {
@@ -440,7 +423,7 @@ func TestByzantineLeaderCorruptPropose(t *testing.T) {
 	tc := newTestCluster(t, clusterOpts{n: 4, requestTimeout: 300 * time.Millisecond, withKeys: true})
 	tc.replicas[0].SetBehavior(Behavior{CorruptPropose: true})
 
-	client := tc.client(t, "client-1", false)
+	client := tc.client(t, "client-1")
 	const total = 10
 	for i := 0; i < total; i++ {
 		if err := client.Invoke([]byte(fmt.Sprintf("op-%d", i))); err != nil {
@@ -458,7 +441,7 @@ func TestByzantineLeaderEquivocation(t *testing.T) {
 	tc := newTestCluster(t, clusterOpts{n: 4, requestTimeout: 300 * time.Millisecond, withKeys: true})
 	tc.replicas[0].SetBehavior(Behavior{Equivocate: true})
 
-	client := tc.client(t, "client-1", false)
+	client := tc.client(t, "client-1")
 	const total = 10
 	for i := 0; i < total; i++ {
 		if err := client.Invoke([]byte(fmt.Sprintf("op-%d", i))); err != nil {
@@ -474,7 +457,7 @@ func TestMuteLeaderRecovers(t *testing.T) {
 	tc := newTestCluster(t, clusterOpts{n: 4, requestTimeout: 300 * time.Millisecond})
 	tc.replicas[0].SetBehavior(Behavior{Mute: true})
 
-	client := tc.client(t, "client-1", false)
+	client := tc.client(t, "client-1")
 	const total = 8
 	for i := 0; i < total; i++ {
 		if err := client.Invoke([]byte(fmt.Sprintf("op-%d", i))); err != nil {
@@ -488,7 +471,7 @@ func TestMuteLeaderRecovers(t *testing.T) {
 
 func TestCheckpointTruncatesLog(t *testing.T) {
 	tc := newTestCluster(t, clusterOpts{n: 4, checkpointIvl: 4, batchSize: 1})
-	client := tc.client(t, "client-1", false)
+	client := tc.client(t, "client-1")
 	const total = 30
 	for i := 0; i < total; i++ {
 		if err := client.Invoke([]byte(fmt.Sprintf("op-%02d", i))); err != nil {
@@ -533,7 +516,7 @@ func TestLaggingReplicaStateTransfer(t *testing.T) {
 	others := []transport.Addr{ReplicaID(0).Addr(), ReplicaID(1).Addr(), ReplicaID(2).Addr()}
 	tc.net.Partition([]transport.Addr{lagged}, others)
 
-	client := tc.client(t, "client-1", false)
+	client := tc.client(t, "client-1")
 	const total = 40
 	for i := 0; i < total; i++ {
 		if err := client.Invoke([]byte(fmt.Sprintf("op-%02d", i))); err != nil {
@@ -556,13 +539,28 @@ func TestLaggingReplicaStateTransfer(t *testing.T) {
 	tc.assertSameOrder(nil)
 }
 
-func TestTentativeOrdering(t *testing.T) {
+// assertDecidedAll requires that every live replica decided each instance it
+// delivered: WHEAT changes the votes, not the rule that an instance executes
+// once it is decided.
+func (tc *testCluster) assertDecidedAll(skip map[int]bool) {
+	tc.t.Helper()
+	for i, rep := range tc.replicas {
+		if skip[i] {
+			continue
+		}
+		if s := rep.Stats(); s.Decided < s.LastDelivered+1 {
+			tc.t.Fatalf("replica %d delivered instances up to %d but decided %d", i, s.LastDelivered, s.Decided)
+		}
+	}
+}
+
+func TestWeightedOrdering(t *testing.T) {
 	weights, err := BinaryWeights(ids(5), 1, 1, []ReplicaID{0, 1})
 	if err != nil {
 		t.Fatalf("weights: %v", err)
 	}
-	tc := newTestCluster(t, clusterOpts{n: 5, tentative: true, weights: weights})
-	client := tc.client(t, "client-1", true)
+	tc := newTestCluster(t, clusterOpts{n: 5, weights: weights})
+	client := tc.client(t, "client-1")
 
 	const total = 40
 	for i := 0; i < total; i++ {
@@ -572,31 +570,19 @@ func TestTentativeOrdering(t *testing.T) {
 	}
 	tc.waitAllDelivered(total, 10*time.Second, nil)
 	tc.assertSameOrder(nil)
+	tc.assertDecidedAll(nil)
 }
 
-func TestTentativeSyncCallUsesLargerQuorum(t *testing.T) {
-	tc := newTestCluster(t, clusterOpts{
-		n: 4, tentative: true,
-		resultFunc: func(_ int64, op []byte) []byte { return op },
-	})
-	client := tc.client(t, "caller", true)
-	if client.quorum != QuorumSize(4, 1) {
-		t.Fatalf("tentative client quorum = %d, want %d", client.quorum, QuorumSize(4, 1))
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	res, err := client.Call(ctx, []byte("v"))
+// TestWeightedCrashLeaderNoLoss crashes WHEAT's leader, a V_max replica:
+// the other V_max replica and the three V_min ones still make up a quorum
+// weight, elect a new leader and order every request once.
+func TestWeightedCrashLeaderNoLoss(t *testing.T) {
+	weights, err := BinaryWeights(ids(5), 1, 1, []ReplicaID{0, 4})
 	if err != nil {
-		t.Fatalf("Call: %v", err)
+		t.Fatalf("weights: %v", err)
 	}
-	if string(res) != "v" {
-		t.Fatalf("result = %q", res)
-	}
-}
-
-func TestTentativeCrashLeaderNoLoss(t *testing.T) {
-	tc := newTestCluster(t, clusterOpts{n: 4, tentative: true, requestTimeout: 300 * time.Millisecond})
-	client := tc.client(t, "client-1", true)
+	tc := newTestCluster(t, clusterOpts{n: 5, weights: weights, requestTimeout: 300 * time.Millisecond})
+	client := tc.client(t, "client-1")
 
 	const before, after = 10, 10
 	for i := 0; i < before; i++ {
@@ -615,6 +601,10 @@ func TestTentativeCrashLeaderNoLoss(t *testing.T) {
 	skip := map[int]bool{0: true}
 	tc.waitAllDelivered(before+after, 10*time.Second, skip)
 	tc.assertSameOrder(skip)
+	tc.assertDecidedAll(skip)
+	if reg := tc.replicas[1].Stats().Regency; reg < 1 {
+		t.Fatalf("regency %d after the leader crashed", reg)
+	}
 }
 
 func TestClientCloseUnblocksCall(t *testing.T) {
@@ -648,7 +638,7 @@ func TestClientCloseUnblocksCall(t *testing.T) {
 
 func TestStatsProgress(t *testing.T) {
 	tc := newTestCluster(t, clusterOpts{n: 4})
-	client := tc.client(t, "client-1", false)
+	client := tc.client(t, "client-1")
 	for i := 0; i < 10; i++ {
 		if err := client.Invoke([]byte{byte(i)}); err != nil {
 			t.Fatalf("invoke: %v", err)

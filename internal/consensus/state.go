@@ -124,7 +124,7 @@ func (r *Replica) onStateRequest(from ReplicaID, m *stateRequestMsg) {
 	}
 	seqs := make([]int64, 0, len(r.decidedLog))
 	for seq := range r.decidedLog {
-		if seq >= start && seq <= r.lastStable {
+		if seq >= start {
 			seqs = append(seqs, seq)
 		}
 	}
@@ -175,13 +175,8 @@ func (r *Replica) applyState(m *stateReplyMsg) {
 		if !ok {
 			return
 		}
-		if r.cfg.Tentative && r.lastDelivered > r.lastStable {
-			// Drop any tentative suffix before jumping states.
-			r.app.Rollback(r.lastStable)
-		}
 		r.app.Restore(appSnap, m.CheckpointSeq)
 		r.lastDelivered = m.CheckpointSeq
-		r.lastStable = m.CheckpointSeq
 		r.checkpointSeq = m.CheckpointSeq
 		r.checkpointSnap = m.Snapshot
 		// A checkpoint jump is a durability event: persist it so a crash
@@ -206,15 +201,8 @@ func (r *Replica) applyState(m *stateReplyMsg) {
 			continue
 		}
 		inst := r.instance(entry.Seq)
-		if inst.executed {
-			r.lastDelivered = entry.Seq
-			continue
-		}
 		r.adoptDecided(inst, entry.Batch)
-		r.execute(inst)
-		r.lastDelivered = entry.Seq
-		r.statDelivered.Store(entry.Seq)
+		r.deliver(inst)
 	}
-	r.advanceStable()
 	r.deliverContiguous()
 }

@@ -73,3 +73,40 @@ func TestCheckpointSnapshotBytesAreGolden(t *testing.T) {
 		t.Fatalf("wrapSnapshot: %.0f allocations besides the application's, want <= 3", got)
 	}
 }
+
+// A state transfer can leave a follower delivering more than the reply
+// carried: an instance above the transferred entries that it had already
+// decided, with its batch, delivers right after them. It is decided like any
+// other, so it joins the decision log as it is delivered, and the follower
+// serves it to the next state request. (This was the one path on which a
+// delivery watermark separate from the logged one ran ahead without
+// tentative execution: the instance stayed out of the log until the next
+// decision arrived.)
+func TestStateTransferSuffixJoinsDecisionLog(t *testing.T) {
+	f := newFollower(t, Config{})
+	// Instance 1 is decided here; instance 0's PROPOSE never arrived.
+	f.propose(1)
+	f.decideByPeers(1)
+	if !f.r.fetching || f.r.lastDelivered != -1 {
+		t.Fatalf("fetching=%v lastDelivered=%d, want a state transfer from -1", f.r.fetching, f.r.lastDelivered)
+	}
+	reply := (&stateReplyMsg{CheckpointSeq: -1, Entries: []logEntryWire{{Seq: 0, Batch: batchAt(0)}}}).marshal()
+	f.deliver(1, msgStateReply, reply)
+	f.deliver(2, msgStateReply, reply)
+	if f.r.fetching || f.r.lastDelivered != 1 {
+		t.Fatalf("fetching=%v lastDelivered=%d, want instance 1 delivered after the transfer", f.r.fetching, f.r.lastDelivered)
+	}
+
+	f.deliver(0, msgStateRequest, (&stateRequestMsg{FromSeq: -1}).marshal())
+	last := f.conn.sent[len(f.conn.sent)-1]
+	if last.Type != msgStateReply {
+		t.Fatalf("answered a state request with message type %d", last.Type)
+	}
+	served, err := unmarshalStateReply(last.Payload)
+	if err != nil {
+		t.Fatalf("state reply: %v", err)
+	}
+	if len(served.Entries) != 2 || served.Entries[1].Seq != 1 {
+		t.Fatalf("served %d entries %+v, want instances 0 and 1", len(served.Entries), served.Entries)
+	}
+}

@@ -12,8 +12,7 @@ import (
 // leader stalls or misbehaves, replicas STOP the current regency, the next
 // regency's leader collects signed STOPDATA progress reports from n-f
 // replicas, and a SYNC message carries every write-certified open value
-// into the new regency so that nothing decided (or tentatively delivered
-// under WHEAT) is lost.
+// into the new regency so that nothing decided is lost.
 
 // triggerLeaderChange votes to move to the given regency. Idempotent per
 // target regency.
@@ -129,7 +128,7 @@ func (r *Replica) installRegency(target int32) {
 
 	sd := &stopDataMsg{
 		Regency:     target,
-		LastDecided: r.lastStable,
+		LastDecided: r.lastDelivered,
 		Certs:       r.openCerts(),
 	}
 	if r.cfg.Key != nil {
@@ -152,12 +151,12 @@ func (r *Replica) installRegency(target int32) {
 	}
 }
 
-// openCerts returns write certificates for every open (undecided-or-
-// unstable) instance beyond the stable prefix.
+// openCerts returns write certificates for every instance above the
+// delivery watermark.
 func (r *Replica) openCerts() []writeCert {
 	var certs []writeCert
 	for seq, inst := range r.instances {
-		if seq <= r.lastStable || !inst.writeCertified {
+		if seq <= r.lastDelivered || !inst.writeCertified {
 			continue
 		}
 		cert := writeCert{
@@ -214,7 +213,7 @@ func replicaIdentity(id ReplicaID) string { return string(id.Addr()) }
 // computeSync resolves the open instances from the collected STOPDATA and
 // broadcasts the SYNC message that resumes normal operation.
 //
-// Decisions cover every instance above the LOWEST stable prefix any
+// Decisions cover every instance above the LOWEST delivered prefix any
 // reporter claims: replicas that fell behind re-run the instances they
 // missed from the write certificates of their peers (any decided instance
 // has a certificate inside the n-f collected STOPDATAs, because the accept
@@ -222,7 +221,7 @@ func replicaIdentity(id ReplicaID) string { return string(id.Addr()) }
 // replica). Replicas that already decided an instance simply skip its
 // decision, so nothing decided is ever overridden.
 func (r *Replica) computeSync() {
-	lowest, highest := r.lastStable, r.lastStable
+	lowest, highest := r.lastDelivered, r.lastDelivered
 	for _, sd := range r.stopData {
 		if sd.LastDecided > highest {
 			highest = sd.LastDecided
@@ -259,7 +258,7 @@ func (r *Replica) computeSync() {
 	}
 	// The leader's own decided log also provides batches for instances some
 	// reporters missed.
-	for seq := lowest + 1; seq <= r.lastStable; seq++ {
+	for seq := lowest + 1; seq <= r.lastDelivered; seq++ {
 		if batch, ok := r.decidedLog[seq]; ok {
 			if _, have := best[seq]; !have || len(best[seq].Batch) == 0 {
 				best[seq] = &writeCert{Seq: seq, Regency: r.regency, Batch: batch}
@@ -309,25 +308,19 @@ func (r *Replica) onSync(from ReplicaID, m *syncMsg) {
 	// then WRITE for it. Instances we already decided keep their decision.
 	for i := range m.Decisions {
 		d := &m.Decisions[i]
-		if d.Seq <= r.lastStable {
+		if d.Seq <= r.lastDelivered {
 			continue
 		}
 		inst := r.instance(d.Seq)
 		if inst.decided {
 			continue
 		}
-		newDigest := batchDigest(d.Seq, d.Batch)
-		if r.cfg.Tentative && inst.executed && inst.digest != newDigest {
-			// A tentative delivery is being overridden: roll the
-			// application back to just before this instance.
-			r.rollbackTo(d.Seq - 1)
-		}
 		reqs, ok := r.validateBatch(d.Batch, nil)
 		if !ok {
 			continue // malformed sync value; escalation will follow
 		}
 		inst.batch, inst.reqs = d.Batch, reqs
-		inst.digest = newDigest
+		inst.digest = batchDigest(d.Seq, d.Batch)
 		inst.haveProposal = true
 		inst.regency = m.Regency
 		inst.writeSent = true
@@ -338,7 +331,7 @@ func (r *Replica) onSync(from ReplicaID, m *syncMsg) {
 
 	// The new leader resumes proposing after the resolved range.
 	if r.isLeader() {
-		r.lastProposed = r.lastStable
+		r.lastProposed = r.lastDelivered
 		for i := range m.Decisions {
 			if m.Decisions[i].Seq > r.lastProposed {
 				r.lastProposed = m.Decisions[i].Seq
@@ -347,38 +340,4 @@ func (r *Replica) onSync(from ReplicaID, m *syncMsg) {
 		r.publishWindow()
 		r.maybePropose(time.Now())
 	}
-}
-
-// rollbackTo undoes tentative executions beyond seq: the application state
-// rewinds and the request bookkeeping of the rolled-back instances is
-// restored so that their requests can be re-proposed and re-executed.
-func (r *Replica) rollbackTo(seq int64) {
-	if seq >= r.lastDelivered {
-		return
-	}
-	for s := r.lastDelivered; s > seq; s-- {
-		inst, ok := r.instances[s]
-		if !ok || !inst.executed {
-			continue
-		}
-		for i := len(inst.undo) - 1; i >= 0; i-- {
-			rq := &inst.undo[i]
-			rec := r.record(rq.ClientID)
-			rec.unmark(rq.Seq)
-			if rec.find(rq.Seq) == nil {
-				// Re-encoded, not re-used: the undone request is a view into
-				// the request frame it was pooled from (or a PROPOSE that
-				// carried it inline), which a pooled request must not keep
-				// alive.
-				raw := rq.marshal()
-				undone, _ := unmarshalRequest(raw, r.clients)
-				r.pool(rec, pendingReq{req: undone, raw: raw, arrived: time.Now()})
-			}
-		}
-		inst.undo = nil
-		inst.executed = false
-	}
-	r.app.Rollback(seq)
-	r.lastDelivered = seq
-	r.statDelivered.Store(seq)
 }

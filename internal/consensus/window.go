@@ -182,8 +182,7 @@ func (r *Replica) recordOf(last *clientRecord, id []byte) *clientRecord {
 	return r.clients[string(id)]
 }
 
-// pool adds a request its client has not pooled (a new arrival, or one a
-// rollback hands back).
+// pool adds a request its client has not pooled.
 func (r *Replica) pool(rec *clientRecord, p pendingReq) {
 	if rec.add(p) {
 		r.spilled++

@@ -11,7 +11,6 @@ import (
 type countApp struct{ ops int }
 
 func (a *countApp) Execute(_ int64, ops [][]byte) { a.ops += len(ops) }
-func (a *countApp) Rollback(int64)                {}
 func (a *countApp) Snapshot() []byte              { return nil }
 func (a *countApp) Restore([]byte, int64)         {}
 
@@ -233,8 +232,7 @@ func FuzzClientWindow(f *testing.F) {
 				reqs[i] = request{ClientID: windowClients[b%3], Seq: windowSeq(b / 3), Op: []byte{b}}
 			}
 			for _, rep := range reps {
-				rep.execute(&instance{decided: true, reqs: append([]request(nil), reqs...)})
-				rep.advanceStable() // no tentative suffix: the floors compact
+				rep.deliver(&instance{seq: rep.lastDelivered + 1, decided: true, reqs: append([]request(nil), reqs...)})
 			}
 			for _, rq := range reqs {
 				k := windowKey{client: int(rq.Op[0] % 3), seq: rq.Seq}

@@ -54,8 +54,6 @@ type ClusterConfig struct {
 	// CheckpointInterval bounds the decision log (decisions between
 	// application checkpoints; zero keeps the consensus default).
 	CheckpointInterval int64
-	// Tentative enables WHEAT's tentative execution.
-	Tentative bool
 	// Weights assigns WHEAT votes (nil = classic BFT-SMaRt).
 	Weights map[consensus.ReplicaID]int
 	// Network hosts the cluster; nil creates a zero-latency in-proc
@@ -194,7 +192,6 @@ func (c *Cluster) startNode(i int, members []consensus.ReplicaID) (*OrderingNode
 			BatchTimeout:       c.cfg.BatchTimeout,
 			RequestTimeout:     c.cfg.RequestTimeout,
 			CheckpointInterval: c.cfg.CheckpointInterval,
-			Tentative:          c.cfg.Tentative,
 			Key:                c.keys[i],
 			Registry:           c.Registry,
 		},
@@ -437,10 +434,7 @@ func (c *Cluster) Reconfigure(op consensus.ReconfigOp, timeout time.Duration) er
 		return fmt.Errorf("cluster: %w", err)
 	}
 	defer c.Network.Disconnect(admin)
-	client, err := consensus.NewClient(conn, consensus.ClientConfig{
-		Replicas:  c.currentMembers(),
-		Tentative: c.cfg.Tentative,
-	})
+	client, err := consensus.NewClient(conn, consensus.ClientConfig{Replicas: c.currentMembers()})
 	if err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}

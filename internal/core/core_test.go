@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -273,6 +274,9 @@ func TestOrderingByzantineLeader(t *testing.T) {
 	}
 }
 
+// TestWheatClusterOrdering runs WHEAT's weighted quorums and requires that
+// every node decided each instance it delivered: a node signs only blocks
+// sealed from decided instances.
 func TestWheatClusterOrdering(t *testing.T) {
 	replicas := []consensus.ReplicaID{0, 1, 2, 3, 4}
 	weights, err := consensus.BinaryWeights(replicas, 1, 1, []consensus.ReplicaID{0, 1})
@@ -280,7 +284,7 @@ func TestWheatClusterOrdering(t *testing.T) {
 		t.Fatalf("weights: %v", err)
 	}
 	c := testCluster(t, ClusterConfig{
-		Nodes: 5, F: 1, BlockSize: 5, Tentative: true, Weights: weights,
+		Nodes: 5, F: 1, BlockSize: 5, Weights: weights,
 	})
 	fe := testFrontend(t, c, "frontend-0", false)
 	stream := deliverNewest(t, fe, "ch")
@@ -293,60 +297,10 @@ func TestWheatClusterOrdering(t *testing.T) {
 	if err := fabric.VerifyChain(blocks); err != nil {
 		t.Fatalf("wheat chain: %v", err)
 	}
-}
-
-// Only a tentative (WHEAT) replica is ever rolled back, so only it keeps a
-// chain snapshot per executed instance; a tentative one can still undo an
-// execution with them.
-func TestRollbackHistoryOnlyWhenTentative(t *testing.T) {
-	for _, tentative := range []bool{false, true} {
-		t.Run(fmt.Sprintf("tentative=%v", tentative), func(t *testing.T) {
-			network := transport.NewInProcNetwork(transport.InProcConfig{})
-			defer network.Close()
-			key, err := cryptoutil.GenerateKeyPair()
-			if err != nil {
-				t.Fatalf("keygen: %v", err)
-			}
-			registry := cryptoutil.NewRegistry()
-			self := consensus.ReplicaID(0)
-			registry.Register(string(self.Addr()), key.Public())
-			conn, err := network.Join(self.Addr())
-			if err != nil {
-				t.Fatalf("network join: %v", err)
-			}
-			node, err := NewNode(NodeConfig{
-				Consensus: consensus.Config{
-					SelfID:    self,
-					Replicas:  []consensus.ReplicaID{self},
-					Key:       key,
-					Registry:  registry,
-					Tentative: tentative,
-				},
-				BlockSize:      100, // nothing is cut: Execute only feeds the cutter
-				DisableSigning: true,
-			}, conn)
-			if err != nil {
-				t.Fatalf("new node: %v", err)
-			}
-			defer node.Stop()
-
-			for seq := int64(0); seq < 3; seq++ {
-				node.Execute(seq, [][]byte{mkEnvelope("ch", int(seq), 16).Marshal()})
-			}
-			if !tentative {
-				if len(node.history) != 0 {
-					t.Fatalf("a non-tentative node kept %d rollback snapshots", len(node.history))
-				}
-				return
-			}
-			if len(node.history) != 3 {
-				t.Fatalf("a tentative node kept %d rollback snapshots after 3 instances, want 3", len(node.history))
-			}
-			node.Rollback(0)
-			if got := len(node.chains["ch"].cutter.PendingSnapshot()); got != 1 {
-				t.Fatalf("rollback to instance 0 left %d envelopes pending, want 1", got)
-			}
-		})
+	for i, node := range c.Nodes {
+		if s := node.Replica().Stats(); s.Decided < s.LastDelivered+1 {
+			t.Fatalf("node %d delivered instances up to %d but decided %d", i, s.LastDelivered, s.Decided)
+		}
 	}
 }
 
@@ -580,6 +534,22 @@ func benchBlock(n int) *fabric.Block {
 	b := fabric.NewBlock(7, cryptoutil.Digest{1}, envs)
 	b.Signatures = []fabric.BlockSignature{{SignerID: "replica-0", Signature: make([]byte, 71)}}
 	return b
+}
+
+// Every replica validates every request of every PROPOSE: an envelope passes
+// without an allocation, whatever the length of its channel id (a copy of an
+// id longer than 32 bytes would reach the heap).
+func TestValidateEnvelopeOpAllocatesNothing(t *testing.T) {
+	op := mkEnvelope(strings.Repeat("c", 40), 1, 200).Marshal()
+	if err := validateEnvelopeOp(op); err != nil {
+		t.Fatalf("validate: %v", err)
+	}
+	if got := testing.AllocsPerRun(100, func() { _ = validateEnvelopeOp(op) }); got != 0 {
+		t.Fatalf("validateEnvelopeOp with a 40-byte channel id: %.0f allocations, want 0", got)
+	}
+	if validateEnvelopeOp(op[:3]) == nil {
+		t.Fatal("a truncated envelope validated")
+	}
 }
 
 // A disseminated block is encoded once into one buffer and decoded into

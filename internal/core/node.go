@@ -68,7 +68,7 @@ const ttcClientPrefix = "ttc:"
 // NodeConfig parameterizes an ordering node.
 type NodeConfig struct {
 	// Consensus configures the underlying replica (membership, batch
-	// size, weights, tentative mode, ...). SelfID names this node.
+	// size, weights, ...). SelfID names this node.
 	Consensus consensus.Config
 	// BlockSize is the number of envelopes per block (10 or 100 in the
 	// paper's evaluation).
@@ -168,24 +168,6 @@ type chainState struct {
 	cutter     *fabric.BlockCutter
 }
 
-// chainSnapshot captures a chain's state for tentative rollback.
-type chainSnapshot struct {
-	nextNumber uint64
-	prevHash   cryptoutil.Digest
-	pending    [][]byte
-}
-
-// rollbackWindow bounds how many per-sequence snapshots are retained for
-// WHEAT's tentative rollback. A leader change only overrides instances that
-// had not gathered their WRITE quorum at the replicas reporting to the new
-// leader — the ones still in the old leader's proposal window, at most
-// consensus.PipelineDepth plus the skew between replicas — so the window
-// must be at least that deep (the constant below does not compile
-// otherwise).
-const rollbackWindow = 32
-
-const _ = uint(rollbackWindow - consensus.PipelineDepth) // PipelineDepth <= rollbackWindow
-
 // recentBlockLimit is how many of a channel's last disseminated blocks a
 // node resends to a frontend it did not know. A frontend registers with
 // every node at once, but the registrations land at different instants: a
@@ -237,7 +219,6 @@ type NodeStats struct {
 	EnvelopesOrdered uint64
 	BlocksCut        uint64
 	BlocksSigned     uint64
-	Rollbacks        uint64
 }
 
 // OrderingNode is one member of the ordering cluster. Create with NewNode,
@@ -249,10 +230,9 @@ type OrderingNode struct {
 
 	replica *consensus.Replica
 
-	// chains and history are confined to the replica's event loop (all
-	// Application methods run there).
-	chains  map[string]*chainState
-	history map[int64]map[string]chainSnapshot
+	// chains is confined to the replica's event loop (all Application
+	// methods run there).
+	chains map[string]*chainState
 
 	// Durable state (nil without storage). ledgers holds the node's
 	// persistent copy of each channel's chain; ledgerMu guards the map and
@@ -301,7 +281,6 @@ type OrderingNode struct {
 	statEnvelopes atomic.Uint64
 	statBlocks    atomic.Uint64
 	statSigned    atomic.Uint64
-	statRollbacks atomic.Uint64
 
 	// metrics is never nil (normalized to a nop bundle in NewNode); its
 	// instruments are nil when metrics are disabled, so every hot-path
@@ -354,7 +333,6 @@ func NewNode(cfg NodeConfig, conn transport.Conn) (*OrderingNode, error) {
 		storage:     store,
 		ownsStorage: ownsStorage,
 		chains:      make(map[string]*chainState),
-		history:     make(map[int64]map[string]chainSnapshot),
 		frontends:   make(map[transport.Addr]struct{}),
 		recent:      make(map[string]*recentBlocks),
 		done:        make(chan struct{}),
@@ -661,7 +639,7 @@ func validateEnvelopeOp(op []byte) error {
 	if consensus.IsReconfigOp(op) {
 		return nil
 	}
-	_, err := fabric.ChannelOf(op)
+	_, err := fabric.PeekChannel(op)
 	return err
 }
 
@@ -682,7 +660,6 @@ func (n *OrderingNode) Stats() NodeStats {
 		EnvelopesOrdered: n.statEnvelopes.Load(),
 		BlocksCut:        n.statBlocks.Load(),
 		BlocksSigned:     n.statSigned.Load(),
-		Rollbacks:        n.statRollbacks.Load(),
 	}
 }
 
@@ -743,10 +720,7 @@ var _ consensus.Application = (*OrderingNode)(nil)
 // the node thread of Figure 5. Envelopes are demultiplexed per channel;
 // whenever a cutter reports a full block, the header is sealed sequentially
 // and handed to the signing pool.
-func (n *OrderingNode) Execute(seq int64, ops [][]byte) {
-	if n.cfg.Consensus.Tentative { // only a tentative replica is ever rolled back
-		n.snapshotForRollback(seq)
-	}
+func (n *OrderingNode) Execute(_ int64, ops [][]byte) {
 	for _, op := range ops {
 		channel, client, err := fabric.PeekEnvelope(op)
 		if err != nil {
@@ -857,47 +831,6 @@ func (n *OrderingNode) Ledger(channel string) *fabric.Ledger {
 	return n.ledgers[channel]
 }
 
-// Rollback undoes tentative executions beyond seq (WHEAT leader changes).
-func (n *OrderingNode) Rollback(seq int64) {
-	snaps, ok := n.history[seq+1]
-	if !ok {
-		// Nothing was executed after seq (or the window was exceeded,
-		// which cannot happen within consensus.PipelineDepth).
-		n.statRollbacks.Add(1)
-		return
-	}
-	for channel, snap := range snaps {
-		chain := n.chain([]byte(channel))
-		chain.nextNumber = snap.nextNumber
-		chain.prevHash = snap.prevHash
-		chain.cutter.Cut() // drop pending
-		for _, env := range snap.pending {
-			chain.cutter.Append(env)
-		}
-		n.pipe.reset(channel)
-	}
-	for s := range n.history {
-		if s > seq {
-			delete(n.history, s)
-		}
-	}
-	n.statRollbacks.Add(1)
-}
-
-// snapshotForRollback records every chain's state before executing seq.
-func (n *OrderingNode) snapshotForRollback(seq int64) {
-	snaps := make(map[string]chainSnapshot, len(n.chains))
-	for channel, chain := range n.chains {
-		snaps[channel] = chainSnapshot{
-			nextNumber: chain.nextNumber,
-			prevHash:   chain.prevHash,
-			pending:    chain.cutter.PendingSnapshot(),
-		}
-	}
-	n.history[seq] = snaps
-	delete(n.history, seq-rollbackWindow)
-}
-
 // Snapshot serializes the per-channel chain state (Section 5.2: a few
 // dozen bytes per channel plus any uncut envelopes).
 func (n *OrderingNode) Snapshot() []byte {
@@ -945,7 +878,6 @@ func (n *OrderingNode) Restore(snapshot []byte, _ int64) {
 		return
 	}
 	n.chains = chains
-	n.history = make(map[int64]map[string]chainSnapshot)
 	// The chains were replaced wholesale: in-flight dissemination for any
 	// channel is stale.
 	n.pipe.resetAll()

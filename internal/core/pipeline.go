@@ -112,8 +112,8 @@ func observeStamp(h *obs.Histogram, unixNano int64, now time.Time) {
 // which appends block n only at height n, and for the write-ahead gate,
 // which the drain waits out block by block in decision order; frontends
 // need none (they collect copies in any order). epoch
-// invalidates in-flight completions when a rollback or state transfer
-// rewrites the chain.
+// invalidates in-flight completions when a state transfer replaces the
+// chains.
 type blockSender struct {
 	epoch    uint64
 	started  bool
@@ -260,7 +260,7 @@ func (p *pipeline) complete(channel string, epoch uint64, block *fabric.Block, g
 	s, ok := p.senders[channel]
 	if !ok || s.epoch != epoch {
 		p.sendMu.Unlock()
-		return // the chain was rolled back or replaced since sealing
+		return // the chain was replaced since sealing
 	}
 	s.pending[block.Header.Number] = pendingBlock{block: block, gate: gate, trace: trace}
 	if s.draining {
@@ -314,11 +314,9 @@ func (p *pipeline) complete(channel string, epoch uint64, block *fabric.Block, g
 					n.metrics.StageFsync.ObserveDuration(fsyncedAt.Sub(pb.trace.decided))
 				}
 			}
-			// Re-check the epoch per block: a rollback or state transfer
-			// that lands while this worker is out invalidates the rest of
-			// the extracted run. (The check narrows, but cannot close, the
-			// instant between it and the append — see ROADMAP on
-			// tentative-mode durability.)
+			// Re-check the epoch per block: a state transfer that lands
+			// while this worker is out invalidates the rest of the
+			// extracted run.
 			p.sendMu.Lock()
 			stale := s.epoch != epoch
 			p.sendMu.Unlock()
@@ -551,15 +549,6 @@ func (s *blockSender) invalidate() {
 	// A stale drain worker may still be out disseminating; it observes the
 	// epoch bump and exits without touching the flag again.
 	s.draining = false
-}
-
-// reset invalidates one channel's sender (a rollback rewrote its chain).
-func (p *pipeline) reset(channel string) {
-	p.sendMu.Lock()
-	defer p.sendMu.Unlock()
-	if s, ok := p.senders[channel]; ok {
-		s.invalidate()
-	}
 }
 
 // resetAll invalidates every sender (a state transfer replaced the chains

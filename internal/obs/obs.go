@@ -350,9 +350,9 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 
 // Point is one instrument's state at gather time.
 type Point struct {
-	Labels string  `json:"labels,omitempty"` // `k="v",...` without braces
-	Value  float64 `json:"value"`            // counter/gauge value, histogram sum
-	Count  uint64  `json:"count,omitempty"`  // histogram observation count
+	Labels string    `json:"labels,omitempty"` // `k="v",...` without braces
+	Value  float64   `json:"value"`            // counter/gauge value, histogram sum
+	Count  uint64    `json:"count,omitempty"`  // histogram observation count
 	Bounds []float64 `json:"bounds,omitempty"`
 	Counts []uint64  `json:"counts,omitempty"` // per-bucket, non-cumulative; last is +Inf
 }

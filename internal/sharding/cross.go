@@ -168,7 +168,7 @@ func (t *VisibilityTracker) Visible(xid string) bool {
 }
 
 // Payload returns the staged application payload of a marked
-// transaction (nil when unmarked).
+// transaction (nil when it was never marked).
 func (t *VisibilityTracker) Payload(xid string) []byte {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -61,9 +61,9 @@ func TestMapStrictRejectsUnassigned(t *testing.T) {
 
 func TestMapValidate(t *testing.T) {
 	bad := []Map{
-		{},                             // no shards
-		{Shards: []ShardID{0, 0}},      // duplicate
-		{Shards: []ShardID{-1}},        // negative
+		{},                        // no shards
+		{Shards: []ShardID{0, 0}}, // duplicate
+		{Shards: []ShardID{-1}},   // negative
 		{Shards: []ShardID{0}, Channels: map[string]ShardID{"c": 3}}, // unknown shard
 	}
 	for i, m := range bad {

@@ -118,4 +118,3 @@ func (c *Checkpointer) loadOne(path string) (seq int64, snapshot []byte, found b
 	copy(snapshot, body[16:])
 	return seq, snapshot, true, nil
 }
-

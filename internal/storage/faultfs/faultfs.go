@@ -426,9 +426,9 @@ func (f *file) Truncate(size int64) error {
 	return f.under.Truncate(size)
 }
 
-func (f *file) Stat() (os.FileInfo, error)    { return f.under.Stat() }
-func (f *file) Preallocate(size int64) error  { return f.under.Preallocate(size) }
-func (f *file) Name() string                  { return f.name }
+func (f *file) Stat() (os.FileInfo, error)   { return f.under.Stat() }
+func (f *file) Preallocate(size int64) error { return f.under.Preallocate(size) }
+func (f *file) Name() string                 { return f.name }
 
 func (f *file) Close() error {
 	// Unsynced dirty pages die with the close — closing does not flush

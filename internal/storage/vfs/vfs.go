@@ -76,12 +76,12 @@ func (OS) Open(name string) (File, error) {
 	return osFile{f}, nil
 }
 
-func (OS) ReadFile(name string) ([]byte, error)          { return os.ReadFile(name) }
-func (OS) ReadDir(name string) ([]os.DirEntry, error)    { return os.ReadDir(name) }
-func (OS) MkdirAll(path string, perm os.FileMode) error  { return os.MkdirAll(path, perm) }
-func (OS) Remove(name string) error                      { return os.Remove(name) }
-func (OS) Rename(oldpath, newpath string) error          { return os.Rename(oldpath, newpath) }
-func (OS) Truncate(name string, size int64) error        { return os.Truncate(name, size) }
+func (OS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
+func (OS) ReadDir(name string) ([]os.DirEntry, error)   { return os.ReadDir(name) }
+func (OS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
+func (OS) Remove(name string) error                     { return os.Remove(name) }
+func (OS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
+func (OS) Truncate(name string, size int64) error       { return os.Truncate(name, size) }
 
 func (OS) SyncDir(dir string) error {
 	d, err := os.Open(dir)
