@@ -1463,6 +1463,7 @@ func (r *Replica) checkpointAt(seq int64) {
 	}
 	r.checkpointSeq = seq
 	r.checkpointSnap = r.wrapSnapshot()
+	r.releaseIdleWindows()
 	if r.ckptObserver != nil {
 		r.ckptObserver(seq)
 	}

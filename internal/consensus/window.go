@@ -11,9 +11,9 @@ import "time"
 // request cost a replica loop.
 
 // windowFloor is the size a client's window starts at and the largest one
-// it keeps once its pool empties: a client with a few requests outstanding
-// (a lone Invoke, a short Client queue) never grows it, and one that pools
-// a single request costs eight slots, under 1 kB.
+// it keeps past a checkpoint with its pool empty: a client with a few
+// requests outstanding (a lone Invoke, a short Client queue) never grows
+// it, and one that pools a single request costs eight slots, under 1 kB.
 const windowFloor = 8
 
 // windowCap is the largest a window grows: the smallest power of two that
@@ -117,7 +117,8 @@ func (c *clientRecord) grow() {
 
 // remove takes seq out of the pool and reports whether it was pooled and
 // whether it was in flight. The slot is zeroed: it held a view of its
-// request frame. A grown window is released once the pool is empty.
+// request frame. A grown window stays when the pool empties (see
+// releaseIdleWindows).
 func (c *clientRecord) remove(seq uint64) (ok, inFlight bool) {
 	p := c.find(seq)
 	if p == nil {
@@ -129,9 +130,6 @@ func (c *clientRecord) remove(seq uint64) (ok, inFlight bool) {
 		c.live--
 	} else if delete(c.spill, seq); len(c.spill) == 0 {
 		c.spill = nil
-	}
-	if c.pending() == 0 && len(c.window) > windowFloor {
-		c.window = nil
 	}
 	return true, inFlight
 }
@@ -201,6 +199,18 @@ func (r *Replica) unpool(rec *clientRecord, seq uint64) {
 	r.pending--
 	if !inFlight {
 		r.pooled--
+	}
+}
+
+// releaseIdleWindows releases the grown window of every client whose pool
+// is empty. It runs at each checkpoint, not when a pool empties: at
+// saturation a client's pool empties between batches, and each replica
+// would grow the window again from windowFloor slots for the next one.
+func (r *Replica) releaseIdleWindows() {
+	for _, c := range r.clients {
+		if c.pending() == 0 && len(c.window) > windowFloor {
+			c.window = nil
+		}
 	}
 }
 

@@ -3,8 +3,10 @@ package consensus
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // countApp is an application that only counts the operations it executes.
@@ -102,6 +104,58 @@ func TestPoolAndExecuteAllocationBudget(t *testing.T) {
 	if hundred > one+8 {
 		t.Fatalf("pooling and executing a 100-request frame: %.0f allocations, a 1-request frame %.0f; want at most 8 more",
 			hundred, one)
+	}
+}
+
+// A grown window outlives an empty pool until the next checkpoint: at
+// saturation a client's pool empties between batches, and a window released
+// then is grown again from windowFloor slots for the next batch. A
+// 1,024-request pool/execute cycle allocates no window after the first, and
+// the checkpoint releases the idle window.
+func TestGrownWindowOutlivesEmptyPool(t *testing.T) {
+	const k, runs = 1024, 10
+	r, err := NewReplica(Config{SelfID: 3, Replicas: ids(4)}, &countApp{},
+		&sinkConn{addr: ReplicaID(3).Addr()}, WithoutClientReplies())
+	if err != nil {
+		t.Fatalf("new replica: %v", err)
+	}
+	frames := make([][]byte, runs+2)
+	insts := make([]*instance, runs+2)
+	for i := range frames {
+		reqs := make([]queuedRequest, k)
+		decoded := make([]request, k)
+		for j := range reqs {
+			seq := uint64(i*k + j + 1)
+			reqs[j] = queuedRequest{seq: seq, op: []byte("op")}
+			decoded[j] = request{ClientID: "client", Seq: seq, Op: reqs[j].op}
+		}
+		frames[i], _ = encodeRequestFrame("client", reqs)
+		insts[i] = &instance{seq: int64(i), decided: true, reqs: decoded}
+	}
+	i := 0
+	cycle := func() {
+		r.onRequests(frames[i])
+		r.execute(insts[i])
+		r.onTick()
+		i++
+	}
+	cycle()
+	rec := r.clients["client"]
+	window := unsafe.SliceData(rec.window)
+	if len(rec.window) != k || rec.pending() != 0 {
+		t.Fatalf("after one cycle: a %d-slot window holding %d requests, want %d slots and none", len(rec.window), rec.pending(), k)
+	}
+	allocs := testing.AllocsPerRun(runs, cycle)
+	if unsafe.SliceData(rec.window) != window || len(rec.window) != k {
+		t.Fatalf("the window was reallocated (%d slots) by a cycle that fits the first one's", len(rec.window))
+	}
+	// Every window this cycle could allocate, from the floor to k slots.
+	if allocs >= float64(bits.Len(k/windowFloor)) {
+		t.Fatalf("a %d-request pool/execute cycle makes %.0f allocations", k, allocs)
+	}
+	r.checkpointAt(insts[i-1].seq)
+	if rec.window != nil {
+		t.Fatalf("a checkpoint kept the idle client's %d-slot window", len(rec.window))
 	}
 }
 

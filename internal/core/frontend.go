@@ -40,8 +40,9 @@ type FrontendConfig struct {
 	Replicas []consensus.ReplicaID
 	// F is the fault threshold (zero derives the maximum).
 	F int
-	// VerifySignatures switches the release rule from 2f+1 matching copies
-	// to f+1 copies with verified signatures (footnote 8 of the paper).
+	// VerifySignatures switches the release rule's vote threshold from
+	// 2f+1 copies to f+1 verified signatures (footnote 8 of the paper);
+	// either way one copy must bring the body.
 	VerifySignatures bool
 	// Registry resolves ordering-node keys; required when verifying.
 	Registry *cryptoutil.Registry
@@ -81,7 +82,7 @@ type Frontend struct {
 	cfg      FrontendConfig
 	conn     transport.Conn // receives MsgBlock / MsgFetchResponse from ordering nodes
 	client   *consensus.Client
-	released int        // release threshold: 2f+1 matching or f+1 verified
+	released int        // vote threshold: 2f+1 copies or f+1 verified signatures
 	sync     *blockSync // client half only: history fetched for Deliver
 	peers    []transport.Addr
 	channels map[string]struct{}  // non-nil when cfg.Channels restricts
@@ -116,8 +117,10 @@ type feSub struct {
 // feChannel tracks block collection and retained history for one channel.
 type feChannel struct {
 	// nextDeliver is the release cursor, started at the first block to reach
-	// the release threshold (a frontend may register mid-chain). advanced
-	// records that it moved since the last heal tick.
+	// the vote threshold, whether or not its body has arrived (a frontend
+	// may register mid-chain; anchoring at the first block released would
+	// let a later block whose body came first skip the ones below it).
+	// advanced records that it moved since the last heal tick.
 	started     bool
 	nextDeliver uint64
 	advanced    bool
@@ -130,13 +133,20 @@ type feChannel struct {
 	histStart uint64
 }
 
-// blockAccum accumulates matching copies of one block.
+// blockAccum accumulates the copies of one block that agree on its header:
+// one vote per sender, whole or header-only, and the first body that hashes
+// to the header.
 type blockAccum struct {
-	block    *fabric.Block
+	header   fabric.BlockHeader
+	body     *fabric.Block // a copy whose envelopes hash to header; nil until one arrives
 	sigs     map[string][]byte
 	verified int
 	released bool
 }
+
+// emptyDataHash is the data hash of a block without envelopes. A copy with
+// no envelopes and another data hash is header-only: a vote without a body.
+var emptyDataHash = fabric.ComputeDataHash(nil)
 
 // NewFrontend joins the network with two endpoints (block reception and
 // consensus client), registers with every ordering node, and starts the
@@ -257,7 +267,8 @@ func (f *Frontend) Stats() FrontendStats {
 
 // ReleasedHeight returns the frontend's release cursor for a channel: the
 // number of the next block it will release (every block below it has been
-// released, or predates the first release), 0 before any release.
+// released, or lies below the block the cursor started at), 0 before the
+// cursor started.
 // Diagnostics use it to tell a stalled release from a lost write.
 func (f *Frontend) ReleasedHeight(channel string) uint64 {
 	f.mu.Lock()
@@ -437,12 +448,15 @@ func (f *Frontend) receiveLoop() {
 	}
 }
 
-// heal asks every node absent from a stalled channel's cursor block to
-// re-register this frontend and replay from the cursor. A channel stalls
-// when its cursor has not moved for a whole tick: copies were lost on the
-// wire or never sent, because a node was down or restarted and forgot this
-// frontend (when all did, nothing arrives: indistinguishable from an idle
-// chain, which costs each node one empty replay per tick).
+// heal asks every node that has not supplied a usable copy of a stalled
+// channel's cursor block to re-register this frontend and replay from the
+// cursor: the nodes absent from its votes and, while no copy brought a
+// body, the nodes that voted header-only (a replay sends blocks whole). A
+// channel stalls when its cursor has not moved for a whole tick: copies
+// were lost on the wire or never sent, because a node was down or
+// restarted and forgot this frontend (when all did, nothing arrives:
+// indistinguishable from an idle chain, which costs each node one empty
+// replay per tick).
 func (f *Frontend) heal() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -454,6 +468,9 @@ func (f *Frontend) heal() {
 		}
 		voted := make(map[string]bool)
 		for _, acc := range ch.collecting[ch.nextDeliver] {
+			if acc.body == nil {
+				continue // votes without a body: the body is still to ask for
+			}
 			for sender := range acc.sigs {
 				voted[sender] = true
 			}
@@ -478,27 +495,30 @@ func (f *Frontend) fromOrderingNode(addr transport.Addr) bool {
 
 // onBlockCopy processes one node's copy of a block: copies vote by header
 // hash, signatures accumulate, and the block is released once the
-// threshold is met (2f+1 matching, or f+1 verified). One vote per node
-// absorbs copies arriving out of order or twice (replays).
+// threshold is met (2f+1 matching, or f+1 verified) and one copy brought a
+// body that hashes to the header. A header-only copy votes and brings no
+// body. One vote per node absorbs copies arriving out of order or twice
+// (replays); a node that voted header-only can still bring the body.
 //
 // A copy that cannot change anything — its block already delivered or
-// released, or its sender already voted for it — is dropped before its
-// data hash is checked: with 2f+1 of n copies releasing a block, the last
-// copies of every block would otherwise be hashed in full for nothing. A
-// copy with the header of one already accumulated (whose data hash was
-// checked) is compared with that copy byte for byte instead of hashed; only
-// a copy that differs is hashed, so a corrupted copy still gets no vote.
+// released, or its sender already voted for it and it brings no missing
+// body — is dropped before its data hash is checked: the last copies of
+// every block would otherwise be hashed in full for nothing. A copy with
+// the header of a body already accumulated (whose data hash was checked) is
+// compared with that body byte for byte instead of hashed; only a copy that
+// differs is hashed, so a corrupted copy still gets no vote.
 func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sentNano int64) {
 	digest := block.Header.Hash()
 	number := block.Header.Number
+	headerOnly := len(block.Envelopes) == 0 && block.Header.DataHash != emptyDataHash
 	f.mu.Lock()
-	settled := f.settled(channel, number, digest, sender)
+	settled := f.settled(channel, number, digest, sender, headerOnly)
 	checked := f.accumulated(channel, number, digest)
 	f.mu.Unlock()
 	if settled {
 		return // nothing to add
 	}
-	if checked == nil || !slices.EqualFunc(checked.Envelopes, block.Envelopes, bytes.Equal) {
+	if !headerOnly && (checked == nil || !slices.EqualFunc(checked.Envelopes, block.Envelopes, bytes.Equal)) {
 		if block.CheckIntegrity() != nil {
 			return // data hash does not match content
 		}
@@ -506,7 +526,7 @@ func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sent
 
 	f.mu.Lock()
 	// Again: the channel may have moved on while the copy was hashed.
-	if f.settled(channel, number, digest, sender) {
+	if f.settled(channel, number, digest, sender, headerOnly) {
 		f.mu.Unlock()
 		return
 	}
@@ -518,27 +538,32 @@ func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sent
 	}
 	acc, ok := byDigest[digest]
 	if !ok {
-		acc = &blockAccum{block: block, sigs: make(map[string][]byte)}
+		acc = &blockAccum{header: block.Header, sigs: make(map[string][]byte)}
 		byDigest[digest] = acc
 	}
-	var sig []byte
-	if len(block.Signatures) > 0 && block.Signatures[0].SignerID == sender {
-		sig = block.Signatures[0].Signature
-		if block != acc.block {
-			// Only the signature of this copy is kept: detach it, or every
-			// released block would keep all its copies' frames alive.
-			sig = bytes.Clone(sig)
-		}
+	if !headerOnly && acc.body == nil {
+		acc.body = block
 	}
-	acc.sigs[sender] = sig
-	if f.cfg.VerifySignatures && sig != nil {
-		if f.cfg.Registry.Verify(sender, digest.Bytes(), sig) {
-			acc.verified++
+	if _, voted := acc.sigs[sender]; !voted {
+		var sig []byte
+		if len(block.Signatures) > 0 && block.Signatures[0].SignerID == sender {
+			sig = block.Signatures[0].Signature
+			if block != acc.body {
+				// Only the signature of this copy is kept: detach it, or
+				// every released block would keep all its copies' frames
+				// alive.
+				sig = bytes.Clone(sig)
+			}
+		}
+		acc.sigs[sender] = sig
+		if f.cfg.VerifySignatures && sig != nil {
+			if f.cfg.Registry.Verify(sender, digest.Bytes(), sig) {
+				acc.verified++
+			}
 		}
 	}
 
-	votes := len(acc.sigs)
-	passed := votes >= f.released
+	passed := len(acc.sigs) >= f.released
 	if f.cfg.VerifySignatures {
 		passed = acc.verified >= f.released
 	}
@@ -546,23 +571,9 @@ func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sent
 		f.mu.Unlock()
 		return
 	}
-	acc.released = true
-	// Attach the accumulated signatures (deterministic order not required:
-	// peers verify any f+1).
-	released := &fabric.Block{
-		Header:    acc.block.Header,
-		Envelopes: acc.block.Envelopes,
-	}
-	for signer, s := range acc.sigs {
-		if s != nil {
-			released.Signatures = append(released.Signatures, fabric.BlockSignature{
-				SignerID: signer, Signature: s,
-			})
-		}
-	}
-	ch.ready[number] = released
-	// The first release starts the cursor. Copies below it are dropped, and
-	// their envelopes' inflight-window slots freed below.
+	// The first block to reach the vote threshold starts the cursor. Copies
+	// below it are dropped, and the inflight-window slots of their bodies'
+	// envelopes freed below.
 	var dropped [][]byte
 	if !ch.started {
 		ch.started = true
@@ -570,11 +581,30 @@ func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sent
 		for n, byDigest := range ch.collecting {
 			if n < number {
 				for _, acc := range byDigest {
-					dropped = append(dropped, acc.block.Envelopes...)
+					if acc.body != nil {
+						dropped = append(dropped, acc.body.Envelopes...)
+					}
 				}
 				delete(ch.collecting, n)
 			}
 		}
+	}
+	if acc.body != nil {
+		acc.released = true
+		// Attach the accumulated signatures (deterministic order not
+		// required: peers verify any f+1).
+		released := &fabric.Block{
+			Header:    acc.header,
+			Envelopes: acc.body.Envelopes,
+		}
+		for signer, s := range acc.sigs {
+			if s != nil {
+				released.Signatures = append(released.Signatures, fabric.BlockSignature{
+					SignerID: signer, Signature: s,
+				})
+			}
+		}
+		ch.ready[number] = released
 	}
 	// Release the contiguous prefix in block-number order.
 	var deliveries []*fabric.Block
@@ -655,8 +685,9 @@ func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sent
 }
 
 // settled reports whether a copy of block number (header hash digest) from
-// sender can no longer change the channel's release state. Requires f.mu.
-func (f *Frontend) settled(channel string, number uint64, digest cryptoutil.Digest, sender string) bool {
+// sender, header-only or not, can no longer change the channel's release
+// state. Requires f.mu.
+func (f *Frontend) settled(channel string, number uint64, digest cryptoutil.Digest, sender string, headerOnly bool) bool {
 	ch, ok := f.chans[channel]
 	if !ok {
 		return false
@@ -668,16 +699,19 @@ func (f *Frontend) settled(channel string, number uint64, digest cryptoutil.Dige
 	if acc == nil {
 		return false
 	}
+	if acc.released {
+		return true
+	}
 	_, voted := acc.sigs[sender]
-	return voted || acc.released
+	return voted && (headerOnly || acc.body != nil)
 }
 
-// accumulated returns the copy of block number with header hash digest
+// accumulated returns the body of block number with header hash digest
 // that the channel holds votes for, if any.
 func (f *Frontend) accumulated(channel string, number uint64, digest cryptoutil.Digest) *fabric.Block {
 	if ch, ok := f.chans[channel]; ok {
 		if acc := ch.collecting[number][digest]; acc != nil {
-			return acc.block
+			return acc.body
 		}
 	}
 	return nil

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -693,4 +696,238 @@ func TestFrontendSettledCopiesChangeNothing(t *testing.T) {
 		}
 	}
 	expectNoBlock(t, stream, 50*time.Millisecond)
+}
+
+// sendHeader disseminates a header-only copy of the block from node idx:
+// its header and the node's signature, no envelopes.
+func (fn *fakeNodes) sendHeader(t *testing.T, idx int, channel string, block *fabric.Block, frontend transport.Addr) {
+	t.Helper()
+	fn.send(t, idx, channel, &fabric.Block{Header: block.Header}, frontend)
+}
+
+// TestFrontendHeaderOnlyCopiesVote: 2f+1 header-only copies are votes, not
+// a block, so they release nothing; one whole copy more, from a node that
+// already voted or from the last one, releases the block with every
+// signature the frontend holds.
+func TestFrontendHeaderOnlyCopiesVote(t *testing.T) {
+	for _, tc := range []struct {
+		body, sigs int
+	}{{body: 3, sigs: 4}, {body: 1, sigs: 3}} {
+		t.Run(fmt.Sprintf("body-from-node-%d", tc.body), func(t *testing.T) {
+			net := transport.NewInProcNetwork(transport.InProcConfig{})
+			defer net.Close()
+			nodes := newFakeNodes(t, net, 4, nil)
+			fe, err := NewFrontend(FrontendConfig{ID: "fe", Replicas: ids4()}, net)
+			if err != nil {
+				t.Fatalf("frontend: %v", err)
+			}
+			defer fe.Close()
+			stream := deliverNewest(t, fe, "ch")
+
+			block := fabric.NewBlock(0, cryptoutil.Digest{}, [][]byte{feEnv(0), feEnv(1)})
+			for i := 0; i < 3; i++ {
+				nodes.sendHeader(t, i, "ch", block, "fe")
+			}
+			expectNoBlock(t, stream, 100*time.Millisecond)
+
+			nodes.send(t, tc.body, "ch", block, "fe")
+			got := awaitBlock(t, stream, 5*time.Second)
+			if got.Header != block.Header || !reflect.DeepEqual(got.Envelopes, block.Envelopes) {
+				t.Fatalf("released %+v, want block 0 with its two envelopes", got)
+			}
+			if len(got.Signatures) != tc.sigs {
+				t.Fatalf("released block carries %d signatures, want %d", len(got.Signatures), tc.sigs)
+			}
+		})
+	}
+}
+
+// TestFrontendCursorWaitsForAnchorBody: block 0 reaches the vote threshold
+// with header-only copies, then block 1 arrives whole from three nodes.
+// The cursor stands at block 0, the first block to reach the threshold, so
+// nothing releases until block 0's body arrives; then blocks 0 and 1
+// release in order. Anchoring at the first block released would have
+// released block 1 and skipped block 0 for good.
+func TestFrontendCursorWaitsForAnchorBody(t *testing.T) {
+	net := transport.NewInProcNetwork(transport.InProcConfig{})
+	defer net.Close()
+	nodes := newFakeNodes(t, net, 4, nil)
+	fe, err := NewFrontend(FrontendConfig{ID: "fe", Replicas: ids4()}, net)
+	if err != nil {
+		t.Fatalf("frontend: %v", err)
+	}
+	defer fe.Close()
+	stream := deliverNewest(t, fe, "ch")
+
+	b0 := fabric.NewBlock(0, cryptoutil.Digest{}, [][]byte{feEnv(0)})
+	b1 := fabric.NewBlock(1, b0.Header.Hash(), [][]byte{feEnv(1)})
+	for i := 0; i < 3; i++ {
+		nodes.sendHeader(t, i, "ch", b0, "fe")
+	}
+	// The header votes arrive first: wait until they have been counted.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		fe.mu.Lock()
+		ch := fe.chans["ch"]
+		started := ch != nil && ch.started
+		fe.mu.Unlock()
+		if started {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("block 0's header votes never started the cursor")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < 3; i++ {
+		nodes.send(t, i, "ch", b1, "fe")
+	}
+	expectNoBlock(t, stream, 100*time.Millisecond)
+	if got := fe.ReleasedHeight("ch"); got != 0 {
+		t.Fatalf("cursor at %d, want 0", got)
+	}
+
+	nodes.send(t, 3, "ch", b0, "fe")
+	for want := uint64(0); want <= 1; want++ {
+		if got := awaitBlock(t, stream, 5*time.Second); got.Header.Number != want {
+			t.Fatalf("released block %d, want %d", got.Header.Number, want)
+		}
+	}
+}
+
+// TestFrontendHealAsksHeaderVotersForBody: the cursor block holds 2f+1
+// header-only votes and no body for a whole heal tick. The nodes that voted
+// header-only are asked to replay from it too (a replay sends blocks
+// whole), and one replayed copy releases the block.
+func TestFrontendHealAsksHeaderVotersForBody(t *testing.T) {
+	net := transport.NewInProcNetwork(transport.InProcConfig{})
+	defer net.Close()
+	nodes := newFakeNodes(t, net, 4, nil)
+	fe, err := NewFrontend(FrontendConfig{ID: "fe", Replicas: ids4()}, net)
+	if err != nil {
+		t.Fatalf("frontend: %v", err)
+	}
+	defer fe.Close()
+	stream := deliverNewest(t, fe, "ch")
+
+	b0 := fabric.NewBlock(0, cryptoutil.Digest{}, [][]byte{feEnv(0)})
+	for i := 0; i < 3; i++ {
+		nodes.sendHeader(t, i, "ch", b0, "fe")
+	}
+	for i := 0; i < 4; i++ {
+		channel, from, ok := nodes.awaitReregister(i, 3*fetchWindowTimeout)
+		if !ok {
+			t.Fatalf("node %d was never asked to replay the body-less cursor block", i)
+		}
+		if channel != "ch" || from != 0 {
+			t.Fatalf("node %d asked to replay %q from %d, want \"ch\" from 0", i, channel, from)
+		}
+	}
+	nodes.send(t, 0, "ch", b0, "fe")
+	if got := awaitBlock(t, stream, 5*time.Second); got.Header.Number != 0 || len(got.Signatures) != 3 {
+		t.Fatalf("released block %d with %d signatures, want block 0 with 3", got.Header.Number, len(got.Signatures))
+	}
+}
+
+// copyKey names the copies of one block sent to one frontend.
+type copyKey struct {
+	to  transport.Addr
+	num uint64
+}
+
+// copyTally records the MsgBlock frames the nodes put on the network: the
+// senders of each whole copy, and the number of header-only ones.
+type copyTally struct {
+	mu     sync.Mutex
+	whole  map[copyKey][]transport.Addr
+	header map[copyKey]int
+}
+
+// pass is a network filter that tallies and passes every message.
+func (c *copyTally) pass(m transport.Message) bool {
+	if m.Type != MsgBlock {
+		return true
+	}
+	_, b, _, err := unmarshalBlockMsg(m.Payload)
+	if err != nil {
+		return true
+	}
+	key := copyKey{to: m.To, num: b.Header.Number}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(b.Envelopes) == 0 {
+		c.header[key]++
+	} else {
+		c.whole[key] = append(c.whole[key], m.From)
+	}
+	return true
+}
+
+// TestClusterSendsFPlusOneWholeCopies: in a 4-node cluster (f = 1) every
+// block reaches every frontend whole from exactly f+1 nodes, the ones at
+// positions b and b+1 mod 4 of the membership, and header-only from the
+// other two.
+func TestClusterSendsFPlusOneWholeCopies(t *testing.T) {
+	const blocks = 8
+	c := testCluster(t, ClusterConfig{Nodes: 4, BlockSize: 1})
+	tally := &copyTally{whole: make(map[copyKey][]transport.Addr), header: make(map[copyKey]int)}
+	c.Network.SetFilter(tally.pass)
+	frontends := []*Frontend{testFrontend(t, c, "fe-a", false), testFrontend(t, c, "fe-b", false)}
+	streams := []<-chan *fabric.Block{deliverNewest(t, frontends[0], "ch"), deliverNewest(t, frontends[1], "ch")}
+	for i := 0; i < blocks; i++ {
+		if st := frontends[0].Broadcast(mkEnvelope("ch", i, 16)); st != fabric.StatusSuccess {
+			t.Fatalf("broadcast %d: %v", i, st)
+		}
+	}
+	for _, stream := range streams {
+		collectBlocks(t, stream, blocks, 10*time.Second)
+	}
+	// The slowest node's copies may still be on their way: wait for four.
+	deadline := time.Now().Add(5 * time.Second)
+	for _, fe := range frontends {
+		to := transport.Addr(fe.ID())
+		for b := uint64(0); b < blocks; b++ {
+			for {
+				tally.mu.Lock()
+				whole := slices.Clone(tally.whole[copyKey{to, b}])
+				header := tally.header[copyKey{to, b}]
+				tally.mu.Unlock()
+				if len(whole)+header >= 4 || time.Now().After(deadline) {
+					slices.Sort(whole)
+					want := []transport.Addr{c.Replicas()[b%4].Addr(), c.Replicas()[(b+1)%4].Addr()}
+					slices.Sort(want)
+					if !slices.Equal(whole, want) || header != 2 {
+						t.Fatalf("%s got block %d whole from %v and %d header-only copies, want whole from %v and 2 header-only",
+							to, b, whole, header, want)
+					}
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+}
+
+// TestCrashedWholeSenderDelaysNoBlock: with node 3 crashed, the blocks it
+// would send whole still reach the frontend whole from their other whole
+// sender, so every block releases well within one heal tick of its
+// broadcast.
+func TestCrashedWholeSenderDelaysNoBlock(t *testing.T) {
+	c := testCluster(t, ClusterConfig{Nodes: 4, BlockSize: 1})
+	fe := testFrontend(t, c, "frontend-0", false)
+	stream := deliverNewest(t, fe, "ch")
+	c.KillNode(3)
+	for i := 0; i < 8; i++ {
+		start := time.Now()
+		if st := fe.Broadcast(mkEnvelope("ch", i, 16)); st != fabric.StatusSuccess {
+			t.Fatalf("broadcast %d: %v", i, st)
+		}
+		b := awaitBlock(t, stream, fetchWindowTimeout)
+		if b.Header.Number != uint64(i) {
+			t.Fatalf("released block %d, want %d", b.Header.Number, i)
+		}
+		if took := time.Since(start); took >= fetchWindowTimeout {
+			t.Fatalf("block %d took %v to release, want under %v", i, took, fetchWindowTimeout)
+		}
+	}
 }

@@ -6,14 +6,16 @@
 // cutters, seals block headers sequentially on the node thread, signs them
 // on a parallel signing pool, and pushes the signed blocks to every
 // registered frontend through a custom replier (instead of replying to the
-// submitting client).
+// submitting client): f+1 nodes push a block whole, the others its header
+// and their signature.
 //
 // A Frontend is the HLF consenter + BFT shim pair: it relays envelopes into
 // the ordering cluster via an asynchronous BFT-SMaRt client invocation and
-// collects blocks from the nodes, releasing each block once 2f+1 matching
-// copies arrived (or f+1 with signature verification enabled - footnote 8
-// of the paper). A copy the push loses is sent again from the ledger when
-// the frontend, its release cursor stalled, re-registers from that cursor.
+// collects blocks from the nodes, releasing each block once 2f+1 nodes
+// voted for its header (or f+1 verified signatures did - footnote 8 of the
+// paper) and one copy brought the body that hashes to it. A copy the push
+// loses is sent again from the ledger when the frontend, its release
+// cursor stalled, re-registers from that cursor.
 package core
 
 import (
@@ -952,6 +954,23 @@ func (n *OrderingNode) faults() int {
 		return f
 	}
 	return consensus.MaxFaults(len(n.cfg.Consensus.Replicas))
+}
+
+// sendsWhole reports whether this node sends block number whole to the
+// frontends. Node p of the live membership (n members, f faults) does so
+// for the blocks b with p ∈ {b, b+1, …, b+f} mod n; the others send the
+// header and their signature. Of a block's f+1 whole senders at least one
+// is correct, so its body reaches every frontend with no timer or
+// fallback sender. A node outside the membership sends every block whole.
+func (n *OrderingNode) sendsWhole(number uint64) bool {
+	members := n.membershipIDs()
+	size := uint64(len(members))
+	for p, id := range members {
+		if id == n.ID() {
+			return (uint64(p)+size-number%size)%size <= uint64(n.faults())
+		}
+	}
+	return true
 }
 
 // peerAddrs returns the other replicas' transport addresses per the live

@@ -123,11 +123,13 @@ type blockSender struct {
 }
 
 // pendingBlock is one signed block parked in a sender, with the
-// durability token of the decision that sealed it.
+// durability token of the decision that sealed it and whether this node
+// sends it whole (sendsWhole).
 type pendingBlock struct {
 	block *fabric.Block
 	gate  *storage.Token
 	trace blockTrace
+	whole bool
 }
 
 // ---- consensus.Durability ----------------------------------------------
@@ -193,10 +195,13 @@ func (p *pipeline) seal(chain *chainState, batch [][]byte) {
 	}
 
 	epoch := p.reserve(channel, block.Header.Number)
-	gate := p.gate
+	// Who sends the block whole is fixed here, at the decision that sealed
+	// it: a reconfiguration moves the whole senders with the decision that
+	// changes the group, and every node agrees on each block's senders.
+	pb := pendingBlock{block: block, gate: p.gate, trace: trace, whole: n.sendsWhole(block.Header.Number)}
 	if n.cfg.DisableSigning {
 		n.statSigned.Add(1)
-		p.complete(channel, epoch, block, gate, trace)
+		p.complete(channel, epoch, pb)
 		return
 	}
 	signerID := string(n.ID().Addr())
@@ -207,7 +212,7 @@ func (p *pipeline) seal(chain *chainState, batch [][]byte) {
 		}
 		block.Signatures = []fabric.BlockSignature{{SignerID: signerID, Signature: sig}}
 		n.statSigned.Add(1)
-		p.complete(channel, epoch, block, gate, trace)
+		p.complete(channel, epoch, pb)
 	})
 }
 
@@ -254,7 +259,7 @@ func (p *pipeline) reserve(channel string, number uint64) uint64 {
 // share one unified commit log, the wave that made the decision durable —
 // the one this drain just waited out — is a single fsync, and the block
 // records ride whichever single-fsync wave comes next.
-func (p *pipeline) complete(channel string, epoch uint64, block *fabric.Block, gate *storage.Token, trace blockTrace) {
+func (p *pipeline) complete(channel string, epoch uint64, pb pendingBlock) {
 	n := p.n
 	p.sendMu.Lock()
 	s, ok := p.senders[channel]
@@ -262,7 +267,7 @@ func (p *pipeline) complete(channel string, epoch uint64, block *fabric.Block, g
 		p.sendMu.Unlock()
 		return // the chain was replaced since sealing
 	}
-	s.pending[block.Header.Number] = pendingBlock{block: block, gate: gate, trace: trace}
+	s.pending[pb.block.Header.Number] = pb
 	if s.draining {
 		p.sendMu.Unlock()
 		return // the draining worker picks this block up
@@ -328,7 +333,7 @@ func (p *pipeline) complete(channel string, epoch uint64, block *fabric.Block, g
 					last = putMark{height: b.Header.Number + 1, tok: tok}
 				}
 			}
-			p.disseminate(channel, b)
+			p.disseminate(channel, b, pb.whole)
 			if n.metrics.StageDisseminate != nil && !fsyncedAt.IsZero() {
 				n.metrics.StageDisseminate.ObserveDuration(time.Since(fsyncedAt))
 				n.metrics.DisseminatedLag.Set(time.Now().UnixNano())
@@ -389,13 +394,19 @@ func (p *pipeline) persist(channel string, block *fabric.Block) fabric.DurableTo
 }
 
 // disseminate sends a signed block to every registered frontend (the
-// custom replier of Section 5.1) and keeps it among the channel's recent
-// blocks for a frontend that registers later. Runs on signing-pool
-// workers. An equivocating byzantine node sends a conflicting, re-signed
-// variant to half the frontends instead.
-func (p *pipeline) disseminate(channel string, block *fabric.Block) {
+// custom replier of Section 5.1) and keeps what it sent among the
+// channel's recent blocks for a frontend that registers later. Unless
+// whole, only the header and this node's signature go out: a frontend
+// needs a quorum of votes on the header but one body. Runs on
+// signing-pool workers. An equivocating byzantine node sends a
+// conflicting, re-signed variant to half the frontends instead.
+func (p *pipeline) disseminate(channel string, block *fabric.Block, whole bool) {
 	n := p.n
-	payload := marshalBlockMsg(channel, block)
+	sent := block
+	if !whole {
+		sent = &fabric.Block{Header: block.Header, Signatures: block.Signatures}
+	}
+	payload := marshalBlockMsg(channel, sent)
 	n.mu.Lock()
 	r := n.recent[channel]
 	if r == nil {

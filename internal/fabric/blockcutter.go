@@ -37,6 +37,10 @@ type BlockCutter struct {
 	pending [][]byte
 	bytes   int
 	oldest  time.Time
+	// last is the length of the previous batch: the next batch starts with
+	// that capacity, so a steady block size costs one allocation per block
+	// instead of a doubling series from nil.
+	last int
 }
 
 // NewBlockCutter creates a cutter with the given bounds.
@@ -49,6 +53,9 @@ func NewBlockCutter(cfg CutterConfig) *BlockCutter {
 func (c *BlockCutter) Append(envelope []byte) [][]byte {
 	if len(c.pending) == 0 {
 		c.oldest = time.Now()
+		if c.pending == nil && c.last > 0 {
+			c.pending = make([][]byte, 0, c.last)
+		}
 	}
 	c.pending = append(c.pending, envelope)
 	c.bytes += len(envelope)
@@ -69,6 +76,7 @@ func (c *BlockCutter) Cut() [][]byte {
 	batch := c.pending
 	c.pending = nil
 	c.bytes = 0
+	c.last = len(batch)
 	return batch
 }
 

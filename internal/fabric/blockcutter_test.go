@@ -115,3 +115,22 @@ func TestCutterPreservesOrderAndContent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A batch starts with the previous batch's length as its capacity: at a
+// steady block size the 100 appends of a block make one allocation, not a
+// doubling series from nil.
+func TestCutterSizesBatchFromPreviousBlock(t *testing.T) {
+	c := NewBlockCutter(CutterConfig{MaxEnvelopes: 100})
+	env := []byte("envelope")
+	block := func() {
+		for i := 0; i < 100; i++ {
+			if batch := c.Append(env); (batch != nil) != (i == 99) {
+				t.Fatalf("append %d cut %d envelopes", i, len(batch))
+			}
+		}
+	}
+	block()
+	if got := testing.AllocsPerRun(10, block); got != 1 {
+		t.Fatalf("100 appends of a steady block size make %.0f allocations, want 1", got)
+	}
+}
