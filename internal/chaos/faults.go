@@ -378,12 +378,12 @@ func ReconfigFault(remove int, atFrac float64) Fault {
 			}
 			client, err := consensus.NewClient(conn, consensus.ClientConfig{
 				Replicas: e.Cluster.Replicas(),
-				F:        e.F,
 			})
 			if err != nil {
 				conn.Close()
 				return fmt.Errorf("admin client: %w", err)
 			}
+			defer conn.Close()
 			defer client.Close()
 			op := consensus.EncodeReconfigOp(consensus.ReconfigOp{
 				Kind:    consensus.ReconfigRemove,

@@ -1,7 +1,6 @@
 package consensus
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -246,14 +245,16 @@ func TestFailedDecisionTokenReportedOnceFromEventLoop(t *testing.T) {
 	if err != nil {
 		t.Fatalf("new client: %v", err)
 	}
+	// Each op is submitted only once the previous one executed, so every
+	// op is a decision of its own.
 	const ops = 5
 	for i := 0; i < ops; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		_, err := client.Call(ctx, []byte{byte(i)})
-		cancel()
-		if err != nil {
-			t.Fatalf("call %d: %v", i, err)
+		if err := client.Invoke([]byte{byte(i)}); err != nil {
+			t.Fatalf("invoke %d: %v", i, err)
 		}
+		waitFor(t, 5*time.Second, fmt.Sprintf("op %d executed", i), func() bool {
+			return app.opCount() > i
+		})
 	}
 	client.Close()
 	r.Stop()

@@ -150,7 +150,7 @@ func TestProposeBeyondStateGapIsNotStranded(t *testing.T) {
 // application's), and opening an instance that a checkpoint retired
 // allocates nothing.
 func TestInstanceAllocationBudgets(t *testing.T) {
-	f := newFollower(t, Config{CheckpointInterval: 4}, WithoutClientReplies())
+	f := newFollower(t, Config{CheckpointInterval: 4})
 	f.conn.sent = make([]transport.Message, 0, 1<<12)
 
 	// Live instances 0..15, each with the follower's own WRITE counted.

@@ -22,7 +22,7 @@ const (
 	msgSync
 	msgStateRequest
 	msgStateReply
-	msgReply
+	_ // 10 was the retired client reply; the values that follow keep their wire numbers
 	msgProposeFetch
 )
 
@@ -86,7 +86,7 @@ func encodeRequestFrame(clientID string, reqs []queuedRequest) ([]byte, int) {
 // requests to every replica (Figure 3: "Clients send their requests to all
 // replicas").
 type request struct {
-	ClientID string // also the client's transport address for replies
+	ClientID string // the client's transport address
 	Seq      uint64 // per-client sequence number for deduplication
 	Op       []byte // opaque operation (an HLF envelope in the ordering service)
 }
@@ -525,38 +525,6 @@ func unmarshalStateReply(b []byte) (*stateReplyMsg, error) {
 // digest returns the content digest used for f+1 matching.
 func (m *stateReplyMsg) digest() cryptoutil.Digest {
 	return cryptoutil.Hash(m.marshal())
-}
-
-// replyMsg completes a client request (used by the default replier; the
-// ordering service replaces replies with block dissemination).
-type replyMsg struct {
-	ClientID string
-	ReqSeq   uint64
-	Seq      int64 // consensus instance that decided the request
-	Result   []byte
-}
-
-func (m *replyMsg) marshal() []byte {
-	w := wire.NewWriter(len(m.ClientID) + len(m.Result) + 32)
-	w.PutString(m.ClientID)
-	w.PutUint64(m.ReqSeq)
-	w.PutInt64(m.Seq)
-	w.PutBytes(m.Result)
-	return w.Bytes()
-}
-
-func unmarshalReply(b []byte) (*replyMsg, error) {
-	r := wire.NewReader(b)
-	m := &replyMsg{
-		ClientID: r.String(),
-		ReqSeq:   r.Uint64(),
-		Seq:      r.Int64(),
-		Result:   r.BytesCopy(),
-	}
-	if err := r.Finish(); err != nil {
-		return nil, fmt.Errorf("reply: %w", err)
-	}
-	return m, nil
 }
 
 // batchDigest hashes a proposed batch; WRITE and ACCEPT votes carry this

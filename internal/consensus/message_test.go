@@ -151,18 +151,6 @@ func TestStateMessagesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReplyRoundTrip(t *testing.T) {
-	in := &replyMsg{ClientID: "c", ReqSeq: 9, Seq: 3, Result: []byte("r")}
-	out, err := unmarshalReply(in.marshal())
-	if err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if out.ClientID != "c" || out.ReqSeq != 9 || out.Seq != 3 ||
-		!bytes.Equal(out.Result, []byte("r")) {
-		t.Fatalf("round trip mismatch: %+v", out)
-	}
-}
-
 func TestBatchDigestProperties(t *testing.T) {
 	a := [][]byte{[]byte("x"), []byte("y")}
 	if batchDigest(1, a) == batchDigest(2, a) {

@@ -38,7 +38,7 @@ type ReconfigOp struct {
 }
 
 // EncodeReconfigOp serializes a membership change for submission through a
-// consensus client (Client.Invoke / Client.Call).
+// consensus client (Client.Invoke).
 func EncodeReconfigOp(op ReconfigOp) []byte {
 	w := wire.NewWriter(len(reconfigMagic) + 16)
 	w.PutRaw(reconfigMagic)

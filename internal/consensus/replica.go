@@ -28,10 +28,6 @@ type Application interface {
 	Restore(snapshot []byte, seq int64)
 }
 
-// ResultFunc computes the reply payload for one executed operation. Nil
-// results in empty replies.
-type ResultFunc func(seq int64, op []byte) []byte
-
 // Behavior injects Byzantine faults for testing. The zero value is honest.
 type Behavior struct {
 	// Mute drops every outgoing protocol message (fail-silent).
@@ -46,15 +42,12 @@ type Behavior struct {
 // Option customizes a replica.
 type Option func(*Replica)
 
-// WithResultFunc installs the reply computation for client requests.
-func WithResultFunc(f ResultFunc) Option {
-	return func(r *Replica) { r.resultFunc = f }
-}
-
-// WithoutClientReplies disables reply messages entirely; the ordering
-// service uses its block-dissemination replier instead (Section 5.1).
+// WithoutClientReplies does nothing: replicas send clients no replies (the
+// ordering service returns blocks instead, Section 5.1).
+//
+// Deprecated: drop the call; the option is to be removed.
 func WithoutClientReplies() Option {
-	return func(r *Replica) { r.disableReplies = true }
+	return func(*Replica) {}
 }
 
 // WithCheckpointObserver registers a callback invoked on the event loop each
@@ -381,10 +374,6 @@ type Replica struct {
 	fetching     bool
 	fetchStarted time.Time
 	stateReplies map[ReplicaID]*stateReplyMsg
-
-	// Reply generation.
-	disableReplies bool
-	resultFunc     ResultFunc
 
 	// extraHandler receives non-consensus messages (types >= 64).
 	extraHandler func(transport.Message)
@@ -1408,13 +1397,12 @@ func (r *Replica) leftWindow(inst *instance) {
 }
 
 // execute delivers one instance's batch to the application, with
-// deduplication and reply generation.
+// deduplication.
 func (r *Replica) execute(inst *instance) {
 	// Write-ahead: the decision must be on disk before its effects (sealed
 	// blocks, dissemination) become visible.
 	r.logDecision(inst.seq, inst.batch)
 	ops := make([][]byte, 0, len(inst.reqs))
-	var replies []*replyMsg
 	var rec *clientRecord
 	for i := range inst.reqs {
 		rq := &inst.reqs[i]
@@ -1432,27 +1420,9 @@ func (r *Replica) execute(inst *instance) {
 			continue // membership changes are consumed by the replica layer
 		}
 		ops = append(ops, rq.Op)
-		if !r.disableReplies {
-			var result []byte
-			if r.resultFunc != nil {
-				result = r.resultFunc(inst.seq, rq.Op)
-			}
-			replies = append(replies, &replyMsg{
-				ClientID: rq.ClientID,
-				ReqSeq:   rq.Seq,
-				Seq:      inst.seq,
-				Result:   result,
-			})
-		}
 	}
 	r.app.Execute(inst.seq, ops)
 	r.statOps.Add(uint64(len(ops)))
-	if r.behavior.Load().Mute {
-		return
-	}
-	for _, rm := range replies {
-		r.conn.Send(transport.Addr(rm.ClientID), msgReply, rm.marshal())
-	}
 }
 
 // checkpointAt snapshots the application at seq and truncates the decision

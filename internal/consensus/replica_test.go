@@ -2,7 +2,6 @@ package consensus
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -95,7 +94,6 @@ type clusterOpts struct {
 	checkpointIvl  int64
 	batchSize      int
 	withKeys       bool
-	resultFunc     ResultFunc
 	batchTimeout   time.Duration
 	latency        time.Duration // fixed one-way delay of every link (0: instantaneous)
 	durable        bool          // attach a fakeLog durability backend to every replica
@@ -151,9 +149,6 @@ func newTestCluster(t *testing.T, opts clusterOpts) *testCluster {
 			Registry:           registry,
 		}
 		var replicaOpts []Option
-		if opts.resultFunc != nil {
-			replicaOpts = append(replicaOpts, WithResultFunc(opts.resultFunc))
-		}
 		if opts.durable {
 			log := &fakeLog{}
 			tc.logs = append(tc.logs, log)
@@ -309,24 +304,6 @@ func TestOrderingMultipleClients(t *testing.T) {
 	wg.Wait()
 	tc.waitAllDelivered(clients*each, 10*time.Second, nil)
 	tc.assertSameOrder(nil)
-}
-
-func TestSyncCall(t *testing.T) {
-	sum := func(seq int64, op []byte) []byte {
-		return []byte(fmt.Sprintf("done:%s", op))
-	}
-	tc := newTestCluster(t, clusterOpts{n: 4, resultFunc: sum})
-	client := tc.client(t, "caller")
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	result, err := client.Call(ctx, []byte("ping"))
-	if err != nil {
-		t.Fatalf("Call: %v", err)
-	}
-	if string(result) != "done:ping" {
-		t.Fatalf("result = %q", result)
-	}
 }
 
 func TestDuplicateRequestsExecutedOnce(t *testing.T) {
@@ -604,35 +581,6 @@ func TestWeightedCrashLeaderNoLoss(t *testing.T) {
 	tc.assertDecidedAll(skip)
 	if reg := tc.replicas[1].Stats().Regency; reg < 1 {
 		t.Fatalf("regency %d after the leader crashed", reg)
-	}
-}
-
-func TestClientCloseUnblocksCall(t *testing.T) {
-	tc := newTestCluster(t, clusterOpts{n: 4})
-	// Point the client at nonexistent replicas so the call can never
-	// complete.
-	conn, err := tc.net.Join("stuck-client")
-	if err != nil {
-		t.Fatalf("join: %v", err)
-	}
-	client, err := NewClient(conn, ClientConfig{Replicas: []ReplicaID{77, 78, 79, 80}})
-	if err != nil {
-		t.Fatalf("new client: %v", err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := client.Call(context.Background(), []byte("never"))
-		done <- err
-	}()
-	time.Sleep(50 * time.Millisecond)
-	client.Close()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("Call returned nil after Close")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Call did not unblock on Close")
 	}
 }
 

@@ -71,7 +71,7 @@ func TestPoolAndExecuteAllocationBudget(t *testing.T) {
 	const runs = 20
 	cost := func(k int) float64 {
 		r, err := NewReplica(Config{SelfID: 3, Replicas: ids(4), BatchSize: 128}, &countApp{},
-			&sinkConn{addr: ReplicaID(3).Addr()}, WithoutClientReplies())
+			&sinkConn{addr: ReplicaID(3).Addr()})
 		if err != nil {
 			t.Fatalf("new replica: %v", err)
 		}
@@ -115,7 +115,7 @@ func TestPoolAndExecuteAllocationBudget(t *testing.T) {
 func TestGrownWindowOutlivesEmptyPool(t *testing.T) {
 	const k, runs = 1024, 10
 	r, err := NewReplica(Config{SelfID: 3, Replicas: ids(4)}, &countApp{},
-		&sinkConn{addr: ReplicaID(3).Addr()}, WithoutClientReplies())
+		&sinkConn{addr: ReplicaID(3).Addr()})
 	if err != nil {
 		t.Fatalf("new replica: %v", err)
 	}
@@ -165,7 +165,7 @@ func TestGrownWindowOutlivesEmptyPool(t *testing.T) {
 // every request still pools and executes once.
 func TestWindowsStayProportionalToPool(t *testing.T) {
 	const clients = 1000
-	r, err := NewReplica(Config{SelfID: 3, Replicas: ids(4)}, &countApp{}, &sinkConn{addr: ReplicaID(3).Addr()}, WithoutClientReplies())
+	r, err := NewReplica(Config{SelfID: 3, Replicas: ids(4)}, &countApp{}, &sinkConn{addr: ReplicaID(3).Addr()})
 	if err != nil {
 		t.Fatalf("new replica: %v", err)
 	}
@@ -263,8 +263,8 @@ func (m *windowModel) maxExec(client int) uint64 {
 // executed too), and which requests, in which order, a batch takes.
 func FuzzClientWindow(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
-		r := newStandIn(t, 3, Config{BatchSize: 4}, WithoutClientReplies()).r
-		peer := newStandIn(t, 1, Config{BatchSize: 4}, WithoutClientReplies()).r
+		r := newStandIn(t, 3, Config{BatchSize: 4}).r
+		peer := newStandIn(t, 1, Config{BatchSize: 4}).r
 		m := &windowModel{exec: map[windowKey]bool{}, peer: map[windowKey]bool{}, flight: map[windowKey]bool{}}
 		contains := func(k windowKey) bool {
 			c := r.clients[windowClients[k.client]]

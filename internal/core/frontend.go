@@ -79,14 +79,15 @@ type FrontendStats struct {
 // durable ledgers under blockSync's trust rule) before switching to the
 // live stream with no gaps or duplicates.
 type Frontend struct {
-	cfg      FrontendConfig
-	conn     transport.Conn // receives MsgBlock / MsgFetchResponse from ordering nodes
-	client   *consensus.Client
-	released int        // vote threshold: 2f+1 copies or f+1 verified signatures
-	sync     *blockSync // client half only: history fetched for Deliver
-	peers    []transport.Addr
-	channels map[string]struct{}  // non-nil when cfg.Channels restricts
-	metrics  *obs.FrontendMetrics // never nil: normalized at construction
+	cfg        FrontendConfig
+	conn       transport.Conn // receives MsgBlock / MsgFetchResponse from ordering nodes
+	client     *consensus.Client
+	clientConn transport.Conn // the consensus client's endpoint, closed with the frontend
+	released   int            // vote threshold: 2f+1 copies or f+1 verified signatures
+	sync       *blockSync     // client half only: history fetched for Deliver
+	peers      []transport.Addr
+	channels   map[string]struct{}  // non-nil when cfg.Channels restricts
+	metrics    *obs.FrontendMetrics // never nil: normalized at construction
 
 	mu     sync.Mutex
 	chans  map[string]*feChannel
@@ -202,7 +203,6 @@ func (cfg *FrontendConfig) validate() error {
 func newFrontendWithConns(cfg FrontendConfig, conn, clientConn transport.Conn) (*Frontend, error) {
 	client, err := consensus.NewClient(clientConn, consensus.ClientConfig{
 		Replicas: cfg.Replicas,
-		F:        cfg.F,
 	})
 	if err != nil {
 		conn.Close()
@@ -214,14 +214,15 @@ func newFrontendWithConns(cfg FrontendConfig, conn, clientConn transport.Conn) (
 		threshold = cfg.F + 1
 	}
 	f := &Frontend{
-		cfg:      cfg,
-		conn:     conn,
-		client:   client,
-		released: threshold,
-		metrics:  cfg.Metrics.OrNop(),
-		chans:    make(map[string]*feChannel),
-		subs:     make(map[string][]*feSub),
-		done:     make(chan struct{}),
+		cfg:        cfg,
+		conn:       conn,
+		client:     client,
+		clientConn: clientConn,
+		released:   threshold,
+		metrics:    cfg.Metrics.OrNop(),
+		chans:      make(map[string]*feChannel),
+		subs:       make(map[string][]*feSub),
+		done:       make(chan struct{}),
 	}
 	if cfg.MaxInflight > 0 {
 		f.inflight = newInflightWindow(cfg.MaxInflight)
@@ -755,6 +756,7 @@ func (f *Frontend) Close() {
 		s.q.close()
 	}
 	f.client.Close()
+	f.clientConn.Close()
 	f.conn.Close()
 	f.wg.Wait()
 }

@@ -119,6 +119,22 @@ func TestFrontendReleasesAtTwoFPlusOne(t *testing.T) {
 	expectNoBlock(t, stream, 100*time.Millisecond)
 }
 
+// TestFrontendReopensUnderSameID: Close gives back both of the frontend's
+// endpoints, its own and its consensus client's, so a frontend restarted
+// in the same process can take the same identity again.
+func TestFrontendReopensUnderSameID(t *testing.T) {
+	net := transport.NewInProcNetwork(transport.InProcConfig{})
+	defer net.Close()
+	cfg := FrontendConfig{ID: "fe", Replicas: ids4()}
+	for round := 0; round < 2; round++ {
+		fe, err := NewFrontend(cfg, net)
+		if err != nil {
+			t.Fatalf("frontend, round %d: %v", round, err)
+		}
+		fe.Close()
+	}
+}
+
 func TestFrontendReordersBlocks(t *testing.T) {
 	net := transport.NewInProcNetwork(transport.InProcConfig{})
 	defer net.Close()

@@ -352,7 +352,6 @@ func NewNode(cfg NodeConfig, conn transport.Conn) (*OrderingNode, error) {
 		ccfg.ValidateRequest = validateEnvelopeOp
 	}
 	opts := []consensus.Option{
-		consensus.WithoutClientReplies(),
 		consensus.WithExtraMessageHandler(n.onServiceMessage),
 	}
 	if n.storage != nil {
