@@ -3,8 +3,8 @@
 // (Figure 6), the LAN throughput sweeps over cluster size, block size,
 // envelope size, and receiver count (Figure 7a-f), the geo-distributed
 // latency comparison of BFT-SMaRt vs WHEAT (Figures 8-9), and the
-// Equation (1) throughput-bound check. Its load helpers (EnvelopeGen,
-// LatencyRecorder, Table, EnvInfo) also drive the chaos matrix.
+// Equation (1) throughput-bound check. Its envelope generator
+// (EnvelopeGen, EnvelopeSeq) also drives the chaos matrix's load.
 // Performance is judged elsewhere, by the benchmark/ rig.
 package bench
 

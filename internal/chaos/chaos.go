@@ -8,8 +8,10 @@
 // A Scenario is deterministic given its seed: the WAN jitter and loss
 // draws, the load payloads, and the fetch probe ranges all derive from
 // Scenario.Seed, so a failing run can be replayed. Faults and invariants
-// are plain values — tests and cmd/chaosbench compose them freely, and
-// the registry (Scenarios) names the standard matrix.
+// are plain values — tests and examples compose them freely, and the
+// registry (Scenarios) names the standard matrix. One runner (Run) drives
+// both worlds, the single group and the sharded deployment; a scenario's
+// world differs only in what its builder sets up.
 package chaos
 
 import (
@@ -60,7 +62,7 @@ type Scenario struct {
 	// that many independent consensus groups (Nodes replicas each) behind
 	// a channel→shard router, one load channel pinned per shard. Sharded
 	// scenarios use the shard-aware faults and invariants (sharded.go);
-	// the single-cluster checkers do not apply.
+	// of the single-cluster checkers only DeliverContinuity applies.
 	Shards int
 
 	// DiskFaults threads a fault-injecting filesystem (faultfs) under every
@@ -154,11 +156,19 @@ type Env struct {
 	// Service holds the per-shard consensus groups; Router is the
 	// observer-side channel→shard router (verified release rule),
 	// LoadRouter the load-side one; ShardChannels maps each shard to its
-	// pinned load channel.
+	// pinned load channel. Cluster and Channel are shard 0's.
 	Service       *sharding.Service
 	Router        *sharding.Router
 	LoadRouter    *sharding.Router
 	ShardChannels map[sharding.ShardID]string
+
+	// channels lists every channel the world carries load on, and
+	// observer serves Deliver on them: Observer, or the sharded world's
+	// Router.
+	channels []string
+	observer interface {
+		Deliver(channel string, seek fabric.SeekInfo) (*fabric.BlockStream, error)
+	}
 
 	// Metrics is the registry every node/frontend of the run reports into
 	// (the runner always instruments chaos clusters so MetricsSane can
@@ -172,9 +182,9 @@ type Env struct {
 	epochs     []int
 	violations map[string][]string
 
+	// canons holds each channel's canonical (observer-released) chain.
 	canonMu sync.Mutex
-	canon   []*fabric.Block
-	canons  map[string][]*fabric.Block // per-channel chains (sharded world)
+	canons  map[string][]*fabric.Block
 
 	// faultFS holds the per-node fault-injecting filesystems (set only
 	// when Scenario.DiskFaults; indexed like Cluster.Nodes).
@@ -289,7 +299,7 @@ func (e *Env) progress() string {
 		fmt.Fprintf(&b, "node %d ledger %d persisted %d {%s}; ", i, height, n.PersistWatermark(e.Channel), consensus.DebugSnapshot(n.Replica()))
 	}
 	fmt.Fprintf(&b, "canonical height %d, observer released %d, load frontend released %d",
-		e.CanonHeight(), e.Observer.ReleasedHeight(e.Channel), e.LoadFE.ReleasedHeight(e.Channel))
+		e.CanonHeight(e.Channel), e.Observer.ReleasedHeight(e.Channel), e.LoadFE.ReleasedHeight(e.Channel))
 	return b.String()
 }
 
@@ -388,33 +398,10 @@ func (e *Env) ReplaceNode(i int) (int, error) {
 	return ni, err
 }
 
-// appendCanon extends the observer-released canonical chain (release is
-// in-order per channel; out-of-order copies are ignored here — the deliver
-// continuity invariant owns that check on its own stream).
-func (e *Env) appendCanon(b *fabric.Block) {
-	e.canonMu.Lock()
-	if b.Header.Number == uint64(len(e.canon)) {
-		e.canon = append(e.canon, b)
-	}
-	e.canonMu.Unlock()
-}
-
-// Canon snapshots the canonical (observer-released, f+1-verified) chain.
-func (e *Env) Canon() []*fabric.Block {
-	e.canonMu.Lock()
-	defer e.canonMu.Unlock()
-	return append([]*fabric.Block(nil), e.canon...)
-}
-
-// CanonHeight is the canonical chain height.
-func (e *Env) CanonHeight() uint64 {
-	e.canonMu.Lock()
-	defer e.canonMu.Unlock()
-	return uint64(len(e.canon))
-}
-
-// appendChanCanon extends one channel's canonical chain (sharded world).
-func (e *Env) appendChanCanon(channel string, b *fabric.Block) {
+// appendCanon extends a channel's observer-released canonical chain
+// (release is in-order per channel; out-of-order copies are ignored here —
+// the deliver continuity invariant owns that check on its own streams).
+func (e *Env) appendCanon(channel string, b *fabric.Block) {
 	e.canonMu.Lock()
 	if b.Header.Number == uint64(len(e.canons[channel])) {
 		e.canons[channel] = append(e.canons[channel], b)
@@ -422,8 +409,16 @@ func (e *Env) appendChanCanon(channel string, b *fabric.Block) {
 	e.canonMu.Unlock()
 }
 
-// ChanCanonHeight is one channel's canonical chain height (sharded world).
-func (e *Env) ChanCanonHeight(channel string) uint64 {
+// Canon snapshots a channel's canonical (observer-released, f+1-verified)
+// chain.
+func (e *Env) Canon(channel string) []*fabric.Block {
+	e.canonMu.Lock()
+	defer e.canonMu.Unlock()
+	return append([]*fabric.Block(nil), e.canons[channel]...)
+}
+
+// CanonHeight is a channel's canonical chain height.
+func (e *Env) CanonHeight(channel string) uint64 {
 	e.canonMu.Lock()
 	defer e.canonMu.Unlock()
 	return uint64(len(e.canons[channel]))

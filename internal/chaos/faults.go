@@ -142,7 +142,7 @@ func JoinFault(atFrac float64) Fault {
 			if !after(e, frac(e, atFrac)) {
 				return nil
 			}
-			target := e.CanonHeight()
+			target := e.CanonHeight(e.Channel)
 			i, err := e.AddNode()
 			if err != nil {
 				return fmt.Errorf("join: %w", err)
@@ -162,7 +162,7 @@ func ReplaceFault(node int, atFrac float64) Fault {
 			if !after(e, frac(e, atFrac)) {
 				return nil
 			}
-			target := e.CanonHeight()
+			target := e.CanonHeight(e.Channel)
 			ni, err := e.ReplaceNode(node)
 			if err != nil {
 				return fmt.Errorf("replace node %d: %w", node, err)
@@ -190,7 +190,7 @@ func RollingRestartFault(atFrac float64, pause time.Duration) Fault {
 			}
 			deposed := false
 			for i := 0; i < e.Scenario.Nodes; i++ {
-				target := e.CanonHeight()
+				target := e.CanonHeight(e.Channel)
 				hold := pause
 				if n, _ := e.Node(i); n != nil && !deposed && n.Replica().CurrentLeader() == n.ID() {
 					hold, deposed = max(pause, 2*e.Scenario.RequestTimeout), true

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/consensus"
@@ -17,51 +18,56 @@ import (
 	"repro/internal/transport"
 )
 
-// DeliverContinuity subscribes from genesis on the observer frontend and
-// checks the released stream is gap-free, duplicate-free, and hash-chained:
-// every block's number is exactly the next expected and its PrevHash is the
-// header hash of its predecessor, across every fault in the scenario.
+// DeliverContinuity subscribes from genesis on every channel of the world
+// through its observer and checks each released stream is gap-free,
+// duplicate-free, and hash-chained: every block's number is exactly the
+// next expected and its PrevHash is the header hash of its predecessor,
+// across every fault in the scenario — a stalled shard's stream may pause
+// but must resume without a seam.
 func DeliverContinuity() Invariant {
 	const name = "deliver-continuity"
-	var stream *fabric.BlockStream
-	consumed := make(chan struct{})
+	var streams []*fabric.BlockStream
+	var consumed sync.WaitGroup
 	return Invariant{
 		Name: name,
 		Start: func(e *Env) error {
-			var err error
-			stream, err = e.Observer.Deliver(e.Channel, fabric.DeliverFrom(0))
-			if err != nil {
-				return err
-			}
-			// Not on e.Go: the consumer outlives the injection window (it
-			// checks blocks arriving during quiesce) and exits when Stop
-			// cancels the stream.
-			go func() {
-				defer close(consumed)
-				var next uint64
-				var prev *fabric.Block
-				for b := range stream.Blocks() {
-					if b.Header.Number != next {
-						e.Violate(name, "stream delivered block %d, want %d (gap or duplicate)",
-							b.Header.Number, next)
-						return
-					}
-					if prev != nil && b.Header.PrevHash != prev.Header.Hash() {
-						e.Violate(name, "block %d does not hash-chain to block %d",
-							b.Header.Number, prev.Header.Number)
-						return
-					}
-					prev = b
-					next++
+			for _, channel := range e.channels {
+				stream, err := e.observer.Deliver(channel, fabric.DeliverFrom(0))
+				if err != nil {
+					return fmt.Errorf("%s: %w", channel, err)
 				}
-			}()
+				streams = append(streams, stream)
+				consumed.Add(1)
+				// Not on e.Go: the consumer outlives the injection window
+				// (it checks blocks arriving during quiesce) and exits when
+				// Stop cancels the stream.
+				go func() {
+					defer consumed.Done()
+					var next uint64
+					var prev *fabric.Block
+					for b := range stream.Blocks() {
+						if b.Header.Number != next {
+							e.Violate(name, "%s delivered block %d, want %d (gap or duplicate)",
+								channel, b.Header.Number, next)
+							return
+						}
+						if prev != nil && b.Header.PrevHash != prev.Header.Hash() {
+							e.Violate(name, "%s block %d does not hash-chain to block %d",
+								channel, b.Header.Number, prev.Header.Number)
+							return
+						}
+						prev = b
+						next++
+					}
+				}()
+			}
 			return nil
 		},
 		Stop: func(e *Env) {
-			if stream != nil {
+			for _, stream := range streams {
 				stream.Cancel()
 			}
-			<-consumed
+			consumed.Wait()
 		},
 	}
 }
@@ -114,7 +120,7 @@ func VerifiedFetch() Invariant {
 						return
 					case <-ticker.C:
 					}
-					canon := e.Canon()
+					canon := e.Canon(e.Channel)
 					if len(canon) < 2 {
 						continue
 					}
@@ -149,9 +155,9 @@ func VerifiedFetch() Invariant {
 		Stop: func(e *Env) {
 			<-done
 			for _, p := range probes {
-				if p.successes == 0 && e.CanonHeight() > 1 {
+				if p.successes == 0 && e.CanonHeight(e.Channel) > 1 {
 					e.Violate(name, "no %s probe ever succeeded (%d attempts failed) despite %d canonical blocks",
-						p.name, p.failures, e.CanonHeight())
+						p.name, p.failures, e.CanonHeight(e.Channel))
 				}
 			}
 		},
@@ -290,7 +296,7 @@ func DurableFloorExcept(floorFrac float64, except ...int) Invariant {
 		Name:  name,
 		Start: func(e *Env) error { return nil },
 		Stop: func(e *Env) {
-			target := uint64(floorFrac * float64(e.CanonHeight()))
+			target := uint64(floorFrac * float64(e.CanonHeight(e.Channel)))
 			deadline := time.Now().Add(15 * time.Second)
 			for {
 				lagging := -1
@@ -312,7 +318,7 @@ func DurableFloorExcept(floorFrac float64, except ...int) Invariant {
 				}
 				if time.Now().After(deadline) {
 					e.Violate(name, "node %d durable watermark %d below floor %d (canonical height %d)",
-						lagging, lagMark, target, e.CanonHeight())
+						lagging, lagMark, target, e.CanonHeight(e.Channel))
 					return
 				}
 				time.Sleep(50 * time.Millisecond)
@@ -338,9 +344,9 @@ func ScrubHeals() Invariant {
 				e.Violate(name, "no at-rest corruption was ever injected (fault did not bite)")
 				return
 			}
-			canon := e.Canon()
 			deadline := time.Now().Add(20 * time.Second)
 			for _, m := range marks {
+				canon := e.Canon(m.Channel)
 				for {
 					n, _ := e.Node(m.Node)
 					if n != nil {

@@ -20,8 +20,8 @@ func standardInvariants(floor float64) []Invariant {
 	}
 }
 
-// Scenarios is the named chaos matrix cmd/chaosbench runs and the README
-// documents. Every scenario keeps the same 4-node durable cluster under
+// Scenarios is the named chaos matrix the package's tests run and the
+// README documents. Every scenario keeps the same 4-node durable cluster under
 // continuous load; they differ in the faults injected and the invariants
 // those faults attack.
 func Scenarios() []Scenario {
@@ -166,8 +166,7 @@ func Scenarios() []Scenario {
 // continuous load while bit-rot keeps landing on two nodes, a third disk
 // runs slow, and a fourth goes fsync-dead mid-run. It is deliberately NOT
 // in Scenarios() — at ~60s plus quiesce it is far too slow for the
-// default matrix — and runs only from the CHAOS_SOAK=1-gated test or an
-// explicit `chaosbench -scenario disk-soak`.
+// default matrix — and runs only from the CHAOS_SOAK=1-gated test.
 func SoakScenario() Scenario {
 	return Scenario{
 		Name:           "disk-soak",
@@ -195,16 +194,12 @@ func SoakScenario() Scenario {
 	}
 }
 
-// Lookup resolves a scenario by name (the standard matrix plus the
-// off-matrix soak).
+// Lookup resolves a scenario of the standard matrix by name.
 func Lookup(name string) (Scenario, bool) {
 	for _, s := range Scenarios() {
 		if s.Name == name {
 			return s, true
 		}
-	}
-	if s := SoakScenario(); s.Name == name {
-		return s, true
 	}
 	return Scenario{}, false
 }

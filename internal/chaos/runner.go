@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,28 +18,23 @@ import (
 
 // InvariantResult is one invariant's verdict for a run.
 type InvariantResult struct {
-	Name   string   `json:"name"`
-	Pass   bool     `json:"pass"`
-	Detail []string `json:"detail,omitempty"`
+	Name   string
+	Pass   bool
+	Detail []string
 }
 
-// Result is one scenario run's outcome: the per-invariant verdicts plus the
-// commit-latency profile the load observed while the faults played out.
+// Result is one scenario run's outcome: the per-invariant verdicts plus how
+// much the load got ordered while the faults played out.
 type Result struct {
-	Scenario    string            `json:"scenario"`
-	Description string            `json:"description"`
-	Seed        uint64            `json:"seed"`
-	Pass        bool              `json:"pass"`
-	Invariants  []InvariantResult `json:"invariants"`
-	P50Ms       float64           `json:"p50_ms"`
-	P99Ms       float64           `json:"p99_ms"`
-	Delivered   uint64            `json:"delivered_envelopes"`
-	Blocks      uint64            `json:"blocks"`
-	DurationSec float64           `json:"duration_sec"`
-	// DurableFraction is this scenario's delivered throughput as a fraction
-	// of the fault-free baseline's, filled in by cmd/chaosbench after both
-	// ran (zero when no baseline was available for comparison).
-	DurableFraction float64 `json:"durable_fraction,omitempty"`
+	Scenario    string
+	Description string
+	Seed        uint64
+	Pass        bool
+	Invariants  []InvariantResult
+	// Delivered counts the load's envelopes the observer released, and
+	// Blocks the canonical blocks of every channel.
+	Delivered uint64
+	Blocks    uint64
 }
 
 // Options tunes a run without changing the scenario's identity.
@@ -58,13 +52,38 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// quiesceTimeout bounds the drain after the injection window, and how long
-// ReleaseKeepsUp then waits for the frontends.
+// quiesceTimeout bounds the drain after the injection window in the
+// single-group world, and how long ReleaseKeepsUp then waits for the
+// frontends.
 const quiesceTimeout = 10 * time.Second
 
 type loadKey struct {
 	client string
 	seq    uint64
+}
+
+// world is what a builder sets up for Run beyond the Env it fills in: how
+// the observer's released blocks reach the canonical chains, where the
+// load goes, and how long the drain after the injection window may last.
+// Everything else about a run is the same in every world.
+type world struct {
+	// watch starts feeding every block the observer releases to record and
+	// returns the call that stops it.
+	watch func(record func(channel string, b *fabric.Block)) (stop func(), err error)
+	// load carries the traffic of clients, one closed loop each.
+	load interface {
+		BroadcastRaw(raw []byte) fabric.BroadcastStatus
+	}
+	clients []loadClient
+	// drain bounds the quiesce after the injection window.
+	drain time.Duration
+}
+
+// loadClient is one closed-loop submitter: its channel, its client name
+// and the seed of its payloads.
+type loadClient struct {
+	channel, name string
+	seed          int64
 }
 
 // Run executes one scenario: build the world, start invariants, inject
@@ -76,113 +95,64 @@ func Run(s Scenario, opts Options) (Result, error) {
 	if opts.Scale > 0 {
 		s.Duration = time.Duration(float64(s.Duration) * opts.Scale)
 	}
-	if s.Shards > 0 {
-		return runSharded(s, opts)
-	}
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	// Teardown runs in reverse order of setup, whichever step failed.
+	var teardown []func()
+	defer func() {
+		for i := len(teardown) - 1; i >= 0; i-- {
+			teardown[i]()
+		}
+	}()
+	atExit := func(f func()) { teardown = append(teardown, f) }
 	dataDir := opts.DataDir
 	if dataDir == "" {
 		tmp, err := os.MkdirTemp("", "chaos-"+s.Name+"-*")
 		if err != nil {
 			return Result{}, err
 		}
-		defer os.RemoveAll(tmp)
+		atExit(func() { os.RemoveAll(tmp) })
 		dataDir = tmp
 	}
 
-	network := transport.NewInProcNetwork(transport.InProcConfig{})
-	defer network.Close()
-	registry := obs.NewRegistry()
-	// Disk-fault scenarios run every node's storage on a fault-injecting
-	// filesystem; each is a passthrough until a fault arms it mid-run. The
-	// factory hands a restarted node its original instance, so armed faults
-	// survive crash-recovery.
-	var nodeFS []*faultfs.FS
-	var nodeFSFor func(node int) vfs.FS
-	if s.DiskFaults {
-		nodeFS = make([]*faultfs.FS, s.Nodes)
-		for i := range nodeFS {
-			nodeFS[i] = faultfs.New(nil, int64(s.Seed)+int64(i)*97)
-		}
-		nodeFSFor = func(node int) vfs.FS {
-			if node < 0 || node >= len(nodeFS) {
-				return nil // nodes joining mid-run use the real filesystem
-			}
-			return nodeFS[node]
-		}
-	}
-	cluster, err := core.NewCluster(core.ClusterConfig{
-		Nodes:              s.Nodes,
-		BlockSize:          s.BlockSize,
-		BlockTimeout:       150 * time.Millisecond,
-		RequestTimeout:     s.RequestTimeout,
-		CheckpointInterval: s.CheckpointInterval,
-		RetainBlocks:       s.RetainBlocks,
-		Network:            network,
-		DataDir:            dataDir,
-		Metrics:            registry,
-		NodeFS:             nodeFSFor,
-		ScrubInterval:      s.ScrubInterval,
-	})
-	if err != nil {
-		return Result{}, fmt.Errorf("chaos %s: %w", s.Name, err)
-	}
-	defer cluster.Stop()
-
-	observer, err := cluster.NewFrontend("chaos-observer", true)
-	if err != nil {
-		return Result{}, fmt.Errorf("chaos %s: observer: %w", s.Name, err)
-	}
-	defer observer.Close()
-	loadFE, err := cluster.NewFrontend("chaos-load", false)
-	if err != nil {
-		return Result{}, fmt.Errorf("chaos %s: load frontend: %w", s.Name, err)
-	}
-	defer loadFE.Close()
-
 	e := &Env{
 		Scenario:     s,
-		Network:      network,
-		Cluster:      cluster,
-		Observer:     observer,
-		LoadFE:       loadFE,
-		Channel:      "chaos",
-		F:            consensus.MaxFaults(s.Nodes),
-		Metrics:      registry,
+		Network:      transport.NewInProcNetwork(transport.InProcConfig{}),
+		Metrics:      obs.NewRegistry(),
 		done:         make(chan struct{}),
 		epochs:       make([]int, s.Nodes),
 		violations:   make(map[string][]string),
-		faultFS:      nodeFS,
+		canons:       make(map[string][]*fabric.Block),
 		ackPending:   make(map[loadKey]bool),
 		ackDelivered: make(map[loadKey]bool),
 	}
+	atExit(func() { e.Network.Close() })
+	build := singleWorld
+	if s.Shards > 0 {
+		build = shardedWorld
+	}
+	w, err := build(e, dataDir, atExit)
+	if err != nil {
+		return Result{}, fmt.Errorf("chaos %s: %w", s.Name, err)
+	}
 
-	// The observer's release path is the measurement point: it extends
-	// the canonical chain and records broadcast→release latency for the
-	// load's envelopes.
-	recorder := bench.NewLatencyRecorder()
+	// The observer's release path is the measurement point: it extends the
+	// canonical chains and settles the load's acked envelopes.
 	var delivered atomic.Uint64
-	var times sync.Map
-	observer.OnBlock(func(b *fabric.Block) {
-		now := time.Now()
-		e.appendCanon(b)
+	stopWatching, err := w.watch(func(channel string, b *fabric.Block) {
+		e.appendCanon(channel, b)
 		for _, raw := range b.Envelopes {
-			client, seq, ok := bench.EnvelopeSeq(raw)
-			if !ok {
-				continue
-			}
-			delivered.Add(1)
-			e.noteDelivered(loadKey{client, seq})
-			if v, loaded := times.LoadAndDelete(loadKey{client, seq}); loaded {
-				if start, isTime := v.(time.Time); isTime {
-					recorder.Record(now.Sub(start))
-				}
+			if client, seq, ok := bench.EnvelopeSeq(raw); ok {
+				delivered.Add(1)
+				e.noteDelivered(loadKey{client, seq})
 			}
 		}
 	})
+	if err != nil {
+		return Result{}, fmt.Errorf("chaos %s: observe: %w", s.Name, err)
+	}
 
 	for _, inv := range s.Invariants {
 		if err := inv.Start(e); err != nil {
@@ -197,9 +167,8 @@ func Run(s Scenario, opts Options) (Result, error) {
 			}
 		})
 	}
-	for i := 0; i < s.Load.Clients; i++ {
-		client := fmt.Sprintf("chaos-%d", i)
-		gen := bench.NewEnvelopeGen(e.Channel, client, s.Load.EnvBytes, int64(s.Seed)+int64(i))
+	for _, c := range w.clients {
+		gen := bench.NewEnvelopeGen(c.channel, c.name, s.Load.EnvBytes, c.seed)
 		e.Go(func() {
 			for {
 				select {
@@ -208,16 +177,12 @@ func Run(s Scenario, opts Options) (Result, error) {
 				default:
 				}
 				raw, seq := gen.Next()
-				key := loadKey{client: client, seq: seq}
-				times.Store(key, time.Now())
-				switch st := e.LoadFE.BroadcastRaw(raw); st {
+				switch st := w.load.BroadcastRaw(raw); st {
 				case fabric.StatusSuccess:
-					e.noteAcked(key)
+					e.noteAcked(loadKey{client: c.name, seq: seq})
 				case fabric.StatusServiceUnavailable:
-					times.Delete(key) // backpressure or teardown: drop the sample
-					time.Sleep(20 * time.Millisecond)
+					time.Sleep(20 * time.Millisecond) // backpressure or teardown
 				default:
-					times.Delete(key)
 					e.Violate("load", "broadcast answered %v", st)
 					return
 				}
@@ -227,16 +192,16 @@ func Run(s Scenario, opts Options) (Result, error) {
 	}
 
 	logf("chaos %s: injecting for %v (seed %d)", s.Name, s.Duration, s.Seed)
-	start := time.Now()
 	time.Sleep(s.Duration)
 	close(e.done)
 	e.wg.Wait()
 
 	// Quiesce: wait for in-flight envelopes to drain through the observer
-	// (bounded, so a run whose chain stalls still ends; a frontend short of a
-	// copy no longer strands a tail block — it re-registers from its cursor
-	// within two heal ticks, well inside the bound).
-	quiesceDeadline := time.Now().Add(quiesceTimeout)
+	// (bounded, so a run whose chain stalls still ends). A healed shard
+	// drains its queued backlog here, and a frontend short of a copy
+	// re-registers from its cursor within two heal ticks, well inside the
+	// bound.
+	quiesceDeadline := time.Now().Add(w.drain)
 	lastCount := delivered.Load()
 	lastChange := time.Now()
 	for time.Now().Before(quiesceDeadline) {
@@ -247,7 +212,6 @@ func Run(s Scenario, opts Options) (Result, error) {
 			break
 		}
 	}
-	elapsed := time.Since(start)
 
 	for _, inv := range s.Invariants {
 		inv.Stop(e)
@@ -255,26 +219,22 @@ func Run(s Scenario, opts Options) (Result, error) {
 	if opts.Inspect != nil {
 		opts.Inspect(e)
 	}
+	stopWatching()
 
 	res := Result{
 		Scenario:    s.Name,
 		Description: s.Description,
 		Seed:        s.Seed,
 		Pass:        true,
-		P50Ms:       float64(recorder.Percentile(50).Microseconds()) / 1000,
-		P99Ms:       float64(recorder.Percentile(99).Microseconds()) / 1000,
 		Delivered:   delivered.Load(),
-		Blocks:      e.CanonHeight(),
-		DurationSec: elapsed.Seconds(),
+	}
+	for _, channel := range e.channels {
+		res.Blocks += e.CanonHeight(channel)
 	}
 	seen := map[string]bool{}
 	for _, inv := range s.Invariants {
 		v := e.violationsFor(inv.Name)
-		res.Invariants = append(res.Invariants, InvariantResult{
-			Name:   inv.Name,
-			Pass:   len(v) == 0,
-			Detail: v,
-		})
+		res.Invariants = append(res.Invariants, InvariantResult{Name: inv.Name, Pass: len(v) == 0, Detail: v})
 		seen[inv.Name] = true
 		if len(v) > 0 {
 			res.Pass = false
@@ -289,7 +249,73 @@ func Run(s Scenario, opts Options) (Result, error) {
 		}
 	}
 	e.mu.Unlock()
-	logf("chaos %s: pass=%v delivered=%d blocks=%d p50=%.1fms p99=%.1fms",
-		s.Name, res.Pass, res.Delivered, res.Blocks, res.P50Ms, res.P99Ms)
+	logf("chaos %s: pass=%v delivered=%d blocks=%d", s.Name, res.Pass, res.Delivered, res.Blocks)
 	return res, nil
+}
+
+// singleWorld builds one durable consensus group with an observer and a
+// load frontend. The observer feeds the canonical chain from its release
+// callback; the load runs chaos-<i> clients with seeds Seed+i.
+func singleWorld(e *Env, dataDir string, atExit func(func())) (world, error) {
+	s := e.Scenario
+	// Disk-fault scenarios run every node's storage on a fault-injecting
+	// filesystem; each is a passthrough until a fault arms it mid-run. The
+	// factory hands a restarted node its original instance, so armed faults
+	// survive crash-recovery.
+	var nodeFSFor func(node int) vfs.FS
+	if s.DiskFaults {
+		e.faultFS = make([]*faultfs.FS, s.Nodes)
+		for i := range e.faultFS {
+			e.faultFS[i] = faultfs.New(nil, int64(s.Seed)+int64(i)*97)
+		}
+		nodeFSFor = func(node int) vfs.FS {
+			if node < 0 || node >= len(e.faultFS) {
+				return nil // nodes joining mid-run use the real filesystem
+			}
+			return e.faultFS[node]
+		}
+	}
+	cluster, err := core.NewCluster(core.ClusterConfig{
+		Nodes:              s.Nodes,
+		BlockSize:          s.BlockSize,
+		BlockTimeout:       150 * time.Millisecond,
+		RequestTimeout:     s.RequestTimeout,
+		CheckpointInterval: s.CheckpointInterval,
+		RetainBlocks:       s.RetainBlocks,
+		Network:            e.Network,
+		DataDir:            dataDir,
+		Metrics:            e.Metrics,
+		NodeFS:             nodeFSFor,
+		ScrubInterval:      s.ScrubInterval,
+	})
+	if err != nil {
+		return world{}, err
+	}
+	atExit(cluster.Stop)
+	observer, err := cluster.NewFrontend("chaos-observer", true)
+	if err != nil {
+		return world{}, fmt.Errorf("observer: %w", err)
+	}
+	atExit(func() { observer.Close() })
+	loadFE, err := cluster.NewFrontend("chaos-load", false)
+	if err != nil {
+		return world{}, fmt.Errorf("load frontend: %w", err)
+	}
+	atExit(func() { loadFE.Close() })
+
+	e.Cluster, e.Observer, e.LoadFE = cluster, observer, loadFE
+	e.Channel, e.channels, e.observer = "chaos", []string{"chaos"}, observer
+	e.F = consensus.MaxFaults(s.Nodes)
+	w := world{
+		watch: func(record func(string, *fabric.Block)) (func(), error) {
+			observer.OnBlock(func(b *fabric.Block) { record(e.Channel, b) })
+			return func() {}, nil
+		},
+		load:  loadFE,
+		drain: quiesceTimeout,
+	}
+	for i := 0; i < s.Load.Clients; i++ {
+		w.clients = append(w.clients, loadClient{e.Channel, fmt.Sprintf("chaos-%d", i), int64(s.Seed) + int64(i)})
+	}
+	return w, nil
 }

@@ -3,14 +3,10 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/fabric"
-	"repro/internal/obs"
 	"repro/internal/sharding"
 	"repro/internal/transport"
 )
@@ -27,34 +23,21 @@ import (
 // ShardChannel names shard k's load channel.
 func ShardChannel(k sharding.ShardID) string { return fmt.Sprintf("chaos-s%d", k) }
 
-// runSharded is Run's sharded twin: same phases (build, invariants, faults
-// under load, quiesce, final invariants), a multi-group world.
-func runSharded(s Scenario, opts Options) (Result, error) {
-	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	dataDir := opts.DataDir
-	if dataDir == "" {
-		tmp, err := os.MkdirTemp("", "chaos-"+s.Name+"-*")
-		if err != nil {
-			return Result{}, err
-		}
-		defer os.RemoveAll(tmp)
-		dataDir = tmp
-	}
-
+// shardedWorld builds Scenario.Shards consensus groups behind an observer
+// router and a load router. The observer feeds each channel's canonical
+// chain from a Deliver stream; the load runs chaos-s<shard>-<i> clients on
+// every shard's channel with seeds Seed+shard*100+i. The drain is longer
+// than the single group's: a healed shard drains its queued backlog in it.
+func shardedWorld(e *Env, dataDir string, atExit func(func())) (world, error) {
+	s := e.Scenario
 	m := sharding.Map{Channels: make(map[string]sharding.ShardID, s.Shards)}
-	shardChannels := make(map[sharding.ShardID]string, s.Shards)
+	e.ShardChannels = make(map[sharding.ShardID]string, s.Shards)
 	for k := 0; k < s.Shards; k++ {
 		shard := sharding.ShardID(k)
 		m.Shards = append(m.Shards, shard)
 		m.Channels[ShardChannel(shard)] = shard
-		shardChannels[shard] = ShardChannel(shard)
+		e.ShardChannels[shard] = ShardChannel(shard)
 	}
-	network := transport.NewInProcNetwork(transport.InProcConfig{})
-	defer network.Close()
-	registry := obs.NewRegistry()
 	svc, err := sharding.NewService(sharding.ServiceConfig{
 		Map:                m,
 		NodesPerShard:      s.Nodes,
@@ -62,193 +45,67 @@ func runSharded(s Scenario, opts Options) (Result, error) {
 		BlockTimeout:       150 * time.Millisecond,
 		RequestTimeout:     s.RequestTimeout,
 		CheckpointInterval: s.CheckpointInterval,
-		Network:            network,
+		Network:            e.Network,
 		DataDir:            dataDir,
-		Metrics:            registry,
+		Metrics:            e.Metrics,
 	})
 	if err != nil {
-		return Result{}, fmt.Errorf("chaos %s: %w", s.Name, err)
+		return world{}, err
 	}
-	defer svc.Stop()
-
+	atExit(svc.Stop)
 	observer, closeObs, err := svc.NewRouter("chaos-obs", true)
 	if err != nil {
-		return Result{}, fmt.Errorf("chaos %s: observer router: %w", s.Name, err)
+		return world{}, fmt.Errorf("observer router: %w", err)
 	}
-	defer closeObs()
+	atExit(closeObs)
 	loadRouter, closeLoad, err := svc.NewRouter("chaos-load", false)
 	if err != nil {
-		return Result{}, fmt.Errorf("chaos %s: load router: %w", s.Name, err)
+		return world{}, fmt.Errorf("load router: %w", err)
 	}
-	defer closeLoad()
+	atExit(closeLoad)
 
-	e := &Env{
-		Scenario:      s,
-		Network:       network,
-		Cluster:       svc.Cluster(0),
-		Service:       svc,
-		Router:        observer,
-		LoadRouter:    loadRouter,
-		ShardChannels: shardChannels,
-		Channel:       ShardChannel(0),
-		Metrics:       registry,
-		done:          make(chan struct{}),
-		epochs:        make([]int, s.Nodes),
-		violations:    make(map[string][]string),
-		canons:        make(map[string][]*fabric.Block),
-	}
-
-	// Measurement streams: one verified-release stream per channel extends
-	// that channel's canonical chain and records broadcast→release latency.
-	recorder := bench.NewLatencyRecorder()
-	var delivered atomic.Uint64
-	var times sync.Map
-	var consumers sync.WaitGroup
-	var streams []*fabric.BlockStream
-	for _, shard := range svc.Shards() {
-		channel := shardChannels[shard]
-		stream, err := observer.Deliver(channel, fabric.DeliverFrom(0))
-		if err != nil {
-			return Result{}, fmt.Errorf("chaos %s: observe %s: %w", s.Name, channel, err)
-		}
-		streams = append(streams, stream)
-		consumers.Add(1)
-		// Not on e.Go: consumers outlive the injection window (they count
-		// the quiesce drain) and exit when the streams are canceled below.
-		go func(channel string, stream *fabric.BlockStream) {
-			defer consumers.Done()
-			for b := range stream.Blocks() {
-				now := time.Now()
-				e.appendChanCanon(channel, b)
-				for _, raw := range b.Envelopes {
-					client, seq, ok := bench.EnvelopeSeq(raw)
-					if !ok {
-						continue
-					}
-					delivered.Add(1)
-					if v, loaded := times.LoadAndDelete(loadKey{client, seq}); loaded {
-						if start, isTime := v.(time.Time); isTime {
-							recorder.Record(now.Sub(start))
-						}
-					}
+	e.Service, e.Cluster, e.Router, e.LoadRouter = svc, svc.Cluster(0), observer, loadRouter
+	e.Channel, e.observer = ShardChannel(0), observer
+	w := world{
+		watch: func(record func(string, *fabric.Block)) (func(), error) {
+			var consumers sync.WaitGroup
+			var streams []*fabric.BlockStream
+			stop := func() {
+				for _, stream := range streams {
+					stream.Cancel()
 				}
+				consumers.Wait()
 			}
-		}(channel, stream)
-	}
-
-	for _, inv := range s.Invariants {
-		if err := inv.Start(e); err != nil {
-			return Result{}, fmt.Errorf("chaos %s: invariant %s: %w", s.Name, inv.Name, err)
-		}
-	}
-	for _, f := range s.Faults {
-		fault := f
-		e.Go(func() {
-			if err := fault.Run(e); err != nil {
-				e.Violate("fault:"+fault.Name, "%v", err)
+			for _, channel := range e.channels {
+				stream, err := observer.Deliver(channel, fabric.DeliverFrom(0))
+				if err != nil {
+					stop()
+					return nil, fmt.Errorf("%s: %w", channel, err)
+				}
+				streams = append(streams, stream)
+				consumers.Add(1)
+				// Consumers outlive the injection window (they count the
+				// quiesce drain) and exit when stop cancels the streams.
+				go func() {
+					defer consumers.Done()
+					for b := range stream.Blocks() {
+						record(channel, b)
+					}
+				}()
 			}
-		})
+			return stop, nil
+		},
+		load:  loadRouter,
+		drain: 15 * time.Second,
 	}
-	// Per-shard load: every shard gets its own closed-loop submitters so
-	// aggregate progress is comparable across shards.
 	for _, shard := range svc.Shards() {
-		channel := shardChannels[shard]
+		channel := e.ShardChannels[shard]
+		e.channels = append(e.channels, channel)
 		for i := 0; i < s.Load.Clients; i++ {
-			client := fmt.Sprintf("chaos-s%d-%d", shard, i)
-			gen := bench.NewEnvelopeGen(channel, client, s.Load.EnvBytes, int64(s.Seed)+int64(shard)*100+int64(i))
-			e.Go(func() {
-				for {
-					select {
-					case <-e.Done():
-						return
-					default:
-					}
-					raw, seq := gen.Next()
-					key := loadKey{client: client, seq: seq}
-					times.Store(key, time.Now())
-					switch st := e.LoadRouter.BroadcastRaw(raw); st {
-					case fabric.StatusSuccess:
-					case fabric.StatusServiceUnavailable:
-						times.Delete(key) // backpressure or teardown: drop the sample
-						time.Sleep(20 * time.Millisecond)
-					default:
-						times.Delete(key)
-						e.Violate("load", "broadcast answered %v", st)
-						return
-					}
-					time.Sleep(s.Load.Pace)
-				}
-			})
+			w.clients = append(w.clients, loadClient{channel, fmt.Sprintf("chaos-s%d-%d", shard, i), int64(s.Seed) + int64(shard)*100 + int64(i)})
 		}
 	}
-
-	logf("chaos %s: %d shards, injecting for %v (seed %d)", s.Name, s.Shards, s.Duration, s.Seed)
-	start := time.Now()
-	time.Sleep(s.Duration)
-	close(e.done)
-	e.wg.Wait()
-
-	// Quiesce: a healed shard drains its queued backlog here, so the wait
-	// is part of the experiment, not slack.
-	quiesceDeadline := time.Now().Add(15 * time.Second)
-	lastCount := delivered.Load()
-	lastChange := time.Now()
-	for time.Now().Before(quiesceDeadline) {
-		time.Sleep(100 * time.Millisecond)
-		if n := delivered.Load(); n != lastCount {
-			lastCount, lastChange = n, time.Now()
-		} else if time.Since(lastChange) > time.Second {
-			break
-		}
-	}
-	elapsed := time.Since(start)
-
-	for _, inv := range s.Invariants {
-		inv.Stop(e)
-	}
-	if opts.Inspect != nil {
-		opts.Inspect(e)
-	}
-	for _, stream := range streams {
-		stream.Cancel()
-	}
-	consumers.Wait()
-
-	var blocks uint64
-	for _, channel := range shardChannels {
-		blocks += e.ChanCanonHeight(channel)
-	}
-	res := Result{
-		Scenario:    s.Name,
-		Description: s.Description,
-		Seed:        s.Seed,
-		Pass:        true,
-		P50Ms:       float64(recorder.Percentile(50).Microseconds()) / 1000,
-		P99Ms:       float64(recorder.Percentile(99).Microseconds()) / 1000,
-		Delivered:   delivered.Load(),
-		Blocks:      blocks,
-		DurationSec: elapsed.Seconds(),
-	}
-	seen := map[string]bool{}
-	for _, inv := range s.Invariants {
-		v := e.violationsFor(inv.Name)
-		res.Invariants = append(res.Invariants, InvariantResult{Name: inv.Name, Pass: len(v) == 0, Detail: v})
-		seen[inv.Name] = true
-		if len(v) > 0 {
-			res.Pass = false
-		}
-	}
-	e.mu.Lock()
-	for name, v := range e.violations {
-		if !seen[name] && len(v) > 0 {
-			res.Invariants = append(res.Invariants, InvariantResult{Name: name, Pass: false, Detail: append([]string(nil), v...)})
-			res.Pass = false
-		}
-	}
-	e.mu.Unlock()
-	logf("chaos %s: pass=%v delivered=%d blocks=%d p50=%.1fms p99=%.1fms",
-		s.Name, res.Pass, res.Delivered, res.Blocks, res.P50Ms, res.P99Ms)
-	return res, nil
+	return w, nil
 }
 
 // shardHeight is the highest ledger height any node of the shard holds for
@@ -314,57 +171,6 @@ func ShardPartitionFault(shard sharding.ShardID, atFrac, healFrac float64) Fault
 
 // ---- sharded invariants --------------------------------------------------
 
-// ShardContinuity subscribes from genesis on every shard's channel through
-// the router and checks each released stream is gap-free, duplicate-free,
-// and hash-chained — including across a shard stall, where the stream may
-// pause but must resume without a seam.
-func ShardContinuity() Invariant {
-	const name = "shard-continuity"
-	var streams []*fabric.BlockStream
-	var consumed sync.WaitGroup
-	return Invariant{
-		Name: name,
-		Start: func(e *Env) error {
-			for shard, channel := range e.ShardChannels {
-				stream, err := e.Router.Deliver(channel, fabric.DeliverFrom(0))
-				if err != nil {
-					return fmt.Errorf("shard %d: %w", shard, err)
-				}
-				streams = append(streams, stream)
-				consumed.Add(1)
-				// Not on e.Go: consumers outlive the injection window and
-				// exit when Stop cancels the streams.
-				go func(channel string, stream *fabric.BlockStream) {
-					defer consumed.Done()
-					var next uint64
-					var prev *fabric.Block
-					for b := range stream.Blocks() {
-						if b.Header.Number != next {
-							e.Violate(name, "%s delivered block %d, want %d (gap or duplicate)",
-								channel, b.Header.Number, next)
-							return
-						}
-						if prev != nil && b.Header.PrevHash != prev.Header.Hash() {
-							e.Violate(name, "%s block %d does not hash-chain to block %d",
-								channel, b.Header.Number, prev.Header.Number)
-							return
-						}
-						prev = b
-						next++
-					}
-				}(channel, stream)
-			}
-			return nil
-		},
-		Stop: func(e *Env) {
-			for _, stream := range streams {
-				stream.Cancel()
-			}
-			consumed.Wait()
-		},
-	}
-}
-
 // ShardCatchUp requires, after quiesce, that every node of every shard
 // durably holds the full canonical chain of its channel: a shard that was
 // stalled by a fault must have caught back up once healed. Polls to absorb
@@ -379,7 +185,7 @@ func ShardCatchUp() Invariant {
 			for {
 				lag := ""
 				for shard, channel := range e.ShardChannels {
-					target := e.ChanCanonHeight(channel)
+					target := e.CanonHeight(channel)
 					for i, n := range e.Service.Cluster(shard).Nodes {
 						if n == nil {
 							continue
@@ -422,10 +228,6 @@ func CrossShardAtomicity(every time.Duration) Invariant {
 	return Invariant{
 		Name: name,
 		Start: func(e *Env) error {
-			channels := make([]string, 0, len(e.ShardChannels))
-			for _, shard := range e.Service.Shards() {
-				channels = append(channels, e.ShardChannels[shard])
-			}
 			e.Go(func() {
 				opts := sharding.CrossOptions{Timeout: 2 * time.Second, RetryEvery: 100 * time.Millisecond}
 				for i := 0; ; i++ {
@@ -435,7 +237,7 @@ func CrossShardAtomicity(every time.Duration) Invariant {
 					tx := sharding.CrossTx{
 						XID:      fmt.Sprintf("xtx-%d-%d", e.Scenario.Seed, i),
 						ClientID: "chaos-cross",
-						Channels: channels,
+						Channels: e.channels,
 						Payload:  []byte(fmt.Sprintf("cross-payload-%d", i)),
 					}
 					err := e.LoadRouter.BroadcastCross(tx, opts)
@@ -505,7 +307,7 @@ func replayVisibility(e *Env, channel string, wait time.Duration) *sharding.Visi
 	}
 	defer stream.Cancel()
 	deadline := time.After(wait)
-	target := e.ChanCanonHeight(channel)
+	target := e.CanonHeight(channel)
 	var got uint64
 	for got < target {
 		select {
@@ -525,7 +327,7 @@ func replayVisibility(e *Env, channel string, wait time.Duration) *sharding.Visi
 // shardedInvariants is the checker set every sharded scenario runs.
 func shardedInvariants(crossEvery time.Duration) []Invariant {
 	return []Invariant{
-		ShardContinuity(),
+		DeliverContinuity(),
 		ShardCatchUp(),
 		CrossShardAtomicity(crossEvery),
 	}

@@ -3,7 +3,6 @@ package clientapi
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -369,13 +368,4 @@ func (sc *serverConn) onDeliver(f frame) {
 		sc.mu.Unlock()
 		sc.srv.opts.Metrics.DeliverStreams.Add(-1)
 	}()
-}
-
-// ListenAndServe listens on addr and serves until Close.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("clientapi: %w", err)
-	}
-	return s.Serve(ln)
 }

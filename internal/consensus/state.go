@@ -138,9 +138,12 @@ func (r *Replica) onStateRequest(from ReplicaID, m *stateRequestMsg) {
 		reply.Entries = append(reply.Entries, logEntryWire{Seq: seq, Batch: r.decidedLog[seq]})
 		expected++
 	}
-	if reply.CheckpointSeq < 0 && len(reply.Entries) == 0 {
-		return // nothing helpful to send
-	}
+	// A reply with neither snapshot nor entries is sent too: it says this
+	// replica holds nothing past FromSeq, and f+1 such replies end a
+	// transfer that has nothing to fetch. A requester never ends one on its
+	// own, and a leader that is fetching proposes nothing, so silence here
+	// wedged a group whose replicas all asked at the same height, as they
+	// may after a partition heals.
 	r.sendTo(from, msgStateReply, reply.marshal())
 }
 

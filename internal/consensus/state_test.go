@@ -2,7 +2,9 @@ package consensus
 
 import (
 	"encoding/hex"
+	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/transport"
 )
@@ -109,4 +111,29 @@ func TestStateTransferSuffixJoinsDecisionLog(t *testing.T) {
 	if len(served.Entries) != 2 || served.Entries[1].Seq != 1 {
 		t.Fatalf("served %d entries %+v, want instances 0 and 1", len(served.Entries), served.Entries)
 	}
+}
+
+// A state transfer that finds nothing to fetch must end. Here every replica
+// asks at once at the same height, so no peer holds anything past it; a
+// fetching leader proposes nothing, so the group orders the next requests
+// only if the peers' replies end every transfer.
+func TestStateTransferWithNothingToFetchEnds(t *testing.T) {
+	tc := newTestCluster(t, clusterOpts{n: 4})
+	client := tc.client(t, "client-1")
+	for i := 0; i < 10; i++ {
+		if err := client.Invoke([]byte(fmt.Sprintf("op-%02d", i))); err != nil {
+			t.Fatalf("invoke %d: %v", i, err)
+		}
+	}
+	tc.waitAllDelivered(10, 5*time.Second, nil)
+	for _, r := range tc.replicas {
+		r.Inspect(r.requestStateTransfer)
+	}
+	for i := 10; i < 20; i++ {
+		if err := client.Invoke([]byte(fmt.Sprintf("op-%02d", i))); err != nil {
+			t.Fatalf("invoke %d: %v", i, err)
+		}
+	}
+	tc.waitAllDelivered(20, 5*time.Second, nil)
+	tc.assertSameOrder(nil)
 }

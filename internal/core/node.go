@@ -88,14 +88,12 @@ type NodeConfig struct {
 	DisableSigning bool
 	// Key signs block headers. Required unless DisableSigning is set.
 	Key *cryptoutil.KeyPair
-	// Storage, when set, makes the node durable: decided batches are
-	// write-ahead logged before their blocks leave the node, sealed blocks
-	// and consensus checkpoints are persisted, and construction recovers
-	// ledger + consensus state from disk. Nil keeps the node fully
-	// in-memory.
-	Storage *storage.NodeStorage
-	// DataDir, when non-empty and Storage is nil, makes NewNode open (and
-	// own: Stop closes it) durable storage rooted at this directory.
+	// DataDir, when non-empty, makes the node durable: NewNode opens
+	// storage rooted at this directory (Stop closes it), decided batches
+	// are write-ahead logged before their blocks leave the node, sealed
+	// blocks and consensus checkpoints are persisted, and construction
+	// recovers ledger + consensus state from disk. Empty keeps the node
+	// fully in-memory.
 	DataDir string
 	// WALSegmentBytes overrides the unified commit log's segment size of
 	// storage opened via DataDir; zero keeps the 4 MiB default. Decisions
@@ -133,12 +131,11 @@ type NodeConfig struct {
 	// blocks, persist watermarks, and scrape-time consensus stats. Nil
 	// disables all of it at the cost of a nil check per site.
 	Metrics *obs.NodeMetrics
-	// StorageMetrics instruments storage opened via DataDir (ignored when
-	// Storage is supplied ready-made).
+	// StorageMetrics instruments storage opened via DataDir.
 	StorageMetrics *obs.StorageMetrics
 	// FS is the filesystem seam of storage opened via DataDir (nil = the
 	// real OS filesystem). Fault-injection tests thread a faultfs through
-	// here; ignored when Storage is supplied ready-made.
+	// here.
 	FS vfs.FS
 	// ScrubInterval is the background scrubber's period over the node's
 	// durable storage: every pass re-reads the retained block records
@@ -241,11 +238,10 @@ type OrderingNode struct {
 	// sync's parked blocks (ledger values are internally synchronized).
 	// recovering suppresses signing and dissemination while construction
 	// replays the decision log.
-	storage     *storage.NodeStorage
-	ownsStorage bool
-	ledgerMu    sync.Mutex
-	ledgers     map[string]*fabric.Ledger
-	recovering  bool
+	storage    *storage.NodeStorage
+	ledgerMu   sync.Mutex
+	ledgers    map[string]*fabric.Ledger
+	recovering bool
 
 	// retention drives block-store compaction (nil when disabled): the
 	// pipeline's drain and the back-fill nudge it after appends, it snapshots
@@ -310,9 +306,8 @@ func NewNode(cfg NodeConfig, conn transport.Conn) (*OrderingNode, error) {
 			return nil, fmt.Errorf("ordering node: %w", err)
 		}
 	}
-	store := cfg.Storage
-	ownsStorage := false
-	if store == nil && cfg.DataDir != "" {
+	var store *storage.NodeStorage
+	if cfg.DataDir != "" {
 		var err error
 		store, err = storage.Open(cfg.DataDir, storage.Options{
 			SegmentBytes: cfg.WALSegmentBytes,
@@ -326,19 +321,17 @@ func NewNode(cfg NodeConfig, conn transport.Conn) (*OrderingNode, error) {
 			}
 			return nil, fmt.Errorf("ordering node: opening data dir: %w", err)
 		}
-		ownsStorage = true
 	}
 	n := &OrderingNode{
-		cfg:         cfg,
-		conn:        conn,
-		signer:      signer,
-		storage:     store,
-		ownsStorage: ownsStorage,
-		chains:      make(map[string]*chainState),
-		frontends:   make(map[transport.Addr]struct{}),
-		recent:      make(map[string]*recentBlocks),
-		done:        make(chan struct{}),
-		metrics:     cfg.Metrics.OrNop(),
+		cfg:       cfg,
+		conn:      conn,
+		signer:    signer,
+		storage:   store,
+		chains:    make(map[string]*chainState),
+		frontends: make(map[transport.Addr]struct{}),
+		recent:    make(map[string]*recentBlocks),
+		done:      make(chan struct{}),
+		metrics:   cfg.Metrics.OrNop(),
 	}
 	n.pipe = newPipeline(n)
 	n.sync = newNodeBlockSync(n)
@@ -543,7 +536,7 @@ func (n *OrderingNode) closeOwned() {
 	if n.signer != nil {
 		n.signer.Close()
 	}
-	if n.ownsStorage && n.storage != nil {
+	if n.storage != nil {
 		n.storage.Close()
 	}
 }
@@ -708,7 +701,7 @@ func (n *OrderingNode) Stop() {
 	if n.scrubber != nil {
 		n.scrubber.Close() // waits out an in-flight scrub pass
 	}
-	if n.ownsStorage && n.storage != nil {
+	if n.storage != nil {
 		n.storage.Close()
 	}
 }

@@ -534,12 +534,6 @@ func (s *NodeStorage) RepairBlock(channel string, b *fabric.Block) error {
 	return s.blocks.RepairBlock(channel, b)
 }
 
-// BlockFloor returns a channel's retention floor: the first block number
-// the store still serves.
-func (s *NodeStorage) BlockFloor(channel string) uint64 {
-	return s.blocks.Floor(channel)
-}
-
 // RetentionState reports the block store's retained windows and on-disk
 // size (retention.Store).
 func (s *NodeStorage) RetentionState() retention.State {

@@ -492,63 +492,6 @@ func replaySegment(fs vfs.FS, seg segment, fn func(idx uint64, rec []byte) error
 	return nil
 }
 
-// ReadRange streams every record with index in [from, to] (inclusive) to
-// fn, in index order. The log lock is held only to snapshot the segment
-// table; the file reads run without it, which is safe because committed
-// record bytes are never rewritten and the scan stops at the snapshot's
-// last committed index of each segment, before any frame a concurrent
-// group commit may be appending. The caller must ensure the segments it
-// reads are not pruned concurrently: the decision log prunes but is only
-// ever replayed at open, and the block store — whose log prunes under
-// retention — only calls ReadRange during open-time recovery; its
-// concurrent read path is ReadRecords, which translates a deleted
-// segment into ErrRecordGone. Indices below the pruning floor are
-// silently absent. A non-nil error from fn aborts the walk.
-func (w *WAL) ReadRange(from, to uint64, fn func(idx uint64, rec []byte) error) error {
-	if from == 0 {
-		from = 1
-	}
-	w.mu.Lock()
-	segs := append([]segment(nil), w.segments...)
-	w.mu.Unlock()
-	for _, seg := range segs {
-		if seg.last < seg.first || seg.last < from || seg.first > to {
-			continue
-		}
-		// Stop at the segment's committed frontier: bytes past it may
-		// belong to a frame still being written.
-		stop := to
-		if seg.last < stop {
-			stop = seg.last
-		}
-		err := replaySegment(w.cfg.FS, seg, func(idx uint64, rec []byte) error {
-			if idx < from {
-				return nil
-			}
-			if err := fn(idx, rec); err != nil {
-				return err
-			}
-			if idx == stop {
-				return errStopReplay
-			}
-			return nil
-		})
-		if errors.Is(err, errStopReplay) {
-			if stop == to {
-				return nil // the range is covered
-			}
-			continue
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// errStopReplay aborts a range walk early once the range is covered.
-var errStopReplay = errors.New("storage: stop replay")
-
 // ErrRecordGone reports a record that vanished under a reader: its index
 // fell below the pruning floor (or its segment file was deleted)
 // between the caller's index lookup and the read. Callers that prune

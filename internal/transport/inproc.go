@@ -235,9 +235,14 @@ func (c *inprocConn) Send(to Addr, msgType uint16, payload []byte) {
 
 func (c *inprocConn) Inbox() <-chan Message { return c.mailbox.out }
 
+// Close detaches the endpoint. It is idempotent, and it unregisters the
+// address only while the address is still this endpoint's: a successor that
+// joined under the same address stays registered.
 func (c *inprocConn) Close() error {
 	c.net.mu.Lock()
-	delete(c.net.peers, c.addr)
+	if c.net.peers[c.addr] == c {
+		delete(c.net.peers, c.addr)
+	}
 	c.net.mu.Unlock()
 	c.mailbox.close()
 	return nil

@@ -360,6 +360,19 @@ func TestInProcZeroDelayDeliversInline(t *testing.T) {
 	}
 }
 
+// Closing a retired endpoint again must not unregister the successor that
+// joined under its address.
+func TestInProcCloseKeepsSuccessor(t *testing.T) {
+	net := NewInProcNetwork(InProcConfig{})
+	defer net.Close()
+	first := mustJoin(t, net, "x")
+	first.Close()
+	successor := mustJoin(t, net, "x")
+	first.Close()
+	mustJoin(t, net, "y").Send("x", 1, nil)
+	recvOne(t, successor, 300*time.Millisecond)
+}
+
 func TestInProcCloseWithDeliveriesPending(t *testing.T) {
 	before := runtime.NumGoroutine()
 	net := NewInProcNetwork(InProcConfig{Latency: FixedLatency(time.Minute), EgressBytesPerSec: GigabitEthernet})
