@@ -32,7 +32,9 @@ type DecisionToken interface {
 type Durability interface {
 	// AppendDecision enqueues the decided batch of instance seq for the
 	// backend's next group commit and returns its durability token.
-	// Appends must commit in call order.
+	// Appends must commit in call order. batch is valid only during the
+	// call (the replica reuses it for a later instance); its entries are
+	// views the backend may keep.
 	AppendDecision(seq int64, batch [][]byte) DecisionToken
 	// SaveCheckpoint durably stores the wrapped snapshot taken at seq
 	// before returning, and may prune log records at or below seq.

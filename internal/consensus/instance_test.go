@@ -3,6 +3,8 @@ package consensus
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -33,7 +35,7 @@ type standIn struct {
 	addrs []transport.Addr
 }
 
-func newStandIn(t *testing.T, self ReplicaID, cfg Config, opts ...Option) *standIn {
+func newStandIn(t testing.TB, self ReplicaID, cfg Config, opts ...Option) *standIn {
 	t.Helper()
 	cfg.SelfID, cfg.Replicas = self, ids(4)
 	f := &standIn{conn: &sinkConn{addr: self.Addr()}}
@@ -48,12 +50,12 @@ func newStandIn(t *testing.T, self ReplicaID, cfg Config, opts ...Option) *stand
 }
 
 // newFollower is replica 3, a follower in regency 0.
-func newFollower(t *testing.T, cfg Config, opts ...Option) *standIn {
+func newFollower(t testing.TB, cfg Config, opts ...Option) *standIn {
 	return newStandIn(t, 3, cfg, opts...)
 }
 
 // newLeader is replica 0, the leader of regency 0.
-func newLeader(t *testing.T, cfg Config, opts ...Option) *standIn {
+func newLeader(t testing.TB, cfg Config, opts ...Option) *standIn {
 	return newStandIn(t, 0, cfg, opts...)
 }
 
@@ -217,13 +219,15 @@ func (f *standIn) proposals(t *testing.T) []*proposeMsg {
 		if m.Type != msgPropose {
 			continue
 		}
-		pm, err := unmarshalPropose(m.Payload)
-		if err != nil {
+		pm := new(proposeMsg)
+		if err := unmarshalPropose(m.Payload, pm); err != nil {
 			t.Fatalf("the stand-in sent a malformed PROPOSE: %v", err)
 		}
-		if _, _, st := f.r.resolve(pm); st != resolved {
+		var full batchStore
+		if _, st := f.r.resolve(pm, &full); st != resolved {
 			t.Fatalf("the stand-in's PROPOSE %d does not resolve against its own pool: %v", pm.Seq, st)
 		}
+		pm.Batch = full.entries
 		if !seen[pm.Seq] {
 			seen[pm.Seq] = true
 			out = append(out, pm)
@@ -499,11 +503,11 @@ func (f *standIn) inlineAnswers(t *testing.T, to ReplicaID) []*proposeMsg {
 		if m.Type != msgPropose || m.To != f.addrs[to] {
 			continue
 		}
-		pm, err := unmarshalPropose(m.Payload)
-		if err != nil {
+		pm := new(proposeMsg)
+		if err := unmarshalPropose(m.Payload, pm); err != nil {
 			t.Fatalf("the stand-in sent a malformed PROPOSE: %v", err)
 		}
-		if pm.Refs == nil {
+		if len(pm.Refs) == 0 {
 			out = append(out, pm)
 		}
 	}
@@ -555,5 +559,161 @@ func TestLeaderAnswersAFetchOnceWhileItHoldsTheBatch(t *testing.T) {
 	l.deliver(2, msgProposeFetch, fetch)
 	if answers := l.inlineAnswers(t, 2); len(answers) != 0 {
 		t.Fatalf("a leader whose instance a checkpoint retired answered with %d entries", len(answers[0].Batch))
+	}
+}
+
+// followerRun drives a follower stand-in through consensus instances of k
+// requests each, the way a saturated group does: a client frame of k
+// requests is pooled per instance, the leader's PROPOSE names the requests
+// by reference, and the WRITEs and ACCEPTs of the other replicas decide it.
+// A checkpoint every four instances retires them for reuse. The
+// application only counts what it executes.
+//
+// Frames are pooled one instance ahead, so the client's pool never empties
+// and its window stays grown. In order, instance i proposes the requests
+// of frame i, pooled before its PROPOSE arrives. Early, each frame is
+// shifted half a batch back, so instance i also proposes the first half of
+// frame i+1, and its PROPOSE arrives before that frame: it is parked, and
+// resolved when the frame is pooled. Either way the client's requests
+// execute in sequence order.
+type followerRun struct {
+	*standIn
+	tb       testing.TB
+	app      *countApp
+	k        int
+	early    bool
+	next     int64                   // the instance step runs
+	prepared int64                   // the newest instance with inputs
+	in       map[int64]followerInput // inputs of the instances not yet run
+}
+
+// followerInput is what reaches the follower for one instance: a client
+// frame, the leader's PROPOSE and the vote of each peer.
+type followerInput struct{ frame, propose, vote []byte }
+
+func newFollowerRun(tb testing.TB, k int, early bool) *followerRun {
+	fr := &followerRun{
+		standIn:  newFollower(tb, Config{BatchSize: 128, CheckpointInterval: 4, RequestTimeout: time.Hour}),
+		tb:       tb,
+		app:      &countApp{},
+		k:        k,
+		early:    early,
+		prepared: -1,
+		in:       make(map[int64]followerInput),
+	}
+	fr.r.app = fr.app
+	fr.prepare(0)
+	fr.r.onRequests(fr.in[0].frame)
+	return fr
+}
+
+// prepare builds the inputs of every instance up to seq.
+func (fr *followerRun) prepare(seq int64) {
+	shift := 0 // how far frames run behind batches
+	if fr.early {
+		shift = fr.k / 2
+	}
+	for fr.prepared < seq {
+		fr.prepared++
+		base := int(fr.prepared) * fr.k // this instance proposes sequences base+1 to base+k
+		queued := make([]queuedRequest, 0, fr.k)
+		for rs := max(base-shift, 0) + 1; rs <= base+fr.k-shift; rs++ {
+			queued = append(queued, queuedRequest{seq: uint64(rs), op: []byte("op")})
+		}
+		reqs := make([]request, fr.k)
+		batch := make([][]byte, fr.k)
+		for i := range reqs {
+			reqs[i] = request{ClientID: "client", Seq: uint64(base + i + 1), Op: []byte("op")}
+			batch[i] = reqs[i].marshal()
+		}
+		frame, _ := encodeRequestFrame("client", queued)
+		digest := batchDigest(fr.prepared, batch)
+		fr.in[fr.prepared] = followerInput{
+			frame:   frame,
+			propose: (&proposeMsg{Seq: fr.prepared, Digest: digest, Batch: batch}).marshalRefs(reqs),
+			vote:    (&voteMsg{Seq: fr.prepared, Digest: digest}).marshal(),
+		}
+	}
+}
+
+// step runs the next instance, whose inputs and the next one's frame must
+// be prepared: it pools the next instance's frame and delivers this one's
+// PROPOSE (the frame first, in order), then its WRITEs and ACCEPTs, then a
+// tick.
+func (fr *followerRun) step() {
+	seq := fr.next
+	in, frame := fr.in[seq], fr.in[seq+1].frame
+	delete(fr.in, seq)
+	if !fr.early {
+		fr.r.onRequests(frame)
+	}
+	fr.deliver(0, msgPropose, in.propose)
+	if fr.early {
+		if inst := fr.r.instances[seq]; inst == nil || inst.parked == nil {
+			fr.tb.Fatalf("instance %d: the PROPOSE of requests not yet pooled was not parked", seq)
+		}
+		fr.r.onRequests(frame)
+	}
+	for _, typ := range [...]uint16{msgWrite, msgAccept} {
+		for from := ReplicaID(0); from < 3; from++ {
+			fr.deliver(from, typ, in.vote)
+		}
+	}
+	fr.r.onTick()
+	fr.conn.sent = fr.conn.sent[:0]
+	fr.next++
+}
+
+// A follower allocates per instance, not per request: with the instances a
+// checkpoint retired reused, a PROPOSE of pooled references taken through
+// its WRITE and ACCEPT quorums, decided and executed costs as many bytes at
+// 100 entries as at 10, and so does one parked until its requests arrive.
+// What is left per instance is the follower's two votes and its share of a
+// checkpoint. Bytes, not objects: a slice of 100 views is one allocation,
+// as is a slice of 10.
+func TestFollowerInstanceBytesIndependentOfBatch(t *testing.T) {
+	const warm, runs = 16, 256
+	perInstance := func(k int, early bool) float64 {
+		fr := newFollowerRun(t, k, early)
+		fr.prepare(warm + runs)
+		for range warm {
+			fr.step()
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			fr.step()
+		}
+		runtime.ReadMemStats(&after)
+		if fr.r.lastDelivered != warm+runs-1 || fr.r.checkpointSeq != warm+runs-1 || fr.app.ops != k*(warm+runs) {
+			t.Fatalf("%d-entry instances: delivered to %d, checkpointed at %d, executed %d ops; want %d, %d and %d",
+				k, fr.r.lastDelivered, fr.r.checkpointSeq, fr.app.ops, warm+runs-1, warm+runs-1, k*(warm+runs))
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	for _, early := range []bool{false, true} {
+		ten, hundred := perInstance(10, early), perInstance(100, early)
+		if math.Abs(hundred-ten) > 256 {
+			t.Errorf("a follower instance (PROPOSE parked: %v) allocates %.0f B at 100 entries and %.0f B at 10; want them within 256 B",
+				early, hundred, ten)
+		}
+	}
+}
+
+// BenchmarkFollowerInstance is one instance of 100 pooled requests at a
+// follower, from PROPOSE to execution (see followerRun).
+func BenchmarkFollowerInstance(b *testing.B) {
+	fr := newFollowerRun(b, 100, false)
+	fr.prepare(64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if fr.prepared <= fr.next {
+			b.StopTimer()
+			fr.prepare(fr.next + 64)
+			b.StartTimer()
+		}
+		fr.step()
 	}
 }

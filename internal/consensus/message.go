@@ -158,13 +158,22 @@ type proposeMsg struct {
 	Seq     int64
 	Digest  cryptoutil.Digest
 	// Batch holds the entries. As decoded, an entry sent as a reference is
-	// nil until resolve fills it in; every other entry is a view of the
-	// payload (never nil: a view of a non-empty payload is not).
+	// nil (resolve completes the batch elsewhere); every other entry is a
+	// view of the payload (never nil: a view of a non-empty payload is not).
 	Batch [][]byte
 	// Refs, when the decoded message holds any reference, names entry i's
 	// request in Refs[i] wherever the entry was sent as one (client non-nil,
-	// a view of the payload); nil when every entry travelled inline.
+	// a view of the payload); empty when every entry travelled inline.
 	Refs []requestRef
+	// payload is what a received PROPOSE was decoded from (nil for one
+	// this replica built).
+	payload []byte
+}
+
+// isRef reports whether entry i of a decoded PROPOSE was sent as a
+// reference.
+func (m *proposeMsg) isRef(i int) bool {
+	return len(m.Refs) > 0 && m.Refs[i].client != nil
 }
 
 // requestRef names a pooled request in a PROPOSE.
@@ -212,31 +221,31 @@ func (m *proposeMsg) marshalRefs(reqs []request) []byte {
 	return w.Bytes()
 }
 
-func unmarshalPropose(b []byte) (*proposeMsg, error) {
+// unmarshalPropose decodes b into m, reusing the storage of m's slices:
+// whatever m held before is overwritten (or cleared), so the message decoded
+// is the same as into a zero proposeMsg. On error m holds no useful value.
+func unmarshalPropose(b []byte, m *proposeMsg) error {
 	r := wire.NewReader(b)
-	m := &proposeMsg{
-		Regency: r.Int32(),
-		Seq:     r.Int64(),
-	}
+	*m = proposeMsg{Regency: r.Int32(), Seq: r.Int64(), Batch: m.Batch, Refs: emptied(m.Refs), payload: b}
 	copy(m.Digest[:], r.Raw(cryptoutil.DigestSize))
-	m.Batch = make([][]byte, r.Count(2)) // a kind byte and an empty entry
+	m.Batch = sized(m.Batch, r.Count(2)) // a kind byte and an empty entry
 	for i := 0; i < len(m.Batch) && r.Err() == nil; i++ {
 		switch kind := r.Byte(); kind {
 		case entryInline:
 			m.Batch[i] = r.Bytes()
 		case entryRef:
-			if m.Refs == nil {
-				m.Refs = make([]requestRef, len(m.Batch))
+			if len(m.Refs) == 0 {
+				m.Refs = sized(m.Refs, len(m.Batch))
 			}
 			m.Refs[i] = requestRef{client: r.Bytes(), seq: r.Uvarint()}
 		default:
-			return nil, fmt.Errorf("propose: entry %d of unknown kind %d", i, kind)
+			return fmt.Errorf("propose: entry %d of unknown kind %d", i, kind)
 		}
 	}
 	if err := r.Finish(); err != nil {
-		return nil, fmt.Errorf("propose: %w", err)
+		return fmt.Errorf("propose: %w", err)
 	}
-	return m, nil
+	return nil
 }
 
 // proposeFetchMsg is a follower's request for the PROPOSE of instance Seq in

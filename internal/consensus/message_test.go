@@ -37,8 +37,8 @@ func TestRequestRoundTripProperty(t *testing.T) {
 
 func TestProposeRoundTrip(t *testing.T) {
 	in := &proposeMsg{Regency: 3, Seq: 99, Batch: [][]byte{[]byte("a"), []byte("bb")}}
-	out, err := unmarshalPropose(in.marshal())
-	if err != nil {
+	out := new(proposeMsg)
+	if err := unmarshalPropose(in.marshal(), out); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
 	if out.Regency != in.Regency || out.Seq != in.Seq || len(out.Batch) != 2 {
@@ -166,7 +166,7 @@ func TestBatchDigestProperties(t *testing.T) {
 
 func TestUnmarshalRejectsGarbage(t *testing.T) {
 	garbage := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
-	if _, err := unmarshalPropose(garbage); err == nil {
+	if err := unmarshalPropose(garbage, new(proposeMsg)); err == nil {
 		t.Error("propose accepted garbage")
 	}
 	if _, err := unmarshalVote(garbage[:3]); err == nil {
@@ -235,7 +235,9 @@ func TestBatchDigestGolden(t *testing.T) {
 }
 
 // The decode and digest budgets of the hot path: what a replica allocates
-// for a PROPOSE must not depend on how many requests it carries.
+// for a PROPOSE must not depend on how many requests it carries, and a
+// PROPOSE decoded into the message the previous one was decoded into
+// allocates nothing.
 func TestHotPathAllocationBudgets(t *testing.T) {
 	for _, n := range []int{10, 400} {
 		batch := benchBatch(n, 300)
@@ -243,12 +245,13 @@ func TestHotPathAllocationBudgets(t *testing.T) {
 			t.Errorf("batchDigest of %d entries: %.0f allocations, want <= 2", n, got)
 		}
 		payload := (&proposeMsg{Regency: 1, Seq: 7, Batch: batch}).marshal()
+		pm := new(proposeMsg)
 		if got := testing.AllocsPerRun(20, func() {
-			if _, err := unmarshalPropose(payload); err != nil {
+			if err := unmarshalPropose(payload, pm); err != nil {
 				t.Fatal(err)
 			}
-		}); got > 3 {
-			t.Errorf("unmarshalPropose of %d entries: %.0f allocations, want <= 3", n, got)
+		}); got > 0 {
+			t.Errorf("unmarshalPropose of %d entries into a used message: %.0f allocations, want 0", n, got)
 		}
 	}
 	// A request of a client the replica has executed for before decodes
@@ -272,8 +275,8 @@ func TestHotPathAllocationBudgets(t *testing.T) {
 func TestDecodersReturnViews(t *testing.T) {
 	batch := benchBatch(3, 50)
 	payload := (&proposeMsg{Regency: 1, Seq: 7, Batch: batch}).marshal()
-	pm, err := unmarshalPropose(payload)
-	if err != nil {
+	pm := new(proposeMsg)
+	if err := unmarshalPropose(payload, pm); err != nil {
 		t.Fatal(err)
 	}
 	rq, err := unmarshalRequest(pm.Batch[2], nil)
@@ -301,8 +304,9 @@ func BenchmarkUnmarshalPropose(b *testing.B) {
 	payload := (&proposeMsg{Regency: 1, Seq: 7, Batch: benchBatch(400, 300)}).marshal()
 	b.ReportAllocs()
 	b.SetBytes(int64(len(payload)))
+	pm := new(proposeMsg)
 	for i := 0; i < b.N; i++ {
-		if _, err := unmarshalPropose(payload); err != nil {
+		if err := unmarshalPropose(payload, pm); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -127,8 +127,8 @@ func (pr *proposalRecorder) watch(tc *testCluster, leader *Replica) {
 		if m.Type != msgPropose || m.From != leader.ID().Addr() {
 			return true
 		}
-		pm, err := unmarshalPropose(m.Payload)
-		if err != nil {
+		pm := new(proposeMsg)
+		if err := unmarshalPropose(m.Payload, pm); err != nil {
 			return true
 		}
 		pr.mu.Lock()

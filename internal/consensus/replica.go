@@ -20,7 +20,9 @@ import (
 // All methods are invoked from the replica's event loop, never concurrently.
 type Application interface {
 	// Execute delivers the totally ordered operations of decided consensus
-	// instance seq. No later call undoes it.
+	// instance seq. No later call undoes it. ops is valid only during the
+	// call (the replica reuses it for the next instance); its entries are
+	// views the application may keep.
 	Execute(seq int64, ops [][]byte)
 	// Snapshot serializes the application state after the last Execute.
 	Snapshot() []byte
@@ -187,12 +189,45 @@ func (t *tally) quorum(regency int32, qt *quorumTracker) (cryptoutil.Digest, boo
 	return cryptoutil.Digest{}, false
 }
 
+// batchStore is storage for one batch: its entries, which the instance
+// keeps until a checkpoint retires it, and the requests they decode to,
+// which are dead once the batch is executed and go back to the replica then
+// (see Replica.reqBufs). It holds views only (of request frames and PROPOSE
+// payloads), never bytes of its own, and is emptied before it is reused:
+// what it held no longer pins the frames those views are into.
+type batchStore struct {
+	entries [][]byte
+	reqs    []request
+}
+
+// emptied clears s and returns it with length 0 and its storage. Every
+// reused slice of views is emptied before it is refilled, so it holds zero
+// values past its length.
+func emptied[S ~[]E, E any](s S) S {
+	clear(s)
+	return s[:0]
+}
+
+// sized returns s emptied and grown to length n, its storage reused when it
+// holds n.
+func sized[S ~[]E, E any](s S, n int) S {
+	return slices.Grow(emptied(s), n)[:n]
+}
+
 // instance is the per-consensus-instance protocol state.
 type instance struct {
-	seq          int64
-	regency      int32 // regency of the registered proposal
+	seq     int64
+	regency int32 // regency of the registered proposal
+	// batch and reqs are the registered proposal's entries and the requests
+	// they were decoded to once, at registration (views of the entries);
+	// both are nil until a proposal registers, and reqs is nil again once
+	// the batch is executed (see deliver). Collected by the leader or resolved
+	// by a follower, they are held in store; registered from a SYNC, a
+	// state transfer or the decision log, batch is the message's and reqs a
+	// slice of their own.
 	batch        [][]byte
-	reqs         []request // batch, decoded once when it was registered (views of it)
+	reqs         []request
+	store        batchStore // kept across seqs: see recycle
 	digest       cryptoutil.Digest
 	haveProposal bool
 	writes       tally
@@ -210,11 +245,13 @@ type instance struct {
 	// sent the instance's PROPOSE (zero otherwise): the start of the
 	// instance-latency sample taken when the instance is delivered.
 	proposedAt time.Time
-	// parked is a PROPOSE of the current regency that named requests this
-	// follower has not pooled, or pooled with other operations than the
-	// leader's; parkedAt is when it arrived, and asked is set once the
-	// leader was asked for its entries inline (see onPropose).
-	parked   *proposeMsg
+	// parked is the payload of a PROPOSE of the current regency that named
+	// requests this follower has not pooled, or pooled with other
+	// operations than the leader's; parkedAt is when it arrived, and asked
+	// is set once the leader was asked for its entries inline (see
+	// onPropose). A payload is immutable, so the PROPOSE is decoded from it
+	// again when it is retried, and parking one copies nothing.
+	parked   []byte
 	parkedAt time.Time
 	asked    bool
 	// answered lists the followers this leader sent the instance's entries
@@ -225,18 +262,41 @@ type instance struct {
 // recycle retires an instance a checkpoint covers, to be reused for a later
 // seq (see Replica.instance). It drops what keeps the batch alive and
 // nothing else: until it is reused it still reads as the decided instance
-// it was, for a caller further up the stack that holds it.
+// it was, for a caller further up the stack that holds it. The store's
+// views are cleared and its slices kept, for the proposal of the seq the
+// instance serves next. A checkpoint retires an instance only once nothing
+// else holds views of its store: its decision-log entry is deleted first,
+// a parked PROPOSE is held as its own payload, and the entries an answer to
+// a fetch carried were encoded when it was sent.
 func (inst *instance) recycle() {
+	inst.store = batchStore{entries: emptied(inst.store.entries), reqs: emptied(inst.store.reqs)}
 	inst.batch, inst.reqs = nil, nil
 	inst.parked, inst.answered = nil, nil
 }
 
 // reuse readies a recycled instance for seq, keeping only the storage of its
-// tallies.
+// tallies and of its batch.
 func (inst *instance) reuse(seq int64) {
-	writes, accepts := inst.writes.votes[:0], inst.accepts.votes[:0]
-	*inst = instance{seq: seq}
+	writes, accepts, store := inst.writes.votes[:0], inst.accepts.votes[:0], inst.store
+	*inst = instance{seq: seq, store: store}
 	inst.writes.votes, inst.accepts.votes = writes, accepts
+}
+
+// proposalStore returns the storage a new proposal of the instance is
+// collected or resolved into: the instance's own, unless a proposal of an
+// earlier regency is registered there, which stays intact until the new one
+// replaces it. The new one then gets storage a checkpoint does not keep.
+func (inst *instance) proposalStore() *batchStore {
+	if inst.haveProposal {
+		return new(batchStore)
+	}
+	return &inst.store
+}
+
+// register makes batch, decoded as reqs, the instance's proposal of regency.
+func (inst *instance) register(regency int32, batch [][]byte, reqs []request, digest cryptoutil.Digest) {
+	inst.batch, inst.reqs, inst.digest = batch, reqs, digest
+	inst.haveProposal, inst.regency = true, regency
 }
 
 // bufferedStopData holds a STOPDATA that arrived before this replica
@@ -310,7 +370,20 @@ type Replica struct {
 	regency   int32
 	instances map[int64]*instance
 	// spare holds instances checkpoints retired, for reuse.
-	spare        []*instance
+	spare []*instance
+	// prop is the message every PROPOSE received, or retried from its
+	// parked payload, is decoded into, its slices reused from one to the
+	// next: what outlives the decode is resolved into its instance's
+	// storage.
+	prop *proposeMsg
+	// ops is the operations buffer execute hands the application, emptied
+	// after each call.
+	ops [][]byte
+	// reqBufs holds the emptied request buffers of executed instances, for
+	// the next batch to be collected or resolved into (see reqsOf). A
+	// buffer is made only when none is here, so there are about as many as
+	// instances were ever at once between registration and execution.
+	reqBufs      [][]request
 	lastProposed int64
 	// lastDelivered is the one watermark: every instance up to it is
 	// decided, logged, executed and kept in decidedLog (until a checkpoint
@@ -432,6 +505,7 @@ func NewReplica(cfg Config, app Application, conn transport.Conn, opts ...Option
 		membership:    membership,
 		qt:            newQuorumTracker(membership, cfg.Weights, cfg.F),
 		instances:     make(map[int64]*instance),
+		prop:          new(proposeMsg),
 		lastProposed:  -1,
 		lastDelivered: -1,
 		clients:       make(map[string]*clientRecord),
@@ -613,8 +687,8 @@ func (r *Replica) dispatch(m transport.Message) {
 		if !isReplica {
 			return
 		}
-		if pm, err := unmarshalPropose(m.Payload); err == nil {
-			r.onPropose(from, pm, nil)
+		if err := unmarshalPropose(m.Payload, r.prop); err == nil {
+			r.onPropose(from, r.prop, nil)
 		}
 	case msgProposeFetch:
 		if !isReplica {
@@ -857,28 +931,29 @@ func (r *Replica) maybePropose(now time.Time) {
 	if !r.proposeDue(now) {
 		return
 	}
-	batch, reqs := r.collectBatch()
 	// State transfer moves the delivery point, not lastProposed: numbering
 	// from lastProposed alone would propose an instance already delivered,
 	// which every replica drops as stale, stranding its batch in flight.
 	seq := max(r.lastProposed, r.lastDelivered) + 1
+	inst := r.instance(seq)
+	batch, reqs := r.collectBatch(inst.proposalStore())
 	r.lastProposed = seq
 	r.lastProposeAt = now
-	r.instance(seq).proposedAt = now
+	inst.proposedAt = now
 	r.publishWindow()
 	r.propose(seq, batch, reqs)
 }
 
 // collectBatch takes up to BatchSize pooled requests, in arrival order,
 // into a proposal (marking them in flight), as batch entries and as the
-// requests those were decoded into. It also compacts the arrival queue.
-func (r *Replica) collectBatch() ([][]byte, []request) {
+// requests those were decoded into, both held in into. It also compacts
+// the arrival queue.
+func (r *Replica) collectBatch(into *batchStore) ([][]byte, []request) {
 	size := r.pooled
 	if size > r.cfg.BatchSize {
 		size = r.cfg.BatchSize
 	}
-	batch := make([][]byte, 0, size)
-	reqs := make([]request, 0, size)
+	batch, reqs := slices.Grow(emptied(into.entries), size), slices.Grow(emptied(r.reqsOf(into)), size)
 	compacted := r.queue[:0]
 	for _, q := range r.queue {
 		p := q.find()
@@ -892,8 +967,10 @@ func (r *Replica) collectBatch() ([][]byte, []request) {
 			reqs = append(reqs, p.req)
 		}
 	}
+	clear(r.queue[len(compacted):])
 	r.queue = compacted
 	r.pooled -= len(batch)
+	into.entries, into.reqs = batch, reqs
 	return batch, reqs
 }
 
@@ -975,8 +1052,9 @@ func (r *Replica) admitPropose(from ReplicaID, regency int32, seq int64) bool {
 
 // onPropose handles a PROPOSE. reqs is m.Batch decoded when the caller has
 // that: the leader's own PROPOSE, whose Digest it computed. Otherwise the
-// entries are resolved from the pool (see resolve), and a PROPOSE that
-// cannot be resolved yet is parked on its instance (see unresolved).
+// entries are resolved from the pool into the instance's storage (see
+// resolve), and a PROPOSE that cannot be resolved yet is parked on its
+// instance (see unresolved).
 func (r *Replica) onPropose(from ReplicaID, m *proposeMsg, reqs []request) {
 	if !r.admitPropose(from, m.Regency, m.Seq) {
 		return
@@ -985,21 +1063,23 @@ func (r *Replica) onPropose(from ReplicaID, m *proposeMsg, reqs []request) {
 	if inst.haveProposal && inst.regency == m.Regency {
 		return // first proposal wins within a regency (equivocation defense)
 	}
-	digest := m.Digest
+	batch, digest := m.Batch, m.Digest
 	if reqs == nil {
+		into := inst.proposalStore()
 		var st resolution
-		if reqs, digest, st = r.resolve(m); st != resolved {
+		if digest, st = r.resolve(m, into); st != resolved {
 			r.unresolved(inst, m, st)
 			return
 		}
+		batch, reqs = into.entries, into.reqs
 		inst.parked = nil
 	}
-	reqs, ok := r.validateBatch(m.Batch, reqs)
+	reqs, ok := r.validateBatch(batch, reqs)
 	if !ok {
 		return // malformed proposal: refuse to WRITE; timeout handles the leader
 	}
 	if inst.decided {
-		r.adoptParked(inst, m, reqs, digest)
+		r.adoptParked(inst, m.Regency, batch, reqs, digest)
 		return
 	}
 	if inst.haveProposal && inst.regency != m.Regency {
@@ -1008,14 +1088,11 @@ func (r *Replica) onPropose(from ReplicaID, m *proposeMsg, reqs []request) {
 		inst.writeSent = false
 		inst.acceptSent = false
 	}
-	inst.batch, inst.reqs = m.Batch, reqs
-	inst.digest = digest
-	inst.haveProposal = true
-	inst.regency = m.Regency
+	inst.register(m.Regency, batch, reqs, digest)
 
 	if !inst.writeSent {
 		inst.writeSent = true
-		vm := &voteMsg{Regency: r.regency, Seq: m.Seq, Digest: inst.digest}
+		vm := &voteMsg{Regency: r.regency, Seq: inst.seq, Digest: inst.digest}
 		r.broadcast(msgWrite, vm.marshal())
 	}
 	r.checkQuorums(inst)
@@ -1024,7 +1101,7 @@ func (r *Replica) onPropose(from ReplicaID, m *proposeMsg, reqs []request) {
 // adoptParked registers the proposal of an instance its peers decided while
 // the proposal waited here for its requests, and delivers it, if it is the
 // decided value. If it is not, only the peers have the decided batch.
-func (r *Replica) adoptParked(inst *instance, m *proposeMsg, reqs []request, digest cryptoutil.Digest) {
+func (r *Replica) adoptParked(inst *instance, regency int32, batch [][]byte, reqs []request, digest cryptoutil.Digest) {
 	if inst.haveProposal {
 		return
 	}
@@ -1032,10 +1109,7 @@ func (r *Replica) adoptParked(inst *instance, m *proposeMsg, reqs []request, dig
 		r.requestStateTransfer()
 		return
 	}
-	inst.batch, inst.reqs = m.Batch, reqs
-	inst.digest = digest
-	inst.haveProposal = true
-	inst.regency = m.Regency
+	inst.register(regency, batch, reqs, digest)
 	r.deliverContiguous()
 	r.maybePropose(time.Now())
 }
@@ -1050,42 +1124,53 @@ const (
 	conflicting            // the references resolved, but not to the leader's batch
 )
 
-// resolve completes a received PROPOSE's batch: a reference becomes the
-// entry this replica pooled for the request, and the request decoded at
-// pool time is reused; an inline entry is decoded. It returns the batch
-// decoded and its digest. Resolved references must hash to the leader's
-// digest, or the client sent one (client, seq) with different operations to
-// the leader and to this replica. A batch sent inline is its own evidence:
-// the replica votes for the digest of what it received, as ever.
-func (r *Replica) resolve(m *proposeMsg) ([]request, cryptoutil.Digest, resolution) {
-	isRef := func(i int) bool { return m.Refs != nil && m.Refs[i].client != nil }
+// resolve completes a received PROPOSE's batch into the storage into, as
+// into.entries and the requests they decode to, into.reqs: a reference
+// becomes the entry this replica pooled for the request, and the request
+// decoded at pool time is reused; an inline entry is decoded. m is only
+// read. It returns the batch's digest. Resolved references must hash to the
+// leader's digest, or the client sent one (client, seq) with different
+// operations to the leader and to this replica. A batch sent inline is its
+// own evidence: the replica votes for the digest of what it received, as
+// ever.
+func (r *Replica) resolve(m *proposeMsg, into *batchStore) (cryptoutil.Digest, resolution) {
+	batch, reqs := sized(into.entries, len(m.Batch)), sized(r.reqsOf(into), len(m.Batch))
+	into.entries, into.reqs = batch, reqs
 	var rec *clientRecord
 	for i := range m.Batch {
-		if isRef(i) {
+		if m.isRef(i) {
 			p := r.findRef(&rec, m.Refs[i])
 			if p == nil {
-				return nil, cryptoutil.Digest{}, missing
+				return cryptoutil.Digest{}, missing
 			}
-			m.Batch[i] = p.raw
+			batch[i], reqs[i] = p.raw, p.req
 		}
 	}
-	reqs := make([]request, len(m.Batch))
 	for i, entry := range m.Batch {
-		if isRef(i) {
-			reqs[i] = r.findRef(&rec, m.Refs[i]).req
+		if m.isRef(i) {
 			continue
 		}
 		rq, err := unmarshalRequest(entry, r.clients)
 		if err != nil {
-			return nil, cryptoutil.Digest{}, malformed
+			return cryptoutil.Digest{}, malformed
 		}
-		reqs[i] = rq
+		batch[i], reqs[i] = entry, rq
 	}
-	digest := batchDigest(m.Seq, m.Batch)
-	if m.Refs != nil && digest != m.Digest {
-		return nil, digest, conflicting
+	digest := batchDigest(m.Seq, batch)
+	if len(m.Refs) > 0 && digest != m.Digest {
+		return digest, conflicting
 	}
-	return reqs, digest, resolved
+	return digest, resolved
+}
+
+// reqsOf returns the request buffer of into, taking one an executed
+// instance gave back when into has none.
+func (r *Replica) reqsOf(into *batchStore) []request {
+	if n := len(r.reqBufs); cap(into.reqs) == 0 && n > 0 {
+		into.reqs, r.reqBufs[n-1] = r.reqBufs[n-1], nil
+		r.reqBufs = r.reqBufs[:n-1]
+	}
+	return into.reqs
 }
 
 // findRef returns the pooled request a reference names, or nil; *rec is the
@@ -1109,7 +1194,7 @@ func (r *Replica) unresolved(inst *instance, m *proposeMsg, st resolution) {
 		return
 	}
 	if inst.parked == nil {
-		inst.parked, inst.parkedAt = m, time.Now()
+		inst.parked, inst.parkedAt = m.payload, time.Now()
 		r.parked = append(r.parked, inst.seq)
 	}
 	if st == conflicting {
@@ -1127,10 +1212,12 @@ func (r *Replica) retryParked() {
 		if !ok || inst.parked == nil {
 			continue
 		}
-		m, at := inst.parked, inst.parkedAt
+		payload, at := inst.parked, inst.parkedAt
 		inst.parked = nil
-		r.onPropose(r.leaderOf(m.Regency), m, nil)
-		if inst.parked == m {
+		if unmarshalPropose(payload, r.prop) == nil { // it decoded when it arrived
+			r.onPropose(r.leaderOf(r.prop.Regency), r.prop, nil)
+		}
+		if inst.parked != nil { // parked again: only this PROPOSE could be
 			inst.parkedAt = at
 		}
 	}
@@ -1169,7 +1256,9 @@ func (r *Replica) askLeader(inst *instance) {
 	}
 	inst.asked = true
 	r.statFetches.Add(1)
-	fm := &proposeFetchMsg{Regency: inst.parked.Regency, Seq: inst.seq}
+	// A parked PROPOSE is of the current regency: a regency change drops
+	// them all (dropParked).
+	fm := &proposeFetchMsg{Regency: r.regency, Seq: inst.seq}
 	r.sendTo(r.leaderOf(fm.Regency), msgProposeFetch, fm.marshal())
 }
 
@@ -1247,10 +1336,9 @@ func (r *Replica) adoptDecided(inst *instance, batch [][]byte) {
 	if !inst.decided {
 		r.statDecided.Add(1)
 	}
-	inst.batch, inst.parked = batch, nil
-	inst.reqs, _ = r.decodeBatch(batch) // decided, hence validated by a quorum
-	inst.digest = batchDigest(inst.seq, batch)
-	inst.haveProposal = true
+	reqs, _ := r.decodeBatch(batch) // decided, hence validated by a quorum
+	inst.parked = nil
+	inst.register(inst.regency, batch, reqs, batchDigest(inst.seq, batch))
 	inst.decided = true
 	inst.decidedDigest = inst.digest
 }
@@ -1370,9 +1458,14 @@ func (r *Replica) deliverContiguous() {
 // deliver executes inst, the decided instance right above the watermark,
 // and moves the watermark over it. The batch stays in decidedLog, for state
 // transfer and leader changes, until a checkpoint covers it, and the dedup
-// floors compact: nothing executed is ever undone.
+// floors compact: nothing executed is ever undone. The requests the batch
+// decoded to are not needed again: their buffer goes back to the replica.
 func (r *Replica) deliver(inst *instance) {
 	r.execute(inst)
+	if cap(inst.store.reqs) > 0 {
+		r.reqBufs = append(r.reqBufs, emptied(inst.store.reqs))
+	}
+	inst.reqs, inst.store.reqs = nil, nil
 	r.decidedLog[inst.seq] = inst.batch
 	r.lastDelivered = inst.seq
 	r.statDelivered.Store(inst.seq)
@@ -1402,7 +1495,7 @@ func (r *Replica) execute(inst *instance) {
 	// Write-ahead: the decision must be on disk before its effects (sealed
 	// blocks, dissemination) become visible.
 	r.logDecision(inst.seq, inst.batch)
-	ops := make([][]byte, 0, len(inst.reqs))
+	ops := r.ops
 	var rec *clientRecord
 	for i := range inst.reqs {
 		rq := &inst.reqs[i]
@@ -1423,6 +1516,7 @@ func (r *Replica) execute(inst *instance) {
 	}
 	r.app.Execute(inst.seq, ops)
 	r.statOps.Add(uint64(len(ops)))
+	r.ops = emptied(ops)
 }
 
 // checkpointAt snapshots the application at seq and truncates the decision
@@ -1467,26 +1561,40 @@ func (r *Replica) onTick() {
 		}
 		return
 	}
-	// Drop executed requests from the queue head so the watchdog always
-	// inspects the oldest still-pending request, and periodically compact
-	// the whole queue (followers never run collectBatch, which is where
-	// the leader compacts).
-	for len(r.queue) > 0 && r.queue[0].find() == nil {
-		r.queue = r.queue[1:]
-	}
-	if len(r.queue) > 4*r.pending+1024 {
-		compacted := make([]queued, 0, r.pending)
-		for _, q := range r.queue {
-			if q.find() != nil {
-				compacted = append(compacted, q)
-			}
-		}
-		r.queue = compacted
-	}
+	r.trimQueue()
 	// Request-timeout watchdog: a pending request older than the timeout
 	// indicts the current leader. The queue is in arrival order, so the
 	// head is the oldest.
 	if len(r.queue) > 0 && now.Sub(r.queue[0].find().arrived) > r.cfg.RequestTimeout {
 		r.triggerLeaderChange(r.regency + 1)
 	}
+}
+
+// trimQueue drops the executed requests at the head of the arrival queue,
+// so that the watchdog inspects the oldest request still pending, and
+// compacts the whole queue once executed requests make up most of it
+// (followers never run collectBatch, which is where the leader compacts).
+// Both move the entries down in place: a queue re-sliced at its head loses
+// capacity, and the append that pools the next request then copies it all
+// to a new array.
+func (r *Replica) trimQueue() {
+	head := 0
+	for head < len(r.queue) && r.queue[head].find() == nil {
+		head++
+	}
+	kept := r.queue[:0]
+	switch {
+	case len(r.queue)-head > 4*r.pending+1024:
+		for _, q := range r.queue[head:] {
+			if q.find() != nil {
+				kept = append(kept, q)
+			}
+		}
+	case head > 0:
+		kept = r.queue[:copy(r.queue, r.queue[head:])]
+	default:
+		return
+	}
+	clear(r.queue[len(kept):])
+	r.queue = kept
 }

@@ -319,10 +319,7 @@ func (r *Replica) onSync(from ReplicaID, m *syncMsg) {
 		if !ok {
 			continue // malformed sync value; escalation will follow
 		}
-		inst.batch, inst.reqs = d.Batch, reqs
-		inst.digest = batchDigest(d.Seq, d.Batch)
-		inst.haveProposal = true
-		inst.regency = m.Regency
+		inst.register(m.Regency, d.Batch, reqs, batchDigest(d.Seq, d.Batch))
 		inst.writeSent = true
 		inst.acceptSent = false
 		vm := &voteMsg{Regency: r.regency, Seq: d.Seq, Digest: inst.digest}

@@ -314,7 +314,7 @@ func FuzzClientWindow(f *testing.F) {
 					}
 				}
 			case 2: // the next batch
-				_, reqs := r.collectBatch()
+				_, reqs := r.collectBatch(new(batchStore))
 				var want []windowKey
 				for _, k := range m.pool {
 					if !m.flight[k] && len(want) < 4 {

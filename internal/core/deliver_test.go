@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/cryptoutil"
 	"repro/internal/fabric"
@@ -208,6 +210,83 @@ func TestBroadcastBackpressureWindow(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("window never freed after delivery")
 		}
+	}
+}
+
+// The backpressure window counts slots per envelope: a client that
+// broadcasts the same envelope twice holds two slots until both copies come
+// back, an envelope the client never broadcast frees nothing, and a
+// broadcast its consensus client refused gives its slot back at once.
+func TestInflightWindowSlots(t *testing.T) {
+	held := func(w *inflightWindow) int { return len(w.sem) }
+	t.Run("duplicate envelope holds two slots and frees both", func(t *testing.T) {
+		w, env := newInflightWindow(4), mkEnvelope("ch", 0, 32).Marshal()
+		for i := 0; i < 2; i++ {
+			if !w.acquire(env, time.Second, nil) {
+				t.Fatalf("acquire %d of a window of 4 failed", i)
+			}
+		}
+		if held(w) != 2 {
+			t.Fatalf("two broadcasts of one envelope hold %d slots, want 2", held(w))
+		}
+		for i := 0; i < 3; i++ { // the third release finds nothing held
+			w.release(env)
+		}
+		if held(w) != 0 || w.active() {
+			t.Fatalf("after both copies came back %d slots are held (active %v), want 0", held(w), w.active())
+		}
+	})
+	t.Run("another client's envelope frees none", func(t *testing.T) {
+		w := newInflightWindow(4)
+		if !w.acquire(mkEnvelope("ch", 0, 32).Marshal(), time.Second, nil) {
+			t.Fatal("acquire of an empty window failed")
+		}
+		w.release(mkEnvelope("ch", 1, 32).Marshal())
+		if held(w) != 1 || !w.active() {
+			t.Fatalf("another envelope's release left %d slots held (active %v), want 1", held(w), w.active())
+		}
+	})
+	t.Run("failed Invoke frees its slot", func(t *testing.T) {
+		net := transport.NewInProcNetwork(transport.InProcConfig{})
+		defer net.Close()
+		fe, err := NewFrontend(FrontendConfig{ID: "fe", Replicas: ids4(), MaxInflight: 1, BroadcastTimeout: time.Second}, net)
+		if err != nil {
+			t.Fatalf("frontend: %v", err)
+		}
+		defer fe.Close()
+		fe.client.Close()
+		if st := fe.BroadcastRaw(mkEnvelope("ch", 0, 32).Marshal()); st != fabric.StatusServiceUnavailable {
+			t.Fatalf("a broadcast its client refused acked %s, want SERVICE_UNAVAILABLE", st)
+		}
+		if held(fe.inflight) != 0 || fe.inflight.active() {
+			t.Fatalf("a refused broadcast left %d slots held (active %v), want 0", held(fe.inflight), fe.inflight.active())
+		}
+	})
+}
+
+// A block the queue handed over is not pinned by it: a subscriber holds
+// only the blocks it has not read yet. Popping by re-slicing at the head
+// kept every block read since the last append grew the queue reachable
+// from its backing array.
+func TestBlockQueueDoesNotPinDrainedBlocks(t *testing.T) {
+	q := newBlockQueue()
+	defer q.close()
+	var second weak.Pointer[fabric.Block]
+	for i := 0; i < 5; i++ {
+		b := &fabric.Block{Header: fabric.BlockHeader{Number: uint64(i)}}
+		if i == 1 {
+			second = weak.Make(b)
+		}
+		q.put(b)
+	}
+	for i := 0; i < 3; i++ {
+		if b := <-q.out; b.Header.Number != uint64(i) {
+			t.Fatalf("read block %d, want %d", b.Header.Number, i)
+		}
+	}
+	runtime.GC()
+	if second.Value() != nil {
+		t.Fatal("a block the subscriber read is still reachable from the queue")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -320,13 +321,13 @@ func (f *Frontend) BroadcastRaw(raw []byte) fabric.BroadcastStatus {
 		return fabric.StatusServiceUnavailable
 	}
 	if f.inflight != nil {
-		if !f.inflight.acquire(cryptoutil.Hash(raw), f.cfg.BroadcastTimeout, f.done) {
+		if !f.inflight.acquire(raw, f.cfg.BroadcastTimeout, f.done) {
 			return fabric.StatusServiceUnavailable
 		}
 	}
 	if err := f.client.Invoke(raw); err != nil {
 		if f.inflight != nil {
-			f.inflight.release(cryptoutil.Hash(raw))
+			f.inflight.release(raw)
 		}
 		return fabric.StatusServiceUnavailable
 	}
@@ -645,10 +646,10 @@ func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sent
 	// throughput-critical side of the benchmark receivers.
 	accounting := f.inflight != nil && f.inflight.active()
 	if accounting {
-		// release is a no-op for digests this client never broadcast, so
+		// release is a no-op for envelopes this client never broadcast, so
 		// counting every dropped copy is safe.
 		for _, raw := range dropped {
-			f.inflight.release(cryptoutil.Hash(raw))
+			f.inflight.release(raw)
 		}
 	}
 	// Stage trace: the copy that completed the release quorum carries the
@@ -673,7 +674,7 @@ func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sent
 		f.metrics.Envelopes.Add(uint64(len(b.Envelopes)))
 		if accounting {
 			for _, raw := range b.Envelopes {
-				f.inflight.release(cryptoutil.Hash(raw))
+				f.inflight.release(raw)
 			}
 		}
 		if cb := f.statLatencyCb.Load(); cb != nil {
@@ -763,27 +764,35 @@ func (f *Frontend) Close() {
 
 // ---- per-client backpressure window ------------------------------------
 
-// inflightWindow is a counting semaphore keyed by envelope digest: a slot
-// is held from Broadcast until the envelope surfaces in a released block,
-// bounding how much a client can buffer inside the ordering pipeline.
+// inflightWindow is a counting semaphore keyed by envelope: a slot is held
+// from Broadcast until the envelope surfaces in a released block, bounding
+// how much a client can buffer inside the ordering pipeline.
+//
+// The window only counts slots; what is trusted is decided by the release
+// rule and CheckIntegrity, which keep SHA-256. So an envelope is keyed by a
+// 64-bit hash of its bytes (hash/maphash) under a seed of the window's own,
+// which no client can aim collisions at: two envelopes that did collide
+// would only free each other's slot.
 type inflightWindow struct {
-	sem chan struct{}
+	sem  chan struct{}
+	seed maphash.Seed
 
 	mu      sync.Mutex
-	pending map[cryptoutil.Digest]int
+	pending map[uint64]int
 }
 
 func newInflightWindow(size int) *inflightWindow {
 	return &inflightWindow{
 		sem:     make(chan struct{}, size),
-		pending: make(map[cryptoutil.Digest]int),
+		seed:    maphash.MakeSeed(),
+		pending: make(map[uint64]int),
 	}
 }
 
 // acquire takes a window slot for the envelope, blocking while the window
 // is full (bounded by timeout when > 0, and by closed). It reports whether
 // the slot was obtained.
-func (w *inflightWindow) acquire(d cryptoutil.Digest, timeout time.Duration, closed <-chan struct{}) bool {
+func (w *inflightWindow) acquire(env []byte, timeout time.Duration, closed <-chan struct{}) bool {
 	select {
 	case w.sem <- struct{}{}:
 	default:
@@ -801,8 +810,9 @@ func (w *inflightWindow) acquire(d cryptoutil.Digest, timeout time.Duration, clo
 			return false
 		}
 	}
+	key := maphash.Bytes(w.seed, env)
 	w.mu.Lock()
-	w.pending[d]++
+	w.pending[key]++
 	w.mu.Unlock()
 	return true
 }
@@ -815,19 +825,20 @@ func (w *inflightWindow) active() bool {
 	return len(w.pending) > 0
 }
 
-// release frees the slot held for an envelope digest; digests the window
-// never saw (other clients' envelopes, TTC markers) are ignored.
-func (w *inflightWindow) release(d cryptoutil.Digest) {
+// release frees a slot held for the envelope; envelopes the window never
+// saw (other clients', TTC markers) are ignored.
+func (w *inflightWindow) release(env []byte) {
+	key := maphash.Bytes(w.seed, env)
 	w.mu.Lock()
-	n, ok := w.pending[d]
+	n, ok := w.pending[key]
 	if !ok {
 		w.mu.Unlock()
 		return
 	}
 	if n == 1 {
-		delete(w.pending, d)
+		delete(w.pending, key)
 	} else {
-		w.pending[d] = n - 1
+		w.pending[key] = n - 1
 	}
 	w.mu.Unlock()
 	<-w.sem
@@ -875,10 +886,16 @@ func (q *blockQueue) put(b *fabric.Block) {
 func (q *blockQueue) pump() {
 	defer q.wg.Done()
 	defer close(q.out)
+	// Two slices swap roles, as in the transport mailbox: put fills one
+	// while the other is handed over, so neither is re-sliced at its head
+	// (which kept every block handed over reachable from the backing array
+	// until an append grew it) and both stop growing.
+	var batch []*fabric.Block
 	for {
 		q.mu.Lock()
-		if len(q.queue) == 0 {
-			q.mu.Unlock()
+		batch, q.queue = q.queue, batch[:0]
+		q.mu.Unlock()
+		if len(batch) == 0 {
 			select {
 			case <-q.notify:
 				continue
@@ -886,13 +903,14 @@ func (q *blockQueue) pump() {
 				return
 			}
 		}
-		b := q.queue[0]
-		q.queue = q.queue[1:]
-		q.mu.Unlock()
-		select {
-		case q.out <- b:
-		case <-q.done:
-			return
+		for i := range batch {
+			b := batch[i]
+			batch[i] = nil // a block handed over is not pinned by the spare
+			select {
+			case q.out <- b:
+			case <-q.done:
+				return
+			}
 		}
 	}
 }
