@@ -24,7 +24,7 @@ func fullSweep() bool {
 	return os.Getenv("REPRO_FULL") == "1"
 }
 
-// BenchmarkFigure6SignatureGeneration reproduces Figure 6: ECDSA signature
+// BenchmarkFigure6SignatureGeneration reproduces Figure 6: Ed25519 signature
 // generation throughput for Fabric block headers (blocks of 10 envelopes)
 // against the number of signing worker threads.
 func BenchmarkFigure6SignatureGeneration(b *testing.B) {

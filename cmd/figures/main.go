@@ -1,7 +1,7 @@
 // Command figures regenerates the figures of the paper's evaluation
 // (Section 6):
 //
-//	-figure 6  ECDSA block-signature throughput against signing workers
+//	-figure 6  Ed25519 block-signature throughput against signing workers
 //	-figure 7  ordering-service throughput in a LAN for one cluster size
 //	           and block size, swept over envelope sizes and receiver counts
 //	-figure 8  geo-distributed latency at four frontends, BFT-SMaRt (4

@@ -7,19 +7,14 @@
 //	ordernode -id 0 -listen :7000 \
 //	  -peers 0=localhost:7000,1=localhost:7001,2=localhost:7002,3=localhost:7003 \
 //	  -frontends fe0=localhost:7100 \
-//	  -block 10 -key node0.key
+//	  -block 10
 //
-// Keys: run with -genkey to write a fresh ECDSA key pair and the public
-// key's hex to stdout, then distribute the public keys via -registry
-// entries (id=hexpubkey).
+// Keys: each node generates its Ed25519 signing key at start and holds it
+// only in memory; no flag loads a key, and distributing the public keys to
+// the cluster and its frontends is ROADMAP item 14(c).
 package main
 
 import (
-	"crypto/ecdsa"
-	"crypto/elliptic"
-	"crypto/rand"
-	"crypto/x509"
-	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
@@ -71,12 +66,8 @@ func run() error {
 	joinTimeout := flag.Duration("join-timeout", 60*time.Second, "hard deadline for -join; exceeding it exits with the typed join error")
 	scrubInterval := flag.Duration("scrub-interval", 5*time.Minute, "background bit-rot scrub period over the durable block records; corrupt records are repaired from peers via f+1-verified fetch (0 disables timed passes)")
 	recoverFromPeers := flag.Bool("recover-from-peers", false, "destructive last resort when -data-dir fails recovery with corruption: WIPE the data directory and rebuild this node's state from the peers (join-style state transfer + verified block fetch); refuses to act on non-corruption errors")
-	genkey := flag.Bool("genkey", false, "generate a key pair, print it, and exit")
 	flag.Parse()
 
-	if *genkey {
-		return generateKey()
-	}
 	if err := setupLogging(*logLevel); err != nil {
 		return err
 	}
@@ -257,23 +248,6 @@ func setupLogging(level string) error {
 		return fmt.Errorf("bad -log-level %q: %w", level, err)
 	}
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})))
-	return nil
-}
-
-func generateKey() error {
-	priv, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
-	if err != nil {
-		return err
-	}
-	der, err := x509.MarshalECPrivateKey(priv)
-	if err != nil {
-		return err
-	}
-	pub, err := x509.MarshalPKIXPublicKey(&priv.PublicKey)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("private: %s\npublic:  %s\n", hex.EncodeToString(der), hex.EncodeToString(pub))
 	return nil
 }
 

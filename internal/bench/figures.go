@@ -22,11 +22,12 @@ type Fig6Row struct {
 	SigsPerSec float64
 }
 
-// RunFigure6 measures ECDSA block-signature throughput against the number
-// of signing workers, reproducing Figure 6: blocks of envsPerBlock empty
-// envelopes are assembled and their (constant-size) headers signed by a
-// worker pool. The paper's host had 16 hardware threads; on fewer cores
-// the curve plateaus at the hardware parallelism.
+// RunFigure6 measures Ed25519 block-signature throughput (the paper measured
+// ECDSA) against the number of signing workers, reproducing Figure 6:
+// blocks of envsPerBlock empty envelopes are assembled and their
+// (constant-size) headers signed by a worker pool. The paper's host had 16
+// hardware threads; on fewer cores the curve plateaus at the hardware
+// parallelism.
 func RunFigure6(workers []int, envsPerBlock int, duration time.Duration) ([]Fig6Row, error) {
 	key, err := cryptoutil.GenerateKeyPair()
 	if err != nil {

@@ -10,7 +10,8 @@ import (
 )
 
 // Envelope sizes of the paper's evaluation (Section 6.2): a SHA-256 hash
-// (40 bytes), three ECDSA endorsement signatures (200 bytes), and 1 KB /
+// (40 bytes), three endorsement signatures (200 bytes: the paper's three
+// ECDSA ones; three Ed25519 ones are 192), and 1 KB /
 // 4 KB transaction messages ("the values related with [1 and 4 kbytes] are
 // more representative of the size of a transaction").
 var PaperEnvelopeSizes = []int{40, 200, 1024, 4096}

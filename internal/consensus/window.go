@@ -11,9 +11,10 @@ import "time"
 // request cost a replica loop.
 
 // windowFloor is the size a client's window starts at and the largest one
-// it keeps past a checkpoint with its pool empty: a client with a few
-// requests outstanding (a lone Invoke, a short Client queue) never grows
-// it, and one that pools a single request costs eight slots, under 1 kB.
+// it keeps past a checkpoint interval in which it pooled nothing: a client
+// with a few requests outstanding (a lone Invoke, a short Client queue)
+// never grows it, and one that pools a single request costs eight slots,
+// under 1 kB.
 const windowFloor = 8
 
 // windowCap is the largest a window grows: the smallest power of two that
@@ -46,6 +47,10 @@ type clientRecord struct {
 	window []pendingReq
 	live   int // the live slots of window
 	spill  map[uint64]*pendingReq
+	// pooledSince is set when the client pools a request and cleared at
+	// each checkpoint: a window is released only after a whole checkpoint
+	// interval in which its client pooled nothing.
+	pooledSince bool
 }
 
 // pending is how many requests of the client are pooled, in flight or not.
@@ -73,6 +78,7 @@ func (c *clientRecord) add(p pendingReq) bool {
 	if c.window == nil {
 		c.window = make([]pendingReq, windowFloor)
 	}
+	c.pooledSince = true
 	p.live = true
 	i := p.req.Seq & uint64(len(c.window)-1)
 	for c.window[i].live && 2*c.live >= len(c.window) && len(c.window) < windowCap {
@@ -203,14 +209,17 @@ func (r *Replica) unpool(rec *clientRecord, seq uint64) {
 }
 
 // releaseIdleWindows releases the grown window of every client whose pool
-// is empty. It runs at each checkpoint, not when a pool empties: at
-// saturation a client's pool empties between batches, and each replica
-// would grow the window again from windowFloor slots for the next one.
+// is empty and that pooled nothing since the last checkpoint. It runs at
+// each checkpoint, not when a pool empties: at saturation a client's pool
+// empties between batches, and may be empty at the instant of a checkpoint
+// too, and each replica would grow the window again from windowFloor slots
+// for the next batch.
 func (r *Replica) releaseIdleWindows() {
 	for _, c := range r.clients {
-		if c.pending() == 0 && len(c.window) > windowFloor {
+		if !c.pooledSince && c.pending() == 0 && len(c.window) > windowFloor {
 			c.window = nil
 		}
+		c.pooledSince = false
 	}
 }
 

@@ -107,11 +107,13 @@ func TestPoolAndExecuteAllocationBudget(t *testing.T) {
 	}
 }
 
-// A grown window outlives an empty pool until the next checkpoint: at
-// saturation a client's pool empties between batches, and a window released
-// then is grown again from windowFloor slots for the next batch. A
-// 1,024-request pool/execute cycle allocates no window after the first, and
-// the checkpoint releases the idle window.
+// A grown window outlives an empty pool until a checkpoint interval passes
+// in which its client pooled nothing: at saturation a client's pool empties
+// between batches, and a window released then is grown again from
+// windowFloor slots for the next batch. A 1,024-request pool/execute cycle
+// allocates no window after the first; the checkpoint that closes the
+// interval of those cycles keeps the window, and the next one, after an
+// interval without a request, releases it.
 func TestGrownWindowOutlivesEmptyPool(t *testing.T) {
 	const k, runs = 1024, 10
 	r, err := NewReplica(Config{SelfID: 3, Replicas: ids(4)}, &countApp{},
@@ -154,8 +156,58 @@ func TestGrownWindowOutlivesEmptyPool(t *testing.T) {
 		t.Fatalf("a %d-request pool/execute cycle makes %.0f allocations", k, allocs)
 	}
 	r.checkpointAt(insts[i-1].seq)
+	if unsafe.SliceData(rec.window) != window {
+		t.Fatal("a checkpoint released the window of a client that pooled in its interval")
+	}
+	r.checkpointAt(insts[i-1].seq + 1)
 	if rec.window != nil {
 		t.Fatalf("a checkpoint kept the idle client's %d-slot window", len(rec.window))
+	}
+}
+
+// A client that pools in every checkpoint interval keeps its grown window
+// even when its pool is empty at each checkpoint: at saturation a
+// checkpoint often falls between two batches, and releasing the window
+// there regrows it from windowFloor slots for the next. Across three
+// checkpoints the window is never reallocated.
+func TestBusyWindowSurvivesCheckpoints(t *testing.T) {
+	const k, rounds = 256, 3
+	r, err := NewReplica(Config{SelfID: 3, Replicas: ids(4)}, &countApp{},
+		&sinkConn{addr: ReplicaID(3).Addr()})
+	if err != nil {
+		t.Fatalf("new replica: %v", err)
+	}
+	var window *pendingReq // the window after the first round, the warm-up
+	for i := 0; i <= rounds; i++ {
+		reqs := make([]queuedRequest, k)
+		decoded := make([]request, k)
+		for j := range reqs {
+			seq := uint64(i*k + j + 1)
+			reqs[j] = queuedRequest{seq: seq, op: []byte("op")}
+			decoded[j] = request{ClientID: "client", Seq: seq, Op: reqs[j].op}
+		}
+		frame, _ := encodeRequestFrame("client", reqs)
+		r.onRequests(frame)
+		r.execute(&instance{seq: int64(i), decided: true, reqs: decoded})
+		rec := r.clients["client"]
+		if rec.pending() != 0 || len(rec.window) != k {
+			t.Fatalf("round %d: a %d-slot window holding %d requests, want %d slots and none", i, len(rec.window), rec.pending(), k)
+		}
+		if i == 0 {
+			window = unsafe.SliceData(rec.window)
+		} else if unsafe.SliceData(rec.window) != window {
+			t.Fatalf("round %d grew the window again after checkpoint %d", i, i-1)
+		}
+		r.checkpointAt(int64(i))
+		if unsafe.SliceData(rec.window) != window {
+			t.Fatalf("checkpoint %d released the window of a client that pooled in its interval", i)
+		}
+	}
+	// A full interval without a request releases the idle window.
+	rec := r.clients["client"]
+	r.checkpointAt(rounds + 1)
+	if rec.window != nil {
+		t.Fatalf("a checkpoint after a silent interval kept the client's %d-slot window", len(rec.window))
 	}
 }
 

@@ -82,7 +82,7 @@ type NodeConfig struct {
 	// SigningWorkers sizes the signing/sending pool (16 in the paper,
 	// matching the testbed's hardware threads).
 	SigningWorkers int
-	// DisableSigning skips ECDSA block signatures entirely (blocks are
+	// DisableSigning skips Ed25519 block signatures entirely (blocks are
 	// disseminated unsigned). Used by the Equation (1) ablation to measure
 	// the raw ordering rate TP_bftsmart in isolation.
 	DisableSigning bool

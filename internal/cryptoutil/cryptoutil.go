@@ -1,14 +1,13 @@
 // Package cryptoutil provides the cryptographic substrate of the ordering
-// service: ECDSA P-256 identities (the signature scheme Hyperledger Fabric
-// uses for block and endorsement signatures), SHA-256 digests and hash
+// service: Ed25519 identities (the one signature scheme for block,
+// consensus, envelope and endorsement signatures), SHA-256 digests and hash
 // chaining, an identity registry, and a parallel signing pool that mirrors
 // the signing/sending worker threads of the BFT-SMaRt ordering node
 // (Section 5.1 of the paper, evaluated in Figure 6).
 package cryptoutil
 
 import (
-	"crypto/ecdsa"
-	"crypto/elliptic"
+	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/x509"
@@ -85,30 +84,28 @@ func DigestFromBytes(b []byte) (Digest, error) {
 	return d, nil
 }
 
-// KeyPair is an ECDSA P-256 signing identity. Fabric signs blocks and
-// endorsements with ECDSA; the paper's Figure 6 measures exactly this
-// signature generation.
+// KeyPair is an Ed25519 signing identity, the one signature scheme of the
+// ordering service: blocks, STOP-DATA messages, envelopes and endorsements
+// are all signed with it, and the paper's Figure 6 measures its signature
+// generation. Fabric v3 MSPs accept Ed25519 identities alongside ECDSA.
+// Signing is deterministic and allocates only the 64-byte signature.
 type KeyPair struct {
-	priv *ecdsa.PrivateKey
+	priv ed25519.PrivateKey
 }
 
-// GenerateKeyPair creates a fresh P-256 key pair.
+// GenerateKeyPair creates a fresh Ed25519 key pair.
 func GenerateKeyPair() (*KeyPair, error) {
-	priv, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	_, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
-		return nil, fmt.Errorf("generate ecdsa key: %w", err)
+		return nil, fmt.Errorf("generate ed25519 key: %w", err)
 	}
 	return &KeyPair{priv: priv}, nil
 }
 
-// Sign signs digest (which must already be a hash) and returns an ASN.1
-// DER-encoded ECDSA signature.
+// Sign signs digest (which must already be a hash) and returns the 64-byte
+// Ed25519 signature.
 func (k *KeyPair) Sign(digest []byte) ([]byte, error) {
-	sig, err := ecdsa.SignASN1(rand.Reader, k.priv, digest)
-	if err != nil {
-		return nil, fmt.Errorf("ecdsa sign: %w", err)
-	}
-	return sig, nil
+	return ed25519.Sign(k.priv, digest), nil
 }
 
 // SignDigest signs a Digest value.
@@ -118,20 +115,21 @@ func (k *KeyPair) SignDigest(d Digest) ([]byte, error) {
 
 // Public returns the public half of the key pair.
 func (k *KeyPair) Public() PublicKey {
-	return PublicKey{pub: &k.priv.PublicKey}
+	return PublicKey{pub: k.priv.Public().(ed25519.PublicKey)}
 }
 
-// PublicKey is an ECDSA P-256 verification key.
+// PublicKey is an Ed25519 verification key.
 type PublicKey struct {
-	pub *ecdsa.PublicKey
+	pub ed25519.PublicKey
 }
 
 // Verify reports whether sig is a valid signature of digest under the key.
+// A key of the wrong length (the zero PublicKey included) verifies nothing.
 func (p PublicKey) Verify(digest, sig []byte) bool {
-	if p.pub == nil {
+	if len(p.pub) != ed25519.PublicKeySize {
 		return false
 	}
-	return ecdsa.VerifyASN1(p.pub, digest, sig)
+	return ed25519.Verify(p.pub, digest, sig)
 }
 
 // VerifyDigest verifies a signature over a Digest value.
@@ -141,7 +139,7 @@ func (p PublicKey) VerifyDigest(d Digest, sig []byte) bool {
 
 // Bytes serializes the public key in PKIX/DER form.
 func (p PublicKey) Bytes() ([]byte, error) {
-	if p.pub == nil {
+	if len(p.pub) != ed25519.PublicKeySize {
 		return nil, errors.New("nil public key")
 	}
 	der, err := x509.MarshalPKIXPublicKey(p.pub)
@@ -151,17 +149,18 @@ func (p PublicKey) Bytes() ([]byte, error) {
 	return der, nil
 }
 
-// ParsePublicKey parses a PKIX/DER-encoded ECDSA public key.
+// ParsePublicKey parses a PKIX/DER-encoded Ed25519 public key and refuses
+// a key of any other type.
 func ParsePublicKey(der []byte) (PublicKey, error) {
 	key, err := x509.ParsePKIXPublicKey(der)
 	if err != nil {
 		return PublicKey{}, fmt.Errorf("parse public key: %w", err)
 	}
-	ec, ok := key.(*ecdsa.PublicKey)
+	ed, ok := key.(ed25519.PublicKey)
 	if !ok {
-		return PublicKey{}, fmt.Errorf("public key is %T, want *ecdsa.PublicKey", key)
+		return PublicKey{}, fmt.Errorf("public key is %T, want ed25519.PublicKey", key)
 	}
-	return PublicKey{pub: ec}, nil
+	return PublicKey{pub: ed}, nil
 }
 
 // Registry maps identity names (ordering nodes, peers, clients) to their

@@ -2,6 +2,11 @@ package cryptoutil
 
 import (
 	"bytes"
+	"crypto/ecdsa"
+	"crypto/elliptic"
+	"crypto/rand"
+	"crypto/x509"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -94,6 +99,74 @@ func TestSignVerify(t *testing.T) {
 	if kp2.Public().VerifyDigest(d, sig) {
 		t.Fatal("signature accepted under wrong key")
 	}
+	if len(sig) != 64 {
+		t.Fatalf("signature is %d bytes, want 64", len(sig))
+	}
+	if kp.Public().VerifyDigest(d, sig[:63]) {
+		t.Fatal("63-byte signature accepted")
+	}
+	if (PublicKey{}).VerifyDigest(d, sig) {
+		t.Fatal("zero public key verified a signature")
+	}
+	again, err := kp.SignDigest(d)
+	if err != nil || !bytes.Equal(again, sig) {
+		t.Fatal("signing the same digest twice gave different signatures")
+	}
+}
+
+// Signing allocates only the signature and verifying allocates nothing:
+// a block signature is made by every node for every block.
+func TestSignAndVerifyAllocationBudget(t *testing.T) {
+	kp, err := GenerateKeyPair()
+	if err != nil {
+		t.Fatalf("GenerateKeyPair: %v", err)
+	}
+	pub := kp.Public()
+	d := Hash([]byte("budget"))
+	var sig []byte
+	if n := testing.AllocsPerRun(20, func() { sig, _ = kp.SignDigest(d) }); n > 1 {
+		t.Fatalf("SignDigest makes %.0f allocations, want at most 1", n)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if !pub.VerifyDigest(d, sig) {
+			t.Fatal("valid signature rejected")
+		}
+	}); n != 0 {
+		t.Fatalf("VerifyDigest makes %.0f allocations, want 0", n)
+	}
+}
+
+func BenchmarkSignDigest(b *testing.B) {
+	kp, err := GenerateKeyPair()
+	if err != nil {
+		b.Fatalf("GenerateKeyPair: %v", err)
+	}
+	d := Hash([]byte("bench"))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := kp.SignDigest(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkVerifyDigest(b *testing.B) {
+	kp, err := GenerateKeyPair()
+	if err != nil {
+		b.Fatalf("GenerateKeyPair: %v", err)
+	}
+	pub := kp.Public()
+	d := Hash([]byte("bench"))
+	sig, err := kp.SignDigest(d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if !pub.VerifyDigest(d, sig) {
+			b.Fatal("valid signature rejected")
+		}
+	}
 }
 
 func TestPublicKeySerialization(t *testing.T) {
@@ -119,6 +192,18 @@ func TestPublicKeySerialization(t *testing.T) {
 	}
 	if _, err := ParsePublicKey([]byte("junk")); err == nil {
 		t.Fatal("junk accepted as public key")
+	}
+	// A well-formed key of another scheme is refused by name.
+	ec, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	if err != nil {
+		t.Fatalf("ecdsa key: %v", err)
+	}
+	ecDER, err := x509.MarshalPKIXPublicKey(&ec.PublicKey)
+	if err != nil {
+		t.Fatalf("marshal ecdsa key: %v", err)
+	}
+	if _, err := ParsePublicKey(ecDER); err == nil || !strings.Contains(err.Error(), "ecdsa") {
+		t.Fatalf("a PKIX ECDSA P-256 key: err = %v, want a refusal naming its type", err)
 	}
 }
 

@@ -20,9 +20,9 @@ type signJob struct {
 // SigningPool signs digests on a fixed set of worker goroutines. It models
 // the "signing & sending threads" of the BFT-SMaRt ordering node
 // (Figure 5 of the paper): block headers are produced sequentially by the
-// node thread and handed to the pool, which parallelizes the expensive
-// ECDSA signature generation. Figure 6 of the paper is a throughput sweep
-// over the number of workers in this pool.
+// node thread and handed to the pool, which parallelizes the signature
+// generation (ECDSA in the paper, Ed25519 here). Figure 6 of the paper is a
+// throughput sweep over the number of workers in this pool.
 type SigningPool struct {
 	key     *KeyPair
 	jobs    chan signJob

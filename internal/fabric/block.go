@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -21,13 +22,17 @@ type BlockHeader struct {
 // headerWireSize is the fixed encoding size of a header.
 const headerWireSize = 8 + 2*cryptoutil.DigestSize
 
+// appendTo appends the header's fixed layout to dst: the one encoding of a
+// header, which Marshal, Hash and block encoding all use.
+func (h *BlockHeader) appendTo(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, h.Number)
+	dst = append(dst, h.PrevHash[:]...)
+	return append(dst, h.DataHash[:]...)
+}
+
 // Marshal encodes the header in its fixed layout.
 func (h *BlockHeader) Marshal() []byte {
-	w := wire.NewWriter(headerWireSize)
-	w.PutUint64(h.Number)
-	w.PutRaw(h.PrevHash[:])
-	w.PutRaw(h.DataHash[:])
-	return w.Bytes()
+	return h.appendTo(make([]byte, 0, headerWireSize))
 }
 
 func readHeader(r *wire.Reader) BlockHeader {
@@ -43,7 +48,8 @@ func readHeader(r *wire.Reader) BlockHeader {
 // than the whole block is why signature throughput is independent of
 // envelope and block sizes (Section 6.1).
 func (h *BlockHeader) Hash() cryptoutil.Digest {
-	return cryptoutil.Hash(h.Marshal())
+	var buf [headerWireSize]byte
+	return cryptoutil.Hash(h.appendTo(buf[:0]))
 }
 
 // BlockSignature is one ordering node's signature over the header hash.
@@ -96,9 +102,8 @@ func (b *Block) MarshaledSize() int {
 // storage layer uses it to frame block records in pooled buffers without
 // an intermediate allocation per put.
 func (b *Block) MarshalInto(w *wire.Writer) {
-	w.PutUint64(b.Header.Number)
-	w.PutRaw(b.Header.PrevHash[:])
-	w.PutRaw(b.Header.DataHash[:])
+	var header [headerWireSize]byte
+	w.PutRaw(b.Header.appendTo(header[:0]))
 	w.PutBytesSlice(b.Envelopes)
 	w.PutUvarint(uint64(len(b.Signatures)))
 	for _, s := range b.Signatures {
