@@ -136,17 +136,18 @@ func TestKeepaliveDropsDeadClient(t *testing.T) {
 // connection alive, so a later Broadcast still succeeds.
 func TestKeepaliveHealthyClientSurvivesIdle(t *testing.T) {
 	stub := &stubOrderer{}
-	addr := startServer(t, stub, ServerOptions{
-		IdleTimeout: 30 * time.Millisecond,
-		PingTimeout: 30 * time.Millisecond,
-	})
+	// The pong has PingTimeout to arrive, room for a CPU-starved client;
+	// the idle spans two full ping cycles, so a client that never answered
+	// would be dropped long before the broadcast.
+	const idle, grace = 30 * time.Millisecond, 250 * time.Millisecond
+	addr := startServer(t, stub, ServerOptions{IdleTimeout: idle, PingTimeout: grace})
 	client, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
 
-	time.Sleep(300 * time.Millisecond) // many idle periods
+	time.Sleep(2*(idle+grace) + 40*time.Millisecond)
 	status, _, err := client.Broadcast(&fabric.Envelope{ChannelID: "ch", ClientID: "c"})
 	if err != nil {
 		t.Fatalf("broadcast after idling: %v", err)

@@ -30,9 +30,12 @@ type DecisionToken interface {
 // before anything leaves the node", which is what the paper actually
 // requires, at a fraction of the stall of "fsync before execute".
 type Durability interface {
-	// AppendDecision enqueues the decided batch of instance seq for the
-	// backend's next group commit and returns its durability token.
-	// Appends must commit in call order. batch is valid only during the
+	// AppendDecision enqueues the decided batch of instance seq for a
+	// later group commit and returns its durability token. The enqueue
+	// may be lazy: the backend need not start a commit for it, since the
+	// replica only polls the token; whoever gates on the decision (the
+	// ordering node, when the decision seals a block) starts it. Appends
+	// must commit in call order. batch is valid only during the
 	// call (the replica reuses it for a later instance); its entries are
 	// views the backend may keep.
 	AppendDecision(seq int64, batch [][]byte) DecisionToken

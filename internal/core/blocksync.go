@@ -1061,7 +1061,7 @@ func (s *blockSync) runBackfill(channel string, to uint64, anchor cryptoutil.Dig
 		// Without this the watermark stays frozen at the recovery height
 		// whenever the gap closes after traffic stops — the drain only
 		// advances it on newly sealed blocks.
-		n.pipe.markDurable(channel, height, last)
+		n.pipe.markDurable(channel, height, last, true)
 		if !again {
 			return
 		}

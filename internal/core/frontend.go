@@ -139,11 +139,23 @@ type feChannel struct {
 // one vote per sender, whole or header-only, and the first body that hashes
 // to the header.
 type blockAccum struct {
-	header   fabric.BlockHeader
-	body     *fabric.Block // a copy whose envelopes hash to header; nil until one arrives
-	sigs     map[string][]byte
+	header fabric.BlockHeader
+	body   *fabric.Block // a copy whose envelopes hash to header; nil until one arrives
+	// votes holds one entry per sender that voted, at most one per node,
+	// with the sender's signature when its copy carried one (nil otherwise).
+	votes    []fabric.BlockSignature
 	verified int
 	released bool
+}
+
+// voted reports whether sender already voted for the block.
+func (a *blockAccum) voted(sender string) bool {
+	for _, v := range a.votes {
+		if v.SignerID == sender {
+			return true
+		}
+	}
+	return false
 }
 
 // emptyDataHash is the data hash of a block without envelopes. A copy with
@@ -473,8 +485,8 @@ func (f *Frontend) heal() {
 			if acc.body == nil {
 				continue // votes without a body: the body is still to ask for
 			}
-			for sender := range acc.sigs {
-				voted[sender] = true
+			for _, v := range acc.votes {
+				voted[v.SignerID] = true
 			}
 		}
 		payload := fetchRequest{Channel: name, From: ch.nextDeliver}.marshal()
@@ -540,13 +552,13 @@ func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sent
 	}
 	acc, ok := byDigest[digest]
 	if !ok {
-		acc = &blockAccum{header: block.Header, sigs: make(map[string][]byte)}
+		acc = &blockAccum{header: block.Header, votes: make([]fabric.BlockSignature, 0, len(f.peers))}
 		byDigest[digest] = acc
 	}
 	if !headerOnly && acc.body == nil {
 		acc.body = block
 	}
-	if _, voted := acc.sigs[sender]; !voted {
+	if !acc.voted(sender) {
 		var sig []byte
 		if len(block.Signatures) > 0 && block.Signatures[0].SignerID == sender {
 			sig = block.Signatures[0].Signature
@@ -557,7 +569,7 @@ func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sent
 				sig = bytes.Clone(sig)
 			}
 		}
-		acc.sigs[sender] = sig
+		acc.votes = append(acc.votes, fabric.BlockSignature{SignerID: sender, Signature: sig})
 		if f.cfg.VerifySignatures && sig != nil {
 			if f.cfg.Registry.Verify(sender, digest.Bytes(), sig) {
 				acc.verified++
@@ -565,7 +577,7 @@ func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sent
 		}
 	}
 
-	passed := len(acc.sigs) >= f.released
+	passed := len(acc.votes) >= f.released
 	if f.cfg.VerifySignatures {
 		passed = acc.verified >= f.released
 	}
@@ -596,14 +608,13 @@ func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sent
 		// Attach the accumulated signatures (deterministic order not
 		// required: peers verify any f+1).
 		released := &fabric.Block{
-			Header:    acc.header,
-			Envelopes: acc.body.Envelopes,
+			Header:     acc.header,
+			Envelopes:  acc.body.Envelopes,
+			Signatures: make([]fabric.BlockSignature, 0, len(acc.votes)),
 		}
-		for signer, s := range acc.sigs {
-			if s != nil {
-				released.Signatures = append(released.Signatures, fabric.BlockSignature{
-					SignerID: signer, Signature: s,
-				})
+		for _, v := range acc.votes {
+			if v.Signature != nil {
+				released.Signatures = append(released.Signatures, v)
 			}
 		}
 		ch.ready[number] = released
@@ -704,8 +715,7 @@ func (f *Frontend) settled(channel string, number uint64, digest cryptoutil.Dige
 	if acc.released {
 		return true
 	}
-	_, voted := acc.sigs[sender]
-	return voted && (headerOnly || acc.body != nil)
+	return acc.voted(sender) && (headerOnly || acc.body != nil)
 }
 
 // accumulated returns the body of block number with header hash digest

@@ -644,7 +644,7 @@ func TestFrontendSettledCopiesChangeNothing(t *testing.T) {
 		defer fe.mu.Unlock()
 		out := make(map[cryptoutil.Digest]int)
 		for d, acc := range fe.chans["ch"].collecting[number] {
-			out[d] = len(acc.sigs)
+			out[d] = len(acc.votes)
 		}
 		return out
 	}

@@ -374,7 +374,7 @@ func NewNode(cfg NodeConfig, conn transport.Conn) (*OrderingNode, error) {
 			})
 			// Everything recovered from disk is durable by definition; the
 			// persist watermark starts there.
-			n.pipe.markDurable(channel, info.Height, nil)
+			n.pipe.markDurable(channel, info.Height, nil, true)
 		}
 		opts = append(opts,
 			consensus.WithDurability(n.pipe, &consensus.DurableState{

@@ -194,6 +194,11 @@ func (p *pipeline) seal(chain *chainState, batch [][]byte) {
 		return
 	}
 
+	if p.gate != nil {
+		// The block's gate is the sealing decision, enqueued lazily: start
+		// its commit wave now, so the fsync overlaps the signing.
+		p.gate.Flush()
+	}
 	epoch := p.reserve(channel, block.Header.Number)
 	// Who sends the block whole is fixed here, at the decision that sealed
 	// it: a reconfiguration moves the whole senders with the decision that
@@ -221,7 +226,7 @@ func (p *pipeline) seal(chain *chainState, batch [][]byte) {
 // persist watermark already stands at its ledger heights.
 func (p *pipeline) settleReplay() {
 	for channel, m := range p.replayed {
-		p.markDurable(channel, m.height, m.tok)
+		p.markDurable(channel, m.height, m.tok, true)
 	}
 	p.replayed = nil
 }
@@ -342,7 +347,8 @@ func (p *pipeline) complete(channel string, epoch uint64, pb pendingBlock) {
 		if last.tok != nil {
 			// Advance the persist watermark off the drain: puts are FIFO
 			// per channel, so the run's last token covers the whole run.
-			go p.markDurable(channel, last.height, last.tok)
+			// The watcher starts no wave: the run rides the next one.
+			go p.markDurable(channel, last.height, last.tok, false)
 		}
 		if n.retention != nil {
 			n.retention.MaybeCompact()
@@ -460,13 +466,21 @@ func (p *pipeline) equivocationVariant(channel string, block *fabric.Block) *fab
 
 // markDurable waits out a put token (nil: nothing to wait for) and raises
 // the channel's persist watermark to the durable block height it proves.
-// A failed put means the log is poisoned — durability of the tail is lost
-// (recovery re-derives it from the decision log or peers); report it
-// loudly, once per failure.
-func (p *pipeline) markDurable(channel string, height uint64, tok fabric.DurableToken) {
+// With start the wait starts the token's commit wave (Wait); without it
+// the wait rides whichever wave comes next (Settle). A failed put means
+// the log is poisoned — durability of the tail is lost (recovery
+// re-derives it from the decision log or peers); report it loudly, once
+// per failure.
+func (p *pipeline) markDurable(channel string, height uint64, tok fabric.DurableToken, start bool) {
 	n := p.n
 	if tok != nil {
-		if err := tok.Wait(); err != nil {
+		var err error
+		if start {
+			err = tok.Wait()
+		} else {
+			err = tok.Settle()
+		}
+		if err != nil {
 			slog.Error("persisting blocks failed",
 				"node", int(n.ID()), "shard", n.cfg.ShardID,
 				"channel", channel, "below", height, "err", err)

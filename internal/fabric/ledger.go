@@ -15,12 +15,15 @@ var (
 	ErrBlockNotFound = errors.New("ledger: block not found")
 )
 
-// DurableToken tracks a persisted block: Wait blocks until the record's
-// group commit fsynced and returns the commit error, if any. Backends
-// complete tokens in append order, so waiting on the newest token of a
-// run implies the whole run is durable.
+// DurableToken tracks a persisted block: Wait starts the record's group
+// commit if none has (a backend may hold records lazily) and blocks until
+// it fsynced, returning the commit error, if any; Settle blocks the same
+// way without starting a commit, for watchers that must not cost one.
+// Backends complete tokens in append order, so waiting on the newest
+// token of a run implies the whole run is durable.
 type DurableToken interface {
 	Wait() error
+	Settle() error
 }
 
 // BlockBackend persists blocks accepted by a ledger (storage.NodeStorage
@@ -39,7 +42,8 @@ type BlockBackend interface {
 // without a backend).
 type durableNow struct{}
 
-func (durableNow) Wait() error { return nil }
+func (durableNow) Wait() error   { return nil }
+func (durableNow) Settle() error { return nil }
 
 // BlockReader serves random-access reads of persisted blocks: up to max
 // blocks of one channel starting at block number start, in order. A

@@ -110,6 +110,7 @@ func OpenBlockStore(cfg WALConfig) (*BlockStore, error) {
 		return nil, err
 	}
 	s := newBlockStore(cfg.Dir, wal, true)
+	wal.onCommit = s.committed
 	if _, err := s.seedFromManifest(); err != nil {
 		wal.Close()
 		return nil, err
@@ -275,10 +276,10 @@ func (s *BlockStore) finishRecovery() error {
 				return fmt.Errorf("%w: channel %q manifest index is inconsistent at block %d",
 					ErrCorrupt, channel, tip.Header.Number)
 			}
-			if replayedFirst := firstReplayed(s.index[channel], n); replayedFirst != nil {
+			if n < len(s.index[channel]) {
 				// Seam: the first replayed block must link into the
 				// newest manifest-indexed block.
-				b, err := s.readOne(channel, *replayedFirst)
+				b, err := s.readOne(channel, s.index[channel][n])
 				if err != nil {
 					return err
 				}
@@ -317,14 +318,6 @@ func (s *BlockStore) finishRecovery() error {
 	s.lastReplayed = nil
 	s.seeded = make(map[string]int)
 	return nil
-}
-
-// firstReplayed returns the first index entry past the seeded prefix.
-func firstReplayed(idxs []uint64, seeded int) *uint64 {
-	if seeded >= len(idxs) {
-		return nil
-	}
-	return &idxs[seeded]
 }
 
 // readOne reads and decodes a single block record by log index.
@@ -405,7 +398,7 @@ func (s *BlockStore) Floor(channel string) uint64 {
 // calls for different channels may run concurrently and share one group
 // commit.
 func (s *BlockStore) Put(channel string, b *fabric.Block) error {
-	tok, err := s.putAsync(channel, b, false)
+	tok, err := s.PutAsync(channel, b)
 	if err != nil {
 		return err
 	}
@@ -419,14 +412,10 @@ func (s *BlockStore) Put(channel string, b *fabric.Block) error {
 // fsync wave — wait on the run's last token. The enqueue is lazy, for
 // callers that gate nothing on the block's durability (the ordering
 // node's send drain, which disseminates on the decision gate alone): the
-// record triggers no commit wave of its own and piggybacks on the next
-// decision's wave — both kinds ride the same unified log — so in steady
-// state block persistence adds zero fsyncs.
+// record starts no commit wave of its own and rides the next one — both
+// kinds share the unified log — so in steady state block persistence adds
+// zero fsyncs.
 func (s *BlockStore) PutAsync(channel string, b *fabric.Block) (*Token, error) {
-	return s.putAsync(channel, b, true)
-}
-
-func (s *BlockStore) putAsync(channel string, b *fabric.Block, lazy bool) (*Token, error) {
 	s.mu.Lock()
 	height := s.heights[channel]
 	if b.Header.Number < height {
@@ -445,29 +434,7 @@ func (s *BlockStore) putAsync(channel string, b *fabric.Block, lazy bool) (*Toke
 	w.PutByte(recBlock)
 	w.PutString(channel)
 	b.MarshalInto(w)
-	framed := int64(len(w.Bytes())) + recordHeaderSize
-	tok, err := s.wal.enqueue(w.Bytes(), func(idx uint64, err error) {
-		// Commit callback (runs in log order): the frame was copied into
-		// the commit buffer, so the encode buffer recycles; on success
-		// the read index gains the record, re-quiescing the channel for
-		// a waiting compaction.
-		wire.PutWriter(w)
-		s.mu.Lock()
-		if err != nil {
-			// Roll the height back so a retry is possible. (With several
-			// puts in flight the log is poisoned and later callbacks fail
-			// too; only the newest height can roll back, which is all a
-			// retry could use anyway.)
-			if s.heights[channel] == b.Header.Number+1 {
-				s.heights[channel] = b.Header.Number
-			}
-		} else {
-			s.index[channel] = append(s.index[channel], idx)
-			s.chanBytes[channel] += framed
-		}
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}, lazy)
+	tok, _, err := s.wal.enqueue(w.Bytes(), w, channel)
 	if err != nil {
 		wire.PutWriter(w)
 		s.mu.Lock()
@@ -479,6 +446,25 @@ func (s *BlockStore) putAsync(channel string, b *fabric.Block, lazy bool) (*Toke
 		return nil, err
 	}
 	return tok, nil
+}
+
+// committed is the commit hook's block half (runs in log order): on
+// success the read index gains the record, re-quiescing the channel for a
+// waiting compaction. A failed wave poisoned the log, so no put still in
+// flight can commit: the height falls back to the indexed frontier.
+func (s *BlockStore) committed(idx uint64, rec []byte, channel string, err error) {
+	if rec[0] != recBlock {
+		return
+	}
+	s.mu.Lock()
+	if err != nil {
+		s.heights[channel] = s.floors[channel] + uint64(len(s.index[channel]))
+	} else {
+		s.index[channel] = append(s.index[channel], idx)
+		s.chanBytes[channel] += int64(len(rec)) + recordHeaderSize
+	}
+	s.cond.Broadcast()
+	s.mu.Unlock()
 }
 
 // ReadBlocks reads up to max blocks of one channel back from disk,
@@ -700,15 +686,15 @@ func (s *BlockStore) RebaseBlocks(channel string, floor uint64, anchor cryptouti
 			channel, floor, s.heights[channel])
 	}
 	// Durable rebase marker. Waiting on the token under s.mu is safe:
-	// quiescence guarantees no block-put commit callback (which needs
-	// s.mu) is pending in the log ahead of the marker.
+	// quiescence guarantees no block put (whose commit hook needs s.mu)
+	// is pending in the log ahead of the marker.
 	w := wire.GetWriter(64 + len(channel))
 	w.PutByte(recChannelMeta)
 	w.PutByte(metaRebase)
 	w.PutString(channel)
 	w.PutUint64(floor)
 	w.PutRaw(anchor[:])
-	tok, err := s.wal.enqueue(w.Bytes(), func(uint64, error) { wire.PutWriter(w) }, false)
+	tok, _, err := s.wal.enqueue(w.Bytes(), w, "")
 	if err != nil {
 		wire.PutWriter(w)
 		return err
@@ -750,14 +736,6 @@ func (s *BlockStore) keepIdxLocked() uint64 {
 		}
 	}
 	return keep
-}
-
-// keepIdx is keepIdxLocked for callers outside the store (NodeStorage's
-// checkpoint-side pruning).
-func (s *BlockStore) keepIdx() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.keepIdxLocked()
 }
 
 // decisionFloorOrMax returns the decision-liveness floor, or MaxUint64

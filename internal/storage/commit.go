@@ -6,59 +6,72 @@ import (
 	"hash/crc32"
 	"log/slog"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // This file is the append path of the unified commit log: the WAL's one
 // group-commit loop. A node's durable state is ONE append-only log —
 // decision, block, and channel-meta records multiplexed into the same
 // segment files — so a commit wave is: take everything pending, write the
-// group into the active segment, and issue exactly one fsync. Appenders
-// are completed through per-record durability Tokens, which is what lets
-// callers enqueue (AppendAsync) and gate later effects on durability
-// instead of blocking for the fsync.
+// group into the active segment, and fsync exactly once. Every
+// enqueue is lazy: a wave starts only when a caller needs a record durable
+// (Token.Flush or Token.Wait) or lazyFlushDelay runs out, so records
+// nothing waits for ride the waves that durability-needing work starts.
 
-const (
-	// maxWaveRecords caps how many records merge into a single wave; the
-	// surplus carries into the next wave.
-	maxWaveRecords = 1024
-	// lazyFlushDelay bounds how long a lazily enqueued record (a block put
-	// — nothing gates on its durability, the decision gate is the only one
-	// the protocol requires) may sit before a wave is forced for it. Lazy
-	// records normally ride the next wave an eager record triggers, for
-	// free; the timer only matters when traffic stops.
-	lazyFlushDelay = 5 * time.Millisecond
-)
+// lazyFlushDelay bounds how long an enqueued record may sit before a wave
+// is forced for it when nobody asks for one. On an ordering node the wave
+// that seals a block starts at once (the pipeline flushes the sealing
+// decision's token) and carries every decision and block record enqueued
+// before it, for free; the timer only matters when traffic stops or the
+// newest decisions sealed nothing.
+const lazyFlushDelay = 5 * time.Millisecond
 
-// Token tracks one enqueued record's durability: it completes when the
-// group commit that carried the record has fsynced (or failed). Tokens are
-// how the write-ahead discipline survives asynchronous logging — the
+// Token is the completion of a run of consecutive records of one kind in
+// one commit wave; the runs of a wave share its one channel. It is how the
+// write-ahead discipline survives asynchronous logging: the
 // consensus loop enqueues a decision and moves on, and everything
-// externally visible (dissemination, client acks) waits on the token.
+// externally visible (dissemination) waits on the token.
 type Token struct {
+	w    *WAL
 	done chan struct{}
 	err  error
-	idx  uint64
+	idx  uint64 // log index of the run's first record, assigned at write time
+	gen  uint64 // the wave generation whose pending group holds the run
+	n    uint64 // records in the run
 }
-
-func newToken() *Token { return &Token{done: make(chan struct{})} }
 
 // doneToken returns an already-completed token (for records that were
 // already durable, e.g. replay duplicates).
 func doneToken(err error) *Token {
-	t := newToken()
-	t.err = err
+	t := &Token{done: make(chan struct{}), err: err}
 	close(t.done)
 	return t
 }
 
-// Wait blocks until the record is durable and returns the commit error,
-// if any.
+// Flush starts the wave that commits the token's records, unless one has
+// taken them already, without waiting for it.
+func (t *Token) Flush() {
+	if t.w != nil {
+		t.w.flush(t.gen)
+	}
+}
+
+// Wait is Flush, then Settle: it returns the commit error, if any.
 func (t *Token) Wait() error {
+	t.Flush()
+	return t.Settle()
+}
+
+// Settle blocks until the records are durable without starting a wave:
+// they ride whichever wave something else starts, or the lazy timer's.
+// It is for watchers that must not cost an fsync of their own.
+func (t *Token) Settle() error {
 	<-t.done
 	return t.err
 }
 
-// Done reports whether the record's group commit has completed, without
+// Done reports whether the records' group commit has completed, without
 // blocking.
 func (t *Token) Done() bool {
 	select {
@@ -69,109 +82,111 @@ func (t *Token) Done() bool {
 	}
 }
 
-// Index returns the record's log index. Valid only after Wait returned
-// nil (indices are assigned at write time, not enqueue time).
+// Index returns the log index of the first record the token covers. Valid
+// only after Wait returned nil (indices are assigned at write time, not
+// enqueue time).
 func (t *Token) Index() uint64 { return t.idx }
 
-// appendReq is one enqueued append awaiting group commit.
-type appendReq struct {
-	rec      []byte
-	tok      *Token
-	onCommit func(idx uint64, err error)
+// pendingRec is one enqueued record, held by value in the pending group.
+// buf, when set, is the pooled encode buffer holding rec (the wave
+// recycles it); channel is a block record's, for the commit hook.
+type pendingRec struct {
+	rec     []byte
+	buf     *wire.Writer
+	channel string
+	tok     *Token
 }
 
-// Append durably writes one record and returns its index. It blocks until
-// the record (and every record batched into the same group commit) is
-// fsynced. Safe for concurrent use; concurrency is what makes group commit
-// pay off.
+// Append durably writes one record and returns its index, blocking until
+// its group commit fsynced. Safe for concurrent use; concurrency is what
+// makes group commit pay off.
 func (w *WAL) Append(rec []byte) (uint64, error) {
-	tok, err := w.AppendAsync(rec)
+	tok, pos, err := w.enqueue(rec, nil, "")
 	if err != nil {
 		return 0, err
 	}
 	if err := tok.Wait(); err != nil {
 		return 0, err
 	}
-	return tok.idx, nil
+	return tok.idx + pos, nil
 }
 
-// AppendAsync enqueues one record for the next group commit and returns
-// immediately with a durability token; the record's index is assigned at
-// write time (Token.Index after a successful Wait). Records commit in
-// enqueue order. This is the storage half of asynchronous decision
-// logging: the caller keeps running and gates externally visible effects
-// on the token instead of blocking the hot path on the fsync.
+// AppendAsync enqueues one record, lazily, and returns its durability
+// token at once. Records commit in enqueue order.
 func (w *WAL) AppendAsync(rec []byte) (*Token, error) {
-	return w.enqueue(rec, nil, false)
+	tok, _, err := w.enqueue(rec, nil, "")
+	return tok, err
 }
 
-// enqueue adds one append to the pending group. FIFO is the ordering
-// contract recovery relies on: decision records stay dense in sequence
-// order and block records replay in append order. onCommit, when set, runs
-// on the commit loop (in log order) before the token completes; it must be
-// cheap. A lazy enqueue triggers no wave of its own: the record rides
-// whatever wave the next eager enqueue (in steady state, the next
-// decision) triggers, so block persistence costs zero extra fsyncs while
-// traffic flows; the lazy timer forces a wave only when it stops.
-func (w *WAL) enqueue(rec []byte, onCommit func(idx uint64, err error), lazy bool) (*Token, error) {
-	if int64(len(rec))+recordHeaderSize > w.cfg.SegmentBytes {
-		return nil, ErrTooBig
+// enqueue adds one record to the pending group and returns the token of
+// its run and its position in the run. FIFO is the ordering contract
+// recovery relies on: decision records stay dense in sequence order and
+// block records replay in append order. The group's first record arms the
+// lazy timer.
+func (w *WAL) enqueue(rec []byte, buf *wire.Writer, channel string) (*Token, uint64, error) {
+	if len(rec) == 0 {
+		return nil, 0, ErrEmpty
 	}
-	req := &appendReq{rec: rec, tok: newToken(), onCommit: onCommit}
+	if int64(len(rec))+recordHeaderSize > w.cfg.SegmentBytes {
+		return nil, 0, ErrTooBig
+	}
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
-		return nil, ErrClosed
+		return nil, 0, ErrClosed
 	}
 	if err := w.failErr; err != nil {
-		w.mu.Unlock()
-		return nil, err
+		return nil, 0, err
 	}
-	w.pending = append(w.pending, req)
-	// The flush timer is armed on the first lazy enqueue after a wave, for
-	// the wave generation it waits on. A wave that takes the group starts
-	// the next generation, so the timer of an earlier one does nothing: it
-	// would otherwise force an fsync for lazy records younger than
-	// lazyFlushDelay, which nothing waits for and the next decision queues
-	// behind.
-	arm := lazy && !w.lazyArmed
-	if arm {
-		w.lazyArmed = true
-	}
-	gen := w.waveGen
-	w.mu.Unlock()
-	switch {
-	case !lazy:
-		w.kick()
-	case arm:
-		time.AfterFunc(lazyFlushDelay, func() { w.lazyFlush(gen) })
-	}
-	return req.tok, nil
-}
-
-// lazyFlush is the lazy timer armed in wave generation gen firing: it kicks
-// a wave unless one has taken the group since.
-func (w *WAL) lazyFlush(gen uint64) {
-	w.mu.Lock()
-	stale := w.waveGen != gen
-	w.mu.Unlock()
-	if !stale {
-		w.kick()
-	}
-}
-
-// kick wakes the commit loop (non-blocking: one pending wake-up is enough).
-func (w *WAL) kick() {
-	select {
-	case w.notify <- struct{}{}:
+	var tok *Token
+	switch n := len(w.pending); {
+	case n == 0:
+		w.lazyDue = time.Now().Add(lazyFlushDelay)
+		w.lazyTimer.Reset(lazyFlushDelay)
+		tok = &Token{w: w, done: make(chan struct{}), gen: w.waveGen.Load()}
+	case w.pending[n-1].rec[0] != rec[0]:
+		last := w.pending[n-1].tok
+		tok = &Token{w: w, done: last.done, gen: last.gen} // the wave's one channel
 	default:
+		tok = w.pending[n-1].tok
+	}
+	tok.n++
+	w.pending = append(w.pending, pendingRec{rec: rec, buf: buf, channel: channel, tok: tok})
+	return tok, tok.n - 1, nil
+}
+
+// lazyFlush is the lazy timer firing: it kicks a wave if the pending
+// group's deadline has passed. A fire armed for a group a wave has taken
+// since finds a younger group (or none) and does nothing. The generation
+// is read with the group, under the lock: read after, it could name an
+// empty successor, whose wake-up an idle wave would swallow while marking
+// that group flushed for good.
+func (w *WAL) lazyFlush() {
+	w.mu.Lock()
+	due := len(w.pending) > 0 && !time.Now().Before(w.lazyDue)
+	gen := w.waveGen.Load()
+	w.mu.Unlock()
+	if due {
+		w.flush(gen)
+	}
+}
+
+// flush wakes the commit loop (non-blocking) for the pending group of
+// wave generation gen, once per group. A parked loop takes the wake-up at
+// once but the group only when it next runs: a second wake-up for the
+// same group would start a wave of its own for whatever arrives between.
+func (w *WAL) flush(gen uint64) {
+	if gen == w.waveGen.Load() && w.flushed.Swap(gen+1) != gen+1 {
+		select {
+		case w.notify <- struct{}{}:
+		default:
+		}
 	}
 }
 
 // commitLoop is the log's single committing goroutine: every record
-// reaches disk through its waves. It is greedy — a wave starts as soon as
-// anything is pending, and whatever arrives during its fsync forms the
-// next wave.
+// reaches disk through its waves. A wave takes everything pending when it
+// starts, and whatever arrives during its fsync waits for the next kick.
 func (w *WAL) commitLoop() {
 	defer w.wg.Done()
 	for {
@@ -180,8 +195,7 @@ func (w *WAL) commitLoop() {
 		case <-w.closeCh:
 			// Close refused further appends before signalling, so whatever
 			// remains pending is the final drain.
-			for w.wave() {
-			}
+			w.wave()
 			return
 		}
 		w.wave()
@@ -190,14 +204,14 @@ func (w *WAL) commitLoop() {
 
 // wave is one group commit: take the pending group, write it into the
 // active segment (page cache only, indices assigned in enqueue order),
-// issue the single fsync the whole wave pays, then complete the tokens.
-// It reports whether there was anything to commit.
-func (w *WAL) wave() bool {
+// pay the single fsync the whole wave shares, run the commit hook per
+// record, then complete the tokens. With nothing pending it does nothing.
+func (w *WAL) wave() {
 	w.mu.Lock()
 	idle := len(w.pending) == 0
 	w.mu.Unlock()
 	if idle {
-		return false
+		return
 	}
 
 	// The hook runs before the group is taken: everything enqueued while
@@ -210,13 +224,10 @@ func (w *WAL) wave() bool {
 
 	w.mu.Lock()
 	group := w.pending
-	w.pending = nil
-	w.lazyArmed = false // the group is being taken; new lazy arrivals re-arm
-	w.waveGen++
-	if len(group) > maxWaveRecords {
-		group, w.pending = group[:maxWaveRecords:maxWaveRecords], group[maxWaveRecords:]
-	}
-	leftovers := len(w.pending) > 0
+	w.pending, w.spare = w.spare, nil
+	w.waveGen.Add(1)
+	w.lazyTimer.Stop()
+	first := w.next
 	err := w.failErr
 	dirty := false
 	if err == nil {
@@ -228,9 +239,6 @@ func (w *WAL) wave() bool {
 	}
 	file := w.active
 	w.mu.Unlock()
-	if leftovers {
-		w.kick()
-	}
 
 	w.metrics.WaveTotal.Inc()
 	w.metrics.WaveSize.Observe(float64(len(group)))
@@ -243,14 +251,19 @@ func (w *WAL) wave() bool {
 		w.metrics.WaveFailures.Inc()
 		slog.Error("storage: commit wave failed", "dir", w.cfg.Dir, "records", len(group), "err", err)
 	}
-	for _, req := range group {
-		req.tok.err = err
-		if req.onCommit != nil {
-			req.onCommit(req.tok.idx, err)
+	for i := range group {
+		p := &group[i]
+		if w.onCommit != nil {
+			w.onCommit(first+uint64(i), p.rec, p.channel, err)
 		}
-		close(req.tok.done)
+		if p.buf != nil {
+			wire.PutWriter(p.buf)
+		}
+		p.tok.err = err
 	}
-	return true
+	close(group[0].tok.done) // every run's: the wave has one channel
+	clear(group)
+	w.spare = group[:0] // only the commit loop swaps the two groups
 }
 
 // poison marks the log permanently failed (fsyncgate fail-fast) and
@@ -283,7 +296,7 @@ func (w *WAL) Poisoned() error {
 // frames it leaves in the active segment. dirty reports whether that
 // segment now holds unsynced bytes. Only the commit loop calls it, with
 // the log lock held.
-func (w *WAL) writeGroupLocked(group []*appendReq) (dirty bool, err error) {
+func (w *WAL) writeGroupLocked(group []pendingRec) (dirty bool, err error) {
 	buf := w.commitBuf[:0]
 	defer func() { w.commitBuf = buf[:0] }()
 	flush := func() error {
@@ -303,8 +316,9 @@ func (w *WAL) writeGroupLocked(group []*appendReq) (dirty bool, err error) {
 		dirty = true
 		return nil
 	}
-	for _, req := range group {
-		framed := int64(len(req.rec)) + recordHeaderSize
+	for i := range group {
+		p := &group[i]
+		framed := int64(len(p.rec)) + recordHeaderSize
 		if w.size+int64(len(buf))+framed > w.cfg.SegmentBytes && w.size+int64(len(buf)) > 0 {
 			if err := flush(); err != nil {
 				return dirty, err
@@ -313,16 +327,18 @@ func (w *WAL) writeGroupLocked(group []*appendReq) (dirty bool, err error) {
 				return dirty, err
 			}
 		}
-		req.tok.idx = w.next
-		w.next++
+		if p.tok.idx == 0 {
+			p.tok.idx = w.next // the run's first record
+		}
 		seg := &w.segments[len(w.segments)-1]
-		seg.last = req.tok.idx
+		seg.last = w.next
+		w.next++
 		seg.offsets = append(seg.offsets, w.size+int64(len(buf)))
 		var hdr [recordHeaderSize]byte
-		binary.BigEndian.PutUint32(hdr[:4], uint32(len(req.rec)))
-		binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(req.rec))
+		binary.BigEndian.PutUint32(hdr[:4], uint32(len(p.rec)))
+		binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(p.rec))
 		buf = append(buf, hdr[:]...)
-		buf = append(buf, req.rec...)
+		buf = append(buf, p.rec...)
 	}
 	if err := flush(); err != nil {
 		return dirty, err

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -107,11 +108,12 @@ func TestAppendAsyncTokenOrderAndIndex(t *testing.T) {
 	}
 }
 
-// TestStaleLazyTimerForcesNoWave: the lazy flush timer belongs to the wave
-// generation that armed it. Once an eager record's wave has taken the lazy
-// record the timer was armed for, its fire must not force a wave for a lazy
-// record enqueued since — that one waits for its own timer, lazyFlushDelay
-// after its enqueue, instead of costing an fsync nothing waits for.
+// TestStaleLazyTimerForcesNoWave: the lazy flush timer belongs to the
+// pending group that armed it. Once a waited-on record's wave has taken the
+// lazy record the timer was armed for, its fire must not force a wave for a
+// lazy record enqueued since — that one waits for its own timer,
+// lazyFlushDelay after its enqueue, instead of costing an fsync nothing
+// waits for. Settle watches the young record without starting its wave.
 func TestStaleLazyTimerForcesNoWave(t *testing.T) {
 	wal, err := OpenWAL(WALConfig{Dir: t.TempDir(), NoSync: true})
 	if err != nil {
@@ -122,19 +124,19 @@ func TestStaleLazyTimerForcesNoWave(t *testing.T) {
 	tested := 0
 	for round := 0; round < 5; round++ {
 		armed := time.Now()
-		if _, err := wal.enqueue([]byte("old lazy"), nil, true); err != nil {
+		if _, err := wal.AppendAsync([]byte("old lazy")); err != nil {
 			t.Fatalf("lazy enqueue: %v", err)
 		}
-		if _, err := wal.Append([]byte("eager")); err != nil { // its wave takes the old lazy record
+		if _, err := wal.Append([]byte("waited")); err != nil { // its Wait starts a wave that takes the old lazy record
 			t.Fatalf("append: %v", err)
 		}
 		time.Sleep(time.Until(armed.Add(lazyFlushDelay / 2)))
 		enqueued := time.Now()
-		tok, err := wal.enqueue([]byte("young lazy"), nil, true)
+		tok, err := wal.AppendAsync([]byte("young lazy"))
 		if err != nil {
 			t.Fatalf("lazy enqueue: %v", err)
 		}
-		if err := tok.Wait(); err != nil {
+		if err := tok.Settle(); err != nil {
 			t.Fatalf("young lazy record: %v", err)
 		}
 		if enqueued.Sub(armed) >= lazyFlushDelay {
@@ -270,5 +272,159 @@ func TestDecisionDurableBlockMissingIsReplayed(t *testing.T) {
 	}
 	if len(rec.Chains) != 0 {
 		t.Fatalf("recovered chains %+v, want none (block persist never ran)", rec.Chains)
+	}
+}
+
+// TestDecisionSealingNoBlockStartsNoWave: a decision record is enqueued
+// lazily, and only a block's seal (Flush on its gate, the sealing
+// decision's token) starts a wave. Three decisions, of which only the
+// third seals a block, take one wave, counted at SyncHook; each decision
+// used to start a wave of its own. A round in which the lazy timer could
+// have fired before the seal proves nothing and is run again.
+func TestDecisionSealingNoBlockStartsNoWave(t *testing.T) {
+	var waves atomic.Uint64
+	s, err := Open(t.TempDir(), Options{NoSync: true, SyncHook: func() { waves.Add(1) }})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer s.Close()
+	s.Recovered()
+
+	seq := int64(0)
+	for tested := 0; tested < 3; {
+		before := waves.Load()
+		start := time.Now()
+		var toks []*Token
+		for i := 0; i < 3; i++ {
+			toks = append(toks, s.AppendDecisionAsync(seq, [][]byte{[]byte("op")}))
+			seq++
+			time.Sleep(time.Millisecond) // decisions are spaced, as in a cluster
+		}
+		sealed := time.Since(start)
+		toks[2].Flush() // the third decision seals a block
+		if err := toks[2].Settle(); err != nil {
+			t.Fatalf("sealing decision: %v", err)
+		}
+		if sealed >= lazyFlushDelay {
+			continue // the lazy timer may have started a wave: nothing to observe
+		}
+		tested++
+		if got := waves.Load() - before; got != 1 {
+			t.Fatalf("three decisions, one sealing a block, took %d waves, want 1", got)
+		}
+		for i, tok := range toks[:2] {
+			if !tok.Done() {
+				t.Fatalf("decision %d not durable after the sealing decision's wave", i)
+			}
+		}
+	}
+}
+
+// TestWaitStartsWaveWithoutTimer: Wait on a lazily enqueued record that is
+// not yet durable starts its wave itself, so a waiter pays one fsync, not
+// lazyFlushDelay. The lazy timer is stopped before the Wait: without the
+// start, the Wait would never return.
+func TestWaitStartsWaveWithoutTimer(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{NoSync: true})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer s.Close()
+	s.Recovered()
+
+	for seq := int64(0); seq < 3; seq++ {
+		tok := s.AppendDecisionAsync(seq, [][]byte{[]byte("op")})
+		s.wal.lazyTimer.Stop()
+		done := make(chan error, 1)
+		go func() { done <- tok.Wait() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("decision %d: %v", seq, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Wait on decision %d did not start its wave", seq)
+		}
+	}
+}
+
+// TestAppendPathAllocationBudget: records that share a wave share its
+// completion, so N records in one wave allocate what one record does plus
+// O(1): the wave's token and channel, not a token, a request and a commit
+// closure per record. The records are preencoded, so the count is the
+// commit log's own (a pooled encode buffer is not reused under -race).
+func TestAppendPathAllocationBudget(t *testing.T) {
+	wal, err := OpenWAL(WALConfig{Dir: t.TempDir(), NoSync: true})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer wal.Close()
+
+	rec := append([]byte{recDecision}, make([]byte, 200)...)
+	wave := func(records int) func() {
+		return func() {
+			var tok *Token
+			for i := 0; i < records; i++ {
+				if tok, err = wal.AppendAsync(rec); err != nil {
+					t.Fatalf("append: %v", err)
+				}
+			}
+			if err := tok.Wait(); err != nil {
+				t.Fatalf("wave: %v", err)
+			}
+		}
+	}
+	const n = 64
+	wave(n)() // grow the pending slices and the commit buffer
+	one := testing.AllocsPerRun(200, wave(1))
+	many := testing.AllocsPerRun(200, wave(n))
+	if many > one+2 {
+		t.Fatalf("a wave of %d records allocates %.1f, one record %.1f: %.2f per extra record, want O(1) per wave",
+			n, many, one, (many-one)/(n-1))
+	}
+}
+
+// TestEveryRecordCommitsUnderConcurrentFlushes: whatever mix of Wait,
+// Flush and Settle concurrent appenders use, every record becomes durable,
+// so no wake-up is lost between a group's flush and its wave. Appenders
+// that only Settle rely on the others' waves and on the lazy timer.
+func TestEveryRecordCommitsUnderConcurrentFlushes(t *testing.T) {
+	wal, err := OpenWAL(WALConfig{Dir: t.TempDir(), NoSync: true})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer wal.Close()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				tok, err := wal.AppendAsync([]byte{byte(g), byte(i)})
+				if err == nil {
+					switch (g + i) % 3 {
+					case 0:
+						err = tok.Wait()
+					case 1:
+						tok.Flush()
+						err = tok.Settle()
+					default:
+						err = tok.Settle()
+					}
+				}
+				if err != nil {
+					t.Errorf("appender %d record %d: %v", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a record never became durable: a wave's wake-up was lost")
 	}
 }

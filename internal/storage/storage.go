@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"log/slog"
 	"math"
@@ -87,8 +88,8 @@ type seqIdx struct {
 // reached. Decisions may be enqueued asynchronously (AppendDecisionAsync):
 // the caller keeps running and gates visible effects on the returned
 // durability token instead of blocking on the fsync. Because every record
-// kind shares one physical log, a commit wave — the decisions decided in
-// it and the blocks they sealed — costs exactly one fsync; recovery is a
+// kind shares one physical log, a commit wave — the decisions and blocks
+// enqueued since the last one — costs exactly one fsync; recovery is a
 // single typed walk that rebuilds the decision replay stream and the
 // per-channel block index together. Segment reclamation follows the
 // two-condition rule: a segment is deleted only when it is both behind
@@ -105,9 +106,7 @@ type NodeStorage struct {
 
 	// mu guards the decision bookkeeping of the shared log.
 	mu      sync.Mutex
-	lastSeq int64    // newest decision seq committed to disk (-1 when none)
-	lastIdx uint64   // its log index
-	enqSeq  int64    // newest decision seq enqueued (>= lastSeq)
+	enqSeq  int64    // newest decision seq enqueued or recovered (-1 when none)
 	lastTok *Token   // durability token of the newest enqueued decision
 	decPos  []seqIdx // committed decisions above the newest checkpoint, in order
 
@@ -191,7 +190,6 @@ func Open(dir string, opts Options) (*NodeStorage, error) {
 		fs:           fsys,
 		wal:          wal,
 		ckpt:         ckpt,
-		lastSeq:      -1,
 		enqSeq:       -1,
 		ckptNotify:   make(chan struct{}, 1),
 		ckptDone:     make(chan struct{}),
@@ -200,6 +198,7 @@ func Open(dir string, opts Options) (*NodeStorage, error) {
 	}
 	s.blocks = newBlockStore(filepath.Join(dir, "log"), wal, false)
 	s.blocks.decisionFloor = s.decisionFloor
+	wal.onCommit = s.committed
 	if err := s.recover(); err != nil {
 		s.Close()
 		return nil, err
@@ -224,7 +223,7 @@ func (s *NodeStorage) recover() error {
 	if found {
 		st.CheckpointSeq = seq
 		st.Checkpoint = snap
-		s.lastSeq = seq // pruning floor; log entries replayed below override
+		s.enqSeq = seq // log entries replayed below override
 		s.ckptSavedSeq = seq
 	}
 	if _, err := s.blocks.seedFromManifest(); err != nil {
@@ -241,8 +240,7 @@ func (s *NodeStorage) recover() error {
 		if err != nil {
 			return err
 		}
-		s.lastSeq = entry.Seq
-		s.lastIdx = idx
+		s.enqSeq = entry.Seq
 		if entry.Seq <= st.CheckpointSeq {
 			return nil // already covered by the checkpoint; awaiting prune
 		}
@@ -275,7 +273,6 @@ func (s *NodeStorage) recover() error {
 	}
 	st.Chains = s.blocks.Chains()
 	s.recovered = st
-	s.enqSeq = s.lastSeq
 	// Re-apply deletions a crash may have interrupted: with both floors
 	// known again, prune everything dead under the two-condition rule.
 	return s.blocks.prune()
@@ -311,13 +308,13 @@ func (s *NodeStorage) AppendDecision(seq int64, batch [][]byte) error {
 	return s.AppendDecisionAsync(seq, batch).Wait()
 }
 
-// AppendDecisionAsync enqueues one decided batch on the commit log and
-// returns its durability token without waiting for the fsync. The
-// consensus event loop calls this and keeps executing; the node's send
-// drain gates dissemination on the token (the log is FIFO, so the newest
-// decision's token covers every earlier decision), which preserves the
-// write-ahead discipline (nothing leaves the node before its decision is
-// on disk) without serializing the loop on the flush. Sequences must
+// AppendDecisionAsync enqueues one decided batch on the commit log, lazily,
+// and returns its durability token. The consensus event loop keeps
+// executing; the node flushes the token when the decision seals a block
+// and its send drain gates dissemination on it (the log is FIFO, so the
+// newest decision's token covers every earlier one): nothing leaves the
+// node before its decision is on disk, and a decision that seals nothing
+// rides the next wave. Sequences must
 // arrive in order without gaps; a duplicate returns the newest enqueued
 // decision's token (the log is FIFO, so its completion implies the
 // duplicate's record is durable too).
@@ -341,21 +338,7 @@ func (s *NodeStorage) AppendDecisionAsync(seq int64, batch [][]byte) *Token {
 	w.PutByte(recDecision)
 	w.PutInt64(seq)
 	w.PutBytesSlice(batch)
-	tok, err := s.wal.enqueue(w.Bytes(), func(idx uint64, err error) {
-		// Runs on the commit loop, after the record's bytes were
-		// copied into the commit buffer: the encode buffer is free again,
-		// and on success the seq<->index pair joins the live-decision
-		// list checkpoint pruning reads.
-		wire.PutWriter(w)
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		s.lastSeq = seq
-		s.lastIdx = idx
-		s.decPos = append(s.decPos, seqIdx{seq: seq, idx: idx})
-		s.mu.Unlock()
-	}, false)
+	tok, _, err := s.wal.enqueue(w.Bytes(), w, "")
 	if err != nil {
 		wire.PutWriter(w)
 		return doneToken(err)
@@ -365,6 +348,21 @@ func (s *NodeStorage) AppendDecisionAsync(seq int64, batch [][]byte) *Token {
 	s.lastTok = tok
 	s.mu.Unlock()
 	return tok
+}
+
+// committed is the unified log's commit hook (WAL.onCommit): on the
+// commit loop, in log order, a committed decision's seq<->index pair joins
+// the live-decision list checkpoint pruning reads, and block records go to
+// the block index.
+func (s *NodeStorage) committed(idx uint64, rec []byte, channel string, err error) {
+	switch {
+	case rec[0] != recDecision:
+		s.blocks.committed(idx, rec, channel, err)
+	case err == nil:
+		s.mu.Lock()
+		s.decPos = append(s.decPos, seqIdx{seq: int64(binary.BigEndian.Uint64(rec[1:9])), idx: idx})
+		s.mu.Unlock()
+	}
 }
 
 // SaveCheckpoint atomically persists the consensus snapshot at seq, then
@@ -388,7 +386,7 @@ func (s *NodeStorage) SaveCheckpoint(seq int64, snapshot []byte) error {
 	// are dead.
 	s.mu.Lock()
 	cut := sort.Search(len(s.decPos), func(i int) bool { return s.decPos[i].seq > seq })
-	s.decPos = append([]seqIdx(nil), s.decPos[cut:]...)
+	s.decPos = s.decPos[:copy(s.decPos, s.decPos[cut:])]
 	s.mu.Unlock()
 	return s.blocks.prune()
 }
@@ -493,13 +491,10 @@ func (s *NodeStorage) flushCheckpoint() {
 }
 
 // PutBlockAsync enqueues a sealed block on the commit log and returns its
-// durability token (fabric.BlockBackend). The enqueue is lazy: under the
-// decision-gated dissemination rule nothing waits for a block record, so
-// it triggers no commit wave of its own and piggybacks on the wave the
-// next decision triggers — in steady state, block persistence costs zero
-// additional fsyncs. The log's lazy flush timer bounds the wait when
-// traffic stops (and for the callers that do wait: recovery replay and
-// back-fill enqueue a run and wait on its last token).
+// durability token (fabric.BlockBackend). Like every enqueue it is lazy:
+// nothing waits for a block record, so it rides the wave the next sealed
+// block starts, at zero extra fsyncs; callers that wait (recovery replay,
+// back-fill) start the wave with Wait.
 func (s *NodeStorage) PutBlockAsync(channel string, b *fabric.Block) (fabric.DurableToken, error) {
 	tok, err := s.blocks.PutAsync(channel, b)
 	if err != nil {

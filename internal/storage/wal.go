@@ -32,6 +32,7 @@ var (
 	ErrClosed  = errors.New("storage: wal closed")
 	ErrCorrupt = errors.New("storage: wal corrupt")
 	ErrTooBig  = errors.New("storage: record exceeds segment size")
+	ErrEmpty   = errors.New("storage: empty record")
 	// ErrLogPoisoned reports a log permanently failed by a commit-wave
 	// fsync error. After a failed fsync the kernel has dropped the dirty
 	// pages — a retry would report success without the data ever reaching
@@ -149,16 +150,23 @@ type WAL struct {
 	size     int64  // bytes in the active segment
 	next     uint64 // index the next append receives
 
-	// pending is the group awaiting the next commit wave, in enqueue
-	// order; lazyArmed tracks the flush timer of lazily enqueued records,
-	// and waveGen counts the groups taken, so that timer can tell whether
-	// its group is gone.
-	pending   []*appendReq
-	lazyArmed bool
-	waveGen   uint64
+	// pending is the group awaiting the next wave, in enqueue order, and
+	// spare the last group's slice, for reuse. waveGen counts the groups
+	// taken; flushed is one past the newest generation a wave was asked
+	// for; lazyTimer fires at lazyDue.
+	pending   []pendingRec
+	spare     []pendingRec
+	waveGen   atomic.Uint64
+	flushed   atomic.Uint64
+	lazyTimer *time.Timer
+	lazyDue   time.Time
 	notify    chan struct{}
 	closeCh   chan struct{}
 	closed    bool
+	// onCommit, set by the log's owner before the first append, runs on
+	// the commit loop per record of a finished wave, in log order, before
+	// the record's token completes; it dispatches on the record kind.
+	onCommit func(idx uint64, rec []byte, channel string, err error)
 	// failErr poisons the log after a failed commit: the file may hold a
 	// torn frame past which nothing can be appended safely (recovery
 	// would truncate records acknowledged after it), so every later
@@ -222,6 +230,8 @@ func OpenWAL(cfg WALConfig) (*WAL, error) {
 	if err := w.openActive(); err != nil {
 		return nil, err
 	}
+	w.lazyTimer = time.AfterFunc(lazyFlushDelay, w.lazyFlush)
+	w.lazyTimer.Stop()
 	w.metrics.Segments.Set(int64(len(w.segments)))
 	w.wg.Add(1)
 	go w.commitLoop()
@@ -840,6 +850,7 @@ func (w *WAL) Close() error {
 	w.mu.Unlock()
 	close(w.closeCh)
 	w.wg.Wait()
+	w.lazyTimer.Stop()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if !w.cfg.NoSync {

@@ -251,6 +251,11 @@ func TestWALRejectsOversizedRecord(t *testing.T) {
 	if _, err := w.Append(make([]byte, 256)); !errors.Is(err, ErrTooBig) {
 		t.Fatalf("oversized append: %v", err)
 	}
+	// Nor too small: the open-time scan reads a zero-length frame as a
+	// torn tail, so an empty record would drop everything after it.
+	if _, err := w.Append(nil); !errors.Is(err, ErrEmpty) {
+		t.Fatalf("empty append: %v", err)
+	}
 }
 
 func TestWALClosedAppendFails(t *testing.T) {
