@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/fabric"
+	"repro/internal/wire"
 )
 
 // ErrClientClosed terminates calls after the connection dropped.
@@ -16,9 +17,7 @@ var ErrClientClosed = errors.New("clientapi: connection closed")
 // Broadcast calls with typed acks and any number of concurrent Deliver
 // streams over one TCP connection.
 type Client struct {
-	conn net.Conn
-
-	writeMu sync.Mutex
+	frameConn
 
 	mu       sync.Mutex
 	nextID   uint64
@@ -54,14 +53,19 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("clientapi: %w", err)
 	}
+	return newClient(conn), nil
+}
+
+// newClient speaks the protocol over an established connection.
+func newClient(conn net.Conn) *Client {
 	c := &Client{
-		conn:    conn,
-		acks:    make(map[uint64]chan ackResult),
-		streams: make(map[uint64]*clientStream),
+		frameConn: frameConn{conn: conn},
+		acks:      make(map[uint64]chan ackResult),
+		streams:   make(map[uint64]*clientStream),
 	}
 	c.wg.Add(1)
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 func (c *Client) id() uint64 {
@@ -69,12 +73,6 @@ func (c *Client) id() uint64 {
 	defer c.mu.Unlock()
 	c.nextID++
 	return c.nextID
-}
-
-func (c *Client) write(frame []byte) error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	return writeFrame(c.conn, frame)
 }
 
 // Broadcast submits one envelope and waits for its typed acknowledgement.
@@ -97,7 +95,8 @@ func (c *Client) Broadcast(env *fabric.Envelope) (fabric.BroadcastStatus, string
 		delete(c.acks, id)
 		c.mu.Unlock()
 	}()
-	if err := c.write(encodeBroadcast(id, env.Marshal())); err != nil {
+	putBroadcast(c.begin(), id, env)
+	if err := c.flush(); err != nil {
 		return 0, "", fmt.Errorf("clientapi: %w", err)
 	}
 	ack, ok := <-ch
@@ -125,7 +124,8 @@ func (c *Client) Deliver(channel string, seek fabric.SeekInfo) (*DeliverStream, 
 	}
 	c.streams[id] = cs
 	c.mu.Unlock()
-	if err := c.write(encodeDeliver(id, channel, seek)); err != nil {
+	putDeliver(c.begin(), id, channel, seek)
+	if err := c.flush(); err != nil {
 		c.mu.Lock()
 		delete(c.streams, id)
 		c.mu.Unlock()
@@ -166,7 +166,7 @@ func (s *DeliverStream) Cancel() {
 		close(s.cs.drop)
 	}
 	s.cs.mu.Unlock()
-	s.cs.client.write(encodeCancel(s.cs.id))
+	s.cs.client.sendID(msgCancel, s.cs.id)
 }
 
 // finish closes the stream with its terminal state.
@@ -185,8 +185,9 @@ func (cs *clientStream) finish(err error) {
 func (c *Client) readLoop() {
 	defer c.wg.Done()
 	var readErr error
+	fr := wire.NewFrameReader(c.conn, maxFrameBytes)
 	for {
-		payload, err := readFrame(c.conn)
+		payload, err := fr.Next()
 		if err != nil {
 			readErr = err
 			break
@@ -232,7 +233,7 @@ func (c *Client) readLoop() {
 		case msgPing:
 			// Server keepalive probe: answer so an idle but healthy
 			// connection (e.g. tailing a quiet channel) is not dropped.
-			c.write(encodePong(f.id))
+			c.sendID(msgPong, f.id)
 		case msgPong:
 			// Nothing to do: receiving any frame already proves the
 			// server alive.

@@ -42,7 +42,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
+	"net"
+	"sync"
 
 	"repro/internal/fabric"
 	"repro/internal/wire"
@@ -71,103 +72,107 @@ const maxFrameBytes = 64 << 20
 
 // Codec errors.
 var (
-	ErrFrameTooLarge = errors.New("clientapi: frame exceeds maximum size")
+	ErrFrameTooLarge = wire.ErrFrameTooLarge
 	ErrBadFrame      = errors.New("clientapi: malformed frame")
 )
 
-// writeFrame writes one length-prefixed frame.
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+// frameConn is one end of a connection: the socket, and the framing buffer
+// every frame written to it is appended to and leaves from in one Write.
+// The buffer is reused across writes; the socket copies what it is given.
+type frameConn struct {
+	conn    net.Conn
+	writeMu sync.Mutex  // serializes frames from concurrent writers
+	out     wire.Writer // framing buffer, guarded by writeMu
+}
+
+// retainedFrameCap bounds the framing buffer a connection keeps between
+// writes; a larger write's buffer is released after it.
+const retainedFrameCap = 1 << 20
+
+// begin locks the connection for writing and returns its emptied framing
+// buffer; flush writes what was framed into it and unlocks.
+func (c *frameConn) begin() *wire.Writer {
+	c.writeMu.Lock()
+	c.out.Reset()
+	return &c.out
+}
+
+func (c *frameConn) flush() error {
+	_, err := c.conn.Write(c.out.Bytes())
+	if cap(c.out.Bytes()) > retainedFrameCap {
+		c.out = wire.Writer{}
 	}
-	_, err := w.Write(payload)
+	c.writeMu.Unlock()
 	return err
 }
 
-// readFrame reads one length-prefixed frame.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrameBytes {
-		return nil, ErrFrameTooLarge
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	return payload, nil
+// sendID writes one cancel, ping or pong frame.
+func (c *frameConn) sendID(kind byte, id uint64) error {
+	putID(c.begin(), kind, id)
+	return c.flush()
 }
 
-// ---- frame bodies ------------------------------------------------------
+// sendStatus writes one ack or stream-end frame.
+func (c *frameConn) sendStatus(kind byte, id uint64, status fabric.BroadcastStatus, detail string) error {
+	putStatus(c.begin(), kind, id, status, detail)
+	return c.flush()
+}
 
-func encodeBroadcast(id uint64, envelope []byte) []byte {
-	w := wire.NewWriter(16 + len(envelope))
-	w.PutByte(msgBroadcast)
+// ---- frames ------------------------------------------------------------
+
+// Each put function appends one whole frame, length prefix included.
+
+// openFrame starts a frame of the given type; closeFrame fills in its
+// length once the body is written.
+func openFrame(w *wire.Writer, kind byte) int {
+	start := w.Len()
+	w.PutUint32(0)
+	w.PutByte(kind)
+	return start
+}
+
+func closeFrame(w *wire.Writer, start int) {
+	binary.BigEndian.PutUint32(w.Bytes()[start:], uint32(w.Len()-start-4))
+}
+
+func putBroadcast(w *wire.Writer, id uint64, env *fabric.Envelope) {
+	start := openFrame(w, msgBroadcast)
 	w.PutUint64(id)
-	w.PutBytes(envelope)
-	return w.Bytes()
+	w.PutUvarint(uint64(env.MarshaledSize()))
+	env.MarshalInto(w)
+	closeFrame(w, start)
 }
 
-func encodeDeliver(streamID uint64, channel string, seek fabric.SeekInfo) []byte {
-	w := wire.NewWriter(32 + len(channel))
-	w.PutByte(msgDeliver)
+func putDeliver(w *wire.Writer, streamID uint64, channel string, seek fabric.SeekInfo) {
+	start := openFrame(w, msgDeliver)
 	w.PutUint64(streamID)
 	w.PutString(channel)
 	seek.MarshalInto(w)
-	return w.Bytes()
+	closeFrame(w, start)
 }
 
-func encodeCancel(streamID uint64) []byte {
-	w := wire.NewWriter(16)
-	w.PutByte(msgCancel)
-	w.PutUint64(streamID)
-	return w.Bytes()
+// putID appends a cancel, ping or pong frame.
+func putID(w *wire.Writer, kind byte, id uint64) {
+	start := openFrame(w, kind)
+	w.PutUint64(id)
+	closeFrame(w, start)
 }
 
-func encodeAck(id uint64, status fabric.BroadcastStatus, detail string) []byte {
-	w := wire.NewWriter(16 + len(detail))
-	w.PutByte(msgAck)
+// putStatus appends an ack or stream-end frame.
+func putStatus(w *wire.Writer, kind byte, id uint64, status fabric.BroadcastStatus, detail string) {
+	start := openFrame(w, kind)
 	w.PutUint64(id)
 	w.PutUint16(uint16(status))
 	w.PutString(detail)
-	return w.Bytes()
+	closeFrame(w, start)
 }
 
-func encodeBlock(streamID uint64, block *fabric.Block) []byte {
-	raw := block.Marshal()
-	w := wire.NewWriter(16 + len(raw))
-	w.PutByte(msgBlock)
+func putBlock(w *wire.Writer, streamID uint64, block *fabric.Block) {
+	start := openFrame(w, msgBlock)
 	w.PutUint64(streamID)
-	w.PutBytes(raw)
-	return w.Bytes()
-}
-
-func encodeStreamEnd(streamID uint64, status fabric.BroadcastStatus, detail string) []byte {
-	w := wire.NewWriter(16 + len(detail))
-	w.PutByte(msgStreamEnd)
-	w.PutUint64(streamID)
-	w.PutUint16(uint16(status))
-	w.PutString(detail)
-	return w.Bytes()
-}
-
-func encodePing(nonce uint64) []byte {
-	w := wire.NewWriter(16)
-	w.PutByte(msgPing)
-	w.PutUint64(nonce)
-	return w.Bytes()
-}
-
-func encodePong(nonce uint64) []byte {
-	w := wire.NewWriter(16)
-	w.PutByte(msgPong)
-	w.PutUint64(nonce)
-	return w.Bytes()
+	w.PutUvarint(uint64(block.MarshaledSize()))
+	block.MarshalInto(w)
+	closeFrame(w, start)
 }
 
 // frame is one decoded protocol message (union of all bodies).

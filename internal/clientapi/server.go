@@ -1,9 +1,7 @@
 package clientapi
 
 import (
-	"encoding/binary"
 	"errors"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -11,6 +9,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Server exposes an orderer's AtomicBroadcast surface over the
@@ -147,10 +146,8 @@ func (s *Server) Close() {
 
 // serverConn is one client connection's state.
 type serverConn struct {
-	srv  *Server
-	conn net.Conn
-
-	writeMu sync.Mutex // serializes frames from acks and stream pumps
+	srv *Server
+	frameConn
 
 	mu      sync.Mutex
 	streams map[uint64]*fabric.BlockStream
@@ -164,7 +161,7 @@ func (s *Server) handle(conn net.Conn) {
 	s.opts.Metrics.ConnectionsTotal.Inc()
 	s.opts.Metrics.Connections.Add(1)
 	defer s.opts.Metrics.Connections.Add(-1)
-	sc := &serverConn{srv: s, conn: conn, streams: make(map[uint64]*fabric.BlockStream)}
+	sc := &serverConn{srv: s, frameConn: frameConn{conn: conn}, streams: make(map[uint64]*fabric.BlockStream)}
 	sc.readLoop()
 	// Tear down: cancel every stream the client left open, wait for their
 	// pumps, then drop the connection.
@@ -186,7 +183,7 @@ func (s *Server) handle(conn net.Conn) {
 // handle then cancels the dead client's Deliver streams.
 func (sc *serverConn) readLoop() {
 	idle := sc.srv.opts.IdleTimeout
-	fr := frameReader{conn: sc.conn}
+	fr := wire.NewFrameReader(sc.conn, maxFrameBytes)
 	pinged := false
 	for {
 		if idle > 0 {
@@ -196,11 +193,11 @@ func (sc *serverConn) readLoop() {
 			}
 			sc.conn.SetReadDeadline(time.Now().Add(wait))
 		}
-		before := fr.received
-		payload, err := fr.next()
+		before := fr.Received()
+		payload, err := fr.Next()
 		if err != nil {
 			if idle > 0 && isTimeout(err) {
-				if fr.received > before {
+				if fr.Received() > before {
 					// Bytes arrived (a large frame trickling in): that is
 					// liveness; keep reading without burning the ping.
 					pinged = false
@@ -208,7 +205,7 @@ func (sc *serverConn) readLoop() {
 				}
 				if !pinged {
 					pinged = true
-					if sc.write(encodePing(sc.pingNonce.Add(1))) == nil {
+					if sc.sendID(msgPing, sc.pingNonce.Add(1)) == nil {
 						continue
 					}
 				}
@@ -233,7 +230,7 @@ func (sc *serverConn) readLoop() {
 				stream.Cancel()
 			}
 		case msgPing:
-			sc.write(encodePong(f.id))
+			sc.sendID(msgPong, f.id)
 		case msgPong:
 			// Liveness already noted above; the nonce carries no state.
 		default:
@@ -246,59 +243,6 @@ func (sc *serverConn) readLoop() {
 func isTimeout(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// frameReader reads length-prefixed frames while tolerating read-deadline
-// expiries: partially read bytes are kept across calls, so a ping-probe
-// timeout in the middle of a slowly arriving frame never corrupts the
-// stream.
-type frameReader struct {
-	conn     net.Conn
-	buf      []byte // accumulated bytes of the current frame (incl. header)
-	need     int    // full frame size once the header is in (0 = unknown)
-	received int64  // total bytes read: progress == liveness for keepalive
-}
-
-// next returns the next complete frame payload. On a deadline expiry it
-// returns the timeout error and can be called again to resume.
-func (fr *frameReader) next() ([]byte, error) {
-	for {
-		if len(fr.buf) >= 4 && fr.need == 0 {
-			n := binary.BigEndian.Uint32(fr.buf[:4])
-			if n > maxFrameBytes {
-				return nil, ErrFrameTooLarge
-			}
-			fr.need = int(n) + 4
-		}
-		if fr.need > 0 && len(fr.buf) >= fr.need {
-			payload := fr.buf[4:fr.need]
-			fr.buf = append([]byte(nil), fr.buf[fr.need:]...)
-			fr.need = 0
-			return payload, nil
-		}
-		want := 4
-		if fr.need > 0 {
-			want = fr.need
-		}
-		if cap(fr.buf) < want {
-			grown := make([]byte, len(fr.buf), want)
-			copy(grown, fr.buf)
-			fr.buf = grown
-		}
-		chunk := fr.buf[len(fr.buf):want]
-		n, err := io.ReadAtLeast(fr.conn, chunk, 1)
-		fr.buf = fr.buf[:len(fr.buf)+n]
-		fr.received += int64(n)
-		if err != nil {
-			return nil, err
-		}
-	}
-}
-
-func (sc *serverConn) write(frame []byte) error {
-	sc.writeMu.Lock()
-	defer sc.writeMu.Unlock()
-	return writeFrame(sc.conn, frame)
 }
 
 // onBroadcast unmarshals and submits the envelope, then acks with the
@@ -319,7 +263,7 @@ func (sc *serverConn) onBroadcast(f frame) {
 			detail = status.Err().Error()
 		}
 	}
-	sc.write(encodeAck(f.id, status, detail))
+	sc.sendStatus(msgAck, f.id, status, detail)
 }
 
 // onDeliver opens the stream and pumps its blocks to the client until it
@@ -327,14 +271,14 @@ func (sc *serverConn) onBroadcast(f frame) {
 func (sc *serverConn) onDeliver(f frame) {
 	stream, err := sc.srv.orderer.Deliver(f.channel, f.seek)
 	if err != nil {
-		sc.write(encodeStreamEnd(f.id, fabric.StatusOf(err), err.Error()))
+		sc.sendStatus(msgStreamEnd, f.id, fabric.StatusOf(err), err.Error())
 		return
 	}
 	sc.mu.Lock()
 	if _, dup := sc.streams[f.id]; dup {
 		sc.mu.Unlock()
 		stream.Cancel()
-		sc.write(encodeStreamEnd(f.id, fabric.StatusBadRequest, "stream id already in use"))
+		sc.sendStatus(msgStreamEnd, f.id, fabric.StatusBadRequest, "stream id already in use")
 		return
 	}
 	sc.streams[f.id] = stream
@@ -352,7 +296,7 @@ func (sc *serverConn) onDeliver(f frame) {
 			if writeFailed {
 				continue
 			}
-			if err := sc.write(encodeBlock(f.id, b)); err != nil {
+			if err := sc.sendBlocks(f.id, b, stream.Blocks()); err != nil {
 				stream.Cancel()
 				writeFailed = true
 			}
@@ -362,10 +306,33 @@ func (sc *serverConn) onDeliver(f frame) {
 			status = fabric.StatusOf(err)
 			detail = err.Error()
 		}
-		sc.write(encodeStreamEnd(f.id, status, detail))
+		sc.sendStatus(msgStreamEnd, f.id, status, detail)
 		sc.mu.Lock()
 		delete(sc.streams, f.id)
 		sc.mu.Unlock()
 		sc.srv.opts.Metrics.DeliverStreams.Add(-1)
 	}()
+}
+
+// wakeBytes caps the block frames a Deliver pump writes in one Write.
+const wakeBytes = 256 << 10
+
+// sendBlocks writes block and every further block the stream already has
+// ready, up to wakeBytes of frames, in one Write. Each block is encoded
+// once, straight into the connection's framing buffer.
+func (sc *serverConn) sendBlocks(streamID uint64, block *fabric.Block, ready <-chan *fabric.Block) error {
+	w := sc.begin()
+	putBlock(w, streamID, block)
+	for w.Len() < wakeBytes {
+		select {
+		case b, ok := <-ready:
+			if !ok {
+				return sc.flush()
+			}
+			putBlock(w, streamID, b)
+		default:
+			return sc.flush()
+		}
+	}
+	return sc.flush()
 }

@@ -141,25 +141,13 @@ func unmarshalFetchRequest(payload []byte) (fetchRequest, error) {
 // fetchResponse carries a contiguous run of marshalled blocks starting at
 // From (empty when the server cannot serve the range). Floor, when
 // non-zero, is the server's retention floor: the requested range starts
-// below it and was compacted away.
+// below it and was compacted away. A server encodes one with
+// marshalFetchResponse.
 type fetchResponse struct {
 	ReqID  uint64
 	From   uint64
 	Floor  uint64
 	Blocks [][]byte
-}
-
-func (p fetchResponse) marshal() []byte {
-	size := 32
-	for _, b := range p.Blocks {
-		size += len(b) + 4
-	}
-	w := wire.NewWriter(size)
-	w.PutUint64(p.ReqID)
-	w.PutUint64(p.From)
-	w.PutUint64(p.Floor)
-	w.PutBytesSlice(p.Blocks)
-	return w.Bytes()
 }
 
 func unmarshalFetchResponse(payload []byte) (fetchResponse, error) {
@@ -713,26 +701,49 @@ func (s *blockSync) serve(to transport.Addr, payload []byte) {
 	if err != nil {
 		return
 	}
-	resp := fetchResponse{ReqID: req.ReqID, From: req.From}
+	from, floor := req.From, uint64(0)
 	blocks, _, err := s.window(req.Channel, req.From, req.To)
 	// Retention compacted the range away: tell the requester where this
 	// node's history now starts.
 	var pe *fabric.PrunedError
 	if errors.As(err, &pe) {
-		resp.Floor = pe.Floor
+		floor = pe.Floor
 	}
 	if len(blocks) > 0 {
-		resp.From = blocks[0].Header.Number // a head probe learns it here
+		from = blocks[0].Header.Number // a head probe learns it here
 	}
-	for _, b := range blocks {
-		if req.SigsOnly {
-			// The header (and thus the signed digest) is untouched, so the
-			// requester can match by header hash.
-			b = &fabric.Block{Header: b.Header, Signatures: b.Signatures}
+	s.conn.Send(to, MsgFetchResponse, marshalFetchResponse(req.ReqID, from, floor, blocks, req.SigsOnly))
+}
+
+// marshalFetchResponse encodes a fetchResponse carrying blocks, each
+// written straight into the one buffer the response is sent in: a block's
+// exact size is the length prefix of its field. With sigsOnly a block
+// keeps its header and signatures only; the header (and thus the signed
+// digest) is untouched, so the requester can match by header hash.
+func marshalFetchResponse(reqID, from, floor uint64, blocks []*fabric.Block, sigsOnly bool) []byte {
+	sent := func(b *fabric.Block) fabric.Block {
+		v := *b
+		if sigsOnly {
+			v.Envelopes = nil
 		}
-		resp.Blocks = append(resp.Blocks, b.Marshal())
+		return v
 	}
-	s.conn.Send(to, MsgFetchResponse, resp.marshal())
+	size := 24 + wire.UvarintSize(uint64(len(blocks)))
+	for _, b := range blocks {
+		v := sent(b)
+		size += wire.BytesSize(v.MarshaledSize())
+	}
+	w := wire.NewWriter(size)
+	w.PutUint64(reqID)
+	w.PutUint64(from)
+	w.PutUint64(floor)
+	w.PutUvarint(uint64(len(blocks)))
+	for _, b := range blocks {
+		v := sent(b)
+		w.PutUvarint(uint64(v.MarshaledSize()))
+		v.MarshalInto(w)
+	}
+	return w.Bytes()
 }
 
 // replayKey names one frontend's replay of one channel.

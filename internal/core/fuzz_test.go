@@ -63,6 +63,9 @@ func FuzzUnmarshalBlock(f *testing.F) {
 		for _, sig := range b.Signatures {
 			insideInput(t, in, sig.Signature)
 		}
+		if size, raw := b.MarshaledSize(), b.Marshal(); size != len(raw) {
+			t.Fatalf("MarshaledSize %d for a %d-byte encoding", size, len(raw))
+		}
 		again, err := fabric.UnmarshalBlock(b.Marshal())
 		if err != nil || !reflect.DeepEqual(again, b) {
 			t.Fatalf("%+v re-marshals to %+v (%v)", b, again, err)

@@ -84,16 +84,16 @@ func NewBlock(number uint64, prevHash cryptoutil.Digest, envelopes [][]byte) *Bl
 	}
 }
 
-// MarshaledSize returns an upper bound on the block's encoded size
-// (callers size encode buffers with it; the hot persist path uses pooled
-// buffers and must not guess low).
+// MarshaledSize returns the exact length of the block's encoding, so an
+// encoder can write the length prefix of a block field before the block.
 func (b *Block) MarshaledSize() int {
-	size := headerWireSize + 16
+	size := headerWireSize + wire.UvarintSize(uint64(len(b.Envelopes))) +
+		wire.UvarintSize(uint64(len(b.Signatures)))
 	for _, e := range b.Envelopes {
-		size += len(e) + 4
+		size += wire.BytesSize(len(e))
 	}
 	for _, s := range b.Signatures {
-		size += len(s.SignerID) + len(s.Signature) + 8
+		size += wire.BytesSize(len(s.SignerID)) + wire.BytesSize(len(s.Signature))
 	}
 	return size
 }

@@ -35,13 +35,24 @@ type Envelope struct {
 
 // Marshal encodes the envelope deterministically.
 func (e *Envelope) Marshal() []byte {
-	w := wire.NewWriter(len(e.ChannelID) + len(e.ClientID) + len(e.Payload) + len(e.Signature) + 32)
+	w := wire.NewWriter(e.MarshaledSize())
+	e.MarshalInto(w)
+	return w.Bytes()
+}
+
+// MarshaledSize returns the exact length of the envelope's encoding.
+func (e *Envelope) MarshaledSize() int {
+	return wire.BytesSize(len(e.ChannelID)) + wire.BytesSize(len(e.ClientID)) + 8 +
+		wire.BytesSize(len(e.Payload)) + wire.BytesSize(len(e.Signature))
+}
+
+// MarshalInto appends the envelope's encoding to an existing writer.
+func (e *Envelope) MarshalInto(w *wire.Writer) {
 	w.PutString(e.ChannelID)
 	w.PutString(e.ClientID)
 	w.PutInt64(e.TimestampUnixNano)
 	w.PutBytes(e.Payload)
 	w.PutBytes(e.Signature)
-	return w.Bytes()
 }
 
 // UnmarshalEnvelope decodes an envelope as a view of b: payload and

@@ -73,7 +73,7 @@ func (c *replayConn) SetWriteDeadline(t time.Time) error { return nil }
 // is inherent: it escapes into the mailbox).
 func BenchmarkReadFrame(b *testing.B) {
 	m := benchMessage(512)
-	fr := &frameReader{conn: &replayConn{frame: appendFrame(nil, m)}}
+	fr := newFrameReader(&replayConn{frame: appendFrame(nil, m)})
 	b.ReportAllocs()
 	b.SetBytes(int64(len(m.Payload)))
 	for i := 0; i < b.N; i++ {

@@ -9,6 +9,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // maxFrameBytes bounds incoming frames to protect against corrupt or
@@ -123,7 +125,7 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 		delete(t.accepted, conn)
 		t.mu.Unlock()
 	}()
-	fr := &frameReader{conn: conn}
+	fr := newFrameReader(conn)
 	for {
 		m, err := fr.readFrame()
 		if err != nil {
@@ -390,44 +392,45 @@ func appendFrame(buf []byte, m Message) []byte {
 	return buf
 }
 
-// writeFrame frames and writes one message (one allocation per call; the
-// tcpWriter hot path uses appendFrame with a reused buffer instead).
-func writeFrame(conn net.Conn, m Message) error {
-	_, err := conn.Write(appendFrame(nil, m))
-	return err
+// frameReader reads the frames of one connection, which carries one
+// sender's messages: the first frame fixes From, and a frame naming another
+// sender fails the read, so the connection closes and no later frame of it
+// is delivered. The previous frame's To is reused when it repeats instead
+// of allocating a new string. What stays is one allocation per frame, the
+// frame itself, which the delivered payload aliases.
+type frameReader struct {
+	frames   *wire.FrameReader
+	from, to Addr
+	pinned   bool
 }
 
-// frameReader reads the frames of one connection. A connection carries one
-// sender's messages to one destination, so the previous frame's From and To
-// are reused when they repeat instead of allocating new strings; the length
-// prefix is read into the reader's own buffer. What stays is one allocation
-// per frame, the frame itself, which the delivered payload aliases.
-type frameReader struct {
-	conn     io.Reader
-	lenBuf   [4]byte
-	from, to Addr
+func newFrameReader(conn io.Reader) *frameReader {
+	return &frameReader{frames: wire.NewFrameReader(conn, maxFrameBytes)}
 }
+
+// errSenderChanged fails a connection whose frames name a second sender.
+var errSenderChanged = errors.New("tcp frame names another sender than the connection's first")
 
 func (fr *frameReader) readFrame() (Message, error) {
-	if _, err := io.ReadFull(fr.conn, fr.lenBuf[:]); err != nil {
+	buf, err := fr.frames.Next()
+	if err != nil {
 		return Message{}, err
 	}
-	total := binary.BigEndian.Uint32(fr.lenBuf[:])
-	if total < 6 || total > maxFrameBytes {
-		return Message{}, fmt.Errorf("tcp frame length %d out of range", total)
-	}
-	buf := make([]byte, total)
-	if _, err := io.ReadFull(fr.conn, buf); err != nil {
-		return Message{}, err
+	if len(buf) < 6 {
+		return Message{}, fmt.Errorf("tcp frame length %d out of range", len(buf))
 	}
 	msgType := binary.BigEndian.Uint16(buf[0:2])
 	fromLen := int(binary.BigEndian.Uint16(buf[2:4]))
 	toLen := int(binary.BigEndian.Uint16(buf[4:6]))
-	if 6+fromLen+toLen > int(total) {
+	if 6+fromLen+toLen > len(buf) {
 		return Message{}, errors.New("tcp frame header lengths exceed frame")
 	}
 	off := 6
-	fr.from = reuseAddr(buf[off:off+fromLen], fr.from)
+	from := buf[off : off+fromLen]
+	if fr.pinned && string(from) != string(fr.from) {
+		return Message{}, errSenderChanged
+	}
+	fr.from, fr.pinned = reuseAddr(from, fr.from), true
 	off += fromLen
 	fr.to = reuseAddr(buf[off:off+toLen], fr.to)
 	off += toLen

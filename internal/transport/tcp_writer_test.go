@@ -58,7 +58,7 @@ func TestTCPWriterCoalescesConcurrentSends(t *testing.T) {
 	}
 	wg.Wait()
 
-	fr := &frameReader{conn: server}
+	fr := newFrameReader(server)
 	next := make([]int, senders)
 	for n := 0; n < senders*each; n++ {
 		m, err := fr.readFrame()
@@ -118,7 +118,7 @@ func (c *scriptConn) nextWrite(t *testing.T) []uint16 {
 	t.Helper()
 	select {
 	case b := <-c.writes:
-		fr := &frameReader{conn: bytes.NewReader(b)}
+		fr := newFrameReader(bytes.NewReader(b))
 		var types []uint16
 		for {
 			m, err := fr.readFrame()
@@ -194,7 +194,7 @@ func TestTCPWriterKeepsQueueAcrossDialAndWriteFailures(t *testing.T) {
 // receiver's addresses repeat, and the reader keeps the previous strings.
 func TestReadFrameReusesAddresses(t *testing.T) {
 	m := benchMessage(512)
-	fr := &frameReader{conn: &replayConn{frame: appendFrame(nil, m)}}
+	fr := newFrameReader(&replayConn{frame: appendFrame(nil, m)})
 	if got := testing.AllocsPerRun(100, func() {
 		if _, err := fr.readFrame(); err != nil {
 			t.Fatal(err)

@@ -354,8 +354,11 @@ func TestFrameCodecProperty(t *testing.T) {
 		defer c2.Close()
 		in := Message{From: Addr(from), To: Addr(to), Type: msgType, Payload: payload}
 		errCh := make(chan error, 1)
-		go func() { errCh <- writeFrame(c1, in) }()
-		out, err := (&frameReader{conn: c2}).readFrame()
+		go func() {
+			_, err := c1.Write(appendFrame(nil, in))
+			errCh <- err
+		}()
+		out, err := newFrameReader(c2).readFrame()
 		if err != nil || <-errCh != nil {
 			return false
 		}

@@ -78,6 +78,11 @@ func PutWriter(w *Writer) {
 // internal buffer; the caller must not keep writing afterwards.
 func (w *Writer) Bytes() []byte { return w.buf }
 
+// Reset empties the writer and keeps its buffer for the next encoding, so a
+// slice Bytes returned earlier is overwritten: only an owner that is done
+// with every such slice may call it.
+func (w *Writer) Reset() { w.buf = w.buf[:0] }
+
 // Len returns the number of bytes written so far.
 func (w *Writer) Len() int { return len(w.buf) }
 
@@ -137,6 +142,10 @@ func (w *Writer) PutUvarint(v uint64) {
 // UvarintSize is the number of bytes PutUvarint writes for v, so an
 // encoder can size its buffer exactly before writing.
 func UvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// BytesSize is the number of bytes PutBytes or PutString writes for a field
+// of n bytes.
+func BytesSize(n int) int { return UvarintSize(uint64(n)) + n }
 
 // BytesSlice appends a uvarint count followed by each element
 // length-prefixed.
