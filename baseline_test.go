@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cryptoutil"
 	"repro/internal/fabric"
-	"repro/internal/kafka"
 )
 
 // runSoloBaseline saturates HLF's non-replicated solo orderer with the
@@ -56,68 +55,6 @@ func runSoloBaseline(measure time.Duration) (float64, error) {
 			}
 			// Closed loop against delivery so the signing pool, not an
 			// unbounded queue, is the limiter.
-			for delivered.Load()+2000 < gen.Sent() {
-				time.Sleep(100 * time.Microsecond)
-			}
-		}
-	}()
-
-	time.Sleep(measure / 3) // warmup
-	startCount := delivered.Load()
-	start := time.Now()
-	time.Sleep(measure)
-	elapsed := time.Since(start)
-	endCount := delivered.Load()
-	close(stop)
-	return float64(endCount-startCount) / elapsed.Seconds(), nil
-}
-
-// runKafkaBaseline saturates the crash-fault-tolerant Kafka-style orderer
-// (the service HLF v1.0 shipped with) on the same workload shape,
-// quantifying what Byzantine tolerance costs relative to crash tolerance.
-func runKafkaBaseline(measure time.Duration) (float64, error) {
-	cluster, err := kafka.NewCluster(kafka.ClusterConfig{Brokers: 3, MinISR: 2})
-	if err != nil {
-		return 0, err
-	}
-	key, err := cryptoutil.GenerateKeyPair()
-	if err != nil {
-		return 0, err
-	}
-	osn, err := kafka.NewOSN(kafka.OSNConfig{
-		ID:             "osn0",
-		Cluster:        cluster,
-		BlockSize:      10,
-		PollInterval:   time.Millisecond,
-		SigningWorkers: 16,
-		Key:            key,
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer osn.Close()
-
-	stream := osn.Deliver("bench")
-	var delivered atomic.Uint64
-	go func() {
-		for b := range stream {
-			delivered.Add(uint64(len(b.Envelopes)))
-		}
-	}()
-
-	gen := bench.NewEnvelopeGen("bench", "kafka-load", 40, 1)
-	stop := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			raw, _ := gen.Next()
-			if osn.BroadcastRaw(raw) != fabric.StatusSuccess {
-				return
-			}
 			for delivered.Load()+2000 < gen.Sent() {
 				time.Sleep(100 * time.Microsecond)
 			}

@@ -210,17 +210,3 @@ func BenchmarkSoloOrdererBaseline(b *testing.B) {
 		b.ReportMetric(tps, "tx/sec")
 	}
 }
-
-// BenchmarkKafkaOrdererBaseline measures the crash-fault-tolerant
-// Kafka-style orderer HLF v1.0 shipped with (ablation: CFT vs BFT; not a
-// paper figure, but the baseline Section 3 describes).
-func BenchmarkKafkaOrdererBaseline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tps, err := runKafkaBaseline(1500 * time.Millisecond)
-		if err != nil {
-			b.Fatalf("kafka baseline: %v", err)
-		}
-		b.Logf("kafka orderer: %.0f tx/sec (crash tolerance only)", tps)
-		b.ReportMetric(tps, "tx/sec")
-	}
-}

@@ -12,19 +12,6 @@
 //
 //	frontend -connect localhost:7102 -channel demo -seek oldest
 //
-// Sharded router mode: with -shard-map, the frontend attaches to every
-// shard of the map (one consensus group each) and routes Broadcast/Deliver
-// by channel → shard behind the same client API. -peers entries carry the
-// shard: <shard>.<id>=host:port; per-shard listen addresses come from
-// -shard-listen / -shard-client-listen:
-//
-//	frontend -id fe0 -serve :7102 -shard-map shards.json \
-//	  -peers 0.0=localhost:7000,0.1=localhost:7001,1.0=localhost:8000,1.1=localhost:8001 \
-//	  -shard-listen 0=:7100,1=:7200 -shard-client-listen 0=:7101,1=:7201
-//
-// Shard k's nodes must list this frontend as <id>-shard-<k> in their
-// -frontends book.
-//
 // A client broadcasts every stdin line as an envelope payload and prints
 // the typed ack; delivered blocks print as they arrive, replayed history
 // first when the seek starts below the chain head.
@@ -48,7 +35,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/obs"
-	"repro/internal/sharding"
 	"repro/internal/transport"
 )
 
@@ -72,11 +58,6 @@ func run() error {
 	clientPing := flag.Duration("client-ping-timeout", clientapi.DefaultPingTimeout, "post-ping grace before a silent client connection is dropped")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP listen address for /metrics (Prometheus text or ?format=json) and /debug/pprof/; empty disables instrumentation entirely")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
-
-	// Sharded router mode.
-	shardMap := flag.String("shard-map", "", "shard-map JSON file; enables router mode (-peers entries become <shard>.<id>=host:port)")
-	shardListen := flag.String("shard-listen", "", "router mode: per-shard block-reception listen addresses: shard=addr,...")
-	shardClientListen := flag.String("shard-client-listen", "", "router mode: per-shard consensus-client listen addresses: shard=addr,...")
 
 	// Client mode.
 	connect := flag.String("connect", "", "client mode: connect to a frontend's -serve address")
@@ -109,15 +90,12 @@ func run() error {
 		PingTimeout: *clientPing,
 		Metrics:     obs.NewClientAPIMetrics(registry, "frontend", *id),
 	}
-	if *shardMap != "" {
-		return runShardedServer(*id, *serve, *shardMap, *peersFlag, *shardListen, *shardClientListen, *window, apiOpts, registry)
-	}
 	return runServer(*id, *listen, *clientListen, *serve, *peersFlag, *channelsFlag, *window, apiOpts, registry)
 }
 
 // setupLogging installs a leveled text handler on stderr as the process
-// default; the ordering stack logs through log/slog with node/shard/
-// channel attributes.
+// default; the ordering stack logs through log/slog with node/channel
+// attributes.
 func setupLogging(level string) error {
 	var lvl slog.Level
 	if err := lvl.UnmarshalText([]byte(level)); err != nil {
@@ -202,139 +180,6 @@ func runServer(id, listen, clientListen, serve, peersFlag, channelsFlag string, 
 	}
 	fmt.Printf("frontend %s: %d ordering nodes, client API on %s (%s)\n",
 		id, len(replicas), ln.Addr(), scope)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case <-sig:
-		fmt.Println("shutting down")
-		return nil
-	case err := <-errCh:
-		return err
-	}
-}
-
-// ---- sharded router mode ------------------------------------------------
-
-// runShardedServer attaches one frontend per shard of the map and serves
-// the client API through a channel→shard router, so wire clients see one
-// ordering service regardless of how many consensus groups back it.
-func runShardedServer(id, serve, mapPath, peersFlag, listenFlag, clientListenFlag string, window int, apiOpts clientapi.ServerOptions, registry *obs.Registry) error {
-	m, err := sharding.LoadMapFile(mapPath)
-	if err != nil {
-		return err
-	}
-	peers, err := parseBook(peersFlag)
-	if err != nil {
-		return fmt.Errorf("bad -peers: %w", err)
-	}
-	listens, err := parseBook(listenFlag)
-	if err != nil {
-		return fmt.Errorf("bad -shard-listen: %w", err)
-	}
-	clientListens, err := parseBook(clientListenFlag)
-	if err != nil {
-		return fmt.Errorf("bad -shard-client-listen: %w", err)
-	}
-
-	// Split the address book by shard, replica ids strided per group.
-	type shardPeers struct {
-		replicas []consensus.ReplicaID
-		book     map[transport.Addr]string
-	}
-	byShard := make(map[sharding.ShardID]*shardPeers)
-	for name, hostport := range peers {
-		shardStr, idStr, ok := strings.Cut(name, ".")
-		if !ok {
-			return fmt.Errorf("-peers entry %q is not <shard>.<id>=host:port", name)
-		}
-		shardNum, err1 := strconv.Atoi(shardStr)
-		local, err2 := strconv.Atoi(idStr)
-		if err1 != nil || err2 != nil {
-			return fmt.Errorf("-peers entry %q is not <shard>.<id>=host:port", name)
-		}
-		shard := sharding.ShardID(shardNum)
-		if !m.HasShard(shard) {
-			return fmt.Errorf("-peers entry %q names shard %d, not in the map (shards %v)", name, shardNum, m.Shards)
-		}
-		sp := byShard[shard]
-		if sp == nil {
-			sp = &shardPeers{book: make(map[transport.Addr]string)}
-			byShard[shard] = sp
-		}
-		rid := consensus.ReplicaID(shardNum*core.ShardStride + local)
-		sp.replicas = append(sp.replicas, rid)
-		sp.book[rid.Addr()] = hostport
-	}
-
-	backends := make(map[sharding.ShardID]sharding.Backend, len(m.Shards))
-	var cleanups []func()
-	defer func() {
-		for i := len(cleanups) - 1; i >= 0; i-- {
-			cleanups[i]()
-		}
-	}()
-	for _, shard := range m.Shards {
-		sp := byShard[shard]
-		if sp == nil {
-			return fmt.Errorf("shard %d has no -peers entries", shard)
-		}
-		feID := fmt.Sprintf("%s-shard-%d", id, shard)
-		conn, err := transport.NewTCPTransport(transport.TCPConfig{
-			Addr:   transport.Addr(feID),
-			Listen: listens[strconv.Itoa(int(shard))],
-			Peers:  sp.book,
-		})
-		if err != nil {
-			return fmt.Errorf("shard %d transport: %w", shard, err)
-		}
-		cleanups = append(cleanups, func() { conn.Close() })
-		clientConn, err := transport.NewTCPTransport(transport.TCPConfig{
-			Addr:   transport.Addr(feID + "-client"),
-			Listen: clientListens[strconv.Itoa(int(shard))],
-			Peers:  sp.book,
-		})
-		if err != nil {
-			return fmt.Errorf("shard %d client transport: %w", shard, err)
-		}
-		cleanups = append(cleanups, func() { clientConn.Close() })
-		fe, err := core.NewFrontendWithConns(core.FrontendConfig{
-			ID:               feID,
-			Replicas:         sp.replicas,
-			MaxInflight:      window,
-			BroadcastTimeout: 10 * time.Second,
-			Metrics: obs.NewFrontendMetrics(registry,
-				"frontend", id, "shard", strconv.Itoa(int(shard))),
-		}, conn, clientConn)
-		if err != nil {
-			return fmt.Errorf("shard %d frontend: %w", shard, err)
-		}
-		cleanups = append(cleanups, func() { fe.Close() })
-		backends[shard] = fe
-	}
-	router, err := sharding.NewRouter(m, backends)
-	if err != nil {
-		return err
-	}
-	if registry != nil {
-		router.InstrumentCross(obs.NewCrossShardMetrics(registry, "router", id))
-	}
-
-	ln, err := net.Listen("tcp", serve)
-	if err != nil {
-		return err
-	}
-	srv := clientapi.NewServerWithOptions(router, apiOpts)
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-	defer srv.Close()
-
-	mode := "hash-routed"
-	if m.Strict {
-		mode = "strict"
-	}
-	fmt.Printf("frontend %s: routing %d shards (%s), client API on %s\n",
-		id, len(m.Shards), mode, ln.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

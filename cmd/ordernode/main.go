@@ -30,7 +30,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cryptoutil"
 	"repro/internal/obs"
-	"repro/internal/sharding"
 	"repro/internal/storage"
 	"repro/internal/storage/retention"
 	"repro/internal/transport"
@@ -58,8 +57,6 @@ func run() error {
 	retainBlocks := flag.Uint64("retain-blocks", 0, "durable blocks retained per channel before block-store compaction prunes below the floor (0 = retain everything)")
 	retainBytes := flag.Int64("retain-bytes", 0, "block-store on-disk size that triggers compaction (0 = no bytes trigger); SIGHUP forces a compaction")
 	retainWeights := flag.String("retain-weights", "", "per-channel weights for the -retain-bytes budget: channel=weight,... (unlisted channels weigh 1)")
-	shard := flag.Int("shard", 0, "shard (consensus group) this node belongs to; -id and -peers ids are local to the shard")
-	shardMap := flag.String("shard-map", "", "optional shard-map JSON file; validated, and -shard must be in its shard set")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP listen address for /metrics (Prometheus text or ?format=json) and /debug/pprof/; empty disables instrumentation entirely")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
 	join := flag.Bool("join", false, "join an existing cluster: announce this node through an ordered membership add, then catch up via state transfer and verified block fetch from the peers' retention floor; -peers must list the current group plus this node")
@@ -70,18 +67,6 @@ func run() error {
 
 	if err := setupLogging(*logLevel); err != nil {
 		return err
-	}
-	if *shard < 0 {
-		return fmt.Errorf("-shard must be >= 0")
-	}
-	if *shardMap != "" {
-		m, err := sharding.LoadMapFile(*shardMap)
-		if err != nil {
-			return err
-		}
-		if !m.HasShard(sharding.ShardID(*shard)) {
-			return fmt.Errorf("shard %d is not in the shard map %s (shards %v)", *shard, *shardMap, m.Shards)
-		}
 	}
 	weights, err := parseWeights(*retainWeights)
 	if err != nil {
@@ -100,18 +85,16 @@ func run() error {
 	}
 
 	// Build the address book: replicas by canonical address, frontends
-	// under their own names plus their client endpoints. Shard k's
-	// replicas take the strided id range k*ShardStride+i, so groups of a
-	// multi-shard deployment never collide in the address space.
-	selfID := consensus.ReplicaID(*shard*core.ShardStride + *id)
+	// under their own names plus their client endpoints.
+	selfID := consensus.ReplicaID(*id)
 	replicas := make([]consensus.ReplicaID, 0, len(peers))
 	book := make(map[transport.Addr]string, len(peers)+len(fronts))
 	for name, hostport := range peers {
-		local, err := strconv.Atoi(name)
+		n, err := strconv.Atoi(name)
 		if err != nil {
 			return fmt.Errorf("replica id %q is not a number", name)
 		}
-		rid := consensus.ReplicaID(*shard*core.ShardStride + local)
+		rid := consensus.ReplicaID(n)
 		replicas = append(replicas, rid)
 		book[rid.Addr()] = hostport
 	}
@@ -132,7 +115,7 @@ func run() error {
 		defer ln.Close()
 		fmt.Printf("metrics and pprof on http://%s/metrics\n", ln.Addr())
 	}
-	labels := []string{"shard", strconv.Itoa(*shard), "node", strconv.Itoa(*id)}
+	labels := []string{"node", strconv.Itoa(*id)}
 
 	key, err := cryptoutil.GenerateKeyPair()
 	if err != nil {
@@ -161,7 +144,6 @@ func run() error {
 			BlockTimeout:    *blockTimeout,
 			SigningWorkers:  *workers,
 			Key:             key,
-			ShardID:         *shard,
 			DataDir:         *dataDir,
 			WALSegmentBytes: *walSegment,
 			RetainBlocks:    *retainBlocks,
@@ -207,8 +189,8 @@ func run() error {
 	if *dataDir != "" {
 		durability = "durable at " + *dataDir
 	}
-	fmt.Printf("ordering node %d (shard %d) listening on %s (%d replicas, block size %d, %s)\n",
-		*id, *shard, conn.ListenAddr(), len(replicas), *block, durability)
+	fmt.Printf("ordering node %d listening on %s (%d replicas, block size %d, %s)\n",
+		*id, conn.ListenAddr(), len(replicas), *block, durability)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)
@@ -240,8 +222,8 @@ func isCorruption(err error) bool {
 }
 
 // setupLogging installs a leveled text handler on stderr as the process
-// default; the ordering stack logs through log/slog with node/shard/
-// channel attributes.
+// default; the ordering stack logs through log/slog with node/channel
+// attributes.
 func setupLogging(level string) error {
 	var lvl slog.Level
 	if err := lvl.UnmarshalText([]byte(level)); err != nil {

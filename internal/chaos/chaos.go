@@ -9,9 +9,9 @@
 // draws, the load payloads, and the fetch probe ranges all derive from
 // Scenario.Seed, so a failing run can be replayed. Faults and invariants
 // are plain values — tests and examples compose them freely, and the
-// registry (Scenarios) names the standard matrix. One runner (Run) drives
-// both worlds, the single group and the sharded deployment; a scenario's
-// world differs only in what its builder sets up.
+// registry (Scenarios) names the standard matrix. Every scenario runs one
+// durable consensus group behind two frontends: an observer that measures
+// and a load frontend that carries the traffic.
 package chaos
 
 import (
@@ -24,7 +24,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/obs"
-	"repro/internal/sharding"
 	"repro/internal/storage/faultfs"
 	"repro/internal/transport"
 )
@@ -57,13 +56,6 @@ type Scenario struct {
 	// compaction, so joining and backfilling nodes bootstrap from the
 	// retention floor instead of genesis — the world NoOverPrune checks.
 	RetainBlocks uint64
-
-	// Shards > 0 selects the sharded world instead of the single group:
-	// that many independent consensus groups (Nodes replicas each) behind
-	// a channel→shard router, one load channel pinned per shard. Sharded
-	// scenarios use the shard-aware faults and invariants (sharded.go);
-	// of the single-cluster checkers only DeliverContinuity applies.
-	Shards int
 
 	// DiskFaults threads a fault-injecting filesystem (faultfs) under every
 	// node's storage stack, reachable via Env.FaultFS, so faults can arm
@@ -148,27 +140,10 @@ type Env struct {
 	// release rule); invariants watch the system through it.
 	Observer *core.Frontend
 	// LoadFE carries the scenario's traffic (2f+1 matching release rule).
-	LoadFE  *core.Frontend
+	LoadFE *core.Frontend
+	// Channel is the one channel the load runs on.
 	Channel string
 	F       int
-
-	// Sharded world (set only when Scenario.Shards > 0; see sharded.go).
-	// Service holds the per-shard consensus groups; Router is the
-	// observer-side channel→shard router (verified release rule),
-	// LoadRouter the load-side one; ShardChannels maps each shard to its
-	// pinned load channel. Cluster and Channel are shard 0's.
-	Service       *sharding.Service
-	Router        *sharding.Router
-	LoadRouter    *sharding.Router
-	ShardChannels map[sharding.ShardID]string
-
-	// channels lists every channel the world carries load on, and
-	// observer serves Deliver on them: Observer, or the sharded world's
-	// Router.
-	channels []string
-	observer interface {
-		Deliver(channel string, seek fabric.SeekInfo) (*fabric.BlockStream, error)
-	}
 
 	// Metrics is the registry every node/frontend of the run reports into
 	// (the runner always instruments chaos clusters so MetricsSane can
@@ -182,9 +157,9 @@ type Env struct {
 	epochs     []int
 	violations map[string][]string
 
-	// canons holds each channel's canonical (observer-released) chain.
+	// canon is the channel's canonical (observer-released) chain.
 	canonMu sync.Mutex
-	canons  map[string][]*fabric.Block
+	canon   []*fabric.Block
 
 	// faultFS holds the per-node fault-injecting filesystems (set only
 	// when Scenario.DiskFaults; indexed like Cluster.Nodes).
@@ -299,7 +274,7 @@ func (e *Env) progress() string {
 		fmt.Fprintf(&b, "node %d ledger %d persisted %d {%s}; ", i, height, n.PersistWatermark(e.Channel), consensus.DebugSnapshot(n.Replica()))
 	}
 	fmt.Fprintf(&b, "canonical height %d, observer released %d, load frontend released %d",
-		e.CanonHeight(e.Channel), e.Observer.ReleasedHeight(e.Channel), e.LoadFE.ReleasedHeight(e.Channel))
+		e.CanonHeight(), e.Observer.ReleasedHeight(e.Channel), e.LoadFE.ReleasedHeight(e.Channel))
 	return b.String()
 }
 
@@ -398,30 +373,29 @@ func (e *Env) ReplaceNode(i int) (int, error) {
 	return ni, err
 }
 
-// appendCanon extends a channel's observer-released canonical chain
-// (release is in-order per channel; out-of-order copies are ignored here —
-// the deliver continuity invariant owns that check on its own streams).
-func (e *Env) appendCanon(channel string, b *fabric.Block) {
+// appendCanon extends the observer-released canonical chain (release is
+// in order; out-of-order copies are ignored here — the deliver continuity
+// invariant owns that check on its own stream).
+func (e *Env) appendCanon(b *fabric.Block) {
 	e.canonMu.Lock()
-	if b.Header.Number == uint64(len(e.canons[channel])) {
-		e.canons[channel] = append(e.canons[channel], b)
+	if b.Header.Number == uint64(len(e.canon)) {
+		e.canon = append(e.canon, b)
 	}
 	e.canonMu.Unlock()
 }
 
-// Canon snapshots a channel's canonical (observer-released, f+1-verified)
-// chain.
-func (e *Env) Canon(channel string) []*fabric.Block {
+// Canon snapshots the canonical (observer-released, f+1-verified) chain.
+func (e *Env) Canon() []*fabric.Block {
 	e.canonMu.Lock()
 	defer e.canonMu.Unlock()
-	return append([]*fabric.Block(nil), e.canons[channel]...)
+	return append([]*fabric.Block(nil), e.canon...)
 }
 
-// CanonHeight is a channel's canonical chain height.
-func (e *Env) CanonHeight(channel string) uint64 {
+// CanonHeight is the canonical chain's height.
+func (e *Env) CanonHeight() uint64 {
 	e.canonMu.Lock()
 	defer e.canonMu.Unlock()
-	return uint64(len(e.canons[channel]))
+	return uint64(len(e.canon))
 }
 
 // after waits d within the injection window; false means the window closed

@@ -74,7 +74,7 @@ func TestChaosSmoke(t *testing.T) {
 		if pending != 3 || lowest != (loadKey{"ghost-a", 4}) || highest != (loadKey{"ghost-b", 3}) {
 			t.Errorf("ackedUndelivered = %d, %v, %v", pending, lowest, highest)
 		}
-		h := e.CanonHeight(e.Channel)
+		h := e.CanonHeight()
 		want := ""
 		for i := 0; i < e.NodeCount(); i++ {
 			n, _ := e.Node(i)
@@ -213,37 +213,12 @@ func TestRollingRestartScenario(t *testing.T) {
 	assertPass(t, res)
 }
 
-// TestCrossShardAtomicScenario is the fault-free sharded gate: two
-// consensus groups behind the router, continuous cross-shard mark/commit
-// traffic, every transaction visible in both chains or neither. The runner
-// keeps the same ack ledger as in the single group: after quiesce every
-// acked envelope of every shard's load is in its canonical chain.
-func TestCrossShardAtomicScenario(t *testing.T) {
-	res := runScenario(t, "cross-shard-atomic", func(e *Env) {
-		for shard, channel := range e.ShardChannels {
-			if e.CanonHeight(channel) == 0 {
-				t.Errorf("shard %d channel %s ordered no blocks", shard, channel)
-			}
-		}
-		e.ackMu.Lock()
-		acked := len(e.ackPending) + len(e.ackDelivered)
-		e.ackMu.Unlock()
-		if acked == 0 {
-			t.Error("the ack ledger is empty: the sharded load recorded no acks")
-		}
-		if pending, lowest, highest := e.ackedUndelivered(); pending != 0 {
-			t.Errorf("%d acked envelopes undelivered after a fault-free run (lowest %v, highest %v)", pending, lowest, highest)
-		}
-	})
-	assertPass(t, res)
-}
-
-// TestShardPartitionScenario stalls shard 1 past quorum loss mid-run: shard
-// 0 must keep ordering throughout (checked inside the fault), the healed
-// shard must drain its queued backlog and catch up, and cross-shard
-// transactions must stay atomic across the stall.
-func TestShardPartitionScenario(t *testing.T) {
-	assertPass(t, runScenario(t, "shard-partition", nil))
+// TestQuorumLossHealScenario splits the group two against two: neither
+// half keeps a quorum, so ordering stops until the heal. The healed group
+// must then drain the queued load with a gap-free stream, every node
+// durable to the canonical height, and no acked envelope lost.
+func TestQuorumLossHealScenario(t *testing.T) {
+	assertPass(t, runScenario(t, "quorum-loss-heal", nil))
 }
 
 func TestWANGeoScenario(t *testing.T) {

@@ -57,7 +57,8 @@ func WANFault(jitterPct int, lossFrac float64) Fault {
 
 // PartitionFault splits the minority replicas from the rest of the cluster
 // at atFrac of the scenario duration and heals at healFrac. Frontends stay
-// connected to both sides.
+// connected to both sides. A "minority" of half the group leaves neither
+// side a quorum, and ordering stalls until the heal.
 func PartitionFault(minority []int, atFrac, healFrac float64) Fault {
 	return Fault{
 		Name: "partition",
@@ -142,7 +143,7 @@ func JoinFault(atFrac float64) Fault {
 			if !after(e, frac(e, atFrac)) {
 				return nil
 			}
-			target := e.CanonHeight(e.Channel)
+			target := e.CanonHeight()
 			i, err := e.AddNode()
 			if err != nil {
 				return fmt.Errorf("join: %w", err)
@@ -162,7 +163,7 @@ func ReplaceFault(node int, atFrac float64) Fault {
 			if !after(e, frac(e, atFrac)) {
 				return nil
 			}
-			target := e.CanonHeight(e.Channel)
+			target := e.CanonHeight()
 			ni, err := e.ReplaceNode(node)
 			if err != nil {
 				return fmt.Errorf("replace node %d: %w", node, err)
@@ -190,7 +191,7 @@ func RollingRestartFault(atFrac float64, pause time.Duration) Fault {
 			}
 			deposed := false
 			for i := 0; i < e.Scenario.Nodes; i++ {
-				target := e.CanonHeight(e.Channel)
+				target := e.CanonHeight()
 				hold := pause
 				if n, _ := e.Node(i); n != nil && !deposed && n.Replica().CurrentLeader() == n.ID() {
 					hold, deposed = max(pause, 2*e.Scenario.RequestTimeout), true

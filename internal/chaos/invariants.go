@@ -18,55 +18,50 @@ import (
 	"repro/internal/transport"
 )
 
-// DeliverContinuity subscribes from genesis on every channel of the world
-// through its observer and checks each released stream is gap-free,
-// duplicate-free, and hash-chained: every block's number is exactly the
-// next expected and its PrevHash is the header hash of its predecessor,
-// across every fault in the scenario — a stalled shard's stream may pause
-// but must resume without a seam.
+// DeliverContinuity subscribes from genesis through the observer and checks
+// the released stream is gap-free, duplicate-free, and hash-chained: every
+// block's number is exactly the next expected and its PrevHash is the
+// header hash of its predecessor, across every fault in the scenario — a
+// stalled group's stream may pause but must resume without a seam.
 func DeliverContinuity() Invariant {
 	const name = "deliver-continuity"
-	var streams []*fabric.BlockStream
+	var stream *fabric.BlockStream
 	var consumed sync.WaitGroup
 	return Invariant{
 		Name: name,
 		Start: func(e *Env) error {
-			for _, channel := range e.channels {
-				stream, err := e.observer.Deliver(channel, fabric.DeliverFrom(0))
-				if err != nil {
-					return fmt.Errorf("%s: %w", channel, err)
-				}
-				streams = append(streams, stream)
-				consumed.Add(1)
-				// Not on e.Go: the consumer outlives the injection window
-				// (it checks blocks arriving during quiesce) and exits when
-				// Stop cancels the stream.
-				go func() {
-					defer consumed.Done()
-					var next uint64
-					var prev *fabric.Block
-					for b := range stream.Blocks() {
-						if b.Header.Number != next {
-							e.Violate(name, "%s delivered block %d, want %d (gap or duplicate)",
-								channel, b.Header.Number, next)
-							return
-						}
-						if prev != nil && b.Header.PrevHash != prev.Header.Hash() {
-							e.Violate(name, "%s block %d does not hash-chain to block %d",
-								channel, b.Header.Number, prev.Header.Number)
-							return
-						}
-						prev = b
-						next++
-					}
-				}()
+			var err error
+			stream, err = e.Observer.Deliver(e.Channel, fabric.DeliverFrom(0))
+			if err != nil {
+				return fmt.Errorf("%s: %w", e.Channel, err)
 			}
+			consumed.Add(1)
+			// Not on e.Go: the consumer outlives the injection window (it
+			// checks blocks arriving during quiesce) and exits when Stop
+			// cancels the stream.
+			go func() {
+				defer consumed.Done()
+				var next uint64
+				var prev *fabric.Block
+				for b := range stream.Blocks() {
+					if b.Header.Number != next {
+						e.Violate(name, "%s delivered block %d, want %d (gap or duplicate)",
+							e.Channel, b.Header.Number, next)
+						return
+					}
+					if prev != nil && b.Header.PrevHash != prev.Header.Hash() {
+						e.Violate(name, "%s block %d does not hash-chain to block %d",
+							e.Channel, b.Header.Number, prev.Header.Number)
+						return
+					}
+					prev = b
+					next++
+				}
+			}()
 			return nil
 		},
 		Stop: func(e *Env) {
-			for _, stream := range streams {
-				stream.Cancel()
-			}
+			stream.Cancel()
 			consumed.Wait()
 		},
 	}
@@ -120,7 +115,7 @@ func VerifiedFetch() Invariant {
 						return
 					case <-ticker.C:
 					}
-					canon := e.Canon(e.Channel)
+					canon := e.Canon()
 					if len(canon) < 2 {
 						continue
 					}
@@ -155,9 +150,9 @@ func VerifiedFetch() Invariant {
 		Stop: func(e *Env) {
 			<-done
 			for _, p := range probes {
-				if p.successes == 0 && e.CanonHeight(e.Channel) > 1 {
+				if p.successes == 0 && e.CanonHeight() > 1 {
 					e.Violate(name, "no %s probe ever succeeded (%d attempts failed) despite %d canonical blocks",
-						p.name, p.failures, e.CanonHeight(e.Channel))
+						p.name, p.failures, e.CanonHeight())
 				}
 			}
 		},
@@ -296,7 +291,7 @@ func DurableFloorExcept(floorFrac float64, except ...int) Invariant {
 		Name:  name,
 		Start: func(e *Env) error { return nil },
 		Stop: func(e *Env) {
-			target := uint64(floorFrac * float64(e.CanonHeight(e.Channel)))
+			target := uint64(floorFrac * float64(e.CanonHeight()))
 			deadline := time.Now().Add(15 * time.Second)
 			for {
 				lagging := -1
@@ -318,7 +313,7 @@ func DurableFloorExcept(floorFrac float64, except ...int) Invariant {
 				}
 				if time.Now().After(deadline) {
 					e.Violate(name, "node %d durable watermark %d below floor %d (canonical height %d)",
-						lagging, lagMark, target, e.CanonHeight(e.Channel))
+						lagging, lagMark, target, e.CanonHeight())
 					return
 				}
 				time.Sleep(50 * time.Millisecond)
@@ -346,7 +341,7 @@ func ScrubHeals() Invariant {
 			}
 			deadline := time.Now().Add(20 * time.Second)
 			for _, m := range marks {
-				canon := e.Canon(m.Channel)
+				canon := e.Canon()
 				for {
 					n, _ := e.Node(m.Node)
 					if n != nil {

@@ -145,19 +145,11 @@ func Scenarios() []Scenario {
 			Invariants: append(standardInvariants(0.9), ScrubHeals(), NoSilentLoss()),
 		},
 		{
-			Name:        "shard-partition",
-			Description: "one consensus group of a 2-shard deployment is split past quorum loss while the other keeps ordering; the healed shard must catch up and cross-shard transactions must stay atomic",
-			Shards:      2,
+			Name:        "quorum-loss-heal",
+			Description: "half the group is partitioned from the other half mid-run, so neither side keeps a quorum and ordering stalls; once healed the group must drain its queued backlog with no acked write lost",
 			Duration:    8 * time.Second,
-			Faults:      []Fault{ShardPartitionFault(1, 0.25, 0.6)},
-			Invariants:  shardedInvariants(300 * time.Millisecond),
-		},
-		{
-			Name:        "cross-shard-atomic",
-			Description: "fault-free 2-shard world under a continuous stream of two-phase cross-shard transactions; every one must be visible in both chains or neither",
-			Shards:      2,
-			Duration:    6 * time.Second,
-			Invariants:  shardedInvariants(150 * time.Millisecond),
+			Faults:      []Fault{PartitionFault([]int{0, 1}, 0.25, 0.6)},
+			Invariants:  append(standardInvariants(1.0), NoSilentLoss()),
 		},
 	}
 }

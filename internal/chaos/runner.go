@@ -32,7 +32,7 @@ type Result struct {
 	Pass        bool
 	Invariants  []InvariantResult
 	// Delivered counts the load's envelopes the observer released, and
-	// Blocks the canonical blocks of every channel.
+	// Blocks the canonical chain's height.
 	Delivered uint64
 	Blocks    uint64
 }
@@ -52,9 +52,8 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// quiesceTimeout bounds the drain after the injection window in the
-// single-group world, and how long ReleaseKeepsUp then waits for the
-// frontends.
+// quiesceTimeout bounds the drain after the injection window, and how long
+// ReleaseKeepsUp then waits for the frontends.
 const quiesceTimeout = 10 * time.Second
 
 type loadKey struct {
@@ -62,31 +61,7 @@ type loadKey struct {
 	seq    uint64
 }
 
-// world is what a builder sets up for Run beyond the Env it fills in: how
-// the observer's released blocks reach the canonical chains, where the
-// load goes, and how long the drain after the injection window may last.
-// Everything else about a run is the same in every world.
-type world struct {
-	// watch starts feeding every block the observer releases to record and
-	// returns the call that stops it.
-	watch func(record func(channel string, b *fabric.Block)) (stop func(), err error)
-	// load carries the traffic of clients, one closed loop each.
-	load interface {
-		BroadcastRaw(raw []byte) fabric.BroadcastStatus
-	}
-	clients []loadClient
-	// drain bounds the quiesce after the injection window.
-	drain time.Duration
-}
-
-// loadClient is one closed-loop submitter: its channel, its client name
-// and the seed of its payloads.
-type loadClient struct {
-	channel, name string
-	seed          int64
-}
-
-// Run executes one scenario: build the world, start invariants, inject
+// Run executes one scenario: build the group, start invariants, inject
 // faults under load for the scenario duration, quiesce, then evaluate the
 // final invariants. The error return is for harness failures (could not
 // build the cluster); invariant violations fail the Result, not the call.
@@ -124,25 +99,19 @@ func Run(s Scenario, opts Options) (Result, error) {
 		done:         make(chan struct{}),
 		epochs:       make([]int, s.Nodes),
 		violations:   make(map[string][]string),
-		canons:       make(map[string][]*fabric.Block),
 		ackPending:   make(map[loadKey]bool),
 		ackDelivered: make(map[loadKey]bool),
 	}
 	atExit(func() { e.Network.Close() })
-	build := singleWorld
-	if s.Shards > 0 {
-		build = shardedWorld
-	}
-	w, err := build(e, dataDir, atExit)
-	if err != nil {
+	if err := buildGroup(e, dataDir, atExit); err != nil {
 		return Result{}, fmt.Errorf("chaos %s: %w", s.Name, err)
 	}
 
 	// The observer's release path is the measurement point: it extends the
-	// canonical chains and settles the load's acked envelopes.
+	// canonical chain and settles the load's acked envelopes.
 	var delivered atomic.Uint64
-	stopWatching, err := w.watch(func(channel string, b *fabric.Block) {
-		e.appendCanon(channel, b)
+	e.Observer.OnBlock(func(b *fabric.Block) {
+		e.appendCanon(b)
 		for _, raw := range b.Envelopes {
 			if client, seq, ok := bench.EnvelopeSeq(raw); ok {
 				delivered.Add(1)
@@ -150,9 +119,6 @@ func Run(s Scenario, opts Options) (Result, error) {
 			}
 		}
 	})
-	if err != nil {
-		return Result{}, fmt.Errorf("chaos %s: observe: %w", s.Name, err)
-	}
 
 	for _, inv := range s.Invariants {
 		if err := inv.Start(e); err != nil {
@@ -167,8 +133,9 @@ func Run(s Scenario, opts Options) (Result, error) {
 			}
 		})
 	}
-	for _, c := range w.clients {
-		gen := bench.NewEnvelopeGen(c.channel, c.name, s.Load.EnvBytes, c.seed)
+	for i := 0; i < s.Load.Clients; i++ {
+		name := fmt.Sprintf("chaos-%d", i)
+		gen := bench.NewEnvelopeGen(e.Channel, name, s.Load.EnvBytes, int64(s.Seed)+int64(i))
 		e.Go(func() {
 			for {
 				select {
@@ -177,9 +144,9 @@ func Run(s Scenario, opts Options) (Result, error) {
 				default:
 				}
 				raw, seq := gen.Next()
-				switch st := w.load.BroadcastRaw(raw); st {
+				switch st := e.LoadFE.BroadcastRaw(raw); st {
 				case fabric.StatusSuccess:
-					e.noteAcked(loadKey{client: c.name, seq: seq})
+					e.noteAcked(loadKey{client: name, seq: seq})
 				case fabric.StatusServiceUnavailable:
 					time.Sleep(20 * time.Millisecond) // backpressure or teardown
 				default:
@@ -197,11 +164,11 @@ func Run(s Scenario, opts Options) (Result, error) {
 	e.wg.Wait()
 
 	// Quiesce: wait for in-flight envelopes to drain through the observer
-	// (bounded, so a run whose chain stalls still ends). A healed shard
-	// drains its queued backlog here, and a frontend short of a copy
-	// re-registers from its cursor within two heal ticks, well inside the
-	// bound.
-	quiesceDeadline := time.Now().Add(w.drain)
+	// (bounded, so a run whose chain stalls still ends). A group healed
+	// from quorum loss drains its queued backlog here, and a frontend short
+	// of a copy re-registers from its cursor within two heal ticks, well
+	// inside the bound.
+	quiesceDeadline := time.Now().Add(quiesceTimeout)
 	lastCount := delivered.Load()
 	lastChange := time.Now()
 	for time.Now().Before(quiesceDeadline) {
@@ -219,7 +186,6 @@ func Run(s Scenario, opts Options) (Result, error) {
 	if opts.Inspect != nil {
 		opts.Inspect(e)
 	}
-	stopWatching()
 
 	res := Result{
 		Scenario:    s.Name,
@@ -227,9 +193,7 @@ func Run(s Scenario, opts Options) (Result, error) {
 		Seed:        s.Seed,
 		Pass:        true,
 		Delivered:   delivered.Load(),
-	}
-	for _, channel := range e.channels {
-		res.Blocks += e.CanonHeight(channel)
+		Blocks:      e.CanonHeight(),
 	}
 	seen := map[string]bool{}
 	for _, inv := range s.Invariants {
@@ -253,10 +217,9 @@ func Run(s Scenario, opts Options) (Result, error) {
 	return res, nil
 }
 
-// singleWorld builds one durable consensus group with an observer and a
-// load frontend. The observer feeds the canonical chain from its release
-// callback; the load runs chaos-<i> clients with seeds Seed+i.
-func singleWorld(e *Env, dataDir string, atExit func(func())) (world, error) {
+// buildGroup starts one durable consensus group with an observer and a load
+// frontend, and sets them on e.
+func buildGroup(e *Env, dataDir string, atExit func(func())) error {
 	s := e.Scenario
 	// Disk-fault scenarios run every node's storage on a fault-injecting
 	// filesystem; each is a passthrough until a fault arms it mid-run. The
@@ -289,33 +252,22 @@ func singleWorld(e *Env, dataDir string, atExit func(func())) (world, error) {
 		ScrubInterval:      s.ScrubInterval,
 	})
 	if err != nil {
-		return world{}, err
+		return err
 	}
 	atExit(cluster.Stop)
 	observer, err := cluster.NewFrontend("chaos-observer", true)
 	if err != nil {
-		return world{}, fmt.Errorf("observer: %w", err)
+		return fmt.Errorf("observer: %w", err)
 	}
 	atExit(func() { observer.Close() })
 	loadFE, err := cluster.NewFrontend("chaos-load", false)
 	if err != nil {
-		return world{}, fmt.Errorf("load frontend: %w", err)
+		return fmt.Errorf("load frontend: %w", err)
 	}
 	atExit(func() { loadFE.Close() })
 
 	e.Cluster, e.Observer, e.LoadFE = cluster, observer, loadFE
-	e.Channel, e.channels, e.observer = "chaos", []string{"chaos"}, observer
+	e.Channel = "chaos"
 	e.F = consensus.MaxFaults(s.Nodes)
-	w := world{
-		watch: func(record func(string, *fabric.Block)) (func(), error) {
-			observer.OnBlock(func(b *fabric.Block) { record(e.Channel, b) })
-			return func() {}, nil
-		},
-		load:  loadFE,
-		drain: quiesceTimeout,
-	}
-	for i := 0; i < s.Load.Clients; i++ {
-		w.clients = append(w.clients, loadClient{e.Channel, fmt.Sprintf("chaos-%d", i), int64(s.Seed) + int64(i)})
-	}
-	return w, nil
+	return nil
 }

@@ -220,7 +220,7 @@ func newNodeBlockSync(n *OrderingNode) *blockSync {
 		return n.peerAddrs(), n.faults()
 	})
 	s.node = n
-	s.log = slog.With("node", int(n.ID()), "shard", n.cfg.ShardID)
+	s.log = slog.With("node", int(n.ID()))
 	s.parked = make(map[string]map[uint64]*fabric.Block)
 	s.filling = make(map[string]bool)
 	s.replaying = make(map[replayKey]bool)

@@ -14,24 +14,12 @@ import (
 	"repro/internal/transport"
 )
 
-// ShardStride spaces the replica-ID ranges of independent consensus
-// groups sharing one network: shard k's node i is replica k*ShardStride+i,
-// so every group gets distinct transport addresses and key registrations
-// with zero consensus-layer changes. Shard 0 keeps the historical IDs
-// 0..n-1, so single-group deployments are unaffected.
-const ShardStride = 1 << 16
-
 // ClusterConfig assembles a complete in-process ordering service: n nodes
 // over a shared network, with identities registered for verification.
 type ClusterConfig struct {
 	// Nodes is the cluster size (4, 7, or 10 in the paper's LAN
 	// evaluation; 4 or 5 in the geo evaluation).
 	Nodes int
-	// ShardID makes this cluster one consensus group of a sharded
-	// deployment: its replicas take IDs ShardID*ShardStride+i (distinct
-	// addresses on a shared Network) and its storage roots under
-	// DataDir/shard-<ShardID>. Zero is the classic single-group layout.
-	ShardID int
 	// F is the fault threshold (zero derives the maximum).
 	F int
 	// BlockSize is the envelopes-per-block bound (10 or 100 in the paper).
@@ -96,9 +84,9 @@ type ClusterConfig struct {
 	// the scrubber trigger-only).
 	ScrubInterval time.Duration
 	// Metrics, when set, instruments every node (consensus, storage, and
-	// hot-path stage histograms) into one shared registry, with
-	// shard/node labels. Restarted nodes re-attach to their existing
-	// series. Nil disables instrumentation entirely (the near-free path).
+	// hot-path stage histograms) into one shared registry, with node
+	// labels. Restarted nodes re-attach to their existing series. Nil
+	// disables instrumentation entirely (the near-free path).
 	Metrics *obs.Registry
 }
 
@@ -123,9 +111,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("cluster: need at least one node, got %d", cfg.Nodes)
 	}
-	if cfg.ShardID < 0 || cfg.Nodes > ShardStride {
-		return nil, fmt.Errorf("cluster: shard %d with %d nodes does not fit the ID stride", cfg.ShardID, cfg.Nodes)
-	}
 	network := cfg.Network
 	ownsNet := false
 	if network == nil {
@@ -134,7 +119,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	replicas := make([]consensus.ReplicaID, cfg.Nodes)
 	for i := range replicas {
-		replicas[i] = consensus.ReplicaID(cfg.ShardID*ShardStride + i)
+		replicas[i] = consensus.ReplicaID(i)
 	}
 	registry := cryptoutil.NewRegistry()
 
@@ -206,7 +191,6 @@ func (c *Cluster) startNode(i int, members []consensus.ReplicaID) (*OrderingNode
 		RetainBytes:     c.cfg.RetainBytes,
 		RetainWeights:   c.cfg.RetainWeights,
 		CommitSyncHook:  c.nodeSyncHook(i),
-		ShardID:         c.cfg.ShardID,
 		Metrics:         c.nodeMetrics(i),
 		StorageMetrics:  c.storageMetrics(i),
 		FS:              c.nodeFS(i),
@@ -219,16 +203,14 @@ func (c *Cluster) startNode(i int, members []consensus.ReplicaID) (*OrderingNode
 }
 
 // nodeMetrics builds node i's instrument bundle out of the shared
-// registry, labeled by shard and node. Re-registration is idempotent, so
+// registry, labeled by node. Re-registration is idempotent, so
 // a restarted node re-attaches to the incarnation-spanning series.
 func (c *Cluster) nodeMetrics(i int) *obs.NodeMetrics {
-	return obs.NewNodeMetrics(c.cfg.Metrics,
-		"shard", strconv.Itoa(c.cfg.ShardID), "node", strconv.Itoa(i))
+	return obs.NewNodeMetrics(c.cfg.Metrics, "node", strconv.Itoa(i))
 }
 
 func (c *Cluster) storageMetrics(i int) *obs.StorageMetrics {
-	return obs.NewStorageMetrics(c.cfg.Metrics,
-		"shard", strconv.Itoa(c.cfg.ShardID), "node", strconv.Itoa(i))
+	return obs.NewStorageMetrics(c.cfg.Metrics, "node", strconv.Itoa(i))
 }
 
 // nodeFS resolves node i's filesystem seam (nil = the OS filesystem).
@@ -251,21 +233,10 @@ func (c *Cluster) nodeSyncHook(i int) func() {
 }
 
 // NodeDataDir returns node i's storage root (meaningful only with a
-// DataDir-configured cluster). A sharded cluster nests its nodes under a
-// per-group directory — each shard is an independent WAL, checkpoint,
-// and retention domain on disk — while shard 0 keeps the historical flat
-// layout.
+// DataDir-configured cluster).
 func (c *Cluster) NodeDataDir(i int) string {
-	if c.cfg.ShardID > 0 {
-		return filepath.Join(c.cfg.DataDir,
-			"shard-"+strconv.Itoa(c.cfg.ShardID), "node-"+strconv.Itoa(i))
-	}
 	return filepath.Join(c.cfg.DataDir, "node-"+strconv.Itoa(i))
 }
-
-// ShardID returns the consensus group this cluster forms (0 for the
-// classic single-group deployment).
-func (c *Cluster) ShardID() int { return c.cfg.ShardID }
 
 // KillNode crashes node i: it is stopped (which closes its storage,
 // leaving only the on-disk state) and detached from the network. A no-op
@@ -353,10 +324,7 @@ const reconfigDeadline = 15 * time.Second
 // membership epoch. Returns the new node's index.
 func (c *Cluster) AddNode() (int, error) {
 	i := len(c.replicas)
-	if i >= ShardStride {
-		return -1, fmt.Errorf("cluster: shard %d cannot grow past %d nodes", c.cfg.ShardID, ShardStride)
-	}
-	id := consensus.ReplicaID(c.cfg.ShardID*ShardStride + i)
+	id := consensus.ReplicaID(i)
 	key, err := cryptoutil.GenerateKeyPair()
 	if err != nil {
 		return -1, fmt.Errorf("cluster: %w", err)
@@ -428,7 +396,7 @@ func (c *Cluster) Reconfigure(op consensus.ReconfigOp, timeout time.Duration) er
 	if timeout <= 0 {
 		timeout = reconfigDeadline
 	}
-	admin := transport.Addr(fmt.Sprintf("admin:%d:%d", c.cfg.ShardID, time.Now().UnixNano()))
+	admin := transport.Addr(fmt.Sprintf("admin:%d", time.Now().UnixNano()))
 	conn, err := c.Network.Join(admin)
 	if err != nil {
 		return fmt.Errorf("cluster: %w", err)
@@ -508,8 +476,7 @@ func (c *Cluster) NewFrontend(id string, verify bool) (*Frontend, error) {
 		F:                c.cfg.F,
 		VerifySignatures: verify,
 		Registry:         c.Registry,
-		Metrics: obs.NewFrontendMetrics(c.cfg.Metrics,
-			"shard", strconv.Itoa(c.cfg.ShardID), "frontend", id),
+		Metrics:          obs.NewFrontendMetrics(c.cfg.Metrics, "frontend", id),
 	}, c.Network)
 }
 

@@ -51,7 +51,7 @@ func TestJoinAnnounceBootstrapFromEmptyDir(t *testing.T) {
 	// Boot the newcomer the way cmd/ordernode -join does: fresh identity,
 	// static membership = current group + self, empty data directory.
 	i := len(c.replicas)
-	id := consensus.ReplicaID(c.cfg.ShardID*ShardStride + i)
+	id := consensus.ReplicaID(i)
 	key, err := cryptoutil.GenerateKeyPair()
 	if err != nil {
 		t.Fatalf("keygen: %v", err)

@@ -120,12 +120,6 @@ type NodeConfig struct {
 	// channel c keeps RetainBytes * w(c)/Σw bytes of history, unlisted
 	// channels weigh 1. Nil splits the budget evenly.
 	RetainWeights map[string]float64
-	// ShardID names the consensus group this node belongs to when the
-	// deployment partitions channels across independent groups (0 in a
-	// single-group deployment). It is carried for observability and
-	// per-shard storage layout decisions made by the owner; the node
-	// itself orders whatever envelopes its group's consensus decides.
-	ShardID int
 	// Metrics, when set, instruments the node's hot path: the per-stage
 	// latency trace (broadcast→decided→fsynced→disseminated), sealed
 	// blocks, persist watermarks, and scrape-time consensus stats. Nil
@@ -515,8 +509,7 @@ func (n *OrderingNode) advanceLedgerFloors(floors map[string]uint64) {
 		}
 		if err := led.AdvanceFloor(floor); err != nil {
 			slog.Warn("advancing retention floor failed",
-				"node", int(n.ID()), "shard", n.cfg.ShardID,
-				"channel", channel, "floor", floor, "err", err)
+				"node", int(n.ID()), "channel", channel, "floor", floor, "err", err)
 		}
 	}
 }
@@ -611,8 +604,7 @@ func (n *OrderingNode) onMembershipChange(v consensus.MembershipView) {
 	}
 	if err := n.storage.SaveMembership(rec); err != nil {
 		slog.Error("persisting membership record failed",
-			"node", int(n.ID()), "shard", n.cfg.ShardID,
-			"epoch", v.Epoch, "err", err)
+			"node", int(n.ID()), "epoch", v.Epoch, "err", err)
 	}
 }
 
@@ -639,10 +631,6 @@ func validateEnvelopeOp(op []byte) error {
 
 // ID returns the node's replica identity.
 func (n *OrderingNode) ID() consensus.ReplicaID { return n.cfg.Consensus.SelfID }
-
-// ShardID returns the consensus group this node belongs to (0 in a
-// single-group deployment).
-func (n *OrderingNode) ShardID() int { return n.cfg.ShardID }
 
 // Replica exposes the underlying consensus replica (tests inject faults
 // through it).

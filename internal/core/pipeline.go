@@ -309,8 +309,7 @@ func (p *pipeline) complete(channel string, epoch uint64, pb pendingBlock) {
 				// no later block of this channel leaves the node either.
 				if err := pb.gate.Wait(); err != nil {
 					slog.Error("decision never became durable; halting dissemination",
-						"node", int(n.ID()), "shard", n.cfg.ShardID,
-						"channel", channel, "block", b.Header.Number, "err", err)
+						"node", int(n.ID()), "channel", channel, "block", b.Header.Number, "err", err)
 					return
 				}
 			}
@@ -392,8 +391,7 @@ func (p *pipeline) persist(channel string, block *fabric.Block) fabric.DurableTo
 	tok, err := led.AppendSealedAsync(block)
 	if err != nil {
 		slog.Error("persisting block failed",
-			"node", int(n.ID()), "shard", n.cfg.ShardID,
-			"channel", channel, "block", block.Header.Number, "err", err)
+			"node", int(n.ID()), "channel", channel, "block", block.Header.Number, "err", err)
 		return nil
 	}
 	return tok
@@ -482,8 +480,7 @@ func (p *pipeline) markDurable(channel string, height uint64, tok fabric.Durable
 		}
 		if err != nil {
 			slog.Error("persisting blocks failed",
-				"node", int(n.ID()), "shard", n.cfg.ShardID,
-				"channel", channel, "below", height, "err", err)
+				"node", int(n.ID()), "channel", channel, "below", height, "err", err)
 			return
 		}
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // This file defines the AtomicBroadcast vocabulary shared by every orderer
-// implementation (BFT frontend, solo, Kafka) and by the external client
+// implementation (BFT frontend, solo) and by the external client
 // protocol: typed Broadcast statuses, the SeekInfo that positions a Deliver
 // stream, and the BlockStream handle a Deliver call returns. The shapes
 // mirror Fabric's ab.AtomicBroadcast service (Broadcast acks carry a
@@ -120,8 +120,7 @@ func StatusOf(err error) BroadcastStatus {
 
 // Broadcaster delivers an assembled envelope to the ordering service
 // (protocol step 4) and reports the typed acknowledgement. The
-// ordering-service frontend, the solo orderer, and the Kafka OSN implement
-// it.
+// ordering-service frontend and the solo orderer implement it.
 type Broadcaster interface {
 	Broadcast(env *Envelope) BroadcastStatus
 }

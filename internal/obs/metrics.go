@@ -3,7 +3,7 @@ package obs
 import "sync"
 
 // Domain bundles: one struct of instruments per subsystem, created against
-// a registry with identifying labels (node, shard, ...). A nil registry
+// a registry with identifying labels (node, frontend, ...). A nil registry
 // yields a nil bundle; callers normalize once with OrNop() and then use the
 // fields unconditionally — nil instruments discard updates, so the disabled
 // path is a nil check per call and nothing else.
@@ -206,36 +206,6 @@ func NewClientAPIMetrics(r *Registry, kv ...string) *ClientAPIMetrics {
 func (m *ClientAPIMetrics) OrNop() *ClientAPIMetrics {
 	if m == nil {
 		return &ClientAPIMetrics{}
-	}
-	return m
-}
-
-// CrossShardMetrics instruments the two-phase cross-shard path.
-type CrossShardMetrics struct {
-	Marked     *Counter
-	Committed  *Counter
-	Aborted    *Counter
-	MarkFailed *Counter
-}
-
-// NewCrossShardMetrics registers the cross-shard instrument set. Returns
-// nil when r is nil.
-func NewCrossShardMetrics(r *Registry, kv ...string) *CrossShardMetrics {
-	if r == nil {
-		return nil
-	}
-	return &CrossShardMetrics{
-		Marked:     r.Counter(Name("repro_cross_shard_marked_total", kv...), "Cross-shard transactions that marked every participant channel."),
-		Committed:  r.Counter(Name("repro_cross_shard_committed_total", kv...), "Cross-shard transactions committed in every participant channel."),
-		Aborted:    r.Counter(Name("repro_cross_shard_aborted_total", kv...), "Cross-shard transactions aborted before commit."),
-		MarkFailed: r.Counter(Name("repro_cross_shard_mark_failed_total", kv...), "Cross-shard mark phases that failed on some participant."),
-	}
-}
-
-// OrNop returns an all-nil bundle when m is nil so field access is safe.
-func (m *CrossShardMetrics) OrNop() *CrossShardMetrics {
-	if m == nil {
-		return &CrossShardMetrics{}
 	}
 	return m
 }

@@ -258,7 +258,7 @@ func NewRegistry() *Registry {
 }
 
 // Name composes a family name and label key/value pairs into a full metric
-// name: Name("x_total", "shard", "0", "node", "1") -> `x_total{shard="0",node="1"}`.
+// name: Name("x_total", "node", "1", "channel", "c") -> `x_total{node="1",channel="c"}`.
 func Name(family string, kv ...string) string {
 	if len(kv) == 0 {
 		return family

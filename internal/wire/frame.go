@@ -21,6 +21,10 @@ const frameChunk = 64 << 10
 // again, so a decoder may return views of it (see the package
 // documentation on ownership).
 //
+// A frame's payload grows as its bytes arrive, from one chunk and at most
+// doubling, so a length prefix costs memory only in proportion to the bytes
+// that follow it. A frame of at most a chunk is one allocation.
+//
 // A read error leaves the reader where it was: after a deadline expiry in
 // the middle of a frame, Next can be called again and resumes.
 type FrameReader struct {
@@ -31,7 +35,8 @@ type FrameReader struct {
 	off, end int
 
 	frame   []byte // the payload being filled, while inFrame
-	filled  int
+	filled  int    // frame[:filled] holds the payload read so far
+	size    int    // the payload's length; len(frame) reaches it last
 	inFrame bool
 
 	received int64
@@ -58,13 +63,19 @@ func (fr *FrameReader) Next() ([]byte, error) {
 				return nil, ErrFrameTooLarge
 			}
 			fr.off += 4
-			fr.frame, fr.filled, fr.inFrame = make([]byte, n), 0, true
+			fr.frame, fr.filled, fr.size, fr.inFrame = make([]byte, min(int(n), frameChunk)), 0, int(n), true
 		}
 		if fr.inFrame {
-			k := copy(fr.frame[fr.filled:], fr.chunk[fr.off:fr.end])
-			fr.off += k
-			fr.filled += k
-			if fr.filled == len(fr.frame) {
+			for {
+				k := copy(fr.frame[fr.filled:], fr.chunk[fr.off:fr.end])
+				fr.off += k
+				fr.filled += k
+				if fr.off == fr.end || fr.filled == fr.size {
+					break
+				}
+				fr.grow() // full, with more of the payload buffered
+			}
+			if fr.filled == fr.size {
 				frame := fr.frame
 				fr.frame, fr.inFrame = nil, false
 				return frame, nil
@@ -74,7 +85,10 @@ func (fr *FrameReader) Next() ([]byte, error) {
 		// length prefix at most (an open frame took all the rest).
 		var n int
 		var err error
-		if fr.inFrame && len(fr.frame)-fr.filled >= len(fr.chunk) {
+		if fr.inFrame && fr.size-fr.filled >= len(fr.chunk) {
+			if fr.filled == len(fr.frame) {
+				fr.grow()
+			}
 			n, err = fr.r.Read(fr.frame[fr.filled:])
 			fr.filled += n
 		} else {
@@ -88,4 +102,12 @@ func (fr *FrameReader) Next() ([]byte, error) {
 			return nil, err
 		}
 	}
+}
+
+// grow replaces the full payload buffer of an open frame with one twice its
+// length, or the payload's length if that is less.
+func (fr *FrameReader) grow() {
+	frame := make([]byte, min(2*len(fr.frame), fr.size))
+	copy(frame, fr.frame[:fr.filled])
+	fr.frame = frame
 }

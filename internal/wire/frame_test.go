@@ -5,16 +5,22 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
 
 // frames returns n frames of sizes that fill a fraction of the reader's
-// chunk, straddle its edge and exceed it, and their encoding in a row.
+// chunk, straddle its edge and exceed it, every 25th spanning chunks enough
+// to grow its payload more than once, and their encoding in a row.
 func frames(n int) ([][]byte, []byte) {
 	var payloads [][]byte
 	var stream []byte
 	for i := 0; i < n; i++ {
-		p := bytes.Repeat([]byte{byte(i), byte(i >> 8)}, (i*7919)%(frameChunk+frameChunk/2)/2)
+		half := (i * 7919) % (frameChunk + frameChunk/2) / 2
+		if i%25 == 24 {
+			half = (i/25+2)*frameChunk/2 + 9
+		}
+		p := bytes.Repeat([]byte{byte(i), byte(i >> 8)}, half)
 		payloads = append(payloads, p)
 		stream = binary.BigEndian.AppendUint32(stream, uint32(len(p)))
 		stream = append(stream, p...)
@@ -99,5 +105,23 @@ func TestFrameReaderAllocatesTheFrameOnly(t *testing.T) {
 		}
 	}); allocs != 1 {
 		t.Fatalf("%.0f allocations per frame, want 1", allocs)
+	}
+}
+
+// A length prefix alone allocates nothing in its proportion: a 64 MiB
+// prefix followed by three bytes and the end of the stream costs the read
+// chunk and one chunk of payload, not the 64 MiB the prefix names.
+func TestFrameReaderGrowsTheFrameAsItArrives(t *testing.T) {
+	stream := []byte{4, 0, 0, 0, 1, 2, 3}
+	fr := NewFrameReader(bytes.NewReader(stream), 1<<26)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := fr.Next()
+	runtime.ReadMemStats(&after)
+	if err != io.EOF {
+		t.Fatalf("a frame cut short by the end of the stream: %v, want EOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*frameChunk {
+		t.Fatalf("a 64 MiB length prefix and 3 bytes allocated %d bytes, want at most %d", got, 2*frameChunk)
 	}
 }
