@@ -237,6 +237,7 @@ func newNodeBlockSync(n *OrderingNode) *blockSync {
 // cast the "vote" of every peer a fetch queries.
 type pendingFetch struct {
 	peer transport.Addr
+	req  fetchRequest
 	ch   chan fetchResponse
 }
 
@@ -271,26 +272,34 @@ func (e *errPeerPruned) Error() string {
 	return fmt.Sprintf("fetch: peer %s pruned the range (floor %d)", e.peer, e.floor)
 }
 
-// request asks one peer for blocks [from, to) — or, with from ==
-// fetchHeadProbe, for its newest block — and returns the decoded run it
-// served (possibly shorter than asked). A peer that compacted the range
-// away answers with its floor, surfaced as *errPeerPruned.
-func (s *blockSync) request(peer transport.Addr, channel string, from, to uint64, sigsOnly bool, done <-chan struct{}) ([]*fabric.Block, error) {
+// send puts one request for blocks [from, to) — or, with from ==
+// fetchHeadProbe, for the peer's newest block — on the wire; await then
+// waits for its answer.
+func (s *blockSync) send(peer transport.Addr, channel string, from, to uint64, sigsOnly bool) *pendingFetch {
 	s.mu.Lock()
 	s.nextID++
-	id := s.nextID
-	p := &pendingFetch{peer: peer, ch: make(chan fetchResponse, 1)}
-	s.pending[id] = p
+	p := &pendingFetch{
+		peer: peer,
+		req:  fetchRequest{ReqID: s.nextID, Channel: channel, From: from, To: to, SigsOnly: sigsOnly},
+		ch:   make(chan fetchResponse, 1),
+	}
+	s.pending[p.req.ReqID] = p
 	s.mu.Unlock()
+	s.conn.Send(peer, MsgFetchRequest, p.req.marshal())
+	return p
+}
+
+// await returns the decoded run the peer served for p (possibly shorter
+// than asked, never longer), and unregisters p. A peer that compacted the
+// range away answers with its floor, surfaced as *errPeerPruned. stop
+// abandons the wait.
+func (s *blockSync) await(p *pendingFetch, stop <-chan struct{}) ([]*fabric.Block, error) {
 	defer func() {
 		s.mu.Lock()
-		delete(s.pending, id)
+		delete(s.pending, p.req.ReqID)
 		s.mu.Unlock()
 	}()
-
-	req := fetchRequest{ReqID: id, Channel: channel, From: from, To: to, SigsOnly: sigsOnly}
-	s.conn.Send(peer, MsgFetchRequest, req.marshal())
-
+	peer, from := p.peer, p.req.From
 	timer := time.NewTimer(fetchWindowTimeout)
 	defer timer.Stop()
 	var resp fetchResponse
@@ -298,14 +307,19 @@ func (s *blockSync) request(peer transport.Addr, channel string, from, to uint64
 	case resp = <-p.ch:
 	case <-timer.C:
 		return nil, fmt.Errorf("fetch: peer %s timed out", peer)
-	case <-done:
+	case <-stop:
 		return nil, ErrFetchFailed
 	}
 	if len(resp.Blocks) == 0 && resp.Floor > from {
 		return nil, &errPeerPruned{peer: peer, floor: resp.Floor}
 	}
-	if from != fetchHeadProbe && resp.From != from {
-		return nil, fmt.Errorf("fetch: peer %s answered from block %d, want %d", peer, resp.From, from)
+	if from != fetchHeadProbe {
+		if resp.From != from {
+			return nil, fmt.Errorf("fetch: peer %s answered from block %d, want %d", peer, resp.From, from)
+		}
+		if uint64(len(resp.Blocks)) > p.req.To-from {
+			return nil, fmt.Errorf("fetch: peer %s served %d blocks for %d..%d", peer, len(resp.Blocks), from, p.req.To-1)
+		}
 	}
 	// Sized by what the peer sent, never by the range that was asked for.
 	blocks := make([]*fabric.Block, 0, len(resp.Blocks))
@@ -322,69 +336,166 @@ func (s *blockSync) request(peer transport.Addr, channel string, from, to uint64
 	return blocks, nil
 }
 
+// answer is one request's outcome, handed over by the goroutine that
+// waited for it.
+type answer struct {
+	blocks []*fabric.Block
+	err    error
+}
+
+// A peer's copy of a range travels in windows of windowBlocks blocks,
+// windowsInFlight of them on the wire at once: maxFetchBlocks blocks keep
+// the serving link busy while the windows before them are checked, and the
+// first window lands after a quarter of a whole response's transfer time.
+const (
+	windowBlocks    = maxFetchBlocks / 4
+	windowsInFlight = maxFetchBlocks / windowBlocks
+)
+
 // fromPeer accumulates one peer's copy of [from, to), envelope-stripped
-// with sigsOnly. The top window is asked for first: a peer that does not
-// hold block to-1 — a stop position beyond the chain, however far — says
-// so in one round trip, before anything is downloaded.
+// with sigsOnly. The range is asked for top-down, one window after
+// another, so the top window is asked for first: a peer that does not
+// hold block to-1 — a stop position beyond the chain, however far — fails
+// the copy having been sent at most windowsInFlight requests. A window is
+// made only when one lands, so a range costs nothing by its length until
+// its blocks arrive. Each window lands on a goroutine of its own (see
+// land), which the call outlives none of.
 func (s *blockSync) fromPeer(peer transport.Addr, channel string, from, to uint64, sigsOnly bool, done <-chan struct{}) ([]*fabric.Block, error) {
-	split := from
-	if to-from > maxFetchBlocks {
-		split = to - maxFetchBlocks
+	if to-from <= windowBlocks {
+		return s.land(s.send(peer, channel, from, to, sigsOnly), done)
 	}
-	top, err := s.windows(peer, channel, split, to, sigsOnly, done)
-	if err != nil || split == from {
-		return top, err
+	type landed struct {
+		k int // the window's place, counted from the top
+		answer
 	}
-	bottom, err := s.windows(peer, channel, from, split, sigsOnly, done)
+	results := make(chan landed, windowsInFlight)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var parts [][]*fabric.Block // window k's blocks, once landed
+	next, inFlight := to, 0     // windows are still to be asked for below next
+	var err error
+	for err == nil && (next > from || inFlight > 0) {
+		for ; next > from && inFlight < windowsInFlight; inFlight++ {
+			lo := from
+			if next-from > windowBlocks {
+				lo = next - windowBlocks
+			}
+			k, p := len(parts), s.send(peer, channel, lo, next, sigsOnly)
+			parts, next = append(parts, nil), lo
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				blocks, err := s.land(p, stop)
+				results <- landed{k, answer{blocks, err}}
+			}()
+		}
+		select {
+		case w := <-results:
+			inFlight--
+			parts[w.k], err = w.blocks, w.err
+		case <-done:
+			err = ErrFetchFailed
+		}
+	}
+	close(stop)
+	wg.Wait()
 	if err != nil {
 		return nil, err
 	}
-	return append(bottom, top...), nil
-}
-
-// windows asks one peer for [from, to) window by window, growing by what
-// the peer actually served.
-func (s *blockSync) windows(peer transport.Addr, channel string, from, to uint64, sigsOnly bool, done <-chan struct{}) ([]*fabric.Block, error) {
-	var out []*fabric.Block
-	for next := from; next < to; {
-		blocks, err := s.request(peer, channel, next, to, sigsOnly, done)
-		if err != nil {
-			return nil, err
-		}
-		if len(blocks) == 0 {
-			return nil, fmt.Errorf("fetch: peer %s cannot serve block %d", peer, next)
-		}
-		out = append(out, blocks...)
-		next += uint64(len(blocks))
+	out := make([]*fabric.Block, 0, to-from) // every block of it has landed
+	for k := len(parts) - 1; k >= 0; k-- {
+		out = append(out, parts[k]...)
 	}
 	return out, nil
 }
 
-// head returns a block f+1 peers agree is (part of) the chain's head
-// region: each peer nominates its newest block, and the first header hash
-// reaching f+1 votes is trusted (at least one voter is correct). The
-// returned block may trail the true head — callers replay up to it and
-// let the live stream's gap fill cover the rest.
-func (s *blockSync) head(done <-chan struct{}, channel string) (*fabric.Block, error) {
-	peers, f := s.group()
-	votes := make(map[cryptoutil.Digest]int)
-	for _, peer := range peers {
-		blocks, err := s.request(peer, channel, fetchHeadProbe, fetchHeadProbe, false, done)
-		if err != nil || len(blocks) != 1 || blocks[0].CheckIntegrity() != nil {
-			select {
-			case <-done:
-				return nil, ErrFetchFailed
-			default:
+// land waits for one window of a peer's copy, whose first request p is on
+// the wire, asking for the rest of the window while the peer serves it in
+// shorter runs. A full copy's data hashes are checked here, as each run
+// lands and while the windows after it are still on the wire, so the
+// caller checks only the links (fabric.VerifyRangeLinks); a stripped copy
+// carries no envelopes to check.
+func (s *blockSync) land(p *pendingFetch, stop <-chan struct{}) ([]*fabric.Block, error) {
+	var out []*fabric.Block
+	for {
+		blocks, err := s.await(p, stop)
+		if err != nil {
+			return nil, err
+		}
+		q := p.req
+		if len(blocks) == 0 {
+			return nil, fmt.Errorf("fetch: peer %s cannot serve block %d", p.peer, q.From)
+		}
+		if !q.SigsOnly {
+			for _, b := range blocks {
+				if err := b.CheckIntegrity(); err != nil {
+					return nil, fmt.Errorf("fetch: peer %s served an unverifiable range: %w", p.peer, err)
+				}
 			}
+		}
+		if out == nil {
+			out = blocks
+		} else {
+			out = append(out, blocks...)
+		}
+		if next := q.From + uint64(len(blocks)); next < q.To {
+			p = s.send(p.peer, q.Channel, next, q.To, q.SigsOnly)
 			continue
 		}
-		h := blocks[0].Header.Hash()
+		return out, nil
+	}
+}
+
+// head returns a block f+1 peers agree is (part of) the chain's head
+// region: each peer nominates its newest block, and the first header hash
+// reaching f+1 votes is trusted (at least one voter is correct). f+1 peers
+// are asked at once, and one further peer each time an answer fails or
+// disagrees so that no version can reach f+1 votes any more from the
+// answers still awaited. The returned block may trail the true head —
+// callers replay up to it and let the live stream's gap fill cover the
+// rest.
+func (s *blockSync) head(done <-chan struct{}, channel string) (*fabric.Block, error) {
+	peers, f := s.group()
+	answers := make(chan answer, len(peers))
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	votes := make(map[cryptoutil.Digest]int)
+	asked, awaited, best := 0, 0, 0
+	for {
+		for ; awaited+best < f+1 && asked < len(peers); asked++ {
+			p := s.send(peers[asked], channel, fetchHeadProbe, fetchHeadProbe, false)
+			awaited++
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				blocks, err := s.await(p, stop)
+				answers <- answer{blocks, err}
+			}()
+		}
+		if awaited == 0 {
+			return nil, fmt.Errorf("%w: no f+1 quorum on %s's head", ErrFetchFailed, channel)
+		}
+		var a answer
+		select {
+		case a = <-answers:
+			awaited--
+		case <-done:
+			return nil, ErrFetchFailed
+		}
+		if a.err != nil || len(a.blocks) != 1 || a.blocks[0].CheckIntegrity() != nil {
+			continue
+		}
+		h := a.blocks[0].Header.Hash()
 		votes[h]++
 		if votes[h] >= f+1 {
-			return blocks[0], nil
+			return a.blocks[0], nil
 		}
+		best = max(best, votes[h])
 	}
-	return nil, fmt.Errorf("%w: no f+1 quorum on %s's head", ErrFetchFailed, channel)
 }
 
 // ---- client: the trust rule ------------------------------------------------
@@ -515,9 +626,12 @@ func (c *rangeCandidate) vouch(peer transport.Addr, theirs []*fabric.Block, veri
 //     block's signatures are verified and further peers are asked for the
 //     header and signatures of block to-1 alone; the full copy was already
 //     checked against its own top, so once that top is proven the link
-//     proves the rest.
+//     proves the rest. The first f further peers are asked for it at the
+//     same moment as the first peer's full copy, so a range whose first
+//     f+1 peers are honest takes one copy's transfer time.
 //   - Neither keys nor anchor: copies, gathered like the tip (one full
-//     copy, then block to-1 alone from further peers) and counted per peer.
+//     copy, then block to-1 alone from further peers, the first f of them
+//     at once) and counted per peer.
 //
 // When the signatures cannot be completed after every pass — unsigned
 // blocks — the weaker proof the caller can accept decides: the link into
@@ -577,7 +691,7 @@ func (s *blockSync) fetch(done <-chan struct{}, channel string, from, to uint64,
 		if anchor != nil {
 			want = *anchor
 		}
-		if err := fabric.VerifyRange(blocks, from, to, want); err != nil {
+		if err := fabric.VerifyRangeLinks(blocks, from, to, want); err != nil {
 			lastErr = fmt.Errorf("fetch: peer %s served an unverifiable range: %w", peer, err)
 			return nil
 		}
@@ -593,6 +707,33 @@ func (s *blockSync) fetch(done <-chan struct{}, channel string, from, to uint64,
 		}
 		cand.vouch(peer, blocks, verify, need)
 		return cand
+	}
+
+	// A caller with no anchor that keeps no proof needs, besides one full
+	// copy, the top block of f further peers: those are asked for it
+	// together with the first peer's full copy, and the first pass takes
+	// each answer where it would have asked. Only when one fails or
+	// disagrees does that pass go on to ask the peers after them, one by
+	// one.
+	var tips map[transport.Addr]chan answer
+	if anchor == nil && !proof {
+		tips = make(map[transport.Addr]chan answer, f)
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		defer func() {
+			close(stop)
+			wg.Wait()
+		}()
+		for _, peer := range peers[min(1, len(peers)):min(need, len(peers))] {
+			p, ch := s.send(peer, channel, to-1, to, true), make(chan answer, 1)
+			tips[peer] = ch
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				blocks, err := s.land(p, stop)
+				ch <- answer{blocks, err}
+			}()
+		}
 	}
 
 	var rng *rand.Rand // jitters the pauses; seeded once a second pass is due
@@ -613,9 +754,22 @@ func (s *blockSync) fetch(done <-chan struct{}, channel string, from, to uint64,
 				return nil, ErrFetchFailed
 			default:
 			}
+			tip, asked := tips[peer]
+			delete(tips, peer)
 			known := false // the peer's version is already a candidate
 			if len(candidates) > 0 && (verify != nil || anchor == nil) {
-				stripped, err := s.fromPeer(peer, channel, vouchFrom, to, true, done)
+				var stripped []*fabric.Block
+				var err error
+				if asked {
+					select {
+					case a := <-tip:
+						stripped, err = a.blocks, a.err
+					case <-done:
+						return nil, ErrFetchFailed
+					}
+				} else {
+					stripped, err = s.fromPeer(peer, channel, vouchFrom, to, true, done)
+				}
 				if err != nil {
 					lastErr = err
 					if pe := pruned.note(channel, err); pe != nil {

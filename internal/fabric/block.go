@@ -177,8 +177,25 @@ func (b *Block) VerifySignatures(registry *cryptoutil.Registry) int {
 // header's hash, linking the top of the range into the anchor
 // transitively authenticates every block below it, so a single untrusted
 // peer cannot feed a forged or diverging history. For from == 0 the
-// genesis block must additionally carry a zero previous hash.
+// genesis block must additionally carry a zero previous hash. It is
+// VerifyRangeLinks plus every block's CheckIntegrity.
 func VerifyRange(blocks []*Block, from, to uint64, anchorPrev cryptoutil.Digest) error {
+	if err := VerifyRangeLinks(blocks, from, to, anchorPrev); err != nil {
+		return err
+	}
+	for _, b := range blocks {
+		if err := b.CheckIntegrity(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// VerifyRangeLinks is VerifyRange without the data hashes: the range's
+// numbering, its hash links and its anchor. It is for a caller that ran
+// CheckIntegrity on each block as it arrived, so that no envelope is
+// hashed twice.
+func VerifyRangeLinks(blocks []*Block, from, to uint64, anchorPrev cryptoutil.Digest) error {
 	if to <= from {
 		return fmt.Errorf("verify range: empty range %d..%d", from, to)
 	}
@@ -191,7 +208,7 @@ func VerifyRange(blocks []*Block, from, to uint64, anchorPrev cryptoutil.Digest)
 	if from == 0 && !blocks[0].Header.PrevHash.IsZero() {
 		return fmt.Errorf("verify range: genesis has non-zero previous hash")
 	}
-	if err := VerifyChain(blocks); err != nil {
+	if err := verifyLinks(blocks); err != nil {
 		return err
 	}
 	if got := blocks[len(blocks)-1].Header.Hash(); got != anchorPrev {
@@ -205,14 +222,19 @@ func VerifyRange(blocks []*Block, from, to uint64, anchorPrev cryptoutil.Digest)
 // must reference the hash of block i's header and carry a data hash
 // matching its envelopes.
 func VerifyChain(blocks []*Block) error {
-	for i, b := range blocks {
+	for _, b := range blocks {
 		if err := b.CheckIntegrity(); err != nil {
 			return err
 		}
-		if i == 0 {
-			continue
-		}
-		prev := blocks[i-1]
+	}
+	return verifyLinks(blocks)
+}
+
+// verifyLinks checks that each block follows its predecessor: the next
+// number, and the predecessor's header hash as its previous hash.
+func verifyLinks(blocks []*Block) error {
+	for i := 1; i < len(blocks); i++ {
+		b, prev := blocks[i], blocks[i-1]
 		if b.Header.Number != prev.Header.Number+1 {
 			return fmt.Errorf("block %d follows block %d: number gap",
 				b.Header.Number, prev.Header.Number)

@@ -97,6 +97,35 @@ func TestVerifyChain(t *testing.T) {
 	}
 }
 
+// TestVerifyRangeLinksLeavesBodiesToTheCaller: VerifyRange is
+// VerifyRangeLinks plus each block's data hash, so a body that does not
+// hash to its header fails only the former, and a broken link or anchor
+// fails both.
+func TestVerifyRangeLinksLeavesBodiesToTheCaller(t *testing.T) {
+	b0 := NewBlock(0, cryptoutil.Digest{}, testEnvelopes(2))
+	b1 := NewBlock(1, b0.Header.Hash(), testEnvelopes(3))
+	b2 := NewBlock(2, b1.Header.Hash(), testEnvelopes(1))
+	blocks, anchor := []*Block{b1, b2}, b2.Header.Hash()
+	for _, verify := range []func([]*Block, uint64, uint64, cryptoutil.Digest) error{VerifyRange, VerifyRangeLinks} {
+		if err := verify(blocks, 1, 3, anchor); err != nil {
+			t.Fatalf("valid range rejected: %v", err)
+		}
+		if err := verify(blocks, 1, 3, b1.Header.Hash()); err == nil {
+			t.Fatal("range accepted against the wrong anchor")
+		}
+		if err := verify([]*Block{NewBlock(1, b0.Header.Hash(), testEnvelopes(4)), b2}, 1, 3, anchor); err == nil {
+			t.Fatal("range with a broken link accepted")
+		}
+	}
+	b1.Envelopes[0][0] ^= 0xff
+	if err := VerifyRangeLinks(blocks, 1, 3, anchor); err != nil {
+		t.Fatalf("VerifyRangeLinks checked a body: %v", err)
+	}
+	if err := VerifyRange(blocks, 1, 3, anchor); err == nil {
+		t.Fatal("VerifyRange accepted a body that does not hash to its header")
+	}
+}
+
 func TestChainTamperingCascades(t *testing.T) {
 	// Forging block j requires forging all subsequent blocks (Section 2).
 	blocks := make([]*Block, 4)
