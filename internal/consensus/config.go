@@ -64,8 +64,11 @@ type Config struct {
 	// BatchTimeout delays no batch: with no instance open the leader
 	// proposes whatever is pooled at once. It is only the unit the window
 	// is measured in: the leader keeps min(PipelineDepth, instance latency
-	// / BatchTimeout) instances in flight, partial batches evenly spaced.
-	// The rule is Replica.proposeDue.
+	// / BatchTimeout) instances in flight, partial batches evenly spaced —
+	// on a WAN about one BatchTimeout apart, since PipelineDepth does not
+	// cap the window there. Where that is one instance (a LAN), a second
+	// one opens only for the requests that complete an application unit (a
+	// block; see Cutter). The rule is Replica.proposeDue.
 	BatchTimeout time.Duration
 	// RequestTimeout is how long a pending request may wait before the
 	// replica triggers the synchronization phase (leader change).

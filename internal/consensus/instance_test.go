@@ -37,13 +37,19 @@ type standIn struct {
 
 func newStandIn(t testing.TB, self ReplicaID, cfg Config, opts ...Option) *standIn {
 	t.Helper()
+	return newStandInOf(t, self, cfg, &recordApp{}, opts...)
+}
+
+// newStandInOf is a stand-in driving app.
+func newStandInOf(t testing.TB, self ReplicaID, cfg Config, app Application, opts ...Option) *standIn {
+	t.Helper()
 	cfg.SelfID, cfg.Replicas = self, ids(4)
 	f := &standIn{conn: &sinkConn{addr: self.Addr()}}
 	for _, id := range cfg.Replicas {
 		f.addrs = append(f.addrs, id.Addr())
 	}
 	var err error
-	if f.r, err = NewReplica(cfg, &recordApp{}, f.conn, opts...); err != nil {
+	if f.r, err = NewReplica(cfg, app, f.conn, opts...); err != nil {
 		t.Fatalf("new replica: %v", err)
 	}
 	return f

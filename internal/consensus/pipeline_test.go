@@ -15,6 +15,25 @@ import (
 // self-clock of the proposal scheduler, weighted votes over a slow network,
 // and equivocation over a full window.
 
+// unitApp is a recordApp whose output comes in units of unit operations, as
+// the ordering service's blocks do: it has the Cutter capability.
+type unitApp struct {
+	recordApp
+	unit     int
+	executed int // event-loop confined, as OpsToCut is
+}
+
+var _ Cutter = (*unitApp)(nil)
+
+func (a *unitApp) Execute(seq int64, ops [][]byte) {
+	a.recordApp.Execute(seq, ops)
+	a.executed += len(ops)
+}
+
+func (a *unitApp) OpsToCut(inflight int) int {
+	return max(a.unit-a.executed%a.unit-inflight, 0)
+}
+
 // groupsCopy returns the executed (seq, ops) groups.
 func (a *recordApp) groupsCopy() []execGroup {
 	a.mu.Lock()
@@ -112,6 +131,7 @@ type proposal struct {
 	size    int           // requests in the batch
 	open    int64         // window occupancy including this instance
 	latency time.Duration // the leader's instance-latency estimate
+	left    int           // requests left pooled, not in any proposal
 }
 
 // proposalRecorder observes a leader's PROPOSEs through the network filter.
@@ -120,10 +140,17 @@ type proposal struct {
 type proposalRecorder struct {
 	mu   sync.Mutex
 	seen []proposal
+	sent []time.Time // when each request frame to the leader was sent
 }
 
 func (pr *proposalRecorder) watch(tc *testCluster, leader *Replica) {
 	tc.net.SetFilter(func(m transport.Message) bool {
+		if m.Type == msgRequest && m.To == leader.ID().Addr() {
+			pr.mu.Lock()
+			pr.sent = append(pr.sent, time.Now())
+			pr.mu.Unlock()
+			return true
+		}
 		if m.Type != msgPropose || m.From != leader.ID().Addr() {
 			return true
 		}
@@ -142,9 +169,28 @@ func (pr *proposalRecorder) watch(tc *testCluster, leader *Replica) {
 			size:    len(pm.Batch),
 			open:    leader.openInstances(),
 			latency: time.Duration(leader.instanceLatency.Load()),
+			left:    leader.pooled,
 		})
 		return true
 	})
+}
+
+// pooledBy is the earliest instant, from prev's PROPOSE on, at which the
+// leader held a pooled request, on links of the given one-way delay: that
+// PROPOSE itself when it left requests pooled, else the arrival of the next
+// request frame.
+func (pr *proposalRecorder) pooledBy(prev proposal, delay time.Duration) time.Time {
+	if prev.left > 0 {
+		return prev.at
+	}
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	for _, sent := range pr.sent {
+		if at := sent.Add(delay); at.After(prev.at) {
+			return at
+		}
+	}
+	return time.Time{}
 }
 
 func (pr *proposalRecorder) proposals() []proposal {
@@ -286,7 +332,8 @@ func TestPipelinedLeaderChangeCarriesEveryOpenCertificate(t *testing.T) {
 	}
 }
 
-// TestPipelinedNoOverlapOnFastNetwork is the LAN guarantee: where an
+// TestPipelinedNoOverlapOnFastNetwork is the LAN guarantee for an
+// application without the Cutter capability (recordApp has none): where an
 // instance decides well within BatchTimeout, no partial batch is ever
 // proposed while another instance is undecided, so batches are exactly as
 // large as with one instance at a time.
@@ -489,4 +536,195 @@ func TestPipelinedEquivocatingLeaderWithFullWindow(t *testing.T) {
 	}
 	tc.assertSameInstances(skip)
 	tc.assertPoolCounted(skip)
+}
+
+// opsFrame is one request frame of client "client" carrying ops first ..
+// first+count-1, each numbered one above its index.
+func opsFrame(first, count int) []byte {
+	reqs := make([]queuedRequest, count)
+	for i := range reqs {
+		reqs[i] = queuedRequest{seq: uint64(first + i + 1), op: []byte(fmt.Sprintf("op-%d", first+i))}
+	}
+	frame, _ := encodeRequestFrame("client", reqs)
+	return frame
+}
+
+// TestPipelinedLastRequestOfUnitProposedAtOnce: a unit (a block) is released
+// only once its last request is delivered, so the request that completes one
+// does not wait for the open instance. Instance 0 stays open — its peers'
+// WRITEs and ACCEPTs are held back, the stand-in delivers none — and the
+// leader, which pools a unit's second and third request without proposing,
+// proposes the moment its fourth arrives, with no tick in between. Without
+// the Cutter capability the leader keeps one instance at a time: the same
+// requests wait, a tick included, for instance 0's delivery.
+func TestPipelinedLastRequestOfUnitProposedAtOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		app  Application
+		want int // instances proposed while instance 0 is open
+	}{
+		{"with the capability", &unitApp{unit: 4}, 2},
+		{"without it", &recordApp{}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := newStandInOf(t, 0, Config{}, tc.app)
+			l.submit(opsFrame(0, 1))
+			if props := l.proposals(t); len(props) != 1 || len(props[0].Batch) != 1 {
+				t.Fatalf("an idle leader made %d PROPOSEs of one request, want 1", len(props))
+			}
+			l.submit(opsFrame(1, 2))
+			l.r.onTick()
+			if props := l.proposals(t); len(props) != 1 {
+				t.Fatalf("two requests short of a unit made %d PROPOSEs with instance 0 open, want 1", len(props))
+			}
+			l.submit(opsFrame(3, 1))
+			props := l.proposals(t)
+			if len(props) != tc.want {
+				t.Fatalf("the request completing a unit: %d instances proposed while instance 0 is open, want %d", len(props), tc.want)
+			}
+			if tc.want == 2 && (props[1].Seq != 1 || len(props[1].Batch) != 3) {
+				t.Fatalf("proposed instance %d of %d requests, want instance 1 of 3", props[1].Seq, len(props[1].Batch))
+			}
+			l.r.onTick()
+			if props = l.proposals(t); len(props) != tc.want {
+				t.Fatalf("a tick later, %d instances proposed while instance 0 is open, want %d", len(props), tc.want)
+			}
+			if l.r.lastDelivered != -1 {
+				t.Fatalf("instance 0 was delivered (up to %d) with its votes held back", l.r.lastDelivered)
+			}
+		})
+	}
+}
+
+// TestPipelinedUnitCompletingInstanceIsNotJoined: an open instance that
+// already completes a unit is not joined by another, whatever the pool
+// holds: the next unit's requests wait for its delivery, a tick included, as
+// with one instance at a time. That keeps saturation, where every instance
+// completes a unit, as it was.
+func TestPipelinedUnitCompletingInstanceIsNotJoined(t *testing.T) {
+	l := newStandInOf(t, 0, Config{}, &unitApp{unit: 4})
+	l.submit(opsFrame(0, 4))
+	l.submit(opsFrame(4, 4))
+	l.r.onTick()
+	props := l.proposals(t)
+	if len(props) != 1 || len(props[0].Batch) != 4 {
+		t.Fatalf("%d PROPOSEs while a whole unit is open, want 1 of 4 requests", len(props))
+	}
+	// Instance 0's requests leave the pool as it executes: only what is sent
+	// from here on still resolves.
+	l.conn.sent = l.conn.sent[:0]
+	l.decideFor(0, props[0].Digest)
+	if l.r.lastDelivered != 0 {
+		t.Fatalf("instance 0 decided but delivered only to %d", l.r.lastDelivered)
+	}
+	if props = l.proposals(t); len(props) != 1 || props[0].Seq != 1 || len(props[0].Batch) != 4 {
+		t.Fatalf("instance 0's delivery made %d PROPOSEs, want instance 1 of the next unit's 4 requests", len(props))
+	}
+}
+
+// TestPipelinedUnitsOverlapByOneOnFastNetwork runs clients against a group
+// whose application has the Cutter capability on a fast network: the only
+// overlap is one instance proposed beside the open one to complete a unit,
+// and it changes nothing the replicas agree on.
+func TestPipelinedUnitsOverlapByOneOnFastNetwork(t *testing.T) {
+	tc := newTestCluster(t, clusterOpts{n: 4, batchSize: 64, batchTimeout: 100 * time.Millisecond, unit: 10})
+	var rec proposalRecorder
+	rec.watch(tc, tc.replicas[0])
+
+	const clients, each = 3, 120
+	var wg sync.WaitGroup
+	var submitted []string
+	for c := 0; c < clients; c++ {
+		for i := 0; i < each; i++ {
+			submitted = append(submitted, fmt.Sprintf("c%d-op%d", c, i))
+		}
+		client := tc.client(t, fmt.Sprintf("client-%d", c))
+		wg.Add(1)
+		go func(cl *Client, c int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := cl.Invoke([]byte(fmt.Sprintf("c%d-op%d", c, i))); err != nil {
+					t.Errorf("invoke: %v", err)
+					return
+				}
+				if i%7 == 0 {
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}(client, c)
+	}
+	wg.Wait()
+	tc.waitAllDelivered(clients*each, 10*time.Second, nil)
+	tc.assertSameInstances(nil)
+	tc.assertPoolCounted(nil)
+	for i := range tc.replicas {
+		tc.assertExactlyOnce(i, submitted)
+	}
+	if maxOpen := rec.maxOpen(); maxOpen > 2 {
+		t.Fatalf("%d instances open at once on a fast network, want at most 2", maxOpen)
+	}
+}
+
+// TestPipelinedWindowFollowsTheLink: on a link where an instance takes about
+// 50 batch timeouts, as on the paper's WAN, the window is not capped below
+// that. More than eight instances are open at once, and while the window is
+// in use, partial batches leave at most 2 × BatchTimeout + tickInterval
+// apart: L/k for k = L/BatchTimeout is less than two batch timeouts, and the
+// rule is evaluated at least every tick. A window capped at eight spaced
+// them L/8 ≈ 30 ms apart, and every request waited for a slot.
+func TestPipelinedWindowFollowsTheLink(t *testing.T) {
+	const (
+		delay        = 80 * time.Millisecond // an instance: three one-way steps, about 250 ms
+		batchTimeout = 5 * time.Millisecond
+		batchSize    = 256
+	)
+	tc := newTestCluster(t, clusterOpts{n: 4, batchSize: batchSize, batchTimeout: batchTimeout, latency: delay})
+	leader := tc.replicas[0]
+	var rec proposalRecorder
+	rec.watch(tc, leader)
+
+	client := tc.client(t, "client-1")
+	// A first instance gives the leader its latency estimate.
+	if err := client.Invoke([]byte("warm-up")); err != nil {
+		t.Fatalf("invoke: %v", err)
+	}
+	tc.waitAllDelivered(1, 5*time.Second, nil)
+	const total = 1200
+	for i := 0; i < total; i++ {
+		if err := client.Invoke([]byte(fmt.Sprintf("op-%04d", i))); err != nil {
+			t.Fatalf("invoke: %v", err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	tc.waitAllDelivered(total+1, 15*time.Second, nil)
+	tc.assertSameInstances(nil)
+	tc.assertPoolCounted(nil)
+
+	if maxOpen := rec.maxOpen(); maxOpen <= 8 {
+		t.Fatalf("window occupancy peaked at %d on a %v link, want more than 8", maxOpen, delay)
+	}
+	// A partial batch is due L/k after the previous PROPOSE, or when the
+	// next request arrives if the pool ran empty. A process stall (the race
+	// detector's, or a loaded machine's, of tens of milliseconds) delays
+	// every goroutine at once and makes a few PROPOSEs late whatever the
+	// rule: the test allows 5 % of them. A window capped at eight makes
+	// every one late.
+	bound := 2*batchTimeout + tickInterval
+	proposals := rec.proposals()
+	paced, late := 0, 0
+	for i := 1; i < len(proposals); i++ {
+		p, prev := proposals[i], proposals[i-1]
+		if prev.open == 1 || p.open == 1 || p.size >= batchSize || prev.seq < 1 {
+			continue // the window is not in use, or the warm-up
+		}
+		paced++
+		if gap := p.at.Sub(prev.at); gap > bound && p.at.Sub(rec.pooledBy(prev, delay)) > tickInterval {
+			late++
+			t.Logf("instance %d proposed %v after instance %d with %d open (L = %v), want at most %v",
+				p.seq, gap, prev.seq, p.open-1, p.latency, bound)
+		}
+	}
+	if paced < 100 || late*20 > paced {
+		t.Fatalf("%d of %d consecutive partial PROPOSEs with the window in use were late, want at most 5 %%", late, paced)
+	}
 }

@@ -30,6 +30,20 @@ type Application interface {
 	Restore(snapshot []byte, seq int64)
 }
 
+// Cutter is an optional capability of an Application whose output comes in
+// units of several operations, as the ordering service's blocks do. It lets
+// the leader propose the request that completes a unit without waiting for
+// the open instance to be delivered (see proposeDue). The answer only
+// schedules proposals: a wrong one costs an instance or a wait, never the
+// order.
+type Cutter interface {
+	// OpsToCut reports how many more operations complete the next output
+	// unit once inflight further entries — proposed and not yet executed —
+	// have executed: 0 when those already complete one (or the application
+	// cannot tell). It is called on the event loop and must not allocate.
+	OpsToCut(inflight int) int
+}
+
 // Behavior injects Byzantine faults for testing. The zero value is honest.
 type Behavior struct {
 	// Mute drops every outgoing protocol message (fail-silent).
@@ -86,11 +100,11 @@ const maxPendingRequests = 100_000
 
 // instanceWindow bounds how far beyond the last delivered instance a
 // replica participates; anything farther triggers state transfer instead.
-const instanceWindow = 64
+const instanceWindow = 128
 
 // stateGapThreshold is the lag (in instances) beyond which a replica stops
 // trying to catch up vote-by-vote and requests a state transfer.
-const stateGapThreshold = 16
+const stateGapThreshold = 64
 
 // PipelineDepth bounds how many consensus instances a leader keeps open —
 // proposed and not yet delivered — at once. Instances still execute strictly
@@ -99,8 +113,9 @@ const stateGapThreshold = 16
 // takes several one-way delays; a request should not also wait out the
 // previous instance). It is a constant, not a setting: how much of the
 // window is actually used follows from the measured instance latency (see
-// proposeDue).
-const PipelineDepth = 8
+// proposeDue). It is deep enough not to cap that: on the paper's WAN an
+// instance takes about 50 batch timeouts, so about 50 stay open.
+const PipelineDepth = 60
 
 // The depth leans on two other constants; an edit that breaks either
 // relation fails to compile (a negative constant does not convert to uint).
@@ -348,6 +363,8 @@ type Replica struct {
 	cfg  Config
 	app  Application
 	conn transport.Conn
+	// cutter is app's Cutter capability, nil when it has none.
+	cutter Cutter
 
 	membership []ReplicaID
 	qt         *quorumTracker
@@ -520,6 +537,7 @@ func NewReplica(cfg Config, app Application, conn transport.Conn, opts ...Option
 		done:          make(chan struct{}),
 		inspectCh:     make(chan func()),
 	}
+	r.cutter, _ = app.(Cutter)
 	r.behavior.Store(&Behavior{})
 	r.statMembers.Store(int32(len(membership)))
 	r.statDelivered.Store(-1) // nothing delivered, as lastDelivered says
@@ -904,9 +922,10 @@ func (r *Replica) publishWindow() {
 // an instance is delivered within two batch timeouts (a LAN), and until a
 // regency's first instance has been delivered at all, k is at most 1:
 // instances never overlap and batches are as large as with one instance at
-// a time. Where delivery takes hundreds of milliseconds (a WAN)
-// PipelineDepth instances stay evenly spaced in flight and a request no
-// longer waits for the previous instance to decide.
+// a time — with one exception, see completesUnit. Where delivery takes
+// hundreds of milliseconds (a WAN) about L/BatchTimeout instances stay
+// evenly spaced in flight, one BatchTimeout or a little more apart, and a
+// request no longer waits for the previous instance to decide.
 func (r *Replica) proposeDue(now time.Time) bool {
 	if r.pooled == 0 || r.syncInProgress || r.fetching || !r.isLeader() {
 		return false
@@ -916,14 +935,32 @@ func (r *Replica) proposeDue(now time.Time) bool {
 		return true
 	}
 	latency := time.Duration(r.instanceLatency.Load())
-	k := int64(latency / r.cfg.BatchTimeout)
-	if k > PipelineDepth {
-		k = PipelineDepth
-	}
+	k := min(int64(latency/r.cfg.BatchTimeout), PipelineDepth)
 	if open >= k {
-		return false
+		return open == 1 && r.completesUnit()
 	}
 	return r.pooled >= r.cfg.BatchSize || now.Sub(r.lastProposeAt) >= latency/time.Duration(k)
+}
+
+// completesUnit is the exception to one instance at a time: whether the
+// pool holds the requests that complete the application's next output unit
+// (a block) while the one open instance does not already complete one.
+// Those requests go at once: the unit is released only once its last
+// request is delivered, and waiting for the open instance would add its
+// whole latency to every request of the unit. An instance that completes a
+// unit is not joined by another, so at saturation, where every instance
+// completes one, nothing changes; an Application without the Cutter
+// capability keeps one instance at a time.
+func (r *Replica) completesUnit() bool {
+	if r.cutter == nil {
+		return false
+	}
+	inst, ok := r.instances[r.lastProposed]
+	if !ok {
+		return false
+	}
+	need := r.cutter.OpsToCut(len(inst.batch))
+	return need > 0 && r.pooled >= need
 }
 
 // maybePropose opens the next consensus instance if one is due.
@@ -1034,8 +1071,8 @@ func (r *Replica) propose(seq int64, batch [][]byte, reqs []request) {
 // would strand its instance until a leader change
 // (TestProposeBeyondStateGapIsNotStranded), and a follower that clients do
 // not yet send to — a joiner — learns here that it is behind. One threshold
-// at 16 drops those PROPOSEs; one at 64 leaves a lagging replica waiting
-// for votes four times as long before it asks for the state it lacks.
+// at 64 drops those PROPOSEs; one at 128 leaves a lagging replica waiting
+// for votes twice as long before it asks for the state it lacks.
 func (r *Replica) admitPropose(from ReplicaID, regency int32, seq int64) bool {
 	r.noteRegency(from, regency)
 	if r.syncInProgress || regency != r.regency || r.leaderOf(regency) != from {

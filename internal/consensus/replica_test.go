@@ -97,6 +97,7 @@ type clusterOpts struct {
 	batchTimeout   time.Duration
 	latency        time.Duration // fixed one-way delay of every link (0: instantaneous)
 	durable        bool          // attach a fakeLog durability backend to every replica
+	unit           int           // > 0: every replica's application is a unitApp of this unit
 }
 
 func newTestCluster(t *testing.T, opts clusterOpts) *testCluster {
@@ -137,6 +138,11 @@ func newTestCluster(t *testing.T, opts clusterOpts) *testCluster {
 			t.Fatalf("join %v: %v", id, err)
 		}
 		app := &recordApp{}
+		var replicaApp Application = app
+		if opts.unit > 0 {
+			ua := &unitApp{unit: opts.unit}
+			app, replicaApp = &ua.recordApp, ua
+		}
 		cfg := Config{
 			SelfID:             id,
 			Replicas:           members,
@@ -154,7 +160,7 @@ func newTestCluster(t *testing.T, opts clusterOpts) *testCluster {
 			tc.logs = append(tc.logs, log)
 			replicaOpts = append(replicaOpts, WithDurability(log, &DurableState{CheckpointSeq: -1}))
 		}
-		rep, err := NewReplica(cfg, app, conn, replicaOpts...)
+		rep, err := NewReplica(cfg, replicaApp, conn, replicaOpts...)
 		if err != nil {
 			t.Fatalf("new replica %v: %v", id, err)
 		}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/cryptoutil"
 	"repro/internal/fabric"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 func testCluster(t *testing.T, cfg ClusterConfig) *Cluster {
@@ -585,5 +586,69 @@ func BenchmarkBlockMsgRoundTrip(b *testing.B) {
 		if _, _, _, err := unmarshalBlockMsg(marshalBlockMsg("bench", block)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// OpsToCut is the leader's view of the blocks in the making: how many more
+// envelopes complete one once the in-flight entries executed, 0 when those
+// already complete one. Each case executes ops on a fresh node (blocks of
+// four), then asks with inflight entries proposed and not yet executed.
+func TestOrderingNodeOpsToCut(t *testing.T) {
+	ttc := func(channel string, number uint64) []byte {
+		w := wire.NewWriter(8)
+		w.PutUint64(number)
+		return (&fabric.Envelope{ChannelID: channel, ClientID: ttcClientPrefix + "1", Payload: w.Bytes()}).Marshal()
+	}
+	envs := func(channel string, n int) [][]byte {
+		var ops [][]byte
+		for i := 0; i < n; i++ {
+			ops = append(ops, mkEnvelope(channel, i, 32).Marshal())
+		}
+		return ops
+	}
+	cases := []struct {
+		name     string
+		executed [][]byte
+		inflight int
+		want     int
+	}{
+		{"nothing pending", nil, 0, 4},
+		{"cutter pending", envs("ch1", 1), 0, 3},
+		{"in-flight entries leave a block short", envs("ch1", 1), 2, 1},
+		{"in-flight entries complete the block", envs("ch1", 1), 3, 0},
+		{"in-flight entries run past the block", envs("ch1", 1), 6, 0},
+		{"pending after a cut block", envs("ch1", 5), 0, 3},
+		{"a marker cuts the pending envelopes", append(envs("ch1", 2), ttc("ch1", 0)), 0, 4},
+		{"a stale marker cuts nothing", append(envs("ch1", 6), ttc("ch1", 0)), 1, 1},
+		// The leader counts entries: a marker in flight counts as an envelope.
+		{"a marker among the in-flight entries", envs("ch1", 2), 2, 0},
+		{"the channel nearest its cut", append(envs("ch1", 1), envs("ch2", 3)...), 0, 1},
+		{"in flight toward the nearest channel", append(envs("ch1", 1), envs("ch2", 3)...), 1, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			net := transport.NewInProcNetwork(transport.InProcConfig{})
+			t.Cleanup(func() { net.Close() })
+			conn, err := net.Join(consensus.ReplicaID(0).Addr())
+			if err != nil {
+				t.Fatalf("join: %v", err)
+			}
+			n, err := NewNode(NodeConfig{
+				Consensus:      consensus.Config{SelfID: 0, Replicas: []consensus.ReplicaID{0, 1, 2, 3}},
+				BlockSize:      4,
+				DisableSigning: true,
+			}, conn)
+			if err != nil {
+				t.Fatalf("NewNode: %v", err)
+			}
+			t.Cleanup(n.Stop)
+			n.Execute(0, tc.executed)
+			if got := n.OpsToCut(tc.inflight); got != tc.want {
+				t.Fatalf("OpsToCut(%d) = %d, want %d", tc.inflight, got, tc.want)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { n.OpsToCut(tc.inflight) }); allocs != 0 {
+				t.Fatalf("OpsToCut: %.0f allocations, want 0", allocs)
+			}
+		})
 	}
 }

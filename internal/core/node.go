@@ -720,6 +720,22 @@ func (n *OrderingNode) Execute(_ int64, ops [][]byte) {
 	}
 }
 
+var _ consensus.Cutter = (*OrderingNode)(nil)
+
+// OpsToCut tells the leader how many more envelopes complete a block, so
+// that it proposes the request that completes one without waiting for the
+// open instance. The inflight entries are counted toward the channel nearest
+// its cut, as envelopes: with several channels, or a time-to-cut marker
+// among them, the answer may come early for a request that completes no
+// block, which costs one instance and never changes the order.
+func (n *OrderingNode) OpsToCut(inflight int) int {
+	need := n.cfg.BlockSize // a channel with nothing pending
+	for _, chain := range n.chains {
+		need = min(need, n.cfg.BlockSize-chain.cutter.Pending())
+	}
+	return max(need-inflight, 0)
+}
+
 // chain returns the state of the channel named by a view of its id,
 // creating it (the only time the id is copied).
 func (n *OrderingNode) chain(channel []byte) *chainState {

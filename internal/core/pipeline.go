@@ -169,7 +169,8 @@ func (p *pipeline) seal(chain *chainState, batch [][]byte) {
 
 	// Stage stamp: the decision instant, plus the first envelope's client
 	// submission time (the broadcast-received anchor of the latency
-	// trace). Only taken when metrics are on; implausible timestamps
+	// trace), and the last envelope's, whose decision is the one the block
+	// waited for. Only taken when metrics are on; implausible timestamps
 	// (tests stuff sequence numbers into the field) are filtered at
 	// observation time.
 	var trace blockTrace
@@ -177,6 +178,9 @@ func (p *pipeline) seal(chain *chainState, batch [][]byte) {
 		trace.decided = time.Now()
 		if ts, err := fabric.PeekTimestamp(batch[0]); err == nil {
 			observeStamp(n.metrics.StageDecide, ts, trace.decided)
+		}
+		if ts, err := fabric.PeekTimestamp(batch[len(batch)-1]); err == nil {
+			observeStamp(n.metrics.StageDecideLast, ts, trace.decided)
 		}
 	}
 

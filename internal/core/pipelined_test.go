@@ -131,9 +131,10 @@ func TestPipelinedDurableClusterKeepsChainAndCheckpoints(t *testing.T) {
 
 // TestDurableClusterTracesEveryStage checks the latency trace end to end:
 // envelopes stamped with their real submission time run through a durable
-// cluster, and every stage histogram of the pipeline — decide, fsync,
-// disseminate on the nodes, deliver and total at the frontend — must have
-// observed spans with consistent quantiles. A stage with no samples means
+// cluster, and every stage histogram of the pipeline — decide (from a
+// block's first and from its last envelope), fsync, disseminate on the
+// nodes, deliver and total at the frontend — must have observed spans with
+// consistent quantiles. A stage with no samples means
 // the trace broke somewhere between broadcast and release.
 func TestDurableClusterTracesEveryStage(t *testing.T) {
 	registry := obs.NewRegistry()
@@ -153,7 +154,7 @@ func TestDurableClusterTracesEveryStage(t *testing.T) {
 	}
 	collectBlocks(t, stream, envs, 20*time.Second)
 
-	for _, stage := range []string{"decide", "fsync", "disseminate", "deliver", "total"} {
+	for _, stage := range []string{"decide", "decide_last", "fsync", "disseminate", "deliver", "total"} {
 		fam := registry.Family("repro_stage_" + stage + "_seconds")
 		if fam.Count() == 0 {
 			t.Errorf("stage %s observed no spans", stage)
@@ -162,5 +163,11 @@ func TestDurableClusterTracesEveryStage(t *testing.T) {
 		if p50, p99 := fam.Quantile(0.50), fam.Quantile(0.99); p50 < 0 || p99 < p50 {
 			t.Errorf("stage %s quantiles inconsistent: p50 %v s, p99 %v s", stage, p50, p99)
 		}
+	}
+	// A block's last envelope was submitted after its first, and both were
+	// decided at its seal.
+	first, last := registry.Family("repro_stage_decide_seconds"), registry.Family("repro_stage_decide_last_seconds")
+	if p50, lastP50 := first.Quantile(0.50), last.Quantile(0.50); lastP50 > p50 {
+		t.Errorf("decide from the last envelope: p50 %v s, above decide's %v s", lastP50, p50)
 	}
 }

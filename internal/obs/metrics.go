@@ -68,6 +68,7 @@ func (m *StorageMetrics) OrNop() *StorageMetrics {
 // (consensus stats, watermark minimum) off the same label set.
 type NodeMetrics struct {
 	StageDecide      *Histogram // client broadcast -> consensus decided (block sealed)
+	StageDecideLast  *Histogram // the same from the block's last envelope
 	StageFsync       *Histogram // decided -> decision durable on the send drain
 	StageDisseminate *Histogram // durable -> block handed to dissemination
 	BlocksSealed     *Counter
@@ -87,6 +88,7 @@ func NewNodeMetrics(r *Registry, kv ...string) *NodeMetrics {
 	}
 	return &NodeMetrics{
 		StageDecide:      r.Histogram(Name("repro_stage_decide_seconds", kv...), "Client broadcast to consensus decision (block sealed).", nil),
+		StageDecideLast:  r.Histogram(Name("repro_stage_decide_last_seconds", kv...), "Client broadcast of a block's last envelope to consensus decision (block sealed).", nil),
 		StageFsync:       r.Histogram(Name("repro_stage_fsync_seconds", kv...), "Consensus decision to decision-record durability on the send drain.", nil),
 		StageDisseminate: r.Histogram(Name("repro_stage_disseminate_seconds", kv...), "Decision durability to block dissemination.", nil),
 		BlocksSealed:     r.Counter(Name("repro_node_blocks_sealed_total", kv...), "Blocks cut and sealed by this node."),

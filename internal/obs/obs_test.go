@@ -173,6 +173,7 @@ func TestObsDisabledZeroAlloc(t *testing.T) {
 		n.BlocksSealed.Add(2)
 		n.Watermark("ch").Set(9)
 		n.StageDecide.ObserveDuration(time.Millisecond)
+		n.StageDecideLast.ObserveDuration(time.Millisecond)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled metrics path allocated %v times per op, want 0", allocs)
