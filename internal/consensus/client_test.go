@@ -68,13 +68,13 @@ func (c *gateConn) messages() []transport.Message {
 func frameRequests(t *testing.T, frame []byte) []request {
 	t.Helper()
 	r := wire.NewReader(frame)
-	var out []request
-	for i, n := 0, r.Count(1); i < n; i++ {
-		rq, err := unmarshalRequest(r.Bytes(), nil)
-		if err != nil {
-			t.Fatalf("frame entry %d: %v", i, err)
-		}
-		out = append(out, rq)
+	client, first, n, err := readFrameHeader(r)
+	if err != nil {
+		t.Fatalf("frame: %v", err)
+	}
+	out := make([]request, n)
+	for i := range out {
+		out[i] = request{ClientID: string(client), Seq: first + uint64(i), Op: r.Bytes()}
 	}
 	if err := r.Finish(); err != nil {
 		t.Fatalf("frame: %v", err)
@@ -278,5 +278,39 @@ func TestClientConcurrentSubmissions(t *testing.T) {
 	}
 	if len(seen) != workers*each {
 		t.Fatalf("%d of %d requests left the client", len(seen), workers*each)
+	}
+}
+
+// A request frame carries each operation with its length alone: the client
+// id and the first sequence number travel once per frame. A frame of 36
+// requests of 222-byte operations, the size of the ordering service's
+// 200-byte envelopes, fits in 36 x 224 bytes and a 32-byte header (as a
+// list of whole requests it took 244 bytes each), and each of four
+// replicas pools all 36 under the frame's client with consecutive sequence
+// numbers.
+func TestRequestFrameCarriesOpsOnly(t *testing.T) {
+	const k, opSize, first = 36, 222, 1<<62 + 5
+	reqs := make([]queuedRequest, k)
+	for i := range reqs {
+		reqs[i] = queuedRequest{seq: first + uint64(i), op: bytes.Repeat([]byte{byte(i)}, opSize)}
+	}
+	frame, n := encodeRequestFrame("fe-client", reqs)
+	if n != k || len(frame) > k*(opSize+2)+32 {
+		t.Fatalf("%d requests of %d-byte operations took %d into a %d-byte frame, want %d in at most %d bytes",
+			k, opSize, n, len(frame), k, k*(opSize+2)+32)
+	}
+	for id := ReplicaID(0); id < 4; id++ {
+		f := newStandIn(t, id, Config{BatchSize: 4 * k})
+		f.submit(frame)
+		rec := f.r.clients["fe-client"]
+		if rec == nil || rec.pending() != k {
+			t.Fatalf("replica %d pooled %v of the frame's %d requests", id, rec, k)
+		}
+		for i, rq := range reqs {
+			p := rec.find(rq.seq)
+			if p == nil || p.req.ClientID != "fe-client" || p.req.Seq != first+uint64(i) || !bytes.Equal(p.req.Op, rq.op) {
+				t.Fatalf("replica %d: request %d (seq %d) is not pooled as sent", id, i, rq.seq)
+			}
+		}
 	}
 }

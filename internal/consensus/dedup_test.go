@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -135,5 +136,65 @@ func TestDedupSessionJumpKeepsStragglerHeadroom(t *testing.T) {
 	}
 	if !d.contains(base+1) || d.contains(base+compactHeadroom+3) {
 		t.Fatal("floor compaction lost dedup state")
+	}
+}
+
+// A delivered instance compacts the dedup state of the clients its batch
+// names and of no other: a client that is not named has executed nothing
+// since its last compaction, and walking every record made each delivery
+// cost as much as the replica had clients. Every replica executes the same
+// batches, so every replica compacts the same records at the same instance.
+func TestDeliverCompactsOnlyNamedClients(t *testing.T) {
+	r, err := NewReplica(Config{SelfID: 3, Replicas: ids(4)}, &countApp{}, &sinkConn{addr: ReplicaID(3).Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A session jump: compaction moves the floor to compactHeadroom below
+	// the new session's lowest executed sequence.
+	const jumped = sessionGap + 100
+	for _, id := range []string{"idle", "named"} {
+		c := r.record(id)
+		c.replicated = true
+		c.mark(jumped)
+	}
+	r.deliver(&instance{seq: 0, decided: true, reqs: []request{{ClientID: "named", Seq: jumped + 1, Op: []byte("op")}}})
+	if idle := r.clients["idle"]; idle.floor != 0 || !idle.contains(jumped) {
+		t.Fatalf("an instance that does not name the idle client compacted it to floor %d", idle.floor)
+	}
+	if named := r.clients["named"]; named.floor != jumped-compactHeadroom {
+		t.Fatalf("the named client's floor is %d after its instance, want %d", named.floor, jumped-compactHeadroom)
+	}
+	r.deliver(&instance{seq: 1, decided: true, reqs: []request{{ClientID: "idle", Seq: jumped + 1, Op: []byte("op")}}})
+	if idle := r.clients["idle"]; idle.floor != jumped-compactHeadroom {
+		t.Fatalf("the idle client's floor is %d once an instance names it, want %d", idle.floor, jumped-compactHeadroom)
+	}
+}
+
+// BenchmarkDeliverWithIdleClients delivers one-request instances of one
+// client while other clients' records sit idle: the cost of a delivery must
+// not grow with the records its batch does not name.
+func BenchmarkDeliverWithIdleClients(b *testing.B) {
+	for _, idle := range []int{10, 20_000} {
+		b.Run(fmt.Sprintf("idle=%d", idle), func(b *testing.B) {
+			r, err := NewReplica(Config{SelfID: 3, Replicas: ids(4)}, &countApp{}, &sinkConn{addr: ReplicaID(3).Addr()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < idle; i++ {
+				c := r.record(fmt.Sprintf("idle-%d", i))
+				c.replicated = true
+				c.mark(1)
+			}
+			batch := []request{{ClientID: "client", Op: []byte("op")}}
+			inst := &instance{decided: true}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				batch[0].Seq = uint64(i + 1)
+				inst.seq, inst.reqs = int64(i), batch
+				r.deliver(inst)
+				delete(r.decidedLog, inst.seq)
+			}
+		})
 	}
 }

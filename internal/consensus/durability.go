@@ -3,6 +3,8 @@ package consensus
 import (
 	"fmt"
 	"os"
+
+	"repro/internal/wire"
 )
 
 // This file wires a durable backend under the replica (the WAL + checkpoint
@@ -35,10 +37,9 @@ type Durability interface {
 	// may be lazy: the backend need not start a commit for it, since the
 	// replica only polls the token; whoever gates on the decision (the
 	// ordering node, when the decision seals a block) starts it. Appends
-	// must commit in call order. batch is valid only during the
-	// call (the replica reuses it for a later instance); its entries are
-	// views the backend may keep.
-	AppendDecision(seq int64, batch [][]byte) DecisionToken
+	// must commit in call order. batch is valid only during the call (the
+	// replica reuses it, and its storage, for a later instance).
+	AppendDecision(seq int64, batch *Batch) DecisionToken
 	// SaveCheckpoint durably stores the wrapped snapshot taken at seq
 	// before returning, and may prune log records at or below seq.
 	SaveCheckpoint(seq int64, snapshot []byte) error
@@ -48,7 +49,26 @@ type Durability interface {
 	SaveCheckpointAsync(seq int64, snapshot []byte)
 }
 
-// DurableEntry is one logged decision handed back at recovery.
+// Batch is a decided batch as a Durability backend receives it: a list of
+// entries, each the encoding of one request that PROPOSE, SYNC, state
+// transfer and the batch digest use, which PutEntry writes straight into
+// the backend's record. A record that holds, in order, a uvarint count and
+// every entry length-prefixed reads back as a DurableEntry's Batch.
+type Batch struct{ reqs []request }
+
+// Len is the number of entries.
+func (b Batch) Len() int { return len(b.reqs) }
+
+// EntrySize is the length of entry i.
+func (b Batch) EntrySize(i int) int { return requestSize(b.reqs[i].ClientID, b.reqs[i].Op) }
+
+// PutEntry writes entry i into w.
+func (b Batch) PutEntry(w *wire.Writer, i int) {
+	putRequest(w, b.reqs[i].ClientID, b.reqs[i].Seq, b.reqs[i].Op)
+}
+
+// DurableEntry is one logged decision handed back at recovery: its batch's
+// entries, which the replica decodes as views.
 type DurableEntry struct {
 	Seq   int64
 	Batch [][]byte
@@ -102,7 +122,8 @@ func (r *Replica) restoreDurable(st *DurableState) error {
 				e.Seq, r.lastDelivered)
 		}
 		inst := r.instance(e.Seq)
-		r.adoptDecided(inst, e.Batch)
+		// Decided, hence validated by a quorum.
+		r.adoptDecided(inst, r.decodeEntries(e.Batch))
 		r.durableSeq = e.Seq // already on disk: execute must not re-log it
 		r.deliver(inst)
 		if e.Seq > r.lastProposed {
@@ -121,7 +142,7 @@ func (r *Replica) restoreDurable(st *DurableState) error {
 // commit failure poisons the backend's log (later enqueues fail too) and
 // surfaces on the token at the gate; the previous token is polled (never
 // waited on) so a poisoned log is also reported here, from the loop, once.
-func (r *Replica) logDecision(seq int64, batch [][]byte) {
+func (r *Replica) logDecision(seq int64, reqs []request) {
 	if r.durable == nil || seq != r.durableSeq+1 {
 		return
 	}
@@ -132,7 +153,9 @@ func (r *Replica) logDecision(seq int64, batch [][]byte) {
 				r.cfg.SelfID, seq, err)
 		}
 	}
-	r.lastDecisionTok = r.durable.AppendDecision(seq, batch)
+	r.logged.reqs = reqs
+	r.lastDecisionTok = r.durable.AppendDecision(seq, &r.logged)
+	r.logged.reqs = nil
 	r.durableSeq = seq
 }
 

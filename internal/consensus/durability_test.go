@@ -39,7 +39,7 @@ func (l *fakeLog) record(kind string, seq int64) {
 	l.mu.Unlock()
 }
 
-func (l *fakeLog) AppendDecision(seq int64, _ [][]byte) DecisionToken {
+func (l *fakeLog) AppendDecision(seq int64, _ *Batch) DecisionToken {
 	l.record("decision", seq)
 	return l.tok
 }
@@ -83,7 +83,7 @@ func newDurableReplicaOn(t *testing.T, net *transport.InProcNetwork, log Durabil
 
 // requestBatch is a decided batch of one client request carrying op.
 func requestBatch(seq uint64, op string) [][]byte {
-	return [][]byte{requestEntry("client", seq, []byte(op))}
+	return [][]byte{(&request{ClientID: "client", Seq: seq, Op: []byte(op)}).marshal()}
 }
 
 func TestLogDecisionIsDenseAndInOrder(t *testing.T) {

@@ -6,36 +6,53 @@ import (
 	"unsafe"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/wire"
 )
 
 // FuzzRequestFrame drives the decoder of client request frames, with a
 // seed corpus in testdata/fuzz. Properties: any bytes, fed to a replica as
-// a frame, cause no panic, and every request the replica pools is a capped
-// view inside the frame (neither reading nor appending to a pooled entry
-// reaches past the bytes that were sent); and the input, cut into ops at
-// its zero bytes, encodes as a client frame that the replica pools as the
-// same (client, seq, op) list, in order, each entry byte-identical to the
-// request's batch encoding.
+// a frame, cause no panic, and the replica pools exactly the operations
+// that precede the first fault, under the frame's client and with
+// consecutive sequence numbers from the frame's first (nothing from a frame
+// whose header is malformed or whose run of sequence numbers passes
+// 2^64-1), each a capped view inside the frame (neither reading nor
+// appending to a pooled operation reaches past the bytes that were sent);
+// and the input, cut into ops at its zero bytes, encodes as one client
+// frame of exactly its header and its length-prefixed ops, which the
+// replica pools as the same (client, seq, op) list, in order.
 func FuzzRequestFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		r := newFollower(t, Config{}).r
 		r.onRequests(in)
-		r.eachPooled(func(p *pendingReq) {
-			insideFrame(t, in, p.raw)
+		client, want := walkFrame(in)
+		if r.pending != len(want) {
+			t.Fatalf("pooled %d requests of a frame that holds %d before its first fault", r.pending, len(want))
+		}
+		for _, w := range want {
+			var p *pendingReq
+			if rec := r.clients[client]; rec != nil {
+				p = rec.find(w.Seq)
+			}
+			if p == nil || p.req.ClientID != client || !bytes.Equal(p.req.Op, w.Op) {
+				t.Fatalf("(%q, %d, %q) of the frame is not pooled as sent", client, w.Seq, w.Op)
+			}
 			insideFrame(t, in, p.req.Op)
-		})
+		}
 
 		ops := bytes.Split(in, []byte{0})
 		if len(ops) > 64 {
 			ops = ops[:64]
 		}
 		reqs := make([]queuedRequest, len(ops))
+		size := wire.BytesSize(len("fuzz-client")) + 8 + wire.UvarintSize(uint64(len(ops)))
 		for i, op := range ops {
 			reqs[i] = queuedRequest{seq: uint64(1<<40 + i), op: op}
+			size += wire.BytesSize(len(op))
 		}
 		frame, n := encodeRequestFrame("fuzz-client", reqs)
-		if n != len(reqs) {
-			t.Fatalf("a %d-byte queue of %d requests was split at %d", len(in), len(reqs), n)
+		if n != len(reqs) || len(frame) != size {
+			t.Fatalf("a %d-byte queue of %d requests was split at %d into a %d-byte frame, want %d bytes",
+				len(in), len(reqs), n, len(frame), size)
 		}
 		r = newFollower(t, Config{}).r
 		r.onRequests(frame)
@@ -44,17 +61,36 @@ func FuzzRequestFrame(f *testing.F) {
 		}
 		for i, q := range r.queue {
 			p := q.find()
-			want := request{ClientID: "fuzz-client", Seq: reqs[i].seq, Op: reqs[i].op}
-			if p.req.ClientID != want.ClientID || p.req.Seq != want.Seq || !bytes.Equal(p.req.Op, want.Op) {
-				t.Fatalf("pooled request %d is (%s, %d, %q), want (%s, %d, %q)",
-					i, p.req.ClientID, p.req.Seq, p.req.Op, want.ClientID, want.Seq, want.Op)
+			if p.req.ClientID != "fuzz-client" || p.req.Seq != reqs[i].seq || !bytes.Equal(p.req.Op, reqs[i].op) {
+				t.Fatalf("pooled request %d is (%s, %d, %q), want (fuzz-client, %d, %q)",
+					i, p.req.ClientID, p.req.Seq, p.req.Op, reqs[i].seq, reqs[i].op)
 			}
-			if !bytes.Equal(p.raw, want.marshal()) {
-				t.Fatalf("pooled entry %d is %x, want the batch encoding %x", i, p.raw, want.marshal())
-			}
-			insideFrame(t, frame, p.raw)
+			insideFrame(t, frame, p.req.Op)
 		}
 	})
+}
+
+// walkFrame is FuzzRequestFrame's own reading of a request frame: its
+// client and the requests before the first fault that a replica with an
+// empty pool and no executed requests pools. Sequence number 0 never pools:
+// every client's dedup floor covers it.
+func walkFrame(frame []byte) (string, []request) {
+	rd := wire.NewReader(frame)
+	client, first, n := rd.String(), rd.Uint64(), rd.Uvarint()
+	if rd.Err() != nil || n > uint64(rd.Remaining()) || (n > 0 && first+(n-1) < first) {
+		return client, nil
+	}
+	var out []request
+	for i := uint64(0); i < n; i++ {
+		op := rd.Bytes()
+		if rd.Err() != nil {
+			break
+		}
+		if first+i != 0 {
+			out = append(out, request{ClientID: client, Seq: first + i, Op: op})
+		}
+	}
+	return client, out
 }
 
 // insideFrame fails unless s is a capped view into frame: every byte it can
@@ -83,50 +119,46 @@ var fuzzPool = []queuedRequest{{seq: 1, op: []byte("a")}, {seq: 2, op: []byte("b
 // has an inline entry, and the second an inline entry wherever it has a
 // reference.
 func fuzzEarlier() [][]byte {
-	batch := make([][]byte, 8)
-	reqs := make([]request, len(batch))
-	for i := range batch {
+	reqs := make([]request, 8)
+	for i := range reqs {
 		q := fuzzPool[i%len(fuzzPool)]
 		reqs[i] = request{ClientID: "fuzz-client", Seq: q.seq, Op: q.op}
-		batch[i] = reqs[i].marshal()
 	}
-	pm := &proposeMsg{Seq: 5, Digest: batchDigest(5, batch), Batch: batch}
-	return [][]byte{pm.marshalRefs(reqs), pm.marshal()}
+	pm := &proposeMsg{Seq: 5, Digest: batchDigest(5, reqs), Batch: reqs}
+	return [][]byte{pm.marshalRefs(), pm.marshal()}
 }
 
 // FuzzPropose drives the PROPOSE decoder and a follower's resolution of it,
 // with a seed corpus in testdata/fuzz. Properties: any bytes, delivered to a
-// follower as its leader's PROPOSE, cause no panic, and every entry decoded
-// inline and every client id of a reference is a capped view inside the
-// payload; the input, decoded into a message and resolved into storage that
+// follower as its leader's PROPOSE, cause no panic, and every client id and
+// operation an entry decodes to is a capped view inside the payload; the
+// input, decoded into a message and resolved into storage that
 // an earlier PROPOSE was decoded and resolved into (see fuzzEarlier), is the
 // same PROPOSE, resolves the same way and to the same entries, requests and
 // digest as decoded into a new message and resolved into new storage; and
 // the input, cut into ops at its zero bytes and pooled as one client frame
 // by a leader and by a follower, becomes a PROPOSE of references that
 // resolves, against the leader's own pool and at the follower, to the batch
-// the leader proposed, byte for byte, and to its digest.
+// the leader proposed, request for request, and to its digest.
 func FuzzPropose(f *testing.F) {
 	earlier := fuzzEarlier()
 	f.Fuzz(func(t *testing.T, in []byte) {
 		fol := newFollower(t, Config{})
 		poolFrame, _ := encodeRequestFrame("fuzz-client", fuzzPool)
 		fol.submit(poolFrame)
-		fresh, want := new(proposeMsg), new(batchStore)
+		fresh, want := new(proposeMsg), new([]request)
 		err := unmarshalPropose(in, fresh)
 		var wantDigest cryptoutil.Digest
 		var wantSt resolution
 		if err == nil {
-			for i, e := range fresh.Batch {
-				insideFrame(t, in, e)
-				if fresh.isRef(i) {
-					insideFrame(t, in, fresh.Refs[i].client)
-				}
+			for _, e := range fresh.Entries {
+				insideFrame(t, in, e.client)
+				insideFrame(t, in, e.op)
 			}
 			wantDigest, wantSt = fol.r.resolve(fresh, want)
 		}
 		for _, b := range earlier {
-			used, into := new(proposeMsg), new(batchStore)
+			used, into := new(proposeMsg), new([]request)
 			if err := unmarshalPropose(b, used); err != nil {
 				t.Fatalf("an earlier PROPOSE does not decode: %v", err)
 			}
@@ -180,54 +212,50 @@ func FuzzPropose(f *testing.F) {
 			}
 		}
 		got := fol.r.instances[0]
-		if got == nil || !got.haveProposal || got.digest != own.digest || len(got.batch) != len(own.batch) {
+		if got == nil || !got.haveProposal || got.digest != own.digest || len(got.reqs) != len(own.reqs) {
 			t.Fatal("the follower did not register the leader's batch from its references")
 		}
-		for i := range own.batch {
-			if !bytes.Equal(got.batch[i], own.batch[i]) {
-				t.Fatalf("entry %d resolved to %x, the leader proposed %x", i, got.batch[i], own.batch[i])
+		for i := range own.reqs {
+			if g, w := got.reqs[i], own.reqs[i]; g.ClientID != w.ClientID || g.Seq != w.Seq || !bytes.Equal(g.Op, w.Op) {
+				t.Fatalf("entry %d resolved to %+v, the leader proposed %+v", i, g, w)
 			}
 		}
 	})
 }
 
 // sameProposal fails unless got, decoded into a used message, is the
-// PROPOSE want is: the same header, and entry by entry the same inline
-// bytes or the same reference, with no reference the earlier message left.
+// PROPOSE want is: the same header, and entry by entry the same request or
+// the same reference, with nothing the earlier message left.
 func sameProposal(t *testing.T, got, want *proposeMsg) {
 	t.Helper()
-	if got.Regency != want.Regency || got.Seq != want.Seq || got.Digest != want.Digest || len(got.Batch) != len(want.Batch) {
-		t.Fatalf("decoded into a used message: (%d, %d, %x, %d entries), into a new one (%d, %d, %x, %d entries)",
-			got.Regency, got.Seq, got.Digest, len(got.Batch), want.Regency, want.Seq, want.Digest, len(want.Batch))
+	if got.Regency != want.Regency || got.Seq != want.Seq || got.Digest != want.Digest ||
+		len(got.Entries) != len(want.Entries) || got.refs != want.refs {
+		t.Fatalf("decoded into a used message: (%d, %d, %x, %d entries, %d references), into a new one (%d, %d, %x, %d, %d)",
+			got.Regency, got.Seq, got.Digest, len(got.Entries), got.refs,
+			want.Regency, want.Seq, want.Digest, len(want.Entries), want.refs)
 	}
-	if (len(got.Refs) == 0) != (len(want.Refs) == 0) {
-		t.Fatalf("decoded into a used message the input has %d references, into a new one %d", len(got.Refs), len(want.Refs))
-	}
-	for i := range want.Batch {
-		if got.isRef(i) != want.isRef(i) || (got.Batch[i] == nil) != (want.Batch[i] == nil) || !bytes.Equal(got.Batch[i], want.Batch[i]) {
-			t.Fatalf("entry %d decoded into a used message is %x (a reference: %v), into a new one %x (%v)",
-				i, got.Batch[i], got.isRef(i), want.Batch[i], want.isRef(i))
-		}
-		if want.isRef(i) && (got.Refs[i].seq != want.Refs[i].seq || !bytes.Equal(got.Refs[i].client, want.Refs[i].client)) {
-			t.Fatalf("reference %d decoded into a used message is (%s, %d), into a new one (%s, %d)",
-				i, got.Refs[i].client, got.Refs[i].seq, want.Refs[i].client, want.Refs[i].seq)
+	for i := range want.Entries {
+		g, w := got.Entries[i], want.Entries[i]
+		if g.ref != w.ref || g.seq != w.seq || !bytes.Equal(g.client, w.client) ||
+			(g.op == nil) != (w.op == nil) || !bytes.Equal(g.op, w.op) {
+			t.Fatalf("entry %d decoded into a used message is (%s, %d, %x, a reference: %v), into a new one (%s, %d, %x, %v)",
+				i, g.client, g.seq, g.op, g.ref, w.client, w.seq, w.op, w.ref)
 		}
 	}
 }
 
 // sameResolution fails unless got, resolved into used storage, holds the
-// entries and requests want does.
-func sameResolution(t *testing.T, got, want *batchStore) {
+// requests want does.
+func sameResolution(t *testing.T, got, want *[]request) {
 	t.Helper()
-	if len(got.entries) != len(want.entries) || len(got.reqs) != len(want.reqs) {
-		t.Fatalf("resolved into used storage: %d entries and %d requests, into new storage %d and %d",
-			len(got.entries), len(got.reqs), len(want.entries), len(want.reqs))
+	if len(*got) != len(*want) {
+		t.Fatalf("resolved into used storage: %d requests, into new storage %d", len(*got), len(*want))
 	}
-	for i := range want.entries {
-		g, w := got.reqs[i], want.reqs[i]
-		if !bytes.Equal(got.entries[i], want.entries[i]) || g.ClientID != w.ClientID || g.Seq != w.Seq || !bytes.Equal(g.Op, w.Op) {
-			t.Fatalf("entry %d resolved into used storage is %x = (%s, %d, %q), into new storage %x = (%s, %d, %q)",
-				i, got.entries[i], g.ClientID, g.Seq, g.Op, want.entries[i], w.ClientID, w.Seq, w.Op)
+	for i := range *want {
+		g, w := (*got)[i], (*want)[i]
+		if g.ClientID != w.ClientID || g.Seq != w.Seq || !bytes.Equal(g.Op, w.Op) {
+			t.Fatalf("entry %d resolved into used storage is (%s, %d, %q), into new storage (%s, %d, %q)",
+				i, g.ClientID, g.Seq, g.Op, w.ClientID, w.Seq, w.Op)
 		}
 	}
 }

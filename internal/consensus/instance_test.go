@@ -65,14 +65,9 @@ func newLeader(t testing.TB, cfg Config, opts ...Option) *standIn {
 	return newStandIn(t, 0, cfg, opts...)
 }
 
-// requestEntry is a request as a PROPOSE batch carries it.
-func requestEntry(clientID string, seq uint64, op []byte) []byte {
-	return (&request{ClientID: clientID, Seq: seq, Op: op}).marshal()
-}
-
 // batchAt is the one-request batch the leader proposes for seq.
-func batchAt(seq int64) [][]byte {
-	return [][]byte{requestEntry("client", uint64(seq+1), []byte(fmt.Sprintf("op-%d", seq)))}
+func batchAt(seq int64) []request {
+	return []request{{ClientID: "client", Seq: uint64(seq + 1), Op: []byte(fmt.Sprintf("op-%d", seq))}}
 }
 
 // deliver hands the stand-in one protocol message from a peer.
@@ -201,7 +196,7 @@ func TestInstanceAllocationBudgets(t *testing.T) {
 	}
 	for seq := int64(100); seq < open; seq++ {
 		inst := f.r.instances[seq]
-		if inst.seq != seq || inst.haveProposal || inst.decided || inst.batch != nil ||
+		if inst.seq != seq || inst.haveProposal || inst.decided || inst.reqs != nil ||
 			len(inst.writes.votes) != 0 || len(inst.accepts.votes) != 0 {
 			t.Fatalf("reused instance %d kept state: %+v", seq, inst)
 		}
@@ -229,11 +224,11 @@ func (f *standIn) proposals(t *testing.T) []*proposeMsg {
 		if err := unmarshalPropose(m.Payload, pm); err != nil {
 			t.Fatalf("the stand-in sent a malformed PROPOSE: %v", err)
 		}
-		var full batchStore
+		var full []request
 		if _, st := f.r.resolve(pm, &full); st != resolved {
 			t.Fatalf("the stand-in's PROPOSE %d does not resolve against its own pool: %v", pm.Seq, st)
 		}
-		pm.Batch = full.entries
+		pm.Batch = full
 		if !seen[pm.Seq] {
 			seen[pm.Seq] = true
 			out = append(out, pm)
@@ -252,8 +247,8 @@ func queuedOps(k int) []queuedRequest {
 }
 
 // An idle leader pools a whole request frame before it decides to propose:
-// one k-entry frame becomes one PROPOSE of k entries, each byte-identical to
-// the request's batch encoding. Running the proposal rule once per entry
+// one k-entry frame becomes one PROPOSE of k entries, each the frame's
+// request. Running the proposal rule once per entry
 // would send the first entry alone and hold the rest for the next instance.
 func TestLeaderProposesWholeFrame(t *testing.T) {
 	const k = 5
@@ -272,8 +267,8 @@ func TestLeaderProposesWholeFrame(t *testing.T) {
 		t.Fatalf("the PROPOSE carries %d entries of a %d-entry frame", len(props[0].Batch), k)
 	}
 	for i, e := range props[0].Batch {
-		if want := requestEntry("client", reqs[i].seq, reqs[i].op); !bytes.Equal(e, want) {
-			t.Fatalf("PROPOSE entry %d is %x, want %x", i, e, want)
+		if e.ClientID != "client" || e.Seq != reqs[i].seq || !bytes.Equal(e.Op, reqs[i].op) {
+			t.Fatalf("PROPOSE entry %d is (%s, %d, %q), want (client, %d, %q)", i, e.ClientID, e.Seq, e.Op, reqs[i].seq, reqs[i].op)
 		}
 	}
 	if l.r.pooled != 0 {
@@ -325,21 +320,13 @@ func TestCaughtUpLeaderProposesAboveDeliveryPoint(t *testing.T) {
 // refPropose is the PROPOSE a leader of regency 0 sends for seq's batch of
 // reqs: every entry a reference, the digest over the full entries.
 func refPropose(seq int64, reqs []request) []byte {
-	batch := make([][]byte, len(reqs))
-	for i := range reqs {
-		batch[i] = reqs[i].marshal()
-	}
-	return (&proposeMsg{Regency: 0, Seq: seq, Digest: batchDigest(seq, batch), Batch: batch}).marshalRefs(reqs)
+	return (&proposeMsg{Regency: 0, Seq: seq, Digest: batchDigest(seq, reqs), Batch: reqs}).marshalRefs()
 }
 
 // inlinePropose is the same PROPOSE with every entry inline: the leader's
 // answer to a follower that asked for it.
 func inlinePropose(seq int64, reqs []request) []byte {
-	batch := make([][]byte, len(reqs))
-	for i := range reqs {
-		batch[i] = reqs[i].marshal()
-	}
-	return (&proposeMsg{Regency: 0, Seq: seq, Digest: batchDigest(seq, batch), Batch: batch}).marshal()
+	return (&proposeMsg{Regency: 0, Seq: seq, Digest: batchDigest(seq, reqs), Batch: reqs}).marshal()
 }
 
 // sentOf counts the stand-in's messages of one type.
@@ -398,7 +385,7 @@ func TestEquivocatingClientFollowerAsksLeaderAtOnce(t *testing.T) {
 	}
 
 	f.deliver(0, msgPropose, inlinePropose(0, []request{opA}))
-	digestA := batchDigest(0, [][]byte{opA.marshal()})
+	digestA := batchDigest(0, []request{opA})
 	if !f.wroteDigest(0, digestA) {
 		t.Fatal("the follower did not WRITE for the leader's batch once it arrived inline")
 	}
@@ -443,7 +430,7 @@ func TestFilteredRequestIsAskedForAfterOneTick(t *testing.T) {
 	}
 
 	f.deliver(0, msgPropose, inlinePropose(0, []request{rq}))
-	digest := batchDigest(0, [][]byte{rq.marshal()})
+	digest := batchDigest(0, []request{rq})
 	if !f.wroteDigest(0, digest) || inst.parked != nil {
 		t.Fatalf("after the answer: wrote=%v parked=%v", f.wroteDigest(0, digest), inst.parked != nil)
 	}
@@ -464,7 +451,7 @@ func TestDecidedWhileParkedDeliversOnArrival(t *testing.T) {
 	f := newFollower(t, Config{})
 	rq := request{ClientID: "client", Seq: 1, Op: []byte("late")}
 	f.deliver(0, msgPropose, refPropose(0, []request{rq}))
-	f.decideFor(0, batchDigest(0, [][]byte{rq.marshal()}))
+	f.decideFor(0, batchDigest(0, []request{rq}))
 	if inst := f.r.instances[0]; !inst.decided || inst.parked == nil || f.r.lastDelivered != -1 {
 		t.Fatalf("decided=%v parked=%v lastDelivered=%d, want decided, parked, undelivered",
 			inst.decided, inst.parked != nil, f.r.lastDelivered)
@@ -513,7 +500,7 @@ func (f *standIn) inlineAnswers(t *testing.T, to ReplicaID) []*proposeMsg {
 		if err := unmarshalPropose(m.Payload, pm); err != nil {
 			t.Fatalf("the stand-in sent a malformed PROPOSE: %v", err)
 		}
-		if len(pm.Refs) == 0 {
+		if pm.refs == 0 {
 			out = append(out, pm)
 		}
 	}
@@ -538,9 +525,9 @@ func TestLeaderAnswersAFetchOnceWhileItHoldsTheBatch(t *testing.T) {
 	if len(answers) != 1 {
 		t.Fatalf("answered %d of two fetches from one follower, want 1", len(answers))
 	}
-	if a := answers[0]; a.Seq != 0 || len(a.Batch) != 1 || !bytes.Equal(a.Batch[0], props[0].Batch[0]) ||
-		a.Digest != props[0].Digest || batchDigest(0, a.Batch) != a.Digest {
-		t.Fatalf("the answer (seq %d, %d entries) is not the proposed batch", a.Seq, len(a.Batch))
+	if a, p := answers[0], props[0].Batch[0]; a.Seq != 0 || len(a.Entries) != 1 || string(a.Entries[0].client) != p.ClientID ||
+		a.Entries[0].seq != p.Seq || !bytes.Equal(a.Entries[0].op, p.Op) || a.Digest != props[0].Digest {
+		t.Fatalf("the answer (seq %d, %d entries) is not the proposed batch", a.Seq, len(a.Entries))
 	}
 
 	// Instances 0 and 1 decided and delivered: the checkpoint at 1 retires both.
@@ -564,7 +551,7 @@ func TestLeaderAnswersAFetchOnceWhileItHoldsTheBatch(t *testing.T) {
 	}
 	l.deliver(2, msgProposeFetch, fetch)
 	if answers := l.inlineAnswers(t, 2); len(answers) != 0 {
-		t.Fatalf("a leader whose instance a checkpoint retired answered with %d entries", len(answers[0].Batch))
+		t.Fatalf("a leader whose instance a checkpoint retired answered with %d entries", len(answers[0].Entries))
 	}
 }
 
@@ -627,16 +614,14 @@ func (fr *followerRun) prepare(seq int64) {
 			queued = append(queued, queuedRequest{seq: uint64(rs), op: []byte("op")})
 		}
 		reqs := make([]request, fr.k)
-		batch := make([][]byte, fr.k)
 		for i := range reqs {
 			reqs[i] = request{ClientID: "client", Seq: uint64(base + i + 1), Op: []byte("op")}
-			batch[i] = reqs[i].marshal()
 		}
 		frame, _ := encodeRequestFrame("client", queued)
-		digest := batchDigest(fr.prepared, batch)
+		digest := batchDigest(fr.prepared, reqs)
 		fr.in[fr.prepared] = followerInput{
 			frame:   frame,
-			propose: (&proposeMsg{Seq: fr.prepared, Digest: digest, Batch: batch}).marshalRefs(reqs),
+			propose: (&proposeMsg{Seq: fr.prepared, Digest: digest, Batch: reqs}).marshalRefs(),
 			vote:    (&voteMsg{Seq: fr.prepared, Digest: digest}).marshal(),
 		}
 	}

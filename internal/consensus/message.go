@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/cryptoutil"
 	"repro/internal/wire"
@@ -31,13 +32,16 @@ const (
 // ordering node's time-to-cut markers, a joining node's admission request).
 const RequestMessageType = msgRequest
 
-// A request frame is the payload of every RequestMessageType message: a
-// uvarint count and that many length-prefixed requests (wire's BytesSlice
-// encoding). Each entry is byte-identical to request.marshal — the entry a
-// PROPOSE batch, the decision log and a checkpoint carry for the request —
-// so a replica pools views of the frame and proposes them as they are. A
-// Client sends every request queued since its previous send as one frame,
-// the same payload to every replica.
+// A request frame is the payload of every RequestMessageType message: the
+// client id and the first sequence number, once, then a uvarint count and
+// that many length-prefixed operations; the i-th operation's sequence
+// number is first + i. A replica pools each operation as a view of the
+// frame, under the frame's client (see Replica.onRequests). A Client sends
+// every request queued since its previous send as one frame, the same
+// payload to every replica.
+//
+// Layout: PutString(client), PutUint64(first), PutUvarint(n), then n
+// PutBytes(op).
 
 // maxRequestFrameBytes bounds the frames a Client builds: a longer queue
 // leaves as several frames. (A single request larger than this is sent
@@ -58,33 +62,54 @@ type queuedRequest struct {
 	op  []byte
 }
 
-// encodeRequestFrame encodes the leading requests of reqs, as many as fit in
-// maxRequestFrameBytes but at least one, into a frame, and reports how many
-// it took. The frame is sized exactly and each request written into it
-// once: no intermediate encoding, no growth.
+// encodeRequestFrame encodes the leading requests of reqs into a frame, as
+// many as have consecutive sequence numbers and fit in maxRequestFrameBytes
+// but at least one, and reports how many it took. The frame is sized
+// exactly and each operation written into it once: no intermediate
+// encoding, no growth.
 func encodeRequestFrame(clientID string, reqs []queuedRequest) ([]byte, int) {
+	header := wire.BytesSize(len(clientID)) + 8
 	n, body := 0, 0
-	for _, rq := range reqs {
-		entry := requestSize(clientID, rq.op)
-		entry += wire.UvarintSize(uint64(entry))
-		if n > 0 && binary.MaxVarintLen64+body+entry > maxRequestFrameBytes {
+	for i, rq := range reqs {
+		op := wire.BytesSize(len(rq.op))
+		if n > 0 && (rq.seq != reqs[0].seq+uint64(i) ||
+			header+binary.MaxVarintLen64+body+op > maxRequestFrameBytes) {
 			break
 		}
 		n++
-		body += entry
+		body += op
 	}
-	w := wire.NewWriter(wire.UvarintSize(uint64(n)) + body)
+	w := wire.NewWriter(header + wire.UvarintSize(uint64(n)) + body)
+	w.PutString(clientID)
+	w.PutUint64(reqs[0].seq)
 	w.PutUvarint(uint64(n))
 	for _, rq := range reqs[:n] {
-		w.PutUvarint(uint64(requestSize(clientID, rq.op)))
-		putRequest(w, clientID, rq.seq, rq.op)
+		w.PutBytes(rq.op)
 	}
 	return w.Bytes(), n
 }
 
+// readFrameHeader reads a request frame's client id (a view of the frame),
+// first sequence number and operation count, leaving rd at the first
+// operation. A count the frame cannot hold, or whose run of sequence
+// numbers would pass 2^64-1, is an error.
+func readFrameHeader(rd *wire.Reader) (client []byte, first uint64, n int, err error) {
+	client, first, n = rd.Bytes(), rd.Uint64(), rd.Count(1)
+	if err := rd.Err(); err != nil {
+		return nil, 0, 0, fmt.Errorf("request frame: %w", err)
+	}
+	if n > 0 && first > math.MaxUint64-uint64(n-1) {
+		return nil, 0, 0, fmt.Errorf("request frame: %d sequence numbers from %d pass 2^64-1", n, first)
+	}
+	return client, first, n, nil
+}
+
 // request is a client operation submitted for total ordering. Clients send
 // requests to every replica (Figure 3: "Clients send their requests to all
-// replicas").
+// replicas"). A replica holds each request as one such value, from the
+// frame it pooled it from to the checkpoint that retires its batch: a
+// batch is a []request. Every message that carries a batch encodes a
+// request as putRequest writes it, the entry the batch digest is over.
 type request struct {
 	ClientID string // the client's transport address
 	Seq      uint64 // per-client sequence number for deduplication
@@ -100,14 +125,63 @@ func (rq *request) marshal() []byte {
 
 // requestSize is the exact length of putRequest's encoding.
 func requestSize(clientID string, op []byte) int {
-	return wire.UvarintSize(uint64(len(clientID))) + len(clientID) + 8 +
-		wire.UvarintSize(uint64(len(op))) + len(op)
+	return wire.BytesSize(len(clientID)) + 8 + wire.BytesSize(len(op))
 }
 
 func putRequest(w *wire.Writer, clientID string, seq uint64, op []byte) {
 	w.PutString(clientID)
 	w.PutUint64(seq)
 	w.PutBytes(op)
+}
+
+// entrySize is the length of rq as a length-prefixed batch entry.
+func (rq *request) entrySize() int { return wire.BytesSize(requestSize(rq.ClientID, rq.Op)) }
+
+// putEntry writes rq as a length-prefixed batch entry: what PutBytes of its
+// marshal writes.
+func (rq *request) putEntry(w *wire.Writer) {
+	w.PutUvarint(uint64(requestSize(rq.ClientID, rq.Op)))
+	putRequest(w, rq.ClientID, rq.Seq, rq.Op)
+}
+
+// putBatch writes a batch as PutBytesSlice writes its entries: a uvarint
+// count, then every request as a length-prefixed entry.
+func putBatch(w *wire.Writer, batch []request) {
+	w.PutUvarint(uint64(len(batch)))
+	for i := range batch {
+		batch[i].putEntry(w)
+	}
+}
+
+// readBatch reads a batch putBatch wrote, as views of rd's buffer: the
+// requests' operations alias it, and consecutive requests of one client
+// share one copy of its id. An entry that is not a request fails the read.
+func readBatch(rd *wire.Reader) ([]request, error) {
+	batch := make([]request, rd.Count(minEntrySize))
+	for i := range batch {
+		id, seq, op, err := parseRequest(rd.Bytes())
+		if rd.Err() != nil {
+			return nil, rd.Err()
+		}
+		if err != nil {
+			return nil, err
+		}
+		batch[i] = request{ClientID: sameString(batch[:i], id), Seq: seq, Op: op}
+	}
+	return batch, rd.Err()
+}
+
+// minEntrySize is the length of the shortest batch entry: its length
+// prefix, an empty client id, the sequence number and an empty operation.
+const minEntrySize = 1 + 1 + 8 + 1
+
+// sameString returns id as a string, the previous request's client id when
+// it is that one.
+func sameString(prev []request, id []byte) string {
+	if n := len(prev); n > 0 && prev[n-1].ClientID == string(id) {
+		return prev[n-1].ClientID
+	}
+	return string(id)
 }
 
 // unmarshalRequest decodes a request as a view of b: Op aliases it, and the
@@ -138,48 +212,46 @@ func parseRequest(b []byte) (id []byte, seq uint64, op []byte, err error) {
 }
 
 // proposeMsg is the leader's batch proposal for one consensus instance.
-// Batch entries are marshalled requests, and Digest is their batchDigest.
+// Digest is the batchDigest of its requests.
 //
 // On the wire an entry travels either as a reference to a request the
 // receiver pooled itself — its (client, seq): clients send every request to
 // every replica (Figure 3), so a follower already holds what the leader
-// proposes — or as the entry itself. The leader sends a reference for every
-// entry it holds a request for, so a request's bytes leave the leader once,
-// in its block; a follower that cannot resolve a reference asks the leader
-// for the entries inline (msgProposeFetch). Votes, certificates, SYNC, the
-// decision log and checkpoints carry full entries as before: the digest is
-// over them, not over the references.
+// proposes — or as the request itself. The leader sends a reference for
+// every request, so a request's bytes leave the leader once, in its block;
+// a follower that cannot resolve a reference asks the leader for the
+// entries inline (msgProposeFetch). Votes, certificates, SYNC, the decision
+// log and checkpoints carry full entries as before: the digest is over
+// them, not over the references.
 //
 // Layout: Regency, Seq, Digest, a uvarint count, then per entry a kind byte
-// and either the length-prefixed entry (entryInline) or the length-prefixed
-// client id and a uvarint seq (entryRef).
+// and either the length-prefixed request (entryInline) or the
+// length-prefixed client id and a uvarint seq (entryRef).
 type proposeMsg struct {
 	Regency int32
 	Seq     int64
 	Digest  cryptoutil.Digest
-	// Batch holds the entries. As decoded, an entry sent as a reference is
-	// nil (resolve completes the batch elsewhere); every other entry is a
-	// view of the payload (never nil: a view of a non-empty payload is not).
-	Batch [][]byte
-	// Refs, when the decoded message holds any reference, names entry i's
-	// request in Refs[i] wherever the entry was sent as one (client non-nil,
-	// a view of the payload); empty when every entry travelled inline.
-	Refs []requestRef
+	// Batch is the proposed requests, which marshal and marshalRefs
+	// encode. A decoded message leaves it empty: its entries are in Entries,
+	// for the receiver to resolve into requests (Replica.resolve).
+	Batch []request
+	// Entries are a decoded message's entries, and refs how many of them
+	// travelled as references.
+	Entries []proposeEntry
+	refs    int
 	// payload is what a received PROPOSE was decoded from (nil for one
 	// this replica built).
 	payload []byte
 }
 
-// isRef reports whether entry i of a decoded PROPOSE was sent as a
-// reference.
-func (m *proposeMsg) isRef(i int) bool {
-	return len(m.Refs) > 0 && m.Refs[i].client != nil
-}
-
-// requestRef names a pooled request in a PROPOSE.
-type requestRef struct {
+// proposeEntry is one entry of a decoded PROPOSE: a request's client id and
+// sequence number, and its operation where the entry travelled inline (ref
+// false). client and op are views of the payload.
+type proposeEntry struct {
 	client []byte
 	seq    uint64
+	op     []byte
+	ref    bool
 }
 
 // Entry kinds of a PROPOSE.
@@ -189,18 +261,21 @@ const (
 )
 
 // marshal encodes m with every entry inline.
-func (m *proposeMsg) marshal() []byte { return m.marshalRefs(nil) }
+func (m *proposeMsg) marshal() []byte { return m.encode(false) }
 
-// marshalRefs encodes m with entry i sent as a reference to reqs[i], or with
-// every entry inline when reqs is nil. The encoding is sized exactly.
-func (m *proposeMsg) marshalRefs(reqs []request) []byte {
+// marshalRefs encodes m with every entry a reference.
+func (m *proposeMsg) marshalRefs() []byte { return m.encode(true) }
+
+// encode encodes m, sized exactly, with every entry a reference (refs) or
+// every entry inline.
+func (m *proposeMsg) encode(refs bool) []byte {
 	size := 4 + 8 + cryptoutil.DigestSize + wire.UvarintSize(uint64(len(m.Batch)))
-	for i, e := range m.Batch {
-		if reqs != nil {
-			c := reqs[i].ClientID
-			size += 1 + wire.UvarintSize(uint64(len(c))) + len(c) + wire.UvarintSize(reqs[i].Seq)
+	for i := range m.Batch {
+		rq := &m.Batch[i]
+		if refs {
+			size += 1 + wire.BytesSize(len(rq.ClientID)) + wire.UvarintSize(rq.Seq)
 		} else {
-			size += 1 + wire.UvarintSize(uint64(len(e))) + len(e)
+			size += 1 + rq.entrySize()
 		}
 	}
 	w := wire.NewWriter(size)
@@ -208,36 +283,40 @@ func (m *proposeMsg) marshalRefs(reqs []request) []byte {
 	w.PutInt64(m.Seq)
 	w.PutRaw(m.Digest[:])
 	w.PutUvarint(uint64(len(m.Batch)))
-	for i, e := range m.Batch {
-		if reqs != nil {
+	for i := range m.Batch {
+		rq := &m.Batch[i]
+		if refs {
 			w.PutByte(entryRef)
-			w.PutString(reqs[i].ClientID)
-			w.PutUvarint(reqs[i].Seq)
+			w.PutString(rq.ClientID)
+			w.PutUvarint(rq.Seq)
 		} else {
 			w.PutByte(entryInline)
-			w.PutBytes(e)
+			rq.putEntry(w)
 		}
 	}
 	return w.Bytes()
 }
 
-// unmarshalPropose decodes b into m, reusing the storage of m's slices:
+// unmarshalPropose decodes b into m, reusing the storage of m's entries:
 // whatever m held before is overwritten (or cleared), so the message decoded
-// is the same as into a zero proposeMsg. On error m holds no useful value.
+// is the same as into a zero proposeMsg. An inline entry that is not a
+// request fails the decode. On error m holds no useful value.
 func unmarshalPropose(b []byte, m *proposeMsg) error {
 	r := wire.NewReader(b)
-	*m = proposeMsg{Regency: r.Int32(), Seq: r.Int64(), Batch: m.Batch, Refs: emptied(m.Refs), payload: b}
+	*m = proposeMsg{Regency: r.Int32(), Seq: r.Int64(), Entries: m.Entries, payload: b}
 	copy(m.Digest[:], r.Raw(cryptoutil.DigestSize))
-	m.Batch = sized(m.Batch, r.Count(2)) // a kind byte and an empty entry
-	for i := 0; i < len(m.Batch) && r.Err() == nil; i++ {
+	m.Entries = sized(m.Entries, r.Count(2)) // a kind byte and an empty entry
+	for i := 0; i < len(m.Entries) && r.Err() == nil; i++ {
+		e := &m.Entries[i]
 		switch kind := r.Byte(); kind {
 		case entryInline:
-			m.Batch[i] = r.Bytes()
-		case entryRef:
-			if len(m.Refs) == 0 {
-				m.Refs = sized(m.Refs, len(m.Batch))
+			var err error
+			if e.client, e.seq, e.op, err = parseRequest(r.Bytes()); err != nil && r.Err() == nil {
+				return fmt.Errorf("propose: entry %d: %w", i, err)
 			}
-			m.Refs[i] = requestRef{client: r.Bytes(), seq: r.Uvarint()}
+		case entryRef:
+			e.client, e.seq, e.ref = r.Bytes(), r.Uvarint(), true
+			m.refs++
 		default:
 			return fmt.Errorf("propose: entry %d of unknown kind %d", i, kind)
 		}
@@ -332,23 +411,24 @@ type writeCert struct {
 	Seq     int64
 	Regency int32
 	Digest  cryptoutil.Digest
-	Batch   [][]byte // the registered batch, if known
+	Batch   []request // the registered batch, if known
 }
 
 func putWriteCert(w *wire.Writer, c *writeCert) {
 	w.PutInt64(c.Seq)
 	w.PutInt32(c.Regency)
 	w.PutRaw(c.Digest[:])
-	w.PutBytesSlice(c.Batch)
+	putBatch(w, c.Batch)
 }
 
-func readWriteCert(r *wire.Reader) writeCert {
+func readWriteCert(r *wire.Reader) (writeCert, error) {
 	var c writeCert
 	c.Seq = r.Int64()
 	c.Regency = r.Int32()
 	copy(c.Digest[:], r.Raw(cryptoutil.DigestSize))
-	c.Batch = r.BytesSlice()
-	return c
+	var err error
+	c.Batch, err = readBatch(r)
+	return c, err
 }
 
 // stopDataMsg is sent to the new leader after a regency change. It reports
@@ -399,9 +479,12 @@ func unmarshalStopData(b []byte) (*stopDataMsg, error) {
 	if n > 1024 {
 		return nil, fmt.Errorf("stopdata: %d certs out of range", n)
 	}
-	m.Certs = make([]writeCert, 0, n)
-	for i := 0; i < n; i++ {
-		m.Certs = append(m.Certs, readWriteCert(r))
+	m.Certs = make([]writeCert, n)
+	for i := range m.Certs {
+		var err error
+		if m.Certs[i], err = readWriteCert(r); err != nil {
+			return nil, fmt.Errorf("stopdata body: %w", err)
+		}
 	}
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("stopdata body: %w", err)
@@ -415,7 +498,7 @@ func unmarshalStopData(b []byte) (*stopDataMsg, error) {
 type syncDecision struct {
 	Seq     int64
 	HasCert bool
-	Batch   [][]byte
+	Batch   []request
 }
 
 // syncMsg is the new leader's resolution of the synchronization phase: the
@@ -434,7 +517,7 @@ func (m *syncMsg) marshal() []byte {
 		d := &m.Decisions[i]
 		w.PutInt64(d.Seq)
 		w.PutBool(d.HasCert)
-		w.PutBytesSlice(d.Batch)
+		putBatch(w, d.Batch)
 	}
 	return w.Bytes()
 }
@@ -446,13 +529,14 @@ func unmarshalSync(b []byte) (*syncMsg, error) {
 	if n > 1024 {
 		return nil, fmt.Errorf("sync: %d decisions out of range", n)
 	}
-	m.Decisions = make([]syncDecision, 0, n)
-	for i := 0; i < n; i++ {
-		m.Decisions = append(m.Decisions, syncDecision{
-			Seq:     r.Int64(),
-			HasCert: r.Bool(),
-			Batch:   r.BytesSlice(),
-		})
+	m.Decisions = make([]syncDecision, n)
+	for i := range m.Decisions {
+		d := &m.Decisions[i]
+		d.Seq, d.HasCert = r.Int64(), r.Bool()
+		var err error
+		if d.Batch, err = readBatch(r); err != nil {
+			return nil, fmt.Errorf("sync: %w", err)
+		}
 	}
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("sync: %w", err)
@@ -484,7 +568,7 @@ func unmarshalStateRequest(b []byte) (*stateRequestMsg, error) {
 // logEntryWire is one decided instance in a state reply.
 type logEntryWire struct {
 	Seq   int64
-	Batch [][]byte
+	Batch []request
 }
 
 // stateReplyMsg carries a checkpointed snapshot and the decision-log suffix.
@@ -503,7 +587,7 @@ func (m *stateReplyMsg) marshal() []byte {
 	w.PutUvarint(uint64(len(m.Entries)))
 	for _, e := range m.Entries {
 		w.PutInt64(e.Seq)
-		w.PutBytesSlice(e.Batch)
+		putBatch(w, e.Batch)
 	}
 	return w.Bytes()
 }
@@ -518,12 +602,14 @@ func unmarshalStateReply(b []byte) (*stateReplyMsg, error) {
 	if n > 1<<20 {
 		return nil, fmt.Errorf("state reply: %d entries out of range", n)
 	}
-	m.Entries = make([]logEntryWire, 0, n)
-	for i := 0; i < n; i++ {
-		m.Entries = append(m.Entries, logEntryWire{
-			Seq:   r.Int64(),
-			Batch: r.BytesSlice(),
-		})
+	m.Entries = make([]logEntryWire, n)
+	for i := range m.Entries {
+		e := &m.Entries[i]
+		e.Seq = r.Int64()
+		var err error
+		if e.Batch, err = readBatch(r); err != nil {
+			return nil, fmt.Errorf("state reply: %w", err)
+		}
 	}
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("state reply: %w", err)
@@ -538,17 +624,47 @@ func (m *stateReplyMsg) digest() cryptoutil.Digest {
 
 // batchDigest hashes a proposed batch; WRITE and ACCEPT votes carry this
 // digest rather than the batch itself (Figure 3: votes are hashes).
-// The pre-image is the wire encoding PutInt64(seq), PutBytesSlice(batch),
-// streamed into the hash entry by entry and never materialised.
-func batchDigest(seq int64, batch [][]byte) (d cryptoutil.Digest) {
+// The pre-image is the wire encoding PutInt64(seq), PutBytesSlice(entries),
+// streamed into the hash entry by entry and never materialised. A batch is
+// its requests, whose entries are their putRequest encodings; it may also
+// be given as encoded entries, which hash alike.
+func batchDigest[B []request | [][]byte](seq int64, batch B) (d cryptoutil.Digest) {
 	h := sha256.New()
 	var hdr [8 + binary.MaxVarintLen64]byte
 	binary.BigEndian.PutUint64(hdr[:8], uint64(seq))
 	h.Write(binary.AppendUvarint(hdr[:8], uint64(len(batch))))
-	for _, e := range batch {
-		h.Write(binary.AppendUvarint(hdr[:0], uint64(len(e))))
-		h.Write(e)
+	switch b := any(batch).(type) {
+	case []request:
+		var head [entryHeadMax]byte
+		for i := range b {
+			rq := &b[i]
+			if len(rq.ClientID) > maxInlineClientID {
+				w := wire.NewWriter(rq.entrySize())
+				rq.putEntry(w)
+				h.Write(w.Bytes())
+				continue
+			}
+			e := binary.AppendUvarint(head[:0], uint64(requestSize(rq.ClientID, rq.Op)))
+			e = binary.AppendUvarint(e, uint64(len(rq.ClientID)))
+			e = append(e, rq.ClientID...)
+			e = binary.BigEndian.AppendUint64(e, rq.Seq)
+			h.Write(binary.AppendUvarint(e, uint64(len(rq.Op))))
+			h.Write(rq.Op)
+		}
+	case [][]byte:
+		for _, e := range b {
+			h.Write(binary.AppendUvarint(hdr[:0], uint64(len(e))))
+			h.Write(e)
+		}
 	}
 	h.Sum(d[:0])
 	return d
 }
+
+// maxInlineClientID is the longest client id batchDigest writes into its
+// stack buffer along with the rest of an entry's head (its length prefix,
+// the client id, the sequence number and the operation's length); a
+// request of a longer one is encoded whole first.
+const maxInlineClientID = 64
+
+const entryHeadMax = 3*binary.MaxVarintLen64 + maxInlineClientID + 8

@@ -36,16 +36,16 @@ func TestRequestRoundTripProperty(t *testing.T) {
 }
 
 func TestProposeRoundTrip(t *testing.T) {
-	in := &proposeMsg{Regency: 3, Seq: 99, Batch: [][]byte{[]byte("a"), []byte("bb")}}
+	in := &proposeMsg{Regency: 3, Seq: 99, Batch: []request{{ClientID: "c", Seq: 1, Op: []byte("a")}, {ClientID: "c", Seq: 2, Op: []byte("bb")}}}
 	out := new(proposeMsg)
 	if err := unmarshalPropose(in.marshal(), out); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if out.Regency != in.Regency || out.Seq != in.Seq || len(out.Batch) != 2 {
+	if out.Regency != in.Regency || out.Seq != in.Seq || len(out.Entries) != 2 || out.refs != 0 {
 		t.Fatalf("round trip mismatch: %+v", out)
 	}
-	if !bytes.Equal(out.Batch[1], []byte("bb")) {
-		t.Fatalf("batch entry mismatch: %q", out.Batch[1])
+	if e := out.Entries[1]; string(e.client) != "c" || e.seq != 2 || !bytes.Equal(e.op, []byte("bb")) {
+		t.Fatalf("batch entry mismatch: (%s, %d, %q)", e.client, e.seq, e.op)
 	}
 }
 
@@ -76,7 +76,7 @@ func TestStopDataRoundTrip(t *testing.T) {
 		LastDecided: 17,
 		Certs: []writeCert{
 			{Seq: 18, Regency: 1, Digest: cryptoutil.Hash([]byte("x")),
-				Batch: [][]byte{[]byte("op1")}},
+				Batch: []request{{ClientID: "c", Seq: 1, Op: []byte("op1")}}},
 			{Seq: 19, Regency: 0, Digest: cryptoutil.Hash([]byte("y"))},
 		},
 		Signature: []byte("sig"),
@@ -106,7 +106,7 @@ func TestSyncRoundTrip(t *testing.T) {
 	in := &syncMsg{
 		Regency: 4,
 		Decisions: []syncDecision{
-			{Seq: 20, HasCert: true, Batch: [][]byte{[]byte("op")}},
+			{Seq: 20, HasCert: true, Batch: []request{{ClientID: "c", Seq: 1, Op: []byte("op")}}},
 			{Seq: 21, HasCert: false},
 		},
 	}
@@ -135,7 +135,7 @@ func TestStateMessagesRoundTrip(t *testing.T) {
 		CheckpointSeq: 10,
 		Snapshot:      []byte("snap"),
 		Entries: []logEntryWire{
-			{Seq: 11, Batch: [][]byte{[]byte("a")}},
+			{Seq: 11, Batch: []request{{ClientID: "c", Seq: 1, Op: []byte("a")}}},
 			{Seq: 12, Batch: nil},
 		},
 	}
@@ -164,6 +164,56 @@ func TestBatchDigestProperties(t *testing.T) {
 	}
 }
 
+// A batch hashes as the encoding of its entries, whichever form it is given
+// in, and every message that carries a batch, and the decision log, encode
+// its requests as those entries: the digest a vote carries is the one over
+// what SYNC, state transfer and the decision log carry.
+func TestRequestBatchHashesAsItsEntries(t *testing.T) {
+	rng := rand.New(rand.NewSource(60))
+	for i := 0; i < 100; i++ {
+		reqs := make([]request, rng.Intn(20))
+		for j := range reqs {
+			id := make([]byte, rng.Intn(3)*rng.Intn(100)) // empty, short and beyond maxInlineClientID
+			rng.Read(id)
+			op := make([]byte, rng.Intn(300))
+			rng.Read(op)
+			reqs[j] = request{ClientID: string(id), Seq: rng.Uint64() >> uint(rng.Intn(64)), Op: op}
+		}
+		entries := make([][]byte, len(reqs))
+		for j := range reqs {
+			entries[j] = reqs[j].marshal()
+		}
+		decided := &Batch{reqs}
+		for j := range entries {
+			w := wire.NewWriter(0)
+			decided.PutEntry(w, j)
+			if decided.EntrySize(j) != len(entries[j]) || !bytes.Equal(w.Bytes(), entries[j]) {
+				t.Fatalf("case %d: the decision log gets entry %d as %x (size %d), want %x", i, j, w.Bytes(), decided.EntrySize(j), entries[j])
+			}
+		}
+		seq := rng.Int63() - rng.Int63()
+		if got, want := batchDigest(seq, reqs), batchDigest(seq, entries); got != want {
+			t.Fatalf("case %d: %d requests hash to %x, their entries to %x", i, len(reqs), got, want)
+		}
+		w := wire.NewWriter(0)
+		putBatch(w, reqs)
+		want := wire.NewWriter(0)
+		want.PutBytesSlice(entries)
+		if !bytes.Equal(w.Bytes(), want.Bytes()) {
+			t.Fatalf("case %d: the batch encodes as %x, its entries as %x", i, w.Bytes(), want.Bytes())
+		}
+		got, err := readBatch(wire.NewReader(w.Bytes()))
+		if err != nil || len(got) != len(reqs) {
+			t.Fatalf("case %d: the batch decodes to %d requests (%v), want %d", i, len(got), err, len(reqs))
+		}
+		for j := range reqs {
+			if got[j].ClientID != reqs[j].ClientID || got[j].Seq != reqs[j].Seq || !bytes.Equal(got[j].Op, reqs[j].Op) {
+				t.Fatalf("case %d: request %d decodes as %+v, want %+v", i, j, got[j], reqs[j])
+			}
+		}
+	}
+}
+
 func TestUnmarshalRejectsGarbage(t *testing.T) {
 	garbage := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 	if err := unmarshalPropose(garbage, new(proposeMsg)); err == nil {
@@ -189,14 +239,24 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 // benchBatch is a full PROPOSE of the paper's LAN experiment: n marshalled
 // requests with size-byte operations.
 func benchBatch(n, size int) [][]byte {
-	rng := rand.New(rand.NewSource(1))
+	reqs := benchRequests(n, size)
 	batch := make([][]byte, n)
 	for i := range batch {
-		op := make([]byte, size)
-		rng.Read(op)
-		batch[i] = (&request{ClientID: "frontend-0", Seq: uint64(i + 1), Op: op}).marshal()
+		batch[i] = reqs[i].marshal()
 	}
 	return batch
+}
+
+// benchRequests is benchBatch's requests.
+func benchRequests(n, size int) []request {
+	rng := rand.New(rand.NewSource(1))
+	reqs := make([]request, n)
+	for i := range reqs {
+		op := make([]byte, size)
+		rng.Read(op)
+		reqs[i] = request{ClientID: "frontend-0", Seq: uint64(i + 1), Op: op}
+	}
+	return reqs
 }
 
 // oldBatchDigest is the digest as it was computed before it streamed: the
@@ -240,7 +300,7 @@ func TestBatchDigestGolden(t *testing.T) {
 // allocates nothing.
 func TestHotPathAllocationBudgets(t *testing.T) {
 	for _, n := range []int{10, 400} {
-		batch := benchBatch(n, 300)
+		batch := benchRequests(n, 300)
 		if got := testing.AllocsPerRun(20, func() { batchDigest(7, batch) }); got > 2 {
 			t.Errorf("batchDigest of %d entries: %.0f allocations, want <= 2", n, got)
 		}
@@ -270,29 +330,33 @@ func TestHotPathAllocationBudgets(t *testing.T) {
 	}
 }
 
-// Decoded messages are views: the batch of a PROPOSE and the operation of a
-// request alias the payload they came in.
+// Decoded messages are views: the entries of a PROPOSE and the operations
+// of a batch alias the payload they came in.
 func TestDecodersReturnViews(t *testing.T) {
-	batch := benchBatch(3, 50)
+	batch := benchRequests(3, 50)
 	payload := (&proposeMsg{Regency: 1, Seq: 7, Batch: batch}).marshal()
 	pm := new(proposeMsg)
 	if err := unmarshalPropose(payload, pm); err != nil {
 		t.Fatal(err)
 	}
-	rq, err := unmarshalRequest(pm.Batch[2], nil)
+	end := &payload[len(payload)-1]
+	if op := pm.Entries[2].op; &op[len(op)-1] != end {
+		t.Fatal("the PROPOSE decoder copied what it could have aliased")
+	}
+	payload = (&syncMsg{Regency: 1, Decisions: []syncDecision{{Seq: 7, HasCert: true, Batch: batch}}}).marshal()
+	sy, err := unmarshalSync(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	end := &payload[len(payload)-1]
-	if &pm.Batch[2][len(pm.Batch[2])-1] != end || &rq.Op[len(rq.Op)-1] != end {
-		t.Fatal("a decoder copied what it could have aliased")
+	if op := sy.Decisions[0].Batch[2].Op; &op[len(op)-1] != &payload[len(payload)-1] {
+		t.Fatal("the SYNC decoder copied what it could have aliased")
 	}
 }
 
 var benchDigestSink cryptoutil.Digest
 
 func BenchmarkBatchDigest(b *testing.B) {
-	batch := benchBatch(400, 300)
+	batch := benchRequests(400, 300)
 	b.ReportAllocs()
 	b.SetBytes(int64(400 * 300))
 	for i := 0; i < b.N; i++ {
@@ -301,7 +365,7 @@ func BenchmarkBatchDigest(b *testing.B) {
 }
 
 func BenchmarkUnmarshalPropose(b *testing.B) {
-	payload := (&proposeMsg{Regency: 1, Seq: 7, Batch: benchBatch(400, 300)}).marshal()
+	payload := (&proposeMsg{Regency: 1, Seq: 7, Batch: benchRequests(400, 300)}).marshal()
 	b.ReportAllocs()
 	b.SetBytes(int64(len(payload)))
 	pm := new(proposeMsg)

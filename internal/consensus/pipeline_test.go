@@ -166,7 +166,7 @@ func (pr *proposalRecorder) watch(tc *testCluster, leader *Replica) {
 		pr.seen = append(pr.seen, proposal{
 			seq:     pm.Seq,
 			at:      leader.lastProposeAt,
-			size:    len(pm.Batch),
+			size:    len(pm.Entries),
 			open:    leader.openInstances(),
 			latency: time.Duration(leader.instanceLatency.Load()),
 			left:    leader.pooled,

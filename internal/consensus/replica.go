@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -204,17 +205,6 @@ func (t *tally) quorum(regency int32, qt *quorumTracker) (cryptoutil.Digest, boo
 	return cryptoutil.Digest{}, false
 }
 
-// batchStore is storage for one batch: its entries, which the instance
-// keeps until a checkpoint retires it, and the requests they decode to,
-// which are dead once the batch is executed and go back to the replica then
-// (see Replica.reqBufs). It holds views only (of request frames and PROPOSE
-// payloads), never bytes of its own, and is emptied before it is reused:
-// what it held no longer pins the frames those views are into.
-type batchStore struct {
-	entries [][]byte
-	reqs    []request
-}
-
 // emptied clears s and returns it with length 0 and its storage. Every
 // reused slice of views is emptied before it is refilled, so it holds zero
 // values past its length.
@@ -233,16 +223,16 @@ func sized[S ~[]E, E any](s S, n int) S {
 type instance struct {
 	seq     int64
 	regency int32 // regency of the registered proposal
-	// batch and reqs are the registered proposal's entries and the requests
-	// they were decoded to once, at registration (views of the entries);
-	// both are nil until a proposal registers, and reqs is nil again once
-	// the batch is executed (see deliver). Collected by the leader or resolved
-	// by a follower, they are held in store; registered from a SYNC, a
-	// state transfer or the decision log, batch is the message's and reqs a
-	// slice of their own.
-	batch        [][]byte
-	reqs         []request
-	store        batchStore // kept across seqs: see recycle
+	// reqs is the registered proposal's batch, nil until a proposal
+	// registers. Collected by the leader or resolved by a follower, it is
+	// held in store; registered from a SYNC, a state transfer or the
+	// decision log, it is decoded from the message or record.
+	reqs []request
+	// store is storage for the batch, kept across seqs (see recycle). Its
+	// operations are views (of request frames and PROPOSE payloads), never
+	// bytes of its own, and it is emptied before it is reused: what it held
+	// no longer pins the frames those views are into.
+	store        []request
 	digest       cryptoutil.Digest
 	haveProposal bool
 	writes       tally
@@ -278,14 +268,14 @@ type instance struct {
 // seq (see Replica.instance). It drops what keeps the batch alive and
 // nothing else: until it is reused it still reads as the decided instance
 // it was, for a caller further up the stack that holds it. The store's
-// views are cleared and its slices kept, for the proposal of the seq the
+// views are cleared and its storage kept, for the proposal of the seq the
 // instance serves next. A checkpoint retires an instance only once nothing
 // else holds views of its store: its decision-log entry is deleted first,
 // a parked PROPOSE is held as its own payload, and the entries an answer to
 // a fetch carried were encoded when it was sent.
 func (inst *instance) recycle() {
-	inst.store = batchStore{entries: emptied(inst.store.entries), reqs: emptied(inst.store.reqs)}
-	inst.batch, inst.reqs = nil, nil
+	inst.store = emptied(inst.store)
+	inst.reqs = nil
 	inst.parked, inst.answered = nil, nil
 }
 
@@ -301,16 +291,16 @@ func (inst *instance) reuse(seq int64) {
 // collected or resolved into: the instance's own, unless a proposal of an
 // earlier regency is registered there, which stays intact until the new one
 // replaces it. The new one then gets storage a checkpoint does not keep.
-func (inst *instance) proposalStore() *batchStore {
+func (inst *instance) proposalStore() *[]request {
 	if inst.haveProposal {
-		return new(batchStore)
+		return new([]request)
 	}
 	return &inst.store
 }
 
-// register makes batch, decoded as reqs, the instance's proposal of regency.
-func (inst *instance) register(regency int32, batch [][]byte, reqs []request, digest cryptoutil.Digest) {
-	inst.batch, inst.reqs, inst.digest = batch, reqs, digest
+// register makes reqs the instance's proposal of regency.
+func (inst *instance) register(regency int32, reqs []request, digest cryptoutil.Digest) {
+	inst.reqs, inst.digest = reqs, digest
 	inst.haveProposal, inst.regency = true, regency
 }
 
@@ -393,14 +383,11 @@ type Replica struct {
 	// next: what outlives the decode is resolved into its instance's
 	// storage.
 	prop *proposeMsg
-	// ops is the operations buffer execute hands the application, emptied
+	// ops is the operations buffer execute hands the application, and
+	// named the records of the clients its batch names; both are emptied
 	// after each call.
-	ops [][]byte
-	// reqBufs holds the emptied request buffers of executed instances, for
-	// the next batch to be collected or resolved into (see reqsOf). A
-	// buffer is made only when none is here, so there are about as many as
-	// instances were ever at once between registration and execution.
-	reqBufs      [][]request
+	ops          [][]byte
+	named        []*clientRecord
 	lastProposed int64
 	// lastDelivered is the one watermark: every instance up to it is
 	// decided, logged, executed and kept in decidedLog (until a checkpoint
@@ -430,7 +417,7 @@ type Replica struct {
 	lastProposeAt time.Time
 
 	// Decision log and checkpointing (Section 5.2).
-	decidedLog     map[int64][][]byte
+	decidedLog     map[int64][]request
 	checkpointSeq  int64
 	checkpointSnap []byte
 
@@ -446,6 +433,9 @@ type Replica struct {
 	// reported from the loop, once.
 	lastDecisionTok      DecisionToken
 	durableFailureLogged bool
+	// logged is the batch logDecision hands the backend: a field, so that
+	// handing it over allocates nothing.
+	logged Batch
 
 	// Synchronization phase (leader change).
 	syncInProgress bool
@@ -526,7 +516,7 @@ func NewReplica(cfg Config, app Application, conn transport.Conn, opts ...Option
 		lastProposed:  -1,
 		lastDelivered: -1,
 		clients:       make(map[string]*clientRecord),
-		decidedLog:    make(map[int64][][]byte),
+		decidedLog:    make(map[int64][]request),
 		checkpointSeq: -1,
 		durableSeq:    -1,
 		peerRegency:   make(map[ReplicaID]int32),
@@ -820,30 +810,28 @@ func (r *Replica) sendTo(id ReplicaID, msgType uint16, payload []byte) {
 
 // ---- Request handling ------------------------------------------------
 
-// onRequests pools the requests of one frame (see EncodeRequest), each as
-// a view of the frame: that view is the entry a PROPOSE names the request
-// by. The parked PROPOSEs are retried and the proposal rule runs once the
-// whole frame is pooled, so an idle leader's next PROPOSE carries all of it.
-// A malformed entry is skipped; a malformed frame ends the walk, and the
-// entries before the fault stay pooled. The client's record is looked up
-// once per run of its entries (a Client's frame is one run).
+// onRequests pools the requests of one frame (see EncodeRequest), each
+// operation as a view of the frame. The parked PROPOSEs are retried and the
+// proposal rule runs once the whole frame is pooled, so an idle leader's
+// next PROPOSE carries all of it. A malformed header pools nothing; a
+// malformed operation ends the walk, and the requests before it stay
+// pooled. The client's record is looked up once per frame.
 func (r *Replica) onRequests(frame []byte) {
 	rd := wire.NewReader(frame)
-	n := rd.Count(1)
+	id, first, n, err := readFrameHeader(rd)
+	if err != nil {
+		return
+	}
 	now, pooled := time.Now(), false
-	var rec *clientRecord
+	rec := r.clients[string(id)]
 	for i := 0; i < n; i++ {
-		raw := rd.Bytes()
+		op := rd.Bytes()
 		if rd.Err() != nil {
 			break
 		}
-		id, seq, op, err := parseRequest(raw)
-		if err != nil {
-			continue
-		}
-		rec = r.recordOf(rec, id)
-		if rec != nil && (rec.contains(seq) || rec.find(seq) != nil) {
-			continue // already executed, or a duplicate
+		seq := first + uint64(i)
+		if seq == 0 || rec != nil && (rec.contains(seq) || rec.find(seq) != nil) {
+			continue // already executed (0 is below every floor), or a duplicate
 		}
 		if r.pending >= maxPendingRequests {
 			r.statDropped.Add(1)
@@ -852,7 +840,7 @@ func (r *Replica) onRequests(frame []byte) {
 		if rec == nil {
 			rec = r.record(string(id))
 		}
-		r.pool(rec, pendingReq{req: request{ClientID: rec.client, Seq: seq, Op: op}, raw: raw, arrived: now})
+		r.pool(rec, pendingReq{req: request{ClientID: rec.client, Seq: seq, Op: op}, arrived: now})
 		pooled = true
 	}
 	if pooled {
@@ -959,7 +947,7 @@ func (r *Replica) completesUnit() bool {
 	if !ok {
 		return false
 	}
-	need := r.cutter.OpsToCut(len(inst.batch))
+	need := r.cutter.OpsToCut(len(inst.reqs))
 	return need > 0 && r.pooled >= need
 }
 
@@ -973,24 +961,23 @@ func (r *Replica) maybePropose(now time.Time) {
 	// which every replica drops as stale, stranding its batch in flight.
 	seq := max(r.lastProposed, r.lastDelivered) + 1
 	inst := r.instance(seq)
-	batch, reqs := r.collectBatch(inst.proposalStore())
+	reqs := r.collectBatch(inst.proposalStore())
 	r.lastProposed = seq
 	r.lastProposeAt = now
 	inst.proposedAt = now
 	r.publishWindow()
-	r.propose(seq, batch, reqs)
+	r.propose(seq, reqs)
 }
 
 // collectBatch takes up to BatchSize pooled requests, in arrival order,
-// into a proposal (marking them in flight), as batch entries and as the
-// requests those were decoded into, both held in into. It also compacts
+// into a proposal held in into (marking them in flight). It also compacts
 // the arrival queue.
-func (r *Replica) collectBatch(into *batchStore) ([][]byte, []request) {
+func (r *Replica) collectBatch(into *[]request) []request {
 	size := r.pooled
 	if size > r.cfg.BatchSize {
 		size = r.cfg.BatchSize
 	}
-	batch, reqs := slices.Grow(emptied(into.entries), size), slices.Grow(emptied(r.reqsOf(into)), size)
+	reqs := slices.Grow(emptied(*into), size)
 	compacted := r.queue[:0]
 	for _, q := range r.queue {
 		p := q.find()
@@ -998,43 +985,35 @@ func (r *Replica) collectBatch(into *batchStore) ([][]byte, []request) {
 			continue // executed or dropped
 		}
 		compacted = append(compacted, q)
-		if !p.inFlight && len(batch) < size {
+		if !p.inFlight && len(reqs) < size {
 			p.inFlight = true
-			batch = append(batch, p.raw)
 			reqs = append(reqs, p.req)
 		}
 	}
 	clear(r.queue[len(compacted):])
 	r.queue = compacted
-	r.pooled -= len(batch)
-	into.entries, into.reqs = batch, reqs
-	return batch, reqs
+	r.pooled -= len(reqs)
+	*into = reqs
+	return reqs
 }
 
-func (r *Replica) propose(seq int64, batch [][]byte, reqs []request) {
+func (r *Replica) propose(seq int64, reqs []request) {
 	b := r.behavior.Load()
 	if b.CorruptPropose {
-		garbage := make([][]byte, len(batch))
-		for i := range garbage {
-			garbage[i] = []byte{0xde, 0xad}
-		}
-		batch, reqs = garbage, nil
+		// Entries that are not requests: every replica refuses the
+		// PROPOSE at decode, the leader's own copy included.
+		r.multicast(msgPropose, corruptPropose(r.regency, seq, len(reqs)))
+		return
 	}
-	// Every entry the leader holds a request for travels as a reference
-	// (reqs); corrupt entries have none, so they travel inline.
-	pm := &proposeMsg{Regency: r.regency, Seq: seq, Digest: batchDigest(seq, batch), Batch: batch}
+	pm := &proposeMsg{Regency: r.regency, Seq: seq, Digest: batchDigest(seq, reqs), Batch: reqs}
 	if b.Equivocate {
 		// Split the other replicas between two conflicting batches so
 		// that neither digest can reach a WRITE quorum (the leader's own
 		// vote plus a minority is below ceil((n+f+1)/2)): honest replicas
 		// time out and run the synchronization phase.
-		half := len(batch) / 2
-		alt := &proposeMsg{Regency: r.regency, Seq: seq, Digest: batchDigest(seq, batch[:half]), Batch: batch[:half]}
-		altReqs := reqs
-		if reqs != nil {
-			altReqs = reqs[:half]
-		}
-		payload, altPayload := pm.marshalRefs(reqs), alt.marshalRefs(altReqs)
+		half := len(reqs) / 2
+		alt := &proposeMsg{Regency: r.regency, Seq: seq, Digest: batchDigest(seq, reqs[:half]), Batch: reqs[:half]}
+		payload, altPayload := pm.marshalRefs(), alt.marshalRefs()
 		sent := 0
 		for _, id := range r.membership {
 			if id == r.cfg.SelfID {
@@ -1048,10 +1027,25 @@ func (r *Replica) propose(seq int64, batch [][]byte, reqs []request) {
 			r.conn.Send(r.addrs[id], msgPropose, p)
 		}
 	} else {
-		r.multicast(msgPropose, pm.marshalRefs(reqs))
+		// Every request travels as a reference: the followers pooled it too.
+		r.multicast(msgPropose, pm.marshalRefs())
 	}
 	// The leader's own copy skips the wire: it is the pooled requests.
 	r.onPropose(r.cfg.SelfID, pm, reqs)
+}
+
+// corruptPropose is a PROPOSE of n inline entries that are not requests.
+func corruptPropose(regency int32, seq int64, n int) []byte {
+	w := wire.NewWriter(4 + 8 + cryptoutil.DigestSize + binary.MaxVarintLen64 + 4*n)
+	w.PutInt32(regency)
+	w.PutInt64(seq)
+	w.PutRaw(make([]byte, cryptoutil.DigestSize))
+	w.PutUvarint(uint64(n))
+	for i := 0; i < n; i++ {
+		w.PutByte(entryInline)
+		w.PutBytes([]byte{0xde, 0xad})
+	}
+	return w.Bytes()
 }
 
 // ---- Normal-case consensus -------------------------------------------
@@ -1087,11 +1081,11 @@ func (r *Replica) admitPropose(from ReplicaID, regency int32, seq int64) bool {
 	return seq <= r.lastDelivered+instanceWindow
 }
 
-// onPropose handles a PROPOSE. reqs is m.Batch decoded when the caller has
-// that: the leader's own PROPOSE, whose Digest it computed. Otherwise the
-// entries are resolved from the pool into the instance's storage (see
-// resolve), and a PROPOSE that cannot be resolved yet is parked on its
-// instance (see unresolved).
+// onPropose handles a PROPOSE. reqs is m's batch when the caller has that:
+// the leader's own PROPOSE, whose Digest it computed. Otherwise the entries
+// are resolved from the pool into the instance's storage (see resolve), and
+// a PROPOSE that cannot be resolved yet is parked on its instance (see
+// unresolved).
 func (r *Replica) onPropose(from ReplicaID, m *proposeMsg, reqs []request) {
 	if !r.admitPropose(from, m.Regency, m.Seq) {
 		return
@@ -1100,7 +1094,7 @@ func (r *Replica) onPropose(from ReplicaID, m *proposeMsg, reqs []request) {
 	if inst.haveProposal && inst.regency == m.Regency {
 		return // first proposal wins within a regency (equivocation defense)
 	}
-	batch, digest := m.Batch, m.Digest
+	digest := m.Digest
 	if reqs == nil {
 		into := inst.proposalStore()
 		var st resolution
@@ -1108,15 +1102,14 @@ func (r *Replica) onPropose(from ReplicaID, m *proposeMsg, reqs []request) {
 			r.unresolved(inst, m, st)
 			return
 		}
-		batch, reqs = into.entries, into.reqs
+		reqs = *into
 		inst.parked = nil
 	}
-	reqs, ok := r.validateBatch(batch, reqs)
-	if !ok {
+	if !r.validateBatch(reqs) {
 		return // malformed proposal: refuse to WRITE; timeout handles the leader
 	}
 	if inst.decided {
-		r.adoptParked(inst, m.Regency, batch, reqs, digest)
+		r.adoptParked(inst, m.Regency, reqs, digest)
 		return
 	}
 	if inst.haveProposal && inst.regency != m.Regency {
@@ -1125,7 +1118,7 @@ func (r *Replica) onPropose(from ReplicaID, m *proposeMsg, reqs []request) {
 		inst.writeSent = false
 		inst.acceptSent = false
 	}
-	inst.register(m.Regency, batch, reqs, digest)
+	inst.register(m.Regency, reqs, digest)
 
 	if !inst.writeSent {
 		inst.writeSent = true
@@ -1138,7 +1131,7 @@ func (r *Replica) onPropose(from ReplicaID, m *proposeMsg, reqs []request) {
 // adoptParked registers the proposal of an instance its peers decided while
 // the proposal waited here for its requests, and delivers it, if it is the
 // decided value. If it is not, only the peers have the decided batch.
-func (r *Replica) adoptParked(inst *instance, regency int32, batch [][]byte, reqs []request, digest cryptoutil.Digest) {
+func (r *Replica) adoptParked(inst *instance, regency int32, reqs []request, digest cryptoutil.Digest) {
 	if inst.haveProposal {
 		return
 	}
@@ -1146,7 +1139,7 @@ func (r *Replica) adoptParked(inst *instance, regency int32, batch [][]byte, req
 		r.requestStateTransfer()
 		return
 	}
-	inst.register(regency, batch, reqs, digest)
+	inst.register(regency, reqs, digest)
 	r.deliverContiguous()
 	r.maybePropose(time.Now())
 }
@@ -1156,80 +1149,68 @@ type resolution int
 
 const (
 	resolved    resolution = iota
-	malformed              // an inline entry is not a request: the PROPOSE is refused
 	missing                // a referenced request is not pooled here (yet)
 	conflicting            // the references resolved, but not to the leader's batch
 )
 
-// resolve completes a received PROPOSE's batch into the storage into, as
-// into.entries and the requests they decode to, into.reqs: a reference
-// becomes the entry this replica pooled for the request, and the request
-// decoded at pool time is reused; an inline entry is decoded. m is only
-// read. It returns the batch's digest. Resolved references must hash to the
-// leader's digest, or the client sent one (client, seq) with different
-// operations to the leader and to this replica. A batch sent inline is its
-// own evidence: the replica votes for the digest of what it received, as
-// ever.
-func (r *Replica) resolve(m *proposeMsg, into *batchStore) (cryptoutil.Digest, resolution) {
-	batch, reqs := sized(into.entries, len(m.Batch)), sized(r.reqsOf(into), len(m.Batch))
-	into.entries, into.reqs = batch, reqs
+// resolve completes a received PROPOSE's batch into the storage into: a
+// reference becomes the request this replica pooled, and an inline entry
+// the request it carries, its client id the one this replica's record of
+// the client holds. m is only read. It returns the batch's digest.
+// Resolved references must hash to the leader's digest, or the client sent
+// one (client, seq) with different operations to the leader and to this
+// replica. A batch sent inline is its own evidence: the replica votes for
+// the digest of what it received, as ever.
+func (r *Replica) resolve(m *proposeMsg, into *[]request) (cryptoutil.Digest, resolution) {
+	reqs := sized(*into, len(m.Entries))
+	*into = reqs
 	var rec *clientRecord
-	for i := range m.Batch {
-		if m.isRef(i) {
-			p := r.findRef(&rec, m.Refs[i])
+	for i := range m.Entries {
+		if e := &m.Entries[i]; e.ref {
+			p := r.findRef(&rec, e.client, e.seq)
 			if p == nil {
 				return cryptoutil.Digest{}, missing
 			}
-			batch[i], reqs[i] = p.raw, p.req
+			reqs[i] = p.req
 		}
 	}
-	for i, entry := range m.Batch {
-		if m.isRef(i) {
+	for i := range m.Entries {
+		e := &m.Entries[i]
+		if e.ref {
 			continue
 		}
-		rq, err := unmarshalRequest(entry, r.clients)
-		if err != nil {
-			return cryptoutil.Digest{}, malformed
+		reqs[i] = request{Seq: e.seq, Op: e.op}
+		if rec = r.recordOf(rec, e.client); rec != nil {
+			reqs[i].ClientID = rec.client
+		} else {
+			reqs[i].ClientID = string(e.client)
 		}
-		batch[i], reqs[i] = entry, rq
 	}
-	digest := batchDigest(m.Seq, batch)
-	if len(m.Refs) > 0 && digest != m.Digest {
+	digest := batchDigest(m.Seq, reqs)
+	if m.refs > 0 && digest != m.Digest {
 		return digest, conflicting
 	}
 	return digest, resolved
 }
 
-// reqsOf returns the request buffer of into, taking one an executed
-// instance gave back when into has none.
-func (r *Replica) reqsOf(into *batchStore) []request {
-	if n := len(r.reqBufs); cap(into.reqs) == 0 && n > 0 {
-		into.reqs, r.reqBufs[n-1] = r.reqBufs[n-1], nil
-		r.reqBufs = r.reqBufs[:n-1]
-	}
-	return into.reqs
-}
-
-// findRef returns the pooled request a reference names, or nil; *rec is the
-// record of the previous reference's client, and becomes this one's.
-func (r *Replica) findRef(rec **clientRecord, ref requestRef) *pendingReq {
-	if *rec = r.recordOf(*rec, ref.client); *rec == nil {
+// findRef returns the pooled request seq of the client id names, or nil;
+// *rec is the record of the previous reference's client, and becomes this
+// one's.
+func (r *Replica) findRef(rec **clientRecord, client []byte, seq uint64) *pendingReq {
+	if *rec = r.recordOf(*rec, client); *rec == nil {
 		return nil
 	}
-	return (*rec).find(ref.seq)
+	return (*rec).find(seq)
 }
 
-// unresolved handles a PROPOSE that resolve could not complete. A malformed
-// one is refused. Any other is parked on its instance (the first one; a
-// follower keeps it while waiting) and retried whenever a request frame is
-// pooled: the client sent this replica the same frame as the leader, so the
-// requests it names are usually just behind it. One still parked a full
-// tick after it arrived is fetched from the leader (askParked); one that
-// resolved to other operations than the leader's is fetched at once.
+// unresolved handles a PROPOSE that resolve could not complete: it is
+// parked on its instance (the first one; a follower keeps it while
+// waiting) and retried whenever a request frame is pooled: the client sent
+// this replica the same frame as the leader, so the requests it names are
+// usually just behind it. One still parked a full tick after it arrived is
+// fetched from the leader (askParked); one that resolved to other
+// operations than the leader's is fetched at once.
 func (r *Replica) unresolved(inst *instance, m *proposeMsg, st resolution) {
-	if st == malformed {
-		return
-	}
 	if inst.parked == nil {
 		inst.parked, inst.parkedAt = m.payload, time.Now()
 		r.parked = append(r.parked, inst.seq)
@@ -1322,60 +1303,50 @@ func (r *Replica) onProposeFetch(from ReplicaID, m proposeFetchMsg) {
 		return
 	}
 	inst, ok := r.instances[m.Seq]
-	if !ok || !inst.haveProposal || inst.regency != m.Regency || len(inst.batch) == 0 ||
+	if !ok || !inst.haveProposal || inst.regency != m.Regency || len(inst.reqs) == 0 ||
 		slices.Contains(inst.answered, from) {
 		return
 	}
 	inst.answered = append(inst.answered, from)
-	pm := &proposeMsg{Regency: m.Regency, Seq: m.Seq, Digest: inst.digest, Batch: inst.batch}
+	pm := &proposeMsg{Regency: m.Regency, Seq: m.Seq, Digest: inst.digest, Batch: inst.reqs}
 	r.sendTo(from, msgPropose, pm.marshal())
 }
 
-// validateBatch vets a proposed batch and returns it decoded (reqs itself
-// when the leader already holds that). This is the one decode of a batch on
-// a replica: the result rides on the instance to execute.
-func (r *Replica) validateBatch(batch [][]byte, reqs []request) ([]request, bool) {
-	ok := len(batch) <= r.cfg.BatchSize
-	if ok && reqs == nil {
-		reqs, ok = r.decodeBatch(batch)
-	}
-	if !ok {
-		return nil, false
+// validateBatch vets a proposed batch.
+func (r *Replica) validateBatch(reqs []request) bool {
+	if len(reqs) > r.cfg.BatchSize {
+		return false
 	}
 	if r.cfg.ValidateRequest != nil {
 		for i := range reqs {
 			if err := r.cfg.ValidateRequest(reqs[i].Op); err != nil {
-				return nil, false
+				return false
 			}
 		}
 	}
-	return reqs, true
+	return true
 }
 
-// decodeBatch decodes the entries of a batch as views of them; ok is false
-// if any entry is malformed (those are left out).
-func (r *Replica) decodeBatch(batch [][]byte) (reqs []request, ok bool) {
-	reqs, ok = make([]request, 0, len(batch)), true
+// decodeEntries decodes encoded batch entries as views of them, leaving
+// out any that is malformed.
+func (r *Replica) decodeEntries(batch [][]byte) []request {
+	reqs := make([]request, 0, len(batch))
 	for _, entry := range batch {
-		rq, err := unmarshalRequest(entry, r.clients)
-		if err != nil {
-			ok = false
-			continue
+		if rq, err := unmarshalRequest(entry, r.clients); err == nil {
+			reqs = append(reqs, rq)
 		}
-		reqs = append(reqs, rq)
 	}
-	return reqs, ok
+	return reqs
 }
 
 // adoptDecided registers a batch that reached this replica already decided
 // (state transfer, decision-log replay) on its instance.
-func (r *Replica) adoptDecided(inst *instance, batch [][]byte) {
+func (r *Replica) adoptDecided(inst *instance, reqs []request) {
 	if !inst.decided {
 		r.statDecided.Add(1)
 	}
-	reqs, _ := r.decodeBatch(batch) // decided, hence validated by a quorum
 	inst.parked = nil
-	inst.register(inst.regency, batch, reqs, batchDigest(inst.seq, batch))
+	inst.register(inst.regency, reqs, batchDigest(inst.seq, reqs))
 	inst.decided = true
 	inst.decidedDigest = inst.digest
 }
@@ -1494,21 +1465,12 @@ func (r *Replica) deliverContiguous() {
 
 // deliver executes inst, the decided instance right above the watermark,
 // and moves the watermark over it. The batch stays in decidedLog, for state
-// transfer and leader changes, until a checkpoint covers it, and the dedup
-// floors compact: nothing executed is ever undone. The requests the batch
-// decoded to are not needed again: their buffer goes back to the replica.
+// transfer and leader changes, until a checkpoint covers it.
 func (r *Replica) deliver(inst *instance) {
 	r.execute(inst)
-	if cap(inst.store.reqs) > 0 {
-		r.reqBufs = append(r.reqBufs, emptied(inst.store.reqs))
-	}
-	inst.reqs, inst.store.reqs = nil, nil
-	r.decidedLog[inst.seq] = inst.batch
+	r.decidedLog[inst.seq] = inst.reqs
 	r.lastDelivered = inst.seq
 	r.statDelivered.Store(inst.seq)
-	for _, c := range r.clients {
-		c.compact()
-	}
 }
 
 // leftWindow accounts for a delivered instance at the leader that proposed
@@ -1527,11 +1489,14 @@ func (r *Replica) leftWindow(inst *instance) {
 }
 
 // execute delivers one instance's batch to the application, with
-// deduplication.
+// deduplication. The dedup floors of the clients the batch names compact
+// afterwards: nothing executed is ever undone, and a client the batch does
+// not name has nothing new to compact. Every replica executes the same
+// batches, so every replica compacts alike and checkpoints stay identical.
 func (r *Replica) execute(inst *instance) {
 	// Write-ahead: the decision must be on disk before its effects (sealed
 	// blocks, dissemination) become visible.
-	r.logDecision(inst.seq, inst.batch)
+	r.logDecision(inst.seq, inst.reqs)
 	ops := r.ops
 	var rec *clientRecord
 	for i := range inst.reqs {
@@ -1539,6 +1504,10 @@ func (r *Replica) execute(inst *instance) {
 		if rec == nil || rec.client != rq.ClientID {
 			rec = r.record(rq.ClientID)
 			rec.replicated = true
+			if !rec.named {
+				rec.named = true
+				r.named = append(r.named, rec)
+			}
 		}
 		r.unpool(rec, rq.Seq)
 		if rec.contains(rq.Seq) {
@@ -1554,6 +1523,11 @@ func (r *Replica) execute(inst *instance) {
 	r.app.Execute(inst.seq, ops)
 	r.statOps.Add(uint64(len(ops)))
 	r.ops = emptied(ops)
+	for _, c := range r.named {
+		c.named = false
+		c.compact()
+	}
+	r.named = emptied(r.named)
 }
 
 // checkpointAt snapshots the application at seq and truncates the decision

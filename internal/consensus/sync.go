@@ -165,7 +165,7 @@ func (r *Replica) openCerts() []writeCert {
 			Digest:  inst.certDigest,
 		}
 		if inst.haveProposal && inst.digest == inst.certDigest {
-			cert.Batch = inst.batch
+			cert.Batch = inst.reqs
 		}
 		certs = append(certs, cert)
 	}
@@ -315,11 +315,10 @@ func (r *Replica) onSync(from ReplicaID, m *syncMsg) {
 		if inst.decided {
 			continue
 		}
-		reqs, ok := r.validateBatch(d.Batch, nil)
-		if !ok {
-			continue // malformed sync value; escalation will follow
+		if !r.validateBatch(d.Batch) {
+			continue // invalid sync value; escalation will follow
 		}
-		inst.register(m.Regency, d.Batch, reqs, batchDigest(d.Seq, d.Batch))
+		inst.register(m.Regency, d.Batch, batchDigest(d.Seq, d.Batch))
 		inst.writeSent = true
 		inst.acceptSent = false
 		vm := &voteMsg{Regency: r.regency, Seq: d.Seq, Digest: inst.digest}

@@ -26,8 +26,7 @@ const _ = uint(windowCap - maxPendingRequests) // windowCap >= maxPendingRequest
 // pendingReq is a client request waiting to be ordered, held by value in a
 // slot of its client's window (or, rarely, in the client's spill map).
 type pendingReq struct {
-	req      request
-	raw      []byte // marshalled request (batch entry): a view of the received frame
+	req      request // Op is a view of the frame the request arrived in
 	arrived  time.Time
 	inFlight bool // included in an open proposal
 	live     bool // the slot holds a request
@@ -41,6 +40,9 @@ type clientRecord struct {
 	// an installed checkpoint lists the client. Only these records go into a
 	// checkpoint (wrapSnapshot).
 	replicated bool
+	// named is set while the batch being executed names the client, until
+	// its dedup state is compacted (see Replica.execute).
+	named bool
 	// window holds the pooled requests, the one of seq in slot seq mod
 	// len(window) (a power of two, or 0 before the first). A request whose
 	// slot another request holds waits in spill instead.
@@ -177,8 +179,8 @@ func (r *Replica) record(id string) *clientRecord {
 }
 
 // recordOf returns the record of the client id names, reusing last when it
-// is that client's (a frame, and a run of a batch, is one client's), or nil
-// if the replica has none.
+// is that client's (a run of a batch is one client's), or nil if the
+// replica has none.
 func (r *Replica) recordOf(last *clientRecord, id []byte) *clientRecord {
 	if last != nil && last.client == string(id) {
 		return last

@@ -1,7 +1,6 @@
 package consensus
 
 import (
-	"bytes"
 	"fmt"
 	"math/bits"
 	"testing"
@@ -222,12 +221,14 @@ func TestWindowsStayProportionalToPool(t *testing.T) {
 		t.Fatalf("new replica: %v", err)
 	}
 	seqs := []uint64{7, 7 + 1<<40}
-	frames := make([][]byte, clients)
+	frames := make([][][]byte, clients) // two each: a frame is a run of consecutive sequences
 	for i := range frames {
-		frames[i], _ = encodeRequestFrame(fmt.Sprintf("client-%d", i), []queuedRequest{
+		frames[i] = requestFrames(fmt.Sprintf("client-%d", i), []queuedRequest{
 			{seq: seqs[0], op: []byte("first")}, {seq: seqs[1], op: []byte("second")},
 		})
-		r.onRequests(frames[i])
+		for _, frame := range frames[i] {
+			r.onRequests(frame)
+		}
 		if pooled := 2 * (i + 1); r.pending != pooled || windowSlots(r) > 4*pooled {
 			t.Fatalf("after %d clients: %d requests pooled in %d window slots, want %d in at most %d",
 				i+1, r.pending, windowSlots(r), pooled, 4*pooled)
@@ -238,7 +239,9 @@ func TestWindowsStayProportionalToPool(t *testing.T) {
 		r.execute(&instance{seq: int64(i), decided: true, reqs: []request{
 			{ClientID: id, Seq: seqs[0], Op: []byte("first")}, {ClientID: id, Seq: seqs[1], Op: []byte("second")},
 		}})
-		r.onRequests(frames[i]) // a duplicate: both already executed
+		for _, frame := range frames[i] {
+			r.onRequests(frame) // a duplicate: both already executed
+		}
 	}
 	if ops := r.app.(*countApp).ops; ops != 2*clients || r.pending != 0 || r.pooled != 0 {
 		t.Fatalf("executed %d operations of %d, %d left pooled (%d counted)", ops, 2*clients, r.pending, r.pooled)
@@ -249,6 +252,18 @@ func TestWindowsStayProportionalToPool(t *testing.T) {
 			t.Fatalf("client %d: executed %v/%v, spill %v", i, c.contains(seqs[0]), c.contains(seqs[1]), c.spill)
 		}
 	}
+}
+
+// requestFrames encodes reqs as the frames a Client sends them in, one per
+// run of consecutive sequence numbers.
+func requestFrames(client string, reqs []queuedRequest) [][]byte {
+	var frames [][]byte
+	for len(reqs) > 0 {
+		frame, n := encodeRequestFrame(client, reqs)
+		frames = append(frames, frame)
+		reqs = reqs[n:]
+	}
+	return frames
 }
 
 // windowKey names a request of FuzzClientWindow: a client index and a seq.
@@ -357,8 +372,9 @@ func FuzzClientWindow(f *testing.F) {
 				for j := range reqs {
 					reqs[j] = queuedRequest{seq: windowSeq(start + byte(j)), op: []byte{start + byte(j)}}
 				}
-				frame, _ := encodeRequestFrame(windowClients[c], reqs)
-				r.onRequests(frame)
+				for _, frame := range requestFrames(windowClients[c], reqs) {
+					r.onRequests(frame)
+				}
 				for _, rq := range reqs {
 					k := windowKey{client: c, seq: rq.seq}
 					if !m.exec[k] && !contains(k) && m.pooledAt(k) < 0 {
@@ -366,7 +382,7 @@ func FuzzClientWindow(f *testing.F) {
 					}
 				}
 			case 2: // the next batch
-				_, reqs := r.collectBatch(new(batchStore))
+				reqs := r.collectBatch(new([]request))
 				var want []windowKey
 				for _, k := range m.pool {
 					if !m.flight[k] && len(want) < 4 {
@@ -431,9 +447,10 @@ func checkWindowModel(t *testing.T, step int, r *Replica, m *windowModel, contai
 			if want := m.pooledAt(k) >= 0; (p != nil) != want {
 				t.Fatalf("step %d: (%s, %d) pooled %v, the model says %v", step, windowClients[c], k.seq, p != nil, want)
 			}
-			if p != nil && (p.inFlight != m.flight[k] || !bytes.Equal(p.raw, p.req.marshal())) {
-				t.Fatalf("step %d: (%s, %d) in flight %v (model %v), entry %x", step, windowClients[c], k.seq,
-					p.inFlight, m.flight[k], p.raw)
+			if p != nil && (p.inFlight != m.flight[k] || p.req.ClientID != windowClients[c] || p.req.Seq != k.seq ||
+				windowSeq(p.req.Op[0]) != k.seq) {
+				t.Fatalf("step %d: (%s, %d) in flight %v (model %v), pooled as (%s, %d, %x)", step, windowClients[c], k.seq,
+					p.inFlight, m.flight[k], p.req.ClientID, p.req.Seq, p.req.Op)
 			}
 		}
 	}

@@ -138,8 +138,8 @@ var _ consensus.Durability = (*pipeline)(nil)
 
 // AppendDecision enqueues the decision on the node's commit log and keeps
 // its token as the dissemination gate of every block it seals.
-func (p *pipeline) AppendDecision(seq int64, batch [][]byte) consensus.DecisionToken {
-	p.gate = p.n.storage.AppendDecisionAsync(seq, batch)
+func (p *pipeline) AppendDecision(seq int64, batch *consensus.Batch) consensus.DecisionToken {
+	p.gate = p.n.storage.AppendBatchAsync(seq, batch)
 	return p.gate
 }
 

@@ -85,7 +85,7 @@ type seqIdx struct {
 // Decision records are the write-ahead half: a batch is fsynced before
 // its effects become externally visible, so on restart the node replays
 // checkpoint + log and arrives at exactly the state it had durably
-// reached. Decisions may be enqueued asynchronously (AppendDecisionAsync):
+// reached. Decisions may be enqueued asynchronously (AppendBatchAsync):
 // the caller keeps running and gates visible effects on the returned
 // durability token instead of blocking on the fsync. Because every record
 // kind shares one physical log, a commit wave — the decisions and blocks
@@ -302,23 +302,48 @@ func (s *NodeStorage) decisionFloor() uint64 {
 	return s.decPos[0].idx
 }
 
+// DecisionBatch is a decided batch as its owner holds it: Len entries, each
+// of which it writes into the decision record itself, so that the log
+// copies each entry once and the owner need not encode the batch first.
+type DecisionBatch interface {
+	Len() int
+	// EntrySize is the exact length of entry i.
+	EntrySize(i int) int
+	// PutEntry writes entry i into w.
+	PutEntry(w *wire.Writer, i int)
+}
+
+// entries is a DecisionBatch of encoded entries.
+type entries [][]byte
+
+func (e entries) Len() int                       { return len(e) }
+func (e entries) EntrySize(i int) int            { return len(e[i]) }
+func (e entries) PutEntry(w *wire.Writer, i int) { w.PutRaw(e[i]) }
+
 // AppendDecision durably logs one decided batch, blocking until the
 // record is fsynced. Sequences must arrive in order without gaps.
 func (s *NodeStorage) AppendDecision(seq int64, batch [][]byte) error {
 	return s.AppendDecisionAsync(seq, batch).Wait()
 }
 
-// AppendDecisionAsync enqueues one decided batch on the commit log, lazily,
-// and returns its durability token. The consensus event loop keeps
-// executing; the node flushes the token when the decision seals a block
-// and its send drain gates dissemination on it (the log is FIFO, so the
-// newest decision's token covers every earlier one): nothing leaves the
-// node before its decision is on disk, and a decision that seals nothing
-// rides the next wave. Sequences must
-// arrive in order without gaps; a duplicate returns the newest enqueued
-// decision's token (the log is FIFO, so its completion implies the
-// duplicate's record is durable too).
+// AppendDecisionAsync is AppendBatchAsync of encoded entries.
 func (s *NodeStorage) AppendDecisionAsync(seq int64, batch [][]byte) *Token {
+	return s.AppendBatchAsync(seq, entries(batch))
+}
+
+// AppendBatchAsync enqueues one decided batch on the commit log, lazily,
+// and returns its durability token. The record is the kind tag, the seq,
+// and the batch's entries as PutBytesSlice writes them, each entry written
+// by the batch straight into the pooled record buffer. The consensus event
+// loop keeps executing; the node flushes the token when the decision seals
+// a block and its send drain gates dissemination on it (the log is FIFO,
+// so the newest decision's token covers every earlier one): nothing leaves
+// the node before its decision is on disk, and a decision that seals
+// nothing rides the next wave. Sequences must arrive in order without
+// gaps; a duplicate returns the newest enqueued decision's token (the log
+// is FIFO, so its completion implies the duplicate's record is durable
+// too).
+func (s *NodeStorage) AppendBatchAsync(seq int64, batch DecisionBatch) *Token {
 	s.mu.Lock()
 	if s.enqSeq >= 0 && seq <= s.enqSeq {
 		tok := s.lastTok
@@ -330,14 +355,19 @@ func (s *NodeStorage) AppendDecisionAsync(seq int64, batch [][]byte) *Token {
 	}
 	s.mu.Unlock()
 
-	size := 17
-	for _, op := range batch {
-		size += len(op) + 8
+	n := batch.Len()
+	size := 1 + 8 + wire.UvarintSize(uint64(n))
+	for i := 0; i < n; i++ {
+		size += wire.BytesSize(batch.EntrySize(i))
 	}
 	w := wire.GetWriter(size)
 	w.PutByte(recDecision)
 	w.PutInt64(seq)
-	w.PutBytesSlice(batch)
+	w.PutUvarint(uint64(n))
+	for i := 0; i < n; i++ {
+		w.PutUvarint(uint64(batch.EntrySize(i)))
+		batch.PutEntry(w, i)
+	}
 	tok, _, err := s.wal.enqueue(w.Bytes(), w, "")
 	if err != nil {
 		wire.PutWriter(w)

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -902,5 +903,104 @@ func TestReplayedRecordsSurviveTheirInput(t *testing.T) {
 	}
 	if env := view.Envelopes[1]; &env[len(env)-1] != &rec[len(rec)-2] {
 		t.Fatal("decodeBlockRecord copied the record")
+	}
+}
+
+// goldenDecisionRecord is the decision record of seq 2^40+3 and
+// goldenRequests as the log wrote it when a batch reached it as encoded
+// entries. Recovery replays these bytes into the consensus layer, whose
+// batch digest is over the same entries, so the record must not change
+// with the form the batch reaches the log in.
+const goldenDecisionRecord = "" +
+	"010000010000000003041d0966652d636c69656e7440000000000000050a656e76656c6f70652d61" +
+	"130966652d636c69656e744000000000000006000f0000000000000000070500ff206f701c08636c" +
+	"69656e742d6200000000000000010a656e76656c6f70652d62"
+
+// goldenRequest is a request as the consensus layer's batches hold it: a
+// DecisionBatch entry is PutString(client), PutUint64(seq), PutBytes(op).
+type goldenRequest struct {
+	client string
+	seq    uint64
+	op     string
+}
+
+var goldenRequests = goldenBatch{
+	{"fe-client", 1<<62 + 5, "envelope-a"}, {"fe-client", 1<<62 + 6, ""}, {"", 7, "\x00\xff op"}, {"client-b", 1, "envelope-b"},
+}
+
+// goldenBatch is a DecisionBatch that writes its requests' fields.
+type goldenBatch []goldenRequest
+
+func (b goldenBatch) Len() int { return len(b) }
+func (b goldenBatch) EntrySize(i int) int {
+	return wire.BytesSize(len(b[i].client)) + 8 + wire.BytesSize(len(b[i].op))
+}
+func (b goldenBatch) PutEntry(w *wire.Writer, i int) {
+	w.PutString(b[i].client)
+	w.PutUint64(b[i].seq)
+	w.PutBytes([]byte(b[i].op))
+}
+
+// entries is b as encoded entries.
+func (b goldenBatch) entries() [][]byte {
+	out := make([][]byte, len(b))
+	for i := range b {
+		w := wire.NewWriter(b.EntrySize(i))
+		b.PutEntry(w, i)
+		out[i] = w.Bytes()
+	}
+	return out
+}
+
+// A decision record holds the same bytes whether the batch reaches the log
+// as encoded entries or as a DecisionBatch that writes its own entries, and
+// replays as those entries.
+func TestDecisionRecordBytesAreGolden(t *testing.T) {
+	const seq = 1<<40 + 3
+	for name, appendTo := range map[string]func(*NodeStorage) error{
+		"entries": func(s *NodeStorage) error { return s.AppendDecision(seq, goldenRequests.entries()) },
+		"batch":   func(s *NodeStorage) error { return s.AppendBatchAsync(seq, goldenRequests).Wait() },
+	} {
+		dir := t.TempDir()
+		s, err := Open(dir, Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := appendTo(s); err != nil {
+			t.Fatalf("%s: append: %v", name, err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wal, err := OpenWAL(WALConfig{Dir: filepath.Join(dir, "log"), NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs []string
+		if err := wal.Replay(func(_ uint64, rec []byte) error {
+			recs = append(recs, hex.EncodeToString(rec))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		wal.Close()
+		if len(recs) != 1 || recs[0] != goldenDecisionRecord {
+			t.Fatalf("%s: the log holds %d records\n got %v\nwant %s", name, len(recs), recs, goldenDecisionRecord)
+		}
+		s, err = Open(dir, Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := s.Recovered()
+		s.Close()
+		want := goldenRequests.entries()
+		if len(st.Decisions) != 1 || st.Decisions[0].Seq != seq || len(st.Decisions[0].Batch) != len(want) {
+			t.Fatalf("%s: recovered %+v", name, st.Decisions)
+		}
+		for i, e := range st.Decisions[0].Batch {
+			if !bytes.Equal(e, want[i]) {
+				t.Fatalf("%s: recovered entry %d is %x, want %x", name, i, e, want[i])
+			}
+		}
 	}
 }
