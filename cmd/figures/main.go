@@ -22,6 +22,9 @@
 // figure 7, -all runs every panel (4/7/10 nodes x 10/100 envelopes per
 // block) and -eq1 adds the Equation (1) bound check for each panel.
 //
+// figures -figure 8 -sizes 1024 is the short look at Section 6.3: BFT-SMaRt
+// against WHEAT at four frontends, 1 kB envelopes in blocks of 10.
+//
 // These runs reproduce the paper's curves; performance across changes is
 // judged by the benchmark/ rig, not by these numbers.
 package main

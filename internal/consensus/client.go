@@ -71,13 +71,16 @@ func NewClient(conn transport.Conn, cfg ClientConfig) (*Client, error) {
 	}
 	// Sequence numbers start at a per-session base (wall-clock nanos) so a
 	// client that restarts under the same identity never reuses sequences
-	// its previous incarnation already had executed — with durable replicas
+	// its previous incarnation already had executed: with durable replicas
 	// the old dedup state survives crashes, and seqs restarting at 1 would
-	// be swallowed as duplicates. The replica-side dedup floor jumps over
-	// session-sized gaps (see clientDedup.compact). Caveat: this relies on
-	// the client host's clock not stepping backwards across restarts; a
-	// client restarted under an earlier clock (VM snapshot restore) must
-	// take a new identity.
+	// be swallowed as duplicates. A replica records the executed seqs above
+	// its floor as runs and keeps the floor within windowCap of the highest
+	// (see clientDedup), so the jump is one run until windowCap requests
+	// executed, and it moves only this client's floor: a replica pools a
+	// frame only from the endpoint whose address the frame names. Caveat:
+	// this relies on the client host's clock not stepping backwards across
+	// restarts; a client restarted under an earlier clock (VM snapshot
+	// restore) must take a new identity.
 	c.nextSeq = uint64(time.Now().UnixNano())
 	for _, id := range cfg.Replicas {
 		c.addrs = append(c.addrs, id.Addr())

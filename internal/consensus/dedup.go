@@ -3,154 +3,143 @@ package consensus
 import (
 	"encoding/binary"
 	"slices"
+	"sort"
 
 	"repro/internal/wire"
 )
 
-// clientDedup tracks which request sequence numbers of one client have been
-// executed, providing exact at-most-once semantics even when requests
-// execute out of sequence order (possible across leader changes, state
-// transfers, or a Byzantine leader proposing a client's requests out of
-// order). It keeps a contiguous floor plus a sparse set above it; the
-// sparse set is compacted into the floor each time an instance is
-// delivered.
+// clientDedup records which request sequence numbers of one client were
+// executed, exactly, even when they execute out of order (across leader
+// changes, state transfers, or a Byzantine leader proposing a client's
+// requests out of order). mark keeps one invariant by itself:
+//   - every seq <= floor is executed;
+//   - the executed seqs above the floor are runs, sorted, disjoint and
+//     apart (a missing seq between any two, and between the floor and the
+//     first);
+//   - floor never trails the client's highest executed seq by more than
+//     windowCap.
+//
+// The last rule is what bounds the state. A seq windowCap below one its
+// client already had executed is one nothing still waits to execute: a
+// replica pools fewer than windowCap requests in all, so such a request was
+// lost, or a restart's jump (see NewClient) left it behind. A jump is one
+// run, a lost request one hole, and either is absorbed into the floor once
+// windowCap later requests executed. A client whose requests execute in
+// order keeps no runs at all.
 type clientDedup struct {
-	client string          // the one copy of the id every decoded request of the client shares
-	floor  uint64          // every seq in [1, floor] has been executed
-	sparse map[uint64]bool // nil until a sequence above the floor is marked
-	// lowest memoizes the smallest sequence in sparse (0 = unknown,
-	// recompute on demand). compact runs once per decided instance per
-	// client; without the memo its find-the-lowest scan walks the whole
-	// sparse set every time, because a session-gap jump leaves a
-	// permanent hole right above the floor. The memo makes compact O(1)
-	// amortized on the hot path.
-	lowest uint64
+	client string // the one copy of the id every decoded request of the client shares
+	floor  uint64
+	runs   []seqRun
 }
+
+// seqRun is the executed sequences first..last.
+type seqRun struct{ first, last uint64 }
 
 // contains reports whether seq was executed.
 func (d *clientDedup) contains(seq uint64) bool {
-	return seq <= d.floor || (len(d.sparse) > 0 && d.sparse[seq])
+	if seq <= d.floor || len(d.runs) == 0 {
+		return seq <= d.floor
+	}
+	i := d.runAbove(seq)
+	return i < len(d.runs) && d.runs[i].first <= seq
 }
 
-// mark records seq as executed. The next sequence with nothing above the
-// floor moves the floor at once — the state compact reaches for it anyway —
-// so a client whose requests execute in order never touches the sparse set.
+// runAbove returns the index of the first run that ends at or above seq.
+func (d *clientDedup) runAbove(seq uint64) int {
+	return sort.Search(len(d.runs), func(i int) bool { return d.runs[i].last >= seq })
+}
+
+// mark records seq as executed. The next sequence of a client with no runs
+// only moves the floor.
 func (d *clientDedup) mark(seq uint64) {
 	if seq <= d.floor {
 		return
 	}
-	if seq == d.floor+1 && len(d.sparse) == 0 {
+	if seq == d.floor+1 && len(d.runs) == 0 {
 		d.floor = seq
 		return
 	}
-	wasEmpty := len(d.sparse) == 0
-	if d.sparse == nil {
-		d.sparse = make(map[uint64]bool)
+	i := d.runAbove(seq)
+	joinsNext := i < len(d.runs) && d.runs[i].first-1 <= seq
+	joinsPrev := i > 0 && d.runs[i-1].last+1 == seq
+	switch {
+	case joinsNext && d.runs[i].first <= seq:
+		return // executed already
+	case joinsNext && joinsPrev:
+		d.runs[i-1].last = d.runs[i].last
+		d.runs = slices.Delete(d.runs, i, i+1)
+	case joinsNext:
+		d.runs[i].first = seq
+	case joinsPrev:
+		d.runs[i-1].last = seq
+	default:
+		d.runs = slices.Insert(d.runs, i, seqRun{seq, seq})
 	}
-	d.sparse[seq] = true
-	if wasEmpty || (d.lowest != 0 && seq < d.lowest) {
-		// An unknown memo (0) over a non-empty set stays unknown: seq may
-		// not be the true minimum.
-		d.lowest = seq
+	if top := d.runs[len(d.runs)-1].last; top-d.floor > windowCap {
+		d.floor = top - windowCap
 	}
+	absorbed := 0
+	for _, r := range d.runs {
+		if r.first > d.floor+1 {
+			break
+		}
+		d.floor = max(d.floor, r.last)
+		absorbed++
+	}
+	d.runs = slices.Delete(d.runs, 0, absorbed)
 }
 
-// lowestSparse returns the smallest sequence in the sparse set (which
-// must be non-empty), recomputing the memo only when a floor advance
-// invalidated it.
-func (d *clientDedup) lowestSparse() uint64 {
-	if d.lowest == 0 {
-		for s := range d.sparse {
-			if d.lowest == 0 || s < d.lowest {
-				d.lowest = s
-			}
-		}
-	}
-	return d.lowest
-}
-
-// sessionGap is the sequence gap beyond which compaction concludes the
-// client started a new session (clients base each session's sequences on
-// wall-clock nanos). A gap this large can never fill: the request pool
-// holds at most maxPendingRequests outstanding sequences per client.
-const sessionGap = maxPendingRequests
-
-// compactHeadroom is how far below a new session's lowest executed
-// sequence the floor parks. A same-session request displaced by a leader
-// change can execute after later sequences of its session, so jumping the
-// floor to lowest-1 could swallow it; the in-flight window is bounded by
-// the proposal pipeline (instanceWindow/2 batches), which this headroom
-// comfortably exceeds.
-const compactHeadroom = 1 << 15
-
-// compact advances the floor over contiguous executed sequences. Two gap
-// rules keep the floor moving across client sessions:
-// a stuck floor more than sessionGap below the sparse set belongs to a
-// previous session and jumps to compactHeadroom below the new session's
-// lowest sequence; once the client's progress since then exceeds the
-// headroom, nothing in flight can still land in the remaining hole and it
-// closes. A sparse set that held a session's hole open is replaced once the
-// floor passed it, because a map never shrinks.
-func (d *clientDedup) compact() {
-	held := len(d.sparse)
-	if held == 0 {
-		return
-	}
-	if !d.sparse[d.floor+1] {
-		lowest := d.lowestSparse()
-		if lowest > d.floor+sessionGap {
-			d.floor = lowest - compactHeadroom
-		} else if lowest > d.floor+1 && len(d.sparse) >= compactHeadroom {
-			d.floor = lowest - 1
-		}
-	}
-	for d.sparse[d.floor+1] {
-		d.floor++
-		delete(d.sparse, d.floor)
-		if d.floor == d.lowest {
-			d.lowest = 0 // consumed; recomputed on demand
-		}
-	}
-	if held >= compactHeadroom && len(d.sparse) < held/4 {
-		kept := make(map[uint64]bool, len(d.sparse))
-		for s := range d.sparse {
-			kept[s] = true
-		}
-		d.sparse = kept
-	}
-}
-
-// marshalInto serializes the dedup state: uint64 floor, uvarint count,
-// sorted uint64 seqs. sortBuf is space for the sort (it allocates only if
-// that is shorter than the sparse set).
-func (d *clientDedup) marshalInto(w *wire.Writer, sortBuf []uint64) {
+// marshalInto serializes the dedup state: uint64 floor, a uvarint count of
+// the uint64s that follow, then the runs in order, a one-seq run as its seq
+// and a longer one as its last seq and then its first. Only a longer run
+// writes a seq below the one before it, so the two read apart, and a table
+// of one-seq runs is the sorted list of executed seqs above the floor.
+func (d *clientDedup) marshalInto(w *wire.Writer) {
 	w.PutUint64(d.floor)
-	seqs := sortBuf[:0]
-	for s := range d.sparse {
-		seqs = append(seqs, s)
+	n := len(d.runs)
+	for _, r := range d.runs {
+		if r.last != r.first {
+			n++
+		}
 	}
-	slices.Sort(seqs)
-	w.PutUvarint(uint64(len(seqs)))
-	for _, s := range seqs {
-		w.PutUint64(s)
+	w.PutUvarint(uint64(n))
+	for _, r := range d.runs {
+		if r.last != r.first {
+			w.PutUint64(r.last)
+		}
+		w.PutUint64(r.first)
 	}
 }
 
 // marshalledSize bounds the length of marshalInto's encoding.
 func (d *clientDedup) marshalledSize() int {
-	return 8 + binary.MaxVarintLen64 + 8*len(d.sparse)
+	return 8 + binary.MaxVarintLen64 + 16*len(d.runs)
 }
 
-// readClientDedup deserializes dedup state.
-func readClientDedup(r *wire.Reader) *clientDedup {
-	d := &clientDedup{floor: r.Uint64()}
-	n := r.Uvarint()
-	if n == 0 || n > maxPendingRequests {
-		return d
+// readClientDedup deserializes dedup state and reports whether it is what
+// marshalInto writes for a state that keeps the invariant; nothing else
+// decodes.
+func readClientDedup(rd *wire.Reader) (clientDedup, bool) {
+	d := clientDedup{floor: rd.Uint64()}
+	words := make([]uint64, rd.Count(8))
+	for i := range words {
+		words[i] = rd.Uint64()
 	}
-	d.sparse = make(map[uint64]bool, n)
-	for i := uint64(0); i < n; i++ {
-		d.sparse[r.Uint64()] = true
+	if rd.Err() != nil {
+		return clientDedup{}, false
 	}
-	return d
+	prev := d.floor // the highest executed seq so far
+	for i := 0; i < len(words); i++ {
+		r := seqRun{words[i], words[i]}
+		if i+1 < len(words) && words[i+1] < words[i] {
+			r.first = words[i+1]
+			i++
+		}
+		if r.first <= prev || r.first-prev < 2 || r.last-d.floor > windowCap {
+			return clientDedup{}, false
+		}
+		d.runs = append(d.runs, r)
+		prev = r.last
+	}
+	return d, true
 }

@@ -2,17 +2,20 @@ package consensus
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"unsafe"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
 // FuzzRequestFrame drives the decoder of client request frames, with a
 // seed corpus in testdata/fuzz. Properties: any bytes, fed to a replica as
-// a frame, cause no panic, and the replica pools exactly the operations
-// that precede the first fault, under the frame's client and with
+// a frame, cause no panic; sent by any endpoint but the client the frame
+// names, they pool nothing; sent by that client, the replica pools exactly
+// the operations that precede the first fault, under the frame's client and with
 // consecutive sequence numbers from the frame's first (nothing from a frame
 // whose header is malformed or whose run of sequence numbers passes
 // 2^64-1), each a capped view inside the frame (neither reading nor
@@ -22,9 +25,13 @@ import (
 // replica pools as the same (client, seq, op) list, in order.
 func FuzzRequestFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
-		r := newFollower(t, Config{}).r
-		r.onRequests(in)
 		client, want := walkFrame(in)
+		r := newFollower(t, Config{}).r
+		impostor := transport.Addr(client + "-impostor")
+		if r.onRequests(impostor, in); r.pending != 0 {
+			t.Fatalf("pooled %d requests of a frame naming %q from %q", r.pending, client, impostor)
+		}
+		r.onRequests(transport.Addr(client), in)
 		if r.pending != len(want) {
 			t.Fatalf("pooled %d requests of a frame that holds %d before its first fault", r.pending, len(want))
 		}
@@ -55,7 +62,7 @@ func FuzzRequestFrame(f *testing.F) {
 				len(in), len(reqs), n, len(frame), size)
 		}
 		r = newFollower(t, Config{}).r
-		r.onRequests(frame)
+		r.onRequests("fuzz-client", frame)
 		if len(r.queue) != n {
 			t.Fatalf("pooled %d of the frame's %d requests", len(r.queue), n)
 		}
@@ -307,4 +314,84 @@ func marshalled(m interface{ marshal() []byte }, err error) ([]byte, error) {
 		return nil, err
 	}
 	return m.marshal(), nil
+}
+
+// FuzzSnapshot drives unwrapSnapshot, which reads the checkpoints peers
+// send in a state transfer and the one recovery finds on disk, with a seed
+// corpus in testdata/fuzz. Properties: any bytes cause no panic and
+// allocate no more than a fixed multiple of their length, whatever counts
+// they declare; every client's dedup table a snapshot it accepts installs
+// keeps clientDedup's invariant and re-encodes to the table's bytes, byte
+// for byte; and the replica's next checkpoint unwraps at another replica
+// and re-wraps there to the same bytes.
+func FuzzSnapshot(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		r, app := snapshotReplica(t)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		appSnap, ok := r.unwrapSnapshot(in)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 128*uint64(len(in))+64<<10 {
+			t.Fatalf("unwrapping %d bytes allocated %d", len(in), grew)
+		}
+		if !ok {
+			return
+		}
+		for client, table := range snapshotTables(t, in) {
+			c := r.clients[client]
+			checkDedupInvariant(t, &c.clientDedup)
+			w := wire.NewWriter(0)
+			c.marshalInto(w)
+			if !bytes.Equal(w.Bytes(), table) {
+				t.Fatalf("client %q: the table %x re-encodes as %x", client, table, w.Bytes())
+			}
+		}
+		app.snap = appSnap
+		once := r.wrapSnapshot()
+		other, otherApp := snapshotReplica(t)
+		appSnap, ok = other.unwrapSnapshot(once)
+		if !ok {
+			t.Fatalf("the checkpoint of an accepted snapshot does not unwrap: %x", once)
+		}
+		otherApp.snap = appSnap
+		if twice := other.wrapSnapshot(); !bytes.Equal(once, twice) {
+			t.Fatalf("a checkpoint re-wraps as other bytes: %x, then %x", once, twice)
+		}
+	})
+}
+
+// keptApp is an application whose snapshot is the bytes it was last given.
+type keptApp struct {
+	countApp
+	snap []byte
+}
+
+func (a *keptApp) Snapshot() []byte { return a.snap }
+
+// snapshotReplica returns a replica for FuzzSnapshot and its application.
+func snapshotReplica(t *testing.T) (*Replica, *keptApp) {
+	app := &keptApp{}
+	r, err := NewReplica(Config{SelfID: 0, Replicas: ids(4)}, app, &sinkConn{addr: ReplicaID(0).Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, app
+}
+
+// snapshotTables is FuzzSnapshot's own reading of a snapshot unwrapSnapshot
+// accepted: the bytes of each client's dedup table.
+func snapshotTables(t *testing.T, snap []byte) map[string][]byte {
+	rd := wire.NewReader(snap)
+	rd.Uvarint() // epoch
+	rd.Raw(8 * rd.Count(8))
+	tables := make(map[string][]byte)
+	for n := rd.Count(10); n > 0; n-- {
+		client := rd.String()
+		start := len(snap) - rd.Remaining()
+		if _, ok := readClientDedup(rd); !ok {
+			t.Fatalf("client %q: an accepted snapshot holds a table that does not decode", client)
+		}
+		tables[client] = snap[start : len(snap)-rd.Remaining()]
+	}
+	return tables
 }

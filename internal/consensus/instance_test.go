@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // sinkConn is a transport endpoint that records what a replica sends and
@@ -203,9 +204,16 @@ func TestInstanceAllocationBudgets(t *testing.T) {
 	}
 }
 
-// submit hands the stand-in one request frame from a client.
+// submit hands the stand-in one request frame from the client it names.
 func (f *standIn) submit(frame []byte) {
-	f.r.dispatch(transport.Message{From: "client", To: f.conn.addr, Type: msgRequest, Payload: frame})
+	f.r.dispatch(transport.Message{From: frameSender(frame), To: f.conn.addr, Type: msgRequest, Payload: frame})
+}
+
+// frameSender is the client a request frame names: the one sender a
+// replica pools the frame from.
+func frameSender(frame []byte) transport.Addr {
+	client, _, _, _ := readFrameHeader(wire.NewReader(frame))
+	return transport.Addr(client)
 }
 
 // proposals returns the PROPOSEs the stand-in sent, one per instance (a
@@ -596,7 +604,7 @@ func newFollowerRun(tb testing.TB, k int, early bool) *followerRun {
 	}
 	fr.r.app = fr.app
 	fr.prepare(0)
-	fr.r.onRequests(fr.in[0].frame)
+	fr.r.onRequests("client", fr.in[0].frame)
 	return fr
 }
 
@@ -636,14 +644,14 @@ func (fr *followerRun) step() {
 	in, frame := fr.in[seq], fr.in[seq+1].frame
 	delete(fr.in, seq)
 	if !fr.early {
-		fr.r.onRequests(frame)
+		fr.r.onRequests("client", frame)
 	}
 	fr.deliver(0, msgPropose, in.propose)
 	if fr.early {
 		if inst := fr.r.instances[seq]; inst == nil || inst.parked == nil {
 			fr.tb.Fatalf("instance %d: the PROPOSE of requests not yet pooled was not parked", seq)
 		}
-		fr.r.onRequests(frame)
+		fr.r.onRequests("client", frame)
 	}
 	for _, typ := range [...]uint16{msgWrite, msgAccept} {
 		for from := ReplicaID(0); from < 3; from++ {

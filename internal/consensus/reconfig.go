@@ -220,13 +220,13 @@ func (r *Replica) marshalMembership(w *wire.Writer) {
 // unmarshalMembership restores epoch + membership + weights from a snapshot.
 func (r *Replica) unmarshalMembership(rd *wire.Reader) error {
 	epoch := rd.Uvarint()
-	n := rd.Uvarint()
+	n := rd.Count(8) // an id and a weight per member
 	if n == 0 || n > 1<<10 {
 		return fmt.Errorf("consensus: membership size %d out of range", n)
 	}
 	membership := make([]ReplicaID, 0, n)
 	weights := make(map[ReplicaID]int, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		id := ReplicaID(rd.Int32())
 		weight := int(rd.Uint32())
 		if weight < 1 {

@@ -383,11 +383,9 @@ type Replica struct {
 	// next: what outlives the decode is resolved into its instance's
 	// storage.
 	prop *proposeMsg
-	// ops is the operations buffer execute hands the application, and
-	// named the records of the clients its batch names; both are emptied
+	// ops is the operations buffer execute hands the application, emptied
 	// after each call.
 	ops          [][]byte
-	named        []*clientRecord
 	lastProposed int64
 	// lastDelivered is the one watermark: every instance up to it is
 	// decided, logged, executed and kept in decidedLog (until a checkpoint
@@ -690,7 +688,7 @@ func (r *Replica) dispatch(m transport.Message) {
 	from, isReplica := r.senderID(m.From)
 	switch m.Type {
 	case msgRequest:
-		r.onRequests(m.Payload)
+		r.onRequests(m.From, m.Payload)
 	case msgPropose:
 		if !isReplica {
 			return
@@ -813,13 +811,16 @@ func (r *Replica) sendTo(id ReplicaID, msgType uint16, payload []byte) {
 // onRequests pools the requests of one frame (see EncodeRequest), each
 // operation as a view of the frame. The parked PROPOSEs are retried and the
 // proposal rule runs once the whole frame is pooled, so an idle leader's
-// next PROPOSE carries all of it. A malformed header pools nothing; a
-// malformed operation ends the walk, and the requests before it stay
-// pooled. The client's record is looked up once per frame.
-func (r *Replica) onRequests(frame []byte) {
+// next PROPOSE carries all of it. A frame pools only under the client that
+// sent it: one that names another client, like a malformed header, pools
+// nothing, so an endpoint can neither take another client's sequence
+// numbers nor move its dedup floor. A malformed operation ends the walk,
+// and the requests before it stay pooled. The client's record is looked up
+// once per frame.
+func (r *Replica) onRequests(from transport.Addr, frame []byte) {
 	rd := wire.NewReader(frame)
 	id, first, n, err := readFrameHeader(rd)
-	if err != nil {
+	if err != nil || string(id) != string(from) {
 		return
 	}
 	now, pooled := time.Now(), false
@@ -1489,10 +1490,8 @@ func (r *Replica) leftWindow(inst *instance) {
 }
 
 // execute delivers one instance's batch to the application, with
-// deduplication. The dedup floors of the clients the batch names compact
-// afterwards: nothing executed is ever undone, and a client the batch does
-// not name has nothing new to compact. Every replica executes the same
-// batches, so every replica compacts alike and checkpoints stay identical.
+// deduplication. Every replica executes the same batches, so every replica
+// marks the same sequences and checkpoints stay identical.
 func (r *Replica) execute(inst *instance) {
 	// Write-ahead: the decision must be on disk before its effects (sealed
 	// blocks, dissemination) become visible.
@@ -1504,10 +1503,6 @@ func (r *Replica) execute(inst *instance) {
 		if rec == nil || rec.client != rq.ClientID {
 			rec = r.record(rq.ClientID)
 			rec.replicated = true
-			if !rec.named {
-				rec.named = true
-				r.named = append(r.named, rec)
-			}
 		}
 		r.unpool(rec, rq.Seq)
 		if rec.contains(rq.Seq) {
@@ -1523,11 +1518,6 @@ func (r *Replica) execute(inst *instance) {
 	r.app.Execute(inst.seq, ops)
 	r.statOps.Add(uint64(len(ops)))
 	r.ops = emptied(ops)
-	for _, c := range r.named {
-		c.named = false
-		c.compact()
-	}
-	r.named = emptied(r.named)
 }
 
 // checkpointAt snapshots the application at seq and truncates the decision

@@ -335,6 +335,50 @@ func TestDuplicateRequestsExecutedOnce(t *testing.T) {
 	}
 }
 
+// A replica pools a frame only from the client it names. Here another
+// endpoint sends one request under victim's id, two sequences ahead of
+// victim's next, with an op of its own: it is ordered nowhere, and every
+// one of victim's requests, the one at that sequence too, is ordered once.
+func TestFrameUnderAnotherClientsNameIsOrderedNowhere(t *testing.T) {
+	tc := newTestCluster(t, clusterOpts{n: 4})
+	victim := tc.client(t, "victim")
+	invoke := func(from, to int) {
+		for i := from; i < to; i++ {
+			if err := victim.Invoke([]byte(fmt.Sprintf("victim-%d", i))); err != nil {
+				t.Fatalf("invoke %d: %v", i, err)
+			}
+		}
+	}
+	invoke(0, 5)
+	tc.waitAllDelivered(5, 5*time.Second, nil)
+	victim.mu.Lock()
+	next := victim.nextSeq + 1
+	victim.mu.Unlock()
+	impostor, err := tc.net.Join("impostor")
+	if err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	forged := EncodeRequest("victim", next+2, []byte("forged"))
+	for _, id := range ids(4) {
+		impostor.Send(id.Addr(), msgRequest, forged)
+	}
+	time.Sleep(50 * time.Millisecond)
+	invoke(5, 10)
+	tc.waitAllDelivered(10, 5*time.Second, nil)
+	time.Sleep(100 * time.Millisecond) // let anything else surface
+	for i, app := range tc.apps {
+		ops := app.opsFlat()
+		if len(ops) != 10 {
+			t.Fatalf("replica %d ordered %d ops, want victim's 10", i, len(ops))
+		}
+		for j, op := range ops {
+			if want := fmt.Sprintf("victim-%d", j); string(op) != want {
+				t.Fatalf("replica %d ordered %q at %d, want %q", i, op, j, want)
+			}
+		}
+	}
+}
+
 func TestCrashFollowerProgress(t *testing.T) {
 	tc := newTestCluster(t, clusterOpts{n: 4})
 	// Crash a follower (replica 3): n-1 = 3 replicas remain, which still

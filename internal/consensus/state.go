@@ -25,30 +25,27 @@ import (
 //
 // Layout: membership (see marshalMembership), uvarint count, then per
 // client in id order its id and dedup state (see clientDedup.marshalInto),
-// then the app snapshot bytes. One pass over the clients sizes the writer
-// and the sort buffer, so the snapshot is written into one buffer.
+// then the app snapshot bytes. One pass over the clients sizes the writer,
+// so the snapshot is written into one buffer.
 func (r *Replica) wrapSnapshot() []byte {
 	app := r.app.Snapshot()
 	// Four uvarints: epoch, member count, client count, app length.
 	size := 4*binary.MaxVarintLen64 + 8*len(r.membership) + len(app)
 	clients := make([]string, 0, len(r.clients))
-	most := 0
 	for c, d := range r.clients {
 		if !d.replicated {
 			continue
 		}
 		clients = append(clients, c)
 		size += binary.MaxVarintLen64 + len(c) + d.marshalledSize()
-		most = max(most, len(d.sparse))
 	}
 	slices.Sort(clients)
 	w := wire.NewWriter(size)
 	r.marshalMembership(w)
 	w.PutUvarint(uint64(len(clients)))
-	sortBuf := make([]uint64, 0, most)
 	for _, c := range clients {
 		w.PutString(c)
-		r.clients[c].marshalInto(w, sortBuf)
+		r.clients[c].marshalInto(w)
 	}
 	w.PutBytes(app)
 	return w.Bytes()
@@ -63,15 +60,19 @@ func (r *Replica) unwrapSnapshot(b []byte) ([]byte, bool) {
 	if err := r.unmarshalMembership(rd); err != nil {
 		return nil, false
 	}
-	n := rd.Count(10) // an empty id, the floor and an empty sparse set
+	n := rd.Count(10) // an empty id, the floor and no runs
 	if rd.Err() != nil || n > maxPendingRequests {
 		return nil, false
 	}
-	executed := make([]*clientDedup, n)
+	executed := make([]clientDedup, n)
 	for i := range executed {
 		client := rd.String()
-		executed[i] = readClientDedup(rd)
-		executed[i].client = client
+		d, ok := readClientDedup(rd)
+		if !ok {
+			return nil, false
+		}
+		d.client = client
+		executed[i] = d
 	}
 	appSnap := rd.BytesCopy()
 	if err := rd.Finish(); err != nil {
@@ -83,7 +84,7 @@ func (r *Replica) unwrapSnapshot(b []byte) ([]byte, bool) {
 	for _, d := range executed {
 		c := r.record(d.client)
 		d.client = c.client // the one copy pooled requests share
-		c.clientDedup, c.replicated = *d, true
+		c.clientDedup, c.replicated = d, true
 	}
 	r.dropExecuted()
 	return appSnap, true

@@ -11,8 +11,10 @@ import (
 
 // goldenSnapshotReplica builds a replica whose checkpoint covers every part
 // of the snapshot layout: a weighted membership at a later epoch, clients
-// with and without sequences above their floors (unsorted in their maps,
-// beyond 32 bits, an empty id), and an application snapshot.
+// with and without one-seq runs above their floors (beyond 32 bits, an
+// empty id), and an application snapshot. The bytes are those of the
+// layout that listed each executed seq above a floor, which one-seq runs
+// keep.
 func goldenSnapshotReplica(t *testing.T, conn transport.Conn) *Replica {
 	t.Helper()
 	weights, err := BinaryWeights(ids(5), 1, 1, []ReplicaID{0, 4})
@@ -29,21 +31,17 @@ func goldenSnapshotReplica(t *testing.T, conn transport.Conn) *Replica {
 	}
 	r.epoch = 3
 	for _, c := range []struct {
-		id     string
-		floor  uint64
-		sparse []uint64
+		id    string
+		floor uint64
+		runs  []seqRun
 	}{
-		{"frontend-0", 1 << 40, []uint64{1<<40 + 7, 1<<40 + 2, 1<<40 + 300}},
+		{"frontend-0", 1 << 40, []seqRun{{1<<40 + 2, 1<<40 + 2}, {1<<40 + 7, 1<<40 + 7}, {1<<40 + 300, 1<<40 + 300}}},
 		{"client-b", 0, nil},
-		{"client-a", 17, []uint64{19, 1 << 33, 18 + sessionGap}},
-		{"", 5, []uint64{9}},
+		{"client-a", 17, []seqRun{{19, 19}, {100_018, 100_018}, {1 << 33, 1 << 33}}},
+		{"", 5, []seqRun{{9, 9}}},
 	} {
-		d := newClientDedup()
-		d.client, d.floor = c.id, c.floor
-		for _, s := range c.sparse {
-			d.sparse[s] = true
-		}
-		r.clients[c.id] = &clientRecord{clientDedup: *d, replicated: true}
+		d := clientDedup{client: c.id, floor: c.floor, runs: c.runs}
+		r.clients[c.id] = &clientRecord{clientDedup: d, replicated: true}
 	}
 	return r
 }
@@ -68,8 +66,8 @@ func TestCheckpointSnapshotBytesAreGolden(t *testing.T) {
 			t.Fatalf("checkpoint snapshot\n got %s\nwant %s", got, goldenSnapshot)
 		}
 	}
-	// Besides the application's snapshot: the client list, the sort
-	// buffer and the one buffer the whole checkpoint is written into.
+	// Besides the application's snapshot: the client list and the one
+	// buffer the whole checkpoint is written into.
 	app := testing.AllocsPerRun(10, func() { r.app.Snapshot() })
 	if got := testing.AllocsPerRun(10, func() { r.wrapSnapshot() }) - app; got > 3 {
 		t.Fatalf("wrapSnapshot: %.0f allocations besides the application's, want <= 3", got)

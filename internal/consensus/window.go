@@ -40,9 +40,6 @@ type clientRecord struct {
 	// an installed checkpoint lists the client. Only these records go into a
 	// checkpoint (wrapSnapshot).
 	replicated bool
-	// named is set while the batch being executed names the client, until
-	// its dedup state is compacted (see Replica.execute).
-	named bool
 	// window holds the pooled requests, the one of seq in slot seq mod
 	// len(window) (a power of two, or 0 before the first). A request whose
 	// slot another request holds waits in spill instead.

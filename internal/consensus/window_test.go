@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"repro/internal/transport"
 )
 
 // countApp is an application that only counts the operations it executes.
@@ -89,7 +91,7 @@ func TestPoolAndExecuteAllocationBudget(t *testing.T) {
 		}
 		i := 0
 		got := testing.AllocsPerRun(runs, func() {
-			r.onRequests(frames[i])
+			r.onRequests("client", frames[i])
 			r.execute(insts[i])
 			r.onTick()
 			i++
@@ -135,7 +137,7 @@ func TestGrownWindowOutlivesEmptyPool(t *testing.T) {
 	}
 	i := 0
 	cycle := func() {
-		r.onRequests(frames[i])
+		r.onRequests("client", frames[i])
 		r.execute(insts[i])
 		r.onTick()
 		i++
@@ -186,7 +188,7 @@ func TestBusyWindowSurvivesCheckpoints(t *testing.T) {
 			decoded[j] = request{ClientID: "client", Seq: seq, Op: reqs[j].op}
 		}
 		frame, _ := encodeRequestFrame("client", reqs)
-		r.onRequests(frame)
+		r.onRequests("client", frame)
 		r.execute(&instance{seq: int64(i), decided: true, reqs: decoded})
 		rec := r.clients["client"]
 		if rec.pending() != 0 || len(rec.window) != k {
@@ -227,7 +229,7 @@ func TestWindowsStayProportionalToPool(t *testing.T) {
 			{seq: seqs[0], op: []byte("first")}, {seq: seqs[1], op: []byte("second")},
 		})
 		for _, frame := range frames[i] {
-			r.onRequests(frame)
+			r.onRequests(frameSender(frame), frame)
 		}
 		if pooled := 2 * (i + 1); r.pending != pooled || windowSlots(r) > 4*pooled {
 			t.Fatalf("after %d clients: %d requests pooled in %d window slots, want %d in at most %d",
@@ -240,7 +242,7 @@ func TestWindowsStayProportionalToPool(t *testing.T) {
 			{ClientID: id, Seq: seqs[0], Op: []byte("first")}, {ClientID: id, Seq: seqs[1], Op: []byte("second")},
 		}})
 		for _, frame := range frames[i] {
-			r.onRequests(frame) // a duplicate: both already executed
+			r.onRequests(frameSender(frame), frame) // a duplicate: both already executed
 		}
 	}
 	if ops := r.app.(*countApp).ops; ops != 2*clients || r.pending != 0 || r.pooled != 0 {
@@ -325,9 +327,9 @@ func (m *windowModel) maxExec(client int) uint64 {
 // install the peer's checkpoint, over three clients whose sequences sit
 // next to the floor, across a session jump and 2^40 apart. After every step
 // the replica must agree with a map model: which requests are pooled and
-// how many are counted free, which are executed (a sequence the session
-// jump swallowed, at least compactHeadroom below one executed, may read as
-// executed too), and which requests, in which order, a batch takes.
+// how many are counted free, which are executed (a sequence windowCap or
+// more below one executed may read as executed too), and which requests, in
+// which order, a batch takes.
 func FuzzClientWindow(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		r := newStandIn(t, 3, Config{BatchSize: 4}).r
@@ -373,7 +375,7 @@ func FuzzClientWindow(f *testing.F) {
 					reqs[j] = queuedRequest{seq: windowSeq(start + byte(j)), op: []byte{start + byte(j)}}
 				}
 				for _, frame := range requestFrames(windowClients[c], reqs) {
-					r.onRequests(frame)
+					r.onRequests(transport.Addr(windowClients[c]), frame)
 				}
 				for _, rq := range reqs {
 					k := windowKey{client: c, seq: rq.seq}
@@ -436,8 +438,8 @@ func checkWindowModel(t *testing.T, step int, r *Replica, m *windowModel, contai
 			k := windowKey{client: c, seq: windowSeq(b)}
 			if got := contains(k); m.exec[k] && !got {
 				t.Fatalf("step %d: (%s, %d) was executed, the replica forgot it", step, windowClients[c], k.seq)
-			} else if got && !m.exec[k] && k.seq+compactHeadroom > top {
-				t.Fatalf("step %d: (%s, %d) reads as executed, never was, and no session jump passed it",
+			} else if got && !m.exec[k] && k.seq+windowCap > top {
+				t.Fatalf("step %d: (%s, %d) reads as executed, never was, and is within windowCap of one executed",
 					step, windowClients[c], k.seq)
 			}
 			p := (*pendingReq)(nil)

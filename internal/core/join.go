@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
 	"time"
 
 	"repro/internal/consensus"
@@ -77,24 +76,13 @@ func (n *OrderingNode) Join(opts JoinOptions) error {
 	self := n.cfg.Consensus.SelfID
 	start := time.Now()
 	base := n.replica.MembershipView().Epoch
-	clientID := "join:" + strconv.Itoa(int(self))
 	op := consensus.EncodeReconfigOp(consensus.ReconfigOp{
 		Kind: consensus.ReconfigAdd, Replica: self, Weight: opts.Weight,
 	})
-	// Session-based sequence numbers, like the TTC path: a re-join after a
-	// failed attempt must not collide with sequences the group already
-	// deduplicated.
-	seq := uint64(time.Now().UnixNano())
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	deadline := start.Add(opts.Deadline)
 	for attempt := 0; ; attempt++ {
-		seq++
-		rq := consensus.EncodeRequest(clientID, seq, op)
-		for _, id := range n.membershipIDs() {
-			if id != self {
-				n.conn.Send(id.Addr(), consensus.RequestMessageType, rq)
-			}
-		}
+		n.submit(op, n.peerAddrs())
 		// Poll for admission until the next announcement is due.
 		waitUntil := time.Now().Add(opts.Announce.Delay(attempt, rng))
 		for time.Now().Before(waitUntil) {

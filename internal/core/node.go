@@ -61,10 +61,10 @@ const (
 	MsgFetchResponse
 )
 
-// ttcClientPrefix marks time-to-cut marker envelopes; their ClientID is
-// "ttc:<node id>". TTC markers flow through consensus like ordinary
-// envelopes, which keeps timeout-based block cutting deterministic across
-// nodes.
+// ttcClientPrefix marks time-to-cut marker envelopes; their envelope
+// ClientID is "ttc:<node id>". TTC markers flow through consensus like
+// ordinary envelopes (see OrderingNode.submit), which keeps timeout-based
+// block cutting deterministic across nodes.
 const ttcClientPrefix = "ttc:"
 
 // NodeConfig parameterizes an ordering node.
@@ -268,7 +268,8 @@ type OrderingNode struct {
 	// byz is the ordering-layer byzantine switch.
 	byz atomic.Pointer[Byzantine]
 
-	ttcSeq atomic.Uint64
+	// submitSeq is the last sequence number submit used.
+	submitSeq atomic.Uint64
 
 	statEnvelopes atomic.Uint64
 	statBlocks    atomic.Uint64
@@ -330,10 +331,10 @@ func NewNode(cfg NodeConfig, conn transport.Conn) (*OrderingNode, error) {
 	n.pipe = newPipeline(n)
 	n.sync = newNodeBlockSync(n)
 	n.byz.Store(&Byzantine{})
-	// TTC markers are consensus requests under this node's "ttc:" client
-	// identity; a session base keeps a restarted node's markers from
-	// colliding with its pre-crash sequences in the recovered dedup state.
-	n.ttcSeq.Store(uint64(time.Now().UnixNano()))
+	// A session base keeps a restarted node's own requests from colliding
+	// with its pre-crash sequences in the recovered dedup state, as a
+	// consensus.Client's do.
+	n.submitSeq.Store(uint64(time.Now().UnixNano()))
 	ccfg := cfg.Consensus
 	if ccfg.ValidateRequest == nil {
 		ccfg.ValidateRequest = validateEnvelopeOp
@@ -1024,11 +1025,19 @@ func (n *OrderingNode) ttcLoop() {
 				ClientID:  clientID,
 				Payload:   w.Bytes(),
 			}
-			rq := consensus.EncodeRequest(clientID, n.ttcSeq.Add(1), env.Marshal())
-			for _, id := range n.membershipIDs() {
-				n.conn.Send(id.Addr(), consensus.RequestMessageType, rq)
-			}
+			n.submit(env.Marshal(), append(n.peerAddrs(), n.conn.Addr()))
 		}
+	}
+}
+
+// submit sends op to the replicas at to as a request of the node's own
+// consensus client, whose identity is the node's transport address: a
+// replica pools a request only under the address it came from. Time-to-cut
+// markers and join announcements share its one sequence.
+func (n *OrderingNode) submit(op []byte, to []transport.Addr) {
+	rq := consensus.EncodeRequest(string(n.conn.Addr()), n.submitSeq.Add(1), op)
+	for _, addr := range to {
+		n.conn.Send(addr, consensus.RequestMessageType, rq)
 	}
 }
 

@@ -430,41 +430,47 @@ func (l *Ledger) Rebase(floor uint64, anchor cryptoutil.Digest) error {
 // VerifyChain re-validates the retained chain (integrity + linkage from
 // the retention floor, whose first block must link into the anchor),
 // streaming paged-out blocks back from the backend in bounded windows.
+// Retention may compact while it reads: a read that finds its blocks
+// pruned, below the ledger's floor or first below the backend's, raises
+// the ledger's floor to the pruned one (as AdvanceFloor does once the
+// compaction reports) and starts over from the new floor and anchor.
 func (l *Ledger) VerifyChain() error {
 	const window = 256
-	l.mu.RLock()
-	height := l.height
-	floor := l.floor
-	anchor := l.anchor
-	l.mu.RUnlock()
-	var prev *Block
-	for start := floor; start < height; start += window {
-		end := start + window
-		if end > height {
-			end = height
-		}
-		blocks, err := l.Range(start, end)
-		if err != nil {
-			return err
-		}
-		if uint64(len(blocks)) != end-start {
-			return fmt.Errorf("%w: range %d..%d returned %d blocks",
-				ErrBlockNotFound, start, end-1, len(blocks))
-		}
-		if prev != nil {
-			if blocks[0].Header.PrevHash != prev.Header.Hash() {
-				return fmt.Errorf("%w at block %d", ErrBrokenChain, blocks[0].Header.Number)
+walk:
+	for {
+		l.mu.RLock()
+		height, floor, anchor := l.height, l.floor, l.anchor
+		l.mu.RUnlock()
+		var prev *Block
+		for start := floor; start < height; start += window {
+			end := min(start+window, height)
+			blocks, err := l.Range(start, end)
+			var pruned *PrunedError
+			if errors.As(err, &pruned) && l.AdvanceFloor(pruned.Floor) == nil && l.Floor() > floor {
+				continue walk
 			}
-		} else if floor > 0 && blocks[0].Header.PrevHash != anchor {
-			return fmt.Errorf("%w: block %d does not link into the retention anchor",
-				ErrBrokenChain, blocks[0].Header.Number)
+			if err != nil {
+				return err
+			}
+			if uint64(len(blocks)) != end-start {
+				return fmt.Errorf("%w: range %d..%d returned %d blocks",
+					ErrBlockNotFound, start, end-1, len(blocks))
+			}
+			if prev != nil {
+				if blocks[0].Header.PrevHash != prev.Header.Hash() {
+					return fmt.Errorf("%w at block %d", ErrBrokenChain, blocks[0].Header.Number)
+				}
+			} else if floor > 0 && blocks[0].Header.PrevHash != anchor {
+				return fmt.Errorf("%w: block %d does not link into the retention anchor",
+					ErrBrokenChain, blocks[0].Header.Number)
+			}
+			if err := VerifyChain(blocks); err != nil {
+				return err
+			}
+			prev = blocks[len(blocks)-1]
 		}
-		if err := VerifyChain(blocks); err != nil {
-			return err
-		}
-		prev = blocks[len(blocks)-1]
+		return nil
 	}
-	return nil
 }
 
 // EnvelopeCount returns the total number of envelopes across all blocks.

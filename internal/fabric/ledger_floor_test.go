@@ -13,6 +13,8 @@ type memBackend struct {
 	blocks  map[uint64]*Block
 	floor   uint64
 	rebased bool
+	// onRead, when set, runs once, at the next read.
+	onRead func()
 }
 
 func newMemBackend() *memBackend { return &memBackend{blocks: make(map[uint64]*Block)} }
@@ -23,6 +25,10 @@ func (m *memBackend) PutBlockAsync(_ string, b *Block) (DurableToken, error) {
 }
 
 func (m *memBackend) ReadBlocks(_ string, start uint64, max int) ([]*Block, error) {
+	if f := m.onRead; f != nil {
+		m.onRead = nil
+		f()
+	}
 	if start < m.floor {
 		return nil, &PrunedError{Floor: m.floor}
 	}
@@ -183,5 +189,52 @@ func TestLedgerRebase(t *testing.T) {
 	// Rebasing behind the height is refused.
 	if err := led.Rebase(5, anchor); err == nil {
 		t.Fatal("backward rebase succeeded")
+	}
+}
+
+// Retention compacts concurrently with VerifyChain: the store first, the
+// ledger's floor when the compaction reports (AdvanceFloor). A read that
+// finds its blocks pruned, by either, restarts the walk at the new floor
+// and anchor instead of failing a chain that verifies.
+func TestVerifyChainRestartsAtACompactedFloor(t *testing.T) {
+	restored := func(n int) (*Ledger, *memBackend) {
+		backend := newMemBackend()
+		chain := floorChain(0, cryptoutil.Digest{}, n)
+		for _, b := range chain {
+			backend.PutBlockAsync("ch", b)
+		}
+		return RestoreLedger("ch", backend, ChainState{Height: uint64(n), LastHash: chain[n-1].Header.Hash()}), backend
+	}
+
+	// The store compacted after VerifyChain read the ledger's floor and
+	// before its first read: the ledger's floor is still 0.
+	led, backend := restored(20)
+	backend.onRead = func() { backend.floor = 9 }
+	if err := led.VerifyChain(); err != nil {
+		t.Fatalf("VerifyChain across a compaction of the store: %v", err)
+	}
+	if led.Floor() != 9 {
+		t.Fatalf("floor %d after the walk found the store compacted to 9", led.Floor())
+	}
+
+	// Store and ledger compacted during the walk's first window: the
+	// second starts below the ledger's new floor.
+	led, backend = restored(600)
+	backend.onRead = func() {
+		backend.floor = 300
+		if err := led.AdvanceFloor(300); err != nil {
+			t.Errorf("AdvanceFloor: %v", err)
+		}
+	}
+	if err := led.VerifyChain(); err != nil {
+		t.Fatalf("VerifyChain across a compaction mid-walk: %v", err)
+	}
+
+	// A chain that does not verify still fails after a restart.
+	led, backend = restored(20)
+	backend.blocks[15] = floorChain(15, cryptoutil.Hash([]byte("forged")), 1)[0]
+	backend.onRead = func() { backend.floor = 9 }
+	if err := led.VerifyChain(); err == nil {
+		t.Fatal("VerifyChain passed a forged block after a restart")
 	}
 }
