@@ -37,14 +37,14 @@ type Client struct {
 	nextSeq uint64
 	// queue holds the requests submitted since the sender's last wake, in
 	// sequence order.
-	queue  []queuedRequest
+	queue  []request
 	closed bool
 
 	// spare is the queue's second buffer (sender-owned): the sender frames
 	// one batch while submissions append to the other, and the two swap at
 	// every wake. The same discipline as transport's tcpWriter queue: a
 	// change to one belongs in the other.
-	spare  []queuedRequest
+	spare  []request
 	notify chan struct{} // capacity 1: the queue is not empty
 	done   chan struct{}
 	wg     sync.WaitGroup
@@ -105,7 +105,7 @@ func (c *Client) Invoke(op []byte) error {
 		return ErrClientClosed
 	}
 	c.nextSeq++
-	c.queue = append(c.queue, queuedRequest{seq: c.nextSeq, op: op})
+	c.queue = append(c.queue, request{ClientID: c.id, Seq: c.nextSeq, Op: op})
 	c.mu.Unlock()
 	select {
 	case c.notify <- struct{}{}:
@@ -138,7 +138,7 @@ func (c *Client) flush() {
 	c.queue = c.spare[:0]
 	c.mu.Unlock()
 	for rest := batch; len(rest) > 0; {
-		frame, n := encodeRequestFrame(c.id, rest)
+		frame, n := encodeRequestFrame(rest)
 		for _, addr := range c.addrs {
 			c.conn.Send(addr, msgRequest, frame)
 		}

@@ -64,22 +64,34 @@ func (c *gateConn) messages() []transport.Message {
 	return append([]transport.Message(nil), c.sent...)
 }
 
+// queuedRequest is a request of a client a test names once, in encodeFrame.
+type queuedRequest struct {
+	seq uint64
+	op  []byte
+}
+
+// encodeFrame encodes the leading requests of reqs, client's, into a frame
+// as a Client does (see encodeRequestFrame).
+func encodeFrame(client string, reqs []queuedRequest) ([]byte, int) {
+	full := make([]request, len(reqs))
+	for i, rq := range reqs {
+		full[i] = request{ClientID: client, Seq: rq.seq, Op: rq.op}
+	}
+	return encodeRequestFrame(full)
+}
+
 // frameRequests decodes a request frame the way a replica walks it.
 func frameRequests(t *testing.T, frame []byte) []request {
 	t.Helper()
 	r := wire.NewReader(frame)
-	client, first, n, err := readFrameHeader(r)
+	rn, err := readRun(r, false, 0)
+	if err == nil {
+		err = r.Finish()
+	}
 	if err != nil {
 		t.Fatalf("frame: %v", err)
 	}
-	out := make([]request, n)
-	for i := range out {
-		out[i] = request{ClientID: string(client), Seq: first + uint64(i), Op: r.Bytes()}
-	}
-	if err := r.Finish(); err != nil {
-		t.Fatalf("frame: %v", err)
-	}
-	return out
+	return appendRuns(nil, []run{rn}, nil)
 }
 
 func newGateClient(t *testing.T, conn *gateConn) *Client {
@@ -203,7 +215,7 @@ func TestClientSplitsQueueAtFrameCap(t *testing.T) {
 // The frame encoder sizes exactly: the buffer it allocates is the frame.
 func TestRequestFrameIsSizedExactly(t *testing.T) {
 	for _, k := range []int{1, 2, 130} {
-		frame, n := encodeRequestFrame("client", queuedOps(k))
+		frame, n := encodeFrame("client", queuedOps(k))
 		if n != k || len(frame) != cap(frame) {
 			t.Fatalf("%d requests: took %d into a frame of len %d, cap %d", k, n, len(frame), cap(frame))
 		}
@@ -294,7 +306,7 @@ func TestRequestFrameCarriesOpsOnly(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = queuedRequest{seq: first + uint64(i), op: bytes.Repeat([]byte{byte(i)}, opSize)}
 	}
-	frame, n := encodeRequestFrame("fe-client", reqs)
+	frame, n := encodeFrame("fe-client", reqs)
 	if n != k || len(frame) > k*(opSize+2)+32 {
 		t.Fatalf("%d requests of %d-byte operations took %d into a %d-byte frame, want %d in at most %d bytes",
 			k, opSize, n, len(frame), k, k*(opSize+2)+32)

@@ -49,26 +49,33 @@ type Durability interface {
 	SaveCheckpointAsync(seq int64, snapshot []byte)
 }
 
-// Batch is a decided batch as a Durability backend receives it: a list of
-// entries, each the encoding of one request that PROPOSE, SYNC, state
-// transfer and the batch digest use, which PutEntry writes straight into
-// the backend's record. A record that holds, in order, a uvarint count and
-// every entry length-prefixed reads back as a DurableEntry's Batch.
-type Batch struct{ reqs []request }
+// Batch is a decided batch as a Durability backend receives it: its runs as
+// entries, which PutEntry writes straight into the backend's record. A
+// record of a uvarint count and every entry length-prefixed reads back as a
+// DurableEntry's Batch.
+type Batch struct{ runs [][]request }
 
-// Len is the number of entries.
-func (b Batch) Len() int { return len(b.reqs) }
-
-// EntrySize is the length of entry i.
-func (b Batch) EntrySize(i int) int { return requestSize(b.reqs[i].ClientID, b.reqs[i].Op) }
-
-// PutEntry writes entry i into w.
-func (b Batch) PutEntry(w *wire.Writer, i int) {
-	putRequest(w, b.reqs[i].ClientID, b.reqs[i].Seq, b.reqs[i].Op)
+// set makes b the batch reqs, cut into its maximal runs, in the storage of
+// b's runs; set(nil) drops the views of the batch b held.
+func (b *Batch) set(reqs []request) {
+	b.runs = emptied(b.runs)
+	for rest := reqs; len(rest) > 0; {
+		n := runLen(rest)
+		b.runs, rest = append(b.runs, rest[:n]), rest[n:]
+	}
 }
 
+// Len is the number of entries: the batch's runs.
+func (b *Batch) Len() int { return len(b.runs) }
+
+// EntrySize is the length of entry i.
+func (b *Batch) EntrySize(i int) int { return runSize(b.runs[i], false) }
+
+// PutEntry writes entry i into w.
+func (b *Batch) PutEntry(w *wire.Writer, i int) { putRun(w, b.runs[i], false) }
+
 // DurableEntry is one logged decision handed back at recovery: its batch's
-// entries, which the replica decodes as views.
+// entries (its runs), which the replica decodes as views.
 type DurableEntry struct {
 	Seq   int64
 	Batch [][]byte
@@ -121,9 +128,13 @@ func (r *Replica) restoreDurable(st *DurableState) error {
 			return fmt.Errorf("consensus: decision log gap at seq %d (delivered %d)",
 				e.Seq, r.lastDelivered)
 		}
+		reqs, err := r.decodeDecided(e.Seq, e.Batch)
+		if err != nil {
+			return err
+		}
 		inst := r.instance(e.Seq)
 		// Decided, hence validated by a quorum.
-		r.adoptDecided(inst, r.decodeEntries(e.Batch))
+		r.adoptDecided(inst, reqs)
 		r.durableSeq = e.Seq // already on disk: execute must not re-log it
 		r.deliver(inst)
 		if e.Seq > r.lastProposed {
@@ -153,9 +164,9 @@ func (r *Replica) logDecision(seq int64, reqs []request) {
 				r.cfg.SelfID, seq, err)
 		}
 	}
-	r.logged.reqs = reqs
+	r.logged.set(reqs)
 	r.lastDecisionTok = r.durable.AppendDecision(seq, &r.logged)
-	r.logged.reqs = nil
+	r.logged.set(nil)
 	r.durableSeq = seq
 }
 

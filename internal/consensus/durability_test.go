@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // fakeToken is a decision token whose state the test sets up front.
@@ -83,7 +84,46 @@ func newDurableReplicaOn(t *testing.T, net *transport.InProcNetwork, log Durabil
 
 // requestBatch is a decided batch of one client request carrying op.
 func requestBatch(seq uint64, op string) [][]byte {
-	return [][]byte{(&request{ClientID: "client", Seq: seq, Op: []byte(op)}).marshal()}
+	return logEntries([]request{{ClientID: "client", Seq: seq, Op: []byte(op)}})
+}
+
+// logEntries is the batch reqs as the decision log's entries: its runs.
+func logEntries(reqs []request) [][]byte {
+	var b Batch
+	b.set(reqs)
+	entries := make([][]byte, b.Len())
+	for i := range entries {
+		w := wire.NewWriter(b.EntrySize(i))
+		b.PutEntry(w, i)
+		entries[i] = w.Bytes()
+	}
+	return entries
+}
+
+// Recovery replays the batch that was decided or nothing: a logged batch
+// with an entry that does not read as a run stops the replica's
+// construction with an error naming the decision, instead of replaying the
+// batch without it.
+func TestRecoveryRefusesAnUndecodableEntry(t *testing.T) {
+	good := logEntries([]request{{ClientID: "client", Seq: 1, Op: []byte("a")}})
+	empty := wire.NewWriter(0)
+	putRunHead(empty, "client", 2, 0)
+	for name, bad := range map[string][]byte{
+		"truncated":    good[0][:len(good[0])-1],
+		"garbage":      {0xde, 0xad},
+		"empty run":    empty.Bytes(),
+		"trailing":     append(append([]byte(nil), good[0]...), 0),
+		"continuation": logEntries([]request{{ClientID: "client", Seq: 2, Op: []byte("b")}})[0],
+	} {
+		state := &DurableState{CheckpointSeq: -1, Decisions: []DurableEntry{
+			{Seq: 0, Batch: requestBatch(7, "x")},
+			{Seq: 1, Batch: [][]byte{good[0], bad}},
+		}}
+		_, app, err := newDurableReplica(t, &fakeLog{}, state)
+		if err == nil || !strings.Contains(err.Error(), "seq 1") {
+			t.Fatalf("%s: a logged batch with an undecodable entry recovered (err %v, executed %d ops)", name, err, len(app.opsFlat()))
+		}
+	}
 }
 
 func TestLogDecisionIsDenseAndInOrder(t *testing.T) {

@@ -14,15 +14,17 @@ import (
 // FuzzRequestFrame drives the decoder of client request frames, with a
 // seed corpus in testdata/fuzz. Properties: any bytes, fed to a replica as
 // a frame, cause no panic; sent by any endpoint but the client the frame
-// names, they pool nothing; sent by that client, the replica pools exactly
-// the operations that precede the first fault, under the frame's client and with
-// consecutive sequence numbers from the frame's first (nothing from a frame
-// whose header is malformed or whose run of sequence numbers passes
-// 2^64-1), each a capped view inside the frame (neither reading nor
-// appending to a pooled operation reaches past the bytes that were sent);
-// and the input, cut into ops at its zero bytes, encodes as one client
-// frame of exactly its header and its length-prefixed ops, which the
-// replica pools as the same (client, seq, op) list, in order.
+// names, they pool nothing; sent by that client, the replica pools the
+// frame whole or not at all: exactly its operations if it reads as one run
+// and nothing else (nothing from a frame whose header or any operation is
+// malformed, whose run of sequence numbers is empty or passes 2^64-1, or
+// that has bytes after its run), under the frame's client and with
+// consecutive sequence numbers from the frame's first, each a capped view
+// inside the frame (neither reading nor appending to a pooled operation
+// reaches past the bytes that were sent); and the input, cut into ops at
+// its zero bytes, encodes as one client frame of exactly its header and its
+// length-prefixed ops, which the replica pools as the same (client, seq,
+// op) list, in order.
 func FuzzRequestFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		client, want := walkFrame(in)
@@ -33,7 +35,7 @@ func FuzzRequestFrame(f *testing.F) {
 		}
 		r.onRequests(transport.Addr(client), in)
 		if r.pending != len(want) {
-			t.Fatalf("pooled %d requests of a frame that holds %d before its first fault", r.pending, len(want))
+			t.Fatalf("pooled %d requests of a frame that holds %d", r.pending, len(want))
 		}
 		for _, w := range want {
 			var p *pendingReq
@@ -56,7 +58,7 @@ func FuzzRequestFrame(f *testing.F) {
 			reqs[i] = queuedRequest{seq: uint64(1<<40 + i), op: op}
 			size += wire.BytesSize(len(op))
 		}
-		frame, n := encodeRequestFrame("fuzz-client", reqs)
+		frame, n := encodeFrame("fuzz-client", reqs)
 		if n != len(reqs) || len(frame) != size {
 			t.Fatalf("a %d-byte queue of %d requests was split at %d into a %d-byte frame, want %d bytes",
 				len(in), len(reqs), n, len(frame), size)
@@ -78,24 +80,24 @@ func FuzzRequestFrame(f *testing.F) {
 }
 
 // walkFrame is FuzzRequestFrame's own reading of a request frame: its
-// client and the requests before the first fault that a replica with an
-// empty pool and no executed requests pools. Sequence number 0 never pools:
-// every client's dedup floor covers it.
+// client and the requests a replica with an empty pool and no executed
+// requests pools from it, none unless the frame is one whole run. Sequence
+// number 0 never pools: every client's dedup floor covers it.
 func walkFrame(frame []byte) (string, []request) {
 	rd := wire.NewReader(frame)
 	client, first, n := rd.String(), rd.Uint64(), rd.Uvarint()
-	if rd.Err() != nil || n > uint64(rd.Remaining()) || (n > 0 && first+(n-1) < first) {
+	if rd.Err() != nil || n == 0 || n > uint64(rd.Remaining()) || first+(n-1) < first {
 		return client, nil
 	}
 	var out []request
 	for i := uint64(0); i < n; i++ {
 		op := rd.Bytes()
-		if rd.Err() != nil {
-			break
-		}
 		if first+i != 0 {
 			out = append(out, request{ClientID: client, Seq: first + i, Op: op})
 		}
+	}
+	if rd.Finish() != nil {
+		return client, nil
 	}
 	return client, out
 }
@@ -120,11 +122,9 @@ func insideFrame(t *testing.T, frame, s []byte) {
 var fuzzPool = []queuedRequest{{seq: 1, op: []byte("a")}, {seq: 2, op: []byte("b")}, {seq: 3, op: []byte("c")}}
 
 // fuzzEarlier builds the PROPOSEs FuzzPropose decodes and resolves before
-// each input, so that the input lands in storage they left: eight entries
-// naming fuzzPool's requests by reference, and the same eight inline. Both
-// are longer than most inputs, the first has a reference wherever an input
-// has an inline entry, and the second an inline entry wherever it has a
-// reference.
+// each input, so that the input lands in storage they left: eight requests
+// naming fuzzPool's by reference, and the same eight inline. Both are
+// longer than most inputs, and of the other kind than an input of either.
 func fuzzEarlier() [][]byte {
 	reqs := make([]request, 8)
 	for i := range reqs {
@@ -135,44 +135,64 @@ func fuzzEarlier() [][]byte {
 	return [][]byte{pm.marshalRefs(), pm.marshal()}
 }
 
+// proposeHeader is the length of a PROPOSE before its batch: regency, seq,
+// digest and the by-reference flag.
+const proposeHeader = 4 + 8 + cryptoutil.DigestSize + 1
+
 // FuzzPropose drives the PROPOSE decoder and a follower's resolution of it,
 // with a seed corpus in testdata/fuzz. Properties: any bytes, delivered to a
 // follower as its leader's PROPOSE, cause no panic, and every client id and
-// operation an entry decodes to is a capped view inside the payload; the
-// input, decoded into a message and resolved into storage that
-// an earlier PROPOSE was decoded and resolved into (see fuzzEarlier), is the
-// same PROPOSE, resolves the same way and to the same entries, requests and
-// digest as decoded into a new message and resolved into new storage; and
-// the input, cut into ops at its zero bytes and pooled as one client frame
-// by a leader and by a follower, becomes a PROPOSE of references that
-// resolves, against the leader's own pool and at the follower, to the batch
-// the leader proposed, request for request, and to its digest.
+// operation a run decodes to is a capped view inside the payload; a
+// PROPOSE that decodes re-encodes byte for byte, and an inline one's
+// requests hash (batchDigest) as the seq and its batch's bytes; the input,
+// decoded into a message and resolved into storage that an earlier
+// PROPOSE was decoded and resolved into (see fuzzEarlier), is the same
+// PROPOSE, resolves the same way and to the same requests and digest as
+// decoded into a new message and resolved into new storage; and the input,
+// cut into ops at its zero bytes and pooled as one client frame by a leader
+// and by a follower, becomes a PROPOSE of references that resolves,
+// against the leader's own pool and at the follower, to the batch the
+// leader proposed, request for request, and to its digest.
 func FuzzPropose(f *testing.F) {
 	earlier := fuzzEarlier()
 	f.Fuzz(func(t *testing.T, in []byte) {
 		fol := newFollower(t, Config{})
-		poolFrame, _ := encodeRequestFrame("fuzz-client", fuzzPool)
+		limit := fol.r.cfg.BatchSize
+		poolFrame, _ := encodeFrame("fuzz-client", fuzzPool)
 		fol.submit(poolFrame)
 		fresh, want := new(proposeMsg), new([]request)
-		err := unmarshalPropose(in, fresh)
+		err := unmarshalPropose(in, fresh, limit)
 		var wantDigest cryptoutil.Digest
 		var wantSt resolution
 		if err == nil {
-			for _, e := range fresh.Entries {
-				insideFrame(t, in, e.client)
-				insideFrame(t, in, e.op)
+			for _, rn := range fresh.runs {
+				insideFrame(t, in, rn.client)
+				insideFrame(t, in, rn.ops)
+			}
+			reqs := fresh.requests()
+			again := &proposeMsg{Regency: fresh.Regency, Seq: fresh.Seq, Digest: fresh.Digest, Batch: reqs}
+			if out := again.encode(fresh.byRef); !bytes.Equal(out, in) {
+				t.Fatalf("a decoded PROPOSE re-encodes as %x, not as %x", out, in)
+			}
+			if !fresh.byRef {
+				w := wire.NewWriter(0)
+				w.PutInt64(fresh.Seq)
+				w.PutRaw(in[proposeHeader:])
+				if batchDigest(fresh.Seq, reqs) != cryptoutil.Hash(w.Bytes()) {
+					t.Fatal("the requests of an inline PROPOSE do not hash as its seq and batch bytes")
+				}
 			}
 			wantDigest, wantSt = fol.r.resolve(fresh, want)
 		}
 		for _, b := range earlier {
 			used, into := new(proposeMsg), new([]request)
-			if err := unmarshalPropose(b, used); err != nil {
+			if err := unmarshalPropose(b, used, limit); err != nil {
 				t.Fatalf("an earlier PROPOSE does not decode: %v", err)
 			}
 			if _, st := fol.r.resolve(used, into); st != resolved {
 				t.Fatalf("an earlier PROPOSE does not resolve: %v", st)
 			}
-			if got := unmarshalPropose(in, used); (got == nil) != (err == nil) {
+			if got := unmarshalPropose(in, used, limit); (got == nil) != (err == nil) {
 				t.Fatalf("decoded into a used message the input fails with %v, into a new one with %v", got, err)
 			}
 			if err != nil {
@@ -201,7 +221,7 @@ func FuzzPropose(f *testing.F) {
 		for i, op := range ops {
 			reqs[i] = queuedRequest{seq: uint64(1<<40 + i), op: op}
 		}
-		frame, _ := encodeRequestFrame("fuzz-client", reqs)
+		frame, _ := encodeFrame("fuzz-client", reqs)
 		l, fol := newLeader(t, Config{}), newFollower(t, Config{})
 		l.submit(frame)
 		fol.submit(frame)
@@ -231,22 +251,23 @@ func FuzzPropose(f *testing.F) {
 }
 
 // sameProposal fails unless got, decoded into a used message, is the
-// PROPOSE want is: the same header, and entry by entry the same request or
-// the same reference, with nothing the earlier message left.
+// PROPOSE want is: the same header, and run by run the same client, first
+// sequence number, count and operations, with nothing the earlier message
+// left.
 func sameProposal(t *testing.T, got, want *proposeMsg) {
 	t.Helper()
 	if got.Regency != want.Regency || got.Seq != want.Seq || got.Digest != want.Digest ||
-		len(got.Entries) != len(want.Entries) || got.refs != want.refs {
-		t.Fatalf("decoded into a used message: (%d, %d, %x, %d entries, %d references), into a new one (%d, %d, %x, %d, %d)",
-			got.Regency, got.Seq, got.Digest, len(got.Entries), got.refs,
-			want.Regency, want.Seq, want.Digest, len(want.Entries), want.refs)
+		len(got.runs) != len(want.runs) || got.byRef != want.byRef {
+		t.Fatalf("decoded into a used message: (%d, %d, %x, %d runs, by reference: %v), into a new one (%d, %d, %x, %d, %v)",
+			got.Regency, got.Seq, got.Digest, len(got.runs), got.byRef,
+			want.Regency, want.Seq, want.Digest, len(want.runs), want.byRef)
 	}
-	for i := range want.Entries {
-		g, w := got.Entries[i], want.Entries[i]
-		if g.ref != w.ref || g.seq != w.seq || !bytes.Equal(g.client, w.client) ||
-			(g.op == nil) != (w.op == nil) || !bytes.Equal(g.op, w.op) {
-			t.Fatalf("entry %d decoded into a used message is (%s, %d, %x, a reference: %v), into a new one (%s, %d, %x, %v)",
-				i, g.client, g.seq, g.op, g.ref, w.client, w.seq, w.op, w.ref)
+	for i := range want.runs {
+		g, w := got.runs[i], want.runs[i]
+		if g.first != w.first || g.n != w.n || !bytes.Equal(g.client, w.client) ||
+			(g.ops == nil) != (w.ops == nil) || !bytes.Equal(g.ops, w.ops) {
+			t.Fatalf("run %d decoded into a used message is (%s, %d, %d, %x), into a new one (%s, %d, %d, %x)",
+				i, g.client, g.first, g.n, g.ops, w.client, w.first, w.n, w.ops)
 		}
 	}
 }
@@ -272,9 +293,11 @@ func sameResolution(t *testing.T, got, want *[]request) {
 // the decoder (an index into peerDecoders), the rest is the payload.
 // Properties: any bytes decode without a panic, and a decoded message
 // re-encodes canonically: the re-encoding decodes, and encodes again to the
-// same bytes.
+// same bytes. The whole input is also read as a batch, inline and by
+// reference (see checkBatchCodec).
 func FuzzPeerMessages(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
+		checkBatchCodec(t, in)
 		if len(in) == 0 {
 			return
 		}
@@ -291,6 +314,39 @@ func FuzzPeerMessages(f *testing.F) {
 			t.Fatalf("%s: the re-encoding is not canonical: %x, then %x", decode.name, once, twice)
 		}
 	})
+}
+
+// checkBatchCodec reads b as a batch, inline and by reference (naming at
+// most fuzzRefLimit requests), and fails unless every batch the reader
+// accepts re-encodes byte for byte, and an inline one's requests hash
+// (batchDigest) as the seq and those bytes.
+func checkBatchCodec(t *testing.T, b []byte) {
+	t.Helper()
+	const fuzzRefLimit = 1 << 10
+	for _, byRef := range []bool{false, true} {
+		rd := wire.NewReader(b)
+		runs, err := readRuns(rd, byRef, fuzzRefLimit, nil)
+		if err != nil || rd.Finish() != nil {
+			continue
+		}
+		m := &proposeMsg{byRef: byRef, runs: runs}
+		reqs := m.requests()
+		w := wire.NewWriter(0)
+		putBatch(w, reqs, byRef)
+		if !bytes.Equal(w.Bytes(), b) || batchSize(reqs, byRef) != len(b) {
+			t.Fatalf("a batch (by reference: %v) read from %x re-encodes as %x (size %d)", byRef, b, w.Bytes(), batchSize(reqs, byRef))
+		}
+		if byRef {
+			continue
+		}
+		const seq = -3
+		pre := wire.NewWriter(0)
+		pre.PutInt64(seq)
+		pre.PutRaw(b)
+		if batchDigest(seq, reqs) != cryptoutil.Hash(pre.Bytes()) {
+			t.Fatalf("the requests of the batch %x do not hash as the seq and its bytes", b)
+		}
+	}
 }
 
 // peerDecoders lists the peer-message decoders FuzzPeerMessages selects

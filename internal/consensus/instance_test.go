@@ -212,8 +212,8 @@ func (f *standIn) submit(frame []byte) {
 // frameSender is the client a request frame names: the one sender a
 // replica pools the frame from.
 func frameSender(frame []byte) transport.Addr {
-	client, _, _, _ := readFrameHeader(wire.NewReader(frame))
-	return transport.Addr(client)
+	rn, _ := readRun(wire.NewReader(frame), false, 0)
+	return transport.Addr(rn.client)
 }
 
 // proposals returns the PROPOSEs the stand-in sent, one per instance (a
@@ -229,7 +229,7 @@ func (f *standIn) proposals(t *testing.T) []*proposeMsg {
 			continue
 		}
 		pm := new(proposeMsg)
-		if err := unmarshalPropose(m.Payload, pm); err != nil {
+		if err := unmarshalPropose(m.Payload, pm, f.r.cfg.BatchSize); err != nil {
 			t.Fatalf("the stand-in sent a malformed PROPOSE: %v", err)
 		}
 		var full []request
@@ -240,6 +240,21 @@ func (f *standIn) proposals(t *testing.T) []*proposeMsg {
 		if !seen[pm.Seq] {
 			seen[pm.Seq] = true
 			out = append(out, pm)
+		}
+	}
+	return out
+}
+
+// requests is what a decoded PROPOSE names: its inline requests, or the
+// references by reference (with no operations).
+func (m *proposeMsg) requests() []request {
+	if !m.byRef {
+		return appendRuns(nil, m.runs, nil)
+	}
+	var out []request
+	for _, rn := range m.runs {
+		for s := 0; s < rn.n; s++ {
+			out = append(out, request{ClientID: string(rn.client), Seq: rn.first + uint64(s)})
 		}
 	}
 	return out
@@ -262,7 +277,7 @@ func TestLeaderProposesWholeFrame(t *testing.T) {
 	const k = 5
 	l := newLeader(t, Config{})
 	reqs := queuedOps(k)
-	frame, n := encodeRequestFrame("client", reqs)
+	frame, n := encodeFrame("client", reqs)
 	if n != k {
 		t.Fatalf("a %d-request frame took %d", k, n)
 	}
@@ -505,10 +520,10 @@ func (f *standIn) inlineAnswers(t *testing.T, to ReplicaID) []*proposeMsg {
 			continue
 		}
 		pm := new(proposeMsg)
-		if err := unmarshalPropose(m.Payload, pm); err != nil {
+		if err := unmarshalPropose(m.Payload, pm, f.r.cfg.BatchSize); err != nil {
 			t.Fatalf("the stand-in sent a malformed PROPOSE: %v", err)
 		}
-		if pm.refs == 0 {
+		if !pm.byRef {
 			out = append(out, pm)
 		}
 	}
@@ -533,9 +548,9 @@ func TestLeaderAnswersAFetchOnceWhileItHoldsTheBatch(t *testing.T) {
 	if len(answers) != 1 {
 		t.Fatalf("answered %d of two fetches from one follower, want 1", len(answers))
 	}
-	if a, p := answers[0], props[0].Batch[0]; a.Seq != 0 || len(a.Entries) != 1 || string(a.Entries[0].client) != p.ClientID ||
-		a.Entries[0].seq != p.Seq || !bytes.Equal(a.Entries[0].op, p.Op) || a.Digest != props[0].Digest {
-		t.Fatalf("the answer (seq %d, %d entries) is not the proposed batch", a.Seq, len(a.Entries))
+	if a, p := answers[0], props[0].Batch[0]; a.Seq != 0 || len(a.requests()) != 1 || a.requests()[0].ClientID != p.ClientID ||
+		a.requests()[0].Seq != p.Seq || !bytes.Equal(a.requests()[0].Op, p.Op) || a.Digest != props[0].Digest {
+		t.Fatalf("the answer (seq %d, %d entries) is not the proposed batch", a.Seq, len(a.requests()))
 	}
 
 	// Instances 0 and 1 decided and delivered: the checkpoint at 1 retires both.
@@ -559,7 +574,7 @@ func TestLeaderAnswersAFetchOnceWhileItHoldsTheBatch(t *testing.T) {
 	}
 	l.deliver(2, msgProposeFetch, fetch)
 	if answers := l.inlineAnswers(t, 2); len(answers) != 0 {
-		t.Fatalf("a leader whose instance a checkpoint retired answered with %d entries", len(answers[0].Entries))
+		t.Fatalf("a leader whose instance a checkpoint retired answered with %d entries", len(answers[0].requests()))
 	}
 }
 
@@ -625,7 +640,7 @@ func (fr *followerRun) prepare(seq int64) {
 		for i := range reqs {
 			reqs[i] = request{ClientID: "client", Seq: uint64(base + i + 1), Op: []byte("op")}
 		}
-		frame, _ := encodeRequestFrame("client", queued)
+		frame, _ := encodeFrame("client", queued)
 		digest := batchDigest(fr.prepared, reqs)
 		fr.in[fr.prepared] = followerInput{
 			frame:   frame,

@@ -32,16 +32,22 @@ const (
 // ordering node's time-to-cut markers, a joining node's admission request).
 const RequestMessageType = msgRequest
 
-// A request frame is the payload of every RequestMessageType message: the
-// client id and the first sequence number, once, then a uvarint count and
-// that many length-prefixed operations; the i-th operation's sequence
-// number is first + i. A replica pools each operation as a view of the
-// frame, under the frame's client (see Replica.onRequests). A Client sends
-// every request queued since its previous send as one frame, the same
-// payload to every replica.
+// A run is one client's requests of consecutive sequence numbers, and the
+// one form in which this package encodes requests: a request frame is one
+// run, and every batch — a PROPOSE's, a write certificate's, a SYNC
+// decision's, a state reply entry's, the one the batch digest is over — is
+// a uvarint count of runs, each a maximal stretch of one client's
+// consecutive requests in batch order. A decision record holds a batch's
+// runs as its entries (see Batch).
 //
-// Layout: PutString(client), PutUint64(first), PutUvarint(n), then n
-// PutBytes(op).
+// Layout of a run: PutString(client), PutUint64(first), PutUvarint(n),
+// then, unless the run travels by reference (a PROPOSE naming requests its
+// followers pooled), n PutBytes(op). The i-th request's sequence number is
+// first + i.
+//
+// A Client sends every request queued since its previous send as one frame,
+// the same payload to every replica, and a replica pools each operation as
+// a view of the frame, under the frame's client (see Replica.onRequests).
 
 // maxRequestFrameBytes bounds the frames a Client builds: a longer queue
 // leaves as several frames. (A single request larger than this is sent
@@ -52,283 +58,265 @@ const maxRequestFrameBytes = 1 << 20
 // RequestMessageType to every replica enters the request pool like any
 // client submission.
 func EncodeRequest(clientID string, seq uint64, op []byte) []byte {
-	frame, _ := encodeRequestFrame(clientID, []queuedRequest{{seq: seq, op: op}})
+	frame, _ := encodeRequestFrame([]request{{ClientID: clientID, Seq: seq, Op: op}})
 	return frame
 }
 
-// queuedRequest is a client operation waiting for its client's sender.
-type queuedRequest struct {
-	seq uint64
-	op  []byte
-}
-
-// encodeRequestFrame encodes the leading requests of reqs into a frame, as
-// many as have consecutive sequence numbers and fit in maxRequestFrameBytes
-// but at least one, and reports how many it took. The frame is sized
-// exactly and each operation written into it once: no intermediate
-// encoding, no growth.
-func encodeRequestFrame(clientID string, reqs []queuedRequest) ([]byte, int) {
-	header := wire.BytesSize(len(clientID)) + 8
-	n, body := 0, 0
-	for i, rq := range reqs {
-		op := wire.BytesSize(len(rq.op))
-		if n > 0 && (rq.seq != reqs[0].seq+uint64(i) ||
-			header+binary.MaxVarintLen64+body+op > maxRequestFrameBytes) {
+// encodeRequestFrame encodes the leading requests of reqs into a frame: the
+// run they start, cut where the frame would pass maxRequestFrameBytes but
+// at least one request. It reports how many it took. The frame is sized
+// exactly and each operation written into it once.
+func encodeRequestFrame(reqs []request) ([]byte, int) {
+	run, n, size := runLen(reqs), 1, runSize(reqs[:1], false)
+	for ; n < run; n++ {
+		op := wire.BytesSize(len(reqs[n].Op))
+		if size+binary.MaxVarintLen64+op > maxRequestFrameBytes {
 			break
 		}
-		n++
-		body += op
+		size += op
 	}
-	w := wire.NewWriter(header + wire.UvarintSize(uint64(n)) + body)
-	w.PutString(clientID)
-	w.PutUint64(reqs[0].seq)
-	w.PutUvarint(uint64(n))
-	for _, rq := range reqs[:n] {
-		w.PutBytes(rq.op)
-	}
+	w := wire.NewWriter(runSize(reqs[:n], false))
+	putRun(w, reqs[:n], false)
 	return w.Bytes(), n
-}
-
-// readFrameHeader reads a request frame's client id (a view of the frame),
-// first sequence number and operation count, leaving rd at the first
-// operation. A count the frame cannot hold, or whose run of sequence
-// numbers would pass 2^64-1, is an error.
-func readFrameHeader(rd *wire.Reader) (client []byte, first uint64, n int, err error) {
-	client, first, n = rd.Bytes(), rd.Uint64(), rd.Count(1)
-	if err := rd.Err(); err != nil {
-		return nil, 0, 0, fmt.Errorf("request frame: %w", err)
-	}
-	if n > 0 && first > math.MaxUint64-uint64(n-1) {
-		return nil, 0, 0, fmt.Errorf("request frame: %d sequence numbers from %d pass 2^64-1", n, first)
-	}
-	return client, first, n, nil
 }
 
 // request is a client operation submitted for total ordering. Clients send
 // requests to every replica (Figure 3: "Clients send their requests to all
 // replicas"). A replica holds each request as one such value, from the
 // frame it pooled it from to the checkpoint that retires its batch: a
-// batch is a []request. Every message that carries a batch encodes a
-// request as putRequest writes it, the entry the batch digest is over.
+// batch is a []request, and travels as its runs.
 type request struct {
 	ClientID string // the client's transport address
 	Seq      uint64 // per-client sequence number for deduplication
 	Op       []byte // opaque operation (an HLF envelope in the ordering service)
 }
 
-// marshal encodes the request as a batch entry.
-func (rq *request) marshal() []byte {
-	w := wire.NewWriter(requestSize(rq.ClientID, rq.Op))
-	putRequest(w, rq.ClientID, rq.Seq, rq.Op)
-	return w.Bytes()
+// runLen is the length of the run batch starts with: its first request and
+// every one after it of the same client and the next sequence number.
+func runLen(batch []request) int {
+	n := 1
+	for n < len(batch) && batch[n].ClientID == batch[0].ClientID &&
+		batch[n-1].Seq != math.MaxUint64 && batch[n].Seq == batch[n-1].Seq+1 {
+		n++
+	}
+	return n
 }
 
-// requestSize is the exact length of putRequest's encoding.
-func requestSize(clientID string, op []byte) int {
-	return wire.BytesSize(len(clientID)) + 8 + wire.BytesSize(len(op))
+func putRunHead(w *wire.Writer, client string, first uint64, n int) {
+	w.PutString(client)
+	w.PutUint64(first)
+	w.PutUvarint(uint64(n))
 }
 
-func putRequest(w *wire.Writer, clientID string, seq uint64, op []byte) {
-	w.PutString(clientID)
-	w.PutUint64(seq)
-	w.PutBytes(op)
-}
-
-// entrySize is the length of rq as a length-prefixed batch entry.
-func (rq *request) entrySize() int { return wire.BytesSize(requestSize(rq.ClientID, rq.Op)) }
-
-// putEntry writes rq as a length-prefixed batch entry: what PutBytes of its
-// marshal writes.
-func (rq *request) putEntry(w *wire.Writer) {
-	w.PutUvarint(uint64(requestSize(rq.ClientID, rq.Op)))
-	putRequest(w, rq.ClientID, rq.Seq, rq.Op)
-}
-
-// putBatch writes a batch as PutBytesSlice writes its entries: a uvarint
-// count, then every request as a length-prefixed entry.
-func putBatch(w *wire.Writer, batch []request) {
-	w.PutUvarint(uint64(len(batch)))
-	for i := range batch {
-		batch[i].putEntry(w)
+// putRun writes reqs, one run, with their operations unless byRef.
+func putRun(w *wire.Writer, reqs []request, byRef bool) {
+	putRunHead(w, reqs[0].ClientID, reqs[0].Seq, len(reqs))
+	if !byRef {
+		for i := range reqs {
+			w.PutBytes(reqs[i].Op)
+		}
 	}
 }
 
-// readBatch reads a batch putBatch wrote, as views of rd's buffer: the
-// requests' operations alias it, and consecutive requests of one client
-// share one copy of its id. An entry that is not a request fails the read.
-func readBatch(rd *wire.Reader) ([]request, error) {
-	batch := make([]request, rd.Count(minEntrySize))
-	for i := range batch {
-		id, seq, op, err := parseRequest(rd.Bytes())
-		if rd.Err() != nil {
-			return nil, rd.Err()
+// runSize is the exact length of putRun's encoding.
+func runSize(reqs []request, byRef bool) int {
+	size := wire.BytesSize(len(reqs[0].ClientID)) + 8 + wire.UvarintSize(uint64(len(reqs)))
+	if !byRef {
+		for i := range reqs {
+			size += wire.BytesSize(len(reqs[i].Op))
+		}
+	}
+	return size
+}
+
+// runCount is the number of maximal runs in batch.
+func runCount(batch []request) (runs int) {
+	for rest := batch; len(rest) > 0; runs++ {
+		rest = rest[runLen(rest):]
+	}
+	return runs
+}
+
+// putBatch writes batch as the count of its maximal runs, then each run.
+func putBatch(w *wire.Writer, batch []request, byRef bool) {
+	w.PutUvarint(uint64(runCount(batch)))
+	for rest := batch; len(rest) > 0; {
+		n := runLen(rest)
+		putRun(w, rest[:n], byRef)
+		rest = rest[n:]
+	}
+}
+
+// batchSize is the exact length of putBatch's encoding.
+func batchSize(batch []request, byRef bool) int {
+	size := wire.UvarintSize(uint64(runCount(batch)))
+	for rest := batch; len(rest) > 0; {
+		n := runLen(rest)
+		size += runSize(rest[:n], byRef)
+		rest = rest[n:]
+	}
+	return size
+}
+
+// run is a run as read (readRun): views of the bytes it was read from.
+type run struct {
+	client []byte
+	first  uint64
+	n      int
+	ops    []byte // the n length-prefixed operations; nil by reference
+}
+
+// readRun is the one run reader. It bounds a run's count before anything is
+// sized or looked up by it: an inline run's by the bytes present (each
+// operation takes at least its length prefix), one by reference by room. A
+// run names at least one request, and none past sequence number 2^64-1. An
+// inline run's operations are read as one view (ops), so a run that reads
+// is whole.
+func readRun(rd *wire.Reader, byRef bool, room int) (run, error) {
+	client, first, count := rd.Bytes(), rd.Uint64(), rd.Uvarint()
+	bound := uint64(rd.Remaining())
+	if byRef {
+		bound = uint64(max(room, 0))
+	}
+	switch {
+	case rd.Err() != nil:
+		return run{}, fmt.Errorf("run: %w", rd.Err())
+	case count == 0 || count > bound:
+		return run{}, fmt.Errorf("run of %d requests out of range (at most %d)", count, bound)
+	case first > math.MaxUint64-(count-1):
+		return run{}, fmt.Errorf("run: %d sequence numbers from %d pass 2^64-1", count, first)
+	}
+	rn := run{client: client, first: first, n: int(count)}
+	if !byRef {
+		if rn.ops = rd.Fields(rn.n); rd.Err() != nil {
+			return run{}, fmt.Errorf("run: %w", rd.Err())
+		}
+	}
+	return rn, nil
+}
+
+// continues reports whether next extends prev: the same client, from the
+// sequence number after prev's last. Runs that do are one run, so a reader
+// refuses the second: an accepted batch re-encodes byte for byte.
+func continues(prev, next *run) bool {
+	last := prev.first + uint64(prev.n-1)
+	return last != math.MaxUint64 && next.first == last+1 && string(next.client) == string(prev.client)
+}
+
+// readRuns reads a batch as its runs, into the storage of runs: a count,
+// then each run, none continuing the one before it. limit bounds how many
+// requests a batch by reference names in all.
+func readRuns(rd *wire.Reader, byRef bool, limit int, runs []run) ([]run, error) {
+	runs = sized(runs, rd.Count(1+8+1)) // the shortest run: an empty id, first and a count
+	for i := range runs {
+		rn, err := readRun(rd, byRef, limit)
+		if err == nil && i > 0 && continues(&runs[i-1], &rn) {
+			err = fmt.Errorf("run %d continues run %d", i, i-1)
 		}
 		if err != nil {
-			return nil, err
+			return emptied(runs), err
 		}
-		batch[i] = request{ClientID: sameString(batch[:i], id), Seq: seq, Op: op}
+		runs[i] = rn
+		limit -= rn.n
 	}
-	return batch, rd.Err()
+	return runs, rd.Err()
 }
 
-// minEntrySize is the length of the shortest batch entry: its length
-// prefix, an empty client id, the sequence number and an empty operation.
-const minEntrySize = 1 + 1 + 8 + 1
-
-// sameString returns id as a string, the previous request's client id when
-// it is that one.
-func sameString(prev []request, id []byte) string {
-	if n := len(prev); n > 0 && prev[n-1].ClientID == string(id) {
-		return prev[n-1].ClientID
+// appendRuns appends the requests of inline runs to reqs, each operation a
+// view and each client id the string known (a replica's client records)
+// holds for the client, or a new string per run.
+func appendRuns(reqs []request, runs []run, known map[string]*clientRecord) []request {
+	for i := range runs {
+		rn := &runs[i]
+		id := ""
+		if c := known[string(rn.client)]; c != nil {
+			id = c.client
+		} else {
+			id = string(rn.client)
+		}
+		ops := wire.NewReader(rn.ops)
+		for s := 0; s < rn.n; s++ {
+			reqs = append(reqs, request{ClientID: id, Seq: rn.first + uint64(s), Op: ops.Bytes()})
+		}
 	}
-	return string(id)
+	return reqs
 }
 
-// unmarshalRequest decodes a request as a view of b: Op aliases it, and the
-// client id is the string known (a replica's client records) holds for it.
-func unmarshalRequest(b []byte, known map[string]*clientRecord) (request, error) {
-	id, seq, op, err := parseRequest(b)
-	if err != nil {
-		return request{}, err
-	}
-	rq := request{Seq: seq, Op: op}
-	if c, ok := known[string(id)]; ok {
-		rq.ClientID = c.client
-	} else {
-		rq.ClientID = string(id)
-	}
-	return rq, nil
-}
-
-// parseRequest decodes a request's fields as views of b.
-func parseRequest(b []byte) (id []byte, seq uint64, op []byte, err error) {
-	r := wire.NewReader(b)
-	id = r.Bytes()
-	seq, op = r.Uint64(), r.Bytes()
-	if err := r.Finish(); err != nil {
-		return nil, 0, nil, fmt.Errorf("request: %w", err)
-	}
-	return id, seq, op, nil
+// readBatch reads a batch of inline runs as requests, views of rd's buffer.
+func readBatch(rd *wire.Reader) ([]request, error) {
+	runs, err := readRuns(rd, false, 0, nil)
+	return appendRuns(nil, runs, nil), err
 }
 
 // proposeMsg is the leader's batch proposal for one consensus instance.
 // Digest is the batchDigest of its requests.
 //
-// On the wire an entry travels either as a reference to a request the
-// receiver pooled itself — its (client, seq): clients send every request to
+// Its runs travel by reference or inline. Clients send every request to
 // every replica (Figure 3), so a follower already holds what the leader
-// proposes — or as the request itself. The leader sends a reference for
-// every request, so a request's bytes leave the leader once, in its block;
-// a follower that cannot resolve a reference asks the leader for the
-// entries inline (msgProposeFetch). Votes, certificates, SYNC, the decision
-// log and checkpoints carry full entries as before: the digest is over
-// them, not over the references.
+// proposes, and the leader proposes by reference: a request's bytes leave
+// the leader once, in its block. A follower that cannot resolve a
+// reference asks the leader for the batch inline (msgProposeFetch). The
+// digest, like every other carrier of the batch, is over the requests.
 //
-// Layout: Regency, Seq, Digest, a uvarint count, then per entry a kind byte
-// and either the length-prefixed request (entryInline) or the
-// length-prefixed client id and a uvarint seq (entryRef).
+// Layout: Regency, Seq, Digest, PutBool(by reference), then the batch.
 type proposeMsg struct {
 	Regency int32
 	Seq     int64
 	Digest  cryptoutil.Digest
 	// Batch is the proposed requests, which marshal and marshalRefs
-	// encode. A decoded message leaves it empty: its entries are in Entries,
-	// for the receiver to resolve into requests (Replica.resolve).
+	// encode. A decoded message leaves it empty: its runs are in runs, for
+	// the receiver to resolve into requests (Replica.resolve).
 	Batch []request
-	// Entries are a decoded message's entries, and refs how many of them
-	// travelled as references.
-	Entries []proposeEntry
-	refs    int
+	// byRef is set on a decoded message whose runs name their requests.
+	byRef bool
+	runs  []run
 	// payload is what a received PROPOSE was decoded from (nil for one
 	// this replica built).
 	payload []byte
 }
 
-// proposeEntry is one entry of a decoded PROPOSE: a request's client id and
-// sequence number, and its operation where the entry travelled inline (ref
-// false). client and op are views of the payload.
-type proposeEntry struct {
-	client []byte
-	seq    uint64
-	op     []byte
-	ref    bool
-}
-
-// Entry kinds of a PROPOSE.
-const (
-	entryInline byte = iota
-	entryRef
-)
-
-// marshal encodes m with every entry inline.
+// marshal encodes m with its runs inline.
 func (m *proposeMsg) marshal() []byte { return m.encode(false) }
 
-// marshalRefs encodes m with every entry a reference.
+// marshalRefs encodes m with its runs by reference.
 func (m *proposeMsg) marshalRefs() []byte { return m.encode(true) }
 
-// encode encodes m, sized exactly, with every entry a reference (refs) or
-// every entry inline.
-func (m *proposeMsg) encode(refs bool) []byte {
-	size := 4 + 8 + cryptoutil.DigestSize + wire.UvarintSize(uint64(len(m.Batch)))
-	for i := range m.Batch {
-		rq := &m.Batch[i]
-		if refs {
-			size += 1 + wire.BytesSize(len(rq.ClientID)) + wire.UvarintSize(rq.Seq)
-		} else {
-			size += 1 + rq.entrySize()
-		}
-	}
-	w := wire.NewWriter(size)
+// encode encodes m, sized exactly.
+func (m *proposeMsg) encode(byRef bool) []byte {
+	w := wire.NewWriter(4 + 8 + cryptoutil.DigestSize + 1 + batchSize(m.Batch, byRef))
 	w.PutInt32(m.Regency)
 	w.PutInt64(m.Seq)
 	w.PutRaw(m.Digest[:])
-	w.PutUvarint(uint64(len(m.Batch)))
-	for i := range m.Batch {
-		rq := &m.Batch[i]
-		if refs {
-			w.PutByte(entryRef)
-			w.PutString(rq.ClientID)
-			w.PutUvarint(rq.Seq)
-		} else {
-			w.PutByte(entryInline)
-			rq.putEntry(w)
-		}
-	}
+	w.PutBool(byRef)
+	putBatch(w, m.Batch, byRef)
 	return w.Bytes()
 }
 
-// unmarshalPropose decodes b into m, reusing the storage of m's entries:
+// unmarshalPropose decodes b into m, reusing the storage of m's runs:
 // whatever m held before is overwritten (or cleared), so the message decoded
-// is the same as into a zero proposeMsg. An inline entry that is not a
-// request fails the decode. On error m holds no useful value.
-func unmarshalPropose(b []byte, m *proposeMsg) error {
+// is the same as into a zero proposeMsg. limit bounds the requests a
+// PROPOSE by reference names (the batch size). On error m holds no useful
+// value.
+func unmarshalPropose(b []byte, m *proposeMsg, limit int) error {
 	r := wire.NewReader(b)
-	*m = proposeMsg{Regency: r.Int32(), Seq: r.Int64(), Entries: m.Entries, payload: b}
+	*m = proposeMsg{Regency: r.Int32(), Seq: r.Int64(), runs: m.runs, payload: b}
 	copy(m.Digest[:], r.Raw(cryptoutil.DigestSize))
-	m.Entries = sized(m.Entries, r.Count(2)) // a kind byte and an empty entry
-	for i := 0; i < len(m.Entries) && r.Err() == nil; i++ {
-		e := &m.Entries[i]
-		switch kind := r.Byte(); kind {
-		case entryInline:
-			var err error
-			if e.client, e.seq, e.op, err = parseRequest(r.Bytes()); err != nil && r.Err() == nil {
-				return fmt.Errorf("propose: entry %d: %w", i, err)
-			}
-		case entryRef:
-			e.client, e.seq, e.ref = r.Bytes(), r.Uvarint(), true
-			m.refs++
-		default:
-			return fmt.Errorf("propose: entry %d of unknown kind %d", i, kind)
-		}
+	kind := r.Byte()
+	if m.byRef = kind == 1; kind > 1 {
+		return fmt.Errorf("propose: batch of unknown kind %d", kind)
 	}
-	if err := r.Finish(); err != nil {
+	var err error
+	if m.runs, err = readRuns(r, m.byRef, limit, m.runs); err == nil {
+		err = r.Finish()
+	}
+	if err != nil {
 		return fmt.Errorf("propose: %w", err)
 	}
 	return nil
 }
 
 // proposeFetchMsg is a follower's request for the PROPOSE of instance Seq in
-// Regency with every entry inline: one whose references it could not
+// Regency with its batch inline: one whose references it could not
 // resolve from its pool.
 type proposeFetchMsg struct {
 	Regency int32
@@ -418,17 +406,31 @@ func putWriteCert(w *wire.Writer, c *writeCert) {
 	w.PutInt64(c.Seq)
 	w.PutInt32(c.Regency)
 	w.PutRaw(c.Digest[:])
-	putBatch(w, c.Batch)
+	putBatch(w, c.Batch, false)
 }
 
-func readWriteCert(r *wire.Reader) (writeCert, error) {
-	var c writeCert
+func readWriteCert(r *wire.Reader, c *writeCert) (err error) {
 	c.Seq = r.Int64()
 	c.Regency = r.Int32()
 	copy(c.Digest[:], r.Raw(cryptoutil.DigestSize))
-	var err error
 	c.Batch, err = readBatch(r)
-	return c, err
+	return err
+}
+
+// readList reads a count of at most max elements, each at least min bytes
+// long, then each element with read; nothing may follow the last.
+func readList[T any](r *wire.Reader, min, max int, read func(*wire.Reader, *T) error) ([]T, error) {
+	n := r.Count(min)
+	if n > max {
+		return nil, fmt.Errorf("%d elements out of range", n)
+	}
+	list := make([]T, n)
+	for i := range list {
+		if err := read(r, &list[i]); err != nil {
+			return nil, err
+		}
+	}
+	return list, r.Finish()
 }
 
 // stopDataMsg is sent to the new leader after a regency change. It reports
@@ -475,18 +477,9 @@ func unmarshalStopData(b []byte) (*stopDataMsg, error) {
 		LastDecided: r.Int64(),
 		Signature:   sig,
 	}
-	n := r.Count(45) // seq, regency, digest and an empty batch
-	if n > 1024 {
-		return nil, fmt.Errorf("stopdata: %d certs out of range", n)
-	}
-	m.Certs = make([]writeCert, n)
-	for i := range m.Certs {
-		var err error
-		if m.Certs[i], err = readWriteCert(r); err != nil {
-			return nil, fmt.Errorf("stopdata body: %w", err)
-		}
-	}
-	if err := r.Finish(); err != nil {
+	var err error
+	// A cert is at least its seq, regency, digest and an empty batch.
+	if m.Certs, err = readList(r, 45, 1024, readWriteCert); err != nil {
 		return nil, fmt.Errorf("stopdata body: %w", err)
 	}
 	return m, nil
@@ -517,7 +510,7 @@ func (m *syncMsg) marshal() []byte {
 		d := &m.Decisions[i]
 		w.PutInt64(d.Seq)
 		w.PutBool(d.HasCert)
-		putBatch(w, d.Batch)
+		putBatch(w, d.Batch, false)
 	}
 	return w.Bytes()
 }
@@ -525,20 +518,14 @@ func (m *syncMsg) marshal() []byte {
 func unmarshalSync(b []byte) (*syncMsg, error) {
 	r := wire.NewReader(b)
 	m := &syncMsg{Regency: r.Int32()}
-	n := r.Count(10) // seq, flag and an empty batch
-	if n > 1024 {
-		return nil, fmt.Errorf("sync: %d decisions out of range", n)
-	}
-	m.Decisions = make([]syncDecision, n)
-	for i := range m.Decisions {
-		d := &m.Decisions[i]
+	var err error
+	// A decision is at least its seq, flag and an empty batch.
+	m.Decisions, err = readList(r, 10, 1024, func(r *wire.Reader, d *syncDecision) (err error) {
 		d.Seq, d.HasCert = r.Int64(), r.Bool()
-		var err error
-		if d.Batch, err = readBatch(r); err != nil {
-			return nil, fmt.Errorf("sync: %w", err)
-		}
-	}
-	if err := r.Finish(); err != nil {
+		d.Batch, err = readBatch(r)
+		return err
+	})
+	if err != nil {
 		return nil, fmt.Errorf("sync: %w", err)
 	}
 	return m, nil
@@ -587,7 +574,7 @@ func (m *stateReplyMsg) marshal() []byte {
 	w.PutUvarint(uint64(len(m.Entries)))
 	for _, e := range m.Entries {
 		w.PutInt64(e.Seq)
-		putBatch(w, e.Batch)
+		putBatch(w, e.Batch, false)
 	}
 	return w.Bytes()
 }
@@ -598,20 +585,14 @@ func unmarshalStateReply(b []byte) (*stateReplyMsg, error) {
 		CheckpointSeq: r.Int64(),
 		Snapshot:      r.BytesCopy(),
 	}
-	n := r.Count(9) // seq and an empty batch
-	if n > 1<<20 {
-		return nil, fmt.Errorf("state reply: %d entries out of range", n)
-	}
-	m.Entries = make([]logEntryWire, n)
-	for i := range m.Entries {
-		e := &m.Entries[i]
+	var err error
+	// An entry is at least its seq and an empty batch.
+	m.Entries, err = readList(r, 9, 1<<20, func(r *wire.Reader, e *logEntryWire) (err error) {
 		e.Seq = r.Int64()
-		var err error
-		if e.Batch, err = readBatch(r); err != nil {
-			return nil, fmt.Errorf("state reply: %w", err)
-		}
-	}
-	if err := r.Finish(); err != nil {
+		e.Batch, err = readBatch(r)
+		return err
+	})
+	if err != nil {
 		return nil, fmt.Errorf("state reply: %w", err)
 	}
 	return m, nil
@@ -623,48 +604,32 @@ func (m *stateReplyMsg) digest() cryptoutil.Digest {
 }
 
 // batchDigest hashes a proposed batch; WRITE and ACCEPT votes carry this
-// digest rather than the batch itself (Figure 3: votes are hashes).
-// The pre-image is the wire encoding PutInt64(seq), PutBytesSlice(entries),
-// streamed into the hash entry by entry and never materialised. A batch is
-// its requests, whose entries are their putRequest encodings; it may also
-// be given as encoded entries, which hash alike.
-func batchDigest[B []request | [][]byte](seq int64, batch B) (d cryptoutil.Digest) {
+// digest rather than the batch itself (Figure 3: votes are hashes). The
+// pre-image is PutInt64(seq) and the batch's inline encoding (putBatch),
+// streamed into the hash run by run and never materialised. It is written
+// here rather than through putBatch so that the hash stays a local the
+// compiler sees the type of: a digest allocates nothing
+// (TestBatchHashesAsItsRuns holds the two to the same bytes).
+func batchDigest(seq int64, batch []request) (d cryptoutil.Digest) {
 	h := sha256.New()
-	var hdr [8 + binary.MaxVarintLen64]byte
-	binary.BigEndian.PutUint64(hdr[:8], uint64(seq))
-	h.Write(binary.AppendUvarint(hdr[:8], uint64(len(batch))))
-	switch b := any(batch).(type) {
-	case []request:
-		var head [entryHeadMax]byte
-		for i := range b {
-			rq := &b[i]
-			if len(rq.ClientID) > maxInlineClientID {
-				w := wire.NewWriter(rq.entrySize())
-				rq.putEntry(w)
-				h.Write(w.Bytes())
-				continue
-			}
-			e := binary.AppendUvarint(head[:0], uint64(requestSize(rq.ClientID, rq.Op)))
-			e = binary.AppendUvarint(e, uint64(len(rq.ClientID)))
-			e = append(e, rq.ClientID...)
-			e = binary.BigEndian.AppendUint64(e, rq.Seq)
-			h.Write(binary.AppendUvarint(e, uint64(len(rq.Op))))
-			h.Write(rq.Op)
+	var buf [64]byte // a number's encoding, or a piece of a client id
+	b := binary.BigEndian.AppendUint64(buf[:0], uint64(seq))
+	h.Write(binary.AppendUvarint(b, uint64(runCount(batch))))
+	for rest := batch; len(rest) > 0; {
+		reqs := rest[:runLen(rest)]
+		h.Write(binary.AppendUvarint(buf[:0], uint64(len(reqs[0].ClientID))))
+		for id := reqs[0].ClientID; id != ""; id = id[len(b):] {
+			b = buf[:copy(buf[:], id)]
+			h.Write(b)
 		}
-	case [][]byte:
-		for _, e := range b {
-			h.Write(binary.AppendUvarint(hdr[:0], uint64(len(e))))
-			h.Write(e)
+		b = binary.BigEndian.AppendUint64(buf[:0], reqs[0].Seq)
+		h.Write(binary.AppendUvarint(b, uint64(len(reqs))))
+		for i := range reqs {
+			h.Write(binary.AppendUvarint(buf[:0], uint64(len(reqs[i].Op))))
+			h.Write(reqs[i].Op)
 		}
+		rest = rest[len(reqs):]
 	}
 	h.Sum(d[:0])
 	return d
 }
-
-// maxInlineClientID is the longest client id batchDigest writes into its
-// stack buffer along with the rest of an entry's head (its length prefix,
-// the client id, the sequence number and the operation's length); a
-// request of a longer one is encoded whole first.
-const maxInlineClientID = 64
-
-const entryHeadMax = 3*binary.MaxVarintLen64 + maxInlineClientID + 8

@@ -155,7 +155,7 @@ func (pr *proposalRecorder) watch(tc *testCluster, leader *Replica) {
 			return true
 		}
 		pm := new(proposeMsg)
-		if err := unmarshalPropose(m.Payload, pm); err != nil {
+		if err := unmarshalPropose(m.Payload, pm, leader.cfg.BatchSize); err != nil {
 			return true
 		}
 		pr.mu.Lock()
@@ -166,7 +166,7 @@ func (pr *proposalRecorder) watch(tc *testCluster, leader *Replica) {
 		pr.seen = append(pr.seen, proposal{
 			seq:     pm.Seq,
 			at:      leader.lastProposeAt,
-			size:    len(pm.Entries),
+			size:    len(pm.requests()),
 			open:    leader.openInstances(),
 			latency: time.Duration(leader.instanceLatency.Load()),
 			left:    leader.pooled,
@@ -545,7 +545,7 @@ func opsFrame(first, count int) []byte {
 	for i := range reqs {
 		reqs[i] = queuedRequest{seq: uint64(first + i + 1), op: []byte(fmt.Sprintf("op-%d", first+i))}
 	}
-	frame, _ := encodeRequestFrame("client", reqs)
+	frame, _ := encodeFrame("client", reqs)
 	return frame
 }
 

@@ -217,12 +217,14 @@ func (r *Replica) marshalMembership(w *wire.Writer) {
 	}
 }
 
-// unmarshalMembership restores epoch + membership + weights from a snapshot.
-func (r *Replica) unmarshalMembership(rd *wire.Reader) error {
+// unmarshalMembership reads the epoch, membership and weights
+// marshalMembership wrote and returns what installs them: a snapshot is
+// installed only once all of it reads (see unwrapSnapshot).
+func (r *Replica) unmarshalMembership(rd *wire.Reader) (install func(), err error) {
 	epoch := rd.Uvarint()
 	n := rd.Count(8) // an id and a weight per member
 	if n == 0 || n > 1<<10 {
-		return fmt.Errorf("consensus: membership size %d out of range", n)
+		return nil, fmt.Errorf("consensus: membership size %d out of range", n)
 	}
 	membership := make([]ReplicaID, 0, n)
 	weights := make(map[ReplicaID]int, n)
@@ -236,17 +238,18 @@ func (r *Replica) unmarshalMembership(rd *wire.Reader) error {
 		weights[id] = weight
 	}
 	if err := rd.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	sortReplicas(membership)
-	r.epoch = epoch
-	r.membership = membership
-	r.cfg.F = MaxFaults(len(membership))
-	r.cfg.Weights = weights
-	r.qt = newQuorumTracker(membership, weights, r.cfg.F)
-	r.statMembers.Store(int32(len(membership)))
-	r.refreshLeaderStat()
-	r.publishMembership()
-	r.notifyMembership()
-	return nil
+	return func() {
+		r.epoch = epoch
+		r.membership = membership
+		r.cfg.F = MaxFaults(len(membership))
+		r.cfg.Weights = weights
+		r.qt = newQuorumTracker(membership, weights, r.cfg.F)
+		r.statMembers.Store(int32(len(membership)))
+		r.refreshLeaderStat()
+		r.publishMembership()
+		r.notifyMembership()
+	}, nil
 }

@@ -1,7 +1,6 @@
 package consensus
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -49,7 +48,7 @@ type Cutter interface {
 type Behavior struct {
 	// Mute drops every outgoing protocol message (fail-silent).
 	Mute bool
-	// CorruptPropose makes the leader propose malformed batch entries.
+	// CorruptPropose makes the leader propose a batch that does not read.
 	CorruptPropose bool
 	// Equivocate makes the leader send conflicting proposals to different
 	// replicas.
@@ -253,14 +252,14 @@ type instance struct {
 	// parked is the payload of a PROPOSE of the current regency that named
 	// requests this follower has not pooled, or pooled with other
 	// operations than the leader's; parkedAt is when it arrived, and asked
-	// is set once the leader was asked for its entries inline (see
+	// is set once the leader was asked for its batch inline (see
 	// onPropose). A payload is immutable, so the PROPOSE is decoded from it
 	// again when it is retried, and parking one copies nothing.
 	parked   []byte
 	parkedAt time.Time
 	asked    bool
-	// answered lists the followers this leader sent the instance's entries
-	// inline to: each gets them once.
+	// answered lists the followers this leader sent the instance's batch
+	// inline to: each gets it once.
 	answered []ReplicaID
 }
 
@@ -271,8 +270,8 @@ type instance struct {
 // views are cleared and its storage kept, for the proposal of the seq the
 // instance serves next. A checkpoint retires an instance only once nothing
 // else holds views of its store: its decision-log entry is deleted first,
-// a parked PROPOSE is held as its own payload, and the entries an answer to
-// a fetch carried were encoded when it was sent.
+// a parked PROPOSE is held as its own payload, and the batch an answer to
+// a fetch carried was encoded when it was sent.
 func (inst *instance) recycle() {
 	inst.store = emptied(inst.store)
 	inst.reqs = nil
@@ -341,7 +340,7 @@ type Stats struct {
 	// delivered).
 	InstanceLatency time.Duration
 	// ProposeFetches counts the PROPOSEs this follower asked the leader to
-	// send again with every entry inline, because it could not resolve
+	// send again with its batch inline, because it could not resolve
 	// their references from its pool.
 	ProposeFetches uint64
 }
@@ -693,7 +692,7 @@ func (r *Replica) dispatch(m transport.Message) {
 		if !isReplica {
 			return
 		}
-		if err := unmarshalPropose(m.Payload, r.prop); err == nil {
+		if err := unmarshalPropose(m.Payload, r.prop, r.cfg.BatchSize); err == nil {
 			r.onPropose(from, r.prop, nil)
 		}
 	case msgProposeFetch:
@@ -811,26 +810,23 @@ func (r *Replica) sendTo(id ReplicaID, msgType uint16, payload []byte) {
 // onRequests pools the requests of one frame (see EncodeRequest), each
 // operation as a view of the frame. The parked PROPOSEs are retried and the
 // proposal rule runs once the whole frame is pooled, so an idle leader's
-// next PROPOSE carries all of it. A frame pools only under the client that
-// sent it: one that names another client, like a malformed header, pools
-// nothing, so an endpoint can neither take another client's sequence
-// numbers nor move its dedup floor. A malformed operation ends the walk,
-// and the requests before it stay pooled. The client's record is looked up
-// once per frame.
+// next PROPOSE carries all of it. A frame pools only whole, and only under
+// the client that sent it: one that names another client, or does not read
+// as exactly one run, pools nothing, so an endpoint can neither take
+// another client's sequence numbers nor move its dedup floor. The client's
+// record is looked up once per frame.
 func (r *Replica) onRequests(from transport.Addr, frame []byte) {
 	rd := wire.NewReader(frame)
-	id, first, n, err := readFrameHeader(rd)
-	if err != nil || string(id) != string(from) {
+	rn, err := readRun(rd, false, 0)
+	if err != nil || rd.Finish() != nil || string(rn.client) != string(from) {
 		return
 	}
 	now, pooled := time.Now(), false
-	rec := r.clients[string(id)]
-	for i := 0; i < n; i++ {
-		op := rd.Bytes()
-		if rd.Err() != nil {
-			break
-		}
-		seq := first + uint64(i)
+	rec := r.clients[string(rn.client)]
+	ops := wire.NewReader(rn.ops)
+	for i := 0; i < rn.n; i++ {
+		op := ops.Bytes()
+		seq := rn.first + uint64(i)
 		if seq == 0 || rec != nil && (rec.contains(seq) || rec.find(seq) != nil) {
 			continue // already executed (0 is below every floor), or a duplicate
 		}
@@ -839,7 +835,7 @@ func (r *Replica) onRequests(from transport.Addr, frame []byte) {
 			continue
 		}
 		if rec == nil {
-			rec = r.record(string(id))
+			rec = r.record(string(rn.client))
 		}
 		r.pool(rec, pendingReq{req: request{ClientID: rec.client, Seq: seq, Op: op}, arrived: now})
 		pooled = true
@@ -1000,13 +996,13 @@ func (r *Replica) collectBatch(into *[]request) []request {
 
 func (r *Replica) propose(seq int64, reqs []request) {
 	b := r.behavior.Load()
+	pm := &proposeMsg{Regency: r.regency, Seq: seq, Digest: batchDigest(seq, reqs), Batch: reqs}
 	if b.CorruptPropose {
-		// Entries that are not requests: every replica refuses the
-		// PROPOSE at decode, the leader's own copy included.
-		r.multicast(msgPropose, corruptPropose(r.regency, seq, len(reqs)))
+		// A batch cut short: every replica refuses the PROPOSE at decode.
+		payload := pm.marshal()
+		r.multicast(msgPropose, payload[:len(payload)-1])
 		return
 	}
-	pm := &proposeMsg{Regency: r.regency, Seq: seq, Digest: batchDigest(seq, reqs), Batch: reqs}
 	if b.Equivocate {
 		// Split the other replicas between two conflicting batches so
 		// that neither digest can reach a WRITE quorum (the leader's own
@@ -1035,24 +1031,10 @@ func (r *Replica) propose(seq int64, reqs []request) {
 	r.onPropose(r.cfg.SelfID, pm, reqs)
 }
 
-// corruptPropose is a PROPOSE of n inline entries that are not requests.
-func corruptPropose(regency int32, seq int64, n int) []byte {
-	w := wire.NewWriter(4 + 8 + cryptoutil.DigestSize + binary.MaxVarintLen64 + 4*n)
-	w.PutInt32(regency)
-	w.PutInt64(seq)
-	w.PutRaw(make([]byte, cryptoutil.DigestSize))
-	w.PutUvarint(uint64(n))
-	for i := 0; i < n; i++ {
-		w.PutByte(entryInline)
-		w.PutBytes([]byte{0xde, 0xad})
-	}
-	return w.Bytes()
-}
-
 // ---- Normal-case consensus -------------------------------------------
 
 // admitPropose is the one admission rule for a PROPOSE, whatever form its
-// entries take: from the leader of this replica's regency, outside a
+// runs take: from the leader of this replica's regency, outside a
 // synchronization phase, for an instance not yet delivered and at most
 // instanceWindow ahead. A PROPOSE is checked before its references are
 // resolved, so one that cannot be resolved is parked only if it would have
@@ -1083,7 +1065,7 @@ func (r *Replica) admitPropose(from ReplicaID, regency int32, seq int64) bool {
 }
 
 // onPropose handles a PROPOSE. reqs is m's batch when the caller has that:
-// the leader's own PROPOSE, whose Digest it computed. Otherwise the entries
+// the leader's own PROPOSE, whose Digest it computed. Otherwise the runs
 // are resolved from the pool into the instance's storage (see resolve), and
 // a PROPOSE that cannot be resolved yet is parked on its instance (see
 // unresolved).
@@ -1145,7 +1127,7 @@ func (r *Replica) adoptParked(inst *instance, regency int32, reqs []request, dig
 	r.maybePropose(time.Now())
 }
 
-// resolution is what resolve made of a PROPOSE's entries.
+// resolution is what resolve made of a PROPOSE's runs.
 type resolution int
 
 const (
@@ -1154,54 +1136,44 @@ const (
 	conflicting            // the references resolved, but not to the leader's batch
 )
 
-// resolve completes a received PROPOSE's batch into the storage into: a
-// reference becomes the request this replica pooled, and an inline entry
-// the request it carries, its client id the one this replica's record of
+// resolve completes a received PROPOSE's batch into the storage into: a run
+// by reference becomes the requests this replica pooled, and an inline run
+// the requests it carries, under the client id this replica's record of
 // the client holds. m is only read. It returns the batch's digest.
 // Resolved references must hash to the leader's digest, or the client sent
 // one (client, seq) with different operations to the leader and to this
 // replica. A batch sent inline is its own evidence: the replica votes for
 // the digest of what it received, as ever.
 func (r *Replica) resolve(m *proposeMsg, into *[]request) (cryptoutil.Digest, resolution) {
-	reqs := sized(*into, len(m.Entries))
-	*into = reqs
-	var rec *clientRecord
-	for i := range m.Entries {
-		if e := &m.Entries[i]; e.ref {
-			p := r.findRef(&rec, e.client, e.seq)
+	n := 0
+	for i := range m.runs {
+		n += m.runs[i].n
+	}
+	reqs := slices.Grow(emptied(*into), n)
+	if !m.byRef {
+		*into = appendRuns(reqs, m.runs, r.clients)
+		return batchDigest(m.Seq, *into), resolved
+	}
+	for i := range m.runs {
+		rn := &m.runs[i]
+		rec := r.clients[string(rn.client)]
+		for s := 0; s < rn.n; s++ {
+			var p *pendingReq
+			if rec != nil {
+				p = rec.find(rn.first + uint64(s))
+			}
 			if p == nil {
+				*into = reqs
 				return cryptoutil.Digest{}, missing
 			}
-			reqs[i] = p.req
+			reqs = append(reqs, p.req)
 		}
 	}
-	for i := range m.Entries {
-		e := &m.Entries[i]
-		if e.ref {
-			continue
-		}
-		reqs[i] = request{Seq: e.seq, Op: e.op}
-		if rec = r.recordOf(rec, e.client); rec != nil {
-			reqs[i].ClientID = rec.client
-		} else {
-			reqs[i].ClientID = string(e.client)
-		}
-	}
-	digest := batchDigest(m.Seq, reqs)
-	if m.refs > 0 && digest != m.Digest {
+	*into = reqs
+	if digest := batchDigest(m.Seq, reqs); digest != m.Digest {
 		return digest, conflicting
 	}
-	return digest, resolved
-}
-
-// findRef returns the pooled request seq of the client id names, or nil;
-// *rec is the record of the previous reference's client, and becomes this
-// one's.
-func (r *Replica) findRef(rec **clientRecord, client []byte, seq uint64) *pendingReq {
-	if *rec = r.recordOf(*rec, client); *rec == nil {
-		return nil
-	}
-	return (*rec).find(seq)
+	return m.Digest, resolved
 }
 
 // unresolved handles a PROPOSE that resolve could not complete: it is
@@ -1233,7 +1205,7 @@ func (r *Replica) retryParked() {
 		}
 		payload, at := inst.parked, inst.parkedAt
 		inst.parked = nil
-		if unmarshalPropose(payload, r.prop) == nil { // it decoded when it arrived
+		if unmarshalPropose(payload, r.prop, r.cfg.BatchSize) == nil { // it decoded when it arrived
 			r.onPropose(r.leaderOf(r.prop.Regency), r.prop, nil)
 		}
 		if inst.parked != nil { // parked again: only this PROPOSE could be
@@ -1268,7 +1240,7 @@ func (r *Replica) askParked(now time.Time) {
 }
 
 // askLeader asks the leader, once per instance, for the parked PROPOSE with
-// every entry inline.
+// its batch inline.
 func (r *Replica) askLeader(inst *instance) {
 	if inst.asked {
 		return
@@ -1297,7 +1269,7 @@ func (r *Replica) dropParked() {
 }
 
 // onProposeFetch answers a follower that could not resolve this leader's
-// PROPOSE: the entries go to it inline, once per follower and instance, and
+// PROPOSE: the batch goes to it inline, once per follower and instance, and
 // only while this leader still holds the batch (a checkpoint retires it).
 func (r *Replica) onProposeFetch(from ReplicaID, m proposeFetchMsg) {
 	if m.Regency != r.regency || r.syncInProgress || !r.isLeader() {
@@ -1328,16 +1300,26 @@ func (r *Replica) validateBatch(reqs []request) bool {
 	return true
 }
 
-// decodeEntries decodes encoded batch entries as views of them, leaving
-// out any that is malformed.
-func (r *Replica) decodeEntries(batch [][]byte) []request {
-	reqs := make([]request, 0, len(batch))
-	for _, entry := range batch {
-		if rq, err := unmarshalRequest(entry, r.clients); err == nil {
-			reqs = append(reqs, rq)
+// decodeDecided decodes the batch of the decision logged for seq, whose
+// entries are its runs, as views of them. An entry that does not read as a
+// run, or that continues the run before it, is an error: the batch replayed
+// must be the batch that was decided.
+func (r *Replica) decodeDecided(seq int64, entries [][]byte) ([]request, error) {
+	runs := make([]run, len(entries))
+	for i, entry := range entries {
+		rd := wire.NewReader(entry)
+		var err error
+		if runs[i], err = readRun(rd, false, 0); err == nil {
+			err = rd.Finish()
+		}
+		if err == nil && i > 0 && continues(&runs[i-1], &runs[i]) {
+			err = fmt.Errorf("run continues the one before it")
+		}
+		if err != nil {
+			return nil, fmt.Errorf("consensus: decision log entry %d of seq %d: %w", i, seq, err)
 		}
 	}
-	return reqs
+	return appendRuns(nil, runs, r.clients), nil
 }
 
 // adoptDecided registers a batch that reached this replica already decided

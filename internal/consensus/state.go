@@ -51,13 +51,15 @@ func (r *Replica) wrapSnapshot() []byte {
 	return w.Bytes()
 }
 
-// unwrapSnapshot restores the dedup table and returns the application
-// snapshot portion. A client the snapshot does not list keeps no dedup
+// unwrapSnapshot restores the membership and the dedup table and returns
+// the application snapshot portion. A snapshot that does not read whole
+// changes nothing. A client the snapshot does not list keeps no dedup
 // state, and a pooled request the restored table marks executed leaves the
 // pool (dropExecuted).
 func (r *Replica) unwrapSnapshot(b []byte) ([]byte, bool) {
 	rd := wire.NewReader(b)
-	if err := r.unmarshalMembership(rd); err != nil {
+	installMembership, err := r.unmarshalMembership(rd)
+	if err != nil {
 		return nil, false
 	}
 	n := rd.Count(10) // an empty id, the floor and no runs
@@ -78,6 +80,7 @@ func (r *Replica) unwrapSnapshot(b []byte) ([]byte, bool) {
 	if err := rd.Finish(); err != nil {
 		return nil, false
 	}
+	installMembership()
 	for _, c := range r.clients {
 		c.clientDedup, c.replicated = clientDedup{client: c.client}, false
 	}

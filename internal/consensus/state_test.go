@@ -3,10 +3,12 @@ package consensus
 import (
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // goldenSnapshotReplica builds a replica whose checkpoint covers every part
@@ -134,4 +136,34 @@ func TestStateTransferWithNothingToFetchEnds(t *testing.T) {
 	}
 	tc.waitAllDelivered(20, 5*time.Second, nil)
 	tc.assertSameOrder(nil)
+}
+
+// A snapshot that does not read whole changes nothing, the group included:
+// one whose membership reads (epoch 7, members 0-2) but whose client table
+// does not leaves a replica of members 0-3 at its own epoch and members.
+func TestRefusedSnapshotKeepsTheGroup(t *testing.T) {
+	r, err := NewReplica(Config{SelfID: 0, Replicas: ids(4)}, &recordApp{}, &sinkConn{addr: ReplicaID(0).Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := r.MembershipView()
+	w := wire.NewWriter(0)
+	w.PutUvarint(7)
+	w.PutUvarint(3)
+	for id := int32(0); id < 3; id++ {
+		w.PutInt32(id)
+		w.PutUint32(1)
+	}
+	w.PutUvarint(1) // one client, whose table does not read
+	w.PutString("c")
+	w.PutRaw([]byte{0xff})
+	if _, ok := r.unwrapSnapshot(w.Bytes()); ok {
+		t.Fatal("a snapshot with an undecodable client table was accepted")
+	}
+	after := r.MembershipView()
+	if after.Epoch != before.Epoch || !slices.Equal(after.Members, before.Members) ||
+		r.epoch != 0 || len(r.membership) != 4 || r.qt.f != 1 || r.cfg.F != 1 {
+		t.Fatalf("a refused snapshot changed the group: epoch %d, members %v, f %d (was epoch %d, members %v)",
+			after.Epoch, after.Members, r.qt.f, before.Epoch, before.Members)
+	}
 }

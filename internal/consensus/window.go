@@ -175,16 +175,6 @@ func (r *Replica) record(id string) *clientRecord {
 	return c
 }
 
-// recordOf returns the record of the client id names, reusing last when it
-// is that client's (a run of a batch is one client's), or nil if the
-// replica has none.
-func (r *Replica) recordOf(last *clientRecord, id []byte) *clientRecord {
-	if last != nil && last.client == string(id) {
-		return last
-	}
-	return r.clients[string(id)]
-}
-
 // pool adds a request its client has not pooled.
 func (r *Replica) pool(rec *clientRecord, p pendingReq) {
 	if rec.add(p) {

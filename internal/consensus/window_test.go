@@ -86,7 +86,7 @@ func TestPoolAndExecuteAllocationBudget(t *testing.T) {
 				reqs[j] = queuedRequest{seq: seq, op: []byte("op")}
 				decoded[j] = request{ClientID: "client", Seq: seq, Op: reqs[j].op}
 			}
-			frames[i], _ = encodeRequestFrame("client", reqs)
+			frames[i], _ = encodeFrame("client", reqs)
 			insts[i] = &instance{seq: int64(i), decided: true, reqs: decoded}
 		}
 		i := 0
@@ -132,7 +132,7 @@ func TestGrownWindowOutlivesEmptyPool(t *testing.T) {
 			reqs[j] = queuedRequest{seq: seq, op: []byte("op")}
 			decoded[j] = request{ClientID: "client", Seq: seq, Op: reqs[j].op}
 		}
-		frames[i], _ = encodeRequestFrame("client", reqs)
+		frames[i], _ = encodeFrame("client", reqs)
 		insts[i] = &instance{seq: int64(i), decided: true, reqs: decoded}
 	}
 	i := 0
@@ -187,7 +187,7 @@ func TestBusyWindowSurvivesCheckpoints(t *testing.T) {
 			reqs[j] = queuedRequest{seq: seq, op: []byte("op")}
 			decoded[j] = request{ClientID: "client", Seq: seq, Op: reqs[j].op}
 		}
-		frame, _ := encodeRequestFrame("client", reqs)
+		frame, _ := encodeFrame("client", reqs)
 		r.onRequests("client", frame)
 		r.execute(&instance{seq: int64(i), decided: true, reqs: decoded})
 		rec := r.clients["client"]
@@ -261,7 +261,7 @@ func TestWindowsStayProportionalToPool(t *testing.T) {
 func requestFrames(client string, reqs []queuedRequest) [][]byte {
 	var frames [][]byte
 	for len(reqs) > 0 {
-		frame, n := encodeRequestFrame(client, reqs)
+		frame, n := encodeFrame(client, reqs)
 		frames = append(frames, frame)
 		reqs = reqs[n:]
 	}

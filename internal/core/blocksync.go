@@ -272,6 +272,10 @@ func (e *errPeerPruned) Error() string {
 	return fmt.Sprintf("fetch: peer %s pruned the range (floor %d)", e.peer, e.floor)
 }
 
+// errPeerLacks reports a peer answering that it holds none of a range that
+// its retention floor does not explain.
+var errPeerLacks = errors.New("fetch: the peer cannot serve the range")
+
 // send puts one request for blocks [from, to) — or, with from ==
 // fetchHeadProbe, for the peer's newest block — on the wire; await then
 // waits for its answer.
@@ -424,7 +428,7 @@ func (s *blockSync) land(p *pendingFetch, stop <-chan struct{}) ([]*fabric.Block
 		}
 		q := p.req
 		if len(blocks) == 0 {
-			return nil, fmt.Errorf("fetch: peer %s cannot serve block %d", p.peer, q.From)
+			return nil, fmt.Errorf("%w: peer %s, block %d", errPeerLacks, p.peer, q.From)
 		}
 		if !q.SigsOnly {
 			for _, b := range blocks {
@@ -500,29 +504,33 @@ func (s *blockSync) head(done <-chan struct{}, channel string) (*fabric.Block, e
 
 // ---- client: the trust rule ------------------------------------------------
 
-// prunedTally accumulates per-peer pruned answers until f+1 distinct
-// peers agree the range is gone.
-type prunedTally struct {
-	f        int
-	peers    map[transport.Addr]struct{}
-	minFloor uint64
+// refusals tallies the distinct peers that definitively refused a range:
+// pruned below their retention floor, or holding none of it where the
+// range may not exist (lacking is nil where it must). f+1 refusing alike
+// settle it (one of them is honest), and the fetch ends at once.
+type refusals struct {
+	f               int
+	pruned, lacking map[transport.Addr]bool
+	minFloor        uint64
 }
 
-// note records err if it is a peer-pruned answer and returns the typed
-// pruned error once f+1 distinct peers reported one.
-func (t *prunedTally) note(channel string, err error) *fabric.PrunedError {
+// note records peer's answer err if it is a refusal. Once f+1 peers refused
+// alike it returns the error the fetch ends with: the typed pruned error
+// with the smallest floor reported, or ErrFetchFailed; until then, nil.
+func (t *refusals) note(peer transport.Addr, channel string, err error) error {
 	var pp *errPeerPruned
-	if !errors.As(err, &pp) {
-		return nil
-	}
-	if _, seen := t.peers[pp.peer]; !seen {
-		t.peers[pp.peer] = struct{}{}
-		if len(t.peers) == 1 || pp.floor < t.minFloor {
+	switch {
+	case errors.As(err, &pp):
+		if !t.pruned[peer] && (len(t.pruned) == 0 || pp.floor < t.minFloor) {
 			t.minFloor = pp.floor
 		}
-	}
-	if len(t.peers) >= t.f+1 {
-		return &fabric.PrunedError{Channel: channel, Floor: t.minFloor}
+		if t.pruned[peer] = true; len(t.pruned) >= t.f+1 {
+			return &fabric.PrunedError{Channel: channel, Floor: t.minFloor}
+		}
+	case t.lacking != nil && errors.Is(err, errPeerLacks):
+		if t.lacking[peer] = true; len(t.lacking) >= t.f+1 {
+			return fmt.Errorf("%w: %d peers cannot serve %s: %v", ErrFetchFailed, len(t.lacking), channel, err)
+		}
 	}
 	return nil
 }
@@ -641,7 +649,10 @@ func (c *rangeCandidate) vouch(peer transport.Addr, theirs []*fabric.Block, veri
 // floor, it is authoritatively pruned (at least one of them is honest) and
 // the call fails at once with a typed *fabric.PrunedError carrying the
 // smallest reported floor — callers surface it (NOT_FOUND) or restart
-// their read from the floor.
+// their read from the floor. For a replay (no anchor, no proof kept), when
+// f+1 distinct peers answer that they hold none of it — a stop beyond the
+// chain — the call fails at once with ErrFetchFailed, without the pauses
+// between passes.
 func (s *blockSync) fetch(done <-chan struct{}, channel string, from, to uint64, anchor *cryptoutil.Digest, proof bool) ([]*fabric.Block, error) {
 	if to <= from {
 		return nil, nil
@@ -677,7 +688,12 @@ func (s *blockSync) fetch(done <-chan struct{}, channel string, from, to uint64,
 
 	var candidates []*rangeCandidate
 	var lastErr error = ErrFetchFailed
-	pruned := &prunedTally{f: f, peers: make(map[transport.Addr]struct{})}
+	// Only a replay may ask for blocks beyond the chain: every other caller
+	// asks for blocks that exist, and a peer without them is only behind.
+	refused := &refusals{f: f, pruned: make(map[transport.Addr]bool)}
+	if anchor == nil && !proof {
+		refused.lacking = make(map[transport.Addr]bool)
+	}
 	// full downloads one peer's complete copy and folds it into the
 	// candidate set; it returns the candidate the copy belongs to.
 	full := func(peer transport.Addr) *rangeCandidate {
@@ -772,8 +788,8 @@ func (s *blockSync) fetch(done <-chan struct{}, channel string, from, to uint64,
 				}
 				if err != nil {
 					lastErr = err
-					if pe := pruned.note(channel, err); pe != nil {
-						return nil, pe
+					if err := refused.note(peer, channel, err); err != nil {
+						return nil, err
 					}
 					continue
 				}
@@ -791,8 +807,8 @@ func (s *blockSync) fetch(done <-chan struct{}, channel string, from, to uint64,
 			}
 			c := full(peer)
 			if c == nil {
-				if pe := pruned.note(channel, lastErr); pe != nil {
-					return nil, pe
+				if err := refused.note(peer, channel, lastErr); err != nil {
+					return nil, err
 				}
 			} else if accepted(c, false) {
 				return c.blocks, nil

@@ -188,6 +188,8 @@ func (s *BlockStore) applyRecord(idx uint64, rec []byte) error {
 	switch rec[0] {
 	case recDecision:
 		return nil // the decision log's walk handles these
+	case recDecisionRetired:
+		return fmt.Errorf("%w: decision record %d", ErrRetiredRecord, idx)
 	case recBlock:
 		if idx <= s.manifestFrontier {
 			return nil // manifest-covered (or pruned): no decode needed

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -22,15 +23,22 @@ import (
 // these tags; the recovery walk dispatches on it, and the one-byte peek is
 // all it costs to skip records another subsystem owns.
 const (
-	// recDecision is a consensus decision: int64 seq + batch.
-	recDecision byte = 0x01
+	// recDecisionRetired was the decision record of one request per batch
+	// entry; a log holding one is refused (ErrRetiredRecord), not replayed.
+	recDecisionRetired byte = 0x01
 	// recBlock is a sealed block: channel name + block bytes.
 	recBlock byte = 0x02
 	// recChannelMeta is per-channel metadata (sub-tagged); today that is
 	// the rebase marker written when a chain jumps over a cluster-wide
 	// pruned gap.
 	recChannelMeta byte = 0x03
+	// recDecision is a consensus decision: int64 seq + batch (its runs).
+	recDecision byte = 0x04
 )
+
+// ErrRetiredRecord reports a commit log holding a record of a format this
+// version no longer reads: the data directory is refused whole.
+var ErrRetiredRecord = errors.New("storage: the log holds a record of a retired format")
 
 // metaRebase is the channel-meta sub-kind for rebase markers.
 const metaRebase byte = 0x01

@@ -907,38 +907,48 @@ func TestReplayedRecordsSurviveTheirInput(t *testing.T) {
 }
 
 // goldenDecisionRecord is the decision record of seq 2^40+3 and
-// goldenRequests as the log wrote it when a batch reached it as encoded
-// entries. Recovery replays these bytes into the consensus layer, whose
-// batch digest is over the same entries, so the record must not change
-// with the form the batch reaches the log in.
+// goldenRequests as the log writes it: the kind, the seq, a count of
+// entries, and each entry — one run of requests, as the consensus layer
+// writes it — length-prefixed. Recovery replays these bytes into the
+// consensus layer, whose batch digest is over the same runs, so the record
+// must not change with the form the batch reaches the log in.
 const goldenDecisionRecord = "" +
-	"010000010000000003041d0966652d636c69656e7440000000000000050a656e76656c6f70652d61" +
-	"130966652d636c69656e744000000000000006000f0000000000000000070500ff206f701c08636c" +
-	"69656e742d6200000000000000010a656e76656c6f70652d62"
+	"04" + "0000010000000003" + "03" +
+	"1f" + "0966652d636c69656e74" + "4000000000000005" + "02" + "0a656e76656c6f70652d61" + "00" +
+	"10" + "00" + "0000000000000007" + "01" + "0500ff206f70" +
+	"1d" + "08636c69656e742d62" + "0000000000000001" + "01" + "0a656e76656c6f70652d62"
 
-// goldenRequest is a request as the consensus layer's batches hold it: a
-// DecisionBatch entry is PutString(client), PutUint64(seq), PutBytes(op).
-type goldenRequest struct {
+// goldenRun is a run of requests as the consensus layer's batches hold
+// them: a DecisionBatch entry is PutString(client), PutUint64(first),
+// PutUvarint(len(ops)) and each op PutBytes.
+type goldenRun struct {
 	client string
-	seq    uint64
-	op     string
+	first  uint64
+	ops    []string
 }
 
 var goldenRequests = goldenBatch{
-	{"fe-client", 1<<62 + 5, "envelope-a"}, {"fe-client", 1<<62 + 6, ""}, {"", 7, "\x00\xff op"}, {"client-b", 1, "envelope-b"},
+	{"fe-client", 1<<62 + 5, []string{"envelope-a", ""}}, {"", 7, []string{"\x00\xff op"}}, {"client-b", 1, []string{"envelope-b"}},
 }
 
-// goldenBatch is a DecisionBatch that writes its requests' fields.
-type goldenBatch []goldenRequest
+// goldenBatch is a DecisionBatch that writes its runs' fields.
+type goldenBatch []goldenRun
 
 func (b goldenBatch) Len() int { return len(b) }
 func (b goldenBatch) EntrySize(i int) int {
-	return wire.BytesSize(len(b[i].client)) + 8 + wire.BytesSize(len(b[i].op))
+	size := wire.BytesSize(len(b[i].client)) + 8 + wire.UvarintSize(uint64(len(b[i].ops)))
+	for _, op := range b[i].ops {
+		size += wire.BytesSize(len(op))
+	}
+	return size
 }
 func (b goldenBatch) PutEntry(w *wire.Writer, i int) {
 	w.PutString(b[i].client)
-	w.PutUint64(b[i].seq)
-	w.PutBytes([]byte(b[i].op))
+	w.PutUint64(b[i].first)
+	w.PutUvarint(uint64(len(b[i].ops)))
+	for _, op := range b[i].ops {
+		w.PutString(op)
+	}
 }
 
 // entries is b as encoded entries.
@@ -1002,5 +1012,32 @@ func TestDecisionRecordBytesAreGolden(t *testing.T) {
 				t.Fatalf("%s: recovered entry %d is %x, want %x", name, i, e, want[i])
 			}
 		}
+	}
+}
+
+// A data directory whose log holds decision records of the retired format
+// is refused with a typed error, not replayed as batches that do not read.
+// The fixture (testdata/retired-decision-log) is the log an earlier version
+// wrote for two decisions, each of two requests as one entry apiece.
+func TestRetiredDecisionRecordsAreRefused(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "retired-decision-log", "log", "00000000000000000001.seg")
+	seg, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "log"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "log", filepath.Base(src)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, Options{NoSync: true})
+	if err == nil {
+		s.Close()
+		t.Fatal("a log of retired decision records opened")
+	}
+	if !errors.Is(err, ErrRetiredRecord) {
+		t.Fatalf("opening a log of retired decision records: %v, want ErrRetiredRecord", err)
 	}
 }

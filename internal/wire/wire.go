@@ -25,6 +25,7 @@ import (
 var (
 	ErrTruncated = errors.New("wire: truncated input")
 	ErrTooLarge  = errors.New("wire: length prefix too large")
+	ErrOverlong  = errors.New("wire: varint longer than its minimal encoding")
 )
 
 // maxLen bounds any single length prefix to protect decoders against
@@ -251,14 +252,19 @@ func (r *Reader) Int64() int64 { return int64(r.Uint64()) }
 // Int32 reads a big-endian int32.
 func (r *Reader) Int32() int32 { return int32(r.Uint32()) }
 
-// Uvarint reads an unsigned varint.
+// Uvarint reads an unsigned varint, refusing one longer than PutUvarint
+// writes it, so a decoder that accepts an encoding can re-create its bytes.
 func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
+	switch {
+	case n <= 0:
 		r.fail(ErrTruncated)
+		return 0
+	case n != UvarintSize(v):
+		r.fail(ErrOverlong)
 		return 0
 	}
 	r.off += n
@@ -299,6 +305,17 @@ func (r *Reader) String() string {
 
 // Raw reads n bytes without a length prefix.
 func (r *Reader) Raw(n int) []byte { return r.take(n) }
+
+// Fields reads n length-prefixed fields and returns the bytes they occupy,
+// prefixes included, as one view a Reader reads the same fields from (a
+// partial one if the reader fails: Err reports it).
+func (r *Reader) Fields(n int) []byte {
+	start := r.off
+	for ; n > 0 && r.err == nil; n-- {
+		r.Bytes()
+	}
+	return r.buf[start:r.off:r.off]
+}
 
 // BytesSlice reads a counted sequence of length-prefixed byte fields. The
 // elements alias the reader's buffer.

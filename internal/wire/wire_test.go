@@ -251,3 +251,36 @@ func TestUvarintSizeMatchesPutUvarint(t *testing.T) {
 		}
 	}
 }
+
+// Fields reads n length-prefixed fields as one capped view that reads back
+// as the same fields, and fails the reader on a field the input lacks.
+func TestFieldsReadsAView(t *testing.T) {
+	w := NewWriter(0)
+	w.PutBytes([]byte("ab"))
+	w.PutBytes(nil)
+	w.PutBytes([]byte("c"))
+	w.PutByte(9)
+	r := NewReader(w.Bytes())
+	span := r.Fields(3)
+	if r.Err() != nil || len(span) != 6 || cap(span) != 6 || r.Byte() != 9 {
+		t.Fatalf("Fields(3) = %x (cap %d), err %v", span, cap(span), r.Err())
+	}
+	again := NewReader(span)
+	if string(again.Bytes()) != "ab" || len(again.Bytes()) != 0 || string(again.Bytes()) != "c" || again.Finish() != nil {
+		t.Fatal("the view does not read back as the same fields")
+	}
+	short := NewReader(w.Bytes())
+	if short.Fields(5); short.Err() == nil {
+		t.Fatal("Fields read more fields than the input holds")
+	}
+}
+
+// A varint longer than PutUvarint writes it is refused, so an accepted
+// encoding re-creates its own bytes.
+func TestUvarintRefusesOverlongEncodings(t *testing.T) {
+	for _, in := range [][]byte{{0x80, 0x00}, {0x81, 0x80, 0x00}} {
+		if r := NewReader(in); r.Uvarint() != 0 || !errors.Is(r.Err(), ErrOverlong) {
+			t.Fatalf("%x: err %v, want ErrOverlong", in, r.Err())
+		}
+	}
+}
