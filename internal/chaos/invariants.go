@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/consensus"
@@ -22,11 +23,14 @@ import (
 // the released stream is gap-free, duplicate-free, and hash-chained: every
 // block's number is exactly the next expected and its PrevHash is the
 // header hash of its predecessor, across every fault in the scenario — a
-// stalled group's stream may pause but must resume without a seam.
+// stalled group's stream may pause but must resume without a seam. The
+// stream must stay open until Stop cancels it: one that ends earlier, with
+// an error or without, is a violation too.
 func DeliverContinuity() Invariant {
 	const name = "deliver-continuity"
 	var stream *fabric.BlockStream
 	var consumed sync.WaitGroup
+	var stopping atomic.Bool
 	return Invariant{
 		Name: name,
 		Start: func(e *Env) error {
@@ -57,10 +61,15 @@ func DeliverContinuity() Invariant {
 					prev = b
 					next++
 				}
+				if !stopping.Load() {
+					e.Violate(name, "%s stream ended before the run stopped, at block %d: %v",
+						e.Channel, next, stream.Err())
+				}
 			}()
 			return nil
 		},
 		Stop: func(e *Env) {
+			stopping.Store(true)
 			stream.Cancel()
 			consumed.Wait()
 		},

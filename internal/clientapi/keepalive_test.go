@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/cryptoutil"
 	"repro/internal/fabric"
 	"repro/internal/wire"
 )
@@ -71,6 +73,58 @@ func TestPrunedSeekSurfacesNotFound(t *testing.T) {
 	}
 	if !strings.Contains(serr.Error(), "below 7") {
 		t.Fatalf("pruned detail lost: %v", serr)
+	}
+}
+
+// A Deliver whose cursor lies below the solo orderer's retained window
+// (the orderer keeps no ledger to fetch it from) ends with NOT_FOUND at
+// the client, naming the blocks that fell out.
+func TestLaggingSoloStreamSurfacesNotFound(t *testing.T) {
+	key, err := cryptoutil.GenerateKeyPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := core.NewSoloOrderer(core.SoloConfig{BlockSize: 1, Key: key, SigningWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(solo.Close)
+	reader, err := solo.Deliver("ch", fabric.DeliverNewest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Cancel()
+	// Twice the window: its floor has moved above block 0 once the reader
+	// has seen them all.
+	const blocks = 2 * core.DefaultHistoryLimit
+	for i := 0; i < blocks; i++ {
+		if st := solo.Broadcast(mkEnv("ch", i)); st != fabric.StatusSuccess {
+			t.Fatalf("broadcast %d: %s", i, st)
+		}
+	}
+	for i := 0; i < blocks; i++ {
+		select {
+		case <-reader.Blocks():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("read %d of %d blocks", i, blocks)
+		}
+	}
+
+	client, err := Dial(startServer(t, solo, ServerOptions{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	stream, err := client.Deliver("ch", fabric.DeliverFrom(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range stream.Blocks() {
+		t.Fatal("a stream below the window delivered a block")
+	}
+	serr := stream.Err()
+	if serr == nil || !strings.Contains(serr.Error(), "NOT_FOUND") || !strings.Contains(serr.Error(), "blocks 0..") {
+		t.Fatalf("the stream ended with %v, want NOT_FOUND naming the blocks from 0", serr)
 	}
 }
 

@@ -2,7 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 	"weak"
@@ -264,30 +267,234 @@ func TestInflightWindowSlots(t *testing.T) {
 	})
 }
 
-// A block the queue handed over is not pinned by it: a subscriber holds
-// only the blocks it has not read yet. Popping by re-slicing at the head
-// kept every block read since the last append grew the queue reachable
-// from its backing array.
-func TestBlockQueueDoesNotPinDrainedBlocks(t *testing.T) {
-	q := newBlockQueue()
-	defer q.close()
-	var second weak.Pointer[fabric.Block]
-	for i := 0; i < 5; i++ {
-		b := &fabric.Block{Header: fabric.BlockHeader{Number: uint64(i)}}
-		if i == 1 {
-			second = weak.Make(b)
-		}
-		q.put(b)
+// newSolo starts a solo orderer cutting one block per envelope.
+func newSolo(t *testing.T) *SoloOrderer {
+	t.Helper()
+	key, err := cryptoutil.GenerateKeyPair()
+	if err != nil {
+		t.Fatalf("keygen: %v", err)
 	}
-	for i := 0; i < 3; i++ {
-		if b := <-q.out; b.Header.Number != uint64(i) {
-			t.Fatalf("read block %d, want %d", b.Header.Number, i)
+	solo, err := NewSoloOrderer(SoloConfig{BlockSize: 1, Key: key, SigningWorkers: 2})
+	if err != nil {
+		t.Fatalf("solo: %v", err)
+	}
+	t.Cleanup(solo.Close)
+	return solo
+}
+
+// soloOrder broadcasts envelope i to a solo orderer cutting one block per
+// envelope, and returns block i from reader: a reader that keeps this pace
+// never lags.
+func soloOrder(t *testing.T, solo *SoloOrderer, reader *fabric.BlockStream, i int) *fabric.Block {
+	t.Helper()
+	if st := solo.Broadcast(mkEnvelope("ch", i, 16)); st != fabric.StatusSuccess {
+		t.Fatalf("broadcast %d: %s", i, st)
+	}
+	return collectStream(t, reader, uint64(i), 1, 10*time.Second)[0]
+}
+
+// lagBlocks is more blocks than a stream's buffer and a full retained
+// window (with its trimming slack) hold together: a stream that reads none
+// of them has fallen below the window's floor.
+const lagBlocks = 2 * DefaultHistoryLimit
+
+// A Deliver stream whose reader never reads pins only the blocks in its
+// buffer: a block that has left the channel's retained window becomes
+// collectable.
+func TestNeverReadStreamPinsNoBlockBeyondWindow(t *testing.T) {
+	solo := newSolo(t)
+	stalled, err := solo.Deliver("ch", fabric.DeliverNewest())
+	if err != nil {
+		t.Fatalf("deliver: %v", err)
+	}
+	defer stalled.Cancel()
+	reader, err := solo.Deliver("ch", fabric.DeliverNewest())
+	if err != nil {
+		t.Fatalf("deliver: %v", err)
+	}
+	defer reader.Cancel()
+
+	tracked := 4 * cap(stalled.Blocks())
+	var block weak.Pointer[fabric.Block]
+	for i := 0; i < lagBlocks; i++ {
+		b := soloOrder(t, solo, reader, i)
+		if i == tracked {
+			block = weak.Make(b)
 		}
 	}
 	runtime.GC()
-	if second.Value() != nil {
-		t.Fatal("a block the subscriber read is still reachable from the queue")
+	if block.Value() != nil {
+		t.Fatalf("block %d, out of the window, is still reachable while a stream that read none of it is open", tracked)
 	}
+	if n := len(stalled.Blocks()); n != cap(stalled.Blocks()) {
+		t.Fatalf("the stalled stream holds %d blocks, want its buffer's %d", n, cap(stalled.Blocks()))
+	}
+}
+
+// A stream that lagged below the window of a frontend on a durable
+// cluster catches up through the nodes' ledgers: it still delivers every
+// block, gap-free and hash-chained.
+func TestLaggingStreamCatchesUpThroughFetch(t *testing.T) {
+	c := testCluster(t, ClusterConfig{Nodes: 4, BlockSize: 2, DataDir: t.TempDir()})
+	fe := testFrontend(t, c, "fe-lag", false)
+	stream, err := fe.Deliver("ch", fabric.DeliverFrom(0))
+	if err != nil {
+		t.Fatalf("deliver: %v", err)
+	}
+	defer stream.Cancel()
+	broadcastUntilReleased(t, fe, "ch", lagBlocks)
+
+	blocks := collectStream(t, stream, 0, lagBlocks, 60*time.Second)
+	if err := fabric.VerifyChain(blocks); err != nil {
+		t.Fatalf("the lagging stream's chain: %v", err)
+	}
+}
+
+// On a memory-only cluster no ledger holds what fell out of the window: a
+// stream that lagged below it ends with ErrBlockNotFound naming the range.
+func TestLaggingStreamOnMemoryOnlyClusterEndsNotFound(t *testing.T) {
+	c := testCluster(t, ClusterConfig{Nodes: 4, BlockSize: 2})
+	fe := testFrontend(t, c, "fe-lag", false)
+	stream, err := fe.Deliver("ch", fabric.DeliverNewest())
+	if err != nil {
+		t.Fatalf("deliver: %v", err)
+	}
+	defer stream.Cancel()
+	broadcastUntilReleased(t, fe, "ch", lagBlocks)
+
+	n := 0
+	deadline := time.After(30 * time.Second)
+	for open := true; open; {
+		select {
+		case _, open = <-stream.Blocks():
+			n++
+		case <-deadline:
+			t.Fatalf("the lagging stream delivered %d blocks and did not end", n)
+		}
+	}
+	if err := stream.Err(); !errors.Is(err, fabric.ErrBlockNotFound) || !strings.Contains(err.Error(), "fell out of the retained history") {
+		t.Fatalf("the lagging stream ended with %v, want ErrBlockNotFound naming the range", err)
+	}
+}
+
+// broadcastUntilReleased broadcasts two-envelope blocks from a few
+// goroutines until the frontend has released blocks of channel.
+func broadcastUntilReleased(t *testing.T, fe *Frontend, channel string, blocks uint64) {
+	t.Helper()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				fe.BroadcastRaw(mkEnvelope(channel, w<<24|i, 32).Marshal())
+			}
+		}()
+	}
+	defer wg.Wait()
+	defer close(done)
+	deadline := time.Now().Add(60 * time.Second)
+	for fe.ReleasedHeight(channel) < blocks {
+		if time.Now().After(deadline) {
+			t.Fatalf("released %d of %d blocks", fe.ReleasedHeight(channel), blocks)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// The solo orderer keeps no history below its window: a stream that lagged
+// below it ends with ErrBlockNotFound naming the blocks that fell out,
+// after the blocks it held.
+func TestSoloLaggingStreamEndsNotFound(t *testing.T) {
+	solo := newSolo(t)
+	stream, err := solo.Deliver("ch", fabric.DeliverNewest())
+	if err != nil {
+		t.Fatalf("deliver: %v", err)
+	}
+	defer stream.Cancel()
+	reader, err := solo.Deliver("ch", fabric.DeliverNewest())
+	if err != nil {
+		t.Fatalf("deliver: %v", err)
+	}
+	defer reader.Cancel()
+	for i := 0; i < lagBlocks; i++ {
+		soloOrder(t, solo, reader, i)
+	}
+
+	var got uint64
+	deadline := time.After(10 * time.Second)
+	for open := true; open; {
+		select {
+		case b, ok := <-stream.Blocks():
+			if open = ok; ok {
+				if b.Header.Number != got {
+					t.Fatalf("delivered block %d, want %d", b.Header.Number, got)
+				}
+				got++
+			}
+		case <-deadline:
+			t.Fatalf("the lagging stream delivered %d blocks and did not end", got)
+		}
+	}
+	err = stream.Err()
+	if !errors.Is(err, fabric.ErrBlockNotFound) {
+		t.Fatalf("the lagging stream ended with %v after %d blocks, want ErrBlockNotFound", err, got)
+	}
+	if want := fmt.Sprintf("blocks %d..", got); !strings.Contains(err.Error(), want) {
+		t.Fatalf("the error %q does not name the range from block %d", err, got)
+	}
+}
+
+// Close ends a stream whose reader never reads promptly, although more
+// blocks than its buffer holds wait for it.
+func TestCloseEndsNeverReadStream(t *testing.T) {
+	check := func(t *testing.T, ord fabric.Orderer, closeOrderer func(), broadcast func(i int), closedErr error) {
+		stream, err := ord.Deliver("ch", fabric.DeliverNewest())
+		if err != nil {
+			t.Fatalf("deliver: %v", err)
+		}
+		buffer := cap(stream.Blocks())
+		for i := 0; len(stream.Blocks()) < buffer; i++ {
+			if i > 100*buffer {
+				t.Fatalf("the stream's buffer holds %d blocks after %d broadcasts", len(stream.Blocks()), i)
+			}
+			broadcast(i)
+			time.Sleep(time.Millisecond)
+		}
+		for i := 0; i < 2*buffer; i++ {
+			broadcast(1000 + i)
+		}
+		closed := make(chan struct{})
+		go func() {
+			closeOrderer()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Close did not return while a stream was never read")
+		}
+		for range stream.Blocks() {
+		}
+		if err := stream.Err(); !errors.Is(err, closedErr) {
+			t.Fatalf("the stream ended with %v, want %v", err, closedErr)
+		}
+	}
+	t.Run("solo", func(t *testing.T) {
+		solo := newSolo(t)
+		check(t, solo, solo.Close, func(i int) { solo.Broadcast(mkEnvelope("ch", i, 16)) }, fabric.ErrServiceUnavailable)
+	})
+	t.Run("frontend", func(t *testing.T) {
+		c := testCluster(t, ClusterConfig{Nodes: 4, BlockSize: 1})
+		fe := testFrontend(t, c, "fe-close", false)
+		check(t, fe, fe.Close, func(i int) { fe.Broadcast(mkEnvelope("ch", i, 16)) }, ErrFrontendClosed)
+	})
 }
 
 // fetchServer answers FetchBlocks requests from one fake node's endpoint

@@ -89,10 +89,10 @@ type Frontend struct {
 	peers      []transport.Addr
 	channels   map[string]struct{}  // non-nil when cfg.Channels restricts
 	metrics    *obs.FrontendMetrics // never nil: normalized at construction
+	logs       *releaseLogs         // released blocks per channel, and the Deliver streams reading them
 
 	mu     sync.Mutex
 	chans  map[string]*feChannel
-	subs   map[string][]*feSub
 	closed bool
 
 	// inflight is the per-client backpressure window (nil when disabled):
@@ -109,30 +109,17 @@ type Frontend struct {
 	wg   sync.WaitGroup
 }
 
-// feSub is one Deliver subscription: the live queue the release path feeds
-// and the stream handed to the consumer.
-type feSub struct {
-	q      *blockQueue
-	stream *fabric.BlockStream
-}
-
-// feChannel tracks block collection and retained history for one channel.
+// feChannel tracks block collection for one channel.
 type feChannel struct {
-	// nextDeliver is the release cursor, started at the first block to reach
-	// the vote threshold, whether or not its body has arrived (a frontend
-	// may register mid-chain; anchoring at the first block released would
-	// let a later block whose body came first skip the ones below it).
-	// advanced records that it moved since the last heal tick.
-	started     bool
-	nextDeliver uint64
-	advanced    bool
-	collecting  map[uint64]map[cryptoutil.Digest]*blockAccum
-	ready       map[uint64]*fabric.Block
-
-	// hist retains the newest released blocks (DefaultHistoryLimit):
-	// hist[i].Number == histStart+i.
-	hist      []*fabric.Block
-	histStart uint64
+	// log releases the channel's blocks in number order. Its cursor starts
+	// at the first block to reach the vote threshold, whether or not its
+	// body has arrived (a frontend may register mid-chain; anchoring at the
+	// first block released would let a later block whose body came first
+	// skip the ones below it). advanced records that the cursor moved
+	// since the last heal tick.
+	log        *releaseLog
+	advanced   bool
+	collecting map[uint64]map[cryptoutil.Digest]*blockAccum
 }
 
 // blockAccum accumulates the copies of one block that agree on its header:
@@ -234,7 +221,6 @@ func newFrontendWithConns(cfg FrontendConfig, conn, clientConn transport.Conn) (
 		released:   threshold,
 		metrics:    cfg.Metrics.OrNop(),
 		chans:      make(map[string]*feChannel),
-		subs:       make(map[string][]*feSub),
 		done:       make(chan struct{}),
 	}
 	if cfg.MaxInflight > 0 {
@@ -257,6 +243,7 @@ func newFrontendWithConns(cfg FrontendConfig, conn, clientConn transport.Conn) (
 		f.peers[i] = id.Addr()
 	}
 	f.sync = newBlockSync(conn, cfg.Registry, func() ([]transport.Addr, int) { return f.peers, cfg.F })
+	f.logs = newReleaseLogs(f.sync, ErrFrontendClosed)
 	// Register with every ordering node so the custom replier includes
 	// this frontend in block dissemination.
 	for _, addr := range f.peers {
@@ -288,7 +275,8 @@ func (f *Frontend) ReleasedHeight(channel string) uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if ch, ok := f.chans[channel]; ok {
-		return ch.nextDeliver
+		_, next, _ := ch.log.cursor()
+		return next
 	}
 	return 0
 }
@@ -348,66 +336,14 @@ func (f *Frontend) BroadcastRaw(raw []byte) fabric.BroadcastStatus {
 }
 
 // Deliver opens a block stream for a channel, positioned by seek: history
-// below the live stream is replayed first — from the frontend's retained
-// window when possible, otherwise fetched from the ordering nodes' durable
-// ledgers — then the stream switches to live blocks with no gaps or
-// duplicates. A seek past the current head emits nothing until that block
-// is sealed. With a stop position the stream closes after the stop block;
-// otherwise it tails live blocks until canceled.
+// below the retained window is fetched from the ordering nodes' durable
+// ledgers, then the stream follows the channel's releases with no gaps or
+// duplicates (see releaseLogs.deliver).
 func (f *Frontend) Deliver(channel string, seek fabric.SeekInfo) (*fabric.BlockStream, error) {
-	if err := seek.Validate(); err != nil {
-		return nil, err
-	}
 	if !f.serves([]byte(channel)) {
 		return nil, fabric.ErrChannelNotFound
 	}
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return nil, ErrFrontendClosed
-	}
-	ch := f.feChannel(channel)
-	hist := append([]*fabric.Block(nil), ch.hist...)
-	q := newBlockQueue()
-	stream := fabric.NewBlockStream()
-	f.subs[channel] = append(f.subs[channel], &feSub{q: q, stream: stream})
-	f.wg.Add(1)
-	f.mu.Unlock()
-
-	go f.deliverLoop(channel, seek, hist, q, stream)
-	return stream, nil
-}
-
-// deliverLoop drives one Deliver subscription through the shared
-// streamDeliverer, with the nodes' durable ledgers as its history source.
-func (f *Frontend) deliverLoop(channel string, seek fabric.SeekInfo, hist []*fabric.Block, q *blockQueue, stream *fabric.BlockStream) {
-	defer f.wg.Done()
-	defer f.dropSub(channel, q, stream)
-	d := &streamDeliverer{
-		seek:      seek,
-		hist:      hist,
-		q:         q,
-		stream:    stream,
-		closedErr: ErrFrontendClosed,
-		sync:      f.sync,
-		channel:   channel,
-	}
-	d.run()
-}
-
-// dropSub unregisters a finished subscription and releases its queue.
-func (f *Frontend) dropSub(channel string, q *blockQueue, stream *fabric.BlockStream) {
-	f.mu.Lock()
-	subs := f.subs[channel]
-	for i, s := range subs {
-		if s.q == q {
-			f.subs[channel] = append(subs[:i], subs[i+1:]...)
-			break
-		}
-	}
-	f.mu.Unlock()
-	q.close()
-	stream.Close(nil)
+	return f.logs.deliver(channel, seek)
 }
 
 // FetchVerified retrieves blocks [from, to) of a channel from the ordering
@@ -477,11 +413,12 @@ func (f *Frontend) heal() {
 	for name, ch := range f.chans {
 		moved := ch.advanced
 		ch.advanced = false
-		if moved || !ch.started {
+		_, next, started := ch.log.cursor()
+		if moved || !started {
 			continue
 		}
 		voted := make(map[string]bool)
-		for _, acc := range ch.collecting[ch.nextDeliver] {
+		for _, acc := range ch.collecting[next] {
 			if acc.body == nil {
 				continue // votes without a body: the body is still to ask for
 			}
@@ -489,7 +426,7 @@ func (f *Frontend) heal() {
 				voted[v.SignerID] = true
 			}
 		}
-		payload := fetchRequest{Channel: name, From: ch.nextDeliver}.marshal()
+		payload := fetchRequest{Channel: name, From: next}.marshal()
 		for _, peer := range f.peers {
 			if !voted[string(peer)] {
 				f.conn.Send(peer, MsgRegister, payload) // never blocks
@@ -589,9 +526,7 @@ func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sent
 	// below it are dropped, and the inflight-window slots of their bodies'
 	// envelopes freed below.
 	var dropped [][]byte
-	if !ch.started {
-		ch.started = true
-		ch.nextDeliver = number
+	if ch.log.start(number) {
 		for n, byDigest := range ch.collecting {
 			if n < number {
 				for _, acc := range byDigest {
@@ -603,6 +538,7 @@ func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sent
 			}
 		}
 	}
+	var deliveries []*fabric.Block
 	if acc.body != nil {
 		acc.released = true
 		// Attach the accumulated signatures (deterministic order not
@@ -617,38 +553,11 @@ func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sent
 				released.Signatures = append(released.Signatures, v)
 			}
 		}
-		ch.ready[number] = released
+		deliveries = ch.log.put(released)
 	}
-	// Release the contiguous prefix in block-number order.
-	var deliveries []*fabric.Block
-	for {
-		next, ok := ch.ready[ch.nextDeliver]
-		if !ok {
-			break
-		}
-		delete(ch.ready, ch.nextDeliver)
-		delete(ch.collecting, ch.nextDeliver)
-		ch.nextDeliver++
-		ch.advanced = true
-		deliveries = append(deliveries, next)
-	}
-	// Retain the released blocks for Deliver seeks (contiguous: the cursor
-	// never skips).
 	for _, b := range deliveries {
-		if len(ch.hist) == 0 {
-			ch.histStart = b.Header.Number
-		}
-		ch.hist = append(ch.hist, b)
-	}
-	// Trim with slack: the copy amortizes to O(1) per release instead of
-	// recurring on every block once the window is full.
-	if over := len(ch.hist) - DefaultHistoryLimit; over > DefaultHistoryLimit/4 {
-		ch.hist = append(ch.hist[:0:0], ch.hist[over:]...)
-		ch.histStart += uint64(over)
-	}
-	queues := make([]*blockQueue, 0, len(f.subs[channel]))
-	for _, s := range f.subs[channel] {
-		queues = append(queues, s.q)
+		delete(ch.collecting, b.Header.Number)
+		ch.advanced = true
 	}
 	f.mu.Unlock()
 
@@ -691,9 +600,6 @@ func (f *Frontend) onBlockCopy(sender, channel string, block *fabric.Block, sent
 		if cb := f.statLatencyCb.Load(); cb != nil {
 			(*cb)(b)
 		}
-		for _, q := range queues {
-			q.put(b)
-		}
 	}
 }
 
@@ -705,7 +611,7 @@ func (f *Frontend) settled(channel string, number uint64, digest cryptoutil.Dige
 	if !ok {
 		return false
 	}
-	if number < ch.nextDeliver {
+	if _, next, _ := ch.log.cursor(); number < next {
 		return true
 	}
 	acc := ch.collecting[number][digest]
@@ -733,8 +639,8 @@ func (f *Frontend) feChannel(channel string) *feChannel {
 	ch, ok := f.chans[channel]
 	if !ok {
 		ch = &feChannel{
+			log:        f.logs.log(channel),
 			collecting: make(map[uint64]map[cryptoutil.Digest]*blockAccum),
-			ready:      make(map[uint64]*fabric.Block),
 		}
 		f.chans[channel] = ch
 	}
@@ -750,22 +656,13 @@ func (f *Frontend) Close() {
 		return
 	}
 	f.closed = true
-	var subs []*feSub
-	for _, ss := range f.subs {
-		subs = append(subs, ss...)
-	}
 	f.mu.Unlock()
 
 	for _, addr := range f.peers {
 		f.conn.Send(addr, MsgUnregister, nil)
 	}
 	close(f.done)
-	// Cancel first so deliverers blocked in a fetch or a Push return
-	// promptly, then close their queues to wake live waits.
-	for _, s := range subs {
-		s.stream.Cancel()
-		s.q.close()
-	}
+	f.logs.close()
 	f.client.Close()
 	f.clientConn.Close()
 	f.conn.Close()
@@ -852,87 +749,4 @@ func (w *inflightWindow) release(env []byte) {
 	}
 	w.mu.Unlock()
 	<-w.sem
-}
-
-// ---- block queue --------------------------------------------------------
-
-// blockQueue is an unbounded FIFO of blocks with a channel reader side
-// (same shape as the transport mailbox: producers never block).
-type blockQueue struct {
-	mu     sync.Mutex
-	queue  []*fabric.Block
-	notify chan struct{}
-	done   chan struct{}
-	out    chan *fabric.Block
-	closed bool
-	wg     sync.WaitGroup
-}
-
-func newBlockQueue() *blockQueue {
-	q := &blockQueue{
-		notify: make(chan struct{}, 1),
-		done:   make(chan struct{}),
-		out:    make(chan *fabric.Block),
-	}
-	q.wg.Add(1)
-	go q.pump()
-	return q
-}
-
-func (q *blockQueue) put(b *fabric.Block) {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return
-	}
-	q.queue = append(q.queue, b)
-	q.mu.Unlock()
-	select {
-	case q.notify <- struct{}{}:
-	default:
-	}
-}
-
-func (q *blockQueue) pump() {
-	defer q.wg.Done()
-	defer close(q.out)
-	// Two slices swap roles, as in the transport mailbox: put fills one
-	// while the other is handed over, so neither is re-sliced at its head
-	// (which kept every block handed over reachable from the backing array
-	// until an append grew it) and both stop growing.
-	var batch []*fabric.Block
-	for {
-		q.mu.Lock()
-		batch, q.queue = q.queue, batch[:0]
-		q.mu.Unlock()
-		if len(batch) == 0 {
-			select {
-			case <-q.notify:
-				continue
-			case <-q.done:
-				return
-			}
-		}
-		for i := range batch {
-			b := batch[i]
-			batch[i] = nil // a block handed over is not pinned by the spare
-			select {
-			case q.out <- b:
-			case <-q.done:
-				return
-			}
-		}
-	}
-}
-
-func (q *blockQueue) close() {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return
-	}
-	q.closed = true
-	q.mu.Unlock()
-	close(q.done)
-	q.wg.Wait()
 }

@@ -658,7 +658,9 @@ func TestFrontendSettledCopiesChangeNothing(t *testing.T) {
 		fe.mu.Lock()
 		defer fe.mu.Unlock()
 		ch := fe.chans["ch"]
-		return state{next: ch.nextDeliver, collecting: len(ch.collecting), ready: len(ch.ready), votes: v}
+		ch.log.mu.Lock()
+		defer ch.log.mu.Unlock()
+		return state{next: ch.log.next, collecting: len(ch.collecting), ready: len(ch.log.pending), votes: v}
 	}
 
 	b0 := fabric.NewBlock(0, cryptoutil.Digest{}, [][]byte{feEnv(0)})
@@ -785,8 +787,11 @@ func TestFrontendCursorWaitsForAnchorBody(t *testing.T) {
 	for {
 		fe.mu.Lock()
 		ch := fe.chans["ch"]
-		started := ch != nil && ch.started
 		fe.mu.Unlock()
+		started := false
+		if ch != nil {
+			_, _, started = ch.log.cursor()
+		}
 		if started {
 			break
 		}

@@ -169,7 +169,7 @@ func FuzzFrontendCopies(f *testing.F) {
 			released: 3,
 			metrics:  (*obs.FrontendMetrics)(nil).OrNop(),
 			chans:    make(map[string]*feChannel),
-			subs:     make(map[string][]*feSub),
+			logs:     newReleaseLogs(nil, ErrFrontendClosed),
 		}
 		if verify {
 			fe.released = 2

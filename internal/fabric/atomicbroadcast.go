@@ -112,7 +112,7 @@ func StatusOf(err error) BroadcastStatus {
 		return StatusSuccess
 	case errors.Is(err, ErrBadRequest), errors.Is(err, ErrBadSeek):
 		return StatusBadRequest
-	case errors.Is(err, ErrChannelNotFound), errors.Is(err, ErrPruned):
+	case errors.Is(err, ErrChannelNotFound), errors.Is(err, ErrPruned), errors.Is(err, ErrBlockNotFound):
 		return StatusNotFound
 	}
 	return StatusServiceUnavailable

@@ -238,14 +238,18 @@ func (w *WAL) wave() {
 		}
 	}
 	file := w.active
+	w.syncMu.Lock() // a repair must not close file under the fsync
 	w.mu.Unlock()
 
 	w.metrics.WaveTotal.Inc()
 	w.metrics.WaveSize.Observe(float64(len(group)))
+	var syncErr error
 	if err == nil && dirty && !w.cfg.NoSync {
-		if err = w.fsync(file); err != nil {
-			err = w.poison(err)
-		}
+		syncErr = w.fsync(file)
+	}
+	w.syncMu.Unlock()
+	if syncErr != nil {
+		err = w.poison(syncErr)
 	}
 	if err != nil {
 		w.metrics.WaveFailures.Inc()

@@ -4,10 +4,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/storage/vfs"
 )
 
 // TestMultiplexedCommitAndRecover drives concurrent appends of mixed
@@ -426,5 +429,91 @@ func TestEveryRecordCommitsUnderConcurrentFlushes(t *testing.T) {
 	case <-done:
 	case <-time.After(30 * time.Second):
 		t.Fatal("a record never became durable: a wave's wake-up was lost")
+	}
+}
+
+// stallSyncFS is the OS filesystem with one seam: once armed, the next
+// Datasync of any file signals entered and waits for release before it
+// syncs.
+type stallSyncFS struct {
+	vfs.FS
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (fs *stallSyncFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	f, err := fs.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return stallSyncFile{File: f, fs: fs}, nil
+}
+
+type stallSyncFile struct {
+	vfs.File
+	fs *stallSyncFS
+}
+
+func (f stallSyncFile) Datasync() error {
+	if f.fs.armed.CompareAndSwap(true, false) {
+		f.fs.entered <- struct{}{}
+		<-f.fs.release
+	}
+	return f.File.Datasync()
+}
+
+// A scrub repair of a record in the active segment swaps the segment's
+// file handle. A commit wave syncs that handle outside the log lock: the
+// repair must wait for the wave's fsync instead of closing the file under
+// it, which would fail the fsync and poison the log.
+func TestRepairWaitsForSyncingWave(t *testing.T) {
+	fs := &stallSyncFS{FS: vfs.OS{}, entered: make(chan struct{}), release: make(chan struct{})}
+	w, err := OpenWAL(WALConfig{Dir: t.TempDir(), FS: fs})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer w.Close()
+	idx, err := w.Append([]byte("record-0"))
+	if err != nil {
+		t.Fatalf("append: %v", err)
+	}
+
+	fs.armed.Store(true)
+	appended := make(chan error, 1)
+	go func() {
+		_, err := w.Append([]byte("record-1"))
+		appended <- err
+	}()
+	<-fs.entered // the wave is parked inside its fsync
+	repaired := make(chan error, 1)
+	go func() { repaired <- w.RewriteRecord(idx, []byte("record-0")) }()
+	select {
+	case err := <-repaired:
+		t.Logf("the repair finished while a wave was syncing (err %v)", err)
+		close(fs.release)
+	case <-time.After(50 * time.Millisecond):
+		close(fs.release)
+		if err := <-repaired; err != nil {
+			t.Fatalf("repair: %v", err)
+		}
+	}
+	if err := <-appended; err != nil {
+		t.Fatalf("the parked wave's record failed: %v", err)
+	}
+	if err := w.Poisoned(); err != nil {
+		t.Fatalf("the log is poisoned: %v", err)
+	}
+	if _, err := w.Append([]byte("record-2")); err != nil {
+		t.Fatalf("append after the repair: %v", err)
+	}
+	var got []string
+	if err := w.Replay(func(_ uint64, rec []byte) error {
+		got = append(got, string(rec))
+		return nil
+	}); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if want := []string{"record-0", "record-1", "record-2"}; !slices.Equal(got, want) {
+		t.Fatalf("replayed %q, want %q", got, want)
 	}
 }

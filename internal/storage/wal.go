@@ -147,8 +147,12 @@ type WAL struct {
 	mu       sync.Mutex
 	segments []segment // sorted by first index; last entry is active
 	active   vfs.File
-	size     int64  // bytes in the active segment
-	next     uint64 // index the next append receives
+	// syncMu is held by a wave across its fsync of the active file, which
+	// it does outside mu: a repair takes it before it closes that file.
+	// Taken after mu, never before.
+	syncMu sync.Mutex
+	size   int64  // bytes in the active segment
+	next   uint64 // index the next append receives
 
 	// pending is the group awaiting the next wave, in enqueue order, and
 	// spare the last group's slice, for reuse. waveGen counts the groups
@@ -803,7 +807,10 @@ func (w *WAL) RewriteRecord(idx uint64, rec []byte) error {
 	active := si == len(w.segments)-1
 	if active {
 		// The open append handle points at the inode the rename is about
-		// to unlink; swap it for a handle on the repaired file afterwards.
+		// to unlink; swap it for a handle on the repaired file afterwards,
+		// once no wave is syncing it.
+		w.syncMu.Lock()
+		defer w.syncMu.Unlock()
 		if err := w.active.Close(); err != nil {
 			return fmt.Errorf("storage: rewriting record %d: %w", idx, err)
 		}
