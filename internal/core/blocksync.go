@@ -18,42 +18,38 @@ import (
 
 // This file is everything a node or a frontend does with other nodes'
 // blocks: the FetchBlocks wire messages, the server that answers them (and
-// replays) from the durable ledger, the client that asks, the one rule that
-// decides when a fetched range may be believed (fetch), and the two
-// node-side users of that rule — the back-fill that closes the gap a
+// replays) from the durable ledger, the client that asks, the two proofs a
+// fetched range may be believed on (linked, proven) and the agreement that
+// gives an anchorless reader its anchor (agreed), and the two node-side
+// users of the proven read — the back-fill that closes the gap a
 // state-transfer jump left in the durable chain, and the scrubber's repair
 // callback.
 //
 // A single peer is never trusted. A Byzantine server can stall a fetch but
 // never feed a forged history: every range handed to a caller passed one
-// of three proofs, each of which ties it to at least one correct node.
+// of two proofs, each of which ties it to at least one correct node.
 //
 //   - link: the top of the range hashes to an anchor the caller already
 //     trusts (a quorum-released block for frontends, the post-jump chain
 //     state or an intact successor record for nodes). Every header embeds
-//     its predecessor's hash, so the link authenticates the whole range.
+//     its predecessor's hash and its envelopes' hash, so the link
+//     authenticates the whole range.
 //   - signatures: every block carries f+1 valid signatures of distinct
 //     ordering nodes, so the range proves itself with no prior chain state
 //     and keeps proving itself wherever it is stored. Nodes persist (at
 //     least) their own signature with every block they seal, so one peer's
 //     copy rarely carries f+1: the signature sets of identical blocks
 //     served by further peers are merged until it does.
-//   - copies: f+1 peers serve a range with the same top header. This is
-//     the only anchorless rule for a deployment that distributes no
-//     verification keys (cmd/ordernode), and for blocks that carry no
-//     signatures — sealed with DisableSigning, or re-sealed from the
-//     decision log by a crash recovery.
 //
-// The first two compose: a caller with no anchor that keeps no proof (a
-// Deliver replay below a frontend's window) needs f+1 signatures on the
-// top block only, which then is the anchor the link proves the rest from.
-// A correct node signs only a header it sealed on the decided chain, so
-// one of the f+1 signers vouches that the top header is the decided block
-// to-1; every header below it is then fixed by the PrevHash chain, and
-// every block's envelopes by its data hash — a forged interior under a
-// genuine top takes a SHA-256 collision. A caller that keeps the proof
-// gets f+1 signatures on every block instead, so a stored block proves
-// itself on its own, wherever it is served from next.
+// A reader with no anchor that keeps no proof (a Deliver replay below a
+// frontend's window) first agrees on one block: the header of its stop
+// block, or of the chain's head, that f+1 distinct nodes vouch for —
+// through signatures that verify on it where the nodes' keys are
+// distributed, by serving it where they are not (cmd/ordernode) or where
+// the blocks carry no signatures (sealed with DisableSigning, or re-sealed
+// from the decision log by a crash recovery). One of the f+1 is correct,
+// and a correct node signs or serves only a header on the decided chain.
+// That header is then the anchor a linked read proves the range from.
 
 // maxFetchBlocks caps the blocks served per response; requesters ask for
 // the next window until the range is covered.
@@ -167,9 +163,10 @@ func unmarshalFetchResponse(payload []byte) (fetchResponse, error) {
 // ---- blockSync -----------------------------------------------------------
 
 // blockSync is one endpoint's block exchange with the ordering nodes. A
-// frontend uses only the client half (fetch, head); an ordering node also
-// serves requests, back-fills its durable chain and repairs scrubbed
-// records. handleResponse must be wired into the owner's receive path.
+// frontend uses only the client half (agreed, linked, proven); an ordering
+// node also serves requests, back-fills its durable chain and repairs
+// scrubbed records. handleResponse must be wired into the owner's receive
+// path.
 type blockSync struct {
 	conn transport.Conn
 	// registry resolves the nodes' verification keys; nil in deployments
@@ -271,10 +268,6 @@ type errPeerPruned struct {
 func (e *errPeerPruned) Error() string {
 	return fmt.Sprintf("fetch: peer %s pruned the range (floor %d)", e.peer, e.floor)
 }
-
-// errPeerLacks reports a peer answering that it holds none of a range that
-// its retention floor does not explain.
-var errPeerLacks = errors.New("fetch: the peer cannot serve the range")
 
 // send puts one request for blocks [from, to) — or, with from ==
 // fetchHeadProbe, for the peer's newest block — on the wire; await then
@@ -428,7 +421,7 @@ func (s *blockSync) land(p *pendingFetch, stop <-chan struct{}) ([]*fabric.Block
 		}
 		q := p.req
 		if len(blocks) == 0 {
-			return nil, fmt.Errorf("%w: peer %s, block %d", errPeerLacks, p.peer, q.From)
+			return nil, fmt.Errorf("fetch: peer %s holds no block %d", p.peer, q.From)
 		}
 		if !q.SigsOnly {
 			for _, b := range blocks {
@@ -450,143 +443,193 @@ func (s *blockSync) land(p *pendingFetch, stop <-chan struct{}) ([]*fabric.Block
 	}
 }
 
-// head returns a block f+1 peers agree is (part of) the chain's head
-// region: each peer nominates its newest block, and the first header hash
-// reaching f+1 votes is trusted (at least one voter is correct). f+1 peers
-// are asked at once, and one further peer each time an answer fails or
-// disagrees so that no version can reach f+1 votes any more from the
-// answers still awaited. The returned block may trail the true head —
-// callers replay up to it and let the live stream's gap fill cover the
-// rest.
-func (s *blockSync) head(done <-chan struct{}, channel string) (*fabric.Block, error) {
+// ---- client: the agreed block and the two proofs --------------------------
+
+// agreed returns the header of block number — or, with fetchHeadProbe, of
+// a block at the chain's head — that f+1 distinct nodes vouch for, so that
+// at least one correct node does, as an envelope-stripped block carrying
+// the signatures gathered for it. With the nodes' verification keys a node
+// vouches through a signature that verifies on the header, whichever peer
+// served it: the signature sets of the copies that agree are merged.
+// Without keys a node vouches by serving the header. With keys and blocks
+// that carry no signatures, f+1 peers serving the same header are accepted
+// once every peer has answered.
+//
+// Each peer is asked for the header and signatures of the block alone,
+// f+1 peers at once, and one further peer each time an answer fails or
+// disagrees, so that no version can reach f+1 vouchers any more from the
+// answers still awaited. A head's header may trail the true head — callers
+// replay up to it and let the live stream's gap fill cover the rest. When
+// f+1 peers answer that the block fell below their retention floor, the
+// call fails with a *fabric.PrunedError carrying the smallest floor
+// reported; when no version gathers f+1 vouchers, with ErrFetchFailed once
+// every peer has answered.
+func (s *blockSync) agreed(done <-chan struct{}, channel string, number uint64) (*fabric.Block, error) {
 	peers, f := s.group()
-	answers := make(chan answer, len(peers))
+	need := f + 1
+	type reply struct {
+		peer transport.Addr
+		answer
+	}
+	replies := make(chan reply, len(peers))
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	defer func() {
 		close(stop)
 		wg.Wait()
 	}()
-	votes := make(map[cryptoutil.Digest]int)
+	// Each version of the block is a one-block candidate: one header and
+	// its merged signatures.
+	var versions []*rangeCandidate
+	servers := make(map[*rangeCandidate]int)
+	vouchers := func(v *rangeCandidate) int {
+		if s.registry == nil {
+			return servers[v]
+		}
+		return len(v.signers[0])
+	}
+	to := number + 1
+	if number == fetchHeadProbe {
+		to = fetchHeadProbe
+	}
+	refused := newRefusals(f)
+	var lastErr error = ErrFetchFailed
 	asked, awaited, best := 0, 0, 0
 	for {
-		for ; awaited+best < f+1 && asked < len(peers); asked++ {
-			p := s.send(peers[asked], channel, fetchHeadProbe, fetchHeadProbe, false)
+		for ; awaited+best < need && asked < len(peers); asked++ {
+			peer, p := peers[asked], s.send(peers[asked], channel, number, to, true)
 			awaited++
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				blocks, err := s.await(p, stop)
-				answers <- answer{blocks, err}
+				replies <- reply{peer, answer{blocks, err}}
 			}()
 		}
 		if awaited == 0 {
-			return nil, fmt.Errorf("%w: no f+1 quorum on %s's head", ErrFetchFailed, channel)
+			break
 		}
-		var a answer
+		var r reply
 		select {
-		case a = <-answers:
+		case r = <-replies:
 			awaited--
 		case <-done:
 			return nil, ErrFetchFailed
 		}
-		if a.err != nil || len(a.blocks) != 1 || a.blocks[0].CheckIntegrity() != nil {
+		if r.err == nil && len(r.blocks) != 1 {
+			r.err = fmt.Errorf("fetch: peer %s served %d blocks for block %d", r.peer, len(r.blocks), number)
+		}
+		if r.err != nil {
+			if err := refused.note(r.peer, channel, r.err); err != nil {
+				return nil, err
+			}
+			lastErr = r.err
 			continue
 		}
-		h := a.blocks[0].Header.Hash()
-		votes[h]++
-		if votes[h] >= f+1 {
-			return a.blocks[0], nil
+		v := vouchAny(versions, r.blocks, s.registry, need)
+		if v == nil {
+			v = newRangeCandidate(r.blocks, s.registry, need)
+			versions = append(versions, v)
 		}
-		best = max(best, votes[h])
+		if servers[v]++; vouchers(v) >= need {
+			return v.blocks[0], nil
+		}
+		best = max(best, vouchers(v))
 	}
+	for _, v := range versions {
+		if servers[v] >= need {
+			return v.blocks[0], nil
+		}
+	}
+	return nil, fmt.Errorf("%w: no f+1 nodes vouch for %s block %d: %v", ErrFetchFailed, channel, number, lastErr)
 }
 
-// ---- client: the trust rule ------------------------------------------------
-
-// refusals tallies the distinct peers that definitively refused a range:
-// pruned below their retention floor, or holding none of it where the
-// range may not exist (lacking is nil where it must). f+1 refusing alike
-// settle it (one of them is honest), and the fetch ends at once.
+// refusals tallies the distinct peers that answered that a range fell
+// below their retention floor. f+1 of them settle it (one of them is
+// honest), and the read ends at once.
 type refusals struct {
-	f               int
-	pruned, lacking map[transport.Addr]bool
-	minFloor        uint64
+	f        int
+	pruned   map[transport.Addr]bool
+	minFloor uint64
 }
 
-// note records peer's answer err if it is a refusal. Once f+1 peers refused
-// alike it returns the error the fetch ends with: the typed pruned error
-// with the smallest floor reported, or ErrFetchFailed; until then, nil.
+func newRefusals(f int) *refusals {
+	return &refusals{f: f, pruned: make(map[transport.Addr]bool)}
+}
+
+// note records peer's answer err if it is a refusal. Once f+1 peers
+// refused it returns the typed pruned error with the smallest floor
+// reported; until then, nil.
 func (t *refusals) note(peer transport.Addr, channel string, err error) error {
 	var pp *errPeerPruned
-	switch {
-	case errors.As(err, &pp):
-		if !t.pruned[peer] && (len(t.pruned) == 0 || pp.floor < t.minFloor) {
-			t.minFloor = pp.floor
-		}
-		if t.pruned[peer] = true; len(t.pruned) >= t.f+1 {
-			return &fabric.PrunedError{Channel: channel, Floor: t.minFloor}
-		}
-	case t.lacking != nil && errors.Is(err, errPeerLacks):
-		if t.lacking[peer] = true; len(t.lacking) >= t.f+1 {
-			return fmt.Errorf("%w: %d peers cannot serve %s: %v", ErrFetchFailed, len(t.lacking), channel, err)
-		}
+	if !errors.As(err, &pp) {
+		return nil
+	}
+	if !t.pruned[peer] && (len(t.pruned) == 0 || pp.floor < t.minFloor) {
+		t.minFloor = pp.floor
+	}
+	if t.pruned[peer] = true; len(t.pruned) >= t.f+1 {
+		return &fabric.PrunedError{Channel: channel, Floor: t.minFloor}
 	}
 	return nil
 }
 
 // rangeCandidate is one well-formed version of a requested range,
 // identified by its top header hash (the hash chain makes it cover the
-// whole range), accumulating across the peers that vouch for it the peers
-// themselves and the verified signatures on its counted blocks: the top
-// len(digests) of blocks — all of them when the caller keeps the proof,
-// the top one alone otherwise.
+// whole range), accumulating the verified signatures on each of its blocks
+// across the peers that serve it.
 type rangeCandidate struct {
 	blocks  []*fabric.Block
-	digests []cryptoutil.Digest     // header hash per counted block
-	signers []map[string]bool       // distinct verified signers per counted block
-	short   int                     // counted blocks still below f+1 signatures
-	peers   map[transport.Addr]bool // peers whose copy has this top
+	digests []cryptoutil.Digest // header hash per block
+	signers []map[string]bool   // distinct verified signers per block
+	short   int                 // blocks still below f+1 signatures
 }
 
-// newRangeCandidate makes a candidate of a verified copy whose top counted
-// blocks must gather f+1 signatures.
-func newRangeCandidate(blocks []*fabric.Block, counted int) *rangeCandidate {
+// newRangeCandidate makes a candidate of a well-formed copy, counting the
+// signatures it carries.
+func newRangeCandidate(blocks []*fabric.Block, verify *cryptoutil.Registry, need int) *rangeCandidate {
 	c := &rangeCandidate{
 		blocks:  blocks,
-		digests: make([]cryptoutil.Digest, 0, counted),
-		signers: make([]map[string]bool, 0, counted),
-		short:   counted,
-		peers:   make(map[transport.Addr]bool),
+		digests: make([]cryptoutil.Digest, len(blocks)),
+		signers: make([]map[string]bool, len(blocks)),
+		short:   len(blocks),
 	}
-	for _, b := range blocks[len(blocks)-counted:] {
-		c.digests = append(c.digests, b.Header.Hash())
-		c.signers = append(c.signers, make(map[string]bool))
+	for i, b := range blocks {
+		c.digests[i] = b.Header.Hash()
+		c.signers[i] = make(map[string]bool)
 	}
+	c.vouch(blocks, verify, need)
 	return c
 }
 
-// vouch merges one peer's copy — full, envelope-stripped, or of the top
-// block alone: consecutive blocks from at most the first counted one
-// through the range's top — into the candidate, counted block by counted
-// block where the header hashes agree, and reports whether the tops did: a
-// copy with another top is another version, however much of the interior
-// it shares. Matching by header hash is safe without re-verifying the
-// copy's chain: every signature is checked against the candidate's own
-// header digest, so a copy can contribute valid signatures or nothing.
-// Newly verified signatures are appended to the candidate's blocks, so
-// what is handed on carries its own proof. verify is nil where the
-// signature proof does not apply.
-func (c *rangeCandidate) vouch(peer transport.Addr, theirs []*fabric.Block, verify *cryptoutil.Registry, need int) (sameTop bool) {
-	base := len(c.blocks) - len(c.digests)                              // c.blocks index of counted block 0
-	skew := int(c.blocks[base].Header.Number - theirs[0].Header.Number) // theirs index of it
+// vouchAny merges one peer's copy into the candidates up to the one that
+// shares its top, and returns that one; nil when none does.
+func vouchAny(candidates []*rangeCandidate, theirs []*fabric.Block, verify *cryptoutil.Registry, need int) *rangeCandidate {
+	for _, c := range candidates {
+		if c.vouch(theirs, verify, need) {
+			return c
+		}
+	}
+	return nil
+}
+
+// vouch merges one peer's copy of the same range — full or
+// envelope-stripped — into the candidate, block by block where the header
+// hashes agree, and reports whether the tops did: a copy with another top
+// is another version, however much of the interior it shares. Matching by
+// header hash is safe without re-verifying the copy's chain: every
+// signature is checked against the candidate's own header digest, so a
+// copy can contribute valid signatures or nothing. Newly verified
+// signatures are appended to the candidate's blocks, so what is handed on
+// carries its own proof. verify is nil where the signature proof does not
+// apply.
+func (c *rangeCandidate) vouch(theirs []*fabric.Block, verify *cryptoutil.Registry, need int) (sameTop bool) {
 	for i, digest := range c.digests {
-		b, t := c.blocks[base+i], theirs[skew+i]
+		b, t := c.blocks[i], theirs[i]
 		if t != b && t.Header.Hash() != digest {
 			continue // diverging copy: its signatures prove nothing here
 		}
 		if i == len(c.digests)-1 {
-			c.peers[peer] = true
 			sameTop = true
 		}
 		if verify == nil || len(c.signers[i]) >= need {
@@ -609,149 +652,97 @@ func (c *rangeCandidate) vouch(peer transport.Addr, theirs []*fabric.Block, veri
 	return sameTop
 }
 
-// fetch retrieves blocks [from, to) of a channel from the peers and hands
-// them over only once a proof holds (see the top of this file). The caller
-// states what it already trusts — anchor, the header hash of block to-1,
-// or nil — and whether the result must prove itself to whoever reads it
-// next (proof: the durable ledger and FetchVerified keep the merged f+1
-// signature set of every block; a Deliver replay does not need it). From
-// that, in this one place:
+// linked retrieves blocks [from, to) of a channel proved by the link: the
+// header hash of block to-1 is anchor, which the caller already trusts.
+// Each peer in turn is asked for a full copy, and the first whose top
+// hashes to anchor wins; no signature is checked.
+func (s *blockSync) linked(done <-chan struct{}, channel string, from, to uint64, anchor cryptoutil.Digest) ([]*fabric.Block, error) {
+	return s.overPeers(done, channel, from, to, func(peer transport.Addr) ([]*fabric.Block, error) {
+		return s.copyOf(done, peer, channel, from, to, &anchor)
+	}, func(lastErr error) ([]*fabric.Block, error) {
+		return nil, fmt.Errorf("%w: %s blocks %d..%d: %v", ErrFetchFailed, channel, from, to-1, lastErr)
+	})
+}
+
+// proven retrieves blocks [from, to) of a channel that keep their proof:
+// the durable ledger and FetchVerified store or hand on each block with
+// f+1 valid signatures of distinct nodes, merged across the peers that
+// serve it, so it proves itself wherever it is served from next. Every
+// well-formed version of the range is its own candidate, so a Byzantine
+// peer that answers first with a forged but internally consistent chain
+// cannot lock honest copies out — the honest version gathers its quorum
+// independently and wins. Once a full copy is in hand, further peers are
+// asked for the range's headers and signatures only; one whose top matches
+// no candidate's holds a different version and is asked for a full copy.
 //
-//   - An anchor and no wish for proof: link alone. Each peer in turn is
-//     asked for a full copy and the first that links wins; no signature is
-//     checked.
-//   - Verification keys and a wish for proof: signatures on every block.
-//     Every well-formed version of the range is its own candidate, so a
-//     Byzantine peer that answers first with a forged but internally
-//     consistent chain cannot lock honest copies out — the honest version
-//     gathers its quorum independently and wins. Once a full copy is in
-//     hand, further peers are asked for the range's headers and
-//     signatures only; one whose top matches no candidate's holds a
-//     different version and is re-asked for a full copy. With an anchor,
-//     only versions that link into it are candidates at all.
-//   - Verification keys, no anchor, no wish for proof: signatures on the
-//     tip, then link. Gathered the same way, except that only the top
-//     block's signatures are verified and further peers are asked for the
-//     header and signatures of block to-1 alone; the full copy was already
-//     checked against its own top, so once that top is proven the link
-//     proves the rest. The first f further peers are asked for it at the
-//     same moment as the first peer's full copy, so a range whose first
-//     f+1 peers are honest takes one copy's transfer time.
-//   - Neither keys nor anchor: copies, gathered like the tip (one full
-//     copy, then block to-1 alone from further peers, the first f of them
-//     at once) and counted per peer.
-//
-// When the signatures cannot be completed after every pass — unsigned
-// blocks — the weaker proof the caller can accept decides: the link into
-// its anchor, or else f+1 copies if it asked for no proof.
-//
-// When f+1 distinct peers answer that the range fell below their retention
-// floor, it is authoritatively pruned (at least one of them is honest) and
-// the call fails at once with a typed *fabric.PrunedError carrying the
-// smallest reported floor — callers surface it (NOT_FOUND) or restart
-// their read from the floor. For a replay (no anchor, no proof kept), when
-// f+1 distinct peers answer that they hold none of it — a stop beyond the
-// chain — the call fails at once with ErrFetchFailed, without the pauses
-// between passes.
-func (s *blockSync) fetch(done <-chan struct{}, channel string, from, to uint64, anchor *cryptoutil.Digest, proof bool) ([]*fabric.Block, error) {
+// With an anchor, the header hash of block to-1, only versions that link
+// into it are candidates at all, and when the signatures cannot be
+// completed after every pass — unsigned blocks — the link alone proves the
+// first. Without verification keys only the link can prove a range, so an
+// anchored call is a linked read and an anchorless one fails with
+// ErrUnverifiedRange.
+func (s *blockSync) proven(done <-chan struct{}, channel string, from, to uint64, anchor *cryptoutil.Digest) ([]*fabric.Block, error) {
+	if s.registry == nil {
+		if anchor == nil {
+			return nil, fmt.Errorf("%w: no verification keys to prove %s blocks %d..%d", ErrUnverifiedRange, channel, from, to-1)
+		}
+		return s.linked(done, channel, from, to, *anchor)
+	}
+	_, f := s.group()
+	var candidates []*rangeCandidate
+	// handOver hands c over once every block of it carries f+1 signatures.
+	handOver := func(c *rangeCandidate) ([]*fabric.Block, error) {
+		if c.short > 0 {
+			return nil, nil
+		}
+		return c.blocks, nil
+	}
+	return s.overPeers(done, channel, from, to, func(peer transport.Addr) ([]*fabric.Block, error) {
+		if len(candidates) > 0 {
+			stripped, err := s.fromPeer(peer, channel, from, to, true, done)
+			if err != nil {
+				return nil, err
+			}
+			if c := vouchAny(candidates, stripped, s.registry, f+1); c != nil {
+				return handOver(c)
+			}
+		}
+		blocks, err := s.copyOf(done, peer, channel, from, to, anchor)
+		if err != nil {
+			return nil, err
+		}
+		c := vouchAny(candidates, blocks, s.registry, f+1)
+		if c == nil {
+			c = newRangeCandidate(blocks, s.registry, f+1)
+			candidates = append(candidates, c)
+		}
+		return handOver(c)
+	}, func(lastErr error) ([]*fabric.Block, error) {
+		switch {
+		case len(candidates) > 0 && anchor != nil:
+			return candidates[0].blocks, nil
+		case len(candidates) > 0:
+			return nil, fmt.Errorf("%w: %s blocks %d..%d", ErrUnverifiedRange, channel, from, to-1)
+		}
+		return nil, fmt.Errorf("%w: %s blocks %d..%d: %v", ErrFetchFailed, channel, from, to-1, lastErr)
+	})
+}
+
+// overPeers offers each peer in turn to try, in up to fetchRounds passes
+// with the pauses of fetchRetryPolicy between them, until try hands over
+// the range [from, to) — try returns no blocks and no error for a peer
+// whose answer was taken but proves nothing yet. The read ends early with
+// ErrFetchFailed once done closes, and with a *fabric.PrunedError carrying
+// the smallest floor reported once f+1 distinct peers answered that the
+// range fell below their retention floor; after the last pass, spent
+// decides its outcome from the last failure try reported.
+func (s *blockSync) overPeers(done <-chan struct{}, channel string, from, to uint64, try func(transport.Addr) ([]*fabric.Block, error), spent func(lastErr error) ([]*fabric.Block, error)) ([]*fabric.Block, error) {
 	if to <= from {
 		return nil, nil
 	}
 	peers, f := s.group()
-	need := f + 1
-	verify := s.registry
-	if anchor != nil && !proof {
-		verify = nil
-	}
-	if verify == nil && anchor == nil && proof {
-		return nil, fmt.Errorf("%w: no verification keys to prove %s blocks %d..%d", ErrUnverifiedRange, channel, from, to-1)
-	}
-	// Further peers vouch for what must gather f+1 signatures or copies:
-	// every block when the proof is kept, otherwise the top one.
-	vouchFrom := to - 1
-	if proof {
-		vouchFrom = from
-	}
-	// accepted reports whether a candidate may be handed over now; final
-	// is set once the passes are exhausted and the fallback proofs apply.
-	accepted := func(c *rangeCandidate, final bool) bool {
-		switch {
-		case verify != nil && c.short == 0:
-			return true
-		case verify != nil && !final:
-			return false
-		case anchor != nil:
-			return true // only versions that link into the anchor are candidates
-		}
-		return !proof && len(c.peers) >= need
-	}
-
-	var candidates []*rangeCandidate
+	refused := newRefusals(f)
 	var lastErr error = ErrFetchFailed
-	// Only a replay may ask for blocks beyond the chain: every other caller
-	// asks for blocks that exist, and a peer without them is only behind.
-	refused := &refusals{f: f, pruned: make(map[transport.Addr]bool)}
-	if anchor == nil && !proof {
-		refused.lacking = make(map[transport.Addr]bool)
-	}
-	// full downloads one peer's complete copy and folds it into the
-	// candidate set; it returns the candidate the copy belongs to.
-	full := func(peer transport.Addr) *rangeCandidate {
-		blocks, err := s.fromPeer(peer, channel, from, to, false, done)
-		if err != nil {
-			lastErr = err
-			return nil
-		}
-		top := blocks[len(blocks)-1].Header.Hash()
-		want := top
-		if anchor != nil {
-			want = *anchor
-		}
-		if err := fabric.VerifyRangeLinks(blocks, from, to, want); err != nil {
-			lastErr = fmt.Errorf("fetch: peer %s served an unverifiable range: %w", peer, err)
-			return nil
-		}
-		var cand *rangeCandidate
-		for _, c := range candidates {
-			if c.digests[len(c.digests)-1] == top {
-				cand = c
-			}
-		}
-		if cand == nil {
-			cand = newRangeCandidate(blocks, int(to-vouchFrom))
-			candidates = append(candidates, cand)
-		}
-		cand.vouch(peer, blocks, verify, need)
-		return cand
-	}
-
-	// A caller with no anchor that keeps no proof needs, besides one full
-	// copy, the top block of f further peers: those are asked for it
-	// together with the first peer's full copy, and the first pass takes
-	// each answer where it would have asked. Only when one fails or
-	// disagrees does that pass go on to ask the peers after them, one by
-	// one.
-	var tips map[transport.Addr]chan answer
-	if anchor == nil && !proof {
-		tips = make(map[transport.Addr]chan answer, f)
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		defer func() {
-			close(stop)
-			wg.Wait()
-		}()
-		for _, peer := range peers[min(1, len(peers)):min(need, len(peers))] {
-			p, ch := s.send(peer, channel, to-1, to, true), make(chan answer, 1)
-			tips[peer] = ch
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				blocks, err := s.land(p, stop)
-				ch <- answer{blocks, err}
-			}()
-		}
-	}
-
 	var rng *rand.Rand // jitters the pauses; seeded once a second pass is due
 	for round := 0; round < fetchRounds; round++ {
 		if round > 0 {
@@ -770,60 +761,37 @@ func (s *blockSync) fetch(done <-chan struct{}, channel string, from, to uint64,
 				return nil, ErrFetchFailed
 			default:
 			}
-			tip, asked := tips[peer]
-			delete(tips, peer)
-			known := false // the peer's version is already a candidate
-			if len(candidates) > 0 && (verify != nil || anchor == nil) {
-				var stripped []*fabric.Block
-				var err error
-				if asked {
-					select {
-					case a := <-tip:
-						stripped, err = a.blocks, a.err
-					case <-done:
-						return nil, ErrFetchFailed
-					}
-				} else {
-					stripped, err = s.fromPeer(peer, channel, vouchFrom, to, true, done)
-				}
-				if err != nil {
-					lastErr = err
-					if err := refused.note(peer, channel, err); err != nil {
-						return nil, err
-					}
-					continue
-				}
-				for _, c := range candidates {
-					if c.vouch(peer, stripped, verify, need) {
-						known = true
-					}
-					if accepted(c, false) {
-						return c.blocks, nil
-					}
-				}
-			}
-			if known {
-				continue
-			}
-			c := full(peer)
-			if c == nil {
-				if err := refused.note(peer, channel, lastErr); err != nil {
+			blocks, err := try(peer)
+			if err != nil {
+				if err := refused.note(peer, channel, err); err != nil {
 					return nil, err
 				}
-			} else if accepted(c, false) {
-				return c.blocks, nil
+				lastErr = err
+				continue
+			}
+			if blocks != nil {
+				return blocks, nil
 			}
 		}
 	}
-	for _, c := range candidates {
-		if accepted(c, true) {
-			return c.blocks, nil
-		}
+	return spent(lastErr)
+}
+
+// copyOf downloads peer's full copy of [from, to) and checks its numbering
+// and hash links, into anchor or, when anchor is nil, into its own top.
+func (s *blockSync) copyOf(done <-chan struct{}, peer transport.Addr, channel string, from, to uint64, anchor *cryptoutil.Digest) ([]*fabric.Block, error) {
+	blocks, err := s.fromPeer(peer, channel, from, to, false, done)
+	if err != nil {
+		return nil, err
 	}
-	if len(candidates) > 0 && verify != nil {
-		return nil, fmt.Errorf("%w: %s blocks %d..%d", ErrUnverifiedRange, channel, from, to-1)
+	want := blocks[len(blocks)-1].Header.Hash()
+	if anchor != nil {
+		want = *anchor
 	}
-	return nil, fmt.Errorf("%w: %s blocks %d..%d: %v", ErrFetchFailed, channel, from, to-1, lastErr)
+	if err := fabric.VerifyRangeLinks(blocks, from, to, want); err != nil {
+		return nil, fmt.Errorf("fetch: peer %s served an unverifiable range: %w", peer, err)
+	}
+	return blocks, nil
 }
 
 // ---- server ------------------------------------------------------------------
@@ -958,8 +926,8 @@ func (s *blockSync) replay(frontend transport.Addr, channel string, from uint64)
 // internally hash-linked from a zero genesis anchor, deterministic in
 // content, every block carrying only the forger's (genuine) signature. It
 // passes every per-range hash check, so only a threshold that f forgers
-// cannot reach — f+1 signatures, f+1 copies — or a trusted anchor rejects
-// it; f+1 forgers serve identical headers and do reach it.
+// cannot reach — f+1 signatures, f+1 serving nodes — or a trusted anchor
+// rejects it; f+1 forgers serve identical headers and do reach it.
 type forgedChain []*fabric.Block
 
 func (c forgedChain) Height() uint64 { return uint64(len(c)) }
@@ -1028,7 +996,7 @@ func (s *blockSync) repair(channel string, num uint64) error {
 	if next, err := led.Block(num + 1); err == nil {
 		anchor = &next.Header.PrevHash
 	}
-	blocks, err := s.fetch(n.done, channel, num, num+1, anchor, true)
+	blocks, err := s.proven(n.done, channel, num, num+1, anchor)
 	if err != nil {
 		return fmt.Errorf("scrub repair: fetching %s/%d: %w", channel, num, err)
 	}
@@ -1172,7 +1140,7 @@ func (s *blockSync) runBackfill(channel string, to uint64, anchor cryptoutil.Dig
 		var blocks []*fabric.Block
 		for start < to {
 			var err error
-			if blocks, err = s.fetch(n.done, channel, start, to, &anchor, true); err == nil {
+			if blocks, err = s.proven(n.done, channel, start, to, &anchor); err == nil {
 				break
 			}
 			var pe *fabric.PrunedError

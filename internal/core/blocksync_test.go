@@ -64,9 +64,10 @@ type syncWorld struct {
 	asked [][]fetchRequest // per peer, in arrival order
 }
 
-// asks describes the requests peer i received for a fetch of [from, to):
-// "full" for a window of a full copy, "tip" for the header and signatures
-// of block to-1 alone, "sigs" for any other envelope-stripped window.
+// asks describes the requests peer i received for a read whose top is
+// block to-1: "full" for a window of a full copy, "tip" for the header and
+// signatures of block to-1 alone, "head" for a head probe, "sigs" for any
+// other envelope-stripped window.
 func (w *syncWorld) asks(i int, to uint64) string {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -75,6 +76,8 @@ func (w *syncWorld) asks(i int, to uint64) string {
 		switch {
 		case !q.SigsOnly:
 			out = append(out, "full")
+		case q.From == fetchHeadProbe:
+			out = append(out, "head")
 		case q.From == to-1 && q.To == to:
 			out = append(out, "tip")
 		default:
@@ -82,6 +85,47 @@ func (w *syncWorld) asks(i int, to uint64) string {
 		}
 	}
 	return strings.Join(out, " ")
+}
+
+// checkAsks fails the test unless peer i's requests for a read whose top
+// is block to-1 are want[i], as asks names them. A request the read sent
+// without awaiting its answer may reach its peer after the read returned,
+// so the check waits a moment for the requests to settle.
+func (w *syncWorld) checkAsks(t *testing.T, to uint64, want []string) {
+	t.Helper()
+	asked := func() []string {
+		out := make([]string, len(want))
+		for i := range want {
+			out[i] = w.asks(i, to)
+		}
+		return out
+	}
+	got := asked()
+	for deadline := time.Now().Add(time.Second); !slices.Equal(got, want) && time.Now().Before(deadline); got = asked() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("peer %d was asked for %q, want %q", i, got[i], want[i])
+		}
+	}
+}
+
+// read is the read each kind of caller makes: proven where the proof is
+// kept, linked into an anchor, and otherwise the anchorless read — agreed
+// on block to-1, then linked into its header.
+func (w *syncWorld) read(done <-chan struct{}, from, to uint64, anchor *cryptoutil.Digest, proof bool) ([]*fabric.Block, error) {
+	switch {
+	case proof:
+		return w.sync.proven(done, "ch", from, to, anchor)
+	case anchor != nil:
+		return w.sync.linked(done, "ch", from, to, *anchor)
+	}
+	top, err := w.sync.agreed(done, "ch", to-1)
+	if err != nil {
+		return nil, err
+	}
+	return w.sync.linked(done, "ch", from, to, top.Header.Hash())
 }
 
 func mkChain(n int, tag string) []*fabric.Block {
@@ -241,8 +285,10 @@ func forgedAnswer(forged []*fabric.Block, req fetchRequest) []byte {
 	return resp.marshal()
 }
 
-// TestBlockSyncFetchRule drives the one fetch rule against scripted
-// peers: which proof applies to which caller, and what each must reject.
+// TestBlockSyncFetchRule drives the reads against scripted peers: which
+// proof applies to which caller, and what each must reject. A caller with
+// neither an anchor nor a kept proof makes the anchorless read: agreed on
+// the top block, then linked into it.
 func TestBlockSyncFetchRule(t *testing.T) {
 	const height = 10
 	type anchorKind int
@@ -261,13 +307,12 @@ func TestBlockSyncFetchRule(t *testing.T) {
 		from, to uint64 // to == 0 means the whole chain
 		abort    time.Duration
 
-		wantForged  bool
-		wantErr     error  // errors.Is target
-		wantFloor   uint64 // with wantErr == fabric.ErrPruned
-		wantSigs    int    // distinct valid signatures on every block
-		wantTipSigs int    // distinct valid signatures on the top block
-		wantAsks    []string
-		within      time.Duration
+		wantForged bool
+		wantErr    error  // errors.Is target
+		wantFloor  uint64 // with wantErr == fabric.ErrPruned
+		wantSigs   int    // distinct valid signatures on every block
+		wantAsks   []string
+		within     time.Duration
 	}{
 		{
 			name:     "forged first responder loses to the honest candidate, result carries f+1 signatures",
@@ -282,8 +327,8 @@ func TestBlockSyncFetchRule(t *testing.T) {
 		{
 			name:  "a response from the wrong sender cannot answer a pending request",
 			peers: []peerScript{{kind: proxied}, {kind: forging}, {kind: honest}, {kind: honest}},
-			// Copies count peers: were the proxied answer accepted, peers 0
-			// and 1 would be two votes for the forged top.
+			// Without keys serving peers vouch: were the proxied answer
+			// accepted, peers 0 and 1 would be two for the forged top.
 		},
 		{
 			name:     "f+1 pruned answers are authoritative, smallest floor wins",
@@ -341,8 +386,8 @@ func TestBlockSyncFetchRule(t *testing.T) {
 			registry: true, proof: true, from: 3, wantSigs: 2,
 		},
 		{
-			// f+1 peers that hold none of it end the fetch at once, before
-			// the first pause between passes.
+			// f+1 peers that hold none of the top block end the read at
+			// once: the agreement makes one pass and no pause.
 			name:     "a stop far beyond the chain fails without downloading it",
 			peers:    []peerScript{{kind: honest}, {kind: honest}, {kind: honest}, {kind: honest}},
 			registry: true, to: 1 << 62, wantErr: ErrFetchFailed, within: fetchRetryPolicy.Initial,
@@ -354,34 +399,35 @@ func TestBlockSyncFetchRule(t *testing.T) {
 		},
 		// The request patterns below: a full copy of 200 blocks is seven
 		// windows (six of windowBlocks and one of 8); a range of 10 is one.
-		// Peer 1 (the f further peers) is asked for the top block together
-		// with peer 0's full copy, before that copy is known to be good.
+		// The agreement asks f+1 peers for the top block at once, and one
+		// more for each answer that fails or disagrees; the linked read
+		// then asks each peer in turn for a full copy.
 		{
 			name:     "no proof kept: each further peer is asked for the top block once",
 			peers:    []peerScript{{kind: honest}, {kind: honest}, {kind: honest}, {kind: honest}},
 			height:   200,
-			registry: true, wantTipSigs: 2,
-			wantAsks: []string{"full full full full full full full", "tip", "", ""},
+			registry: true,
+			wantAsks: []string{"tip full full full full full full full", "tip", "", ""},
 		},
 		{
 			name:     "no keys, no proof kept: copies are counted on the top block alone",
 			peers:    []peerScript{{kind: honest}, {kind: honest}, {kind: honest}, {kind: honest}},
 			height:   200,
-			wantAsks: []string{"full full full full full full full", "tip", "", ""},
+			wantAsks: []string{"tip full full full full full full full", "tip", "", ""},
 		},
 		{
-			// Peer 0's copy fails on the link, so the pass asks peer 1 for a
-			// full copy after all; its early tip goes unused.
+			// Peer 0's top carries f+1 signatures, so two answers agree;
+			// its copy then fails on the link, and peer 1's full copy links.
 			name:     "a genuine top with f+1 signatures over a forged interior fails on the link",
 			peers:    []peerScript{{kind: splicing}, {kind: honest}, {kind: honest}, {kind: honest}},
-			registry: true, wantTipSigs: 2,
-			wantAsks: []string{"full", "tip full", "tip", ""},
+			registry: true,
+			wantAsks: []string{"tip full", "tip full", "", ""},
 		},
 		{
 			name:     "a forged top over the genuine interior stays one signature short",
 			peers:    []peerScript{{kind: tipForger}, {kind: honest}, {kind: honest}, {kind: honest}},
-			registry: true, wantTipSigs: 2,
-			wantAsks: []string{"full", "tip full", "tip", ""},
+			registry: true,
+			wantAsks: []string{"tip full", "tip full", "tip", ""},
 		},
 		{
 			name:     "a forged top cannot hide the honest version from a caller that keeps the proof",
@@ -389,12 +435,13 @@ func TestBlockSyncFetchRule(t *testing.T) {
 			registry: true, proof: true, wantSigs: 2,
 		},
 		{
-			// Peer 0's copy fails its data hashes as it lands, so the pass
-			// asks peer 1 for a full copy after all.
+			// Peer 0 signs the genuine header, so it vouches for the top;
+			// its copy fails its data hashes as it lands, so the pass asks
+			// peer 1 for a full copy.
 			name:     "a body that does not hash to its header is rejected",
 			peers:    []peerScript{{kind: tampered}, {kind: honest}, {kind: honest}, {kind: honest}},
-			registry: true, wantTipSigs: 2,
-			wantAsks: []string{"full", "tip full", "tip", ""},
+			registry: true,
+			wantAsks: []string{"tip full", "tip full", "", ""},
 		},
 		{
 			name:   "anchored fetch rejects a body that does not hash to its header",
@@ -404,8 +451,8 @@ func TestBlockSyncFetchRule(t *testing.T) {
 		{
 			name:     "signatures on the top block alone prove the range in the first pass",
 			peers:    []peerScript{{kind: tipSigned}, {kind: tipSigned}, {kind: tipSigned}, {kind: tipSigned}},
-			registry: true, wantTipSigs: 2,
-			wantAsks: []string{"full", "tip", "", ""},
+			registry: true,
+			wantAsks: []string{"tip full", "tip", "", ""},
 		},
 		{
 			name:     "signatures on the top block alone cannot satisfy a caller that keeps the proof",
@@ -436,7 +483,7 @@ func TestBlockSyncFetchRule(t *testing.T) {
 				time.AfterFunc(tc.abort, func() { close(done) })
 			}
 			start := time.Now()
-			blocks, err := w.sync.fetch(done, "ch", tc.from, tc.to, anchor, tc.proof)
+			blocks, err := w.read(done, tc.from, tc.to, anchor, tc.proof)
 			if tc.within > 0 && time.Since(start) > tc.within {
 				t.Errorf("fetch took %v, want under %v", time.Since(start), tc.within)
 			}
@@ -477,24 +524,169 @@ func TestBlockSyncFetchRule(t *testing.T) {
 				if len(signers) < tc.wantSigs {
 					t.Fatalf("block %d carries %d valid signatures, want >= %d", b.Header.Number, len(signers), tc.wantSigs)
 				}
-				if i == len(blocks)-1 && len(signers) < tc.wantTipSigs {
-					t.Fatalf("top block %d carries %d valid signatures, want >= %d", b.Header.Number, len(signers), tc.wantTipSigs)
-				}
 			}
-			for i, want := range tc.wantAsks {
-				if got := w.asks(i, tc.to); got != want {
-					t.Errorf("peer %d was asked for %q, want %q", i, got, want)
-				}
-			}
+			w.checkAsks(t, tc.to, tc.wantAsks)
 		})
 	}
 }
 
-// TestBlockSyncHeadQuorum: the head probe trusts a block only once f+1
-// peers nominate it, and asks f+1 peers at once.
+// TestBlockSyncAgreed drives the agreement an anchorless read starts with
+// against scripted peers, each row with the nodes' keys and without: f
+// forgers never win, f+1 pruned answers end it with the smallest floor,
+// f+1 peers without the block end it with no pause, unsigned blocks under
+// keys are agreed on serving peers only once every peer has answered, and
+// the asks are f+1 probes at once and one more per answer that fails or
+// disagrees.
+func TestBlockSyncAgreed(t *testing.T) {
+	const height = 10
+	type want int
+	const (
+		wantReal want = iota
+		wantForged
+		wantPruned // a *fabric.PrunedError with floor 5
+		wantFailed // ErrFetchFailed, before the first pause between passes
+	)
+	cases := []struct {
+		name   string
+		peers  []peerScript
+		number uint64 // the block agreed on: fetchHeadProbe, or below height
+		want   want
+		// asks lists each peer's requests, with keys and then without,
+		// as syncWorld.asks names them for a read whose top is number.
+		asks [2][]string
+	}{
+		{
+			name:   "f+1 honest answers agree at once",
+			peers:  []peerScript{{kind: honest}, {kind: honest}, {kind: honest}, {kind: honest}},
+			number: height - 1,
+			asks:   [2][]string{{"tip", "tip", "", ""}, {"tip", "tip", "", ""}},
+		},
+		{
+			name:   "f forgers never win",
+			peers:  []peerScript{{kind: forging}, {kind: honest}, {kind: honest}, {kind: honest}},
+			number: height - 1,
+			asks:   [2][]string{{"tip", "tip", "tip", ""}, {"tip", "tip", "tip", ""}},
+		},
+		{
+			name:   "f forgers of the top alone never win",
+			peers:  []peerScript{{kind: honest}, {kind: tipForger}, {kind: honest}, {kind: honest}},
+			number: height - 1,
+			asks:   [2][]string{{"tip", "tip", "tip", ""}, {"tip", "tip", "tip", ""}},
+		},
+		{
+			name:   "f+1 forgers reach the threshold: the threshold is what protects",
+			peers:  []peerScript{{kind: forging}, {kind: forging}, {kind: honest}, {kind: honest}},
+			number: height - 1,
+			want:   wantForged,
+			asks:   [2][]string{{"tip", "tip", "", ""}, {"tip", "tip", "", ""}},
+		},
+		{
+			name:   "f+1 pruned answers end it with the smallest floor",
+			peers:  []peerScript{{kind: pruned, arg: 7}, {kind: pruned, arg: 5}, {kind: honest}, {kind: honest}},
+			number: 3,
+			want:   wantPruned,
+			asks:   [2][]string{{"tip", "tip", "tip", ""}, {"tip", "tip", "tip", ""}},
+		},
+		{
+			name:   "f pruned answers do not",
+			peers:  []peerScript{{kind: pruned, arg: 7}, {kind: honest}, {kind: honest}, {kind: honest}},
+			number: 3,
+			asks:   [2][]string{{"tip", "tip", "tip", ""}, {"tip", "tip", "tip", ""}},
+		},
+		{
+			name:   "f+1 peers without the block end it at once",
+			peers:  []peerScript{{kind: honest}, {kind: honest}, {kind: honest}, {kind: honest}},
+			number: height + 1<<40,
+			want:   wantFailed,
+			asks:   [2][]string{{"tip", "tip", "tip", "tip"}, {"tip", "tip", "tip", "tip"}},
+		},
+		{
+			name:   "a peer without the block is passed over",
+			peers:  []peerScript{{kind: short}, {kind: honest}, {kind: honest}, {kind: honest}},
+			number: height - 1,
+			asks:   [2][]string{{"tip", "tip", "tip", ""}, {"tip", "tip", "tip", ""}},
+		},
+		{
+			// Peer 0's probe waits out its timeout before peer 2 is asked.
+			name:   "a silent peer is passed over",
+			peers:  []peerScript{{kind: silent}, {kind: honest}, {kind: honest}, {kind: honest}},
+			number: height - 1,
+			asks:   [2][]string{{"tip", "tip", "tip", ""}, {"tip", "tip", "tip", ""}},
+		},
+		{
+			name:   "unsigned blocks under keys are agreed once every peer has answered",
+			peers:  []peerScript{{kind: unsigned}, {kind: unsigned}, {kind: unsigned}, {kind: unsigned}},
+			number: height - 1,
+			asks:   [2][]string{{"tip", "tip", "tip", "tip"}, {"tip", "tip", "", ""}},
+		},
+		{
+			name:   "a block signed by f+1 peers' tops alone",
+			peers:  []peerScript{{kind: tipSigned}, {kind: tipSigned}, {kind: tipSigned}, {kind: tipSigned}},
+			number: height - 1,
+			asks:   [2][]string{{"tip", "tip", "", ""}, {"tip", "tip", "", ""}},
+		},
+		{
+			name:   "a block below tipSigned peers' tops is unsigned",
+			peers:  []peerScript{{kind: tipSigned}, {kind: tipSigned}, {kind: tipSigned}, {kind: tipSigned}},
+			number: height - 2,
+			asks:   [2][]string{{"tip", "tip", "tip", "tip"}, {"tip", "tip", "", ""}},
+		},
+		{
+			// The short peer nominates block height-2; only the honest
+			// block height-1 gathers f+1.
+			name:   "the head is the newest block f+1 peers nominate",
+			peers:  []peerScript{{kind: forging}, {kind: honest}, {kind: short}, {kind: honest}},
+			number: fetchHeadProbe,
+			asks:   [2][]string{{"head", "head", "head", "head"}, {"head", "head", "head", "head"}},
+		},
+	}
+	for _, tc := range cases {
+		for keyed, mode := range []string{"keyless", "keys"} {
+			t.Run(tc.name+"/"+mode, func(t *testing.T) {
+				t.Parallel()
+				w := newSyncWorld(t, tc.peers, height, keyed == 1)
+				start := time.Now()
+				top, err := w.sync.agreed(nil, "ch", tc.number)
+				took := time.Since(start)
+				switch tc.want {
+				case wantPruned:
+					var pe *fabric.PrunedError
+					if !errors.As(err, &pe) || pe.Floor != 5 {
+						t.Fatalf("agreed: %v, want blocks below 5 pruned", err)
+					}
+				case wantFailed:
+					if !errors.Is(err, ErrFetchFailed) {
+						t.Fatalf("agreed: %v, want ErrFetchFailed", err)
+					}
+					if took >= fetchRetryPolicy.Initial {
+						t.Errorf("agreed took %v, want under %v", took, fetchRetryPolicy.Initial)
+					}
+				default:
+					if err != nil {
+						t.Fatalf("agreed: %v", err)
+					}
+					chain, number := w.real, tc.number
+					if tc.want == wantForged {
+						chain = w.forged
+					}
+					if number == fetchHeadProbe {
+						number = height - 1
+					}
+					if top.Header.Hash() != chain[number].Header.Hash() {
+						t.Fatalf("agreed on block %d, not the expected copy", top.Header.Number)
+					}
+				}
+				w.checkAsks(t, tc.number+1, tc.asks[1-keyed])
+			})
+		}
+	}
+}
+
+// TestBlockSyncHeadQuorum: the head agreement trusts a header only once
+// f+1 peers nominate it, and asks f+1 peers at once.
 func TestBlockSyncHeadQuorum(t *testing.T) {
 	w := newSyncWorld(t, []peerScript{{kind: forging}, {kind: honest}, {kind: short}, {kind: honest}}, 6, false)
-	head, err := w.sync.head(nil, "ch")
+	head, err := w.sync.agreed(nil, "ch", fetchHeadProbe)
 	if err != nil {
 		t.Fatalf("head: %v", err)
 	}
@@ -502,14 +694,14 @@ func TestBlockSyncHeadQuorum(t *testing.T) {
 		t.Fatalf("head is block %d, not the honest top", head.Header.Number)
 	}
 	w = newSyncWorld(t, []peerScript{{kind: forging}, {kind: honest}, {kind: short}, {kind: silent}}, 6, false)
-	if _, err := w.sync.head(nil, "ch"); !errors.Is(err, ErrFetchFailed) {
+	if _, err := w.sync.agreed(nil, "ch", fetchHeadProbe); !errors.Is(err, ErrFetchFailed) {
 		t.Fatalf("head with no two peers agreeing: %v, want ErrFetchFailed", err)
 	}
 	// With every hop 100 ms, f+1 agreeing nominations cost one round trip.
 	w = newSyncWorld(t, []peerScript{{kind: honest}, {kind: honest}, {kind: honest}, {kind: honest}}, 6, false)
 	w.net.SetLatency(transport.FixedLatency(100 * time.Millisecond))
 	start := time.Now()
-	if _, err := w.sync.head(nil, "ch"); err != nil {
+	if _, err := w.sync.agreed(nil, "ch", fetchHeadProbe); err != nil {
 		t.Fatalf("head: %v", err)
 	}
 	if took := time.Since(start); took >= 300*time.Millisecond {
@@ -540,13 +732,20 @@ func TestBlockSyncAsksTheNextWindowBeforeTheFirstLands(t *testing.T) {
 	}
 }
 
-// TestBlockSyncFarStopCostsAtMostFourRequests: windows are made as earlier
-// ones land, so a copy whose stop lies 2^40 blocks beyond the peer's chain
-// costs that peer at most windowsInFlight requests and the requester no
-// memory by the range's length.
+// TestBlockSyncFarStopCostsAtMostFourRequests: an anchorless read whose
+// stop lies 2^40 blocks beyond the chain costs each peer one probe for the
+// stop block and no window request, since no f+1 nodes vouch for it. And
+// a peer's copy is asked for window by window as earlier ones land, so
+// even a linked read of such a range costs the peer at most
+// windowsInFlight requests and the requester no memory by its length.
 func TestBlockSyncFarStopCostsAtMostFourRequests(t *testing.T) {
 	const height = 10
 	w := newSyncWorld(t, []peerScript{{kind: honest}, {kind: honest}, {kind: honest}, {kind: honest}}, height, true)
+	if _, err := w.sync.agreed(nil, "ch", height+1<<40); !errors.Is(err, ErrFetchFailed) {
+		t.Fatalf("agreed on a block beyond the chain: %v", err)
+	}
+	w.checkAsks(t, height+1<<40+1, []string{"tip", "tip", "tip", "tip"})
+
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err := w.sync.fromPeer("peer-0", "ch", 0, height+1<<40, false, nil)
@@ -559,40 +758,69 @@ func TestBlockSyncFarStopCostsAtMostFourRequests(t *testing.T) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if n := len(w.asked[0]); n > windowsInFlight {
-		t.Errorf("peer 0 was sent %d requests, want at most %d", n, windowsInFlight)
+	if n := len(w.asked[0]) - 1; n > windowsInFlight {
+		t.Errorf("peer 0 was sent %d window requests, want at most %d", n, windowsInFlight)
 	}
 }
 
 // TestBlockSyncCancelledReplayLeavesNothing: cancelling a Deliver stream
-// in the middle of a fetch unregisters every pending request and ends
-// every goroutine the fetch started, well within one window timeout.
+// in the middle of its anchorless read — while the nodes are asked to
+// agree on the stop block, or while the range is fetched linked into it —
+// unregisters every pending request and ends every goroutine the read
+// started, well within one window timeout.
 func TestBlockSyncCancelledReplayLeavesNothing(t *testing.T) {
-	net := transport.NewInProcNetwork(transport.InProcConfig{})
-	defer net.Close()
-	newFakeNodes(t, net, 4, nil) // never answer: every window stays on the wire
-	fe, err := NewFrontend(FrontendConfig{ID: "fe", Replicas: ids4()}, net)
-	if err != nil {
-		t.Fatalf("frontend: %v", err)
-	}
-	defer fe.Close()
-	pending := func() int {
-		fe.sync.mu.Lock()
-		defer fe.sync.mu.Unlock()
-		return len(fe.sync.pending)
-	}
-	goroutines := runtime.NumGoroutine()
+	const stop = 10*windowBlocks - 1
+	top := fabric.NewBlock(stop, cryptoutil.Digest{}, [][]byte{feEnv(stop)})
+	for _, tc := range []struct {
+		name    string
+		probes  bool // the nodes answer the probes for the stop block
+		pending int  // requests on the wire when the stream is cancelled
+	}{
+		{name: "during the agreement", pending: 2},                                // f+1 probes
+		{name: "during the linked fetch", probes: true, pending: windowsInFlight}, // peer 0's windows
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := transport.NewInProcNetwork(transport.InProcConfig{})
+			defer net.Close()
+			nodes := newFakeNodes(t, net, 4, nil) // answer no window: every one stays on the wire
+			if tc.probes {
+				for _, conn := range nodes.conns {
+					go func() {
+						for m := range conn.Inbox() {
+							req, err := unmarshalFetchRequest(m.Payload)
+							if m.Type != MsgFetchRequest || err != nil || !req.SigsOnly {
+								continue
+							}
+							header := fabric.Block{Header: top.Header}
+							resp := fetchResponse{ReqID: req.ReqID, From: stop, Blocks: [][]byte{header.Marshal()}}
+							conn.Send(m.From, MsgFetchResponse, resp.marshal())
+						}
+					}()
+				}
+			}
+			fe, err := NewFrontend(FrontendConfig{ID: "fe", Replicas: ids4()}, net)
+			if err != nil {
+				t.Fatalf("frontend: %v", err)
+			}
+			defer fe.Close()
+			pending := func() int {
+				fe.sync.mu.Lock()
+				defer fe.sync.mu.Unlock()
+				return len(fe.sync.pending)
+			}
+			goroutines := runtime.NumGoroutine()
 
-	stream, err := fe.Deliver("ch", fabric.DeliverFrom(0).Through(10*windowBlocks-1))
-	if err != nil {
-		t.Fatalf("deliver: %v", err)
+			stream, err := fe.Deliver("ch", fabric.DeliverFrom(0).Through(stop))
+			if err != nil {
+				t.Fatalf("deliver: %v", err)
+			}
+			waitUntil(t, fetchWindowTimeout/4, func() bool { return pending() == tc.pending })
+			stream.Cancel()
+			waitUntil(t, fetchWindowTimeout/4, func() bool {
+				return pending() == 0 && runtime.NumGoroutine() <= goroutines
+			})
+		})
 	}
-	// Peer 0's windows and peer 1's request for the top block.
-	waitUntil(t, fetchWindowTimeout/4, func() bool { return pending() == windowsInFlight+1 })
-	stream.Cancel()
-	waitUntil(t, fetchWindowTimeout/4, func() bool {
-		return pending() == 0 && runtime.NumGoroutine() <= goroutines
-	})
 }
 
 // waitUntil polls cond until it holds, failing the test after within.
@@ -607,16 +835,19 @@ func waitUntil(t *testing.T, within time.Duration, cond func() bool) {
 	}
 }
 
-// FuzzFetchWindows drives fetch against four scripted peers — honest,
-// forging, forging the top block or unsigned, as the input chooses — each
-// of whose answers the input may rewrite: cut short, reversed, shifted,
-// pruned, one block longer than asked, or with a block's bytes replaced or
-// one of them flipped. The caller's anchor, proof and range come from the
-// input too. Every request is answered, so no wait may reach its timeout.
-// Properties: no panic; fetch returns within one window timeout; and it
-// either fails or returns exactly [from, to), hash-linked into its anchor —
-// the caller's, or else its own top — with, for a caller that keeps the
-// proof and has no anchor, f+1 valid signatures on every block.
+// FuzzFetchWindows drives the reads against four scripted peers —
+// honest, forging, forging the top block or unsigned, as the input chooses
+// — each of whose answers the input may rewrite: cut short, reversed,
+// shifted, pruned, one block longer than asked, or with a block's bytes
+// replaced or one of them flipped. The caller's anchor, proof and range
+// come from the input too; a caller with neither anchor nor proof makes
+// the anchorless read, agreed on block to-1 and then linked into it. Every
+// request is answered, so no wait may reach its timeout. Properties: no
+// panic; the read returns within one window timeout; and it either fails
+// or returns exactly [from, to), hash-linked into its anchor — the
+// caller's, the agreed header's, or else its own top — with, for a caller
+// that keeps the proof and has no anchor, f+1 valid signatures on every
+// block.
 func FuzzFetchWindows(f *testing.F) {
 	const height = 2*windowBlocks + 6
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -641,22 +872,33 @@ func FuzzFetchWindows(f *testing.F) {
 		proof := mode&2 != 0
 
 		start := time.Now()
-		blocks, err := w.sync.fetch(nil, "ch", from, to, anchor, proof)
+		var blocks []*fabric.Block
+		var err error
+		if !proof && anchor == nil {
+			var top *fabric.Block
+			if top, err = w.sync.agreed(nil, "ch", to-1); err == nil {
+				h := top.Header.Hash()
+				anchor = &h
+			}
+		}
+		if err == nil {
+			blocks, err = w.read(nil, from, to, anchor, proof)
+		}
 		if took := time.Since(start); took > fetchWindowTimeout {
-			t.Fatalf("fetch took %v", took)
+			t.Fatalf("read took %v", took)
 		}
 		if err != nil {
 			return
 		}
 		if len(blocks) == 0 {
-			t.Fatalf("fetch of %d..%d returned no blocks and no error", from, to-1)
+			t.Fatalf("read of %d..%d returned no blocks and no error", from, to-1)
 		}
 		want := blocks[len(blocks)-1].Header.Hash()
 		if anchor != nil {
 			want = *anchor
 		}
 		if err := fabric.VerifyRange(blocks, from, to, want); err != nil {
-			t.Fatalf("fetch returned a range that fails its proof: %v", err)
+			t.Fatalf("read returned a range that fails its proof: %v", err)
 		}
 		if proof && anchor == nil {
 			for _, b := range blocks {

@@ -223,13 +223,11 @@ type streamDeliverer struct {
 	stream *fabric.BlockStream
 
 	// sync is the history source below the window: the ordering nodes'
-	// durable ledgers of channel. It is asked for a range linked into an
-	// anchor the stream already trusts, for a bounded range before
-	// anything anchors the chain (f+1 signatures on its stop block anchor
-	// it instead), and — so that an unbounded replay of an idle chain does
-	// not stall until fresh releases arrive — for a quorum-agreed head
-	// block. Nil when the orderer has none (solo): history below the
-	// window is then unavailable.
+	// durable ledgers of channel. A range below the window is read linked
+	// into an anchor the stream trusts: the window's first block, or —
+	// before anything anchors the chain — a block f+1 nodes agree on. Nil
+	// when the orderer has none (solo): history below the window is then
+	// unavailable.
 	sync    *blockSync
 	channel string
 	// closing is the orderer's close; a stream it cancels ends with
@@ -267,7 +265,7 @@ func (d *streamDeliverer) run() {
 				return
 			}
 		case oldest != nil:
-			if !d.fetchAndEmit(d.next, oldest.Header.Number, oldest.Header.PrevHash) {
+			if !d.fetchAndEmit(d.next, oldest.Header.Number, oldest.Header.PrevHash, nil) {
 				return
 			}
 		default:
@@ -282,52 +280,33 @@ func (d *streamDeliverer) run() {
 }
 
 // replay starts an Oldest or Specified seek without waiting for a release
-// where the history source can resolve it: a bounded seek that ends below
-// the window fetches its exact range, proven by its stop block; with an
-// empty window a quorum-agreed head block anchors the replay up to the
-// chain's tip. It returns false when the stream is finished.
+// where the history source can resolve it. A bounded seek that ends below
+// the window — empty, or starting far above the stop, where replaying the
+// whole gap up to it only to discard it would cost a full-chain fetch —
+// agrees on its stop block; an empty window then agrees on the chain's
+// head. The range up to and including the agreed block is read linked into
+// its header, and the agreed block is emitted with the signatures gathered
+// for it. It returns false when the stream is finished.
 func (d *streamDeliverer) replay() bool {
 	d.next = d.seek.FirstNumber()
 	if d.sync == nil {
 		return true
 	}
 	oldest := d.log.oldest()
-	// A bounded seek that ends below the window resolves by an exact
-	// fetch of just [start, stop] with no anchor — both when the window is
-	// empty and when it starts far above the stop (replaying the whole gap
-	// up to the window only to discard it would cost a full-chain fetch).
-	// It keeps no proof, so f+1 signatures on the stop block make that
-	// block the anchor and the hash links below it prove the rest (f+1
-	// matching copies where the nodes' keys are not distributed or the
-	// blocks are unsigned).
+	var tops []uint64
 	if d.seek.HasStop && (oldest == nil || d.seek.Stop < oldest.Header.Number) {
-		blocks, err := d.sync.fetch(d.stream.Canceled(), d.channel, d.next, d.seek.Stop+1, nil, false)
-		if err == nil {
-			for _, b := range blocks {
-				if !d.emit(b) {
-					return false
-				}
-			}
-			d.stream.Close(nil)
-			return false
-		}
-		if floor, ok := d.resumeFloor(err); ok {
-			// The cluster compacted part of the range away; an Oldest
-			// seek restarts at the retention floor.
-			d.next = floor
-		}
-		// Otherwise unresolvable here (e.g. the stop block is not sealed
-		// yet, or the seek addressed pruned blocks — the fetch below the
-		// window rediscovers and reports that).
+		tops = append(tops, d.seek.Stop)
 	}
 	if oldest == nil {
-		if head, err := d.sync.head(d.stream.Canceled(), d.channel); err == nil {
-			if d.next < head.Header.Number && !d.fetchAndEmit(d.next, head.Header.Number, head.Header.PrevHash) {
-				return false
-			}
-			if head.Header.Number >= d.next && !d.emit(head) {
-				return false
-			}
+		tops = append(tops, fetchHeadProbe)
+	}
+	for _, number := range tops {
+		// A stop that is not sealed yet, or a head no f+1 nodes agree on,
+		// leaves the read to the next agreement or the live releases.
+		top, err := d.sync.agreed(d.stream.Canceled(), d.channel, number)
+		if err == nil {
+			h := &top.Header
+			return h.Number < d.next || d.fetchAndEmit(d.next, h.Number+1, h.Hash(), top.Signatures)
 		}
 	}
 	return true
@@ -363,21 +342,22 @@ func (d *streamDeliverer) canceled() {
 }
 
 // fetchAndEmit retrieves and emits blocks [from, to) from the history
-// source, linked into anchorPrev (the header hash of block to-1). Without
-// a verifiable copy the stream ends with fabric.ErrBlockNotFound naming
-// the range. A range the cluster compacted away resumes at the retention
-// floor for an Oldest seek (oldest means oldest available, as in Fabric)
-// and fails the stream with the typed pruned error — surfaced to wire
-// clients as NOT_FOUND — for seeks that addressed the pruned blocks
-// explicitly.
-func (d *streamDeliverer) fetchAndEmit(from, to uint64, anchorPrev cryptoutil.Digest) bool {
+// source, linked into anchor (the header hash of block to-1); block to-1
+// is emitted with sigs instead of its server's signatures when sigs is not
+// nil. Without a verifiable copy the stream ends with
+// fabric.ErrBlockNotFound naming the range. A range the cluster compacted
+// away resumes at the retention floor for an Oldest seek (oldest means
+// oldest available, as in Fabric) and fails the stream with the typed
+// pruned error — surfaced to wire clients as NOT_FOUND — for seeks that
+// addressed the pruned blocks explicitly.
+func (d *streamDeliverer) fetchAndEmit(from, to uint64, anchor cryptoutil.Digest, sigs []fabric.BlockSignature) bool {
 	for {
 		if d.sync == nil {
 			d.stream.Close(fmt.Errorf("%w: blocks %d..%d fell out of the retained history",
 				fabric.ErrBlockNotFound, from, to-1))
 			return false
 		}
-		blocks, err := d.sync.fetch(d.stream.Canceled(), d.channel, from, to, &anchorPrev, false)
+		blocks, err := d.sync.linked(d.stream.Canceled(), d.channel, from, to, anchor)
 		if err != nil {
 			if floor, ok := d.resumeFloor(err); ok {
 				if floor >= to {
@@ -403,6 +383,9 @@ func (d *streamDeliverer) fetchAndEmit(from, to uint64, anchorPrev cryptoutil.Di
 				d.stream.Close(err)
 			}
 			return false
+		}
+		if sigs != nil {
+			blocks[len(blocks)-1].Signatures = sigs
 		}
 		for _, b := range blocks {
 			if !d.emit(b) {

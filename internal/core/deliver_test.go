@@ -781,3 +781,84 @@ func TestDeliverUnboundedReplayOnIdleChain(t *testing.T) {
 	}
 	collectStream(t, stream, 4, 1, 20*time.Second)
 }
+
+// TestDeliverKeylessFrontendReplaysHistory: a frontend given no
+// verification keys, as cmd/frontend runs, still serves history below its
+// window from a durable cluster, gap-free and hash-linked: an Oldest
+// replay from an empty window agrees on the chain's head by f+1 serving
+// nodes, and a bounded seek below the window agrees on its stop block.
+func TestDeliverKeylessFrontendReplaysHistory(t *testing.T) {
+	dataDir := t.TempDir()
+	c := testCluster(t, ClusterConfig{Nodes: 4, BlockSize: 2, DataDir: dataDir})
+	writer := testFrontend(t, c, "frontend-a", false)
+	live := deliverNewest(t, writer, "ch")
+	for i := 0; i < 12; i++ {
+		if st := writer.Broadcast(mkEnvelope("ch", i, 32)); st != fabric.StatusSuccess {
+			t.Fatalf("broadcast: %s", st)
+		}
+	}
+	canon := collectBlocks(t, live, 12, 10*time.Second) // blocks 0..5
+	for i := range c.Nodes {
+		waitLedgerHeight(t, c.Nodes[i], "ch", 6, 5*time.Second)
+	}
+	writer.Close()
+	// A full-cluster restart leaves the nodes nothing recent to push to a
+	// newly registered frontend: its window stays empty until a release.
+	c.Stop()
+	c = testCluster(t, ClusterConfig{Nodes: 4, BlockSize: 2, DataDir: dataDir})
+
+	fe, err := NewFrontend(FrontendConfig{ID: "frontend-keyless", Replicas: c.Replicas(), F: c.cfg.F}, c.Network)
+	if err != nil {
+		t.Fatalf("keyless frontend: %v", err)
+	}
+	defer fe.Close()
+	canonical := func(blocks []*fabric.Block) {
+		t.Helper()
+		if err := fabric.VerifyChain(blocks); err != nil {
+			t.Fatalf("replayed chain: %v", err)
+		}
+		for _, b := range blocks {
+			if b.Header.Hash() != canon[b.Header.Number].Header.Hash() {
+				t.Fatalf("block %d is not the canonical copy", b.Header.Number)
+			}
+		}
+	}
+	window := func() *fabric.Block { return fe.logs.log("ch").oldest() }
+
+	oldest, err := fe.Deliver("ch", fabric.DeliverOldest())
+	if err != nil {
+		t.Fatalf("deliver oldest: %v", err)
+	}
+	defer oldest.Cancel()
+	canonical(collectStream(t, oldest, 0, 6, 20*time.Second))
+	if b := window(); b != nil {
+		t.Fatalf("the replay was served from a window holding block %d", b.Header.Number)
+	}
+
+	// A live block opens the window above the history, and the Oldest
+	// stream follows on into it.
+	writer = testFrontend(t, c, "frontend-b", false)
+	live = deliverNewest(t, writer, "ch")
+	for i := 12; i < 14; i++ {
+		if st := writer.Broadcast(mkEnvelope("ch", i, 32)); st != fabric.StatusSuccess {
+			t.Fatalf("broadcast: %s", st)
+		}
+	}
+	canon = append(canon, collectBlocks(t, live, 2, 10*time.Second)...)
+	canonical(collectStream(t, oldest, 6, 1, 10*time.Second))
+	if b := window(); b == nil || b.Header.Number != 6 {
+		t.Fatal("the keyless frontend's window does not start at block 6")
+	}
+
+	bounded, err := fe.Deliver("ch", fabric.DeliverFrom(1).Through(3))
+	if err != nil {
+		t.Fatalf("deliver 1..3: %v", err)
+	}
+	canonical(collectStream(t, bounded, 1, 3, 20*time.Second))
+	if _, ok := <-bounded.Blocks(); ok {
+		t.Fatal("bounded stream delivered past its stop")
+	}
+	if err := bounded.Err(); err != nil {
+		t.Fatalf("bounded seek ended with: %v", err)
+	}
+}

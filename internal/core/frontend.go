@@ -353,7 +353,7 @@ func (f *Frontend) Deliver(channel string, seek fabric.SeekInfo) (*fabric.BlockS
 // adversary. The chaos harness's verified-fetch invariant calls it
 // continuously and cross-checks the result against the released stream.
 func (f *Frontend) FetchVerified(channel string, from, to uint64) ([]*fabric.Block, error) {
-	return f.sync.fetch(f.done, channel, from, to, nil, true)
+	return f.sync.proven(f.done, channel, from, to, nil)
 }
 
 // OnBlock installs a callback invoked synchronously on the receive loop for

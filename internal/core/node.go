@@ -202,8 +202,9 @@ type Byzantine struct {
 	// ForgeHistory makes the node answer FetchBlocks requests (head probes
 	// and ranges) from a self-consistent forged chain signed only by this
 	// node. The forgery passes per-range hash-chain verification, so only
-	// an anchor or an f+1 threshold across peers (blockSync.fetch) can
-	// reject it — exactly the property the forged-history scenario checks.
+	// an anchor or an f+1 threshold across peers (blockSync.agreed and
+	// blockSync.proven) can reject it — exactly the property the
+	// forged-history scenario checks.
 	ForgeHistory bool
 }
 
